@@ -52,34 +52,27 @@ fuzz-smoke:
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
-# RTLCycle), BENCH_campaign.json (campaign throughput, scalar vs
-# lane-batched, with the speedup ratio), BENCH_lanes.json (batched
-# throughput across the 64/256/512-lane resume widths),
-# BENCH_codegen.json (generated straight-line evaluator vs interpreted
-# op stream, per combinational pass and per campaign), and
-# BENCH_convergence.json (per-sampler samples-to-target-CI — statistical
-# efficiency rather than wall time).
+# RTLCycle), BENCH_campaign.json (per-sample campaign cost, scalar vs
+# lane-batched vs lane-batched with the interpreted evaluator, plus one
+# generated vs interpreted 64-lane eval pass, with the speedup ratios),
+# and BENCH_convergence.json (per-sampler samples-to-target-CI —
+# statistical efficiency rather than wall time).
 bench:
 	$(GO) run ./cmd/benchjson -suite runonce -out BENCH_runonce.json
 	$(GO) run ./cmd/benchjson -suite campaign -out BENCH_campaign.json
-	$(GO) run ./cmd/benchjson -suite lanes -out BENCH_lanes.json
-	$(GO) run ./cmd/benchjson -suite codegen -out BENCH_codegen.json
 	$(GO) run ./cmd/benchjson -suite convergence -out BENCH_convergence.json
 
 # bench-smoke is the cheap CI guard: the hot-path benchmarks must still
-# compile and run (including every lane width), and fresh runonce and
-# lanes records must stay within tolerance of the committed ones
-# (generous 0.75 to absorb shared-runner noise). The convergence record
-# counts samples, not time — fixed-seed deterministic — so it is gated
-# at a tight 0.05.
+# compile and run, and fresh runonce and campaign records must stay
+# within tolerance of the committed ones (generous 0.75 to absorb
+# shared-runner noise). The convergence record counts samples, not time
+# — fixed-seed deterministic — so it is gated at a tight 0.05.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaignBatched$$|BenchmarkCampaignLanes(64|256|512)$$' -benchtime=100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaignBatched$$' -benchtime=100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMPUEval$$' -benchtime=100x ./internal/soc/
 	$(GO) run ./cmd/benchjson -suite runonce -out /tmp/bench_smoke.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_runonce.json /tmp/bench_smoke.json
-	$(GO) run ./cmd/benchjson -suite lanes -out /tmp/bench_lanes_smoke.json
-	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_lanes.json /tmp/bench_lanes_smoke.json
-	$(GO) run ./cmd/benchjson -suite codegen -out /tmp/bench_codegen_smoke.json
-	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_codegen.json /tmp/bench_codegen_smoke.json
+	$(GO) run ./cmd/benchjson -suite campaign -out /tmp/bench_campaign_smoke.json
+	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_campaign.json /tmp/bench_campaign_smoke.json
 	$(GO) run ./cmd/benchjson -suite convergence -out /tmp/bench_conv_smoke.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.05 BENCH_convergence.json /tmp/bench_conv_smoke.json

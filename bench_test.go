@@ -333,13 +333,13 @@ func BenchmarkAblationAlpha500(b *testing.B) { benchAlpha(b, 500) }
 // (ns/op is the per-sample cost; samples/s is attached as a metric) on
 // the bundled MPU workload with the paper's importance sampler, for the
 // scalar vs the lane-batched execution path.
-func benchCampaignThroughput(b *testing.B, batch bool, lanes int) {
+func benchCampaignThroughput(b *testing.B, batch bool) {
 	_, ev := benchSetup(b)
 	sp, err := ev.ImportanceSampler()
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: batch, Lanes: lanes}
+	opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: batch}
 	b.ResetTimer()
 	c, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
 	if err != nil {
@@ -349,15 +349,8 @@ func benchCampaignThroughput(b *testing.B, batch bool, lanes int) {
 	b.ReportMetric(c.SSF()*1e6, "SSFe-6")
 }
 
-func BenchmarkCampaignScalar(b *testing.B)  { benchCampaignThroughput(b, false, 0) }
-func BenchmarkCampaignBatched(b *testing.B) { benchCampaignThroughput(b, true, 0) }
-
-// Per-width variants of the batched campaign: the resume width is a
-// pure throughput knob (fixed-seed results are bit-identical), so these
-// isolate how much of the batched win comes from the wide words.
-func BenchmarkCampaignLanes64(b *testing.B)  { benchCampaignThroughput(b, true, 64) }
-func BenchmarkCampaignLanes256(b *testing.B) { benchCampaignThroughput(b, true, 256) }
-func BenchmarkCampaignLanes512(b *testing.B) { benchCampaignThroughput(b, true, 512) }
+func BenchmarkCampaignScalar(b *testing.B)  { benchCampaignThroughput(b, false) }
+func BenchmarkCampaignBatched(b *testing.B) { benchCampaignThroughput(b, true) }
 
 // --- Microbenchmarks of the substrates --------------------------------------
 

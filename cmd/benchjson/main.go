@@ -4,44 +4,40 @@
 //     allocs/op for a complete cross-level run (RunOnce), one timed
 //     gate-level injection (GateInjection), and one RTL cycle
 //     (RTLCycle).
-//   - BENCH_campaign.json (-suite campaign): campaign throughput
-//     (ns/op and samples/sec) of the scalar and lane-batched execution
-//     paths, plus the batched-over-scalar speedup.
-//   - BENCH_lanes.json (-suite lanes): batched campaign throughput
-//     across resume widths — scalar baseline, then 64, 256, and 512
-//     virtual lanes per pass. Fixed-seed results are bit-identical at
-//     every width; only the throughput differs.
-//   - BENCH_codegen.json (-suite codegen): the generated straight-line
-//     evaluator (internal/logicsim/codegen) against the interpreted op
-//     stream on the bundled MPU, at two levels. EvalPass* rows time one
-//     combinational pass per lane width (samples_per_sec counts
-//     lane-samples — lanes per pass over pass time); Campaign* rows time
-//     the full lane-batched campaign on both stacks. The headline
-//     speedup_codegen_vs_interp is the 512-lane evaluator ratio;
-//     speedup_codegen_campaign is the end-to-end campaign ratio, which
-//     Amdahl dilutes because the per-sample cost is dominated by the
-//     gate-level timing injection, not the combinational sweep. Fixed-
-//     seed results are bit-identical on both paths at every width.
+//   - BENCH_campaign.json (-suite campaign): per-sample campaign cost
+//     (ns/op and samples/sec) of the scalar path (CampaignScalar), the
+//     lane-batched path (CampaignBatched), and the lane-batched path on
+//     a stack built with generated-evaluator binding off
+//     (CampaignBatchedInterp); plus one 64-lane combinational pass of
+//     the bundled MPU, interpreted (EvalPassInterp) and generated
+//     (EvalPassCodegen), where samples_per_sec counts lanes per second.
+//     speedup_batched_vs_scalar is the batched-over-scalar ratio,
+//     speedup_codegen_vs_interp the eval-pass ratio, and
+//     speedup_codegen_campaign the campaign ratio, which Amdahl
+//     dilutes because most of a sample is timed injection and RTL
+//     resume, not the combinational pass. Fixed-seed results are
+//     bit-identical on every path.
 //   - BENCH_convergence.json (-suite convergence): statistical
 //     efficiency instead of wall time — for each sampler, the number of
-//     samples an adaptive campaign needs before its 95% CI half-width
-//     drops to the target (ns_per_op holds the sample count, so the
-//     -compare regression gate applies unchanged). The runs are
-//     deterministic (fixed seed), so the suite is gated at a tight
-//     tolerance.
+//     samples (n) an adaptive campaign needs before its 95% CI
+//     half-width drops to the target. The rows carry no ns_per_op. The
+//     runs are deterministic (fixed seed), so the suite is gated at a
+//     tight tolerance.
 //
 // It uses the same setup as the root go-bench harness, so the numbers
 // are comparable to `go test -bench`.
 //
 // Regression gate: `benchjson -compare -tolerance 0.25 old.json
-// new.json` compares two records, prints the per-metric percentage
-// deltas, and exits non-zero when any benchmark present in old got more
-// than (1+tolerance)× slower in new, or is missing from new — the CI
-// bench-smoke step runs it against the committed record.
+// new.json` compares two records, prints the per-row percentage
+// deltas, and exits non-zero when any row present in old grew by more
+// than (1+tolerance)× in new, or is missing from new. Rows with a
+// ns_per_op are gated on it; rows without one (the convergence record)
+// are gated on their sample count n. The CI bench-smoke step runs it
+// against the committed records.
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-suite runonce|campaign|lanes|codegen|convergence] [-out FILE]
+//	go run ./cmd/benchjson [-suite runonce|campaign|convergence] [-out FILE]
 //	go run ./cmd/benchjson -compare [-tolerance T] old.json new.json
 package main
 
@@ -50,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"testing"
@@ -66,37 +63,38 @@ import (
 )
 
 type benchResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	Name string `json:"name"`
+	// NsPerOp is absent from convergence rows, which measure samples
+	// (N), not time.
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	N           int     `json:"n"`
 	// SamplesPerSec is reported by the campaign suite only.
 	SamplesPerSec float64 `json:"samples_per_sec,omitempty"`
 	// SSF, CIHalfWidth, and ESS are reported by the convergence suite
-	// only (ns_per_op holds the samples-to-target-CI count there).
+	// only.
 	SSF         float64 `json:"ssf,omitempty"`
 	CIHalfWidth float64 `json:"ci_half_width,omitempty"`
 	ESS         float64 `json:"ess,omitempty"`
 }
 
+// benchFile is one committed record. The speedup fields are written by
+// the campaign suite only: batched over scalar campaign, generated over
+// interpreted eval pass, and generated over interpreted batched
+// campaign.
 type benchFile struct {
-	Benchmarks []benchResult `json:"benchmarks"`
-	// SpeedupBatched records batched-over-scalar campaign throughput
-	// (campaign suite only).
-	SpeedupBatched float64 `json:"speedup_batched_vs_scalar,omitempty"`
-	// SpeedupCodegen records generated-over-interpreted combinational
-	// pass throughput at 512 lanes; SpeedupCodegenCampaign records the
-	// same ratio at full-campaign level (codegen suite only).
-	SpeedupCodegen         float64 `json:"speedup_codegen_vs_interp,omitempty"`
-	SpeedupCodegenCampaign float64 `json:"speedup_codegen_campaign,omitempty"`
+	Benchmarks             []benchResult `json:"benchmarks"`
+	SpeedupBatched         float64       `json:"speedup_batched_vs_scalar,omitempty"`
+	SpeedupCodegen         float64       `json:"speedup_codegen_vs_interp,omitempty"`
+	SpeedupCodegenCampaign float64       `json:"speedup_codegen_campaign,omitempty"`
 }
 
 func main() {
 	out := flag.String("out", "", "output path (default BENCH_<suite>.json)")
-	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | lanes | codegen | convergence")
+	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | convergence")
 	compare := flag.Bool("compare", false, "compare two records (old.json new.json) instead of benchmarking")
-	tolerance := flag.Float64("tolerance", 0.25, "compare: allowed fractional ns/op growth before failing")
+	tolerance := flag.Float64("tolerance", 0.25, "compare: allowed fractional growth of ns/op (or of n for rows without ns/op) before failing")
 	flag.Parse()
 
 	if *compare {
@@ -115,10 +113,6 @@ func main() {
 		results = runOnceSuite()
 	case "campaign":
 		results = campaignSuite()
-	case "lanes":
-		results = lanesSuite()
-	case "codegen":
-		results = codegenSuite()
 	case "convergence":
 		results = convergenceSuite()
 	default:
@@ -127,42 +121,16 @@ func main() {
 
 	file := benchFile{Benchmarks: results}
 	if *suite == "campaign" {
-		var scalar, batched float64
+		ns := make(map[string]float64, len(results))
 		for _, r := range results {
-			switch r.Name {
-			case "CampaignScalar":
-				scalar = r.NsPerOp
-			case "CampaignBatched":
-				batched = r.NsPerOp
-			}
+			ns[r.Name] = r.NsPerOp
 		}
-		if batched > 0 {
-			file.SpeedupBatched = scalar / batched
-			fmt.Printf("batched speedup: %.2fx\n", file.SpeedupBatched)
-		}
-	}
-	if *suite == "codegen" {
-		var evalInterp, evalGen, campInterp, campGen float64
-		for _, r := range results {
-			switch r.Name {
-			case "EvalPassInterp512":
-				evalInterp = r.NsPerOp
-			case "EvalPassCodegen512":
-				evalGen = r.NsPerOp
-			case "CampaignInterp512":
-				campInterp = r.NsPerOp
-			case "CampaignCodegen512":
-				campGen = r.NsPerOp
-			}
-		}
-		if evalGen > 0 {
-			file.SpeedupCodegen = evalInterp / evalGen
-			fmt.Printf("codegen eval speedup (512 lanes): %.2fx\n", file.SpeedupCodegen)
-		}
-		if campGen > 0 {
-			file.SpeedupCodegenCampaign = campInterp / campGen
-			fmt.Printf("codegen campaign speedup: %.2fx\n", file.SpeedupCodegenCampaign)
-		}
+		file.SpeedupBatched = ns["CampaignScalar"] / ns["CampaignBatched"]
+		file.SpeedupCodegen = ns["EvalPassInterp"] / ns["EvalPassCodegen"]
+		file.SpeedupCodegenCampaign = ns["CampaignBatchedInterp"] / ns["CampaignBatched"]
+		fmt.Printf("batched speedup: %.2fx\n", file.SpeedupBatched)
+		fmt.Printf("codegen eval speedup: %.2fx\n", file.SpeedupCodegen)
+		fmt.Printf("codegen campaign speedup: %.2fx\n", file.SpeedupCodegenCampaign)
 	}
 	path := *out
 	if path == "" {
@@ -190,7 +158,7 @@ func record(results *[]benchResult, name string, fn func(b *testing.B)) *benchRe
 		N:           r.N,
 	}
 	*results = append(*results, res)
-	fmt.Printf("%-16s %12.0f ns/op %8d B/op %6d allocs/op (n=%d)\n",
+	fmt.Printf("%-22s %12.0f ns/op %8d B/op %6d allocs/op (n=%d)\n",
 		name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.N)
 	return &(*results)[len(*results)-1]
 }
@@ -253,158 +221,63 @@ func runOnceSuite() []benchResult {
 	return results
 }
 
-// campaignSuite measures end-to-end campaign throughput on the bundled
-// MPU workload, scalar vs lane-batched, with the same importance
-// sampler and seed the root go-bench harness uses.
+// campaignSuite measures per-sample campaign cost on the bundled MPU
+// workload with the same importance sampler and seed the root go-bench
+// harness uses: scalar, lane-batched, and lane-batched on a stack built
+// with generated-evaluator binding off. The EvalPass rows time one
+// 64-lane combinational pass of the MPU, interpreted and generated —
+// the work the codegen backend replaces.
 func campaignSuite() []benchResult {
 	_, ev := setup()
-	var results []benchResult
-	for _, cfg := range []struct {
-		name  string
-		batch bool
-	}{
-		{"CampaignScalar", false},
-		{"CampaignBatched", true},
-	} {
-		res := record(&results, cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			sp, err := ev.ImportanceSampler()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch}
-			b.ResetTimer()
-			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		res.SamplesPerSec = 1e9 / res.NsPerOp
-	}
-	return results
-}
-
-// lanesSuite measures batched campaign throughput across resume
-// widths: the scalar baseline, then 64, 256, and 512 virtual lanes per
-// combinational pass. Same workload, sampler, and seed as the campaign
-// suite, so CampaignScalar is directly comparable across records.
-func lanesSuite() []benchResult {
-	_, ev := setup()
-	var results []benchResult
-	for _, cfg := range []struct {
-		name  string
-		batch bool
-		lanes int
-	}{
-		{"CampaignScalar", false, 0},
-		{"CampaignLanes64", true, 64},
-		{"CampaignLanes256", true, 256},
-		{"CampaignLanes512", true, 512},
-	} {
-		res := record(&results, cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			sp, err := ev.ImportanceSampler()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch, Lanes: cfg.lanes}
-			b.ResetTimer()
-			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		res.SamplesPerSec = 1e9 / res.NsPerOp
-	}
-	return results
-}
-
-// codegenSuite measures what the generated straight-line evaluator
-// buys over the interpreted op stream, at two levels. EvalPass* rows
-// time a single combinational pass of the bundled MPU per lane width —
-// the work the codegen backend replaces — with samples_per_sec counting
-// lane-samples (lanes per pass over pass time); this is where the
-// headline speedup_codegen_vs_interp comes from. Campaign* rows time
-// the full lane-batched campaign on two otherwise identical stacks,
-// one built with generated-evaluator binding disabled (the interpreted
-// 512-lane baseline) and one with the committed MPU evaluator bound;
-// that ratio is Amdahl-diluted because most of a sample is gate-level
-// timing injection, not combinational sweep. Same workload, sampler,
-// and seed as the lanes suite; fixed-seed results are bit-identical on
-// both paths (montecarlo's TestCampaignCodegenEquivalence pins that).
-func codegenSuite() []benchResult {
-	_, evGen := setup()
-	if !evGen.Engine.SoC.Sim.Plan().Generated() {
-		fatal(fmt.Errorf("codegen suite: MPU plan did not bind the generated evaluator (stale mpu_evalgen.go? run `go generate ./...`)"))
+	if !ev.Engine.SoC.Sim.Plan().Generated() {
+		fatal(fmt.Errorf("campaign suite: MPU plan did not bind the generated evaluator (stale mpu_evalgen.go? run `go generate ./...`)"))
 	}
 	prev := logicsim.SetGeneratedEnabled(false)
 	_, evInt := setup() // Build and NewEvaluation both inside the disabled window
 	logicsim.SetGeneratedEnabled(prev)
 	if evInt.Engine.SoC.Sim.Plan().Generated() {
-		fatal(fmt.Errorf("codegen suite: interpreted baseline bound a generated evaluator"))
+		fatal(fmt.Errorf("campaign suite: interpreted baseline bound a generated evaluator"))
 	}
 
 	var results []benchResult
-
-	mpu, err := soc.BuildMPU(soc.DefaultMPUConfig())
-	if err != nil {
-		fatal(err)
-	}
-	prev = logicsim.SetGeneratedEnabled(false)
-	simInt, errI := logicsim.New(mpu.Netlist)
-	logicsim.SetGeneratedEnabled(prev)
-	if errI != nil {
-		fatal(errI)
-	}
-	simGen, err := logicsim.New(mpu.Netlist)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cfg := range []struct {
-		name   string
-		sim    *logicsim.Simulator
-		groups int
-	}{
-		{"EvalPassInterp512", simInt, 8},
-		{"EvalPassCodegen64", simGen, 1},
-		{"EvalPassCodegen256", simGen, 4},
-		{"EvalPassCodegen512", simGen, 8},
-	} {
-		w, err := logicsim.NewLaneSim(cfg.sim, cfg.groups)
-		if err != nil {
-			fatal(err)
-		}
-		lanes := 64 * cfg.groups
-		res := record(&results, cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.Eval()
-			}
-		})
-		res.SamplesPerSec = float64(lanes) * 1e9 / res.NsPerOp
-	}
 	for _, cfg := range []struct {
 		name  string
 		ev    *core.Evaluation
-		lanes int
+		batch bool
 	}{
-		{"CampaignInterp512", evInt, 512},
-		{"CampaignCodegen64", evGen, 64},
-		{"CampaignCodegen256", evGen, 256},
-		{"CampaignCodegen512", evGen, 512},
+		{"CampaignScalar", ev, false},
+		{"CampaignBatched", ev, true},
+		{"CampaignBatchedInterp", evInt, true},
 	} {
-		ev := cfg.ev
-		lanes := cfg.lanes
 		res := record(&results, cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			sp, err := ev.ImportanceSampler()
+			sp, err := cfg.ev.ImportanceSampler()
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: true, Lanes: lanes}
+			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch}
 			b.ResetTimer()
-			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
+			if _, err := cfg.ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
 				b.Fatal(err)
 			}
 		})
 		res.SamplesPerSec = 1e9 / res.NsPerOp
+	}
+
+	for _, cfg := range []struct {
+		name string
+		sim  *logicsim.Simulator
+	}{
+		{"EvalPassInterp", evInt.Engine.SoC.Sim},
+		{"EvalPassCodegen", ev.Engine.SoC.Sim},
+	} {
+		sim := cfg.sim.Fork()
+		res := record(&results, cfg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sim.Eval()
+			}
+		})
+		res.SamplesPerSec = 64 * 1e9 / res.NsPerOp
 	}
 	return results
 }
@@ -472,7 +345,6 @@ func convergenceSuite() []benchResult {
 		n := camp.Est.N()
 		res := benchResult{
 			Name:        cfg.name,
-			NsPerOp:     float64(n), // samples to target CI, not time
 			N:           n,
 			SSF:         camp.SSF(),
 			CIHalfWidth: camp.CIHalfWidth(),
@@ -501,10 +373,9 @@ func setup() (*core.Framework, *core.Evaluation) {
 	return fw, ev
 }
 
-// compareFiles loads two benchmark records and fails when a benchmark
-// of the old record regressed beyond the tolerance in the new one, or
-// disappeared from it. Benchmarks only present in the new record are
-// reported but don't fail the comparison.
+// compareFiles loads two benchmark records and fails when a row of the
+// old record regressed beyond the tolerance in the new one, or
+// disappeared from it (see compareRecords).
 func compareFiles(oldPath, newPath string, tolerance float64) error {
 	oldRec, err := loadFile(oldPath)
 	if err != nil {
@@ -514,39 +385,50 @@ func compareFiles(oldPath, newPath string, tolerance float64) error {
 	if err != nil {
 		return err
 	}
-	newBy := make(map[string]benchResult, len(newRec.Benchmarks))
-	for _, r := range newRec.Benchmarks {
-		newBy[r.Name] = r
-	}
-	failed := false
-	for _, old := range oldRec.Benchmarks {
-		cur, ok := newBy[old.Name]
-		if !ok {
-			fmt.Printf("%-16s MISSING from %s\n", old.Name, newPath)
-			failed = true
-			continue
-		}
-		limit := old.NsPerOp * (1 + tolerance)
-		ratio := cur.NsPerOp / old.NsPerOp
-		status := "ok"
-		if cur.NsPerOp > limit {
-			status = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("%-22s %12.0f -> %12.0f ns/op  (%+.1f%%, limit +%.0f%%)  %s\n",
-			old.Name, old.NsPerOp, cur.NsPerOp, (ratio-1)*100, tolerance*100, status)
-		delete(newBy, old.Name)
-	}
-	for _, r := range newRec.Benchmarks {
-		if _, stillNew := newBy[r.Name]; stillNew {
-			fmt.Printf("%-22s %12.0f ns/op  (new benchmark, not gated)\n", r.Name, r.NsPerOp)
-		}
-	}
-	if failed {
+	if !compareRecords(os.Stdout, oldRec, newRec, newPath, tolerance) {
 		return fmt.Errorf("benchmark regression beyond %.0f%% tolerance", tolerance*100)
 	}
 	fmt.Println("compare: ok")
 	return nil
+}
+
+// compareRecords prints one line per row of old and reports whether
+// every row is present in new and grew by at most a factor of
+// 1+tolerance. A row is gated on ns_per_op when old has one, and on
+// its sample count n otherwise. Rows only present in new are reported
+// but not gated.
+func compareRecords(w io.Writer, oldRec, newRec *benchFile, newPath string, tolerance float64) bool {
+	newBy := make(map[string]benchResult, len(newRec.Benchmarks))
+	for _, r := range newRec.Benchmarks {
+		newBy[r.Name] = r
+	}
+	ok := true
+	for _, old := range oldRec.Benchmarks {
+		cur, found := newBy[old.Name]
+		if !found {
+			fmt.Fprintf(w, "%-22s MISSING from %s\n", old.Name, newPath)
+			ok = false
+			continue
+		}
+		was, now, unit := old.NsPerOp, cur.NsPerOp, "ns/op"
+		if was == 0 {
+			was, now, unit = float64(old.N), float64(cur.N), "samples"
+		}
+		status := "ok"
+		if now > was*(1+tolerance) {
+			status = "REGRESSION"
+			ok = false
+		}
+		fmt.Fprintf(w, "%-22s %12.0f -> %12.0f %-7s (%+.1f%%, limit +%.0f%%)  %s\n",
+			old.Name, was, now, unit, (now/was-1)*100, tolerance*100, status)
+		delete(newBy, old.Name)
+	}
+	for _, r := range newRec.Benchmarks {
+		if _, stillNew := newBy[r.Name]; stillNew {
+			fmt.Fprintf(w, "%-22s new row, not gated\n", r.Name)
+		}
+	}
+	return ok
 }
 
 func loadFile(path string) (*benchFile, error) {

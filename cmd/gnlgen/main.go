@@ -1,9 +1,8 @@
 // Command gnlgen generates a per-netlist straight-line Go evaluator:
 // it compiles a design to its logicsim evaluation plan and emits a
-// source file with branch-free Eval1/Eval4/Eval8 functions (64, 256,
-// and 512 lanes) that self-register in logicsim's plan-hash registry,
-// so Compile transparently swaps the generated code in for that exact
-// design.
+// source file with one branch-free 64-lane Eval function that
+// self-registers in logicsim's plan-hash registry, so Compile
+// transparently swaps the generated code in for that exact design.
 //
 // Usage:
 //
@@ -36,7 +35,7 @@ import (
 func main() {
 	out := flag.String("o", "", "output file (default: stdout); written only when content changes")
 	pkg := flag.String("pkg", "main", "package name of the generated file")
-	prefix := flag.String("prefix", "gen", "function-name prefix (<prefix>Eval1/4/8)")
+	prefix := flag.String("prefix", "gen", "function-name prefix (<prefix>Eval)")
 	builtin := flag.Bool("builtin", false, "generate for the bundled MPU instead of a .gnl file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: gnlgen [-o out.go] [-pkg name] [-prefix name] file.gnl\n       gnlgen -builtin [-o out.go] [-pkg name] [-prefix name]\n")

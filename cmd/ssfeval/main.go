@@ -49,7 +49,6 @@ func main() {
 	maxSamples := flag.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
 	progress := flag.Bool("progress", stderrIsTerminal(), "print a live progress line to stderr")
 	batch := flag.Bool("batch", false, "use the lane-batched speculative resume (gate/register modes)")
-	lanes := flag.Int("lanes", 0, "batched: virtual lanes per resume pass (64 | 256 | 512; 0 = default 512)")
 	codegen := flag.Bool("codegen", true, "bind the generated straight-line evaluator when one matches the compiled plan hash (false = always interpret)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the campaign to this file")
@@ -128,7 +127,7 @@ func main() {
 		}
 	}
 
-	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog, Batch: *batch, Lanes: *lanes, ControlVariate: *ctrlVar}
+	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog, Batch: *batch, ControlVariate: *ctrlVar}
 	var camp *montecarlo.Campaign
 	workers := 1
 	if *cpuProfile != "" {
@@ -161,7 +160,6 @@ func main() {
 			aopts.MaxSamples = *maxSamples
 			aopts.Progress = prog
 			aopts.Batch = *batch
-			aopts.Lanes = *lanes
 			aopts.AdaptProposal = *adaptProp
 			aopts.ControlVariate = *ctrlVar
 			camp, err = pool.RunAdaptive(ctx, sp, aopts)

@@ -368,10 +368,8 @@ func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 			return nil, err
 		}
 		// Share the parent's timed simulator topology and fault-cone
-		// schedule cache instead of recomputing them per clone, and
-		// inherit its lane-width choice.
+		// schedule cache instead of recomputing them per clone.
 		eng.Timing = e.Engine.Timing.Fork()
-		eng.Lanes = e.Engine.Lanes
 		if _, err := eng.RunGolden(f.Opts.CheckpointInterval); err != nil {
 			return nil, err
 		}

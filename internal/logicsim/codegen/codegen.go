@@ -1,7 +1,6 @@
 // Package codegen turns a compiled logicsim evaluation plan into Go
-// source: a branch-free straight-line evaluator specialized to one
-// netlist, with scalar (64-lane), 4-word (256-lane), and 8-word
-// (512-lane) variants. The generated file self-registers in logicsim's
+// source: a branch-free straight-line 64-lane evaluator specialized to
+// one netlist. The generated file self-registers in logicsim's
 // plan-hash-keyed registry, so Compile transparently swaps the code in
 // for that exact design and falls back to the interpreted Eval on any
 // mismatch.
@@ -47,15 +46,11 @@ type Op struct {
 type Program struct {
 	// Hash is logicsim's Plan.Hash of the source plan.
 	Hash uint64
-	// NumNodes sizes the value array (NumNodes·K words at stride K).
+	// NumNodes sizes the value array (one word per node).
 	NumNodes int
 	// Ops is the statement list in plan execution order.
 	Ops []Op
 }
-
-// Strides are the lane widths a generated evaluator covers: K words
-// per node, 64·K virtual lanes.
-var Strides = [...]int{1, 4, 8}
 
 // Build compiles the netlist (with the standard peephole fold) and
 // lifts the resulting plan into a Program.
@@ -108,62 +103,57 @@ func effFaninCount(op *modelcheck.PlanOp) int {
 	return op.Nin
 }
 
-// Eval executes the program over a flat node-major value array with
-// the given word stride (node i's words at [i·stride, (i+1)·stride)).
-// It is the reference interpretation of the emitted source — the
-// oracle the fuzz target compares against logicsim's evaluators — not
-// a fast path.
-func (p *Program) Eval(vals []uint64, stride int) {
-	if len(vals) < p.NumNodes*stride {
-		panic(fmt.Sprintf("codegen: Eval over %d words, program needs %d", len(vals), p.NumNodes*stride))
+// Eval executes the program over a flat 64-lane value array indexed by
+// NodeID. It is the reference interpretation of the emitted source —
+// the oracle the fuzz target compares against logicsim's evaluators —
+// not a fast path.
+func (p *Program) Eval(vals []uint64) {
+	if len(vals) < p.NumNodes {
+		panic(fmt.Sprintf("codegen: Eval over %d words, program needs %d", len(vals), p.NumNodes))
 	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		for k := 0; k < stride; k++ {
-			var v uint64
-			switch op.Cell {
-			case netlist.Const0:
-				v = 0
-			case netlist.Const1:
-				v = ^uint64(0)
-			case netlist.Buf:
-				v = vals[op.In[0]*stride+k]
-			case netlist.Inv:
-				v = ^vals[op.In[0]*stride+k]
-			case netlist.And, netlist.Nand:
-				v = vals[op.In[0]*stride+k]
-				for _, f := range op.In[1:] {
-					v &= vals[f*stride+k]
-				}
-				if op.Cell == netlist.Nand {
-					v = ^v
-				}
-			case netlist.Or, netlist.Nor:
-				v = vals[op.In[0]*stride+k]
-				for _, f := range op.In[1:] {
-					v |= vals[f*stride+k]
-				}
-				if op.Cell == netlist.Nor {
-					v = ^v
-				}
-			case netlist.Xor, netlist.Xnor:
-				v = vals[op.In[0]*stride+k]
-				for _, f := range op.In[1:] {
-					v ^= vals[f*stride+k]
-				}
-				if op.Cell == netlist.Xnor {
-					v = ^v
-				}
-			case netlist.Mux2:
-				a := vals[op.In[0]*stride+k]
-				b := vals[op.In[1]*stride+k]
-				sel := vals[op.In[2]*stride+k]
-				v = (a &^ sel) | (b & sel)
-			default:
-				panic(fmt.Sprintf("codegen: op %d has non-combinational cell %v", i, op.Cell))
+		var v uint64
+		switch op.Cell {
+		case netlist.Const0:
+			v = 0
+		case netlist.Const1:
+			v = ^uint64(0)
+		case netlist.Buf:
+			v = vals[op.In[0]]
+		case netlist.Inv:
+			v = ^vals[op.In[0]]
+		case netlist.And, netlist.Nand:
+			v = vals[op.In[0]]
+			for _, f := range op.In[1:] {
+				v &= vals[f]
 			}
-			vals[op.Out*stride+k] = v
+			if op.Cell == netlist.Nand {
+				v = ^v
+			}
+		case netlist.Or, netlist.Nor:
+			v = vals[op.In[0]]
+			for _, f := range op.In[1:] {
+				v |= vals[f]
+			}
+			if op.Cell == netlist.Nor {
+				v = ^v
+			}
+		case netlist.Xor, netlist.Xnor:
+			v = vals[op.In[0]]
+			for _, f := range op.In[1:] {
+				v ^= vals[f]
+			}
+			if op.Cell == netlist.Xnor {
+				v = ^v
+			}
+		case netlist.Mux2:
+			a, b, sel := vals[op.In[0]], vals[op.In[1]], vals[op.In[2]]
+			v = (a &^ sel) | (b & sel)
+		default:
+			panic(fmt.Sprintf("codegen: op %d has non-combinational cell %v", i, op.Cell))
 		}
+		vals[op.Out] = v
 	}
 }
 
@@ -171,7 +161,7 @@ func (p *Program) Eval(vals []uint64, stride int) {
 type Config struct {
 	// Package is the target package name.
 	Package string
-	// Prefix names the generated functions (<Prefix>Eval1/4/8).
+	// Prefix names the generated function (<Prefix>Eval).
 	Prefix string
 	// Source is the provenance line in the file header (netlist path
 	// or built-in design description). Keep it deterministic — the
@@ -201,25 +191,20 @@ func (p *Program) Emit(cfg Config) ([]byte, error) {
 	fmt.Fprintf(&b, "// Source: %s\n", cfg.Source)
 	fmt.Fprintf(&b, "// Plan: %d ops over %d nodes, hash %#016x.\n", len(p.Ops), p.NumNodes, p.Hash)
 	fmt.Fprintf(&b, "//\n")
-	fmt.Fprintf(&b, "// Straight-line evaluators for this exact netlist at strides K=1, 4,\n")
-	fmt.Fprintf(&b, "// and 8 words per node (64/256/512 lanes), bound to compiled plans\n")
-	fmt.Fprintf(&b, "// through logicsim's plan-hash registry. If the netlist changes, the\n")
-	fmt.Fprintf(&b, "// hash stops matching and evaluation falls back to the interpreter —\n")
-	fmt.Fprintf(&b, "// regenerate with `go generate ./...` (or `make gen`).\n")
+	fmt.Fprintf(&b, "// Straight-line 64-lane evaluator for this exact netlist, bound to\n")
+	fmt.Fprintf(&b, "// compiled plans through logicsim's plan-hash registry. If the netlist\n")
+	fmt.Fprintf(&b, "// changes, the hash stops matching and evaluation falls back to the\n")
+	fmt.Fprintf(&b, "// interpreter — regenerate with `go generate ./...` (or `make gen`).\n")
 	fmt.Fprintf(&b, "package %s\n\n", cfg.Package)
 	fmt.Fprintf(&b, "import %q\n\n", imp)
 	fmt.Fprintf(&b, "func init() {\n")
 	fmt.Fprintf(&b, "\tlogicsim.RegisterGenerated(logicsim.Generated{\n")
 	fmt.Fprintf(&b, "\t\tHash:     %#016x,\n", p.Hash)
 	fmt.Fprintf(&b, "\t\tNumNodes: %d,\n", p.NumNodes)
-	fmt.Fprintf(&b, "\t\tEval1:    %sEval1,\n", cfg.Prefix)
-	fmt.Fprintf(&b, "\t\tEval4:    %sEval4,\n", cfg.Prefix)
-	fmt.Fprintf(&b, "\t\tEval8:    %sEval8,\n", cfg.Prefix)
+	fmt.Fprintf(&b, "\t\tEval:     %sEval,\n", cfg.Prefix)
 	fmt.Fprintf(&b, "\t})\n")
 	fmt.Fprintf(&b, "}\n")
-	for _, stride := range Strides {
-		p.emitFunc(&b, cfg.Prefix, stride)
-	}
+	p.emitFunc(&b, cfg.Prefix)
 	src, err := format.Source(b.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("codegen: emitted source does not format: %w", err)
@@ -227,29 +212,24 @@ func (p *Program) Emit(cfg Config) ([]byte, error) {
 	return src, nil
 }
 
-// emitFunc writes one evaluator function at the given stride: a
-// slice-length hint that pins len(vals) to a constant (every later
-// constant index is then provably in bounds), followed by one
-// assignment per op per word.
-func (p *Program) emitFunc(b *bytes.Buffer, prefix string, stride int) {
-	lanes := 64 * stride
-	fmt.Fprintf(b, "\n// %sEval%d evaluates the op stream over %d lanes (K=%d words per node).\n",
-		prefix, stride, lanes, stride)
-	fmt.Fprintf(b, "func %sEval%d(vals []uint64) {\n", prefix, stride)
-	fmt.Fprintf(b, "\tvals = vals[:%d]\n", p.NumNodes*stride)
+// emitFunc writes the evaluator function: a slice-length hint that
+// pins len(vals) to a constant (every later constant index is then
+// provably in bounds), followed by one assignment per op.
+func (p *Program) emitFunc(b *bytes.Buffer, prefix string) {
+	fmt.Fprintf(b, "\n// %sEval evaluates the op stream over 64 lanes.\n", prefix)
+	fmt.Fprintf(b, "func %sEval(vals []uint64) {\n", prefix)
+	fmt.Fprintf(b, "\tvals = vals[:%d]\n", p.NumNodes)
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		for k := 0; k < stride; k++ {
-			fmt.Fprintf(b, "\tvals[%d] = %s\n", op.Out*stride+k, exprFor(op, stride, k))
-		}
+		fmt.Fprintf(b, "\tvals[%d] = %s\n", op.Out, exprFor(op))
 	}
 	fmt.Fprintf(b, "}\n")
 }
 
-// exprFor renders one op's word-k expression with constant indices.
-func exprFor(op *Op, stride, k int) string {
+// exprFor renders one op's expression with constant indices.
+func exprFor(op *Op) string {
 	ref := func(j int) string {
-		return fmt.Sprintf("vals[%d]", op.In[j]*stride+k)
+		return fmt.Sprintf("vals[%d]", op.In[j])
 	}
 	joined := func(sep string) string {
 		var e bytes.Buffer

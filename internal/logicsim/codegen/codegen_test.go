@@ -119,10 +119,9 @@ func TestEmitRequiresNames(t *testing.T) {
 	}
 }
 
-// checkProgramAgainstInterpreter drives the Program interpreter at
-// every stride over random values and cross-checks each 64-lane group
-// against the interpreted plan — the wide straight-line code must be
-// exactly K independent copies of the scalar evaluation.
+// checkProgramAgainstInterpreter drives the Program interpreter over
+// random values and cross-checks every word against the interpreted
+// plan.
 func checkProgramAgainstInterpreter(t *testing.T, nl *netlist.Netlist, seed int64) {
 	t.Helper()
 	plan, err := logicsim.Compile(nl)
@@ -133,30 +132,17 @@ func checkProgramAgainstInterpreter(t *testing.T, nl *netlist.Netlist, seed int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := nl.NumNodes()
 	rng := rand.New(rand.NewSource(seed))
-	for _, stride := range Strides {
-		wide := make([]uint64, n*stride)
-		for i := range wide {
-			wide[i] = rng.Uint64()
-		}
-		want := make([]uint64, n*stride)
-		lane := make([]uint64, n)
-		for k := 0; k < stride; k++ {
-			for i := 0; i < n; i++ {
-				lane[i] = wide[i*stride+k]
-			}
-			plan.EvalInterpreted(lane)
-			for i := 0; i < n; i++ {
-				want[i*stride+k] = lane[i]
-			}
-		}
-		prog.Eval(wide, stride)
-		for i := range wide {
-			if wide[i] != want[i] {
-				t.Fatalf("stride %d word %d (node %d, k %d): program %#x, interpreter %#x",
-					stride, i, i/stride, i%stride, wide[i], want[i])
-			}
+	got := make([]uint64, nl.NumNodes())
+	for i := range got {
+		got[i] = rng.Uint64()
+	}
+	want := append([]uint64(nil), got...)
+	plan.EvalInterpreted(want)
+	prog.Eval(got)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("node %d: program %#x, interpreter %#x", i, got[i], want[i])
 		}
 	}
 }
@@ -178,8 +164,8 @@ func TestProgramEvalMatchesInterpreter(t *testing.T) {
 }
 
 // TestGeneratedSourceMirrorsProgram spot-checks the emitted text
-// against the Program it came from: one assignment per op per word,
-// each writing the op's constant flat index.
+// against the Program it came from: one assignment per op, each
+// writing the op's constant node index.
 func TestGeneratedSourceMirrorsProgram(t *testing.T) {
 	nl := readCircuit(t, "mux4.gnl")
 	prog, err := Build(nl)
@@ -191,14 +177,10 @@ func TestGeneratedSourceMirrorsProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(src)
-	for _, stride := range Strides {
-		for _, op := range prog.Ops {
-			for k := 0; k < stride; k++ {
-				want := fmt.Sprintf("vals[%d] = ", op.Out*stride+k)
-				if !strings.Contains(text, want) {
-					t.Errorf("emitted source is missing the assignment %q (stride %d)", want, stride)
-				}
-			}
+	for _, op := range prog.Ops {
+		want := fmt.Sprintf("vals[%d] = ", op.Out)
+		if !strings.Contains(text, want) {
+			t.Errorf("emitted source is missing the assignment %q", want)
 		}
 	}
 }

@@ -14,11 +14,9 @@ import (
 // FuzzCodegenEquivalence cross-checks the codegen Program — the exact
 // semantics of the emitted straight-line source — against the
 // interpreted plan on every netlist the fuzzer can deserialize: random
-// values in, bit-identical words out at all three strides, with each
-// 64-lane group of the wide forms matching an independent scalar
-// evaluation. The emitted source itself must also survive go/format's
-// parse (Emit fails otherwise), so every fuzz input doubles as a
-// syntax check of the generator.
+// values in, bit-identical words out. The emitted source itself must
+// also survive go/format's parse (Emit fails otherwise), so every fuzz
+// input doubles as a syntax check of the generator.
 func FuzzCodegenEquivalence(f *testing.F) {
 	dir := filepath.Join("..", "..", "..", "examples", "circuits")
 	entries, err := os.ReadDir(dir)
@@ -58,30 +56,17 @@ func FuzzCodegenEquivalence(f *testing.F) {
 			t.Fatalf("plan lifted but did not emit: %v", err)
 		}
 
-		n := nl.NumNodes()
 		rng := rand.New(rand.NewSource(seed))
-		for _, stride := range Strides {
-			wide := make([]uint64, n*stride)
-			for i := range wide {
-				wide[i] = rng.Uint64()
-			}
-			want := make([]uint64, n*stride)
-			lane := make([]uint64, n)
-			for k := 0; k < stride; k++ {
-				for i := 0; i < n; i++ {
-					lane[i] = wide[i*stride+k]
-				}
-				plan.EvalInterpreted(lane)
-				for i := 0; i < n; i++ {
-					want[i*stride+k] = lane[i]
-				}
-			}
-			prog.Eval(wide, stride)
-			for i := range wide {
-				if wide[i] != want[i] {
-					t.Fatalf("stride %d word %d (node %d, group %d): program %#x, interpreter %#x",
-						stride, i, i/stride, i%stride, wide[i], want[i])
-				}
+		got := make([]uint64, nl.NumNodes())
+		for i := range got {
+			got[i] = rng.Uint64()
+		}
+		want := append([]uint64(nil), got...)
+		plan.EvalInterpreted(want)
+		prog.Eval(got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("node %d: program %#x, interpreter %#x", i, got[i], want[i])
 			}
 		}
 	})

@@ -20,19 +20,16 @@ import (
 )
 
 // Generated is a straight-line evaluator specialization of one
-// compiled plan: one function per supported lane stride, each the
-// exact unrolled equivalent of the interpreted op stream over a flat
-// node-major value array of NumNodes·K words. A nil function for a
-// stride means "no specialization, interpret that width".
+// compiled plan: the exact unrolled equivalent of the interpreted op
+// stream over a flat 64-lane value array indexed by NodeID.
 type Generated struct {
 	// Hash is Plan.Hash() of the plan the code was generated from.
 	Hash uint64
 	// NumNodes is the node count the evaluator's value indexing was
 	// generated for (a second, human-readable interlock next to Hash).
 	NumNodes int
-	// Eval1, Eval4, and Eval8 evaluate the combinational op stream
-	// over K=1, K=4, and K=8 words per node (64/256/512 lanes).
-	Eval1, Eval4, Eval8 func(vals []uint64)
+	// Eval evaluates the combinational op stream.
+	Eval func(vals []uint64)
 }
 
 var (
@@ -49,8 +46,8 @@ func init() { genEnabled.Store(true) }
 // the same hash replaces the first (latest wins, so a regenerated
 // file shadows a stale twin during refactors).
 func RegisterGenerated(g Generated) {
-	if g.Eval1 == nil && g.Eval4 == nil && g.Eval8 == nil {
-		panic(fmt.Sprintf("logicsim: RegisterGenerated(hash %#x) with no evaluator functions", g.Hash))
+	if g.Eval == nil {
+		panic(fmt.Sprintf("logicsim: RegisterGenerated(hash %#x) with no evaluator function", g.Hash))
 	}
 	genMu.Lock()
 	defer genMu.Unlock()

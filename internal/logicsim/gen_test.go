@@ -42,7 +42,7 @@ func TestGeneratedBindsAndEvaluates(t *testing.T) {
 	RegisterGenerated(Generated{
 		Hash:     base.Hash(),
 		NumNodes: nl.NumNodes(),
-		Eval1: func(vals []uint64) {
+		Eval: func(vals []uint64) {
 			calls++
 			base.EvalInterpreted(vals)
 		},
@@ -98,7 +98,7 @@ out "y[0]" 3
 	noop := func(vals []uint64) { panic("stale generated evaluator executed") }
 
 	// Wrong hash: never looked up.
-	RegisterGenerated(Generated{Hash: base.Hash() ^ 0xdead, NumNodes: nl.NumNodes(), Eval1: noop})
+	RegisterGenerated(Generated{Hash: base.Hash() ^ 0xdead, NumNodes: nl.NumNodes(), Eval: noop})
 	plan, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ out "y[0]" 3
 	}
 
 	// Right hash, wrong node count: rejected by the second interlock.
-	RegisterGenerated(Generated{Hash: base.Hash(), NumNodes: nl.NumNodes() + 1, Eval1: noop})
+	RegisterGenerated(Generated{Hash: base.Hash(), NumNodes: nl.NumNodes() + 1, Eval: noop})
 	plan, err = Compile(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ out "y[0]" 3
 	plan.Eval(vals) // must interpret, not panic in noop
 
 	// Disable switch: nothing binds while off, previous setting returns.
-	RegisterGenerated(Generated{Hash: base.Hash(), NumNodes: nl.NumNodes(), Eval1: base.EvalInterpreted})
+	RegisterGenerated(Generated{Hash: base.Hash(), NumNodes: nl.NumNodes(), Eval: base.EvalInterpreted})
 	prev := SetGeneratedEnabled(false)
 	if !prev {
 		t.Error("generated evaluators were not enabled by default")
@@ -144,7 +144,7 @@ out "y[0]" 3
 	// Leave no live evaluator behind for this tiny design: later tests
 	// in the package may compile an identical netlist. Re-register a
 	// delegating (always-correct) entry.
-	RegisterGenerated(Generated{Hash: base.Hash(), NumNodes: nl.NumNodes(), Eval1: base.EvalInterpreted})
+	RegisterGenerated(Generated{Hash: base.Hash(), NumNodes: nl.NumNodes(), Eval: base.EvalInterpreted})
 }
 
 // TestRegisterGeneratedRejectsEmpty pins the registration guard.

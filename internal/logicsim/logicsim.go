@@ -97,8 +97,7 @@ func (s *Simulator) Fork() *Simulator {
 }
 
 // Plan returns the compiled evaluation plan. It is immutable and shared
-// by every fork (and by wide-lane simulators built over this design);
-// callers must treat it as read-only.
+// by every fork; callers must treat it as read-only.
 func (s *Simulator) Plan() *Plan { return s.plan }
 
 // SetReferenceEval switches Eval/Latch between the compiled SoA plan

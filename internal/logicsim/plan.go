@@ -1,9 +1,8 @@
 // Compiled evaluation plan: the struct-of-arrays representation of a
 // netlist's per-cycle work. Compilation happens once per netlist; the
-// plan is immutable afterwards and shared by every Simulator fork and
-// every wide-lane simulator over the same design, so the per-cycle hot
-// path walks flat index arrays instead of chasing *netlist.Node
-// pointers and per-cell fanin slices.
+// plan is immutable afterwards and shared by every Simulator fork over
+// the same design, so the per-cycle hot path walks flat index arrays
+// instead of chasing *netlist.Node pointers and per-cell fanin slices.
 package logicsim
 
 import (
@@ -62,9 +61,8 @@ const (
 // Plan is a netlist compiled to flat index-based arrays: the
 // combinational op stream in topological order, a contiguous fanin
 // index pool, and the register latch schedule. A Plan is immutable
-// after Compile and safe to share across any number of simulators
-// (scalar forks and wide-lane sims alike) — only value state is
-// per-simulator.
+// after Compile and safe to share across any number of simulator
+// forks — only value state is per-simulator.
 type Plan struct {
 	numNodes int
 	// ops is the linearized combinational schedule; see the packed-op
@@ -189,10 +187,9 @@ func CompileWithOptions(nl *netlist.Netlist, opts CompileOptions) (*Plan, error)
 	}
 	if !opts.SkipPlanCheck {
 		// Construction-time guard: the plan is about to be shared
-		// immutably by every fork and wide-lane evaluator, so any
-		// Error-severity PL finding rejects it here. The check reads
-		// the plan and netlist only — results are bit-identical with
-		// the guard on or off.
+		// immutably by every fork, so any Error-severity PL finding
+		// rejects it here. The check reads the plan and netlist only —
+		// results are bit-identical with the guard on or off.
 		if err := modelcheck.CheckPlan(nl, p.View()).Err(modelcheck.Error); err != nil {
 			return nil, fmt.Errorf("logicsim: compiled plan failed static verification: %w", err)
 		}
@@ -267,8 +264,8 @@ func (p *Plan) NumRegs() int { return len(p.regs) }
 // instead of the interpreter; the two are bit-identical by
 // construction and by the codegen equivalence fuzz target.
 func (p *Plan) Eval(vals []uint64) {
-	if g := p.gen; g != nil && g.Eval1 != nil {
-		g.Eval1(vals)
+	if g := p.gen; g != nil {
+		g.Eval(vals)
 		return
 	}
 	p.EvalInterpreted(vals)

@@ -107,59 +107,6 @@ func (t *Trace) FillCombParallel(sim *Simulator) {
 	}
 }
 
-// FillCombWide is FillCombParallel evaluating `groups` 64-cycle blocks
-// per combinational pass over a wide-lane simulator (so one pass
-// recovers up to 64·groups cycles of every gate's values). Results are
-// bit-identical to FillCombParallel — each 64-cycle block is an
-// independent evaluation regardless of which pass carries it. groups
-// must be a supported lane width (1, 4, or 8); 1 falls back to
-// FillCombParallel.
-func (t *Trace) FillCombWide(sim *Simulator, groups int) {
-	if groups <= 1 {
-		t.FillCombParallel(sim)
-		return
-	}
-	wide, err := NewLaneSim(sim, groups)
-	if err != nil {
-		panic(err)
-	}
-	nl := sim.nl
-	sources := make([]netlist.NodeID, 0, len(nl.Inputs())+len(nl.Regs()))
-	sources = append(sources, nl.Inputs()...)
-	sources = append(sources, nl.Regs()...)
-	nw := words(t.cycles)
-	for w := 0; w < nw; w += groups {
-		g := nw - w
-		if g > groups {
-			g = groups
-		}
-		for _, id := range sources {
-			for j := 0; j < g; j++ {
-				wide.SetValGroup(id, j, t.bits[id][w+j])
-			}
-			for j := g; j < groups; j++ {
-				wide.SetValGroup(id, j, 0)
-			}
-		}
-		wide.Eval()
-		for i := 0; i < nl.NumNodes(); i++ {
-			id := netlist.NodeID(i)
-			if nl.Node(id).Type.IsCombinational() {
-				for j := 0; j < g; j++ {
-					t.bits[i][w+j] = wide.ValGroup(id, j)
-				}
-			}
-		}
-	}
-	if rem := t.cycles % 64; rem != 0 {
-		mask := uint64(1)<<uint(rem) - 1
-		last := words(t.cycles) - 1
-		for i := range t.bits {
-			t.bits[i][last] &= mask
-		}
-	}
-}
-
 // SwitchSignature returns the node's switching signature as a bitset:
 // bit c is 1 iff the node's value differs between cycle c-1 and cycle c
 // (bit 0 is always 0, matching the paper's definition where ss_i compares

@@ -1,14 +1,13 @@
 // Plan-IR verification: the PL rule family statically checks a compiled
 // logicsim evaluation plan against its source netlist. The plan is the
 // least inspectable artifact in the stack — a packed op stream plus flat
-// index arrays, shared immutably by every simulator fork and wide-lane
-// evaluator — so the verifier re-derives every structural invariant the
-// evaluators rely on instead of trusting the compiler: one op per
-// combinational node, opcodes matching cell types, every index in
-// bounds, fanins defined before use, no two ops writing one value slot,
-// no op writing input/register slots, the latch schedule mirroring the
-// netlist's registers, and the sizing fields consistent for every
-// supported lane stride.
+// index arrays, shared immutably by every simulator fork — so the
+// verifier re-derives every structural invariant the evaluators rely on
+// instead of trusting the compiler: one op per combinational node,
+// opcodes matching cell types, every index in bounds, fanins defined
+// before use, no two ops writing one value slot, no op writing
+// input/register slots, the latch schedule mirroring the netlist's
+// registers, and consistent sizing fields.
 //
 // The checker works on a PlanView — a decoded, plain-data snapshot of
 // the plan — rather than on logicsim's packed representation, so this
@@ -19,7 +18,6 @@ package modelcheck
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/netlist"
 )
@@ -70,17 +68,13 @@ const (
 	// source, no primary output) even though the netlist says the node
 	// is consumed. The compile dropped or corrupted a consumer.
 	IDPlanUnreachable = "PL009"
-	// IDPlanLaneStride — lane-stride/sizing inconsistency: the plan's
-	// node count disagrees with the netlist (the flat value arrays of
-	// every K∈{1,4,8} evaluator are sized NumNodes·K), a count exceeds
-	// the packed-op field widths, or MaxFanin understates the widest
-	// op (the reference evaluator sizes its spill buffer from it).
-	IDPlanLaneStride = "PL010"
+	// IDPlanSizing — sizing inconsistency: the plan's node count
+	// disagrees with the netlist (every value array is sized
+	// NumNodes), a count exceeds the packed-op field widths, or
+	// MaxFanin understates the widest op (the reference evaluator
+	// sizes its spill buffer from it).
+	IDPlanSizing = "PL010"
 )
-
-// laneStrides are the supported wide-evaluator group counts (64, 256,
-// and 512 virtual lanes).
-var laneStrides = [...]int{1, 4, 8}
 
 // Packed-op field capacities, mirrored from logicsim's plan encoding:
 // 24-bit output index, 10-bit fanin count, 24-bit pool offset. The
@@ -158,25 +152,16 @@ func CheckPlan(n *netlist.Netlist, v PlanView) *Report {
 	r := &Report{}
 	nn := n.NumNodes()
 	if v.NumNodes != nn {
-		r.add(n, Finding{ID: IDPlanLaneStride, Sev: Error, Node: netlist.Invalid,
-			Msg: fmt.Sprintf("plan sized for %d nodes but the netlist has %d: every lane-stride value array (K∈{1,4,8}) would be mis-sized", v.NumNodes, nn)})
+		r.add(n, Finding{ID: IDPlanSizing, Sev: Error, Node: netlist.Invalid,
+			Msg: fmt.Sprintf("plan sized for %d nodes but the netlist has %d: every value array would be mis-sized", v.NumNodes, nn)})
 	}
 	if v.NumNodes > planMaxNodes {
-		r.add(n, Finding{ID: IDPlanLaneStride, Sev: Error, Node: netlist.Invalid,
+		r.add(n, Finding{ID: IDPlanSizing, Sev: Error, Node: netlist.Invalid,
 			Msg: fmt.Sprintf("%d nodes exceeds the %d-node packed-op limit", v.NumNodes, planMaxNodes)})
 	}
 	if v.PoolSize > planMaxPool {
-		r.add(n, Finding{ID: IDPlanLaneStride, Sev: Error, Node: netlist.Invalid,
+		r.add(n, Finding{ID: IDPlanSizing, Sev: Error, Node: netlist.Invalid,
 			Msg: fmt.Sprintf("fanin pool of %d entries exceeds the %d-entry packed-op limit", v.PoolSize, planMaxPool)})
-	}
-	for _, k := range laneStrides {
-		// Each wide evaluator flattens the state to NumNodes·K words and
-		// addresses it with int arithmetic that must stay valid even on
-		// 32-bit int platforms.
-		if v.NumNodes > math.MaxInt32/k {
-			r.add(n, Finding{ID: IDPlanLaneStride, Sev: Error, Node: netlist.Invalid,
-				Msg: fmt.Sprintf("%d nodes at lane stride %d overflows 32-bit value-array addressing", v.NumNodes, k)})
-		}
 	}
 
 	checkPlanOps(n, v, r)
@@ -348,11 +333,11 @@ func checkPlanOps(n *netlist.Netlist, v PlanView, r *Report) {
 	// PL010 op-level sizing: the recorded MaxFanin sizes the reference
 	// evaluator's spill buffer and must dominate every op.
 	if maxEff > v.MaxFanin {
-		r.add(n, Finding{ID: IDPlanLaneStride, Sev: Error, Node: netlist.Invalid,
+		r.add(n, Finding{ID: IDPlanSizing, Sev: Error, Node: netlist.Invalid,
 			Msg: fmt.Sprintf("MaxFanin %d understates the widest op (%d fanins): the reference evaluator's spill buffer would be too small", v.MaxFanin, maxEff)})
 	}
 	if maxEff > planMaxOpFanins {
-		r.add(n, Finding{ID: IDPlanLaneStride, Sev: Error, Node: netlist.Invalid,
+		r.add(n, Finding{ID: IDPlanSizing, Sev: Error, Node: netlist.Invalid,
 			Msg: fmt.Sprintf("an op has %d fanins, exceeding the %d-fanin packed-op field", maxEff, planMaxOpFanins)})
 	}
 }

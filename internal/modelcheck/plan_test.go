@@ -247,8 +247,7 @@ func TestExampleCircuitPlansClean(t *testing.T) {
 }
 
 // TestBuiltinMPUPlanClean requires the built-in MPU's compiled plan to
-// be finding-free, and the verified plan to instantiate at every
-// supported lane width (64, 256, and 512 virtual lanes).
+// be finding-free.
 func TestBuiltinMPUPlanClean(t *testing.T) {
 	s, err := soc.New(soc.DefaultConfig(), soc.SyntheticProgram(0x4000, 0x4fff))
 	if err != nil {
@@ -258,14 +257,5 @@ func TestBuiltinMPUPlanClean(t *testing.T) {
 	r := modelcheck.CheckPlan(nl, planView(t, nl))
 	if len(r.Findings) != 0 {
 		t.Fatalf("built-in MPU plan not finding-free:\n%s", r)
-	}
-	sim, err := logicsim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, groups := range []int{1, 4, 8} {
-		if _, err := logicsim.NewLaneSim(sim, groups); err != nil {
-			t.Fatalf("lane width %d over verified plan: %v", groups*64, err)
-		}
 	}
 }

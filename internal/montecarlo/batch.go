@@ -56,31 +56,6 @@ type batchState struct {
 	regIndex map[netlist.NodeID]int
 	sim      *logicsim.Simulator
 	loadBuf  []uint64 // lane-load / fallback-restore scratch
-	// wide is the 64·wideGroups-lane simulator of the current wide
-	// resume, one of the per-width cache entries in wides (indexed by
-	// group count; 4 or 8 — single-group resumes use sim's plain
-	// 64-lane path). Built lazily by ensureWide over the shared
-	// compiled plan.
-	wide       logicsim.LaneSim
-	wideGroups int
-	wides      [9]logicsim.LaneSim
-}
-
-// ensureWide returns the cached wide simulator for the group count,
-// building it on first use (widths alternate within a campaign when
-// flushResumes right-sizes underfilled chunks, so each width keeps its
-// own simulator).
-func (b *batchState) ensureWide(groups int) logicsim.LaneSim {
-	if b.wides[groups] == nil {
-		w, err := logicsim.NewLaneSim(b.sim, groups)
-		if err != nil {
-			panic(err)
-		}
-		b.wides[groups] = w
-	}
-	b.wide = b.wides[groups]
-	b.wideGroups = groups
-	return b.wide
 }
 
 // pendingResume is one deferred PathRTL sample awaiting a lane of a
@@ -184,8 +159,8 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res
 
 // RunBatch evaluates the samples exactly as consecutive RunOnce calls
 // would (same rng consumption, bit-identical results) but completes the
-// PathRTL resumes through the lane-batched speculative path at the
-// engine's default lane width. RunGolden must have been called.
+// PathRTL resumes through the lane-batched speculative path. RunGolden
+// must have been called.
 func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []RunResult {
 	results := make([]RunResult, len(samples))
 	pend := make([]pendingResume, 0, 64)
@@ -196,55 +171,24 @@ func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []R
 			pend = append(pend, pendingResume{idx: i, te: te, flips: res.Flipped})
 		}
 	}
-	groups, err := laneGroups(e.Lanes)
-	if err != nil {
-		groups = 1
-	}
-	e.flushResumes(pend, results, groups)
+	e.flushResumes(pend, results)
 	return results
 }
 
-// flushResumes completes the deferred resumes in 64·groups-lane
-// batches. Lanes need not share an injection cycle: an unloaded lane of
-// the forked simulator follows the golden trajectory exactly (inputs
+// flushResumes completes the deferred resumes in 64-lane batches. The
+// lanes of a batch need not share an injection cycle: an unloaded lane
+// of the forked simulator follows the golden trajectory exactly (inputs
 // are broadcast and evaluation is lane-wise), so each sample's flips
 // are XORed into its lane when the shared resume reaches that sample's
 // te+1. Sorting by te keeps each batch's cycle span (and the staggered
-// entries) tight.
-//
-// The batch width does not affect any sample's outcome — each lane's
-// trajectory is a function of only its own (te, flips) and the shared
-// golden trace — so campaigns stay bit-identical across group counts;
-// only how many resumes one combinational pass retires changes.
-//
-// Each chunk is right-sized to its occupancy: a wide pass costs
-// `groups`× the word-work of a 64-lane pass regardless of how many
-// lanes carry samples, so the tail of the pending list (and any flush
-// smaller than a full wide word) drops to the narrowest width that
-// still holds it instead of paying for empty groups.
-func (e *Engine) flushResumes(pend []pendingResume, results []RunResult, groups int) {
-	if len(pend) == 0 {
-		return
-	}
+// entries) tight. No sample's outcome depends on which batch carries
+// it: each lane's trajectory is a function of only its own (te, flips)
+// and the shared golden trace.
+func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 	sort.SliceStable(pend, func(i, j int) bool { return pend[i].te < pend[j].te })
-	for start := 0; start < len(pend); {
-		g := groups
-		switch remaining := len(pend) - start; {
-		case remaining <= 64:
-			g = 1
-		case remaining <= 256 && g > 4:
-			g = 4
-		}
-		end := start + 64*g
-		if end > len(pend) {
-			end = len(pend)
-		}
-		if g == 1 {
-			e.resumeBatch(pend[start:end], results)
-		} else {
-			e.resumeBatchWide(pend[start:end], results, g)
-		}
-		start = end
+	for start := 0; start < len(pend); start += 64 {
+		end := min(start+64, len(pend))
+		e.resumeBatch(pend[start:end], results)
 	}
 }
 
@@ -257,9 +201,10 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult, groups 
 // matching the scalar convergence cut), and the responding grant/viol
 // signals are compared against the recorded golden responses at
 // consumption cycles — lanes that diverge behaviorally are ejected to
-// the exact scalar resume from the divergence cycle. Lanes still on the
-// golden trajectory when the marked response is consumed saw the golden
-// decision (trap), so the attack failed. lanes must be te-sorted.
+// the exact scalar resume from the divergence cycle. A lane still on
+// the golden trajectory when the marked response is consumed saw the
+// golden decision (trap), so its attack failed. lanes must be
+// te-sorted.
 func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	b := e.batch
 	g := e.golden
@@ -347,118 +292,6 @@ func (e *Engine) resumeDiverged(c int, lane uint, goldenRegs []uint64) (resumed 
 	words := b.loadBuf
 	for i, r := range e.SoC.MPU.Netlist.Regs() {
 		words[i] = goldenRegs[i]&^1 | b.sim.Val(r)>>lane&1
-	}
-	e.SoC.Sim.SetRegState(words)
-	return e.resumeRTL()
-}
-
-// resumeBatchWide is resumeBatch over 64·groups virtual lanes: lane l
-// of the batch lives in bit l%64 of lane group l/64 of a wide
-// simulator evaluating [groups]uint64 words per net, so one
-// combinational pass steps up to 512 speculative resumes. The
-// per-lane logic (flip entry at te+1, convergence cut, closed-form
-// marked decision, divergence ejection to the exact scalar resume) is
-// identical to the 64-lane path, applied per group. lanes must be
-// te-sorted.
-func (e *Engine) resumeBatchWide(lanes []pendingResume, results []RunResult, groups int) {
-	b := e.batch
-	g := e.golden
-	wide := b.ensureWide(groups)
-	startC := lanes[0].te + 1
-	wide.SetRegStateBroadcast(b.regs[startC-b.lo])
-	var active, diffs [8]uint64
-	remaining := 0
-	next := 0
-	useCut := !e.DisableConvergenceCut
-	grant := e.SoC.MPU.OutGrant[0]
-	viol := e.SoC.MPU.OutViol[0]
-	trace := g.BusTrace
-	//hot
-	for c := startC; ; c++ {
-		for next < len(lanes) && lanes[next].te+1 == c {
-			grp, bit := next/64, uint(next%64)
-			for _, r := range lanes[next].flips {
-				wide.XorReg(r, grp, 1<<bit)
-			}
-			active[grp] |= 1 << bit
-			remaining++
-			next++
-		}
-		goldenRegs := b.regs[c-b.lo]
-		if useCut {
-			wide.RegDiffMasks(goldenRegs, diffs[:groups])
-			for grp := 0; grp < groups; grp++ {
-				conv := active[grp] &^ diffs[grp]
-				if conv == 0 {
-					continue
-				}
-				for m := conv; m != 0; m &= m - 1 {
-					l := grp*64 + bits.TrailingZeros64(m)
-					results[lanes[l].idx].ResumeCycles = c - (lanes[l].te + 1)
-					remaining--
-				}
-				active[grp] &^= conv
-			}
-			if remaining == 0 && next == len(lanes) {
-				return
-			}
-		}
-		if c == b.markedResp {
-			// Same closed form as the 64-lane path: every remaining
-			// lane reaches the marked decision with golden behavioural
-			// state, so its outcome reads off its own grant/viol bits.
-			for grp := 0; grp < groups; grp++ {
-				if active[grp] == 0 {
-					continue
-				}
-				gw, vw := wide.ValGroup(grant, grp), wide.ValGroup(viol, grp)
-				for m := active[grp]; m != 0; m &= m - 1 {
-					lb := bits.TrailingZeros64(m)
-					r := &results[lanes[grp*64+lb].idx]
-					r.ResumeCycles = c + 1 - (lanes[grp*64+lb].te + 1)
-					r.Success = gw>>uint(lb)&1 == 1 && vw>>uint(lb)&1 == 0
-				}
-			}
-			return
-		}
-		ent := &trace[c]
-		if ent.RespConsumed {
-			gb := logicsim.Broadcast(ent.RespGrant)
-			vb := logicsim.Broadcast(ent.RespViol)
-			for grp := 0; grp < groups; grp++ {
-				div := ((wide.ValGroup(grant, grp) ^ gb) |
-					(wide.ValGroup(viol, grp) ^ vb)) & active[grp]
-				if div == 0 {
-					continue
-				}
-				for m := div; m != 0; m &= m - 1 {
-					lb := bits.TrailingZeros64(m)
-					l := grp*64 + lb
-					resumed, success := e.resumeDivergedWide(c, grp, uint(lb), goldenRegs)
-					r := &results[lanes[l].idx]
-					r.ResumeCycles = c - (lanes[l].te + 1) + resumed
-					r.Success = success
-					remaining--
-				}
-				active[grp] &^= div
-			}
-			if remaining == 0 && next == len(lanes) {
-				return
-			}
-		}
-		e.SoC.MPU.DriveBusTrace(wide, ent)
-		wide.Step()
-	}
-}
-
-// resumeDivergedWide is resumeDiverged reading the ejected lane's
-// faulty register bits out of one group of the wide simulator.
-func (e *Engine) resumeDivergedWide(c int, group int, lane uint, goldenRegs []uint64) (resumed int, success bool) {
-	b := e.batch
-	e.restoreTo(c)
-	words := b.loadBuf
-	for i, r := range e.SoC.MPU.Netlist.Regs() {
-		words[i] = goldenRegs[i]&^1 | b.wide.ValGroup(r, group)>>lane&1
 	}
 	e.SoC.Sim.SetRegState(words)
 	return e.resumeRTL()

@@ -34,6 +34,46 @@ func concentratedEvaluation(t *testing.T) *core.Evaluation {
 	return ev
 }
 
+// compareCampaigns asserts two campaigns are bit-identical across every
+// aggregate the scalar/batched equivalence tests check.
+func compareCampaigns(t *testing.T, label string, got, want *montecarlo.Campaign) {
+	t.Helper()
+	if got.Est.Estimate() != want.Est.Estimate() {
+		t.Errorf("%s: SSF %g != %g", label, got.Est.Estimate(), want.Est.Estimate())
+	}
+	if got.Successes != want.Successes {
+		t.Errorf("%s: successes %d != %d", label, got.Successes, want.Successes)
+	}
+	if got.ClassCounts != want.ClassCounts {
+		t.Errorf("%s: class counts %v != %v", label, got.ClassCounts, want.ClassCounts)
+	}
+	if got.PathCounts != want.PathCounts {
+		t.Errorf("%s: path counts %v != %v", label, got.PathCounts, want.PathCounts)
+	}
+	if got.RTLCycles != want.RTLCycles {
+		t.Errorf("%s: RTL cycles %d != %d", label, got.RTLCycles, want.RTLCycles)
+	}
+	if len(got.Convergence) != len(want.Convergence) {
+		t.Fatalf("%s: convergence length %d != %d", label, len(got.Convergence), len(want.Convergence))
+	}
+	for i := range want.Convergence {
+		if got.Convergence[i] != want.Convergence[i] {
+			t.Fatalf("%s: convergence[%d] %g != %g", label, i, got.Convergence[i], want.Convergence[i])
+		}
+	}
+	for r, v := range want.RegContribution {
+		if got.RegContribution[r] != v {
+			t.Errorf("%s: reg %d contribution %g != %g", label, r, got.RegContribution[r], v)
+		}
+	}
+	if len(got.RegContribution) != len(want.RegContribution) {
+		t.Errorf("%s: reg contributions %d != %d", label, len(got.RegContribution), len(want.RegContribution))
+	}
+	if len(got.Patterns) != len(want.Patterns) {
+		t.Errorf("%s: patterns %d != %d", label, len(got.Patterns), len(want.Patterns))
+	}
+}
+
 // TestBatchRunParity is the per-sample contract: RunBatch must return
 // exactly what the same sequence of RunOnce calls returns — outcome,
 // classification, flipped set, and the RTL cycle count — including for
@@ -113,40 +153,7 @@ func TestBatchCampaignEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched.Est.Estimate() != scalar.Est.Estimate() {
-		t.Errorf("SSF %g != scalar %g", batched.Est.Estimate(), scalar.Est.Estimate())
-	}
-	if batched.Successes != scalar.Successes {
-		t.Errorf("successes %d != scalar %d", batched.Successes, scalar.Successes)
-	}
-	if batched.ClassCounts != scalar.ClassCounts {
-		t.Errorf("class counts %v != scalar %v", batched.ClassCounts, scalar.ClassCounts)
-	}
-	if batched.PathCounts != scalar.PathCounts {
-		t.Errorf("path counts %v != scalar %v", batched.PathCounts, scalar.PathCounts)
-	}
-	if batched.RTLCycles != scalar.RTLCycles {
-		t.Errorf("RTL cycles %d != scalar %d", batched.RTLCycles, scalar.RTLCycles)
-	}
-	if len(batched.Convergence) != len(scalar.Convergence) {
-		t.Fatalf("convergence length %d != scalar %d", len(batched.Convergence), len(scalar.Convergence))
-	}
-	for i := range scalar.Convergence {
-		if batched.Convergence[i] != scalar.Convergence[i] {
-			t.Fatalf("convergence[%d] %g != scalar %g", i, batched.Convergence[i], scalar.Convergence[i])
-		}
-	}
-	if len(batched.RegContribution) != len(scalar.RegContribution) {
-		t.Errorf("reg contributions %d != scalar %d", len(batched.RegContribution), len(scalar.RegContribution))
-	}
-	for r, v := range scalar.RegContribution {
-		if batched.RegContribution[r] != v {
-			t.Errorf("reg %d contribution %g != scalar %g", r, batched.RegContribution[r], v)
-		}
-	}
-	if len(batched.Patterns) != len(scalar.Patterns) {
-		t.Errorf("patterns %d != scalar %d", len(batched.Patterns), len(scalar.Patterns))
-	}
+	compareCampaigns(t, "batched", batched, scalar)
 	if batched.PathCounts[montecarlo.PathRTL] == 0 {
 		t.Error("campaign exercised no RTL resumes — equivalence is vacuous")
 	}

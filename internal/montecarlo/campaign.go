@@ -47,12 +47,6 @@ type CampaignOptions struct {
 	// 0 means DefaultBatchWindow. Larger windows fill lanes better;
 	// the window also bounds cancellation latency.
 	BatchWindow int
-	// Lanes is the virtual lane count of the batched resumes (64, 256,
-	// or 512); 0 means the engine's default (Options.Lanes, itself
-	// defaulting to DefaultLanes). Ignored without Batch. The width is
-	// purely a throughput knob: fixed-seed results are bit-identical
-	// at every lane count.
-	Lanes int
 	// ControlVariate subtracts the analytical memory-type predictor
 	// from the estimate: the campaign accumulates the exactly-known
 	// control phi(t, center) alongside each outcome and reports the
@@ -257,9 +251,6 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 	}
 	run := e.runSamples
 	if opts.Batch {
-		if _, err := laneGroups(e.laneCount(opts.Lanes)); err != nil {
-			return nil, err
-		}
 		run = e.runSamplesBatched
 	}
 	if err := run(ctx, c, rng, sampler, opts, agg, shard); err != nil {
@@ -355,10 +346,6 @@ const DefaultBatchWindow = 2048
 // before the window's results are committed — again in draw order, so
 // fixed-seed campaigns are bit-identical to the scalar path.
 func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.Rand, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
-	groups, err := laneGroups(e.laneCount(opts.Lanes))
-	if err != nil {
-		return err
-	}
 	var layout *timingsim.RegisterLayout
 	if opts.TrackPatterns {
 		if c.Patterns == nil {
@@ -369,12 +356,7 @@ func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.R
 	}
 	window := opts.BatchWindow
 	if window < 1 {
-		// The default window scales with the lane count: only a few
-		// percent of draws defer an RTL resume, so wide words need
-		// proportionally more buffered draws to run near occupancy
-		// (the window size never affects results — only how full each
-		// resume pass is and the cancellation latency).
-		window = DefaultBatchWindow * groups
+		window = DefaultBatchWindow
 	}
 	if window > opts.Samples {
 		window = opts.Samples
@@ -411,7 +393,7 @@ func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.R
 			}
 			drawn++
 		}
-		e.flushResumes(pend, results, groups)
+		e.flushResumes(pend, results)
 		for j := 0; j < drawn; j++ {
 			e.accumulate(c, &opts, layout, st, samples[j], weights[j], &results[j])
 			evaluated++

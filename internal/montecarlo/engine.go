@@ -31,29 +31,6 @@ type Options struct {
 	// changes results on a valid design; it only removes the O(nodes)
 	// construction cost and the protection against malformed ones.
 	SkipModelCheck bool
-	// Lanes is the default virtual lane count of batched resumes (64,
-	// 256, or 512 — i.e. 1, 4, or 8 lane groups of 64); 0 means
-	// DefaultLanes. Campaigns can override it per run through
-	// CampaignOptions.Lanes. The lane width never changes results:
-	// fixed-seed campaigns are bit-identical at every width.
-	Lanes int
-}
-
-// DefaultLanes is the default virtual lane count of batched resumes.
-const DefaultLanes = 512
-
-// laneGroups maps a virtual lane count to its 64-lane group count.
-func laneGroups(lanes int) (int, error) {
-	switch lanes {
-	case 64:
-		return 1, nil
-	case 256:
-		return 4, nil
-	case 512:
-		return 8, nil
-	default:
-		return 0, fmt.Errorf("montecarlo: unsupported lane count %d (want 64, 256, or 512)", lanes)
-	}
 }
 
 // Mode selects what the strike physically hits.
@@ -236,11 +213,6 @@ type Engine struct {
 	// are identical either way; only ResumeCycles changes.
 	DisableConvergenceCut bool
 
-	// Lanes is the engine's default virtual lane count for batched
-	// resumes (64, 256, or 512), set from Options.Lanes at
-	// construction. CampaignOptions.Lanes overrides it per campaign.
-	Lanes int
-
 	golden  *Golden
 	memType map[netlist.NodeID]bool
 	cache   *stateCache
@@ -256,18 +228,6 @@ type Engine struct {
 	// engine-owned because SpotIndex is not concurrency-safe.
 	spots        *placement.SpotIndex
 	strikeWidths []float64
-}
-
-// laneCount resolves a per-campaign lane override against the engine
-// default (an engine built as a bare struct literal gets DefaultLanes).
-func (e *Engine) laneCount(opt int) int {
-	if opt != 0 {
-		return opt
-	}
-	if e.Lanes != 0 {
-		return e.Lanes
-	}
-	return DefaultLanes
 }
 
 // spotIndex returns the engine's lazily-built radius-query cache.
@@ -350,25 +310,15 @@ func NewWithOptions(s *soc.SoC, attack *fault.Attack, place *placement.Placement
 			return nil, fmt.Errorf("montecarlo: design rejected by static verification: %w", err)
 		}
 	}
-	lanes := opts.Lanes
-	if lanes == 0 {
-		lanes = DefaultLanes
-	}
-	groups, err := laneGroups(lanes)
-	if err != nil {
-		return nil, err
-	}
 	tsim, err := timingsim.New(s.MPU.Netlist, dm)
 	if err != nil {
 		return nil, err
 	}
-	tsim.SetLaneWidth(groups)
 	e := &Engine{
 		SoC: s, Attack: attack, Place: place, Timing: tsim,
 		Char: char, Analytical: eval,
 		ResumeMargin:   200,
 		StateCacheSize: DefaultStateCacheSize,
-		Lanes:          lanes,
 	}
 	if char != nil {
 		e.memType = make(map[netlist.NodeID]bool, len(char.Regs))

@@ -326,13 +326,12 @@ type AdaptiveOptions struct {
 	// snapshots report Total as 0 (open-ended).
 	Progress      ProgressFunc
 	ProgressEvery int
-	// Batch, BatchWindow, and Lanes as in CampaignOptions: every chunk
-	// (and every shard of a parallel round) runs the lane-batched
-	// execution path at the requested width, leaving results
-	// bit-identical to the scalar run with the same options.
+	// Batch and BatchWindow as in CampaignOptions: every chunk (and
+	// every shard of a parallel round) runs the lane-batched execution
+	// path, leaving results bit-identical to the scalar run with the
+	// same options.
 	Batch       bool
 	BatchWindow int
-	Lanes       int
 	// ControlVariate as in CampaignOptions: every chunk/shard pairs the
 	// outcome with the analytical control and the merged campaign
 	// reports the control-variate-adjusted estimate.
@@ -476,7 +475,6 @@ func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts
 			TrackPatterns:    opts.TrackPatterns,
 			Batch:            opts.Batch,
 			BatchWindow:      opts.BatchWindow,
-			Lanes:            opts.Lanes,
 			ControlVariate:   opts.ControlVariate,
 		}, agg, 0)
 		chunkIdx++
@@ -533,7 +531,6 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		TrackPatterns:  opts.TrackPatterns,
 		Batch:          opts.Batch,
 		BatchWindow:    opts.BatchWindow,
-		Lanes:          opts.Lanes,
 		ControlVariate: opts.ControlVariate,
 	}
 	var total *Campaign

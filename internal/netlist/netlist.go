@@ -418,127 +418,3 @@ func EvalCell(t CellType, in []uint64) uint64 {
 		panic(fmt.Sprintf("netlist: EvalCell on non-combinational cell %v", t))
 	}
 }
-
-// Word is the lane-width abstraction shared by the wide evaluators: a
-// fixed-size array of 64-bit lane words, so one combinational pass
-// evaluates 64·K independent lanes. The supported widths are K=1 (the
-// classic single word), K=4 (256 virtual lanes), and K=8 (512 virtual
-// lanes).
-type Word interface {
-	[1]uint64 | [4]uint64 | [8]uint64
-}
-
-// WordSlice views a lane word as a []uint64 of its K words. Go cannot
-// index or range a type-parameter value whose type set unions arrays
-// of different lengths (no core type), so every wide evaluator funnels
-// element access through this accessor; the type switch resolves
-// statically per instantiation and inlines to a plain slice view.
-func WordSlice[W Word](w *W) []uint64 {
-	switch v := any(w).(type) {
-	case *[1]uint64:
-		return v[:]
-	case *[4]uint64:
-		return v[:]
-	case *[8]uint64:
-		return v[:]
-	default:
-		panic("netlist: unsupported lane word width")
-	}
-}
-
-// EvalCellWide is EvalCell over K-word lane vectors: lane (k, b) of the
-// result is EvalCell applied to bit b of word k of every fanin. It is
-// the single cell-semantics definition for wide evaluation, shared by
-// the wide logic simulator and the timed simulator's wide span chunks.
-func EvalCellWide[W Word](t CellType, in []W) W {
-	var v W
-	o := WordSlice(&v)
-	switch t {
-	case Const0:
-		return v
-	case Const1:
-		for k := range o {
-			o[k] = ^uint64(0)
-		}
-		return v
-	case Buf:
-		return in[0]
-	case Inv:
-		a := WordSlice(&in[0])
-		for k := range o {
-			o[k] = ^a[k]
-		}
-		return v
-	case And:
-		v = in[0]
-		for i := 1; i < len(in); i++ {
-			x := WordSlice(&in[i])
-			for k := range o {
-				o[k] &= x[k]
-			}
-		}
-		return v
-	case Nand:
-		v = in[0]
-		for i := 1; i < len(in); i++ {
-			x := WordSlice(&in[i])
-			for k := range o {
-				o[k] &= x[k]
-			}
-		}
-		for k := range o {
-			o[k] = ^o[k]
-		}
-		return v
-	case Or:
-		v = in[0]
-		for i := 1; i < len(in); i++ {
-			x := WordSlice(&in[i])
-			for k := range o {
-				o[k] |= x[k]
-			}
-		}
-		return v
-	case Nor:
-		v = in[0]
-		for i := 1; i < len(in); i++ {
-			x := WordSlice(&in[i])
-			for k := range o {
-				o[k] |= x[k]
-			}
-		}
-		for k := range o {
-			o[k] = ^o[k]
-		}
-		return v
-	case Xor:
-		v = in[0]
-		for i := 1; i < len(in); i++ {
-			x := WordSlice(&in[i])
-			for k := range o {
-				o[k] ^= x[k]
-			}
-		}
-		return v
-	case Xnor:
-		v = in[0]
-		for i := 1; i < len(in); i++ {
-			x := WordSlice(&in[i])
-			for k := range o {
-				o[k] ^= x[k]
-			}
-		}
-		for k := range o {
-			o[k] = ^o[k]
-		}
-		return v
-	case Mux2:
-		a, b, sel := WordSlice(&in[0]), WordSlice(&in[1]), WordSlice(&in[2])
-		for k := range o {
-			o[k] = (a[k] &^ sel[k]) | (b[k] & sel[k])
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("netlist: EvalCellWide on non-combinational cell %v", t))
-	}
-}

@@ -38,11 +38,6 @@ type Options struct {
 	// BitParallel selects the 64-way signature extraction (the
 	// scalar path exists for the ablation benchmark).
 	BitParallel bool
-	// Lanes widens the bit-parallel combinational recovery: each pass
-	// evaluates Lanes cycles of gate values through [K]uint64 wide
-	// words (64, 256, or 512; 0 means 512). Ignored without
-	// BitParallel; the signatures are bit-identical at every width.
-	Lanes int
 	// LifetimeCap is the horizon (cycles) of the lifetime campaign;
 	// errors alive at the horizon report this value.
 	LifetimeCap int
@@ -120,9 +115,6 @@ func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 	if opts.MaxDepth < 1 || opts.TraceCycles < 2 || opts.LifetimeCap < 1 || opts.Probes < 1 {
 		return nil, fmt.Errorf("precharac: invalid options %+v", opts)
 	}
-	if _, err := laneGroups(opts.Lanes); err != nil {
-		return nil, err
-	}
 	nl := s.MPU.Netlist
 	c := &Characterization{
 		Opts:       opts,
@@ -177,25 +169,9 @@ func captureTrace(s *soc.SoC, opts Options) *logicsim.Trace {
 		})
 	}
 	if opts.BitParallel {
-		groups, _ := laneGroups(opts.Lanes)
-		trace.FillCombWide(s.Sim, groups)
+		trace.FillCombParallel(s.Sim)
 	}
 	return trace
-}
-
-// laneGroups maps the Lanes option to its 64-cycle group count per
-// wide combinational pass (0 defaults to the widest word).
-func laneGroups(lanes int) (int, error) {
-	switch lanes {
-	case 64:
-		return 1, nil
-	case 256:
-		return 4, nil
-	case 0, 512:
-		return 8, nil
-	default:
-		return 0, fmt.Errorf("precharac: unsupported lane count %d (want 64, 256, or 512)", lanes)
-	}
 }
 
 // computeCorrelations evaluates Corr_i(g, rs) for every node in the

@@ -68,7 +68,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	j, err := s.submit(tenantOf(r), req)
+	_, st, err := s.submit(tenantOf(r), req)
 	if err == errQueueFull {
 		w.Header().Set("Retry-After", "2")
 		writeError(w, http.StatusTooManyRequests, "job queue full")
@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

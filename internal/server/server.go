@@ -233,12 +233,14 @@ func (s *Server) sampler(name string) (sampling.Sampler, error) {
 	return sp, nil
 }
 
-// submit registers and enqueues a new job. A full queue reports
-// backpressure via errQueueFull.
-func (s *Server) submit(tenant string, req JobRequest) (*Job, error) {
+// submit registers and enqueues a new job, returning it with its status
+// at acceptance. Once the job is on the queue an idle worker may start
+// it at any moment, so a status read afterwards can already say
+// running. A full queue reports backpressure via errQueueFull.
+func (s *Server) submit(tenant string, req JobRequest) (*Job, JobStatus, error) {
 	id, err := newID()
 	if err != nil {
-		return nil, err
+		return nil, JobStatus{}, err
 	}
 	j := newJob(jobRecord{
 		ID:          id,
@@ -247,6 +249,7 @@ func (s *Server) submit(tenant string, req JobRequest) (*Job, error) {
 		State:       StateQueued,
 		SubmittedAt: time.Now().UTC(),
 	})
+	accepted := j.status()
 	s.mu.Lock()
 	select {
 	case s.queue <- j:
@@ -254,12 +257,12 @@ func (s *Server) submit(tenant string, req JobRequest) (*Job, error) {
 		s.mu.Unlock()
 	default:
 		s.mu.Unlock()
-		return nil, errQueueFull
+		return nil, JobStatus{}, errQueueFull
 	}
 	if err := s.store.Save(j.snapshotRecord()); err != nil {
 		s.cfg.Logf("server: persist %s: %v", id, err)
 	}
-	return j, nil
+	return j, accepted, nil
 }
 
 var errQueueFull = errors.New("server: job queue full")

@@ -455,7 +455,7 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +725,7 @@ func TestStartShutdownRestart(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}

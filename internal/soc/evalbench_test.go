@@ -1,16 +1,16 @@
 package soc
 
 import (
-	"strconv"
 	"testing"
 
 	"repro/internal/logicsim"
 )
 
 // BenchmarkMPUEval compares the committed generated evaluator against
-// the interpreted op stream on the bundled MPU, per combinational pass
-// at each lane width. The campaign-level speedup in BENCH_codegen.json
-// is this gap diluted by the RTL and bookkeeping share of a sample.
+// the interpreted op stream on the bundled MPU, per 64-lane
+// combinational pass. The campaign-level gap in BENCH_campaign.json is
+// this one diluted by the timed injection, RTL and bookkeeping share of
+// a sample.
 func BenchmarkMPUEval(b *testing.B) {
 	mpu, err := BuildMPU(DefaultMPUConfig())
 	if err != nil {
@@ -26,20 +26,14 @@ func BenchmarkMPUEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, groups := range []int{1, 4, 8} {
-		for _, cfg := range []struct {
-			name string
-			sim  *logicsim.Simulator
-		}{{"interp", interp}, {"codegen", gen}} {
-			w, err := logicsim.NewLaneSim(cfg.sim, groups)
-			if err != nil {
-				b.Fatal(err)
+	for _, cfg := range []struct {
+		name string
+		sim  *logicsim.Simulator
+	}{{"interp", interp}, {"codegen", gen}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg.sim.Eval()
 			}
-			b.Run(cfg.name+"/lanes"+strconv.Itoa(64*groups), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					w.Eval()
-				}
-			})
-		}
+		})
 	}
 }

@@ -101,70 +101,3 @@ func TestGeneratedMatchesInterpretedScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestGeneratedMatchesInterpretedWide repeats the equivalence over the
-// wide-lane simulators at every stride the generated file covers (64,
-// 256, and 512 lanes), with distinct random words in every lane group.
-func TestGeneratedMatchesInterpretedWide(t *testing.T) {
-	mpu, err := BuildMPU(DefaultMPUConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := mpu.Netlist
-
-	prev := logicsim.SetGeneratedEnabled(false)
-	interpScalar, errI := logicsim.New(nl)
-	logicsim.SetGeneratedEnabled(prev)
-	if errI != nil {
-		t.Fatal(errI)
-	}
-	genScalar, err := logicsim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	regs := nl.Regs()
-	inputs := nl.Inputs()
-	for _, groups := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
-			gw, err := logicsim.NewLaneSim(genScalar, groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			iw, err := logicsim.NewLaneSim(interpScalar, groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(100 + groups)))
-			for cyc := 0; cyc < 8; cyc++ {
-				for _, id := range inputs {
-					for g := 0; g < groups; g++ {
-						w := rng.Uint64()
-						gw.SetValGroup(id, g, w)
-						iw.SetValGroup(id, g, w)
-					}
-				}
-				if cyc == 0 {
-					for _, r := range regs {
-						for g := 0; g < groups; g++ {
-							w := rng.Uint64()
-							gw.SetValGroup(r, g, w)
-							iw.SetValGroup(r, g, w)
-						}
-					}
-				}
-				gw.Step()
-				iw.Step()
-				for i := 0; i < nl.NumNodes(); i++ {
-					id := netlist.NodeID(i)
-					for g := 0; g < groups; g++ {
-						if gv, wv := gw.ValGroup(id, g), iw.ValGroup(id, g); gv != wv {
-							t.Fatalf("cycle %d node %d (%v) group %d: generated %#x, interpreted %#x",
-								cyc, id, nl.Node(id).Type, g, gv, wv)
-						}
-					}
-				}
-			}
-		})
-	}
-}

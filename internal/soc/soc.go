@@ -337,20 +337,12 @@ func (s *SoC) StepInject(inject InjectFunc) {
 	s.cycle++
 }
 
-// BusDriver is the simulator surface DriveBusTrace needs: broadcast
-// word drive onto input nodes. Both *logicsim.Simulator (64 lanes) and
-// logicsim.LaneSim (256/512 lanes) satisfy it.
-type BusDriver interface {
-	DriveWord(bits []netlist.NodeID, v uint64)
-}
-
 // DriveBusTrace replays one recorded golden bus-trace entry onto the MPU
 // input ports of an arbitrary simulator over the same netlist. Each bit
-// is broadcast to every lane, so a lane-batched resume can step 64 (or,
-// with a wide-lane simulator, 256/512) faulty MPU register states
-// against the one golden system trace with a single combinational pass
-// per cycle.
-func (m *MPU) DriveBusTrace(sim BusDriver, e *BusTraceEntry) {
+// is broadcast to every lane, so a lane-batched resume can step 64
+// faulty MPU register states against the one golden system trace with
+// a single combinational pass per cycle.
+func (m *MPU) DriveBusTrace(sim *logicsim.Simulator, e *BusTraceEntry) {
 	sim.DriveWord(m.InValid, b2u(e.Valid))
 	sim.DriveWord(m.InWrite, b2u(e.Write))
 	sim.DriveWord(m.InPriv, b2u(e.Priv))

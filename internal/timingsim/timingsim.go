@@ -171,14 +171,6 @@ type Simulator struct {
 	values  func(netlist.NodeID) bool
 	valBits []uint64
 
-	// laneWidth is how many 64-span words one timed cell evaluation
-	// covers in propagate (1 = scalar, 4 or 8 = wide words); argBuf4
-	// and argBuf8 are the matching per-fanin scratch. Set through
-	// SetLaneWidth; the width never changes results.
-	laneWidth int
-	argBuf4   [][4]uint64
-	argBuf8   [][8]uint64
-
 	// reference switches Inject to the dense full-order sweep; kept
 	// for equivalence testing against the sparse fast path.
 	reference bool
@@ -279,37 +271,7 @@ func (s *Simulator) Fork() *Simulator {
 	if s.maxFanin > 8 {
 		c.argBuf = make([]uint64, s.maxFanin)
 	}
-	if s.laneWidth != 0 {
-		c.SetLaneWidth(s.laneWidth)
-	}
 	return c
-}
-
-// SetLaneWidth selects how many 64-span words one timed cell
-// evaluation covers during waveform propagation: 1 (or 0) keeps the
-// scalar 64-span chunks, 4 and 8 evaluate 256 and 512 spans per pass
-// through [K]uint64 wide words. Waveforms with at most 64 spans — the
-// overwhelmingly common case — always take the scalar path, so the
-// width only engages on event-dense multi-fanin nodes. Results are
-// bit-identical at every width (each span is an independent cell
-// evaluation). Forks inherit the setting with their own scratch.
-func (s *Simulator) SetLaneWidth(w int) {
-	switch w {
-	case 0, 1:
-		s.laneWidth = 1
-	case 4:
-		s.laneWidth = 4
-		if s.argBuf4 == nil {
-			s.argBuf4 = make([][4]uint64, s.maxFanin)
-		}
-	case 8:
-		s.laneWidth = 8
-		if s.argBuf8 == nil {
-			s.argBuf8 = make([][8]uint64, s.maxFanin)
-		}
-	default:
-		panic(fmt.Sprintf("timingsim: unsupported lane width %d (want 1, 4, or 8)", w))
-	}
 }
 
 // SetReferenceSweep switches Inject between the sparse fault-cone sweep
@@ -610,16 +572,6 @@ func (s *Simulator) propagate(id netlist.NodeID, t netlist.CellType, fi []netlis
 	}
 	out := s.propBuf[:0]
 	spans := len(events) - 1
-	if spans > 64 && s.laneWidth > 1 {
-		switch s.laneWidth {
-		case 4:
-			out = propagateWide(s, t, fi, s.argBuf4[:len(fi)], events, nominalOut, out)
-		default:
-			out = propagateWide(s, t, fi, s.argBuf8[:len(fi)], events, nominalOut, out)
-		}
-		s.propBuf = out
-		return out
-	}
 	// Evaluate within each span [events[k], events[k+1]), 64 at a time.
 	//hot
 	for chunk := 0; chunk < spans; chunk += 64 {
@@ -650,59 +602,6 @@ func (s *Simulator) propagate(id netlist.NodeID, t netlist.CellType, fi []netlis
 		}
 	}
 	s.propBuf = out
-	return out
-}
-
-// propagateWide is propagate's multi-waved span sweep over [K]uint64
-// wide words: each chunk evaluates up to 64·K spans with one
-// netlist.EvalCellWide call. The per-span work (midpoint coverage test,
-// flipped-interval emission) is identical to the scalar loop, so the
-// produced waveform is bit-identical; only the cell-evaluation count
-// drops. args is per-simulator scratch sliced to len(fi).
-func propagateWide[W netlist.Word](s *Simulator, t netlist.CellType, fi []netlist.NodeID, args []W, events []float64, nominalOut uint64, out []Interval) []Interval {
-	spans := len(events) - 1
-	var w0 W
-	lanes := 64 * len(netlist.WordSlice(&w0))
-	//hot
-	for chunk := 0; chunk < spans; chunk += lanes {
-		n := spans - chunk
-		if n > lanes {
-			n = lanes
-		}
-		for j, f := range fi {
-			a := netlist.WordSlice(&args[j])
-			base := uint64(0)
-			if s.val(f) {
-				base = ^uint64(0)
-			}
-			for g := range a {
-				a[g] = base
-			}
-			if wv := s.waves[f]; len(wv) > 0 {
-				for k := 0; k < n; k++ {
-					mid := (events[chunk+k] + events[chunk+k+1]) / 2
-					if covered(wv, mid) {
-						a[k>>6] ^= 1 << uint(k&63)
-					}
-				}
-			}
-		}
-		res := netlist.EvalCellWide(t, args)
-		rs := netlist.WordSlice(&res)
-		for g := 0; g*64 < n; g++ {
-			flipped := rs[g] ^ nominalOut
-			base := chunk + g*64
-			lim := n - g*64
-			if lim > 64 {
-				lim = 64
-			}
-			for k := 0; k < lim; k++ {
-				if flipped>>uint(k)&1 == 1 {
-					out = appendMerged(out, Interval{events[base+k], events[base+k+1]})
-				}
-			}
-		}
-	}
 	return out
 }
 

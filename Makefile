@@ -25,7 +25,8 @@ race:
 smoke-server:
 	./scripts/smoke_ssfserver.sh
 
-# lint runs the full static-analysis stack: go vet, the project's custom
+# lint runs the full static-analysis stack: a gofmt check over every
+# tracked Go file, go vet, the project's custom
 # determinism/concurrency analyzers (cmd/vetall), the netlist/model
 # linter over the shipped circuits and the built-in MPU — including the
 # PL plan-verifier rules (-plan) that re-check every compiled logicsim
@@ -34,6 +35,8 @@ smoke-server:
 # availability so lint works in hermetic build environments; CI installs
 # them explicitly (at pinned versions).
 lint:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "lint: gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/vetall
 	$(GO) run ./cmd/netlint -plan examples/circuits/*.gnl

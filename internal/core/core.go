@@ -367,8 +367,9 @@ func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Share the parent's timed simulator topology and fault-cone
-		// schedule cache instead of recomputing them per clone.
+		// Share the parent's timed simulator tables (topology, fanins
+		// and the latch-window bound) instead of rebuilding them per
+		// clone.
 		eng.Timing = e.Engine.Timing.Fork()
 		if _, err := eng.RunGolden(f.Opts.CheckpointInterval); err != nil {
 			return nil, err

@@ -147,8 +147,13 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res
 		if len(gates) > 0 {
 			var strike timingsim.Strike
 			strike, e.strikeWidths = e.Attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
-			injected := e.Timing.InjectBits(b.comb[te-b.lo], strike)
-			flips = e.applyHardening(rng, injected.FlippedRegs)
+			// A strike that provably reaches no latching window flips
+			// nothing, so its timed sweep is skipped. applyHardening
+			// draws only per flipped register, so rng use is unchanged.
+			if e.Timing.MayLatch(strike) {
+				injected := e.Timing.InjectBits(b.comb[te-b.lo], strike)
+				flips = e.applyHardening(rng, injected.FlippedRegs)
+			}
 		}
 	case RegisterAttack:
 		flips = e.applyHardening(rng, e.spotIndex().DFFWithin(sample.Center, sample.Radius))

@@ -31,8 +31,9 @@ type JobRequest struct {
 	// Pr[|estimate − SSF| ≥ Epsilon] ≤ Risk.
 	Epsilon float64 `json:"epsilon,omitempty"`
 	Risk    float64 `json:"risk,omitempty"`
-	// MinSamples/MaxSamples bound the adaptive effort (defaults 2000
-	// and 1<<20).
+	// MinSamples/MaxSamples bound the adaptive effort. They default to
+	// 2000 and 1<<20, clamped to MaxSamples and to the server's sample
+	// cap; a job needs MinSamples ≤ MaxSamples ≤ cap.
 	MinSamples int `json:"min_samples,omitempty"`
 	MaxSamples int `json:"max_samples,omitempty"`
 	// Mode is "gate" (default) or "register".
@@ -74,19 +75,27 @@ func (r *JobRequest) normalize(maxSamples int) error {
 	if fixed == adaptive {
 		return fmt.Errorf("exactly one of samples or epsilon must be set")
 	}
+	if r.Samples < 0 || r.MinSamples < 0 || r.MaxSamples < 0 || r.CheckEvery < 0 {
+		return fmt.Errorf("negative sample counts")
+	}
 	if adaptive {
 		if r.Risk < 0 || r.Risk >= 1 {
 			return fmt.Errorf("risk %v outside [0, 1)", r.Risk)
 		}
+		// Resolve the defaults and check the bounds here: the engine
+		// raises MaxSamples to MinSamples, which would bypass the cap.
 		if r.MaxSamples == 0 {
-			r.MaxSamples = 1 << 20
+			r.MaxSamples = min(1<<20, maxSamples)
+		}
+		if r.MinSamples == 0 {
+			r.MinSamples = min(2000, r.MaxSamples)
+		}
+		if r.MinSamples > r.MaxSamples {
+			return fmt.Errorf("min_samples %d exceeds max_samples %d", r.MinSamples, r.MaxSamples)
 		}
 	}
 	if r.Samples > maxSamples || r.MaxSamples > maxSamples {
 		return fmt.Errorf("sample budget exceeds the server cap of %d", maxSamples)
-	}
-	if r.Samples < 0 || r.MinSamples < 0 || r.MaxSamples < 0 || r.CheckEvery < 0 {
-		return fmt.Errorf("negative sample counts")
 	}
 	return nil
 }
@@ -124,6 +133,7 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 	}
 	o.MinSamples = r.MinSamples
 	if o.MinSamples == 0 {
+		// Job records stored before normalize resolved this default.
 		o.MinSamples = 2000
 	}
 	o.MaxSamples = r.MaxSamples

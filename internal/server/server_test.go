@@ -85,6 +85,9 @@ func TestJobRequestNormalize(t *testing.T) {
 		{"sobol sampler", JobRequest{Samples: 10, Sampler: "sobol"}, true},
 		{"unknown mode", JobRequest{Samples: 10, Mode: "weird"}, false},
 		{"negative check_every", JobRequest{Samples: 10, CheckEvery: -1}, false},
+		{"min_samples over cap", JobRequest{Epsilon: 1e-4, MinSamples: 100_000_000}, false},
+		{"min_samples over max_samples", JobRequest{Epsilon: 0.01, MinSamples: 5000, MaxSamples: 4000}, false},
+		{"explicit bounds", JobRequest{Epsilon: 0.01, MinSamples: 5000, MaxSamples: 5000}, true},
 	}
 	for _, c := range cases {
 		err := c.req.normalize(1 << 22)
@@ -118,6 +121,50 @@ func TestJobRequestNormalize(t *testing.T) {
 	ao := a.adaptiveOptions()
 	if ao.Risk != 0.05 || ao.MinSamples != 2000 || ao.MaxSamples != 1<<20 {
 		t.Errorf("adaptive defaults: %+v", ao)
+	}
+
+	// Under a cap below the defaults, both defaults shrink to the cap.
+	c := JobRequest{Epsilon: 0.01}
+	if err := c.normalize(1000); err != nil {
+		t.Fatal(err)
+	}
+	if c.MinSamples != 1000 || c.MaxSamples != 1000 {
+		t.Errorf("defaults under a 1000-sample cap: min %d max %d", c.MinSamples, c.MaxSamples)
+	}
+}
+
+// TestSampleBoundsAgainstCapHTTP: min_samples cannot lift a job past
+// the server's sample cap, and a server capped below the adaptive
+// defaults still accepts an adaptive job that asks for no bounds.
+func TestSampleBoundsAgainstCapHTTP(t *testing.T) {
+	submit := func(cfg Config, body string) *http.Response {
+		t.Helper()
+		ts := httptest.NewServer(newTestServer(t, cfg).Handler())
+		defer ts.Close()
+		r, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := submit(Config{}, `{"epsilon": 1e-4, "min_samples": 100000000}`)
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("min_samples 1e8 on a 1<<22 cap: %d, want 400", r.StatusCode)
+	}
+
+	r = submit(Config{MaxSamples: 1000}, `{"epsilon": 0.01}`)
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("default adaptive job on a 1000-sample cap: %d, want 202", r.StatusCode)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Request.MinSamples != 1000 || st.Request.MaxSamples != 1000 {
+		t.Errorf("accepted bounds min %d max %d, want 1000/1000",
+			st.Request.MinSamples, st.Request.MaxSamples)
 	}
 }
 

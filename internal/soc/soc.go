@@ -297,8 +297,8 @@ func (s *SoC) StepInject(inject InjectFunc) {
 	if s.LogBusTrace {
 		s.BusTrace = append(s.BusTrace, BusTraceEntry{
 			Valid: req.Active, Write: drive.Write,
-			Priv: req.Active && !req.FromDMA && s.cpu.Priv,
-			Addr: drive.Addr,
+			Priv:  req.Active && !req.FromDMA && s.cpu.Priv,
+			Addr:  drive.Addr,
 			CfgWe: cfgW.we, CfgPriv: s.cpu.Priv,
 			CfgAddr: cfgW.addr, CfgWData: cfgW.wdata,
 			RespConsumed: respConsumed, RespGrant: respGrant, RespViol: respViol,

@@ -154,10 +154,10 @@ func TestSparseMatchesReferenceSweep(t *testing.T) {
 }
 
 // TestForkSharedConeCacheRace runs forked simulators concurrently over
-// the same design with overlapping strikes, so the shared cone-schedule
-// cache is built and read from multiple goroutines (run under -race),
-// then checks every fork produced the same results as a fresh serial
-// simulator fed the same sequence.
+// the same design with overlapping strikes, so the tables Fork shares
+// (topology, fanins, latch-window bound) are read from multiple
+// goroutines (run under -race), then checks every fork produced the
+// same results as a fresh serial simulator fed the same sequence.
 func TestForkSharedConeCacheRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nl := buildRandomDesign(rng)
@@ -185,7 +185,11 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 			for i := 0; i < trials; i++ {
 				values := randomValues(wrng, nl.NumNodes())
 				st := randomStrike(wrng, dm, nl.NumNodes())
+				may := sim.MayLatch(st)
 				res := sim.Inject(values, st)
+				if !may && len(res.FlippedRegs) > 0 {
+					t.Errorf("worker %d trial %d: MayLatch false but flipped %v", w, i, res.FlippedRegs)
+				}
 				out[w].flipped = append(out[w].flipped,
 					append([]netlist.NodeID(nil), res.FlippedRegs...))
 			}

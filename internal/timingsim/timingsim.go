@@ -16,10 +16,16 @@
 // indexed by topological position instead of walking the whole
 // netlist, resets only the nodes the previous run touched, and stops
 // as soon as every surviving waveform has been swept past.
+//
+// MayLatch is a static pre-check in front of the sweep: from per-node
+// path-delay bounds computed once in New, it proves for most masked
+// strikes that no transient can reach a register's latching window, so
+// callers can skip Inject without changing any outcome.
 package timingsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -121,8 +127,7 @@ type Result struct {
 
 // Simulator performs timed injection-cycle evaluation over a fixed
 // netlist. It is not safe for concurrent use; Fork one per goroutine
-// (forks share the immutable topology tables and the cone-schedule
-// cache).
+// (forks share the immutable topology, fanin and latch-bound tables).
 type Simulator struct {
 	nl    *netlist.Netlist
 	dm    DelayModel
@@ -142,6 +147,17 @@ type Simulator struct {
 	cellTypes []netlist.CellType
 	faninOff  []int32
 	faninPool []netlist.NodeID
+	// Static latch-window bound read by MayLatch, over the
+	// combinational paths from a node's output to the output of any
+	// node driving a register D input: endSlack is the largest
+	// Σ(delay − Attenuation) and arrival the smallest Σ delay of the
+	// cells after the node (0 at a register driver; −Inf/+Inf where no
+	// register is reachable, and at nodes a strike never deposits on).
+	endSlack []float64
+	arrival  []float64
+	// latchEnd and latchStart bound the loosest latching window any
+	// register applies, widened by latchBoundTolerance.
+	latchEnd, latchStart float64
 
 	// Per-run waveform state, reset via the touched list.
 	waves   [][]Interval // indexed by node: current fault waveform
@@ -239,11 +255,75 @@ func New(nl *netlist.Netlist, dm DelayModel) (*Simulator, error) {
 	if s.maxFanin > 8 {
 		s.argBuf = make([]uint64, s.maxFanin)
 	}
+	s.buildLatchBound()
 	return s, nil
 }
 
+// latchBoundTolerance (ps) absorbs float rounding between the sweep's
+// step-by-step interval arithmetic and the bound's path sums.
+const latchBoundTolerance = 1e-6
+
+// buildLatchBound fills the MayLatch tables in one reverse-topological
+// pass: every combinational fanout precedes its fanin in the walk.
+func (s *Simulator) buildLatchBound() {
+	n := len(s.delays)
+	s.endSlack = make([]float64, n)
+	s.arrival = make([]float64, n)
+	for i := range s.endSlack {
+		s.endSlack[i], s.arrival[i] = math.Inf(-1), math.Inf(1)
+	}
+	att := s.dm.Attenuation
+	for k := len(s.order) - 1; k >= 0; k-- {
+		id := s.order[k]
+		if t := s.cellTypes[id]; t == netlist.Const0 || t == netlist.Const1 {
+			continue // Inject never deposits on a constant
+		}
+		slack, arr := math.Inf(-1), math.Inf(1)
+		if len(s.regFanout[id]) > 0 {
+			slack, arr = 0, 0
+		}
+		for _, fo := range s.combFanout[id] {
+			slack = max(slack, s.endSlack[fo]+s.delays[fo]-att)
+			arr = min(arr, s.arrival[fo]+s.delays[fo])
+		}
+		s.endSlack[id], s.arrival[id] = slack, arr
+	}
+	// latchCheck scales both window sides by the gated factor (≥ 1) for
+	// clock-gated registers; the smaller product is the looser test.
+	gf := max(s.dm.GatedWindowFactor, 1)
+	setup := min(s.dm.Setup, s.dm.Setup*gf)
+	hold := min(s.dm.Hold, s.dm.Hold*gf)
+	s.latchEnd = s.dm.ClockPeriod + hold - latchBoundTolerance
+	s.latchStart = s.dm.ClockPeriod - setup + latchBoundTolerance
+}
+
+// MayLatch reports whether the strike could make Inject latch any
+// register. False is a proof that Inject returns no FlippedRegs for
+// every fault-free value assignment; true promises nothing.
+//
+// The bound follows the sweep: a propagated interval stays inside the
+// span of its fanin intervals, and conditioning shifts its Start by the
+// cell delay and its End by delay − Attenuation (or drops it); a struck
+// gate's XOR with its own deposit stays inside the union of both. So every interval at a register
+// driver ends no later than some deposit's end plus that gate's
+// endSlack and starts no earlier than Time plus its arrival, and a
+// latch needs both to cover the loosest (ungated) setup/hold window.
+func (s *Simulator) MayLatch(strike Strike) bool {
+	end, start := math.Inf(-1), math.Inf(1)
+	for i, g := range strike.Gates {
+		// Same deposit filter as inject: narrower pulses are dropped.
+		stop := strike.Time + strike.widthAt(i)
+		if stop-strike.Time < s.dm.MinPulse {
+			continue
+		}
+		end = max(end, stop+s.endSlack[g])
+		start = min(start, strike.Time+s.arrival[g])
+	}
+	return end >= s.latchEnd && start <= s.latchStart
+}
+
 // Fork returns an independent simulator over the same design: the
-// immutable topology tables and the cone-schedule cache are shared, the
+// immutable topology, fanin and latch-bound tables are shared, the
 // waveform state and scratch buffers are private. Forks may be used
 // concurrently with the parent and with each other.
 func (s *Simulator) Fork() *Simulator {
@@ -261,6 +341,10 @@ func (s *Simulator) Fork() *Simulator {
 		cellTypes:    s.cellTypes,
 		faninOff:     s.faninOff,
 		faninPool:    s.faninPool,
+		endSlack:     s.endSlack,
+		arrival:      s.arrival,
+		latchEnd:     s.latchEnd,
+		latchStart:   s.latchStart,
 		waves:        make([][]Interval, n),
 		dirty:        make([]bool, n),
 		marked:       make([]bool, n),
@@ -387,7 +471,7 @@ func (s *Simulator) inject(strike Strike) Result {
 // ends once it passes the furthest position any surviving waveform can
 // still reach (maxReach) — beyond it every remaining node has
 // fault-free fanins. Evaluation order (topo position) and the
-// evaluated live set match a full cone-schedule walk, so results are
+// evaluated live set match the dense reference sweep's, so results are
 // identical; the bitset walk just skips the dead nodes of the cone
 // without touching them.
 func (s *Simulator) sweepSparse(res *Result) {

@@ -12,8 +12,12 @@ build:
 gen:
 	$(GO) generate ./...
 
+# test also vets and self-tests perfbench/: it is its own module, so
+# ./... skips it, and an API it calls could vanish unnoticed.
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./internal/montecarlo/... ./internal/timingsim/... ./internal/logicsim/... ./internal/stats/... ./internal/sampling/... ./internal/server/... ./internal/precharac/... ./internal/netlist/... ./internal/core/...

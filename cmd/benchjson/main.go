@@ -315,28 +315,24 @@ func convergenceSuite() []benchResult {
 		name    string
 		sampler sampling.Sampler
 		adapt   bool
-		cv      bool
 	}{
-		{"ConvRandom", ev.RandomSampler(), false, false},
-		{"ConvImportance", newIm(), false, false},
-		{"ConvImportanceAdapt", newIm(), true, false},
-		{"ConvImportanceCV", newIm(), false, true},
-		{"ConvStratified", newStrat(), false, false},
-		{"ConvStratifiedNeyman", newStrat(), true, false},
-		{"ConvSobol", sampling.NewSobol(newIm()), false, false},
+		{"ConvRandom", ev.RandomSampler(), false},
+		{"ConvImportance", newIm(), false},
+		{"ConvImportanceAdapt", newIm(), true},
+		{"ConvStratified", newStrat(), false},
+		{"ConvStratifiedNeyman", newStrat(), true},
 	}
 	var results []benchResult
 	for _, cfg := range cfgs {
 		aopts := montecarlo.AdaptiveOptions{
-			Seed:           1,
-			Epsilon:        convTargetCI,
-			Risk:           1 / (stats.Z95 * stats.Z95),
-			MinSamples:     2000,
-			MaxSamples:     convMaxSamples,
-			CheckEvery:     1000,
-			Batch:          true,
-			AdaptProposal:  cfg.adapt,
-			ControlVariate: cfg.cv,
+			Seed:          1,
+			Epsilon:       convTargetCI,
+			Risk:          1 / (stats.Z95 * stats.Z95),
+			MinSamples:    2000,
+			MaxSamples:    convMaxSamples,
+			CheckEvery:    1000,
+			Batch:         true,
+			AdaptProposal: cfg.adapt,
 		}
 		camp, err := ev.Engine.RunAdaptive(context.Background(), cfg.sampler, aopts)
 		if err != nil {

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	benchName := flag.String("bench", "write", "benchmark: write | read")
-	strategy := flag.String("sampler", "importance", "sampler: random | cone | importance | stratified | sobol")
+	strategy := flag.String("sampler", "importance", "sampler: random | cone | importance | stratified")
 	samples := flag.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns)")
 	seed := flag.Int64("seed", 1, "campaign seed")
 	tRange := flag.Int("trange", 50, "temporal accuracy range (cycles)")
@@ -43,7 +43,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "number of worker engines (campaign shards)")
 	adaptive := flag.Bool("adaptive", false, "stop on the weak-LLN convergence bound instead of a fixed sample count")
 	adaptProp := flag.Bool("adapt-proposal", false, "adaptive: re-tune the proposal between rounds (importance/stratified samplers)")
-	ctrlVar := flag.Bool("cv", false, "use the analytical control variate (random/importance/sobol samplers, gate/register modes)")
 	eps := flag.Float64("eps", 0.005, "adaptive: absolute accuracy target epsilon")
 	risk := flag.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
 	maxSamples := flag.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
@@ -100,15 +99,11 @@ func main() {
 		sp, err = ev.ConeSampler()
 	case "importance":
 		sp, err = ev.ImportanceSamplerAB(*alpha, *beta)
-	case "stratified", "sobol":
+	case "stratified":
 		var im *sampling.Importance
 		im, err = sampling.NewImportance(ev.Attack, fw.Char, fw.MPU.Netlist, fw.Place, *alpha, *beta)
 		if err == nil {
-			if *strategy == "stratified" {
-				sp, err = sampling.NewStratified(im)
-			} else {
-				sp = sampling.NewSobol(im)
-			}
+			sp, err = sampling.NewStratified(im)
 		}
 	default:
 		err = fmt.Errorf("unknown sampler %q", *strategy)
@@ -127,7 +122,7 @@ func main() {
 		}
 	}
 
-	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog, Batch: *batch, ControlVariate: *ctrlVar}
+	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog, Batch: *batch}
 	var camp *montecarlo.Campaign
 	workers := 1
 	if *cpuProfile != "" {
@@ -161,7 +156,6 @@ func main() {
 			aopts.Progress = prog
 			aopts.Batch = *batch
 			aopts.AdaptProposal = *adaptProp
-			aopts.ControlVariate = *ctrlVar
 			camp, err = pool.RunAdaptive(ctx, sp, aopts)
 		} else if pool.Size() > 1 {
 			camp, err = pool.Run(ctx, sp, copts)
@@ -169,8 +163,8 @@ func main() {
 			camp, err = ev.Engine.RunCampaign(ctx, sp, copts)
 		}
 	case "glitch":
-		if *parallel > 1 || *adaptive || *batch || *ctrlVar {
-			fatal(fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count and no control variate"))
+		if *parallel > 1 || *adaptive || *batch {
+			fatal(fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count"))
 		}
 		tech := fault.DefaultClockGlitch()
 		tech.Depth = *glitchDepth

@@ -320,16 +320,6 @@ func (e *Evaluation) StratifiedSampler() (sampling.Sampler, error) {
 	return sampling.NewStratified(im)
 }
 
-// SobolSampler returns the importance proposal driven by a scrambled
-// Sobol low-discrepancy sequence instead of pseudo-random variates.
-func (e *Evaluation) SobolSampler() (sampling.Sampler, error) {
-	im, err := sampling.NewImportance(e.Attack, e.Framework.Char, e.Framework.MPU.Netlist, e.Framework.Place, sampling.DefaultAlpha, sampling.DefaultBeta)
-	if err != nil {
-		return nil, err
-	}
-	return sampling.NewSobol(im), nil
-}
-
 // DefaultCampaign returns campaign options with convergence tracking on.
 func DefaultCampaign(samples int) montecarlo.CampaignOptions {
 	return montecarlo.CampaignOptions{

@@ -51,24 +51,12 @@ func DefaultRadiation() Radiation {
 
 // SampleRadius draws a radiated radius.
 func (r Radiation) SampleRadius(rng *rand.Rand) float64 {
-	return r.RadiusFromU(rng.Float64())
-}
-
-// RadiusFromU maps a uniform variate u in [0, 1) to a radiated radius —
-// the inverse CDF behind SampleRadius, exposed so low-discrepancy
-// sequences can drive the same distribution.
-func (r Radiation) RadiusFromU(u float64) float64 {
-	return r.Radius + (u*2-1)*r.RadiusJitter
+	return r.Radius + (rng.Float64()*2-1)*r.RadiusJitter
 }
 
 // SampleWidth draws a transient pulse width.
 func (r Radiation) SampleWidth(rng *rand.Rand) float64 {
-	return r.WidthFromU(rng.Float64())
-}
-
-// WidthFromU maps a uniform variate to a transient pulse width.
-func (r Radiation) WidthFromU(u float64) float64 {
-	w := r.PulseWidth + (u*2-1)*r.PulseJitter
+	w := r.PulseWidth + (rng.Float64()*2-1)*r.PulseJitter
 	if w < 0 {
 		w = 0
 	}
@@ -77,12 +65,7 @@ func (r Radiation) WidthFromU(u float64) float64 {
 
 // SampleTime draws the strike instant within the injection cycle.
 func (r Radiation) SampleTime(rng *rand.Rand) float64 {
-	return r.TimeFromU(rng.Float64())
-}
-
-// TimeFromU maps a uniform variate to a strike instant.
-func (r Radiation) TimeFromU(u float64) float64 {
-	return u * r.ClockPeriod
+	return rng.Float64() * r.ClockPeriod
 }
 
 // Attack is the full nominal attack distribution f_{T,P}: what the
@@ -172,15 +155,6 @@ func (a *Attack) TProb(t int) float64 {
 		return 0
 	}
 	return 1 / float64(a.TRange)
-}
-
-// CenterIndex returns the candidate index of a center gate, and
-// whether the gate is a candidate at all. Lookup tables indexed by
-// candidate position (e.g. the control-variate table) use it to map a
-// drawn center back to its slot.
-func (a *Attack) CenterIndex(center netlist.NodeID) (int, bool) {
-	i, ok := a.centerIdx[center]
-	return i, ok
 }
 
 // CenterProb returns f_P's mass on the given center gate.

@@ -47,15 +47,6 @@ type CampaignOptions struct {
 	// 0 means DefaultBatchWindow. Larger windows fill lanes better;
 	// the window also bounds cancellation latency.
 	BatchWindow int
-	// ControlVariate subtracts the analytical memory-type predictor
-	// from the estimate: the campaign accumulates the exactly-known
-	// control phi(t, center) alongside each outcome and reports the
-	// regression-adjusted estimate (optimal coefficient estimated
-	// online). Requires an engine with Char and Analytical, and a
-	// sampler whose proposal covers the full nominal support (random,
-	// importance, sobol) — restricted-support samplers would bias the
-	// control's observed mean.
-	ControlVariate bool
 }
 
 // Campaign is the aggregate result of a sampling campaign.
@@ -97,27 +88,16 @@ type Campaign struct {
 	// distance (index t); adaptive proposal re-weighting reads them.
 	// The slices grow lazily to the largest observed t+1.
 	TDraws, THits []int
-	// CV is the control-variate regression state when
-	// Options.ControlVariate is on (nil otherwise); CVMean is the
-	// exact nominal-distribution mean of the control, computed by
-	// enumeration over the discrete (t, center) space.
-	CV     *stats.BivariateMoments
-	CVMean float64
 }
 
 // SSF returns the campaign's System Security Factor estimate: the
-// stratified estimate when per-stratum state is tracked, the
-// control-variate-adjusted estimate when a control is attached, and the
-// plain weighted mean otherwise.
+// stratified estimate when per-stratum state is tracked, and the plain
+// weighted mean otherwise.
 func (c *Campaign) SSF() float64 {
-	switch {
-	case c.Strata != nil:
+	if c.Strata != nil {
 		return c.Strata.Estimate()
-	case c.CV != nil && c.CV.N() > 1:
-		return c.CV.Adjusted(c.CVMean)
-	default:
-		return c.Est.Estimate()
 	}
+	return c.Est.Estimate()
 }
 
 // Variance returns the per-term sample variance of the plain weighted
@@ -128,26 +108,21 @@ func (c *Campaign) Variance() float64 { return c.Est.Variance() }
 
 // EstimatorVariance returns the variance of the campaign's SSF
 // estimate under whichever estimator SSF uses: the exact stratified
-// estimator variance, the regression-adjusted variance over n, or the
-// plain term variance over n. An empty campaign reports +Inf.
+// estimator variance, or the plain term variance over n. An empty
+// campaign reports +Inf.
 func (c *Campaign) EstimatorVariance() float64 {
-	switch {
-	case c.Strata != nil:
+	if c.Strata != nil {
 		return c.Strata.EstVariance()
-	case c.CV != nil && c.CV.N() > 1:
-		return c.CV.AdjustedVariance() / float64(c.CV.N())
-	default:
-		n := c.Est.N()
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return c.Est.Variance() / float64(n)
 	}
+	n := c.Est.N()
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return c.Est.Variance() / float64(n)
 }
 
 // CIHalfWidth returns the 95% confidence-interval half-width of the
-// SSF estimate. Under the Sobol sampler the draws are not independent
-// and the width is an approximation (see EXPERIMENTS.md).
+// SSF estimate.
 func (c *Campaign) CIHalfWidth() float64 {
 	v := c.EstimatorVariance()
 	if math.IsInf(v, 1) {
@@ -162,7 +137,7 @@ func (c *Campaign) ESS() float64 { return c.Weights.ESS() }
 
 // llnBound is the generalized Chebyshev stopping bound
 // Pr[|est − SSF| ≥ eps] ≤ Var[est]/eps², clamped to 1. For campaigns
-// without strata or control it equals Est.LLNBound exactly.
+// without strata it equals Est.LLNBound exactly.
 func (c *Campaign) llnBound(eps float64) float64 {
 	if eps <= 0 || c.Est.N() == 0 {
 		return 1
@@ -208,11 +183,11 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 	if opts.Samples < 1 {
 		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
 	}
-	// Stateful samplers (low-discrepancy sequences, per-stratum
-	// substreams) are never drawn from directly: each campaign forks a
-	// private stream keyed by its seed, so the per-(round, shard) seed
-	// derivation of the parallel runners makes every stream — and every
-	// resumed replay of it — deterministic.
+	// Stateful samplers (per-stratum substreams) are never drawn from
+	// directly: each campaign forks a private stream keyed by its seed,
+	// so the per-(round, shard) seed derivation of the parallel runners
+	// makes every stream — and every resumed replay of it —
+	// deterministic.
 	if f, ok := sampler.(sampling.Forker); ok {
 		sampler = f.Fork(opts.Seed)
 	}
@@ -232,19 +207,6 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 			return nil, fmt.Errorf("montecarlo: stratified sampler: %w", err)
 		}
 		c.Strata = strata
-	}
-	if opts.ControlVariate {
-		cv, err := e.controlVariate()
-		if err != nil {
-			return nil, err
-		}
-		switch sampler.Name() {
-		case "random", "importance", "sobol":
-		default:
-			return nil, fmt.Errorf("montecarlo: control variate requires a full-support sampler (random, importance, sobol), got %q", sampler.Name())
-		}
-		c.CV = &stats.BivariateMoments{}
-		c.CVMean = cv.mean
 	}
 	if opts.TrackConvergence {
 		c.Convergence = make([]float64, 0, opts.Samples)
@@ -311,21 +273,11 @@ func (e *Engine) accumulate(c *Campaign, opts *CampaignOptions, layout *timingsi
 	if c.Strata != nil && st != nil {
 		c.Strata.Add(st.StratumOf(sample), x, st.ConditionalWeight(sample, weight), res.Success)
 	}
-	if c.CV != nil {
-		c.CV.Add(x*weight, weight*e.cvTab.phi(sample))
-	}
 	c.ClassCounts[res.Class]++
 	c.PathCounts[res.Path]++
 	c.RTLCycles += res.ResumeCycles
 	if opts.TrackConvergence {
-		// Legacy samplers keep the plain weighted-mean trace (whose
-		// chunked form MergeSequential can replay); stratified and
-		// control-variate campaigns trace their own estimator.
-		if c.Strata != nil || c.CV != nil {
-			c.Convergence = append(c.Convergence, c.SSF())
-		} else {
-			c.Convergence = append(c.Convergence, c.Est.Estimate())
-		}
+		c.Convergence = append(c.Convergence, c.SSF())
 	}
 	if opts.TrackPatterns && len(res.Flipped) > 0 {
 		c.Patterns[timingsim.PatternKey(res.Flipped)] = true

@@ -217,8 +217,6 @@ type Engine struct {
 	memType map[netlist.NodeID]bool
 	cache   *stateCache
 	batch   *batchState
-	// cvTab caches the control-variate table (immutable once built).
-	cvTab *cvTable
 
 	// Per-run scratch (Engine is single-goroutine).
 	seen    map[netlist.NodeID]bool

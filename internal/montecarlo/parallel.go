@@ -40,12 +40,6 @@ func (c *Campaign) Merge(o *Campaign) error {
 	if (c.Strata == nil) != (o.Strata == nil) {
 		return fmt.Errorf("montecarlo: merge of stratified and unstratified campaigns")
 	}
-	if (c.CV == nil) != (o.CV == nil) {
-		return fmt.Errorf("montecarlo: merge of control-variate and plain campaigns")
-	}
-	if c.CV != nil && c.CVMean != o.CVMean {
-		return fmt.Errorf("montecarlo: merge across control means (%v vs %v)", c.CVMean, o.CVMean)
-	}
 	if c.Strata != nil {
 		// Self-validating: errors (mismatched stratum layout) leave
 		// both sides untouched.
@@ -55,9 +49,6 @@ func (c *Campaign) Merge(o *Campaign) error {
 	}
 	if len(o.RegContribution) > 0 && c.RegContribution == nil {
 		c.RegContribution = make(map[netlist.NodeID]float64, len(o.RegContribution))
-	}
-	if c.CV != nil {
-		c.CV.Merge(*o.CV)
 	}
 	c.Weights.Merge(o.Weights)
 	mergeTally(&c.TDraws, o.TDraws)
@@ -106,15 +97,14 @@ func (c *Campaign) Merge(o *Campaign) error {
 // — o's own trace is relative to its chunk only. When either side did
 // not track convergence the trace is dropped, as in Merge. The replay
 // reconstructs terms of the plain weighted mean, so campaigns carrying
-// per-stratum or control-variate state (whose traces follow their own
-// estimator) also drop the trace.
+// per-stratum state (whose traces follow the stratified estimator) also
+// drop the trace.
 //
 // MergeSequential errors under the same conditions as Merge (sampler
 // or attack-mode mismatch), leaving the receiver unchanged.
 func (c *Campaign) MergeSequential(o *Campaign) error {
 	var conv []float64
-	replayable := c.Strata == nil && c.CV == nil &&
-		(o == nil || (o.Strata == nil && o.CV == nil))
+	replayable := c.Strata == nil && (o == nil || o.Strata == nil)
 	if o != nil && replayable && c.Convergence != nil && o.Convergence != nil {
 		// The k-th chunk entry m_k is the running mean after k terms,
 		// so each weighted term is recoverable as
@@ -332,10 +322,6 @@ type AdaptiveOptions struct {
 	// same options.
 	Batch       bool
 	BatchWindow int
-	// ControlVariate as in CampaignOptions: every chunk/shard pairs the
-	// outcome with the analytical control and the merged campaign
-	// reports the control-variate-adjusted estimate.
-	ControlVariate bool
 	// Resume continues a previously checkpointed RunAdaptiveParallel
 	// campaign: the accumulated total restored from a Checkpoint
 	// snapshot of the same options. ResumeRound is the number of rounds
@@ -402,8 +388,8 @@ func (o *AdaptiveOptions) sanitize() error {
 // converged reports whether the accumulated campaign meets the
 // stopping criterion, evaluated on the campaign's active estimator:
 // for plain campaigns the bound is Est.LLNBound exactly (variance /
-// (N·eps²)); stratified and control-variate campaigns use their own
-// estimator variance, which is what converges faster.
+// (N·eps²)); stratified campaigns use the stratified estimator
+// variance, which is what converges faster.
 func (o *AdaptiveOptions) converged(total *Campaign) bool {
 	return total != nil &&
 		total.Est.N() >= o.MinSamples &&
@@ -475,7 +461,6 @@ func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts
 			TrackPatterns:    opts.TrackPatterns,
 			Batch:            opts.Batch,
 			BatchWindow:      opts.BatchWindow,
-			ControlVariate:   opts.ControlVariate,
 		}, agg, 0)
 		chunkIdx++
 		if total == nil {
@@ -526,12 +511,11 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 	nE := len(engines)
 	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, 0, nE)
 	copts := CampaignOptions{
-		Mode:           opts.Mode,
-		Seed:           opts.Seed,
-		TrackPatterns:  opts.TrackPatterns,
-		Batch:          opts.Batch,
-		BatchWindow:    opts.BatchWindow,
-		ControlVariate: opts.ControlVariate,
+		Mode:          opts.Mode,
+		Seed:          opts.Seed,
+		TrackPatterns: opts.TrackPatterns,
+		Batch:         opts.Batch,
+		BatchWindow:   opts.BatchWindow,
 	}
 	var total *Campaign
 	var conv []float64

@@ -30,10 +30,6 @@ func (c *Campaign) Clone() *Campaign {
 	if c.THits != nil {
 		o.THits = append([]int(nil), c.THits...)
 	}
-	if c.CV != nil {
-		cv := *c.CV
-		o.CV = &cv
-	}
 	if c.RegContribution != nil {
 		o.RegContribution = make(map[netlist.NodeID]float64, len(c.RegContribution))
 		for k, v := range c.RegContribution {
@@ -76,9 +72,6 @@ type CampaignSnapshot struct {
 	Strata      *stats.StratifiedState         `json:"strata,omitempty"`
 	TDraws      []int                          `json:"t_draws,omitempty"`
 	THits       []int                          `json:"t_hits,omitempty"`
-	CV          *stats.BivariateState          `json:"cv,omitempty"`
-	CVMean      float64                        `json:"cv_mean,omitempty"`
-	ControlVar  bool                           `json:"control_variate,omitempty"`
 	Convergence []float64                      `json:"convergence,omitempty"`
 	ClassCounts [3]int                         `json:"class_counts"`
 	PathCounts  [4]int                         `json:"path_counts"`
@@ -105,8 +98,6 @@ func (c *Campaign) Snapshot() *CampaignSnapshot {
 		BatchWindow: c.Options.BatchWindow,
 		Est:         c.Est.State(),
 		Weights:     c.Weights.State(),
-		CVMean:      c.CVMean,
-		ControlVar:  c.Options.ControlVariate,
 		ClassCounts: c.ClassCounts,
 		PathCounts:  c.PathCounts,
 		Successes:   c.Successes,
@@ -121,10 +112,6 @@ func (c *Campaign) Snapshot() *CampaignSnapshot {
 	}
 	if len(c.THits) > 0 {
 		s.THits = append([]int(nil), c.THits...)
-	}
-	if c.CV != nil {
-		cv := c.CV.State()
-		s.CV = &cv
 	}
 	if c.Convergence != nil {
 		s.Convergence = append([]float64(nil), c.Convergence...)
@@ -161,16 +148,14 @@ func (s *CampaignSnapshot) Campaign() *Campaign {
 	c := &Campaign{
 		SamplerName: s.SamplerName,
 		Options: CampaignOptions{
-			Samples:        s.Samples,
-			Mode:           s.Mode,
-			Seed:           s.Seed,
-			Batch:          s.Batch,
-			BatchWindow:    s.BatchWindow,
-			ControlVariate: s.ControlVar,
+			Samples:     s.Samples,
+			Mode:        s.Mode,
+			Seed:        s.Seed,
+			Batch:       s.Batch,
+			BatchWindow: s.BatchWindow,
 		},
 		Est:             stats.FromWeightedState(s.Est),
 		Weights:         stats.FromWeightMomentsState(s.Weights),
-		CVMean:          s.CVMean,
 		ClassCounts:     s.ClassCounts,
 		PathCounts:      s.PathCounts,
 		Successes:       s.Successes,
@@ -188,10 +173,6 @@ func (s *CampaignSnapshot) Campaign() *Campaign {
 	}
 	if len(s.THits) > 0 {
 		c.THits = append([]int(nil), s.THits...)
-	}
-	if s.CV != nil {
-		cv := stats.FromBivariateState(*s.CV)
-		c.CV = &cv
 	}
 	if s.Convergence != nil {
 		c.Convergence = append([]float64(nil), s.Convergence...)
@@ -227,9 +208,6 @@ func (s *CampaignSnapshot) Validate() error {
 		if _, err := stats.FromStratifiedState(*s.Strata); err != nil {
 			return fmt.Errorf("montecarlo: snapshot strata: %w", err)
 		}
-	}
-	if s.CV != nil && s.CV.N < 0 {
-		return fmt.Errorf("montecarlo: snapshot has negative control-variate count %d", s.CV.N)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package montecarlo_test
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 )
 
 // varianceImportance builds the importance proposal for an evaluation's
-// attack (the building block of the stratified and Sobol samplers).
+// attack (the building block of the stratified sampler).
 func varianceImportance(t *testing.T, ev *core.Evaluation) *sampling.Importance {
 	t.Helper()
 	fw := framework(t)
@@ -79,37 +78,6 @@ func TestStratifiedCampaignScalarBatchedIdentical(t *testing.T) {
 	}
 }
 
-// TestSobolCampaignScalarBatchedIdentical: same contract for the
-// Sobol-driven campaign (whose stream ignores the campaign rng, so the
-// batched path consumes exactly the same sequence).
-func TestSobolCampaignScalarBatchedIdentical(t *testing.T) {
-	ev := concentratedEvaluation(t)
-	sp := sampling.NewSobol(varianceImportance(t, ev))
-	opts := montecarlo.CampaignOptions{Samples: 2500, Seed: 5, TrackConvergence: true}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Batch = true
-	opts.BatchWindow = 600
-	batched, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar.Successes == 0 {
-		t.Fatal("no successes — the comparison would be vacuous")
-	}
-	if batched.Est.State() != scalar.Est.State() {
-		t.Error("estimator state differs between scalar and batched runs")
-	}
-	if batched.Successes != scalar.Successes || batched.RTLCycles != scalar.RTLCycles {
-		t.Error("success/RTL accounting differs")
-	}
-	if !reflect.DeepEqual(batched.Convergence, scalar.Convergence) {
-		t.Error("convergence traces differ")
-	}
-}
-
 // TestStratifiedDisjointForkMergeMatchesSequential is the campaign-level
 // merge guarantee: two campaigns over complementary stratum subsets
 // (ForkStrata), run with the sequential campaign's seed, merge into
@@ -165,136 +133,63 @@ func TestStratifiedDisjointForkMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestControlVariateCampaign: the control variate leaves the underlying
-// draw sequence untouched (the plain estimator stays bit-identical to
-// the non-CV run), its exact mean matches the empirical mean of the
-// control under the nominal sampler, and unsupported samplers are
-// rejected.
-func TestControlVariateCampaign(t *testing.T) {
-	// The default attack spec, not the concentrated one: the control's
-	// exact mean is strictly positive there, so the comparison has
-	// teeth (a degenerate control would reduce to the plain mean).
-	ev := evaluation(t)
-	ctx := context.Background()
-	opts := montecarlo.CampaignOptions{Samples: 8000, Seed: 3}
-	plain, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.ControlVariate = true
-	cv, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv.CV == nil {
-		t.Fatal("campaign did not track the control variate")
-	}
-	if cv.Est.State() != plain.Est.State() {
-		t.Error("control variate perturbed the draw sequence")
-	}
-	if cv.CVMean <= 0 || cv.CVMean > 1 {
-		t.Fatalf("exact control mean %v outside (0, 1]", cv.CVMean)
-	}
-	// Under the nominal sampler (weights 1) the empirical control mean
-	// is an unbiased estimate of the exact enumerated mean.
-	meanC := cv.CV.MeanC()
-	tol := 6*math.Sqrt(cv.CV.VarC()/float64(cv.CV.N())) + 1e-12
-	if math.Abs(meanC-cv.CVMean) > tol {
-		t.Errorf("empirical control mean %v, exact %v (tol %v)", meanC, cv.CVMean, tol)
-	}
-	if math.IsNaN(cv.SSF()) || math.IsInf(cv.SSF(), 0) {
-		t.Errorf("adjusted SSF %v", cv.SSF())
-	}
-
-	// Restricted-support samplers would bias E_g[w*phi]; rejected.
-	if _, err := ev.Engine.RunCampaign(ctx, varianceStratified(t, ev), opts); err == nil {
-		t.Error("control variate accepted a restricted-support sampler")
-	}
-}
-
-// TestVarianceStateSnapshotRoundTrip: the new campaign state — strata,
-// weight moments, tallies, control variate — survives Snapshot → JSON →
-// Campaign → Snapshot bit-identically.
+// TestVarianceStateSnapshotRoundTrip: the stratified campaign state —
+// strata, weight moments, tallies — survives Snapshot → JSON → Campaign
+// → Snapshot bit-identically.
 func TestVarianceStateSnapshotRoundTrip(t *testing.T) {
 	ev := concentratedEvaluation(t)
-	ctx := context.Background()
-	strat, err := ev.Engine.RunCampaign(ctx, varianceStratified(t, ev),
+	c, err := ev.Engine.RunCampaign(context.Background(), varianceStratified(t, ev),
 		montecarlo.CampaignOptions{Samples: 1500, Seed: 4, TrackConvergence: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 1500, Seed: 4, ControlVariate: true})
+	snap := c.Snapshot()
+	if snap.Strata == nil {
+		t.Fatal("stratified snapshot lost per-stratum state")
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*montecarlo.Campaign{"stratified": strat, "cv": cv} {
-		snap := c.Snapshot()
-		if err := snap.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		data, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var back montecarlo.CampaignSnapshot
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		restored := back.Campaign()
-		if !reflect.DeepEqual(restored.Snapshot(), snap) {
-			t.Fatalf("%s: snapshot changed over the round trip", name)
-		}
-		if restored.SSF() != c.SSF() {
-			t.Fatalf("%s: SSF %v != %v after round trip", name, restored.SSF(), c.SSF())
-		}
-		if restored.Weights.State() != c.Weights.State() {
-			t.Fatalf("%s: weight moments changed", name)
-		}
-		// A restored campaign must stay mergeable with a live one.
-		if err := restored.Merge(c.Clone()); err != nil {
-			t.Fatalf("%s: restored campaign rejects merge: %v", name, err)
-		}
+	var back montecarlo.CampaignSnapshot
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
 	}
-	if strat.Snapshot().Strata == nil {
-		t.Error("stratified snapshot lost per-stratum state")
+	restored := back.Campaign()
+	if !reflect.DeepEqual(restored.Snapshot(), snap) {
+		t.Fatal("snapshot changed over the round trip")
 	}
-	if cvSnap := cv.Snapshot(); cvSnap.CV == nil || cvSnap.CVMean != cv.CVMean || !cvSnap.ControlVar {
-		t.Error("cv snapshot lost control-variate state")
+	if restored.SSF() != c.SSF() {
+		t.Fatalf("SSF %v != %v after round trip", restored.SSF(), c.SSF())
+	}
+	if restored.Weights.State() != c.Weights.State() {
+		t.Fatal("weight moments changed")
+	}
+	// A restored campaign must stay mergeable with a live one.
+	if err := restored.Merge(c.Clone()); err != nil {
+		t.Fatalf("restored campaign rejects merge: %v", err)
 	}
 }
 
-// TestMergeRejectsMismatchedVarianceState: merging stratified into
-// unstratified (or across control means) must fail without mutating the
-// receiver.
+// TestMergeRejectsMismatchedVarianceState: merging unstratified into
+// stratified must fail without mutating the receiver.
 func TestMergeRejectsMismatchedVarianceState(t *testing.T) {
 	ev := concentratedEvaluation(t)
-	ctx := context.Background()
-	c, err := ev.Engine.RunCampaign(ctx, varianceStratified(t, ev),
+	c, err := ev.Engine.RunCampaign(context.Background(), varianceStratified(t, ev),
 		montecarlo.CampaignOptions{Samples: 600, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := c.Clone()
 	bare.Strata = nil
-	if err := c.Clone().Merge(bare); err == nil {
+	recv := c.Clone()
+	if err := recv.Merge(bare); err == nil {
 		t.Error("stratified merged with unstratified")
 	}
-
-	evCV := evaluation(t)
-	cv, err := evCV.Engine.RunCampaign(ctx, evCV.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 600, Seed: 2, ControlVariate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := cv.Clone()
-	other.CVMean += 0.5
-	recv := cv.Clone()
-	before := recv.CV.MeanC()
-	if err := recv.Merge(other); err == nil {
-		t.Error("merged across control means")
-	}
-	if recv.CV.MeanC() != before {
+	if !reflect.DeepEqual(recv.Snapshot(), c.Snapshot()) {
 		t.Error("failed merge mutated the receiver")
 	}
 }

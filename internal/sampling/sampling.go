@@ -34,7 +34,7 @@ type Sampler interface {
 }
 
 // Forker is implemented by samplers that carry per-campaign mutable
-// state — low-discrepancy sequence positions, per-stratum substreams.
+// state, such as the Stratified sampler's per-stratum substreams.
 // Campaign runners fork one private stream per (campaign, shard) using
 // the shard's deterministically derived seed, so parallel and resumed
 // runs replay the exact same streams. Samplers without per-draw state

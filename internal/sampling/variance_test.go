@@ -46,7 +46,6 @@ func varianceSamplers(t *testing.T) map[string]Sampler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sob := NewSobol(fixtureImportance(t, 10))
 	return map[string]Sampler{
 		"random":            &Random{Attack: a},
 		"cone":              cone,
@@ -54,8 +53,6 @@ func varianceSamplers(t *testing.T) map[string]Sampler {
 		"stratified":        strat,
 		"stratified-stream": strat.Fork(3),
 		"stratified-subset": sub,
-		"sobol":             sob,
-		"sobol-stream":      sob.Fork(3),
 	}
 }
 
@@ -334,29 +331,5 @@ func TestStratifiedAdaptNeyman(t *testing.T) {
 		if a != alloc[k] {
 			t.Fatal("Adapt mutated the receiver")
 		}
-	}
-}
-
-// TestSobolStreamDeterministicPerSeed: equal fork seeds reproduce the
-// stream exactly; different seeds produce a different scramble.
-func TestSobolStreamDeterministicPerSeed(t *testing.T) {
-	sob := NewSobol(fixtureImportance(t, 10))
-	rng := rand.New(rand.NewSource(1)) // ignored by streams
-	a, b := sob.Fork(7), sob.Fork(7)
-	c := sob.Fork(8)
-	differs := false
-	for i := 0; i < 300; i++ {
-		sa, wa := a.Draw(rng)
-		sb, wb := b.Draw(rng)
-		sc, wc := c.Draw(rng)
-		if sa != sb || wa != wb {
-			t.Fatalf("draw %d: same-seed forks diverged", i)
-		}
-		if sa != sc || wa != wc {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Error("different fork seeds produced identical streams")
 	}
 }

@@ -38,8 +38,8 @@ type JobRequest struct {
 	MaxSamples int `json:"max_samples,omitempty"`
 	// Mode is "gate" (default) or "register".
 	Mode string `json:"mode,omitempty"`
-	// Sampler is "random", "cone", "importance" (default),
-	// "stratified", or "sobol".
+	// Sampler is "random", "cone", "importance" (default), or
+	// "stratified".
 	Sampler string `json:"sampler,omitempty"`
 	// Seed makes the job reproducible; the per-(round, shard) seeds of
 	// the worker pool are derived from it deterministically.
@@ -65,10 +65,8 @@ func (r *JobRequest) normalize(maxSamples int) error {
 	if _, err := montecarlo.ParseMode(r.Mode); err != nil {
 		return err
 	}
-	switch r.Sampler {
-	case "random", "cone", "importance", "stratified", "sobol":
-	default:
-		return fmt.Errorf("unknown sampler %q", r.Sampler)
+	if err := checkSampler(r.Sampler); err != nil {
+		return err
 	}
 	fixed := r.Samples > 0
 	adaptive := r.Epsilon > 0

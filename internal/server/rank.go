@@ -89,10 +89,8 @@ func (r *RankRequest) normalize(maxSamples, maxVariants int) error {
 	if _, err := montecarlo.ParseMode(r.Mode); err != nil {
 		return err
 	}
-	switch r.Sampler {
-	case "random", "cone", "importance":
-	default:
-		return fmt.Errorf("unknown sampler %q", r.Sampler)
+	if err := checkSampler(r.Sampler); err != nil {
+		return err
 	}
 	if r.Samples < 1 || r.Samples > maxSamples {
 		return fmt.Errorf("samples %d outside [1, %d]", r.Samples, maxSamples)

@@ -200,6 +200,26 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// knownSamplers is the one list of sampling strategies a job or rank
+// request may name, each with its constructor over the pool's
+// evaluation.
+var knownSamplers = map[string]func(*core.Evaluation) (sampling.Sampler, error){
+	"random": func(ev *core.Evaluation) (sampling.Sampler, error) {
+		return ev.RandomSampler(), nil
+	},
+	"cone":       (*core.Evaluation).ConeSampler,
+	"importance": (*core.Evaluation).ImportanceSampler,
+	"stratified": (*core.Evaluation).StratifiedSampler,
+}
+
+// checkSampler rejects a sampler name the server cannot build.
+func checkSampler(name string) error {
+	if _, ok := knownSamplers[name]; !ok {
+		return fmt.Errorf("unknown sampler %q", name)
+	}
+	return nil
+}
+
 // sampler returns (building and caching on first use) the named
 // sampling strategy over the pool's evaluation. Samplers are immutable
 // after construction and safe for concurrent Draw with distinct rngs.
@@ -209,23 +229,11 @@ func (s *Server) sampler(name string) (sampling.Sampler, error) {
 	if sp, ok := s.samplers[name]; ok {
 		return sp, nil
 	}
-	ev := s.pool.Evaluation
-	var sp sampling.Sampler
-	var err error
-	switch name {
-	case "random":
-		sp = ev.RandomSampler()
-	case "cone":
-		sp, err = ev.ConeSampler()
-	case "importance":
-		sp, err = ev.ImportanceSampler()
-	case "stratified":
-		sp, err = ev.StratifiedSampler()
-	case "sobol":
-		sp, err = ev.SobolSampler()
-	default:
-		err = fmt.Errorf("server: unknown sampler %q", name)
+	newSampler, ok := knownSamplers[name]
+	if !ok {
+		return nil, fmt.Errorf("server: unknown sampler %q", name)
 	}
+	sp, err := newSampler(s.pool.Evaluation)
 	if err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func TestJobRequestNormalize(t *testing.T) {
 		{"over budget", JobRequest{Samples: 1 << 30}, false},
 		{"unknown sampler", JobRequest{Samples: 10, Sampler: "bogus"}, false},
 		{"stratified sampler", JobRequest{Samples: 10, Sampler: "stratified"}, true},
-		{"sobol sampler", JobRequest{Samples: 10, Sampler: "sobol"}, true},
+		{"removed sobol sampler", JobRequest{Samples: 10, Sampler: "sobol"}, false},
 		{"unknown mode", JobRequest{Samples: 10, Mode: "weird"}, false},
 		{"negative check_every", JobRequest{Samples: 10, CheckEvery: -1}, false},
 		{"min_samples over cap", JobRequest{Epsilon: 1e-4, MinSamples: 100_000_000}, false},
@@ -130,6 +130,57 @@ func TestJobRequestNormalize(t *testing.T) {
 	}
 	if c.MinSamples != 1000 || c.MaxSamples != 1000 {
 		t.Errorf("defaults under a 1000-sample cap: min %d max %d", c.MinSamples, c.MaxSamples)
+	}
+}
+
+func TestRankRequestNormalize(t *testing.T) {
+	cases := []struct {
+		name string
+		req  RankRequest
+		ok   bool
+	}{
+		{"defaults", RankRequest{Samples: 10}, true},
+		{"no samples", RankRequest{}, false},
+		{"over budget", RankRequest{Samples: 1 << 30}, false},
+		{"unknown sampler", RankRequest{Samples: 10, Sampler: "bogus"}, false},
+		{"stratified sampler", RankRequest{Samples: 10, Sampler: "stratified"}, true},
+		{"removed sobol sampler", RankRequest{Samples: 10, Sampler: "sobol"}, false},
+		{"unknown mode", RankRequest{Samples: 10, Mode: "weird"}, false},
+	}
+	for _, c := range cases {
+		c.req.Variants = []RankVariant{{TopN: 3}}
+		err := c.req.normalize(1<<22, 16)
+		if c.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: error expected", c.name)
+		}
+	}
+}
+
+// TestRankStratifiedHTTP: a rank request may name any sampler a job
+// may, the stratified one included.
+func TestRankStratifiedHTTP(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	r, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(
+		`{"samples": 200, "sampler": "stratified", "seed": 1, "variants": [{"name": "top2", "top_n": 2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("stratified rank: %d, want 200", r.StatusCode)
+	}
+	var resp RankResponse
+	if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Sampler != "stratified" || len(resp.Entries) != 1 {
+		t.Fatalf("rank response %+v", resp)
 	}
 }
 
@@ -257,6 +308,119 @@ func TestStoreRoundTrip(t *testing.T) {
 	recs, _ = st.Load()
 	if recs[1].State != StateDone {
 		t.Fatal("overwrite not visible")
+	}
+}
+
+// waitTerminal polls a job until it leaves the queued and running
+// states.
+func waitTerminal(t *testing.T, j *Job) string {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		switch st := j.state(); st {
+		case StateQueued, StateRunning:
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", j.snapshotRecord().ID, st)
+			}
+			time.Sleep(10 * time.Millisecond)
+		default:
+			return st
+		}
+	}
+}
+
+// TestStoredRemovedSamplerFailsCleanly: a queued job persisted with a
+// sampler this server no longer builds fails with an error naming the
+// sampler, and the job queued behind it still runs.
+func TestStoredRemovedSamplerFailsCleanly(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, rec := range []jobRecord{
+		{ID: "old", State: StateQueued, SubmittedAt: base,
+			Request: JobRequest{Samples: 200, Sampler: "sobol", Mode: "gate", Seed: 1}},
+		{ID: "next", State: StateQueued, SubmittedAt: base.Add(time.Minute),
+			Request: JobRequest{Samples: 200, Sampler: "random", Mode: "gate", Seed: 2}},
+	} {
+		if err := st.Save(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(enginePool(t), dir, Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown()
+	old, ok := srv.job("old")
+	if !ok {
+		t.Fatal("stored job not loaded")
+	}
+	if st := waitTerminal(t, old); st != StateFailed {
+		t.Fatalf("removed-sampler job ended %s, want failed", st)
+	}
+	if e := old.snapshotRecord().Error; !strings.Contains(e, `"sobol"`) {
+		t.Errorf("error %q does not name the sampler", e)
+	}
+	next, ok := srv.job("next")
+	if !ok {
+		t.Fatal("stored job not loaded")
+	}
+	if st := waitTerminal(t, next); st != StateDone {
+		t.Fatalf("job behind the failed one ended %s (%s), want done", st, next.snapshotRecord().Error)
+	}
+}
+
+// TestInvalidCheckpointLoadsAsFailed: a persisted job whose checkpoint
+// fails validation stays visible after a restart, as a failed job
+// carrying the reason, and is not queued.
+func TestInvalidCheckpointLoadsAsFailed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(jobRecord{
+		ID: "bad", State: StateRunning, SubmittedAt: time.Now().UTC(),
+		Request: JobRequest{Samples: 200, Sampler: "random", Mode: "gate", Seed: 1},
+		Rounds:  1,
+		Checkpoint: &montecarlo.CampaignSnapshot{
+			SamplerName: "random", Mode: montecarlo.GateAttack,
+			Est: stats.WelfordState{N: -1},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(enginePool(t), dir, Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(srv.queue); n != 0 {
+		t.Fatalf("%d jobs queued, want 0", n)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	r, err := http.Get(ts.URL + "/v1/jobs/bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("status of the invalid job: %d, want 200", r.StatusCode)
+	}
+	var got JobStatus
+	if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Error, "negative sample count -1") {
+		t.Fatalf("invalid job listed as %s with error %q", got.State, got.Error)
+	}
+	j, _ := srv.job("bad")
+	if j.snapshotRecord().Checkpoint != nil {
+		t.Error("invalid checkpoint kept")
 	}
 }
 

@@ -58,8 +58,11 @@ func (s *Store) Save(rec jobRecord) error {
 
 // Load reads every job record, sorted by submission time then ID so
 // restart recovery re-queues jobs in their original order. Unreadable
-// files are skipped (reported in errs) rather than failing the whole
-// recovery.
+// files and records without an ID are skipped (reported in errs)
+// rather than failing the whole recovery. A record whose checkpoint
+// fails validation is loaded as failed, with the reason as its error
+// and the checkpoint dropped, so its client still learns what
+// happened.
 func (s *Store) Load() (recs []jobRecord, errs []error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -80,9 +83,17 @@ func (s *Store) Load() (recs []jobRecord, errs []error) {
 			errs = append(errs, fmt.Errorf("server: store: %s: %w", name, err))
 			continue
 		}
-		if rec.ID == "" || rec.Checkpoint != nil && rec.Checkpoint.Validate() != nil {
+		if rec.ID == "" {
 			errs = append(errs, fmt.Errorf("server: store: %s: invalid record", name))
 			continue
+		}
+		if rec.Checkpoint != nil {
+			if err := rec.Checkpoint.Validate(); err != nil {
+				errs = append(errs, fmt.Errorf("server: store: %s: job marked failed: %w", name, err))
+				rec.State = StateFailed
+				rec.Error = "invalid checkpoint: " + err.Error()
+				rec.Checkpoint = nil
+			}
 		}
 		recs = append(recs, rec)
 	}

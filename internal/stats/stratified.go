@@ -276,150 +276,3 @@ func (m *WeightMoments) State() WeightMomentsState {
 func FromWeightMomentsState(s WeightMomentsState) WeightMoments {
 	return WeightMoments{n: s.N, sumW: s.SumW, sumW2: s.SumW2}
 }
-
-// BivariateMoments accumulates streaming means, variances, and the
-// covariance of paired observations (y, c) — the weighted outcome and
-// the weighted control variate — using the pairwise-update form of
-// Welford's algorithm (Chan et al.), so Merge matches the Welford
-// accumulators used elsewhere.
-//
-// With mu = E[c] known exactly, the control-variate estimate is
-// mean_y - beta * (mean_c - mu) with beta = cov(y,c)/var(c) estimated
-// from the same sample; the induced bias is O(1/n) and vanishes
-// relative to the O(1/sqrt(n)) noise (documented in EXPERIMENTS.md).
-type BivariateMoments struct {
-	n     int
-	meanY float64
-	meanC float64
-	m2Y   float64
-	m2C   float64
-	m11   float64
-}
-
-// Add incorporates one paired observation.
-func (b *BivariateMoments) Add(y, c float64) {
-	b.n++
-	n := float64(b.n)
-	dy := y - b.meanY
-	dc := c - b.meanC
-	b.meanY += dy / n
-	b.meanC += dc / n
-	b.m2Y += dy * (y - b.meanY)
-	b.m2C += dc * (c - b.meanC)
-	b.m11 += dy * (c - b.meanC)
-}
-
-// N returns the number of paired observations.
-func (b *BivariateMoments) N() int { return b.n }
-
-// MeanY returns the running mean of the outcome terms.
-func (b *BivariateMoments) MeanY() float64 { return b.meanY }
-
-// MeanC returns the running mean of the control terms.
-func (b *BivariateMoments) MeanC() float64 { return b.meanC }
-
-// VarY returns the unbiased sample variance of the outcome terms.
-func (b *BivariateMoments) VarY() float64 {
-	if b.n < 2 {
-		return 0
-	}
-	return b.m2Y / float64(b.n-1)
-}
-
-// VarC returns the unbiased sample variance of the control terms.
-func (b *BivariateMoments) VarC() float64 {
-	if b.n < 2 {
-		return 0
-	}
-	return b.m2C / float64(b.n-1)
-}
-
-// Cov returns the unbiased sample covariance of the pairs.
-func (b *BivariateMoments) Cov() float64 {
-	if b.n < 2 {
-		return 0
-	}
-	return b.m11 / float64(b.n-1)
-}
-
-// Beta returns the estimated optimal control-variate coefficient
-// cov(y,c)/var(c), or 0 when the control has no observed variance
-// (which reduces the adjusted estimate to the plain mean).
-func (b *BivariateMoments) Beta() float64 {
-	if b.m2C == 0 {
-		return 0
-	}
-	return b.m11 / b.m2C
-}
-
-// Adjusted returns the control-variate-adjusted estimate given the
-// exact control mean mu: mean_y - beta * (mean_c - mu).
-func (b *BivariateMoments) Adjusted(mu float64) float64 {
-	return b.meanY - b.Beta()*(b.meanC-mu)
-}
-
-// AdjustedVariance returns the per-sample variance of the adjusted
-// estimator, var(y) * (1 - rho^2) computed stably as
-// (m2Y - m11^2/m2C) / (n-1). It can only be smaller than VarY.
-func (b *BivariateMoments) AdjustedVariance() float64 {
-	if b.n < 2 {
-		return 0
-	}
-	m2 := b.m2Y
-	if b.m2C > 0 {
-		m2 -= b.m11 * b.m11 / b.m2C
-	}
-	if m2 < 0 {
-		m2 = 0
-	}
-	return m2 / float64(b.n-1)
-}
-
-// AdjustedStdErr returns the standard error of the adjusted estimate.
-func (b *BivariateMoments) AdjustedStdErr() float64 {
-	if b.n == 0 {
-		return 0
-	}
-	return math.Sqrt(b.AdjustedVariance() / float64(b.n))
-}
-
-// Merge folds another accumulator into this one (pairwise update).
-func (b *BivariateMoments) Merge(o BivariateMoments) {
-	if o.n == 0 {
-		return
-	}
-	if b.n == 0 {
-		*b = o
-		return
-	}
-	n1, n2 := float64(b.n), float64(o.n)
-	total := n1 + n2
-	dy := o.meanY - b.meanY
-	dc := o.meanC - b.meanC
-	b.m2Y += o.m2Y + dy*dy*n1*n2/total
-	b.m2C += o.m2C + dc*dc*n1*n2/total
-	b.m11 += o.m11 + dy*dc*n1*n2/total
-	b.meanY += dy * n2 / total
-	b.meanC += dc * n2 / total
-	b.n += o.n
-}
-
-// BivariateState is the exact serialized form of BivariateMoments.
-type BivariateState struct {
-	N     int     `json:"n"`
-	MeanY float64 `json:"mean_y"`
-	MeanC float64 `json:"mean_c"`
-	M2Y   float64 `json:"m2_y"`
-	M2C   float64 `json:"m2_c"`
-	M11   float64 `json:"m11"`
-}
-
-// State snapshots the accumulator.
-func (b *BivariateMoments) State() BivariateState {
-	return BivariateState{N: b.n, MeanY: b.meanY, MeanC: b.meanC, M2Y: b.m2Y, M2C: b.m2C, M11: b.m11}
-}
-
-// FromBivariateState reconstructs an accumulator from a snapshot.
-func FromBivariateState(s BivariateState) BivariateMoments {
-	return BivariateMoments{n: s.N, meanY: s.MeanY, meanC: s.MeanC, m2Y: s.M2Y, m2C: s.M2C, m11: s.M11}
-}

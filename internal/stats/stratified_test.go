@@ -220,94 +220,6 @@ func TestWeightMomentsESS(t *testing.T) {
 	}
 }
 
-func TestBivariateMomentsMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var b BivariateMoments
-	var ys, cs []float64
-	for i := 0; i < 1000; i++ {
-		c := rng.NormFloat64()
-		y := 0.7*c + 0.2*rng.NormFloat64() + 3
-		b.Add(y, c)
-		ys = append(ys, y)
-		cs = append(cs, c)
-	}
-	my, mc := Mean(ys), Mean(cs)
-	var sy, sc, sxy float64
-	for i := range ys {
-		sy += (ys[i] - my) * (ys[i] - my)
-		sc += (cs[i] - mc) * (cs[i] - mc)
-		sxy += (ys[i] - my) * (cs[i] - mc)
-	}
-	n1 := float64(len(ys) - 1)
-	if math.Abs(b.VarY()-sy/n1) > 1e-9 || math.Abs(b.VarC()-sc/n1) > 1e-9 || math.Abs(b.Cov()-sxy/n1) > 1e-9 {
-		t.Errorf("moments diverge: %v %v %v vs %v %v %v", b.VarY(), b.VarC(), b.Cov(), sy/n1, sc/n1, sxy/n1)
-	}
-	beta := sxy / sc
-	if math.Abs(b.Beta()-beta) > 1e-9 {
-		t.Errorf("beta %v, want %v", b.Beta(), beta)
-	}
-	// The control has mean 0; the adjusted estimate must land nearer
-	// the true mean 3 than the raw mean, and the adjusted variance must
-	// shrink by about 1-rho^2.
-	if math.Abs(b.Adjusted(0)-3) > math.Abs(b.MeanY()-3)+1e-12 {
-		t.Errorf("adjustment did not help: %v vs %v", b.Adjusted(0), b.MeanY())
-	}
-	if b.AdjustedVariance() >= b.VarY() {
-		t.Errorf("adjusted variance %v not below raw %v", b.AdjustedVariance(), b.VarY())
-	}
-	if b.AdjustedStdErr() <= 0 {
-		t.Error("adjusted stderr not positive")
-	}
-}
-
-func TestBivariateMomentsMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var seq, a, b BivariateMoments
-	for i := 0; i < 600; i++ {
-		y, c := rng.Float64(), rng.Float64()
-		seq.Add(y, c)
-		if i < 250 {
-			a.Add(y, c)
-		} else {
-			b.Add(y, c)
-		}
-	}
-	a.Merge(b)
-	if math.Abs(a.MeanY()-seq.MeanY()) > 1e-12 || math.Abs(a.Cov()-seq.Cov()) > 1e-12 ||
-		math.Abs(a.VarY()-seq.VarY()) > 1e-12 || math.Abs(a.VarC()-seq.VarC()) > 1e-12 {
-		t.Error("merge diverges from sequential")
-	}
-	var empty BivariateMoments
-	empty.Merge(seq)
-	if empty.State() != seq.State() {
-		t.Error("merge into empty not exact")
-	}
-	raw, _ := json.Marshal(seq.State())
-	var st BivariateState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if got := FromBivariateState(st); got.State() != seq.State() {
-		t.Error("state round trip diverged")
-	}
-}
-
-func TestBivariateDegenerateControl(t *testing.T) {
-	var b BivariateMoments
-	for i := 0; i < 10; i++ {
-		b.Add(float64(i), 1) // constant control
-	}
-	if b.Beta() != 0 {
-		t.Errorf("beta with zero-variance control = %v", b.Beta())
-	}
-	if b.Adjusted(1) != b.MeanY() {
-		t.Error("degenerate adjustment changed the mean")
-	}
-	if b.AdjustedVariance() != b.VarY() {
-		t.Error("degenerate adjusted variance changed")
-	}
-}
-
 func TestStratifiedLLNBound(t *testing.T) {
 	s, _ := NewStratified([]float64{1})
 	if s.LLNBound(0.1) != 1 {

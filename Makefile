@@ -51,17 +51,20 @@ lint:
 	else echo "lint: govulncheck not installed, skipping"; fi
 
 # fuzz-smoke gives the fuzz targets a short budget each: enough to
-# catch parser or evaluator-equivalence regressions without stalling CI.
+# catch parser, checkpoint-decoding or evaluator-equivalence
+# regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzNetlistDeserialize -fuzztime=20s
 	$(GO) test ./internal/logicsim/ -run '^FuzzPlanEquivalence$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/logicsim/codegen/ -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime=20s
+	$(GO) test ./internal/montecarlo/ -run '^FuzzCampaignSnapshot$$' -fuzz '^FuzzCampaignSnapshot$$' -fuzztime=20s
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
 # RTLCycle), BENCH_campaign.json (per-sample campaign cost, scalar vs
-# lane-batched vs lane-batched with the interpreted evaluator, plus one
-# generated vs interpreted 64-lane eval pass, with the speedup ratios),
+# lane-batched vs lane-batched with the interpreted evaluator on gate
+# attacks, lane-batched on register attacks, plus one generated vs
+# interpreted 64-lane eval pass, with the speedup ratios),
 # and BENCH_convergence.json (per-sampler samples-to-target-CI —
 # statistical efficiency rather than wall time).
 bench:
@@ -75,7 +78,7 @@ bench:
 # shared-runner noise). The convergence record counts samples, not time
 # — fixed-seed deterministic — so it is gated at a tight 0.05.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaignBatched$$' -benchtime=100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaignBatched$$|BenchmarkCampaignBatchedRegister$$' -benchtime=100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMPUEval$$' -benchtime=100x ./internal/soc/
 	$(GO) run ./cmd/benchjson -suite runonce -out /tmp/bench_smoke.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_runonce.json /tmp/bench_smoke.json

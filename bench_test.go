@@ -331,15 +331,14 @@ func BenchmarkAblationAlpha500(b *testing.B) { benchAlpha(b, 500) }
 
 // benchCampaignThroughput measures end-to-end campaign throughput
 // (ns/op is the per-sample cost; samples/s is attached as a metric) on
-// the bundled MPU workload with the paper's importance sampler, for the
-// scalar vs the lane-batched execution path.
-func benchCampaignThroughput(b *testing.B, batch bool) {
+// the bundled MPU workload.
+func benchCampaignThroughput(b *testing.B, mk func(*core.Evaluation) (sampling.Sampler, error), opts montecarlo.CampaignOptions) {
 	_, ev := benchSetup(b)
-	sp, err := ev.ImportanceSampler()
+	sp, err := mk(ev)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: batch}
+	opts.Samples, opts.Seed = b.N, 1
 	b.ResetTimer()
 	c, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
 	if err != nil {
@@ -349,8 +348,24 @@ func benchCampaignThroughput(b *testing.B, batch bool) {
 	b.ReportMetric(c.SSF()*1e6, "SSFe-6")
 }
 
-func BenchmarkCampaignScalar(b *testing.B)  { benchCampaignThroughput(b, false) }
-func BenchmarkCampaignBatched(b *testing.B) { benchCampaignThroughput(b, true) }
+// BenchmarkCampaignScalar and BenchmarkCampaignBatched compare the
+// scalar and the lane-batched execution path on gate attacks with the
+// paper's importance sampler.
+func BenchmarkCampaignScalar(b *testing.B) {
+	benchCampaignThroughput(b, (*core.Evaluation).ImportanceSampler, montecarlo.CampaignOptions{})
+}
+
+func BenchmarkCampaignBatched(b *testing.B) {
+	benchCampaignThroughput(b, (*core.Evaluation).ImportanceSampler, montecarlo.CampaignOptions{Batch: true})
+}
+
+// BenchmarkCampaignBatchedRegister is the lane-batched path on register
+// attacks with the random sampler: about a fifth of the draws resume
+// RTL, and most of those diverge into grouped resumes.
+func BenchmarkCampaignBatchedRegister(b *testing.B) {
+	random := func(ev *core.Evaluation) (sampling.Sampler, error) { return ev.RandomSampler(), nil }
+	benchCampaignThroughput(b, random, montecarlo.CampaignOptions{Batch: true, Mode: montecarlo.RegisterAttack})
+}
 
 // --- Microbenchmarks of the substrates --------------------------------------
 

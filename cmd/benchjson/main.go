@@ -5,10 +5,14 @@
 //     gate-level injection (GateInjection), and one RTL cycle
 //     (RTLCycle).
 //   - BENCH_campaign.json (-suite campaign): per-sample campaign cost
-//     (ns/op and samples/sec) of the scalar path (CampaignScalar), the
-//     lane-batched path (CampaignBatched), and the lane-batched path on
-//     a stack built with generated-evaluator binding off
-//     (CampaignBatchedInterp); plus one 64-lane combinational pass of
+//     (ns/op and samples/sec) of gate attacks with the importance
+//     sampler on the scalar path (CampaignScalar), the lane-batched
+//     path (CampaignBatched), and the lane-batched path on a stack
+//     built with generated-evaluator binding off
+//     (CampaignBatchedInterp); of register attacks with the random
+//     sampler on the lane-batched path (CampaignBatchedRegister), where
+//     most of a sample's time is the grouped resume of diverged lanes;
+//     plus one 64-lane combinational pass of
 //     the bundled MPU, interpreted (EvalPassInterp) and generated
 //     (EvalPassCodegen), where samples_per_sec counts lanes per second.
 //     speedup_batched_vs_scalar is the batched-over-scalar ratio,
@@ -244,18 +248,26 @@ func campaignSuite() []benchResult {
 		name  string
 		ev    *core.Evaluation
 		batch bool
+		mode  montecarlo.Mode
 	}{
-		{"CampaignScalar", ev, false},
-		{"CampaignBatched", ev, true},
-		{"CampaignBatchedInterp", evInt, true},
+		{"CampaignScalar", ev, false, montecarlo.GateAttack},
+		{"CampaignBatched", ev, true, montecarlo.GateAttack},
+		{"CampaignBatchedInterp", evInt, true, montecarlo.GateAttack},
+		{"CampaignBatchedRegister", ev, true, montecarlo.RegisterAttack},
 	} {
 		res := record(&results, cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			sp, err := cfg.ev.ImportanceSampler()
-			if err != nil {
-				b.Fatal(err)
+			// Gate rows use the paper's importance sampler; the register
+			// row uses the random sampler, as perfbench's register
+			// workload does.
+			var sp sampling.Sampler = cfg.ev.RandomSampler()
+			if cfg.mode == montecarlo.GateAttack {
+				var err error
+				if sp, err = cfg.ev.ImportanceSampler(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch}
+			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch, Mode: cfg.mode}
 			b.ResetTimer()
 			if _, err := cfg.ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
 				b.Fatal(err)

@@ -1,5 +1,6 @@
 // Lane-batched campaign execution: speculative 64-sample bit-parallel
-// RTL resume with exact scalar fallback.
+// RTL resume, with diverged lanes finished in groups that share their
+// behavioural state.
 //
 // The scalar path pays three per-sample costs: a checkpoint restore to
 // the injection cycle, one full SoC cycle to apply the gate-level
@@ -12,14 +13,16 @@
 // states into the lanes of one forked logicsim.Simulator and stepping
 // them together against the recorded golden bus trace.
 //
-// Speculation and fallback: a faulty MPU only influences the rest of
+// Speculation and grouping: a faulty MPU only influences the rest of
 // the system through its grant/viol outputs at response-consumption
 // cycles, so while a lane's outputs match the recorded golden responses
 // the behavioural core, memory, and DMA provably stay on the golden
-// trajectory and the shared replay is exact. A lane whose responding
-// signals diverge is ejected to the scalar resume from the divergence
-// cycle, reconstructing the full SoC state it would have had; a lane
-// whose registers return to golden has converged (the fault died — the
+// trajectory and the shared replay is exact. Lanes whose responding
+// signals diverge are ejected, and lanes that diverge to the same
+// grant/viol pair at the same cycle still share one behavioural state:
+// they resume together on one SoC (resumeGroup), splitting again
+// whenever a later response differs between them. A lane whose
+// registers return to golden has converged (the fault died — the
 // attack failed), mirroring the scalar convergence cut. Fixed-seed
 // campaign results are bit-identical to the scalar path.
 package montecarlo
@@ -32,6 +35,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/logicsim"
 	"repro/internal/netlist"
+	"repro/internal/soc"
 	"repro/internal/timingsim"
 )
 
@@ -39,23 +43,41 @@ import (
 // is built lazily on the first batched run after RunGolden and reused
 // for the rest of the campaign.
 type batchState struct {
-	// The recorded window [lo, hi]: lo = TargetCycle - TRange (clamped
-	// to 0), hi = markedResp = TargetCycle + 1, the cycle the marked
-	// response is consumed — no resume runs past it without diverging.
-	lo, hi     int
+	// lo = TargetCycle - TRange (clamped to 0) is the first recorded
+	// injection cycle; markedResp = TargetCycle + 1 is the cycle the
+	// marked response is consumed — no resume runs past it without
+	// diverging.
+	lo         int
 	markedResp int
-	// regs[c-lo] holds the golden register words at the beginning of
-	// cycle c. The golden run never flips a lane, so each word is a
-	// uniform broadcast and doubles as the 64-lane reference state.
-	regs [][]uint64
 	// comb[c-lo] is a bitset over node IDs of the golden post-Eval
-	// values during cycle c (injection cycles only, c <= TargetCycle) —
+	// values during cycle c (injection cycles lo <= c <= TargetCycle) —
 	// exactly what a scalar StepInject would hand the inject callback.
 	comb [][]uint64
-	// regIndex maps a register node to its position in RegState order.
-	regIndex map[netlist.NodeID]int
-	sim      *logicsim.Simulator
-	loadBuf  []uint64 // lane-load / fallback-restore scratch
+	sim  *logicsim.Simulator
+	// laneBuf and packBuf are register-word scratch for packing
+	// ejected lanes into a group.
+	laneBuf, packBuf []uint64
+	// groups is the stack of split groups awaiting their resume.
+	groups []laneGroup
+	// Grouped-resume counters: groups run (classes and splits), the
+	// groups among them that a later split started, the lanes ejected
+	// into them, and the lanes that retired through the convergence cut
+	// inside a group.
+	nGroups, nSplits, nLanes, nCut int
+}
+
+// shadowLane is the group lane that follows the golden initial MPU state
+// under the group's own bus traffic — what lanes 1–63 of a scalar
+// faulty resume hold — so groups carry at most shadowLane lanes.
+const shadowLane = 63
+
+// laneGroup is a pending split group: the SoC state at its first cycle,
+// with the group's lanes packed into register lanes 0..n-1 and the
+// shadow in the rest, and the batch lane each group lane carries.
+type laneGroup struct {
+	cp   *soc.Checkpoint
+	n    int
+	lane [shadowLane]uint8
 }
 
 // pendingResume is one deferred PathRTL sample awaiting a lane of a
@@ -66,52 +88,35 @@ type pendingResume struct {
 	flips []netlist.NodeID
 }
 
-// ensureBatchState records the golden attack window once: register
-// state per cycle plus the post-Eval value bitsets the gate-level
-// injection consumes.
+// ensureBatchState records the golden attack window once: the post-Eval
+// value bitsets the gate-level injection consumes. The golden register
+// state per cycle is Golden.Regs.
 func (e *Engine) ensureBatchState() *batchState {
 	if e.batch != nil {
 		return e.batch
 	}
 	g := e.golden
-	lo := g.TargetCycle - e.Attack.TRange
-	if lo < 0 {
-		lo = 0
-	}
-	hi := g.TargetCycle + 1
-	b := &batchState{lo: lo, hi: hi, markedResp: g.TargetCycle + 1}
-	nl := e.SoC.MPU.Netlist
-	regs := nl.Regs()
-	b.regIndex = make(map[netlist.NodeID]int, len(regs))
-	for i, r := range regs {
-		b.regIndex[r] = i
-	}
-	b.regs = make([][]uint64, hi-lo+1)
-	b.comb = make([][]uint64, hi-lo+1)
-	nn := nl.NumNodes()
+	lo := max(g.TargetCycle-e.Attack.TRange, 0)
+	b := &batchState{lo: lo, markedResp: g.TargetCycle + 1}
+	b.comb = make([][]uint64, g.TargetCycle-lo+1)
+	nn := e.SoC.MPU.Netlist.NumNodes()
 	e.restoreTo(lo)
-	for c := lo; ; c++ {
-		b.regs[c-lo] = e.SoC.Sim.RegState()
-		if c == hi {
-			break
-		}
-		if c <= g.TargetCycle {
-			bitset := make([]uint64, (nn+63)/64)
-			e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
-				for i := 0; i < nn; i++ {
-					if values(netlist.NodeID(i)) {
-						bitset[i>>6] |= 1 << uint(i&63)
-					}
+	for c := lo; c <= g.TargetCycle; c++ {
+		bitset := make([]uint64, (nn+63)/64)
+		e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
+			for i := 0; i < nn; i++ {
+				if values(netlist.NodeID(i)) {
+					bitset[i>>6] |= 1 << uint(i&63)
 				}
-				return nil
-			})
-			b.comb[c-lo] = bitset
-		} else {
-			e.SoC.Step()
-		}
+			}
+			return nil
+		})
+		b.comb[c-lo] = bitset
 	}
 	b.sim = e.SoC.Sim.Fork()
-	b.loadBuf = make([]uint64, len(regs))
+	nr := len(e.SoC.MPU.Netlist.Regs())
+	b.laneBuf = make([]uint64, nr)
+	b.packBuf = make([]uint64, nr)
 	e.batch = b
 	return b
 }
@@ -123,8 +128,7 @@ func (e *Engine) ensureBatchState() *batchState {
 // scalar RunOnce; rng consumption order is identical either way. When
 // the outcome needs an RTL resume the result is returned with Path set
 // to PathRTL and deferred=true, and the caller must complete it through
-// a batched resume (or scalar fallback) before reading Success and
-// ResumeCycles.
+// a batched resume before reading Success and ResumeCycles.
 func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res RunResult, te int, deferred bool) {
 	g := e.golden
 	b := e.ensureBatchState()
@@ -206,16 +210,15 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 // matching the scalar convergence cut), and the responding grant/viol
 // signals are compared against the recorded golden responses at
 // consumption cycles — lanes that diverge behaviorally are ejected to
-// the exact scalar resume from the divergence cycle. A lane still on
-// the golden trajectory when the marked response is consumed saw the
-// golden decision (trap), so its attack failed. lanes must be
-// te-sorted.
+// grouped resumes from the divergence cycle. A lane still on the golden
+// trajectory when the marked response is consumed saw the golden
+// decision (trap), so its attack failed. lanes must be te-sorted.
 func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	b := e.batch
 	g := e.golden
 	sim := b.sim
 	startC := lanes[0].te + 1
-	sim.SetRegState(b.regs[startC-b.lo])
+	sim.SetRegState(g.Regs[startC])
 	var active uint64
 	next := 0
 	useCut := !e.DisableConvergenceCut
@@ -232,9 +235,8 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 			active |= bit
 			next++
 		}
-		goldenRegs := b.regs[c-b.lo]
 		if useCut {
-			if conv := active &^ sim.RegDiffMask(goldenRegs); conv != 0 {
+			if conv := active &^ sim.RegDiffMask(g.Regs[c]); conv != 0 {
 				for m := conv; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					results[lanes[l].idx].ResumeCycles = c - (lanes[l].te + 1)
@@ -267,13 +269,7 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 			div := (sim.Val(grant) ^ logicsim.Broadcast(ent.RespGrant)) |
 				(sim.Val(viol) ^ logicsim.Broadcast(ent.RespViol))
 			if div &= active; div != 0 {
-				for m := div; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					resumed, success := e.resumeDiverged(c, uint(l), goldenRegs)
-					r := &results[lanes[l].idx]
-					r.ResumeCycles = c - (lanes[l].te + 1) + resumed
-					r.Success = success
-				}
+				e.resumeClasses(c, div, lanes, results)
 				active &^= div
 				if active == 0 && next == len(lanes) {
 					return
@@ -285,19 +281,124 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	}
 }
 
-// resumeDiverged ejects one lane from a batched resume at cycle c: it
-// reconstructs the exact SoC state the scalar path would have — golden
-// behavioural state (outputs matched every consumed response before c)
-// with the lane's faulty register bits in lane 0 and golden values in
-// lanes 1–63, as a scalar faulty run keeps them — and finishes with the
-// scalar RTL resume.
-func (e *Engine) resumeDiverged(c int, lane uint, goldenRegs []uint64) (resumed int, success bool) {
+// resumeClasses finishes the batch lanes in div, which diverged from
+// the golden responses at cycle c. Up to c their behavioural state was
+// golden, and the response they consume at c is their own grant/viol
+// pair, so lanes with equal pairs share one behavioural state from then
+// on. Each such class, cut into groups of at most shadowLane lanes,
+// restores the golden state at c with the class's faulty register bits
+// in lanes 0..k-1 and the golden bits in the shadow lanes, exactly as a
+// scalar resume of each lane would hold them, and resumes as a group.
+func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, results []RunResult) {
 	b := e.batch
-	e.restoreTo(c)
-	words := b.loadBuf
-	for i, r := range e.SoC.MPU.Netlist.Regs() {
-		words[i] = goldenRegs[i]&^1 | b.sim.Val(r)>>lane&1
+	mpu := e.SoC.MPU
+	gw, vw := b.sim.Val(mpu.OutGrant[0]), b.sim.Val(mpu.OutViol[0])
+	b.sim.RegStateInto(b.laneBuf)
+	var lane [shadowLane]uint8
+	for _, class := range [4]uint64{gw & vw, gw &^ vw, vw &^ gw, ^(gw | vw)} {
+		for m := class & div; m != 0; {
+			n := 0
+			for ; m != 0 && n < shadowLane; m &= m - 1 {
+				lane[n] = uint8(bits.TrailingZeros64(m))
+				n++
+			}
+			e.restoreTo(c)
+			packLanes(b.packBuf, b.laneBuf, e.golden.Regs[c], lane[:n])
+			e.SoC.Sim.SetRegState(b.packBuf)
+			b.nLanes += n
+			e.resumeGroup(lane[:n], lanes, results)
+			for len(b.groups) > 0 {
+				grp := b.groups[len(b.groups)-1]
+				b.groups = b.groups[:len(b.groups)-1]
+				e.SoC.Restore(grp.cp)
+				e.resumeGroup(grp.lane[:grp.n], lanes, results)
+			}
+		}
 	}
-	e.SoC.Sim.SetRegState(words)
-	return e.resumeRTL()
+}
+
+// resumeGroup resumes the SoC, whose register lane j carries batch lane
+// lane[j] and whose lanes len(lane)..63 carry the shadow, until every
+// lane has an outcome. It is the scalar resumeRTL run for all of the
+// group's lanes at once, exact because they share the core, memory and
+// DMA state: the core reads lane 0's responses, and at every
+// consumption the lanes whose grant/viol differ from lane 0's split off
+// into a new group. A lane retires through the convergence cut when the
+// architectural state, its own lane and the shadow lane all equal the
+// golden state — the scalar resume's all-lanes condition.
+func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunResult) {
+	g := e.golden
+	s := e.SoC
+	sim := s.Sim
+	grant, viol := s.MPU.OutGrant[0], s.MPU.OutViol[0]
+	limit := g.FinalCycle + e.ResumeMargin
+	useCut := !e.DisableConvergenceCut
+	live := uint64(1)<<len(lane) - 1
+	e.batch.nGroups++
+	//hot
+	for !s.Done() && !s.Marked.Resolved && s.Cycle() < limit {
+		c := s.Cycle()
+		if useCut && c < len(g.Arch) && s.Arch() == g.Arch[c] {
+			if diff := sim.RegDiffMask(g.Regs[c]); diff>>shadowLane == 0 {
+				if conv := live &^ diff; conv != 0 {
+					for m := conv; m != 0; m &= m - 1 {
+						p := &lanes[lane[bits.TrailingZeros64(m)]]
+						results[p.idx].ResumeCycles = c - (p.te + 1)
+						e.batch.nCut++
+					}
+					if live &^= conv; live == 0 {
+						return
+					}
+				}
+			}
+		}
+		if s.ConsumesResponse() {
+			gw, vw := sim.Val(grant), sim.Val(viol)
+			if split := ((gw ^ -(gw & 1)) | (vw ^ -(vw & 1))) & live; split != 0 {
+				e.splitGroup(split, lane)
+				if live &^= split; live == 0 {
+					return
+				}
+			}
+		}
+		s.Step()
+	}
+	success := s.AttackSucceeded()
+	for m := live; m != 0; m &= m - 1 {
+		p := &lanes[lane[bits.TrailingZeros64(m)]]
+		r := &results[p.idx]
+		r.ResumeCycles = s.Cycle() - (p.te + 1)
+		r.Success = success
+	}
+}
+
+// splitGroup pushes the group lanes in split, which are about to consume
+// a response different from lane 0's, as a new group starting from the
+// SoC's current state.
+func (e *Engine) splitGroup(split uint64, lane []uint8) {
+	b := e.batch
+	grp := laneGroup{cp: e.SoC.Snapshot()}
+	var src [shadowLane]uint8
+	for m := split; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		grp.lane[grp.n], src[grp.n] = lane[j], uint8(j)
+		grp.n++
+	}
+	packLanes(grp.cp.MPURegs, grp.cp.MPURegs, grp.cp.MPURegs, src[:grp.n])
+	b.groups = append(b.groups, grp)
+	b.nSplits++
+}
+
+// packLanes writes register words whose lane j is lane src[j] of from
+// and whose other lanes all hold lane shadowLane of shadow. dst may
+// alias from and shadow.
+func packLanes(dst, from, shadow []uint64, src []uint8) {
+	for i := range dst {
+		f := from[i]
+		w := -(shadow[i] >> shadowLane)
+		for j, l := range src {
+			w = w&^(1<<uint(j)) | (f>>l&1)<<uint(j)
+		}
+		dst[i] = w
+	}
 }

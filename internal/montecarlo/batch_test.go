@@ -3,6 +3,7 @@ package montecarlo_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,10 +13,10 @@ import (
 
 // concentratedEvaluation aims the whole candidate set at the
 // neighbourhood of the MPU's critical decision gate, so a large share
-// of strikes flips the responding registers and the batched resume's
-// divergence fallback is exercised heavily (including successful
-// attacks, which can only be produced by diverged lanes).
-func concentratedEvaluation(t *testing.T) *core.Evaluation {
+// of strikes flips the responding registers and the grouped resume of
+// diverged lanes is exercised heavily (including successful attacks,
+// which can only be produced by diverged lanes).
+func concentratedEvaluation(t testing.TB) *core.Evaluation {
 	t.Helper()
 	fw := framework(t)
 	prog, err := fw.BenchmarkProgram(core.BenchmarkIllegalWrite)
@@ -77,56 +78,170 @@ func compareCampaigns(t *testing.T, label string, got, want *montecarlo.Campaign
 // TestBatchRunParity is the per-sample contract: RunBatch must return
 // exactly what the same sequence of RunOnce calls returns — outcome,
 // classification, flipped set, and the RTL cycle count — including for
-// samples whose lanes diverge behaviorally and fall back to the scalar
-// resume.
+// samples whose lanes diverge behaviorally and finish in grouped
+// resumes. The gate case concentrates strikes on the decision logic;
+// the register case is the default evaluation, whose RTL draws mostly
+// diverge, in classes that share lanes and split again later.
 func TestBatchRunParity(t *testing.T) {
-	ev := concentratedEvaluation(t)
+	for _, tc := range []struct {
+		name    string
+		ev      func(testing.TB) *core.Evaluation
+		mode    montecarlo.Mode
+		samples int
+		// grouped requires a grouped resume of two or more lanes and a
+		// group started by a later split.
+		grouped bool
+	}{
+		{"gate-concentrated", concentratedEvaluation, montecarlo.GateAttack, 1500, false},
+		{"register-default", evaluation, montecarlo.RegisterAttack, 5000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := tc.ev(t)
+			srng := rand.New(rand.NewSource(99))
+			samples := make([]fault.Sample, tc.samples)
+			for i := range samples {
+				samples[i] = ev.Attack.SampleNominal(srng)
+			}
+
+			rngScalar := rand.New(rand.NewSource(17))
+			scalar := make([]montecarlo.RunResult, len(samples))
+			for i, s := range samples {
+				scalar[i] = ev.Engine.RunOnce(rngScalar, s, tc.mode)
+			}
+			rngBatch := rand.New(rand.NewSource(17))
+			batched := ev.Engine.RunBatch(rngBatch, samples, tc.mode)
+			groups, splits, lanes, _ := ev.Engine.GroupCounts()
+
+			rtl, diverged := 0, 0
+			for i := range samples {
+				sr, br := scalar[i], batched[i]
+				if sr.Success != br.Success || sr.Class != br.Class || sr.Path != br.Path ||
+					sr.ResumeCycles != br.ResumeCycles {
+					t.Fatalf("sample %d (%+v): scalar %+v, batched %+v", i, samples[i], sr, br)
+				}
+				if !slices.Equal(sr.Flipped, br.Flipped) {
+					t.Fatalf("sample %d: flipped %v vs %v", i, sr.Flipped, br.Flipped)
+				}
+				if sr.Path == montecarlo.PathRTL {
+					rtl++
+					if sr.Success {
+						diverged++
+					}
+				}
+			}
+			// The contract is only meaningful if the batch actually
+			// carried RTL resumes, and successful RTL outcomes prove
+			// diverged lanes were finished (a lane on the golden
+			// trajectory always fails).
+			if rtl == 0 {
+				t.Fatal("no PathRTL samples — the batched resume was never exercised")
+			}
+			if diverged == 0 {
+				t.Fatal("no successful RTL samples — no diverged lane was exercised")
+			}
+			t.Logf("%d RTL resumes, %d successful (diverged) lanes; %d lanes in %d groups, %d from later splits",
+				rtl, diverged, lanes, groups, splits)
+			if !tc.grouped {
+				return
+			}
+			// Every ejected lane starts in exactly one class group, so
+			// more lanes than class groups means some group carried two
+			// or more.
+			if lanes <= groups-splits {
+				t.Errorf("%d lanes in %d class groups: no group carried two lanes", lanes, groups-splits)
+			}
+			if splits == 0 {
+				t.Error("no group split at a later response")
+			}
+		})
+	}
+}
+
+// TestGroupedResumeFullClass sends 64 copies of one diverging register
+// attack through a single batch: every lane diverges at the same cycle
+// to the same response, so the class has 64 lanes, one more than a
+// group can carry beside its shadow lane. It must run as groups of 63
+// and 1, and every copy must match the scalar run.
+func TestGroupedResumeFullClass(t *testing.T) {
+	ev := evaluation(t)
 	srng := rand.New(rand.NewSource(99))
-	samples := make([]fault.Sample, 1500)
-	for i := range samples {
-		samples[i] = ev.Attack.SampleNominal(srng)
+	rng := rand.New(rand.NewSource(1))
+	var sample fault.Sample
+	found := false
+	for i := 0; i < 10000 && !found; i++ {
+		sample = ev.Attack.SampleNominal(srng)
+		_, _, before, _ := ev.Engine.GroupCounts()
+		ev.Engine.RunBatch(rng, []fault.Sample{sample}, montecarlo.RegisterAttack)
+		_, _, after, _ := ev.Engine.GroupCounts()
+		found = after > before
 	}
+	if !found {
+		t.Fatal("no register attack in 10000 draws diverged into a grouped resume")
+	}
+	want := ev.Engine.RunOnce(rng, sample, montecarlo.RegisterAttack)
 
-	rngScalar := rand.New(rand.NewSource(17))
-	scalar := make([]montecarlo.RunResult, len(samples))
-	for i, s := range samples {
-		scalar[i] = ev.Engine.RunOnce(rngScalar, s, montecarlo.GateAttack)
-	}
-	rngBatch := rand.New(rand.NewSource(17))
-	batched := ev.Engine.RunBatch(rngBatch, samples, montecarlo.GateAttack)
-
-	rtl, diverged := 0, 0
+	samples := make([]fault.Sample, 64)
 	for i := range samples {
-		sr, br := scalar[i], batched[i]
-		if sr.Success != br.Success || sr.Class != br.Class || sr.Path != br.Path ||
-			sr.ResumeCycles != br.ResumeCycles {
-			t.Fatalf("sample %d (%+v): scalar %+v, batched %+v", i, samples[i], sr, br)
-		}
-		if len(sr.Flipped) != len(br.Flipped) {
-			t.Fatalf("sample %d: flipped %v vs %v", i, sr.Flipped, br.Flipped)
-		}
-		for j := range sr.Flipped {
-			if sr.Flipped[j] != br.Flipped[j] {
-				t.Fatalf("sample %d: flipped %v vs %v", i, sr.Flipped, br.Flipped)
-			}
-		}
-		if sr.Path == montecarlo.PathRTL {
-			rtl++
-			if sr.Success {
-				diverged++
-			}
+		samples[i] = sample
+	}
+	g0, s0, l0, _ := ev.Engine.GroupCounts()
+	got := ev.Engine.RunBatch(rng, samples, montecarlo.RegisterAttack)
+	g1, s1, l1, _ := ev.Engine.GroupCounts()
+	if g1-g0 != 2 || s1-s0 != 0 || l1-l0 != 64 {
+		t.Errorf("64-lane class ran as %d groups (%d splits) over %d lanes, want 2 groups, 0 splits, 64 lanes",
+			g1-g0, s1-s0, l1-l0)
+	}
+	for i, r := range got {
+		if r.Success != want.Success || r.Path != want.Path || r.Class != want.Class ||
+			r.ResumeCycles != want.ResumeCycles || !slices.Equal(r.Flipped, want.Flipped) {
+			t.Fatalf("copy %d: batched %+v, scalar %+v", i, r, want)
 		}
 	}
-	// The contract is only meaningful if the batch actually carried RTL
-	// resumes, and successful RTL outcomes prove the divergence
-	// fallback ran (a lane on the golden trajectory always fails).
-	if rtl == 0 {
-		t.Fatal("no PathRTL samples — the batched resume was never exercised")
+}
+
+// TestGroupedResumeConvergenceCut checks that the convergence cut fires
+// inside grouped resumes, not only in the lane-batched resume. With the
+// classification shortcuts off every unmasked strike resumes RTL, and
+// some lanes diverge at a response that changes no state (a DMA read,
+// or a store of the value memory already holds, denied without a
+// violation) and then return to the golden state. Such a lane must
+// retire early: fewer resume cycles than with the cut disabled, and
+// exactly as many as the scalar resume.
+func TestGroupedResumeConvergenceCut(t *testing.T) {
+	evCut, evFull := evaluation(t), evaluation(t)
+	for _, ev := range []*core.Evaluation{evCut, evFull} {
+		ev.Engine.Char = nil
+		ev.Engine.Analytical = nil
 	}
-	if diverged == 0 {
-		t.Fatal("no successful RTL samples — the divergence fallback was never exercised")
+	evFull.Engine.DisableConvergenceCut = true
+	rng := rand.New(rand.NewSource(1))
+	srng := rand.New(rand.NewSource(99))
+	found := 0
+	for i := 0; i < 4000; i++ {
+		s := evCut.Attack.SampleNominal(srng)
+		_, _, _, before := evCut.Engine.GroupCounts()
+		got := evCut.Engine.RunBatch(rng, []fault.Sample{s}, montecarlo.GateAttack)[0]
+		if _, _, _, after := evCut.Engine.GroupCounts(); after == before {
+			continue
+		}
+		found++
+		scalar := evCut.Engine.RunOnce(rng, s, montecarlo.GateAttack)
+		full := evFull.Engine.RunBatch(rng, []fault.Sample{s}, montecarlo.GateAttack)[0]
+		if got.Success || scalar.Success || full.Success {
+			t.Fatalf("sample %+v: a converged lane succeeded (grouped %v, scalar %v, no cut %v)",
+				s, got.Success, scalar.Success, full.Success)
+		}
+		if got.ResumeCycles != scalar.ResumeCycles {
+			t.Errorf("sample %+v: grouped cut after %d cycles, scalar after %d", s, got.ResumeCycles, scalar.ResumeCycles)
+		}
+		if got.ResumeCycles >= full.ResumeCycles {
+			t.Errorf("sample %+v: grouped cut after %d cycles, not before the uncut %d", s, got.ResumeCycles, full.ResumeCycles)
+		}
 	}
-	t.Logf("%d RTL resumes, %d successful (diverged) lanes", rtl, diverged)
+	if found == 0 {
+		t.Fatal("no grouped lane retired through the convergence cut")
+	}
+	t.Logf("%d grouped lanes retired through the cut", found)
 }
 
 // TestBatchCampaignEquivalence is the acceptance criterion: fixed-seed

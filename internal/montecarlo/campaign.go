@@ -38,9 +38,9 @@ type CampaignOptions struct {
 	// Batch enables the lane-batched execution path: single-cycle
 	// samples are classified against the cached golden attack window
 	// and their RTL resumes run up to 64 at a time in the lanes of one
-	// forked simulator, with exact scalar fallback for lanes that
-	// diverge behaviorally. Results are bit-identical to the scalar
-	// path for the same seed.
+	// forked simulator; lanes that diverge behaviorally finish in
+	// grouped resumes that share their behavioural state. Results are
+	// bit-identical to the scalar path for the same seed.
 	Batch bool
 	// BatchWindow is the number of draws buffered before deferred
 	// resumes are flushed and results are committed (in draw order);

@@ -161,11 +161,14 @@ type Golden struct {
 	Accesses []soc.AccessEvent
 	// Policy is the configured protection policy.
 	Policy analytical.Policy
-	// StateHashes[c] is the golden SoC state digest at cycle c
-	// (0 <= c <= FinalCycle). An RTL resume whose faulty state hashes
-	// equal to the golden hash at the same cycle is back on the golden
-	// trajectory and can stop early with the golden outcome.
-	StateHashes []uint64
+	// Arch[c] and Regs[c] are the golden state at the beginning of
+	// cycle c (0 <= c <= FinalCycle): the architectural state and the
+	// MPU register words (in Netlist.Regs order; the golden run never
+	// flips a lane, so every word is a uniform broadcast). An RTL
+	// resume whose state equals both at the same cycle is back on the
+	// golden trajectory and can stop early with the golden outcome.
+	Arch []soc.Arch
+	Regs [][]uint64
 	// BusTrace[c] is the golden system/MPU interface activity at cycle
 	// c: the values driven onto the MPU ports and the responses the
 	// system consumed. The lane-batched resume replays it into a forked
@@ -206,9 +209,9 @@ type Engine struct {
 	// injection cycle falls in the same small TRange window). Set 0 to
 	// disable; New sets DefaultStateCacheSize.
 	StateCacheSize int
-	// DisableConvergenceCut turns off the golden-hash early exit of
+	// DisableConvergenceCut turns off the golden-state early exit of
 	// RTL resumes: with the cut enabled (default), a resume whose
-	// state digest matches the golden run's at the same cycle stops
+	// state equals the golden run's at the same cycle stops
 	// immediately with the golden outcome (attack failed). Outcomes
 	// are identical either way; only ResumeCycles changes.
 	DisableConvergenceCut bool
@@ -347,10 +350,10 @@ func (e *Engine) RunGolden(interval int) (*Golden, error) {
 	s.BusTrace = s.BusTrace[:0]
 	g := &Golden{Interval: interval, SetupEnd: -1}
 	g.Checkpoints = append(g.Checkpoints, s.Snapshot())
-	g.StateHashes = append(g.StateHashes, s.StateHash())
+	g.record(s)
 	for !s.Done() && s.Cycle() < s.Cfg.MaxCycles {
 		s.Step()
-		g.StateHashes = append(g.StateHashes, s.StateHash())
+		g.record(s)
 		if g.SetupEnd < 0 && !s.Priv() {
 			g.SetupEnd = s.Cycle()
 		}
@@ -385,6 +388,20 @@ func (e *Engine) RunGolden(interval int) (*Golden, error) {
 	}
 	e.golden = g
 	return g, nil
+}
+
+// record appends the state at the beginning of the SoC's current cycle
+// to the golden per-cycle state.
+func (g *Golden) record(s *soc.SoC) {
+	g.Arch = append(g.Arch, s.Arch())
+	g.Regs = append(g.Regs, s.Sim.RegState())
+}
+
+// onGolden reports whether the SoC, all 64 lanes of every MPU register
+// included, equals the golden state at its current cycle.
+func (g *Golden) onGolden(s *soc.SoC) bool {
+	c := s.Cycle()
+	return c < len(g.Arch) && s.Arch() == g.Arch[c] && s.Sim.RegDiffMask(g.Regs[c]) == 0
 }
 
 // restoreTo rewinds the SoC to the exact cycle: from the state cache
@@ -464,25 +481,23 @@ func (g *Golden) accessWindow(from, to int) []soc.AccessEvent {
 	return g.Accesses[lo:hi]
 }
 
-// resumeRTL is the shared post-injection RTL resume: step until the
+// resumeRTL is the scalar post-injection RTL resume: step until the
 // marked access resolves, the core halts, or the bounded horizon
-// expires. With the convergence cut enabled, each cycle's state digest
-// is compared against the golden run's digest for the same cycle;
-// equality means the fault has died out and the run is bit-for-bit back
-// on the golden trajectory — whose outcome is known (the attack
-// failed) — so the resume stops there.
+// expires. With the convergence cut enabled, each cycle's state is
+// compared against the golden run's state for the same cycle; equality
+// means the fault has died out and the run is bit-for-bit back on the
+// golden trajectory — whose outcome is known (the attack failed) — so
+// the resume stops there. Batched campaigns resume in lane groups
+// instead (resumeGroup); this loop is their oracle.
 func (e *Engine) resumeRTL() (resumed int, success bool) {
 	g := e.golden
 	s := e.SoC
 	start := s.Cycle()
 	limit := g.FinalCycle + e.ResumeMargin
-	hashes := g.StateHashes
 	useCut := !e.DisableConvergenceCut
 	for !s.Done() && !s.Marked.Resolved && s.Cycle() < limit {
-		if useCut {
-			if c := s.Cycle(); c < len(hashes) && s.StateHash() == hashes[c] {
-				return s.Cycle() - start, false
-			}
+		if useCut && g.onGolden(s) {
+			return s.Cycle() - start, false
 		}
 		s.Step()
 	}

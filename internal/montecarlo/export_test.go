@@ -1,0 +1,13 @@
+package montecarlo
+
+// GroupCounts exposes the grouped-resume counters to the external tests:
+// groups run (classes and splits), groups started by a later split,
+// lanes ejected into groups, and grouped lanes retired through the
+// convergence cut. All are zero before the first batched run.
+func (e *Engine) GroupCounts() (groups, splits, lanes, cut int) {
+	if e.batch == nil {
+		return 0, 0, 0, 0
+	}
+	b := e.batch
+	return b.nGroups, b.nSplits, b.nLanes, b.nCut
+}

@@ -56,7 +56,8 @@ func TestFastPathsRunOnceParity(t *testing.T) {
 // TestFastPathsCampaignEquivalence is the acceptance-criterion check:
 // a fixed-seed campaign must produce identical SSF, Successes, class
 // and path counts with the fast paths on and off; only the simulated
-// RTL-cycle total may shrink.
+// RTL-cycle total may change, and it must shrink — a convergence cut
+// that never fires would leave it equal.
 func TestFastPathsCampaignEquivalence(t *testing.T) {
 	evFast := evaluation(t)
 	evRef := referenceEvaluation(t)
@@ -90,8 +91,8 @@ func TestFastPathsCampaignEquivalence(t *testing.T) {
 			t.Errorf("reg %d contribution %g != reference %g", r, fast.RegContribution[r], v)
 		}
 	}
-	if fast.RTLCycles > ref.RTLCycles {
-		t.Errorf("fast paths simulated MORE RTL cycles (%d) than the reference (%d)",
+	if fast.RTLCycles >= ref.RTLCycles {
+		t.Errorf("fast paths simulated %d RTL cycles, not fewer than the reference's %d",
 			fast.RTLCycles, ref.RTLCycles)
 	}
 	t.Logf("RTL cycles: fast %d, reference %d", fast.RTLCycles, ref.RTLCycles)

@@ -22,7 +22,7 @@ var (
 	fwErr  error
 )
 
-func framework(t *testing.T) *core.Framework {
+func framework(t testing.TB) *core.Framework {
 	t.Helper()
 	fwOnce.Do(func() {
 		opts := core.DefaultOptions()
@@ -38,7 +38,7 @@ func framework(t *testing.T) *core.Framework {
 	return fw
 }
 
-func evaluation(t *testing.T) *core.Evaluation {
+func evaluation(t testing.TB) *core.Evaluation {
 	t.Helper()
 	ev, err := framework(t).NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
 	if err != nil {

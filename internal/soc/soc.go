@@ -94,8 +94,8 @@ type SoC struct {
 	Marked    MarkedOutcome
 
 	// memHash is the XOR over all cells of memCellHash(addr, value),
-	// maintained incrementally on committed writes so StateHash never
-	// rescans the memory image.
+	// maintained incrementally on committed writes so comparing Arch
+	// against a golden state never rescans the memory image.
 	memHash uint64
 
 	// LogAccesses enables recording every issued bus access into
@@ -224,7 +224,7 @@ func (s *SoC) StepInject(inject InjectFunc) {
 	// grant/viol outputs are registers, so their pre-Eval values are
 	// the decision latched at the end of the previous cycle.
 	var respConsumed, respGrant, respViol bool
-	if s.pending.Active && s.cycle >= s.pending.RespCycle {
+	if s.ConsumesResponse() {
 		grant := s.Sim.Bool(mpu.OutGrant[0])
 		viol := s.Sim.Bool(mpu.OutViol[0])
 		respConsumed, respGrant, respViol = true, grant, viol
@@ -392,77 +392,6 @@ func memCellHash(addr int, v uint16) uint64 {
 	return mix64(1<<63 | uint64(addr)<<16 | uint64(v))
 }
 
-// busOpBits packs a bus operation's fields (except RespCycle, hashed
-// separately) into one word.
-func busOpBits(op *busOp) uint64 {
-	v := uint64(op.Addr)<<8 | uint64(op.WData)<<24 | uint64(uint8(op.Reg))<<40
-	if op.Active {
-		v |= 1
-	}
-	if op.Write {
-		v |= 2
-	}
-	if op.Marked {
-		v |= 4
-	}
-	if op.FromDMA {
-		v |= 8
-	}
-	return v
-}
-
-// StateHash returns a 64-bit digest of the complete SoC state: the
-// architectural core/bus/DMA/trap state, the marked-access outcome, the
-// memory image (via the incrementally maintained hash), and all 64
-// lanes of every MPU register. The SoC steps deterministically, so two
-// instances with equal hashes at the same cycle follow identical
-// trajectories from there on (up to the ~2^-64 collision probability);
-// the Monte Carlo engine uses this to cut an RTL resume short once a
-// fault has died out and the run is back on the golden trajectory.
-func (s *SoC) StateHash() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	mixIn := func(x uint64) { h = mix64(h ^ x) }
-	c := &s.cpu
-	for _, r := range c.R {
-		mixIn(uint64(r))
-	}
-	mixIn(uint64(int64(c.PC)))
-	var flags uint64
-	if c.Priv {
-		flags |= 1
-	}
-	if c.Halted {
-		flags |= 2
-	}
-	m := &s.Marked
-	if m.Resolved {
-		flags |= 4
-	}
-	if m.Committed {
-		flags |= 8
-	}
-	if m.Trapped {
-		flags |= 16
-	}
-	mixIn(flags)
-	mixIn(busOpBits(&s.pending))
-	mixIn(uint64(int64(s.pending.RespCycle)))
-	mixIn(busOpBits(&s.lastReq))
-	mixIn(uint64(int64(s.lastReq.RespCycle)))
-	mixIn(uint64(int64(s.dmaNext)))
-	mixIn(uint64(s.dmaAddr))
-	mixIn(uint64(int64(s.TrapCount)))
-	mixIn(uint64(int64(s.DMAViol)))
-	mixIn(uint64(int64(m.IssueCycle)))
-	mixIn(uint64(int64(m.DecisionCycle)))
-	mixIn(uint64(int64(m.RespCycle)))
-	mixIn(s.memHash)
-	for _, r := range s.MPU.Netlist.Regs() {
-		mixIn(s.Sim.Val(r))
-	}
-	return h
-}
-
 // execute runs one instruction and reports any bus request / config
 // write it produces.
 func (s *SoC) execute() (req busOp, cfgWe bool, cfgAddr, cfgWData uint16) {
@@ -534,11 +463,12 @@ func (s *SoC) AttackSucceeded() bool {
 	return s.Marked.Resolved && s.Marked.Committed && !s.Marked.Trapped
 }
 
-// Checkpoint is a full architectural + netlist state snapshot; the
-// golden run dumps these so fault-attack runs can restart near the
-// injection cycle instead of from reset.
-type Checkpoint struct {
-	Cycle     int
+// Arch is the SoC state outside the memory image and the MPU: the
+// core, the in-flight and last bus requests, the DMA engine, the trap
+// counters, the marked-access outcome, and the memory image's
+// incremental hash. It is comparable, so a resume can check it against
+// the golden run's Arch at the same cycle with ==.
+type Arch struct {
 	CPU       cpuState
 	Pending   busOp
 	LastReq   busOp
@@ -548,14 +478,11 @@ type Checkpoint struct {
 	DMAViol   int
 	Marked    MarkedOutcome
 	MemHash   uint64
-	Mem       []uint16
-	MPURegs   []uint64
 }
 
-// Snapshot captures the full state.
-func (s *SoC) Snapshot() *Checkpoint {
-	cp := &Checkpoint{
-		Cycle:     s.cycle,
+// Arch returns the current architectural state.
+func (s *SoC) Arch() Arch {
+	return Arch{
 		CPU:       s.cpu,
 		Pending:   s.pending,
 		LastReq:   s.lastReq,
@@ -565,10 +492,35 @@ func (s *SoC) Snapshot() *Checkpoint {
 		DMAViol:   s.DMAViol,
 		Marked:    s.Marked,
 		MemHash:   s.memHash,
-		Mem:       append([]uint16(nil), s.Mem...),
-		MPURegs:   s.Sim.RegState(),
 	}
-	return cp
+}
+
+// ConsumesResponse reports whether the next Step reads the MPU's
+// grant/viol outputs (lane 0) to complete an in-flight access. Those
+// reads are the only way the MPU's state reaches the core, memory and
+// DMA.
+func (s *SoC) ConsumesResponse() bool {
+	return s.pending.Active && s.cycle >= s.pending.RespCycle
+}
+
+// Checkpoint is a full architectural + netlist state snapshot; the
+// golden run dumps these so fault-attack runs can restart near the
+// injection cycle instead of from reset.
+type Checkpoint struct {
+	Arch
+	Cycle   int
+	Mem     []uint16
+	MPURegs []uint64
+}
+
+// Snapshot captures the full state.
+func (s *SoC) Snapshot() *Checkpoint {
+	return &Checkpoint{
+		Arch:    s.Arch(),
+		Cycle:   s.cycle,
+		Mem:     append([]uint16(nil), s.Mem...),
+		MPURegs: s.Sim.RegState(),
+	}
 }
 
 // Restore rewinds the SoC to a snapshot.

@@ -9,6 +9,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/placement"
@@ -85,7 +86,9 @@ type Attack struct {
 	// spatial accuracy is the default (nil).
 	CenterDist *stats.Discrete
 
-	centerIdx map[netlist.NodeID]int
+	// centerIdx[id] is id's index in Candidates (the last one if it
+	// repeats), -1 for a node that is not a candidate.
+	centerIdx []int32
 }
 
 // NewAttack validates and indexes an attack description.
@@ -99,15 +102,30 @@ func NewAttack(name string, tRange int, tech Radiation, candidates []netlist.Nod
 	if centerDist != nil && centerDist.Len() != len(candidates) {
 		return nil, fmt.Errorf("fault: center distribution over %d, %d candidates", centerDist.Len(), len(candidates))
 	}
+	if slices.Min(candidates) < 0 {
+		return nil, fmt.Errorf("fault: invalid candidate %d", slices.Min(candidates))
+	}
 	a := &Attack{
 		Name: name, TRange: tRange, Technique: tech,
 		Candidates: candidates, CenterDist: centerDist,
-		centerIdx: make(map[netlist.NodeID]int, len(candidates)),
+		centerIdx: make([]int32, slices.Max(candidates)+1),
+	}
+	for i := range a.centerIdx {
+		a.centerIdx[i] = -1
 	}
 	for i, id := range candidates {
-		a.centerIdx[id] = i
+		a.centerIdx[id] = int32(i)
 	}
 	return a, nil
+}
+
+// CandidateIndex returns the index of id in Candidates, or -1 when id
+// is not a candidate.
+func (a *Attack) CandidateIndex(id netlist.NodeID) int {
+	if id < 0 || int(id) >= len(a.centerIdx) {
+		return -1
+	}
+	return int(a.centerIdx[id])
 }
 
 // Sample is one draw of the attack parameters.
@@ -159,8 +177,8 @@ func (a *Attack) TProb(t int) float64 {
 
 // CenterProb returns f_P's mass on the given center gate.
 func (a *Attack) CenterProb(center netlist.NodeID) float64 {
-	i, ok := a.centerIdx[center]
-	if !ok {
+	i := a.CandidateIndex(center)
+	if i < 0 {
 		return 0
 	}
 	if a.CenterDist != nil {

@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -35,8 +36,22 @@ func TestNewAttackValidation(t *testing.T) {
 	if _, err := NewAttack("a", 10, tech, gates, d); err == nil {
 		t.Error("mismatched center distribution accepted")
 	}
-	if _, err := NewAttack("a", 10, tech, gates, nil); err != nil {
-		t.Errorf("valid attack rejected: %v", err)
+	if _, err := NewAttack("a", 10, tech, []netlist.NodeID{gates[0], netlist.Invalid}, nil); err == nil {
+		t.Error("invalid candidate accepted")
+	}
+	a, err := NewAttack("a", 10, tech, gates, nil)
+	if err != nil {
+		t.Fatalf("valid attack rejected: %v", err)
+	}
+	for i, g := range gates {
+		if got := a.CandidateIndex(g); got != i {
+			t.Errorf("CandidateIndex(%d) = %d, want %d", g, got, i)
+		}
+	}
+	for _, id := range []netlist.NodeID{netlist.Invalid, slices.Max(gates) + 1} {
+		if got := a.CandidateIndex(id); got != -1 {
+			t.Errorf("CandidateIndex(%d) = %d for a non-candidate", id, got)
+		}
 	}
 }
 

@@ -28,9 +28,10 @@
 package montecarlo
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
@@ -53,7 +54,11 @@ type batchState struct {
 	// values during cycle c (injection cycles lo <= c <= TargetCycle) —
 	// exactly what a scalar StepInject would hand the inject callback.
 	comb [][]uint64
-	sim  *logicsim.Simulator
+	// latch[c-lo] is the timed injection's latch table for cycle c's
+	// register-enable pattern; cycles with equal patterns share one.
+	// Built on the first gate-attack sample only.
+	latch []*timingsim.LatchTable
+	sim   *logicsim.Simulator
 	// laneBuf and packBuf are register-word scratch for packing
 	// ejected lanes into a group.
 	laneBuf, packBuf []uint64
@@ -89,12 +94,23 @@ type pendingResume struct {
 }
 
 // ensureBatchState records the golden attack window once: the post-Eval
-// value bitsets the gate-level injection consumes. The golden register
-// state per cycle is Golden.Regs.
-func (e *Engine) ensureBatchState() *batchState {
-	if e.batch != nil {
-		return e.batch
+// value bitsets the gate-level injection consumes and, once a gate
+// attack needs them, their latch tables. The golden register state per
+// cycle is Golden.Regs.
+func (e *Engine) ensureBatchState(mode Mode) *batchState {
+	b := e.batch
+	if b == nil {
+		b = e.newBatchState()
 	}
+	if mode == GateAttack && b.latch == nil {
+		b.latch = e.Timing.LatchTables(b.comb)
+	}
+	return b
+}
+
+// newBatchState records the golden attack window and forks the lane
+// simulator.
+func (e *Engine) newBatchState() *batchState {
 	g := e.golden
 	lo := max(g.TargetCycle-e.Attack.TRange, 0)
 	b := &batchState{lo: lo, markedResp: g.TargetCycle + 1}
@@ -131,7 +147,7 @@ func (e *Engine) ensureBatchState() *batchState {
 // a batched resume before reading Success and ResumeCycles.
 func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res RunResult, te int, deferred bool) {
 	g := e.golden
-	b := e.ensureBatchState()
+	b := e.ensureBatchState(mode)
 	te = g.TargetCycle - sample.T
 	cycles := sample.Cycles
 	if cycles < 1 || mode == RegisterAttack {
@@ -151,13 +167,12 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res
 		if len(gates) > 0 {
 			var strike timingsim.Strike
 			strike, e.strikeWidths = e.Attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
-			// A strike that provably reaches no latching window flips
-			// nothing, so its timed sweep is skipped. applyHardening
-			// draws only per flipped register, so rng use is unchanged.
-			if e.Timing.MayLatch(strike) {
-				injected := e.Timing.InjectBits(b.comb[te-b.lo], strike)
-				flips = e.applyHardening(rng, injected.FlippedRegs)
-			}
+			// The pruned sweep flips exactly the registers InjectBits
+			// would, skipping strikes that provably reach no latching
+			// window. applyHardening draws only per flipped register,
+			// so rng use is unchanged.
+			injected := e.Timing.InjectPruned(b.comb[te-b.lo], b.latch[te-b.lo], strike)
+			flips = e.applyHardening(rng, injected.FlippedRegs)
 		}
 	case RegisterAttack:
 		flips = e.applyHardening(rng, e.spotIndex().DFFWithin(sample.Center, sample.Radius))
@@ -194,7 +209,7 @@ func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []R
 // it: each lane's trajectory is a function of only its own (te, flips)
 // and the shared golden trace.
 func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
-	sort.SliceStable(pend, func(i, j int) bool { return pend[i].te < pend[j].te })
+	slices.SortStableFunc(pend, func(a, b pendingResume) int { return cmp.Compare(a.te, b.te) })
 	for start := 0; start < len(pend); start += 64 {
 		end := min(start+64, len(pend))
 		e.resumeBatch(pend[start:end], results)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/montecarlo"
+	"repro/internal/netlist"
 )
 
 // concentratedEvaluation aims the whole candidate set at the
@@ -325,6 +326,50 @@ func TestBatchRegisterAttackEquivalence(t *testing.T) {
 		batched.RTLCycles != scalar.RTLCycles {
 		t.Errorf("register-attack campaign mismatch: batched %g/%d, scalar %g/%d",
 			batched.Est.Estimate(), batched.Successes, scalar.Est.Estimate(), scalar.Successes)
+	}
+}
+
+// TestBatchHardenedRegisterSpotsStayIntact runs a hardened register
+// campaign twice through RunBatch on one engine. Hardening filters the
+// struck registers, which the spot cache hands out as shared sets, so
+// filtering in place would corrupt later lookups of the same spot.
+// Every sample of both runs must equal RunOnce on an engine whose spot
+// cache is rebuilt before each sample.
+func TestBatchHardenedRegisterSpotsStayIntact(t *testing.T) {
+	ev, ref := evaluation(t), evaluation(t)
+	hardened := map[netlist.NodeID]float64{}
+	for i, r := range ev.Engine.SoC.MPU.Netlist.Regs() {
+		if i%3 != 0 {
+			hardened[r] = 4
+		}
+	}
+	ev.Engine.Hardened, ref.Engine.Hardened = hardened, hardened
+	srng := rand.New(rand.NewSource(31))
+	samples := make([]fault.Sample, 3000)
+	for i := range samples {
+		samples[i] = ev.Attack.SampleNominal(srng)
+	}
+	rng := rand.New(rand.NewSource(5))
+	want := make([]montecarlo.RunResult, len(samples))
+	for i, s := range samples {
+		ref.Engine.DropSpotCache()
+		want[i] = ref.Engine.RunOnce(rng, s, montecarlo.RegisterAttack)
+	}
+	for run := 0; run < 2; run++ {
+		got := ev.Engine.RunBatch(rand.New(rand.NewSource(5)), samples, montecarlo.RegisterAttack)
+		flipped := 0
+		for i := range samples {
+			if w, g := want[i], got[i]; w.Success != g.Success || w.Class != g.Class || w.Path != g.Path ||
+				w.ResumeCycles != g.ResumeCycles || !slices.Equal(w.Flipped, g.Flipped) {
+				t.Fatalf("run %d sample %d: batched %+v, RunOnce %+v", run, i, g, w)
+			}
+			if len(want[i].Flipped) > 0 {
+				flipped++
+			}
+		}
+		if flipped == 0 {
+			t.Fatal("no sample flipped a register")
+		}
 	}
 }
 

@@ -224,9 +224,11 @@ type Engine struct {
 	// Per-run scratch (Engine is single-goroutine).
 	seen    map[netlist.NodeID]bool
 	flipBuf []netlist.NodeID
+	hardBuf []netlist.NodeID // applyHardening's output
 	// spots caches radius queries around repeated strike centers (the
 	// candidate set is finite, so centers recur constantly); it is
-	// engine-owned because SpotIndex is not concurrency-safe.
+	// engine-owned because SpotIndex is not concurrency-safe. Its sets
+	// are shared and read-only.
 	spots        *placement.SpotIndex
 	strikeWidths []float64
 }
@@ -695,12 +697,13 @@ func (e *Engine) allMemoryType(flipped []netlist.NodeID) bool {
 }
 
 // applyHardening drops flips on hardened registers with probability
-// 1 - 1/F.
+// 1 - 1/F. flips is read only (it may be a shared spot set); the
+// filtered set is engine scratch, valid until the next call.
 func (e *Engine) applyHardening(rng *rand.Rand, flips []netlist.NodeID) []netlist.NodeID {
 	if len(e.Hardened) == 0 {
 		return flips
 	}
-	out := flips[:0]
+	out := e.hardBuf[:0]
 	for _, r := range flips {
 		if f, ok := e.Hardened[r]; ok && f > 1 {
 			if rng.Float64() >= 1/f {
@@ -709,5 +712,6 @@ func (e *Engine) applyHardening(rng *rand.Rand, flips []netlist.NodeID) []netlis
 		}
 		out = append(out, r)
 	}
+	e.hardBuf = out
 	return out
 }

@@ -11,3 +11,7 @@ func (e *Engine) GroupCounts() (groups, splits, lanes, cut int) {
 	b := e.batch
 	return b.nGroups, b.nSplits, b.nLanes, b.nCut
 }
+
+// DropSpotCache discards the engine's radius-query cache, so the next
+// spot lookup rebuilds it from the placement.
+func (e *Engine) DropSpotCache() { e.spots = nil }

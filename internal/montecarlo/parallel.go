@@ -389,10 +389,13 @@ func (o *AdaptiveOptions) sanitize() error {
 // stopping criterion, evaluated on the campaign's active estimator:
 // for plain campaigns the bound is Est.LLNBound exactly (variance /
 // (N·eps²)); stratified campaigns use the stratified estimator
-// variance, which is what converges faster.
+// variance, which is what converges faster. An estimate without a
+// success never converges: its variance is zero, so the bound alone
+// would certify SSF 0 with a zero-width CI.
 func (o *AdaptiveOptions) converged(total *Campaign) bool {
 	return total != nil &&
 		total.Est.N() >= o.MinSamples &&
+		total.Successes > 0 &&
 		total.llnBound(o.Epsilon) <= o.Risk
 }
 

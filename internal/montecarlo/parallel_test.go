@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/montecarlo"
+	"repro/internal/stats"
 )
 
 func TestCampaignMerge(t *testing.T) {
@@ -186,4 +187,49 @@ func TestCloneEnginesIndependent(t *testing.T) {
 		t.Error("clone golden runs diverge")
 	}
 	_ = core.DefaultAttackSpec()
+}
+
+// TestRunAdaptiveNeverCertifiesZeroHits pins the stopping rule against
+// an estimate with no successes: its variance is zero, so the weak-LLN
+// bound alone certifies SSF 0 with a zero-width CI as soon as
+// MinSamples is reached. On the default framework, this gate
+// importance run (seed 7, CI half-width 1e-4) sees no success in its
+// first 2000 samples; scalar and batched, it must keep sampling until
+// it has one.
+func TestRunAdaptiveNeverCertifiesZeroHits(t *testing.T) {
+	fw, err := core.Build(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []bool{false, true} {
+		opts := montecarlo.AdaptiveOptions{
+			Mode:       montecarlo.GateAttack,
+			Seed:       7,
+			Epsilon:    1e-4,
+			Risk:       1 / (stats.Z95 * stats.Z95),
+			MinSamples: 2000,
+			MaxSamples: 1 << 20,
+			CheckEvery: 1000,
+			Batch:      batch,
+		}
+		c, err := ev.Engine.RunAdaptive(context.Background(), sampler, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Successes == 0 {
+			t.Fatalf("batch=%v: stopped at %d samples with no success (SSF %g, CI %g)",
+				batch, c.Est.N(), c.SSF(), c.CIHalfWidth())
+		}
+		if c.Est.N() <= opts.MinSamples {
+			t.Fatalf("batch=%v: stopped at %d samples, want past the zero-hit start", batch, c.Est.N())
+		}
+	}
 }

@@ -14,6 +14,7 @@ package placement
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/netlist"
@@ -169,27 +170,43 @@ func (p *Placement) CombWithinRadius(center netlist.NodeID, r float64) []netlist
 }
 
 // SpotIndex answers repeated radius queries around the same centers
-// without rescanning the whole placement: per center it caches every
-// node within a cap radius (grown on demand) together with its placed
-// distance and node class, in id order, so a query filters a handful of
-// cached candidates instead of all nodes. The returned sets and
-// distances are bit-identical to WithinRadius / CombWithinRadius /
-// Dist. A SpotIndex is not safe for concurrent use; give each worker
-// its own.
+// without rescanning the whole placement. Per center it caches every
+// node within a cap radius (grown on demand) and, per distinct distance
+// below the cap, the spot of exactly that radius: its strikeable
+// combinational gates with their placed distances, and its registers,
+// in id order. Spots are nested and change only at those breakpoints,
+// so a query picks the spot of the largest breakpoint within its radius
+// instead of filtering candidates; each spot is built on its first
+// query. The returned sets and distances are bit-identical to
+// WithinRadius / CombWithinRadius / Dist. A SpotIndex is not safe for
+// concurrent use; give each worker its own.
 type SpotIndex struct {
 	p       *Placement
-	centers []*spotEntry // indexed by center NodeID, nil until first queried
-	idBuf   []netlist.NodeID
-	distBuf []float64
+	centers []spotEntry // indexed by center NodeID, empty until first queried
 }
 
+// spotEntry is one center's cache: what a query reads (the cap, the
+// breakpoints, the spots), then the nodes within the cap, in id order,
+// that the spots are built from.
 type spotEntry struct {
-	capR float64 // queries with r <= capR are answered from the cache
-	ids  []netlist.NodeID
-	d2   []float64 // squared distance — the WithinRadius filter quantity
-	dist []float64 // Dist(id, center) — the charge-sharing quantity
-	comb []bool    // strikeable combinational gate (excludes constants)
-	dff  []bool
+	cap2 float64 // queries with r² <= cap2 are answered from the cache
+	// bp holds the distinct values of d2 in rising order; spots[k] is
+	// the spot of every radius r with bp[k] <= r² < bp[k+1].
+	bp    []float64
+	spots []spot
+	ids   []netlist.NodeID
+	d2    []float64 // squared distance — the WithinRadius filter quantity
+	dist  []float64 // Dist(id, center) — the charge-sharing quantity
+	comb  []bool    // strikeable combinational gate (excludes constants)
+	dff   []bool
+}
+
+// spot is one cached radius query; its slices are shared and read-only.
+type spot struct {
+	built bool
+	comb  []netlist.NodeID // strikeable combinational gates
+	dist  []float64        // Dist(comb[i], center)
+	dff   []netlist.NodeID
 }
 
 // Rebuilding a center's entry rescans the placement, so the cap is
@@ -198,28 +215,42 @@ const spotCapGrowth = 1.5
 
 // NewSpotIndex returns an empty per-worker radius-query cache over p.
 func (p *Placement) NewSpotIndex() *SpotIndex {
-	return &SpotIndex{p: p, centers: make([]*spotEntry, p.nl.NumNodes())}
+	return &SpotIndex{p: p, centers: make([]spotEntry, p.nl.NumNodes())}
 }
 
-func (si *SpotIndex) entry(center netlist.NodeID, r float64) *spotEntry {
-	e := si.centers[center]
-	if e != nil && r <= e.capR {
-		return e
+// spotOf returns the cached spot of radius r around center, or nil when
+// it holds no node (a NaN radius).
+func (si *SpotIndex) spotOf(center netlist.NodeID, r float64) *spot {
+	r2 := r * r
+	e := &si.centers[center]
+	if e.bp == nil || !(r2 <= e.cap2) {
+		si.rebuild(e, center, r)
 	}
+	k := 0
+	for k < len(e.bp) && e.bp[k] <= r2 {
+		k++
+	}
+	if k == 0 {
+		return nil
+	}
+	sp := &e.spots[k-1]
+	if !sp.built {
+		sp.fill(e, e.bp[k-1])
+	}
+	return sp
+}
+
+// rebuild rescans the placement for every node within the padded cap of
+// r around center. Spots handed out before stay intact: fill allocates
+// each spot's slices and never writes them again.
+func (si *SpotIndex) rebuild(e *spotEntry, center netlist.NodeID, r float64) {
 	capR := r * spotCapGrowth
-	if e == nil {
-		e = &spotEntry{}
-		si.centers[center] = e
-	}
-	e.capR = capR
-	e.ids, e.d2, e.dist = e.ids[:0], e.d2[:0], e.dist[:0]
-	e.comb, e.dff = e.comb[:0], e.dff[:0]
+	*e = spotEntry{cap2: capR * capR}
 	p := si.p
 	c := p.points[center]
-	cap2 := capR * capR
 	for i, pt := range p.points {
 		dx, dy := pt.X-c.X, pt.Y-c.Y
-		if d2 := dx*dx + dy*dy; d2 <= cap2 {
+		if d2 := dx*dx + dy*dy; d2 <= e.cap2 {
 			id := netlist.NodeID(i)
 			t := p.nl.Node(id).Type
 			e.ids = append(e.ids, id)
@@ -229,41 +260,47 @@ func (si *SpotIndex) entry(center netlist.NodeID, r float64) *spotEntry {
 			e.dff = append(e.dff, t == netlist.DFF)
 		}
 	}
-	return e
+	e.bp = slices.Clone(e.d2)
+	slices.Sort(e.bp)
+	e.bp = slices.Compact(e.bp)
+	e.spots = make([]spot, len(e.bp))
+}
+
+// fill builds the spot from its entry's nodes within squared radius r2.
+func (sp *spot) fill(e *spotEntry, r2 float64) {
+	for i, d2 := range e.d2 {
+		switch {
+		case d2 > r2:
+		case e.comb[i]:
+			sp.comb = append(sp.comb, e.ids[i])
+			sp.dist = append(sp.dist, e.dist[i])
+		case e.dff[i]:
+			sp.dff = append(sp.dff, e.ids[i])
+		}
+	}
+	sp.built = true
 }
 
 // CombWithin returns the strikeable combinational gates within r of
 // center — the set CombWithinRadius returns, in the same id order —
 // together with each gate's placed distance from the center. The
-// returned slices are scratch reused by the next query on this index.
+// returned slices are shared by every query of the same spot and must
+// not be modified.
 func (si *SpotIndex) CombWithin(center netlist.NodeID, r float64) ([]netlist.NodeID, []float64) {
-	e := si.entry(center, r)
-	ids, dist := si.idBuf[:0], si.distBuf[:0]
-	r2 := r * r
-	for i, d2 := range e.d2 {
-		if d2 <= r2 && e.comb[i] {
-			ids = append(ids, e.ids[i])
-			dist = append(dist, e.dist[i])
-		}
+	if sp := si.spotOf(center, r); sp != nil {
+		return sp.comb, sp.dist
 	}
-	si.idBuf, si.distBuf = ids, dist
-	return ids, dist
+	return nil, nil
 }
 
 // DFFWithin returns the registers within r of center, in id order — the
-// DFF subset of WithinRadius. The returned slice is scratch reused by
-// the next query on this index.
+// DFF subset of WithinRadius. The returned slice is shared by every
+// query of the same spot and must not be modified.
 func (si *SpotIndex) DFFWithin(center netlist.NodeID, r float64) []netlist.NodeID {
-	e := si.entry(center, r)
-	ids := si.idBuf[:0]
-	r2 := r * r
-	for i, d2 := range e.d2 {
-		if d2 <= r2 && e.dff[i] {
-			ids = append(ids, e.ids[i])
-		}
+	if sp := si.spotOf(center, r); sp != nil {
+		return sp.dff
 	}
-	si.idBuf = ids
-	return ids
+	return nil
 }
 
 // MeanNeighborDist reports the average placed distance between connected

@@ -3,6 +3,7 @@ package placement
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -157,5 +158,85 @@ func TestSingleNodePlacement(t *testing.T) {
 	}
 	if p.Diameter() != 0 {
 		t.Fatal("diameter of single node should be 0")
+	}
+}
+
+// mixedNetlist builds a design with every node class a spot can hold:
+// inputs, constants, combinational gates and registers.
+func mixedNetlist(rng *rand.Rand) *netlist.Netlist {
+	nl := netlist.New(256)
+	pool := []netlist.NodeID{nl.AddConst(false), nl.AddConst(true)}
+	for i := 0; i < 8; i++ {
+		pool = append(pool, nl.AddInput(""))
+	}
+	pick := func() netlist.NodeID { return pool[rng.Intn(len(pool))] }
+	for i := 0; i < 180; i++ {
+		if i%5 == 4 {
+			pool = append(pool, nl.AddDFF(pick(), "", false))
+		} else {
+			pool = append(pool, nl.AddGate(netlist.Nand, pick(), pick()))
+		}
+	}
+	return nl
+}
+
+// TestSpotIndexMatchesRadiusQueries compares every SpotIndex answer with
+// the scanning queries it caches, for every node as center: CombWithin
+// with CombWithinRadius and bit-equal Dist values, DFFWithin with the
+// registers of WithinRadius. The radii span [0, 3], on and just below
+// the grid breakpoints 1, √2, 2 and √5, in rising order (each step past
+// the padded cap forces a rebuild) and in falling order. A spot handed
+// out before a rebuild must stay intact.
+func TestSpotIndexMatchesRadiusQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	nl := mixedNetlist(rng)
+	p := Place(nl)
+	below := func(x float64) float64 { return math.Nextafter(x, 0) }
+	radii := []float64{0, 0.3, below(1), 1, 1.2, below(math.Sqrt2), math.Sqrt2, 1.5,
+		below(2), 2, 2.1, below(math.Sqrt(5)), math.Sqrt(5), 2.5, 2.9, 3}
+	falling := slices.Clone(radii)
+	slices.Reverse(falling)
+	for _, order := range [][]float64{radii, falling} {
+		si := p.NewSpotIndex()
+		var early []netlist.NodeID
+		firstCap := -1.0
+		for _, r := range order {
+			for i := 0; i < nl.NumNodes(); i++ {
+				c := netlist.NodeID(i)
+				gates, dists := si.CombWithin(c, r)
+				if want := p.CombWithinRadius(c, r); !slices.Equal(gates, want) {
+					t.Fatalf("center %d r %v: CombWithin %v, CombWithinRadius %v", c, r, gates, want)
+				}
+				if len(dists) != len(gates) {
+					t.Fatalf("center %d r %v: %d distances for %d gates", c, r, len(dists), len(gates))
+				}
+				for j, g := range gates {
+					if math.Float64bits(dists[j]) != math.Float64bits(p.Dist(g, c)) {
+						t.Fatalf("center %d r %v: gate %d distance %v, Dist %v", c, r, g, dists[j], p.Dist(g, c))
+					}
+				}
+				var wantDFF []netlist.NodeID
+				for _, id := range p.WithinRadius(c, r) {
+					if nl.Node(id).Type == netlist.DFF {
+						wantDFF = append(wantDFF, id)
+					}
+				}
+				if got := si.DFFWithin(c, r); !slices.Equal(got, wantDFF) {
+					t.Fatalf("center %d r %v: DFFWithin %v, want %v", c, r, got, wantDFF)
+				}
+				if i == 0 && r == 1 {
+					early = gates
+				}
+			}
+			if firstCap < 0 {
+				firstCap = si.centers[0].cap2
+			}
+		}
+		if want := p.CombWithinRadius(0, 1); !slices.Equal(early, want) {
+			t.Fatalf("spot of radius 1 changed to %v after later queries, want %v", early, want)
+		}
+		if order[0] == 0 && si.centers[0].cap2 == firstCap {
+			t.Fatal("rising radii never rebuilt the entry cached for radius 0")
+		}
 	}
 }

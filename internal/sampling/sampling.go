@@ -220,10 +220,12 @@ type Importance struct {
 	// concentration. 0 disables it.
 	MixLayer float64
 
-	layers  [][]netlist.NodeID
-	tDist   *stats.Discrete
-	pDists  []*stats.Discrete // per timing distance, over layers[t]
-	centerP []map[netlist.NodeID]float64
+	layers [][]netlist.NodeID
+	tDist  *stats.Discrete
+	pDists []*stats.Discrete // per timing distance, over layers[t]
+	// centerP[t][i] is g_{P|T}(Candidates[i] | t) under the
+	// correlation tilt: 0 off Ω_t, nil for an empty layer.
+	centerP [][]float64
 }
 
 // DefaultAlpha and DefaultBeta are the configuration used by the
@@ -281,7 +283,7 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 		MixLayer:   DefaultMixLayer,
 		layers:     layers,
 		pDists:     make([]*stats.Discrete, attack.TRange),
-		centerP:    make([]map[netlist.NodeID]float64, attack.TRange),
+		centerP:    make([][]float64, attack.TRange),
 	}
 	omega := make([]float64, attack.TRange)
 	for t := 0; t < attack.TRange; t++ {
@@ -315,9 +317,9 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 			return nil, err
 		}
 		im.pDists[t] = pd
-		cp := make(map[netlist.NodeID]float64, len(layer))
+		cp := make([]float64, len(attack.Candidates))
 		for j, g := range layer {
-			cp[g] = pd.Prob(j)
+			cp[attack.CandidateIndex(g)] = pd.Prob(j)
 		}
 		im.centerP[t] = cp
 	}
@@ -366,7 +368,7 @@ func (im *Importance) density(s fault.Sample) float64 {
 		return 0
 	}
 	layerN := float64(len(im.layers[s.T]))
-	pC := im.centerP[s.T][s.Center]
+	pC := im.centerProb(s.T, s.Center)
 	var pUnif float64
 	if pC > 0 {
 		// Center is in Ω_t; the uniform component covers it too.
@@ -442,7 +444,17 @@ func (im *Importance) CenterProb(t int, center netlist.NodeID) float64 {
 	if t < 0 || t >= len(im.centerP) || im.centerP[t] == nil {
 		return 0
 	}
-	return im.centerP[t][center]
+	return im.centerProb(t, center)
+}
+
+// centerProb is CenterProb for a timing distance with a non-empty
+// layer.
+func (im *Importance) centerProb(t int, center netlist.NodeID) float64 {
+	i := im.attack.CandidateIndex(center)
+	if i < 0 {
+		return 0
+	}
+	return im.centerP[t][i]
 }
 
 // candidateLayers intersects the characterization cones with the attack

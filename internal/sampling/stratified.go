@@ -178,7 +178,7 @@ func (s *Stratified) drawIn(k int, rng *rand.Rand) (fault.Sample, float64) {
 		Width:  im.attack.Technique.SampleWidth(rng),
 		Time:   im.attack.Technique.SampleTime(rng),
 	}
-	g := im.MixLayer/float64(len(layer)) + (1-im.MixLayer)*im.centerP[k][center]
+	g := im.MixLayer/float64(len(layer)) + (1-im.MixLayer)*im.centerProb(k, center)
 	wCond := im.attack.CenterProb(center) / g
 	return smp, wCond * s.probs[k] / s.alloc[k]
 }

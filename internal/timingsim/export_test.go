@@ -6,4 +6,5 @@ var (
 	BuildRandomDesign = buildRandomDesign
 	RandomValues      = randomValues
 	RandomStrike      = randomStrike
+	ValueBits         = valueBits
 )

@@ -71,6 +71,17 @@ func randomValues(rng *rand.Rand, n int) func(netlist.NodeID) bool {
 	return func(id netlist.NodeID) bool { return vals[id] }
 }
 
+// valueBits packs a values callback into the bitset InjectBits reads.
+func valueBits(values func(netlist.NodeID) bool, n int) []uint64 {
+	vb := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if values(netlist.NodeID(i)) {
+			vb[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	return vb
+}
+
 func randomStrike(rng *rand.Rand, dm DelayModel, numNodes int) Strike {
 	st := Strike{
 		Time:  rng.Float64() * dm.ClockPeriod * 1.3,
@@ -155,7 +166,7 @@ func TestSparseMatchesReferenceSweep(t *testing.T) {
 
 // TestForkSharedConeCacheRace runs forked simulators concurrently over
 // the same design with overlapping strikes, so the tables Fork shares
-// (topology, fanins, latch-window bound) are read from multiple
+// (topology, fanins) and the shared latch tables are read from multiple
 // goroutines (run under -race), then checks every fork produced the
 // same results as a fresh serial simulator fed the same sequence.
 func TestForkSharedConeCacheRace(t *testing.T) {
@@ -166,6 +177,11 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cycles := make([][]uint64, 4)
+	for i := range cycles {
+		cycles[i] = valueBits(randomValues(rng, nl.NumNodes()), nl.NumNodes())
+	}
+	tables := base.LatchTables(cycles)
 	const workers = 4
 	const trials = 200
 	type runs struct {
@@ -183,12 +199,15 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 			defer wg.Done()
 			wrng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < trials; i++ {
-				values := randomValues(wrng, nl.NumNodes())
+				k := i % len(cycles)
 				st := randomStrike(wrng, dm, nl.NumNodes())
-				may := sim.MayLatch(st)
-				res := sim.Inject(values, st)
+				may := tables[k].MayLatch(st)
+				res := sim.InjectBits(cycles[k], st)
 				if !may && len(res.FlippedRegs) > 0 {
-					t.Errorf("worker %d trial %d: MayLatch false but flipped %v", w, i, res.FlippedRegs)
+					t.Errorf("worker %d trial %d: bound false but flipped %v", w, i, res.FlippedRegs)
+				}
+				if pr := sim.InjectPruned(cycles[k], tables[k], st); !wavesEqualIDs(pr.FlippedRegs, res.FlippedRegs) {
+					t.Errorf("worker %d trial %d: pruned sweep flipped %v, full sweep %v", w, i, pr.FlippedRegs, res.FlippedRegs)
 				}
 				out[w].flipped = append(out[w].flipped,
 					append([]netlist.NodeID(nil), res.FlippedRegs...))
@@ -203,9 +222,8 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 		}
 		wrng := rand.New(rand.NewSource(int64(100 + w)))
 		for i := 0; i < trials; i++ {
-			values := randomValues(wrng, nl.NumNodes())
 			st := randomStrike(wrng, dm, nl.NumNodes())
-			res := ref.Inject(values, st)
+			res := ref.InjectBits(cycles[i%len(cycles)], st)
 			if !wavesEqualIDs(res.FlippedRegs, out[w].flipped[i]) {
 				t.Fatalf("worker %d trial %d: flipped %v, serial reference %v",
 					w, i, out[w].flipped[i], res.FlippedRegs)

@@ -17,15 +17,16 @@
 // netlist, resets only the nodes the previous run touched, and stops
 // as soon as every surviving waveform has been swept past.
 //
-// MayLatch is a static pre-check in front of the sweep: from per-node
-// path-delay bounds computed once in New, it proves for most masked
-// strikes that no transient can reach a register's latching window, so
-// callers can skip Inject without changing any outcome.
+// A LatchTable, built per register-enable pattern of an injection
+// cycle, is a static pre-check in front of the sweep: from per-node
+// path-delay bounds it proves for most masked strikes that no transient
+// can reach a register's latching window, and InjectPruned sweeps the
+// rest only where a register that can still latch is reachable, without
+// changing which registers latch.
 package timingsim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -127,7 +128,7 @@ type Result struct {
 
 // Simulator performs timed injection-cycle evaluation over a fixed
 // netlist. It is not safe for concurrent use; Fork one per goroutine
-// (forks share the immutable topology, fanin and latch-bound tables).
+// (forks share the immutable topology and fanin tables).
 type Simulator struct {
 	nl    *netlist.Netlist
 	dm    DelayModel
@@ -147,17 +148,9 @@ type Simulator struct {
 	cellTypes []netlist.CellType
 	faninOff  []int32
 	faninPool []netlist.NodeID
-	// Static latch-window bound read by MayLatch, over the
-	// combinational paths from a node's output to the output of any
-	// node driving a register D input: endSlack is the largest
-	// Σ(delay − Attenuation) and arrival the smallest Σ delay of the
-	// cells after the node (0 at a register driver; −Inf/+Inf where no
-	// register is reachable, and at nodes a strike never deposits on).
-	endSlack []float64
-	arrival  []float64
-	// latchEnd and latchStart bound the loosest latching window any
-	// register applies, widened by latchBoundTolerance.
-	latchEnd, latchStart float64
+	// full is the sweep mask of the unpruned sweep: every topological
+	// position set (InjectPruned passes a LatchTable's mask instead).
+	full []uint64
 
 	// Per-run waveform state, reset via the touched list.
 	waves   [][]Interval // indexed by node: current fault waveform
@@ -255,75 +248,15 @@ func New(nl *netlist.Netlist, dm DelayModel) (*Simulator, error) {
 	if s.maxFanin > 8 {
 		s.argBuf = make([]uint64, s.maxFanin)
 	}
-	s.buildLatchBound()
+	s.full = make([]uint64, (n+63)/64)
+	for w := range s.full {
+		s.full[w] = ^uint64(0)
+	}
 	return s, nil
 }
 
-// latchBoundTolerance (ps) absorbs float rounding between the sweep's
-// step-by-step interval arithmetic and the bound's path sums.
-const latchBoundTolerance = 1e-6
-
-// buildLatchBound fills the MayLatch tables in one reverse-topological
-// pass: every combinational fanout precedes its fanin in the walk.
-func (s *Simulator) buildLatchBound() {
-	n := len(s.delays)
-	s.endSlack = make([]float64, n)
-	s.arrival = make([]float64, n)
-	for i := range s.endSlack {
-		s.endSlack[i], s.arrival[i] = math.Inf(-1), math.Inf(1)
-	}
-	att := s.dm.Attenuation
-	for k := len(s.order) - 1; k >= 0; k-- {
-		id := s.order[k]
-		if t := s.cellTypes[id]; t == netlist.Const0 || t == netlist.Const1 {
-			continue // Inject never deposits on a constant
-		}
-		slack, arr := math.Inf(-1), math.Inf(1)
-		if len(s.regFanout[id]) > 0 {
-			slack, arr = 0, 0
-		}
-		for _, fo := range s.combFanout[id] {
-			slack = max(slack, s.endSlack[fo]+s.delays[fo]-att)
-			arr = min(arr, s.arrival[fo]+s.delays[fo])
-		}
-		s.endSlack[id], s.arrival[id] = slack, arr
-	}
-	// latchCheck scales both window sides by the gated factor (≥ 1) for
-	// clock-gated registers; the smaller product is the looser test.
-	gf := max(s.dm.GatedWindowFactor, 1)
-	setup := min(s.dm.Setup, s.dm.Setup*gf)
-	hold := min(s.dm.Hold, s.dm.Hold*gf)
-	s.latchEnd = s.dm.ClockPeriod + hold - latchBoundTolerance
-	s.latchStart = s.dm.ClockPeriod - setup + latchBoundTolerance
-}
-
-// MayLatch reports whether the strike could make Inject latch any
-// register. False is a proof that Inject returns no FlippedRegs for
-// every fault-free value assignment; true promises nothing.
-//
-// The bound follows the sweep: a propagated interval stays inside the
-// span of its fanin intervals, and conditioning shifts its Start by the
-// cell delay and its End by delay − Attenuation (or drops it); a struck
-// gate's XOR with its own deposit stays inside the union of both. So every interval at a register
-// driver ends no later than some deposit's end plus that gate's
-// endSlack and starts no earlier than Time plus its arrival, and a
-// latch needs both to cover the loosest (ungated) setup/hold window.
-func (s *Simulator) MayLatch(strike Strike) bool {
-	end, start := math.Inf(-1), math.Inf(1)
-	for i, g := range strike.Gates {
-		// Same deposit filter as inject: narrower pulses are dropped.
-		stop := strike.Time + strike.widthAt(i)
-		if stop-strike.Time < s.dm.MinPulse {
-			continue
-		}
-		end = max(end, stop+s.endSlack[g])
-		start = min(start, strike.Time+s.arrival[g])
-	}
-	return end >= s.latchEnd && start <= s.latchStart
-}
-
 // Fork returns an independent simulator over the same design: the
-// immutable topology, fanin and latch-bound tables are shared, the
+// immutable topology and fanin tables are shared, the
 // waveform state and scratch buffers are private. Forks may be used
 // concurrently with the parent and with each other.
 func (s *Simulator) Fork() *Simulator {
@@ -341,10 +274,7 @@ func (s *Simulator) Fork() *Simulator {
 		cellTypes:    s.cellTypes,
 		faninOff:     s.faninOff,
 		faninPool:    s.faninPool,
-		endSlack:     s.endSlack,
-		arrival:      s.arrival,
-		latchEnd:     s.latchEnd,
-		latchStart:   s.latchStart,
+		full:         s.full,
 		waves:        make([][]Interval, n),
 		dirty:        make([]bool, n),
 		marked:       make([]bool, n),
@@ -388,7 +318,7 @@ func (s *Simulator) touch(id netlist.NodeID) {
 // wrong values at the cycle's closing clock edge.
 func (s *Simulator) Inject(values func(netlist.NodeID) bool, strike Strike) Result {
 	s.values, s.valBits = values, nil
-	return s.inject(strike)
+	return s.inject(strike, s.full)
 }
 
 // InjectBits is Inject with the fault-free values supplied as a dense
@@ -397,7 +327,7 @@ func (s *Simulator) Inject(values func(netlist.NodeID) bool, strike Strike) Resu
 // indirect call per fanin in the propagation hot path.
 func (s *Simulator) InjectBits(valbits []uint64, strike Strike) Result {
 	s.values, s.valBits = nil, valbits
-	return s.inject(strike)
+	return s.inject(strike, s.full)
 }
 
 // val reads one fault-free node value from whichever source the
@@ -409,8 +339,9 @@ func (s *Simulator) val(id netlist.NodeID) bool {
 	return s.values(id)
 }
 
-func (s *Simulator) inject(strike Strike) Result {
-	// Targeted reset: only nodes the previous run disturbed hold state.
+// reset clears the state of the previous run. The reset is targeted:
+// only nodes the previous run disturbed hold state.
+func (s *Simulator) reset() {
 	for _, id := range s.touched {
 		s.waves[id] = s.waves[id][:0]
 		s.waveBits[id>>6] &^= 1 << (uint(id) & 63)
@@ -423,6 +354,12 @@ func (s *Simulator) inject(strike Strike) Result {
 		s.marked[id] = false
 	}
 	s.touched = s.touched[:0]
+}
+
+// inject runs one injection cycle over the nodes whose topological
+// position is set in mask: only they are seeded and swept.
+func (s *Simulator) inject(strike Strike, mask []uint64) Result {
+	s.reset()
 	if strike.Widths != nil && len(strike.Widths) != len(strike.Gates) {
 		panic(fmt.Sprintf("timingsim: %d widths for %d gates", len(strike.Widths), len(strike.Gates)))
 	}
@@ -433,6 +370,10 @@ func (s *Simulator) inject(strike Strike) Result {
 		}
 		iv := Interval{Start: strike.Time, End: strike.Time + strike.widthAt(i)}
 		if iv.Width() < s.dm.MinPulse {
+			continue
+		}
+		p := s.topoPos[g]
+		if mask[p>>6]>>(uint(p)&63)&1 == 0 {
 			continue
 		}
 		if len(s.waves[g]) == 0 {
@@ -446,18 +387,19 @@ func (s *Simulator) inject(strike Strike) Result {
 			s.waveBits[g>>6] &^= 1 << (uint(g) & 63)
 		}
 		s.dirty[g] = true
-		p := s.topoPos[g]
 		s.needPos[p>>6] |= 1 << (uint(p) & 63)
 		s.touch(g)
 	}
 
 	var res Result
 	if s.reference {
-		for _, id := range s.order {
-			s.evalNode(id, &res)
+		for p, id := range s.order {
+			if mask[p>>6]>>(uint(p)&63)&1 != 0 {
+				s.evalNode(id, &res)
+			}
 		}
 	} else {
-		s.sweepSparse(&res)
+		s.sweepSparse(&res, mask)
 	}
 	s.latchCheck(&res)
 	slices.Sort(res.FlippedRegs) // reflection-free; this runs once per draw
@@ -467,14 +409,14 @@ func (s *Simulator) inject(strike Strike) Result {
 // sweepSparse propagates the strike through the fanout cones of the
 // struck gates only, by walking the needPos worklist bitset in
 // topological-position order: struck seeds are pre-marked, every node
-// whose wave survives marks its combinational fanouts, and the walk
-// ends once it passes the furthest position any surviving waveform can
-// still reach (maxReach) — beyond it every remaining node has
-// fault-free fanins. Evaluation order (topo position) and the
+// whose wave survives marks its combinational fanouts within mask, and
+// the walk ends once it passes the furthest position any surviving
+// waveform can still reach (maxReach) — beyond it every remaining node
+// has fault-free fanins. Evaluation order (topo position) and the
 // evaluated live set match the dense reference sweep's, so results are
 // identical; the bitset walk just skips the dead nodes of the cone
 // without touching them.
-func (s *Simulator) sweepSparse(res *Result) {
+func (s *Simulator) sweepSparse(res *Result, mask []uint64) {
 	if len(s.touched) == 0 { // only seeded gates are touched so far
 		return
 	}
@@ -509,7 +451,7 @@ func (s *Simulator) sweepSparse(res *Result) {
 		if len(s.waves[id]) > 0 {
 			for _, fo := range s.combFanout[id] {
 				p := s.topoPos[fo]
-				need[p>>6] |= 1 << (uint(p) & 63)
+				need[p>>6] |= mask[p>>6] & (1 << (uint(p) & 63))
 			}
 			if mf := s.maxFanoutPos[id]; mf > maxReach {
 				maxReach = mf

@@ -67,12 +67,15 @@ fuzz-smoke:
 # lane-batched vs lane-batched with the interpreted evaluator on gate
 # attacks, lane-batched on register attacks, plus one generated vs
 # interpreted 64-lane eval pass, with the speedup ratios),
-# and BENCH_convergence.json (per-sampler samples-to-target-CI —
-# statistical efficiency rather than wall time).
+# BENCH_convergence.json (per-sampler samples-to-target-CI —
+# statistical efficiency rather than wall time), and BENCH_stages.json
+# (each stage's share of the CPU time of perfbench-style answers, from
+# CPU profiles; not gated).
 bench:
 	$(GO) run ./cmd/benchjson -suite runonce -out BENCH_runonce.json
 	$(GO) run ./cmd/benchjson -suite campaign -out BENCH_campaign.json
 	$(GO) run ./cmd/benchjson -suite convergence -out BENCH_convergence.json
+	$(GO) run ./cmd/benchjson -suite stages -out BENCH_stages.json
 
 # bench-smoke is the cheap CI guard: the hot-path benchmarks must still
 # compile and run, and fresh runonce and campaign records must stay

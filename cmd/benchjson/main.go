@@ -27,6 +27,13 @@
 //     half-width drops to the target. The rows carry no ns_per_op. The
 //     runs are deterministic (fixed seed), so the suite is gated at a
 //     tight tolerance.
+//   - BENCH_stages.json (-suite stages): where a time-to-answer run's
+//     CPU time goes. It profiles 40 answers per perfbench workload with
+//     perfbench's options (repeated a few passes) and records each
+//     stage's share of the profile: draw, spot lookup, latch bound,
+//     timed sweep, classify, lane-batched resume, grouped resume,
+//     resume ordering, merge and other. Shares, not times, so the
+//     record is not gated.
 //
 // It uses the same setup as the root go-bench harness, so the numbers
 // are comparable to `go test -bench`.
@@ -41,7 +48,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-suite runonce|campaign|convergence] [-out FILE]
+//	go run ./cmd/benchjson [-suite runonce|campaign|convergence|stages] [-out FILE]
 //	go run ./cmd/benchjson -compare [-tolerance T] old.json new.json
 package main
 
@@ -96,7 +103,7 @@ type benchFile struct {
 
 func main() {
 	out := flag.String("out", "", "output path (default BENCH_<suite>.json)")
-	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | convergence")
+	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | convergence | stages")
 	compare := flag.Bool("compare", false, "compare two records (old.json new.json) instead of benchmarking")
 	tolerance := flag.Float64("tolerance", 0.25, "compare: allowed fractional growth of ns/op (or of n for rows without ns/op) before failing")
 	flag.Parse()
@@ -111,6 +118,10 @@ func main() {
 		return
 	}
 
+	path := *out
+	if path == "" {
+		path = "BENCH_" + *suite + ".json"
+	}
 	var results []benchResult
 	switch *suite {
 	case "runonce":
@@ -119,6 +130,9 @@ func main() {
 		results = campaignSuite()
 	case "convergence":
 		results = convergenceSuite()
+	case "stages":
+		writeRecord(path, stagesSuite())
+		return
 	default:
 		fatal(fmt.Errorf("unknown suite %q", *suite))
 	}
@@ -136,11 +150,12 @@ func main() {
 		fmt.Printf("codegen eval speedup: %.2fx\n", file.SpeedupCodegen)
 		fmt.Printf("codegen campaign speedup: %.2fx\n", file.SpeedupCodegenCampaign)
 	}
-	path := *out
-	if path == "" {
-		path = "BENCH_" + *suite + ".json"
-	}
-	data, err := json.MarshalIndent(file, "", "  ")
+	writeRecord(path, file)
+}
+
+// writeRecord writes v as indented JSON to path.
+func writeRecord(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		fatal(err)
 	}

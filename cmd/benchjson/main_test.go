@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"math"
+	"runtime/pprof"
 	"strings"
 	"testing"
 )
@@ -65,6 +68,96 @@ func TestCompareRecords(t *testing.T) {
 			t.Errorf("timed row not labelled ns/op: %q", line)
 		case strings.HasPrefix(line, "ConvImportance") && !strings.Contains(line, "samples"):
 			t.Errorf("count row not labelled samples: %q", line)
+		}
+	}
+}
+
+// parkForProfile closes ready and blocks until release is closed, so a
+// goroutine profile taken in between holds it on a stack.
+func parkForProfile(ready, release chan struct{}) {
+	close(ready)
+	<-release
+}
+
+// TestParseProfile decodes a goroutine profile written by runtime/pprof
+// and finds the goroutine parked in parkForProfile.
+func TestParseProfile(t *testing.T) {
+	ready, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go parkForProfile(ready, release)
+	<-ready
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	p, err := parseProfile(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.samples) == 0 {
+		t.Fatal("no samples decoded")
+	}
+	found := false
+	for _, s := range p.samples {
+		if len(s.values) != 1 || s.values[0] < 1 {
+			t.Fatalf("sample values %v, want one goroutine count", s.values)
+		}
+		for _, loc := range s.locs {
+			for _, fn := range p.frames[loc] {
+				found = found || p.names[fn] == "repro/cmd/benchjson.parkForProfile"
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no stack holds parkForProfile; functions: %v", p.names)
+	}
+}
+
+// TestStageShares attributes hand-built stacks: each sample goes to the
+// innermost stage function on its stack, inlined frames included.
+func TestStageShares(t *testing.T) {
+	fn := []string{
+		"runtime.memmove",
+		"repro/internal/logicsim.(*Simulator).Step",
+		mcEngine + "resumeGroup",
+		mcEngine + "resumeClasses",
+		mcEngine + "resumeBatch",
+		"repro/internal/stats.(*Discrete).Sample",
+		"repro/internal/sampling.(*Importance).Draw",
+		"repro/internal/placement.(*SpotIndex).spotOf",
+		"repro/internal/placement.(*SpotIndex).DFFWithin",
+		mcEngine + "evalSample",
+		"runtime.gcBgMarkWorker",
+	}
+	p := &profile{frames: map[uint64][]uint64{}, names: map[uint64]string{}}
+	for i, name := range fn {
+		p.names[uint64(i+1)] = name
+	}
+	// Location ids equal the function ids they hold, except the
+	// inlined ones: in location 20, Step is inlined into resumeGroup,
+	// and in 21 spotOf and DFFWithin are inlined into resumeBatch.
+	for i := range fn {
+		p.frames[uint64(i+1)] = []uint64{uint64(i + 1)}
+	}
+	p.frames[20] = []uint64{2, 3}
+	p.frames[21] = []uint64{8, 9, 5}
+	p.samples = []profSample{
+		{locs: []uint64{1, 20, 5}, values: []uint64{1, 50}}, // grouped resume
+		{locs: []uint64{1, 2, 5}, values: []uint64{1, 20}},  // lane-batched resume
+		{locs: []uint64{6, 7, 10}, values: []uint64{1, 10}}, // draw
+		{locs: []uint64{21, 4}, values: []uint64{1, 15}},    // spot lookup
+		{locs: []uint64{11}, values: []uint64{1, 5}},        // other
+	}
+	want := map[string]float64{
+		"grouped resume": 0.5, "lane-batched resume": 0.2, "draw": 0.1, "spot lookup": 0.15, otherStage: 0.05,
+	}
+	shares := p.stageShares()
+	if len(shares) != len(stages)+1 || shares[len(shares)-1].Stage != otherStage {
+		t.Fatalf("shares %v: want every stage, then other", shares)
+	}
+	for _, s := range shares {
+		if math.Abs(s.Share-want[s.Stage]) > 1e-12 {
+			t.Errorf("%s: share %g, want %g", s.Stage, s.Share, want[s.Stage])
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,34 +31,50 @@ import (
 )
 
 func main() {
-	benchName := flag.String("bench", "write", "benchmark: write | read")
-	strategy := flag.String("sampler", "importance", "sampler: random | cone | importance | stratified")
-	samples := flag.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns)")
-	seed := flag.Int64("seed", 1, "campaign seed")
-	tRange := flag.Int("trange", 50, "temporal accuracy range (cycles)")
-	blockFrac := flag.Float64("block", 0.125, "candidate sub-block fraction of MPU gates")
-	mode := flag.String("mode", "gate", "attack mode: gate | register | glitch")
-	glitchDepth := flag.Float64("glitch-depth", 300, "clock-glitch depth in ps (glitch mode)")
-	alpha := flag.Float64("alpha", sampling.DefaultAlpha, "importance-sampling alpha")
-	beta := flag.Float64("beta", sampling.DefaultBeta, "importance-sampling beta")
-	parallel := flag.Int("parallel", 1, "number of worker engines (campaign shards)")
-	adaptive := flag.Bool("adaptive", false, "stop on the weak-LLN convergence bound instead of a fixed sample count")
-	adaptProp := flag.Bool("adapt-proposal", false, "adaptive: re-tune the proposal between rounds (importance/stratified samplers)")
-	eps := flag.Float64("eps", 0.005, "adaptive: absolute accuracy target epsilon")
-	risk := flag.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
-	maxSamples := flag.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
-	progress := flag.Bool("progress", stderrIsTerminal(), "print a live progress line to stderr")
-	batch := flag.Bool("batch", false, "use the lane-batched speculative resume (gate/register modes)")
-	codegen := flag.Bool("codegen", true, "bind the generated straight-line evaluator when one matches the compiled plan hash (false = always interpret)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile after the campaign to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "ssfeval:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line and runs one campaign, writing the report
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ssfeval", flag.ExitOnError)
+	benchName := fs.String("bench", "write", "benchmark: write | read")
+	strategy := fs.String("sampler", "importance", "sampler: random | cone | importance | stratified")
+	samples := fs.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns)")
+	seed := fs.Int64("seed", 1, "campaign seed")
+	tRange := fs.Int("trange", 50, "temporal accuracy range (cycles)")
+	blockFrac := fs.Float64("block", 0.125, "candidate sub-block fraction of MPU gates")
+	mode := fs.String("mode", "gate", "attack mode: gate | register | glitch")
+	glitchDepth := fs.Float64("glitch-depth", 300, "clock-glitch depth in ps (glitch mode)")
+	alpha := fs.Float64("alpha", sampling.DefaultAlpha, "importance-sampling alpha")
+	beta := fs.Float64("beta", sampling.DefaultBeta, "importance-sampling beta")
+	parallel := fs.Int("parallel", 1, "number of worker engines (campaign shards)")
+	adaptive := fs.Bool("adaptive", false, "stop on the weak-LLN convergence bound instead of a fixed sample count")
+	adaptProp := fs.Bool("adapt-proposal", false, "adaptive: re-tune the proposal between rounds (importance/stratified samplers)")
+	eps := fs.Float64("eps", 0.005, "adaptive: absolute accuracy target epsilon")
+	risk := fs.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
+	maxSamples := fs.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
+	progress := fs.Bool("progress", stderrIsTerminal(), "print a live progress line to stderr")
+	batch := fs.Bool("batch", false, "use the lane-batched speculative resume (gate/register modes)")
+	codegen := fs.Bool("codegen", true, "bind the generated straight-line evaluator when one matches the compiled plan hash (false = always interpret)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile after the campaign to this file")
+	fs.Parse(args)
 
 	bench := core.BenchmarkIllegalWrite
 	if *benchName == "read" {
 		bench = core.BenchmarkIllegalRead
 	} else if *benchName != "write" {
-		fatal(fmt.Errorf("unknown benchmark %q", *benchName))
+		return fmt.Errorf("unknown benchmark %q", *benchName)
+	}
+	if *parallel < 1 {
+		return fmt.Errorf("-parallel %d: need at least one worker engine", *parallel)
+	}
+	if *maxSamples < 1 {
+		return fmt.Errorf("-max-samples %d: need at least one sample", *maxSamples)
 	}
 
 	// Ctrl-C / SIGTERM cancels the campaign; the partial results are
@@ -75,20 +92,20 @@ func main() {
 	}
 	fw, err := core.Build(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec := core.DefaultAttackSpec()
 	spec.TRange = *tRange
 	spec.BlockFrac = *blockFrac
 	ev, err := fw.NewEvaluation(bench, spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	evalKind := "interpreted"
 	if ev.Engine.SoC.Sim.Plan().Generated() {
 		evalKind = "generated (straight-line)"
 	}
-	fmt.Printf("framework ready in %v; evaluator: %s; golden run: target cycle %d, final cycle %d\n",
+	fmt.Fprintf(stdout, "framework ready in %v; evaluator: %s; golden run: target cycle %d, final cycle %d\n",
 		time.Since(t0).Round(time.Millisecond), evalKind, ev.Golden.TargetCycle, ev.Golden.FinalCycle)
 
 	var sp sampling.Sampler
@@ -109,7 +126,7 @@ func main() {
 		err = fmt.Errorf("unknown sampler %q", *strategy)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var prog montecarlo.ProgressFunc
@@ -128,11 +145,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, perr := os.Create(*cpuProfile)
 		if perr != nil {
-			fatal(perr)
+			return perr
 		}
 		defer f.Close()
 		if perr := pprof.StartCPUProfile(f); perr != nil {
-			fatal(perr)
+			return perr
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -144,7 +161,7 @@ func main() {
 		}
 		pool, perr := ev.NewEnginePool(*parallel)
 		if perr != nil {
-			fatal(perr)
+			return perr
 		}
 		workers = pool.Size()
 		if *adaptive {
@@ -152,7 +169,9 @@ func main() {
 			aopts.Risk = *risk
 			aopts.Mode = copts.Mode
 			aopts.Seed = *seed
+			// The cap is hard: a MinSamples above it would raise it.
 			aopts.MaxSamples = *maxSamples
+			aopts.MinSamples = min(aopts.MinSamples, *maxSamples)
 			aopts.Progress = prog
 			aopts.Batch = *batch
 			aopts.AdaptProposal = *adaptProp
@@ -164,7 +183,7 @@ func main() {
 		}
 	case "glitch":
 		if *parallel > 1 || *adaptive || *batch {
-			fatal(fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count"))
+			return fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count")
 		}
 		tech := fault.DefaultClockGlitch()
 		tech.Depth = *glitchDepth
@@ -172,11 +191,11 @@ func main() {
 		var gattack *fault.GlitchAttack
 		gattack, err = fault.NewGlitchAttack("glitch", *tRange, tech)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		camp, err = ev.Engine.RunGlitchCampaign(ctx, gattack, copts)
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	elapsed := time.Since(t1)
 	if *progress {
@@ -184,7 +203,7 @@ func main() {
 	}
 	cancelled := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if err != nil && !(cancelled && camp != nil) {
-		fatal(err)
+		return err
 	}
 	if cancelled {
 		fmt.Fprintf(os.Stderr, "ssfeval: cancelled after %d samples; reporting partial results\n", camp.Est.N())
@@ -227,19 +246,21 @@ func main() {
 		}
 		t.Row("per-stratum hits", hits)
 	}
-	t.Render(os.Stdout)
+	t.Render(stdout)
 
 	if *memProfile != "" {
 		f, perr := os.Create(*memProfile)
 		if perr != nil {
-			fatal(perr)
+			return perr
 		}
 		runtime.GC() // materialize up-to-date heap statistics
 		if perr := pprof.WriteHeapProfile(f); perr != nil {
-			fatal(perr)
+			f.Close()
+			return perr
 		}
-		f.Close()
+		return f.Close()
 	}
+	return nil
 }
 
 // stderrIsTerminal reports whether stderr is an interactive terminal
@@ -247,9 +268,4 @@ func main() {
 func stderrIsTerminal() bool {
 	fi, err := os.Stderr.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ssfeval:", err)
-	os.Exit(1)
 }

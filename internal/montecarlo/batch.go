@@ -17,18 +17,20 @@
 // the system through its grant/viol outputs at response-consumption
 // cycles, so while a lane's outputs match the recorded golden responses
 // the behavioural core, memory, and DMA provably stay on the golden
-// trajectory and the shared replay is exact. Lanes whose responding
-// signals diverge are ejected, and lanes that diverge to the same
-// grant/viol pair at the same cycle still share one behavioural state:
-// they resume together on one SoC (resumeGroup), splitting again
-// whenever a later response differs between them. A lane whose
-// registers return to golden has converged (the fault died — the
-// attack failed), mirroring the scalar convergence cut. Fixed-seed
-// campaign results are bit-identical to the scalar path.
+// trajectory and the shared replay is exact. A response to a DMA read
+// changes nothing but the DMA violation count, so a lane that differs
+// there stays in the batch with a per-lane DMAViol offset. Lanes whose
+// responses to core accesses diverge are ejected, and lanes that
+// diverge to the same grant/viol pair at the same cycle with the same
+// offset still share one behavioural state: they resume together on one
+// SoC (resumeGroup), splitting again whenever a later response differs
+// between them. A lane whose registers return to golden, with a zero
+// offset, has converged (the fault died — the attack failed), mirroring
+// the scalar convergence cut. Fixed-seed campaign results are
+// bit-identical to the scalar path.
 package montecarlo
 
 import (
-	"cmp"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -64,11 +66,23 @@ type batchState struct {
 	laneBuf, packBuf []uint64
 	// groups is the stack of split groups awaiting their resume.
 	groups []laneGroup
-	// Grouped-resume counters: groups run (classes and splits), the
-	// groups among them that a later split started, the lanes ejected
-	// into them, and the lanes that retired through the convergence cut
-	// inside a group.
-	nGroups, nSplits, nLanes, nCut int
+	// teCount and sorted are flushResumes' counting-sort buckets (one
+	// per injection cycle of the window, plus one) and output.
+	teCount []int
+	sorted  []pendingResume
+	counts  batchCounts
+}
+
+// batchCounts tallies the batched resumes: groups run (classes and
+// splits), the groups among them that a later split started, the lanes
+// ejected into them, the grouped lanes that retired through the
+// convergence cut, the lane divergences at DMA reads kept in the batch
+// as offsets (a lane counts once per such response), the lane-cycles
+// whose cut a nonzero offset withheld, and the groups entered with a
+// nonzero offset.
+type batchCounts struct {
+	Groups, Splits, Lanes, Cut       int
+	Absorbed, Withheld, OffsetGroups int
 }
 
 // shadowLane is the group lane that follows the golden initial MPU state
@@ -133,6 +147,7 @@ func (e *Engine) newBatchState() *batchState {
 	nr := len(e.SoC.MPU.Netlist.Regs())
 	b.laneBuf = make([]uint64, nr)
 	b.packBuf = make([]uint64, nr)
+	b.teCount = make([]int, len(b.comb)+1)
 	e.batch = b
 	return b
 }
@@ -204,15 +219,33 @@ func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []R
 // of the forked simulator follows the golden trajectory exactly (inputs
 // are broadcast and evaluation is lane-wise), so each sample's flips
 // are XORed into its lane when the shared resume reaches that sample's
-// te+1. Sorting by te keeps each batch's cycle span (and the staggered
-// entries) tight. No sample's outcome depends on which batch carries
+// te+1. Ordering by te keeps each batch's cycle span (and the staggered
+// entries) tight; a stable counting sort over the recorded window does
+// it in linear time. No sample's outcome depends on which batch carries
 // it: each lane's trajectory is a function of only its own (te, flips)
 // and the shared golden trace.
 func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
-	slices.SortStableFunc(pend, func(a, b pendingResume) int { return cmp.Compare(a.te, b.te) })
-	for start := 0; start < len(pend); start += 64 {
-		end := min(start+64, len(pend))
-		e.resumeBatch(pend[start:end], results)
+	if len(pend) == 0 {
+		return
+	}
+	b := e.batch
+	count := b.teCount
+	clear(count)
+	for _, p := range pend {
+		count[p.te-b.lo+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	sorted := slices.Grow(b.sorted[:0], len(pend))[:len(pend)]
+	for _, p := range pend {
+		sorted[count[p.te-b.lo]] = p
+		count[p.te-b.lo]++
+	}
+	b.sorted = sorted
+	for start := 0; start < len(sorted); start += 64 {
+		end := min(start+64, len(sorted))
+		e.resumeBatch(sorted[start:end], results)
 	}
 }
 
@@ -224,10 +257,15 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 // every lane's error-liveness bit (converged lanes retire as failed,
 // matching the scalar convergence cut), and the responding grant/viol
 // signals are compared against the recorded golden responses at
-// consumption cycles — lanes that diverge behaviorally are ejected to
-// grouped resumes from the divergence cycle. A lane still on the golden
-// trajectory when the marked response is consumed saw the golden
-// decision (trap), so its attack failed. lanes must be te-sorted.
+// consumption cycles. A lane that diverges at a DMA read's response
+// stays: that response changes only DMAViol, so the lane keeps the
+// golden core, memory and DMA state and only records its DMAViol
+// offset from golden, and the cut, which compares DMAViol too, skips
+// it while the offset is nonzero. Lanes that diverge at a core access's
+// response are ejected to grouped resumes from the divergence cycle. A
+// lane still on the golden trajectory when the marked response is
+// consumed saw the golden decision (trap), so its attack failed. lanes
+// must be te-sorted.
 func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	b := e.batch
 	g := e.golden
@@ -240,6 +278,10 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	grant := e.SoC.MPU.OutGrant[0]
 	viol := e.SoC.MPU.OutViol[0]
 	trace := g.BusTrace
+	// off[l] is lane l's DMAViol minus the golden run's; offMask holds
+	// the lanes whose offset is nonzero.
+	var off [64]int
+	var offMask uint64
 	//hot
 	for c := startC; ; c++ {
 		for next < len(lanes) && lanes[next].te+1 == c {
@@ -252,6 +294,8 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 		}
 		if useCut {
 			if conv := active &^ sim.RegDiffMask(g.Regs[c]); conv != 0 {
+				b.counts.Withheld += bits.OnesCount64(conv & offMask)
+				conv &^= offMask
 				for m := conv; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					results[lanes[l].idx].ResumeCycles = c - (lanes[l].te + 1)
@@ -281,13 +325,25 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 		}
 		ent := &trace[c]
 		if ent.RespConsumed {
-			div := (sim.Val(grant) ^ logicsim.Broadcast(ent.RespGrant)) |
-				(sim.Val(viol) ^ logicsim.Broadcast(ent.RespViol))
+			vw, gv := sim.Val(viol), logicsim.Broadcast(ent.RespViol)
+			div := (sim.Val(grant) ^ logicsim.Broadcast(ent.RespGrant)) | (vw ^ gv)
 			if div &= active; div != 0 {
-				e.resumeClasses(c, div, lanes, results)
-				active &^= div
-				if active == 0 && next == len(lanes) {
-					return
+				if ent.RespDMARead {
+					for m := div; m != 0; m &= m - 1 {
+						l := bits.TrailingZeros64(m)
+						off[l] += int(vw>>uint(l)&1) - int(gv>>uint(l)&1)
+						offMask &^= 1 << uint(l)
+						if off[l] != 0 {
+							offMask |= 1 << uint(l)
+						}
+					}
+					b.counts.Absorbed += bits.OnesCount64(div)
+				} else {
+					e.resumeClasses(c, div, lanes, &off, results)
+					active &^= div
+					if active == 0 && next == len(lanes) {
+						return
+					}
 				}
 			}
 		}
@@ -298,35 +354,51 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 
 // resumeClasses finishes the batch lanes in div, which diverged from
 // the golden responses at cycle c. Up to c their behavioural state was
-// golden, and the response they consume at c is their own grant/viol
-// pair, so lanes with equal pairs share one behavioural state from then
-// on. Each such class, cut into groups of at most shadowLane lanes,
-// restores the golden state at c with the class's faulty register bits
-// in lanes 0..k-1 and the golden bits in the shadow lanes, exactly as a
-// scalar resume of each lane would hold them, and resumes as a group.
-func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, results []RunResult) {
+// golden except DMAViol, which exceeds golden by the lane's off entry,
+// and the response they consume at c is their own grant/viol pair, so
+// lanes with equal pairs and equal offsets share one behavioural state
+// from then on. Each such class, cut into groups of at most shadowLane
+// lanes, restores the golden state at c with DMAViol raised by the
+// offset, the class's faulty register bits in lanes 0..k-1 and the
+// golden bits in the shadow lanes, exactly as a scalar resume of each
+// lane would hold them, and resumes as a group.
+func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, off *[64]int, results []RunResult) {
 	b := e.batch
 	mpu := e.SoC.MPU
 	gw, vw := b.sim.Val(mpu.OutGrant[0]), b.sim.Val(mpu.OutViol[0])
 	b.sim.RegStateInto(b.laneBuf)
 	var lane [shadowLane]uint8
 	for _, class := range [4]uint64{gw & vw, gw &^ vw, vw &^ gw, ^(gw | vw)} {
-		for m := class & div; m != 0; {
-			n := 0
-			for ; m != 0 && n < shadowLane; m &= m - 1 {
-				lane[n] = uint8(bits.TrailingZeros64(m))
-				n++
+		for rest := class & div; rest != 0; {
+			k := off[bits.TrailingZeros64(rest)]
+			var same uint64
+			for m := rest; m != 0; m &= m - 1 {
+				if l := bits.TrailingZeros64(m); off[l] == k {
+					same |= 1 << uint(l)
+				}
 			}
-			e.restoreTo(c)
-			packLanes(b.packBuf, b.laneBuf, e.golden.Regs[c], lane[:n])
-			e.SoC.Sim.SetRegState(b.packBuf)
-			b.nLanes += n
-			e.resumeGroup(lane[:n], lanes, results)
-			for len(b.groups) > 0 {
-				grp := b.groups[len(b.groups)-1]
-				b.groups = b.groups[:len(b.groups)-1]
-				e.SoC.Restore(grp.cp)
-				e.resumeGroup(grp.lane[:grp.n], lanes, results)
+			rest &^= same
+			for m := same; m != 0; {
+				n := 0
+				for ; m != 0 && n < shadowLane; m &= m - 1 {
+					lane[n] = uint8(bits.TrailingZeros64(m))
+					n++
+				}
+				e.restoreTo(c)
+				e.SoC.DMAViol += k
+				if k != 0 {
+					b.counts.OffsetGroups++
+				}
+				packLanes(b.packBuf, b.laneBuf, e.golden.Regs[c], lane[:n])
+				e.SoC.Sim.SetRegState(b.packBuf)
+				b.counts.Lanes += n
+				e.resumeGroup(lane[:n], lanes, results)
+				for len(b.groups) > 0 {
+					grp := b.groups[len(b.groups)-1]
+					b.groups = b.groups[:len(b.groups)-1]
+					e.SoC.Restore(grp.cp)
+					e.resumeGroup(grp.lane[:grp.n], lanes, results)
+				}
 			}
 		}
 	}
@@ -349,7 +421,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 	limit := g.FinalCycle + e.ResumeMargin
 	useCut := !e.DisableConvergenceCut
 	live := uint64(1)<<len(lane) - 1
-	e.batch.nGroups++
+	e.batch.counts.Groups++
 	//hot
 	for !s.Done() && !s.Marked.Resolved && s.Cycle() < limit {
 		c := s.Cycle()
@@ -359,7 +431,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 					for m := conv; m != 0; m &= m - 1 {
 						p := &lanes[lane[bits.TrailingZeros64(m)]]
 						results[p.idx].ResumeCycles = c - (p.te + 1)
-						e.batch.nCut++
+						e.batch.counts.Cut++
 					}
 					if live &^= conv; live == 0 {
 						return
@@ -401,7 +473,7 @@ func (e *Engine) splitGroup(split uint64, lane []uint8) {
 	}
 	packLanes(grp.cp.MPURegs, grp.cp.MPURegs, grp.cp.MPURegs, src[:grp.n])
 	b.groups = append(b.groups, grp)
-	b.nSplits++
+	b.counts.Splits++
 }
 
 // packLanes writes register words whose lane j is lane src[j] of from

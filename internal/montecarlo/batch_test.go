@@ -76,60 +76,120 @@ func compareCampaigns(t *testing.T, label string, got, want *montecarlo.Campaign
 	}
 }
 
+// batchEvent is a batched-resume event a parity case must produce.
+type batchEvent struct {
+	what string
+	seen func(montecarlo.BatchCounts) bool
+}
+
+var (
+	sharedGroup = batchEvent{"a group of two or more lanes", func(n montecarlo.BatchCounts) bool {
+		// Every ejected lane starts in exactly one class group.
+		return n.Lanes > n.Groups-n.Splits
+	}}
+	laterSplit = batchEvent{"a group split at a later response", func(n montecarlo.BatchCounts) bool {
+		return n.Splits > 0
+	}}
+	dmaKept = batchEvent{"a lane kept in the batch through a divergence at a DMA read", func(n montecarlo.BatchCounts) bool {
+		return n.Absorbed > 0
+	}}
+	cutWithheld = batchEvent{"a cut withheld while a lane's DMAViol offset was nonzero", func(n montecarlo.BatchCounts) bool {
+		return n.Withheld > 0
+	}}
+	offsetGroup = batchEvent{"a group entered with a nonzero DMAViol offset", func(n montecarlo.BatchCounts) bool {
+		return n.OffsetGroups > 0
+	}}
+)
+
+// hardenedEvaluation is the default evaluation with every MPU register
+// hardened (F = 2), so copies of one register attack flip different
+// random subsets of its spot.
+func hardenedEvaluation(t testing.TB) *core.Evaluation {
+	ev := evaluation(t)
+	ev.Engine.Hardened = map[netlist.NodeID]float64{}
+	for _, r := range ev.Engine.SoC.MPU.Netlist.Regs() {
+		ev.Engine.Hardened[r] = 2
+	}
+	return ev
+}
+
 // TestBatchRunParity is the per-sample contract: RunBatch must return
 // exactly what the same sequence of RunOnce calls returns — outcome,
 // classification, flipped set, and the RTL cycle count — including for
-// samples whose lanes diverge behaviorally and finish in grouped
-// resumes. The gate case concentrates strikes on the decision logic;
-// the register case is the default evaluation, whose RTL draws mostly
-// diverge, in classes that share lanes and split again later.
+// samples whose lanes diverge behaviorally. Each case checks its fixed
+// sample stream chunk by chunk until every batch event it requires has
+// occurred, and fails if they have not after maxChunks. The gate cases
+// keep lanes through DMA-read divergences, and on the default attack
+// one such lane's registers return to golden while its DMAViol offset
+// is nonzero, so its cut must wait; the register case groups diverged
+// lanes, some of them with an offset. Lanes that share a group almost
+// never respond differently later, so the split case builds its input:
+// 64 copies of one wide register strike on the hardened evaluation,
+// whose copies flip different subsets of the spot.
 func TestBatchRunParity(t *testing.T) {
+	nominal := func(ev *core.Evaluation, srng *rand.Rand) fault.Sample { return ev.Attack.SampleNominal(srng) }
+	wide := func(ev *core.Evaluation, srng *rand.Rand) fault.Sample {
+		s := ev.Attack.SampleNominal(srng)
+		s.Radius = 6
+		return s
+	}
 	for _, tc := range []struct {
-		name    string
-		ev      func(testing.TB) *core.Evaluation
-		mode    montecarlo.Mode
-		samples int
-		// grouped requires a grouped resume of two or more lanes and a
-		// group started by a later split.
-		grouped bool
+		name string
+		ev   func(testing.TB) *core.Evaluation
+		mode montecarlo.Mode
+		draw func(*core.Evaluation, *rand.Rand) fault.Sample
+		// A chunk is draws × copies samples, each draw repeated copies
+		// times in a row.
+		draws, copies, maxChunks int
+		need                     []batchEvent
 	}{
-		{"gate-concentrated", concentratedEvaluation, montecarlo.GateAttack, 1500, false},
-		{"register-default", evaluation, montecarlo.RegisterAttack, 5000, true},
+		{"gate-concentrated", concentratedEvaluation, montecarlo.GateAttack, nominal, 1500, 1, 1, []batchEvent{dmaKept}},
+		{"gate-default", evaluation, montecarlo.GateAttack, nominal, 5000, 1, 12, []batchEvent{dmaKept, cutWithheld}},
+		{"register-default", evaluation, montecarlo.RegisterAttack, nominal, 5000, 1, 4, []batchEvent{sharedGroup, dmaKept, offsetGroup}},
+		{"register-hardened-wide", hardenedEvaluation, montecarlo.RegisterAttack, wide, 16, 64, 60, []batchEvent{laterSplit}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ev := tc.ev(t)
 			srng := rand.New(rand.NewSource(99))
-			samples := make([]fault.Sample, tc.samples)
-			for i := range samples {
-				samples[i] = ev.Attack.SampleNominal(srng)
-			}
-
 			rngScalar := rand.New(rand.NewSource(17))
-			scalar := make([]montecarlo.RunResult, len(samples))
-			for i, s := range samples {
-				scalar[i] = ev.Engine.RunOnce(rngScalar, s, tc.mode)
-			}
 			rngBatch := rand.New(rand.NewSource(17))
-			batched := ev.Engine.RunBatch(rngBatch, samples, tc.mode)
-			groups, splits, lanes, _ := ev.Engine.GroupCounts()
-
-			rtl, diverged := 0, 0
-			for i := range samples {
-				sr, br := scalar[i], batched[i]
-				if sr.Success != br.Success || sr.Class != br.Class || sr.Path != br.Path ||
-					sr.ResumeCycles != br.ResumeCycles {
-					t.Fatalf("sample %d (%+v): scalar %+v, batched %+v", i, samples[i], sr, br)
-				}
-				if !slices.Equal(sr.Flipped, br.Flipped) {
-					t.Fatalf("sample %d: flipped %v vs %v", i, sr.Flipped, br.Flipped)
-				}
-				if sr.Path == montecarlo.PathRTL {
-					rtl++
-					if sr.Success {
-						diverged++
+			rtl, diverged, checked := 0, 0, 0
+			missing := tc.need
+			for chunk := 0; chunk < tc.maxChunks && len(missing) > 0; chunk++ {
+				samples := make([]fault.Sample, 0, tc.draws*tc.copies)
+				for range tc.draws {
+					s := tc.draw(ev, srng)
+					for range tc.copies {
+						samples = append(samples, s)
 					}
 				}
+				scalar := make([]montecarlo.RunResult, len(samples))
+				for i, s := range samples {
+					scalar[i] = ev.Engine.RunOnce(rngScalar, s, tc.mode)
+				}
+				batched := ev.Engine.RunBatch(rngBatch, samples, tc.mode)
+				for i := range samples {
+					sr, br := scalar[i], batched[i]
+					if sr.Success != br.Success || sr.Class != br.Class || sr.Path != br.Path ||
+						sr.ResumeCycles != br.ResumeCycles {
+						t.Fatalf("chunk %d sample %d (%+v): scalar %+v, batched %+v", chunk, i, samples[i], sr, br)
+					}
+					if !slices.Equal(sr.Flipped, br.Flipped) {
+						t.Fatalf("chunk %d sample %d: flipped %v vs %v", chunk, i, sr.Flipped, br.Flipped)
+					}
+					if sr.Path == montecarlo.PathRTL {
+						rtl++
+						if sr.Success {
+							diverged++
+						}
+					}
+				}
+				checked += len(samples)
+				n := ev.Engine.BatchCounts()
+				missing = slices.DeleteFunc(slices.Clone(missing), func(e batchEvent) bool { return e.seen(n) })
 			}
+			t.Logf("%d samples, %d RTL resumes, %d successful (diverged) lanes; %+v",
+				checked, rtl, diverged, ev.Engine.BatchCounts())
 			// The contract is only meaningful if the batch actually
 			// carried RTL resumes, and successful RTL outcomes prove
 			// diverged lanes were finished (a lane on the golden
@@ -140,21 +200,52 @@ func TestBatchRunParity(t *testing.T) {
 			if diverged == 0 {
 				t.Fatal("no successful RTL samples — no diverged lane was exercised")
 			}
-			t.Logf("%d RTL resumes, %d successful (diverged) lanes; %d lanes in %d groups, %d from later splits",
-				rtl, diverged, lanes, groups, splits)
-			if !tc.grouped {
-				return
-			}
-			// Every ejected lane starts in exactly one class group, so
-			// more lanes than class groups means some group carried two
-			// or more.
-			if lanes <= groups-splits {
-				t.Errorf("%d lanes in %d class groups: no group carried two lanes", lanes, groups-splits)
-			}
-			if splits == 0 {
-				t.Error("no group split at a later response")
+			for _, e := range missing {
+				t.Errorf("no %s in %d samples", e.what, checked)
 			}
 		})
+	}
+}
+
+// TestOffsetGroupEndsInScalarState follows single register attacks
+// whose lane enters a group with a nonzero DMAViol offset: it diverged
+// at a DMA read, stayed in the batch, and diverged again at a core
+// access. The group must start from the state the lane's scalar resume
+// holds at that cycle, DMAViol included, so both resumes must end in
+// the same SoC state. Outcomes alone cannot show a wrong DMAViol here:
+// it feeds only the convergence cut, and on the bundled MPU a lane that
+// diverged at a core access never returns to the golden state.
+func TestOffsetGroupEndsInScalarState(t *testing.T) {
+	ev := evaluation(t)
+	g := ev.Golden
+	srng := rand.New(rand.NewSource(99))
+	rng := rand.New(rand.NewSource(1))
+	found := 0
+	for i := 0; i < 20000 && found < 3; i++ {
+		s := ev.Attack.SampleNominal(srng)
+		before := ev.Engine.BatchCounts().OffsetGroups
+		got := ev.Engine.RunBatch(rng, []fault.Sample{s}, montecarlo.RegisterAttack)[0]
+		if ev.Engine.BatchCounts().OffsetGroups == before {
+			continue
+		}
+		found++
+		grouped := ev.Engine.SoC.Snapshot()
+		want := ev.Engine.RunOnce(rng, s, montecarlo.RegisterAttack)
+		scalar := ev.Engine.SoC.Snapshot()
+		if got.Success != want.Success || got.ResumeCycles != want.ResumeCycles {
+			t.Fatalf("sample %+v: batched %+v, RunOnce %+v", s, got, want)
+		}
+		if grouped.Cycle != scalar.Cycle || grouped.Arch != scalar.Arch ||
+			!slices.Equal(grouped.Mem, scalar.Mem) || !slices.Equal(grouped.MPURegs, scalar.MPURegs) {
+			t.Fatalf("sample %+v: group ended in %+v at cycle %d, scalar resume in %+v at cycle %d",
+				s, grouped.Arch, grouped.Cycle, scalar.Arch, scalar.Cycle)
+		}
+		if c := scalar.Cycle; c < len(g.Arch) && scalar.DMAViol == g.Arch[c].DMAViol {
+			t.Fatalf("sample %+v: DMAViol %d equals golden: no offset to carry", s, scalar.DMAViol)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no register attack in 20000 draws entered a group with a nonzero offset")
 	}
 }
 
@@ -171,10 +262,9 @@ func TestGroupedResumeFullClass(t *testing.T) {
 	found := false
 	for i := 0; i < 10000 && !found; i++ {
 		sample = ev.Attack.SampleNominal(srng)
-		_, _, before, _ := ev.Engine.GroupCounts()
+		before := ev.Engine.BatchCounts().Lanes
 		ev.Engine.RunBatch(rng, []fault.Sample{sample}, montecarlo.RegisterAttack)
-		_, _, after, _ := ev.Engine.GroupCounts()
-		found = after > before
+		found = ev.Engine.BatchCounts().Lanes > before
 	}
 	if !found {
 		t.Fatal("no register attack in 10000 draws diverged into a grouped resume")
@@ -185,12 +275,12 @@ func TestGroupedResumeFullClass(t *testing.T) {
 	for i := range samples {
 		samples[i] = sample
 	}
-	g0, s0, l0, _ := ev.Engine.GroupCounts()
+	n0 := ev.Engine.BatchCounts()
 	got := ev.Engine.RunBatch(rng, samples, montecarlo.RegisterAttack)
-	g1, s1, l1, _ := ev.Engine.GroupCounts()
-	if g1-g0 != 2 || s1-s0 != 0 || l1-l0 != 64 {
+	n1 := ev.Engine.BatchCounts()
+	if n1.Groups-n0.Groups != 2 || n1.Splits-n0.Splits != 0 || n1.Lanes-n0.Lanes != 64 {
 		t.Errorf("64-lane class ran as %d groups (%d splits) over %d lanes, want 2 groups, 0 splits, 64 lanes",
-			g1-g0, s1-s0, l1-l0)
+			n1.Groups-n0.Groups, n1.Splits-n0.Splits, n1.Lanes-n0.Lanes)
 	}
 	for i, r := range got {
 		if r.Success != want.Success || r.Path != want.Path || r.Class != want.Class ||
@@ -220,9 +310,9 @@ func TestGroupedResumeConvergenceCut(t *testing.T) {
 	found := 0
 	for i := 0; i < 4000; i++ {
 		s := evCut.Attack.SampleNominal(srng)
-		_, _, _, before := evCut.Engine.GroupCounts()
+		before := evCut.Engine.BatchCounts().Cut
 		got := evCut.Engine.RunBatch(rng, []fault.Sample{s}, montecarlo.GateAttack)[0]
-		if _, _, _, after := evCut.Engine.GroupCounts(); after == before {
+		if evCut.Engine.BatchCounts().Cut == before {
 			continue
 		}
 		found++

@@ -1,15 +1,15 @@
 package montecarlo
 
-// GroupCounts exposes the grouped-resume counters to the external tests:
-// groups run (classes and splits), groups started by a later split,
-// lanes ejected into groups, and grouped lanes retired through the
-// convergence cut. All are zero before the first batched run.
-func (e *Engine) GroupCounts() (groups, splits, lanes, cut int) {
+// BatchCounts exposes the batched-resume counters to the external tests
+// (see batchCounts). All are zero before the first batched run.
+type BatchCounts = batchCounts
+
+// BatchCounts returns the engine's batched-resume counters so far.
+func (e *Engine) BatchCounts() BatchCounts {
 	if e.batch == nil {
-		return 0, 0, 0, 0
+		return BatchCounts{}
 	}
-	b := e.batch
-	return b.nGroups, b.nSplits, b.nLanes, b.nCut
+	return e.batch.counts
 }
 
 // DropSpotCache discards the engine's radius-query cache, so the next

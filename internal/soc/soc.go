@@ -130,6 +130,10 @@ type BusTraceEntry struct {
 	// grant/viol outputs; RespGrant/RespViol are the golden values it
 	// saw.
 	RespConsumed, RespGrant, RespViol bool
+	// RespDMARead marks a consumed response that belonged to a DMA
+	// read. Whatever its grant/viol, such a response changes nothing
+	// but DMAViol (see commit).
+	RespDMARead bool
 }
 
 // AccessEvent is one issued bus access.
@@ -223,12 +227,13 @@ func (s *SoC) StepInject(inject InjectFunc) {
 	// Phase A: consume the response to an in-flight access. The MPU's
 	// grant/viol outputs are registers, so their pre-Eval values are
 	// the decision latched at the end of the previous cycle.
-	var respConsumed, respGrant, respViol bool
+	var respConsumed, respGrant, respViol, respDMARead bool
 	if s.ConsumesResponse() {
 		grant := s.Sim.Bool(mpu.OutGrant[0])
 		viol := s.Sim.Bool(mpu.OutViol[0])
-		respConsumed, respGrant, respViol = true, grant, viol
 		op := s.pending
+		respConsumed, respGrant, respViol = true, grant, viol
+		respDMARead = op.FromDMA && !op.Write
 		s.pending = busOp{}
 		if op.Marked {
 			s.Marked.Resolved = true
@@ -302,6 +307,7 @@ func (s *SoC) StepInject(inject InjectFunc) {
 			CfgWe: cfgW.we, CfgPriv: s.cpu.Priv,
 			CfgAddr: cfgW.addr, CfgWData: cfgW.wdata,
 			RespConsumed: respConsumed, RespGrant: respGrant, RespViol: respViol,
+			RespDMARead: respDMARead,
 		})
 	}
 
@@ -361,7 +367,14 @@ func (s *SoC) FlipRegsNow(regs []netlist.NodeID) {
 	}
 }
 
-// commit applies a granted access to memory / the core.
+// commit applies a granted access to memory / the core. A DMA read's
+// grant commits nothing, and its viol only increments DMAViol; DMA
+// requests are never marked. So whatever the grant/viol of a DMA read's
+// response, consuming it leaves the same core, memory, DMA engine,
+// pending and last request, trap count and marked outcome: the
+// lane-batched resume relies on this to keep a lane that differs from
+// the golden run only at DMA reads. A DMA write would commit memory and
+// break it.
 func (s *SoC) commit(op busOp) {
 	addr := int(op.Addr) % len(s.Mem)
 	if op.Write {

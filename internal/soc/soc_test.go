@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -492,5 +493,131 @@ func TestDualRailSingleRailFlipFailsSecure(t *testing.T) {
 	}
 	if agree == 0 {
 		t.Fatal("no cycles observed")
+	}
+}
+
+// goldenTrace runs the write benchmark to completion with its bus trace
+// and access log recorded.
+func goldenTrace(t *testing.T) *SoC {
+	t.Helper()
+	s := defaultWrite(t)
+	s.LogBusTrace, s.LogAccesses = true, true
+	s.Run(s.Cfg.MaxCycles)
+	if !s.Done() {
+		t.Fatal("golden run did not halt")
+	}
+	return s
+}
+
+// TestBusTraceFlagsDMAReads checks RespDMARead against the access log:
+// a response consumed at cycle c answers the access issued at c-2, and
+// it is flagged exactly when that access was a DMA read.
+func TestBusTraceFlagsDMAReads(t *testing.T) {
+	s := goldenTrace(t)
+	issued := map[int]AccessEvent{}
+	for _, a := range s.Accesses {
+		issued[a.Cycle] = a
+	}
+	dma, core := 0, 0
+	for c, e := range s.BusTrace {
+		if !e.RespConsumed {
+			if e.RespDMARead {
+				t.Fatalf("cycle %d: no response consumed, but flagged as a DMA read", c)
+			}
+			continue
+		}
+		a, ok := issued[c-2]
+		if !ok {
+			t.Fatalf("cycle %d: response consumed without an access issued at %d", c, c-2)
+		}
+		if want := a.DMA && !a.Write; e.RespDMARead != want {
+			t.Fatalf("cycle %d: RespDMARead = %v for access %+v", c, e.RespDMARead, a)
+		}
+		if e.RespDMARead {
+			dma++
+		} else {
+			core++
+		}
+	}
+	if dma == 0 || core == 0 {
+		t.Fatalf("%d DMA-read and %d core responses: the check needs both", dma, core)
+	}
+}
+
+// firstResponse returns the first cycle after privilege drops at which
+// the golden run consumes a response with the given DMA-read flag.
+func firstResponse(t *testing.T, g *SoC, dmaRead bool) int {
+	t.Helper()
+	for c, e := range g.BusTrace {
+		if e.RespConsumed && e.RespDMARead == dmaRead && c > 2 && !g.BusTrace[c-2].Priv && e.RespGrant {
+			return c
+		}
+	}
+	t.Fatalf("no granted response with RespDMARead = %v", dmaRead)
+	return 0
+}
+
+// flippedPair returns two SoCs on the golden trajectory at the start of
+// cycle c-1, the cycle whose end latches the MPU's decision for the
+// response consumed at c; the second has the config bit flipped.
+func flippedPair(t *testing.T, c int, group string, bit int) (golden, faulty *SoC) {
+	t.Helper()
+	golden, faulty = defaultWrite(t), defaultWrite(t)
+	for golden.Cycle() < c-1 {
+		golden.Step()
+	}
+	cp := golden.Snapshot()
+	faulty.Restore(cp)
+	faulty.FlipRegsNow([]netlist.NodeID{faulty.MPU.Groups[group][bit]})
+	golden.Step()
+	faulty.Step()
+	if golden.Sim.Bool(golden.MPU.OutGrant[0]) == faulty.Sim.Bool(faulty.MPU.OutGrant[0]) {
+		t.Fatalf("flipping %s[%d] left the response at cycle %d granted the same", group, bit, c)
+	}
+	return golden, faulty
+}
+
+// TestDMAReadResponseChangesOnlyDMAViol pins the invariant the
+// lane-batched resume relies on: the response to a DMA read commits
+// nothing and only counts a violation. Two SoCs start from one golden
+// checkpoint; one has the DMA region's user-read permission cleared, so
+// every later DMA read is denied with a violation where the golden run
+// grants it. From then to the end of the run, the two must issue the
+// same bus requests and hold the same memory and architectural state,
+// except DMAViol. The control clears the user region's write
+// permission instead, and the denied core store must change the CPU
+// state.
+func TestDMAReadResponseChangesOnlyDMAViol(t *testing.T) {
+	g := goldenTrace(t)
+	c := firstResponse(t, g, true)
+	golden, faulty := flippedPair(t, c, "cfg_perm2", 0)
+	golden.LogBusTrace, faulty.LogBusTrace = true, true
+	for !golden.Done() || !faulty.Done() {
+		golden.Step()
+		faulty.Step()
+		ga, fa := golden.Arch(), faulty.Arch()
+		if fa.DMAViol <= ga.DMAViol {
+			t.Fatalf("cycle %d: DMAViol %d, golden %d: the denied DMA read was not counted", golden.Cycle(), fa.DMAViol, ga.DMAViol)
+		}
+		fa.DMAViol = ga.DMAViol
+		if fa != ga {
+			t.Fatalf("cycle %d: state %+v, golden %+v", golden.Cycle(), fa, ga)
+		}
+		if !slices.Equal(faulty.Mem, golden.Mem) {
+			t.Fatalf("cycle %d: memory differs", golden.Cycle())
+		}
+		fe, ge := faulty.BusTrace[len(faulty.BusTrace)-1], golden.BusTrace[len(golden.BusTrace)-1]
+		fe.RespGrant, fe.RespViol = ge.RespGrant, ge.RespViol
+		if fe != ge {
+			t.Fatalf("cycle %d: bus %+v, golden %+v", golden.Cycle(), fe, ge)
+		}
+	}
+
+	c = firstResponse(t, g, false)
+	golden, faulty = flippedPair(t, c, "cfg_perm0", 1)
+	golden.Step()
+	faulty.Step()
+	if faulty.Arch().CPU == golden.Arch().CPU {
+		t.Fatalf("a core store denied at cycle %d left the CPU state golden", c)
 	}
 }

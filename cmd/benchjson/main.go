@@ -77,9 +77,13 @@ type benchResult struct {
 	Name string `json:"name"`
 	// NsPerOp is absent from convergence rows, which measure samples
 	// (N), not time.
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	NsPerOp    float64 `json:"ns_per_op,omitempty"`
+	BytesPerOp int64   `json:"bytes_per_op"`
+	// AllocsPerOp is fractional (allocations over iterations), so a
+	// campaign row that allocates once per ten samples reads 0.1, not
+	// the 0 of testing's integer quotient. Records written before it
+	// hold integers, which load unchanged.
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	N           int     `json:"n"`
 	// SamplesPerSec is reported by the campaign suite only.
 	SamplesPerSec float64 `json:"samples_per_sec,omitempty"`
@@ -168,18 +172,22 @@ func writeRecord(path string, v any) {
 
 // record runs one benchmark function and prints + collects its result.
 func record(results *[]benchResult, name string, fn func(b *testing.B)) *benchResult {
-	r := testing.Benchmark(fn)
-	res := benchResult{
+	res := resultOf(name, testing.Benchmark(fn))
+	*results = append(*results, res)
+	fmt.Printf("%-22s %12.0f ns/op %8d B/op %9.3f allocs/op (n=%d)\n",
+		name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.N)
+	return &(*results)[len(*results)-1]
+}
+
+// resultOf converts a benchmark result to a record row.
+func resultOf(name string, r testing.BenchmarkResult) benchResult {
+	return benchResult{
 		Name:        name,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
+		AllocsPerOp: float64(r.MemAllocs) / float64(r.N),
 		N:           r.N,
 	}
-	*results = append(*results, res)
-	fmt.Printf("%-22s %12.0f ns/op %8d B/op %6d allocs/op (n=%d)\n",
-		name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.N)
-	return &(*results)[len(*results)-1]
 }
 
 func runOnceSuite() []benchResult {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCompareRecords pins the regression rule for both row kinds: a
@@ -69,6 +72,28 @@ func TestCompareRecords(t *testing.T) {
 		case strings.HasPrefix(line, "ConvImportance") && !strings.Contains(line, "samples"):
 			t.Errorf("count row not labelled samples: %q", line)
 		}
+	}
+}
+
+// TestFractionalAllocs checks that a row records allocations per op as
+// a fraction, where testing's integer quotient would read 0, and that
+// a record written with integer allocs_per_op still loads.
+func TestFractionalAllocs(t *testing.T) {
+	r := resultOf("CampaignBatchedRegister", testing.BenchmarkResult{N: 10000, T: time.Millisecond, MemAllocs: 527})
+	if r.AllocsPerOp != 0.0527 {
+		t.Errorf("allocs_per_op = %v, want 0.0527", r.AllocsPerOp)
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"benchmarks": [{"name": "RunOnce", "ns_per_op": 8596, "bytes_per_op": 109, "allocs_per_op": 3, "n": 152737}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := loadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Benchmarks[0].AllocsPerOp; got != 3 {
+		t.Errorf("integer record loaded allocs_per_op %v, want 3", got)
 	}
 }
 

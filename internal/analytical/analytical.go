@@ -27,19 +27,20 @@ import (
 )
 
 // cfgField identifies which word of a region's configuration a DFF bit
-// belongs to.
-type cfgField int
+// belongs to; fieldNone marks every node that is no configuration bit.
+type cfgField uint8
 
 const (
-	fieldBase cfgField = iota
+	fieldNone cfgField = iota
+	fieldBase
 	fieldLimit
 	fieldPerm
 )
 
 type cfgLoc struct {
-	region int
 	field  cfgField
-	bit    int
+	region uint8
+	bit    uint8
 }
 
 // Region is a decoded protection region.
@@ -83,21 +84,18 @@ func (p Policy) RangeAllowed(ar soc.AccessRange) bool {
 }
 
 // Evaluator maps MPU register bits to their configuration semantics and
-// evaluates fault outcomes without simulation.
+// evaluates fault outcomes without simulation. Its tables are dense
+// over the netlist's node IDs, so classifying a flip is one array read.
 type Evaluator struct {
 	mpu   *soc.MPU
-	cfg   map[netlist.NodeID]cfgLoc
-	inert map[netlist.NodeID]bool
+	cfg   []cfgLoc
+	inert []bool
 }
 
 // New indexes the MPU's register structure.
 func New(mpu *soc.MPU) (*Evaluator, error) {
-	e := &Evaluator{
-		mpu:   mpu,
-		cfg:   make(map[netlist.NodeID]cfgLoc),
-		inert: make(map[netlist.NodeID]bool),
-	}
-	for i := 0; i < mpu.Config.Regions; i++ {
+	words := make([][3][]netlist.NodeID, mpu.Config.Regions)
+	for i := range words {
 		for f, name := range []string{
 			fmt.Sprintf("cfg_base%d", i),
 			fmt.Sprintf("cfg_limit%d", i),
@@ -107,8 +105,19 @@ func New(mpu *soc.MPU) (*Evaluator, error) {
 			if !ok {
 				return nil, fmt.Errorf("analytical: MPU has no register group %q", name)
 			}
+			words[i][f] = bits
+		}
+	}
+	nn := mpu.Netlist.NumNodes()
+	e := &Evaluator{
+		mpu:   mpu,
+		cfg:   make([]cfgLoc, nn),
+		inert: make([]bool, nn),
+	}
+	for i, fields := range words {
+		for f, bits := range fields {
 			for b, id := range bits {
-				e.cfg[id] = cfgLoc{region: i, field: cfgField(f), bit: b}
+				e.cfg[id] = cfgLoc{field: fieldBase + cfgField(f), region: uint8(i), bit: uint8(b)}
 			}
 		}
 	}
@@ -128,20 +137,27 @@ func New(mpu *soc.MPU) (*Evaluator, error) {
 // grant/violation decision (sticky flags, latched diagnostics,
 // counters). Errors confined to inert registers are memory-type by
 // construction.
-func (e *Evaluator) Inert(id netlist.NodeID) bool { return e.inert[id] }
+func (e *Evaluator) Inert(id netlist.NodeID) bool {
+	return uint(id) < uint(len(e.inert)) && e.inert[id]
+}
+
+// cfgOf returns the configuration bit a node holds; fieldNone for
+// every other node, including IDs outside the netlist.
+func (e *Evaluator) cfgOf(id netlist.NodeID) cfgLoc {
+	if uint(id) < uint(len(e.cfg)) {
+		return e.cfg[id]
+	}
+	return cfgLoc{}
+}
 
 // Covers reports whether every flipped register is within the
 // analytical model (configuration or inert state). The Monte Carlo
 // engine falls back to RTL simulation otherwise.
 func (e *Evaluator) Covers(flipped []netlist.NodeID) bool {
 	for _, id := range flipped {
-		if _, ok := e.cfg[id]; ok {
-			continue
+		if e.cfgOf(id).field == fieldNone && !e.Inert(id) {
+			return false
 		}
-		if e.inert[id] {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -164,21 +180,22 @@ func (e *Evaluator) CurrentPolicy(s *soc.SoC) Policy {
 // Flips on inert registers leave the policy unchanged.
 func (e *Evaluator) Faulted(base Policy, flipped []netlist.NodeID) Policy {
 	p := append(Policy(nil), base...)
+	e.applyFlips(p, flipped)
+	return p
+}
+
+// applyFlips XORs the configuration bits among flipped into p in place.
+func (e *Evaluator) applyFlips(p Policy, flipped []netlist.NodeID) {
 	for _, id := range flipped {
-		loc, ok := e.cfg[id]
-		if !ok {
-			continue
-		}
-		switch loc.field {
+		switch loc := e.cfgOf(id); loc.field {
 		case fieldBase:
-			p[loc.region].Base ^= 1 << uint(loc.bit)
+			p[loc.region].Base ^= 1 << loc.bit
 		case fieldLimit:
-			p[loc.region].Limit ^= 1 << uint(loc.bit)
+			p[loc.region].Limit ^= 1 << loc.bit
 		case fieldPerm:
-			p[loc.region].Perm ^= 1 << uint(loc.bit)
+			p[loc.region].Perm ^= 1 << loc.bit
 		}
 	}
-	return p
 }
 
 // Outcome evaluates whether an attack whose latched errors are the given
@@ -187,9 +204,13 @@ func (e *Evaluator) Faulted(base Policy, flipped []netlist.NodeID) Policy {
 // issued between the injection cycle and the marked access (exclusive):
 // those are the legitimate operations the faulted policy must still
 // permit, or the benchmark traps and halts before the attack. It must
-// only be called when Covers(flipped) is true.
+// only be called when Covers(flipped) is true. It allocates nothing for
+// a policy of at most soc.MaxRegions regions: the flips are applied to
+// a stack copy.
 func (e *Evaluator) Outcome(base Policy, prog *soc.Program, window []soc.AccessEvent, flipped []netlist.NodeID) bool {
-	faulted := e.Faulted(base, flipped)
+	var buf [soc.MaxRegions]Region
+	faulted := append(Policy(buf[:0]), base...)
+	e.applyFlips(faulted, flipped)
 	if !faulted.UserAllowed(prog.IllegalAddr, prog.IllegalWrite) {
 		return false
 	}

@@ -1,6 +1,9 @@
 package analytical
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -231,5 +234,64 @@ func TestNewRejectsForeignNetlist(t *testing.T) {
 	m := &soc.MPU{Config: soc.DefaultMPUConfig(), Groups: map[string][]netlist.NodeID{}}
 	if _, err := New(m); err == nil {
 		t.Error("MPU without register groups accepted")
+	}
+}
+
+// TestFaultedMatchesFlippedSoC checks the evaluator's per-node tables
+// against the SoC itself. For every MPU register alone and for random
+// multi-flip sets, Faulted must equal the policy CurrentPolicy decodes
+// once those bits are flipped in the simulator. Covers and Inert must
+// agree with membership in the configuration and inert register
+// groups, for every node and for IDs outside the netlist.
+func TestFaultedMatchesFlippedSoC(t *testing.T) {
+	s, e := buildSoC(t)
+	s.Run(s.Cfg.MaxCycles)
+	base := e.CurrentPolicy(s)
+	regs := s.MPU.Netlist.Regs()
+	check := func(flips []netlist.NodeID) {
+		t.Helper()
+		s.FlipRegsNow(flips)
+		want := e.CurrentPolicy(s)
+		s.FlipRegsNow(flips)
+		if got := e.Faulted(base, flips); !slices.Equal(got, want) {
+			t.Fatalf("flips %v: Faulted %+v, flipped SoC decodes %+v", flips, got, want)
+		}
+	}
+	for _, r := range regs {
+		check([]netlist.NodeID{r})
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		flips := make([]netlist.NodeID, 2+rng.Intn(7))
+		for j := range flips {
+			flips[j] = regs[rng.Intn(len(regs))]
+		}
+		check(flips)
+	}
+
+	cfg, inert := map[netlist.NodeID]bool{}, map[netlist.NodeID]bool{}
+	for i := 0; i < s.MPU.Config.Regions; i++ {
+		for _, name := range []string{"cfg_base%d", "cfg_limit%d", "cfg_perm%d"} {
+			for _, id := range s.MPU.Groups[fmt.Sprintf(name, i)] {
+				cfg[id] = true
+			}
+		}
+	}
+	for _, name := range []string{"viol_pending", "viol_addr_r", "fsm_state", "access_cnt", "dbg_addr", "dbg_sig", "lockdown"} {
+		for _, id := range s.MPU.Groups[name] {
+			inert[id] = true
+		}
+	}
+	nn := s.MPU.Netlist.NumNodes()
+	for id := netlist.NodeID(-2); id < netlist.NodeID(nn+2); id++ {
+		if got := e.Inert(id); got != inert[id] {
+			t.Errorf("node %d: Inert %v, group membership %v", id, got, inert[id])
+		}
+		if got, want := e.Covers([]netlist.NodeID{id}), cfg[id] || inert[id]; got != want {
+			t.Errorf("node %d: Covers %v, group membership %v", id, got, want)
+		}
+	}
+	if len(cfg) == 0 || len(inert) == 0 {
+		t.Fatalf("%d configuration and %d inert bits: groups missing", len(cfg), len(inert))
 	}
 }

@@ -117,10 +117,18 @@ func (s *Simulator) Reset() {
 
 // SetInput drives a primary input with a 64-lane word.
 func (s *Simulator) SetInput(id netlist.NodeID, word uint64) {
-	if s.nl.Node(id).Type != netlist.Input {
-		panic(fmt.Sprintf("logicsim: SetInput on non-input node %d (%v)", id, s.nl.Node(id).Type))
+	if !s.plan.isInput(id) {
+		s.notInput(id)
 	}
 	s.vals[id] = word
+}
+
+// notInput panics on an attempt to drive a node that is not a primary
+// input. It stays out of line so SetInput inlines into its callers.
+//
+//go:noinline
+func (s *Simulator) notInput(id netlist.NodeID) {
+	panic(fmt.Sprintf("logicsim: SetInput on non-input node %d (%v)", id, s.nl.Node(id).Type))
 }
 
 // SetInputBool drives a primary input with the same value in all lanes.
@@ -292,7 +300,10 @@ func (s *Simulator) ReadWord(bits []netlist.NodeID) uint64 {
 // in all lanes of each node.
 func (s *Simulator) DriveWord(bits []netlist.NodeID, v uint64) {
 	for i, id := range bits {
-		s.SetInputBool(id, v>>uint(i)&1 == 1)
+		if !s.plan.isInput(id) {
+			s.notInput(id)
+		}
+		s.vals[id] = -(v >> uint(i) & 1)
 	}
 }
 

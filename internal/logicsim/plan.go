@@ -72,9 +72,19 @@ type Plan struct {
 	// fanins are pool[off : off+nin].
 	pool []int32
 	// regs are the DFF node indices in netlist.Regs order; regSrc[i]
-	// is regs[i]'s data fanin. Latching is two flat passes over these.
+	// is regs[i]'s data fanin.
 	regs   []int32
 	regSrc []int32
+	// The latch schedule, derived from regs and regSrc: a register
+	// whose data fanin is no register reads a node no latch writes, so
+	// it is latched in place (vals[inPlace[k]] = vals[inPlaceSrc[k]]).
+	// The registers fed by a register (viaScratch, with sources
+	// viaScratchSrc) read their sources into scratch before any
+	// register changes.
+	inPlace, inPlaceSrc       []int32
+	viaScratch, viaScratchSrc []int32
+	// input is a bitset over node IDs marking the primary inputs.
+	input []uint64
 	// initHi lists the registers whose power-on value is 1.
 	initHi []int32
 	// maxFanin is the widest op in the plan (after any peephole
@@ -184,6 +194,17 @@ func CompileWithOptions(nl *netlist.Netlist, opts CompileOptions) (*Plan, error)
 		if node.Init {
 			p.initHi = append(p.initHi, int32(r))
 		}
+		if nl.Node(node.Fanin[0]).Type == netlist.DFF {
+			p.viaScratch = append(p.viaScratch, p.regs[i])
+			p.viaScratchSrc = append(p.viaScratchSrc, p.regSrc[i])
+		} else {
+			p.inPlace = append(p.inPlace, p.regs[i])
+			p.inPlaceSrc = append(p.inPlaceSrc, p.regSrc[i])
+		}
+	}
+	p.input = make([]uint64, (nn+63)/64)
+	for _, id := range nl.Inputs() {
+		p.input[id>>6] |= 1 << uint(id&63)
 	}
 	if !opts.SkipPlanCheck {
 		// Construction-time guard: the plan is about to be shared
@@ -352,17 +373,30 @@ func (p *Plan) EvalInterpreted(vals []uint64) {
 	}
 }
 
-// Latch advances every register over a flat value array: two passes
-// over the index arrays, with scratch (NumRegs words) holding the
-// next-state values so same-cycle register reads stay consistent.
+// Latch advances every register over a flat value array. Registers fed
+// by a register first read their sources into scratch (at least one
+// word per such register; NumRegs words always suffice), so same-cycle
+// register reads stay consistent; every other register reads a node no
+// latch writes and is copied in place, in one pass.
 func (p *Plan) Latch(vals, scratch []uint64) {
 	//hot
-	for i, src := range p.regSrc {
+	for i, src := range p.viaScratchSrc {
 		scratch[i] = vals[src]
 	}
-	for i, r := range p.regs {
+	src := p.inPlaceSrc[:len(p.inPlace)]
+	//hot
+	for i, r := range p.inPlace {
+		vals[r] = vals[src[i]]
+	}
+	//hot
+	for i, r := range p.viaScratch {
 		vals[r] = scratch[i]
 	}
+}
+
+// isInput reports whether a node is a primary input.
+func (p *Plan) isInput(id netlist.NodeID) bool {
+	return uint(id) < uint(p.numNodes) && p.input[id>>6]>>uint(id&63)&1 == 1
 }
 
 // Reset clears a value array to power-on state: all nets 0, registers

@@ -159,8 +159,11 @@ func (e *Engine) newBatchState() *batchState {
 // scalar RunOnce; rng consumption order is identical either way. When
 // the outcome needs an RTL resume the result is returned with Path set
 // to PathRTL and deferred=true, and the caller must complete it through
-// a batched resume before reading Success and ResumeCycles.
-func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res RunResult, te int, deferred bool) {
+// a batched resume before reading Success and ResumeCycles. The fast
+// path appends the flip set to *arena and returns a capped sub-slice of
+// it as the result's Flipped, so it lives exactly as long as the
+// caller's arena.
+func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, arena *[]netlist.NodeID) (res RunResult, te int, deferred bool) {
 	g := e.golden
 	b := e.ensureBatchState(mode)
 	te = g.TargetCycle - sample.T
@@ -192,19 +195,26 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res
 	case RegisterAttack:
 		flips = e.applyHardening(rng, e.spotIndex().DFFWithin(sample.Center, sample.Radius))
 	}
-	res, needRTL := e.classifySingle(sample, te, flips)
+	res, needRTL := e.classifySingle(sample.T, te, flips)
+	if n := len(res.Flipped); n > 0 {
+		*arena = append(*arena, res.Flipped...)
+		res.Flipped = (*arena)[len(*arena)-n : len(*arena) : len(*arena)]
+	}
 	return res, te, needRTL
 }
 
 // RunBatch evaluates the samples exactly as consecutive RunOnce calls
 // would (same rng consumption, bit-identical results) but completes the
 // PathRTL resumes through the lane-batched speculative path. RunGolden
-// must have been called.
+// must have been called. The results own their Flipped sets: the call's
+// flip sets share one arena of its own, never the engine's window
+// arena.
 func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []RunResult {
 	results := make([]RunResult, len(samples))
 	pend := make([]pendingResume, 0, 64)
+	var flips []netlist.NodeID
 	for i, s := range samples {
-		res, te, deferred := e.evalSample(rng, s, mode)
+		res, te, deferred := e.evalSample(rng, s, mode, &flips)
 		results[i] = res
 		if deferred {
 			pend = append(pend, pendingResume{idx: i, te: te, flips: res.Flipped})

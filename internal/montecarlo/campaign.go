@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -290,6 +291,30 @@ func (e *Engine) accumulate(c *Campaign, opts *CampaignOptions, layout *timingsi
 // 64-lane word, small enough that cancellation stays responsive.
 const DefaultBatchWindow = 2048
 
+// windowBufs is runSamplesBatched's per-window scratch. It lives on the
+// engine, so every window of every campaign the engine runs reuses it.
+type windowBufs struct {
+	samples []fault.Sample
+	weights []float64
+	results []RunResult
+	pend    []pendingResume
+	// flips backs the Flipped sets of the window's results and pending
+	// resumes. It is reset when the next window starts, so a window's
+	// flip sets are valid until then: long enough for flushResumes and
+	// accumulate, which retain none of them.
+	flips []netlist.NodeID
+}
+
+// reset empties the buffers for a window of n draws, growing them if
+// needed.
+func (w *windowBufs) reset(n int) {
+	w.samples = slices.Grow(w.samples[:0], n)[:n]
+	w.weights = slices.Grow(w.weights[:0], n)[:n]
+	w.results = slices.Grow(w.results[:0], n)[:n]
+	w.pend = w.pend[:0]
+	w.flips = w.flips[:0]
+}
+
 // runSamplesBatched is runSamples over the lane-batched execution path:
 // draws are buffered in windows, every sample is injected and
 // classified in draw order against the cached golden attack window
@@ -313,10 +338,7 @@ func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.R
 	if window > opts.Samples {
 		window = opts.Samples
 	}
-	samples := make([]fault.Sample, window)
-	weights := make([]float64, window)
-	results := make([]RunResult, window)
-	pend := make([]pendingResume, 0, window)
+	w := &e.win
 	st, _ := sampler.(sampling.Stratal)
 	done := ctx.Done()
 	evaluated := 0
@@ -325,9 +347,9 @@ func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.R
 		if n > window {
 			n = window
 		}
+		w.reset(n)
 		cancelled := false
 		drawn := 0
-		pend = pend[:0]
 		for j := 0; j < n; j++ {
 			select {
 			case <-done:
@@ -338,16 +360,16 @@ func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.R
 				break
 			}
 			sample, weight := sampler.Draw(rng)
-			res, te, deferred := e.evalSample(rng, sample, opts.Mode)
-			samples[j], weights[j], results[j] = sample, weight, res
+			res, te, deferred := e.evalSample(rng, sample, opts.Mode, &w.flips)
+			w.samples[j], w.weights[j], w.results[j] = sample, weight, res
 			if deferred {
-				pend = append(pend, pendingResume{idx: j, te: te, flips: res.Flipped})
+				w.pend = append(w.pend, pendingResume{idx: j, te: te, flips: res.Flipped})
 			}
 			drawn++
 		}
-		e.flushResumes(pend, results)
+		e.flushResumes(w.pend, w.results)
 		for j := 0; j < drawn; j++ {
-			e.accumulate(c, &opts, layout, st, samples[j], weights[j], &results[j])
+			e.accumulate(c, &opts, layout, st, w.samples[j], w.weights[j], &w.results[j])
 			evaluated++
 			agg.observe(shard, c, evaluated == opts.Samples)
 		}

@@ -9,6 +9,7 @@ package montecarlo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/analytical"
@@ -216,10 +217,10 @@ type Engine struct {
 	// are identical either way; only ResumeCycles changes.
 	DisableConvergenceCut bool
 
-	golden  *Golden
-	memType map[netlist.NodeID]bool
-	cache   *stateCache
-	batch   *batchState
+	golden *Golden
+	cache  *stateCache
+	batch  *batchState
+	win    windowBufs
 
 	// Per-run scratch (Engine is single-goroutine).
 	seen    map[netlist.NodeID]bool
@@ -322,12 +323,6 @@ func NewWithOptions(s *soc.SoC, attack *fault.Attack, place *placement.Placement
 		Char: char, Analytical: eval,
 		ResumeMargin:   200,
 		StateCacheSize: DefaultStateCacheSize,
-	}
-	if char != nil {
-		e.memType = make(map[netlist.NodeID]bool, len(char.Regs))
-		for r, rc := range char.Regs {
-			e.memType[r] = rc.MemoryType
-		}
 	}
 	return e, nil
 }
@@ -581,7 +576,10 @@ func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResu
 		return res
 	}
 
-	res, needRTL := e.classifySingle(sample, te, flipped)
+	res, needRTL := e.classifySingle(sample.T, te, flipped)
+	// Copy out of the scratch buffer: the result outlives the run
+	// (campaign attribution, pattern tracking).
+	res.Flipped = slices.Clone(res.Flipped)
 	if needRTL {
 		// Full RTL resume: run until the marked access resolves (or
 		// the run ends some other way — e.g. a spurious trap halts the
@@ -596,15 +594,12 @@ func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResu
 // analytical memory-type evaluation, or lifetime pruning. When none of
 // the shortcut paths apply it returns needRTL=true with Path set to
 // PathRTL, and the caller owes the run an RTL resume (scalar resumeRTL,
-// or a lane of a batched resume). flipped is the caller's scratch; the
-// returned result holds its own copy.
-func (e *Engine) classifySingle(sample fault.Sample, te int, flipped []netlist.NodeID) (res RunResult, needRTL bool) {
+// or a lane of a batched resume). flipped is the caller's scratch, and
+// the returned result's Flipped aliases it (nil when masked): the
+// caller copies it out before the scratch is reused. The classification
+// itself allocates nothing.
+func (e *Engine) classifySingle(t, te int, flipped []netlist.NodeID) (res RunResult, needRTL bool) {
 	g := e.golden
-	if len(flipped) > 0 {
-		// Copy out of the scratch buffer: the result outlives the run
-		// (campaign attribution, pattern tracking).
-		res.Flipped = append([]netlist.NodeID(nil), flipped...)
-	}
 	switch {
 	case len(flipped) == 0:
 		res.Class = Masked
@@ -615,8 +610,9 @@ func (e *Engine) classifySingle(sample fault.Sample, te int, flipped []netlist.N
 	default:
 		res.Class = Mixed
 	}
+	res.Flipped = flipped
 
-	if res.Class == MemoryOnly && sample.T == 0 {
+	if res.Class == MemoryOnly && t == 0 {
 		// The flips latch at the end of the target cycle itself —
 		// after the decision. Memory-type state cannot influence it
 		// anymore.
@@ -633,14 +629,14 @@ func (e *Engine) classifySingle(sample fault.Sample, te int, flipped []netlist.N
 	// Lifetime pruning for computation-type-only errors: if no flipped
 	// register's error can survive until the target cycle, the attack
 	// fails without simulation.
-	if res.Class == Mixed && e.Char != nil && sample.T > 0 {
+	if res.Class == Mixed && e.Char != nil && t > 0 {
 		maxLife := 0.0
 		for _, r := range flipped {
 			if l := e.Char.Lifetime(r); l > maxLife {
 				maxLife = l
 			}
 		}
-		if maxLife < float64(sample.T) {
+		if maxLife < float64(t) {
 			res.Path = PathPruned
 			return res, false
 		}
@@ -679,19 +675,16 @@ func (e *Engine) AttributeSuccess(sample fault.Sample, flipped []netlist.NodeID)
 // allMemoryType reports whether every flipped register is memory-type:
 // either characterized as such by the lifetime campaign, or inert state
 // outside the responding-signal cones (which can never influence the
-// decision and is covered by the analytical model).
+// decision and is covered by the analytical model). Without a
+// characterization no register is memory-type.
 func (e *Engine) allMemoryType(flipped []netlist.NodeID) bool {
-	if e.memType == nil {
+	if e.Char == nil {
 		return false
 	}
 	for _, r := range flipped {
-		if e.memType[r] {
-			continue
+		if !e.Char.MemoryType(r) && (e.Analytical == nil || !e.Analytical.Inert(r)) {
+			return false
 		}
-		if e.Analytical != nil && e.Analytical.Inert(r) {
-			continue
-		}
-		return false
 	}
 	return true
 }

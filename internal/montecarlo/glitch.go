@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -44,45 +45,13 @@ func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunRes
 		return flipped
 	})
 
-	res := RunResult{Flipped: flipped}
-	switch {
-	case len(flipped) == 0:
-		res.Class = Masked
-		res.Path = PathMasked
-		return res
-	case e.allMemoryType(flipped):
-		res.Class = MemoryOnly
-	default:
-		res.Class = Mixed
-	}
-
 	// Glitch flips depend on value transitions, not pulse windows;
 	// the analytical and pruning shortcuts apply unchanged.
-	if res.Class == MemoryOnly && sample.T == 0 {
-		res.Path = PathPruned
-		return res
+	res, needRTL := e.classifySingle(sample.T, te, flipped)
+	res.Flipped = slices.Clone(res.Flipped)
+	if needRTL {
+		res.ResumeCycles, res.Success = e.resumeRTL()
 	}
-	if res.Class == MemoryOnly && e.Analytical != nil && e.Analytical.Covers(flipped) && te > g.SetupEnd {
-		res.Path = PathAnalytical
-		window := g.accessWindow(te, g.MarkedIssue)
-		res.Success = e.Analytical.Outcome(g.Policy, e.SoC.Prog, window, flipped)
-		return res
-	}
-	if res.Class == Mixed && e.Char != nil && sample.T > 0 {
-		maxLife := 0.0
-		for _, r := range flipped {
-			if l := e.Char.Lifetime(r); l > maxLife {
-				maxLife = l
-			}
-		}
-		if maxLife < float64(sample.T) {
-			res.Path = PathPruned
-			return res
-		}
-	}
-
-	res.Path = PathRTL
-	res.ResumeCycles, res.Success = e.resumeRTL()
 	return res
 }
 

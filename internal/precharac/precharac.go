@@ -106,6 +106,13 @@ type Characterization struct {
 	rsDensity  float64
 	combLife   []float64 // [node] effective lifetime of comb gates
 	numNodes   int
+	// life and memType are the per-node facts the Monte Carlo engine
+	// classifies every sample's flips by, dense so a lookup is one
+	// array read: life[id] is Lifetime(id), memType[id] marks the
+	// memory-type registers of Regs. Both are filled once, at the end
+	// of Characterize.
+	life    []float64
+	memType []bool
 }
 
 // Characterize runs all three pre-characterization steps on a SoC that
@@ -150,7 +157,19 @@ func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 		return nil, err
 	}
 	c.computeCombLifetimes(nl)
+	c.fillNodeTables()
 	return c, nil
+}
+
+// fillNodeTables derives the dense per-node lifetime and memory-type
+// tables from Regs and the comb-gate lifetimes.
+func (c *Characterization) fillNodeTables() {
+	c.life = append([]float64(nil), c.combLife...)
+	c.memType = make([]bool, c.numNodes)
+	for r, rc := range c.Regs {
+		c.life[r] = rc.Lifetime
+		c.memType[r] = rc.MemoryType
+	}
 }
 
 // captureTrace records a synthetic-benchmark trace of the MPU netlist.
@@ -440,13 +459,16 @@ func (c *Characterization) Corr(depth int, id netlist.NodeID) float64 {
 // for a combinational gate the maximum lifetime of the registers
 // latching it. Nodes outside the characterized cones report 0.
 func (c *Characterization) Lifetime(id netlist.NodeID) float64 {
-	if rc, ok := c.Regs[id]; ok {
-		return rc.Lifetime
-	}
-	if int(id) < len(c.combLife) {
-		return c.combLife[id]
+	if uint(id) < uint(len(c.life)) {
+		return c.life[id]
 	}
 	return 0
+}
+
+// MemoryType reports whether a node is a characterized memory-type
+// register (Regs[id].MemoryType); every other node reports false.
+func (c *Characterization) MemoryType(id netlist.NodeID) bool {
+	return uint(id) < uint(len(c.memType)) && c.memType[id]
 }
 
 // MemoryRegs returns the memory-type registers, and ComputationRegs the

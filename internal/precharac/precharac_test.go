@@ -355,3 +355,33 @@ func TestPaperCorrelationExample(t *testing.T) {
 		t.Errorf("|g3| = %d, want 5", popcount(g3))
 	}
 }
+
+// TestNodeTablesMatchRegs checks the dense per-node tables behind
+// Lifetime and MemoryType against their sources: for every node, the
+// register's own characterization when it has one, otherwise the comb
+// lifetime and not memory-type; IDs outside the netlist report 0 and
+// false.
+func TestNodeTablesMatchRegs(t *testing.T) {
+	c, _ := getChar(t)
+	mem := 0
+	for id := netlist.NodeID(-2); id < netlist.NodeID(c.numNodes+2); id++ {
+		wantLife, wantMem := 0.0, false
+		if rc, ok := c.Regs[id]; ok {
+			wantLife, wantMem = rc.Lifetime, rc.MemoryType
+		} else if id >= 0 && int(id) < len(c.combLife) {
+			wantLife = c.combLife[id]
+		}
+		if got := c.Lifetime(id); got != wantLife {
+			t.Errorf("node %d: Lifetime %v, want %v", id, got, wantLife)
+		}
+		if got := c.MemoryType(id); got != wantMem {
+			t.Errorf("node %d: MemoryType %v, want %v", id, got, wantMem)
+		}
+		if wantMem {
+			mem++
+		}
+	}
+	if mem == 0 || mem == len(c.Regs) {
+		t.Errorf("%d of %d registers memory-type: the check cannot tell the tables apart", mem, len(c.Regs))
+	}
+}

@@ -37,3 +37,36 @@ func BenchmarkMPUEval(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMPULatch prices one register latch of the bundled MPU, and
+// BenchmarkMPUDriveBusTrace one cycle's replay of the recorded bus
+// interface onto its input ports: the two per-cycle costs of a
+// lane-batched resume next to Eval.
+func BenchmarkMPULatch(b *testing.B) {
+	mpu, err := BuildMPU(DefaultMPUConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := logicsim.New(mpu.Netlist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		sim.Latch()
+	}
+}
+
+func BenchmarkMPUDriveBusTrace(b *testing.B) {
+	mpu, err := BuildMPU(DefaultMPUConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := logicsim.New(mpu.Netlist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ent := BusTraceEntry{Valid: true, Write: true, Addr: 0x1234, CfgAddr: 5, CfgWData: 0xbeef}
+	for i := 0; i < b.N; i++ {
+		mpu.DriveBusTrace(sim, &ent)
+	}
+}

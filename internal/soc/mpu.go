@@ -23,7 +23,8 @@ import (
 
 // MPUConfig sizes the protection unit.
 type MPUConfig struct {
-	// Regions is the number of protection regions (default 4).
+	// Regions is the number of protection regions (default 4, at most
+	// MaxRegions).
 	Regions int
 	// AddrBits is the bus address width (default 16).
 	AddrBits int
@@ -37,6 +38,10 @@ type MPUConfig struct {
 	// countermeasure's scope.
 	DualRail bool
 }
+
+// MaxRegions is the largest number of protection regions BuildMPU
+// accepts.
+const MaxRegions = 4
 
 // DefaultMPUConfig returns the configuration used by all paper
 // experiments: 4 regions over a 16-bit address space.
@@ -125,8 +130,8 @@ func RegionCfgWords(region int) (base, limit, perm int) {
 // is always legal. viol_r — the responding signal — rises for exactly
 // one cycle on an illegal user access.
 func BuildMPU(cfg MPUConfig) (*MPU, error) {
-	if cfg.Regions < 1 || cfg.Regions > 4 {
-		return nil, fmt.Errorf("soc: %d regions unsupported (1..4)", cfg.Regions)
+	if cfg.Regions < 1 || cfg.Regions > MaxRegions {
+		return nil, fmt.Errorf("soc: %d regions unsupported (1..%d)", cfg.Regions, MaxRegions)
 	}
 	if cfg.AddrBits < 4 || cfg.AddrBits > 16 {
 		return nil, fmt.Errorf("soc: %d address bits unsupported (4..16)", cfg.AddrBits)

@@ -51,8 +51,8 @@ lint:
 	else echo "lint: govulncheck not installed, skipping"; fi
 
 # fuzz-smoke gives the fuzz targets a short budget each: enough to
-# catch parser, checkpoint-decoding, request-decoding or
-# evaluator-equivalence regressions without stalling CI.
+# catch parser, checkpoint-decoding, request-decoding, evaluator- or
+# sweep-equivalence regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzNetlistDeserialize -fuzztime=20s
 	$(GO) test ./internal/logicsim/ -run '^FuzzPlanEquivalence$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime=20s
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/montecarlo/ -run '^FuzzCampaignSnapshot$$' -fuzz '^FuzzCampaignSnapshot$$' -fuzztime=20s
 	$(GO) test ./internal/server/ -run '^FuzzJobRequest$$' -fuzz '^FuzzJobRequest$$' -fuzztime=20s
 	$(GO) test ./internal/server/ -run '^FuzzRankRequest$$' -fuzz '^FuzzRankRequest$$' -fuzztime=20s
+	$(GO) test ./internal/timingsim/ -run '^FuzzInjectEquivalence$$' -fuzz '^FuzzInjectEquivalence$$' -fuzztime=20s
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,

@@ -153,6 +153,10 @@ func TestStageShares(t *testing.T) {
 		"repro/internal/placement.(*SpotIndex).DFFWithin",
 		mcEngine + "evalSample",
 		"runtime.gcBgMarkWorker",
+		"repro/internal/timingsim.(*Simulator).visit",
+		"repro/internal/timingsim.(*Simulator).sweep",
+		"repro/internal/timingsim.(*LatchTable).classes",
+		"repro/internal/timingsim.(*Simulator).InjectPruned",
 	}
 	p := &profile{frames: map[uint64][]uint64{}, names: map[uint64]string{}}
 	for i, name := range fn {
@@ -160,21 +164,28 @@ func TestStageShares(t *testing.T) {
 	}
 	// Location ids equal the function ids they hold, except the
 	// inlined ones: in location 20, Step is inlined into resumeGroup,
-	// and in 21 spotOf and DFFWithin are inlined into resumeBatch.
+	// in 21 spotOf and DFFWithin are inlined into resumeBatch, and in
+	// 22 the latch bound is inlined into the pruned entry.
 	for i := range fn {
 		p.frames[uint64(i+1)] = []uint64{uint64(i + 1)}
 	}
 	p.frames[20] = []uint64{2, 3}
 	p.frames[21] = []uint64{8, 9, 5}
+	p.frames[22] = []uint64{14, 15}
 	p.samples = []profSample{
 		{locs: []uint64{1, 20, 5}, values: []uint64{1, 50}}, // grouped resume
 		{locs: []uint64{1, 2, 5}, values: []uint64{1, 20}},  // lane-batched resume
 		{locs: []uint64{6, 7, 10}, values: []uint64{1, 10}}, // draw
 		{locs: []uint64{21, 4}, values: []uint64{1, 15}},    // spot lookup
 		{locs: []uint64{11}, values: []uint64{1, 5}},        // other
+		// A kernel frame under the engine, without the pruned entry on
+		// the stack, is timed sweep; the latch bound is its own stage.
+		{locs: []uint64{1, 12, 13, 10}, values: []uint64{1, 30}}, // timed sweep
+		{locs: []uint64{22, 10}, values: []uint64{1, 20}},        // latch bound
 	}
 	want := map[string]float64{
-		"grouped resume": 0.5, "lane-batched resume": 0.2, "draw": 0.1, "spot lookup": 0.15, otherStage: 0.05,
+		"grouped resume": 50.0 / 150, "lane-batched resume": 20.0 / 150, "draw": 10.0 / 150,
+		"spot lookup": 15.0 / 150, otherStage: 5.0 / 150, "timed sweep": 30.0 / 150, "latch bound": 20.0 / 150,
 	}
 	shares := p.stageShares()
 	if len(shares) != len(stages)+1 || shares[len(shares)-1].Stage != otherStage {

@@ -44,7 +44,9 @@ const mcEngine = "repro/internal/montecarlo.(*Engine)."
 // function on its stack, inlined frames included, and to "other" when
 // there is none. A function matches a pattern it starts with, so a
 // pattern can name a package or a type. The timed sweep includes strike
-// construction; merge includes the per-sample accumulation.
+// construction and every timingsim.Simulator method (the pruned entry,
+// the kernel and the per-cycle tables); merge includes the per-sample
+// accumulation.
 var stages = []struct {
 	name     string
 	patterns []string
@@ -52,7 +54,7 @@ var stages = []struct {
 	{"draw", []string{"repro/internal/sampling."}},
 	{"spot lookup", []string{"repro/internal/placement.(*SpotIndex)."}},
 	{"latch bound", []string{"repro/internal/timingsim.(*LatchTable)."}},
-	{"timed sweep", []string{"repro/internal/fault.(*Attack).StrikeFrom", "repro/internal/timingsim.(*Simulator).InjectPruned"}},
+	{"timed sweep", []string{"repro/internal/fault.(*Attack).StrikeFrom", "repro/internal/timingsim.(*Simulator)."}},
 	{"classify", []string{mcEngine + "classifySingle", "repro/internal/analytical."}},
 	{"lane-batched resume", []string{mcEngine + "resumeBatch"}},
 	{"grouped resume", []string{mcEngine + "resumeClasses", mcEngine + "resumeGroup", mcEngine + "splitGroup"}},

@@ -56,10 +56,10 @@ type batchState struct {
 	// values during cycle c (injection cycles lo <= c <= TargetCycle) —
 	// exactly what a scalar StepInject would hand the inject callback.
 	comb [][]uint64
-	// latch[c-lo] is the timed injection's latch table for cycle c's
-	// register-enable pattern; cycles with equal patterns share one.
+	// cycle[c-lo] is the timed injection's table for cycle c: its flip
+	// tables and the latch table of its register-enable pattern.
 	// Built on the first gate-attack sample only.
-	latch []*timingsim.LatchTable
+	cycle []*timingsim.CycleTable
 	sim   *logicsim.Simulator
 	// laneBuf and packBuf are register-word scratch for packing
 	// ejected lanes into a group.
@@ -109,15 +109,15 @@ type pendingResume struct {
 
 // ensureBatchState records the golden attack window once: the post-Eval
 // value bitsets the gate-level injection consumes and, once a gate
-// attack needs them, their latch tables. The golden register state per
+// attack needs them, their cycle tables. The golden register state per
 // cycle is Golden.Regs.
 func (e *Engine) ensureBatchState(mode Mode) *batchState {
 	b := e.batch
 	if b == nil {
 		b = e.newBatchState()
 	}
-	if mode == GateAttack && b.latch == nil {
-		b.latch = e.Timing.LatchTables(b.comb)
+	if mode == GateAttack && b.cycle == nil {
+		b.cycle = e.Timing.CycleTables(b.comb)
 	}
 	return b
 }
@@ -189,7 +189,7 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, aren
 			// would, skipping strikes that provably reach no latching
 			// window. applyHardening draws only per flipped register,
 			// so rng use is unchanged.
-			injected := e.Timing.InjectPruned(b.comb[te-b.lo], b.latch[te-b.lo], strike)
+			injected := e.Timing.InjectPruned(b.cycle[te-b.lo], strike)
 			flips = e.applyHardening(rng, injected.FlippedRegs)
 		}
 	case RegisterAttack:

@@ -177,6 +177,7 @@ func (c *Cone) Draw(rng *rand.Rand) (fault.Sample, float64) {
 		Radius: c.attack.Technique.SampleRadius(rng),
 		Width:  c.attack.Technique.SampleWidth(rng),
 		Time:   c.attack.Technique.SampleTime(rng),
+		Cycles: c.attack.Technique.Cycles(),
 	}
 	g := c.tDist.Prob(t) * (1 / float64(len(layer)))
 	return s, c.attack.Density(s) / g
@@ -336,29 +337,40 @@ func (im *Importance) Name() string { return "importance" }
 
 // Draw implements Sampler.
 func (im *Importance) Draw(rng *rand.Rand) (fault.Sample, float64) {
-	var s fault.Sample
 	if im.MixUniform > 0 && rng.Float64() < im.MixUniform {
-		s = im.attack.SampleNominal(rng)
-	} else {
-		t := im.tDist.Sample(rng.Float64())
-		layer := im.layers[t]
-		var center netlist.NodeID
-		if im.MixLayer > 0 && rng.Float64() < im.MixLayer {
-			center = layer[rng.Intn(len(layer))]
-		} else {
-			center = layer[im.pDists[t].Sample(rng.Float64())]
-		}
-		s = fault.Sample{
-			T:      t,
-			Center: center,
-			Radius: im.attack.Technique.SampleRadius(rng),
-			Width:  im.attack.Technique.SampleWidth(rng),
-			Time:   im.attack.Technique.SampleTime(rng),
-		}
+		s := im.attack.SampleNominal(rng)
+		f := im.attack.Density(s)
+		g := im.MixUniform*f + (1-im.MixUniform)*im.density(s)
+		return s, f / g
 	}
+	t := im.tDist.Sample(rng.Float64())
+	s, j := im.drawCenter(t, rng)
+	// g_{P|T} of the drawn center is its layer entry's probability,
+	// the value centerP holds for it.
 	f := im.attack.Density(s)
-	g := im.MixUniform*f + (1-im.MixUniform)*im.density(s)
+	g := im.MixUniform*f + (1-im.MixUniform)*im.layerDensity(t, im.pDists[t].Prob(j))
 	return s, f / g
+}
+
+// drawCenter draws a sample in the non-empty layer t from the
+// within-layer mixture, returning it with the center's index in the
+// layer.
+func (im *Importance) drawCenter(t int, rng *rand.Rand) (fault.Sample, int) {
+	layer := im.layers[t]
+	var j int
+	if im.MixLayer > 0 && rng.Float64() < im.MixLayer {
+		j = rng.Intn(len(layer))
+	} else {
+		j = im.pDists[t].Sample(rng.Float64())
+	}
+	return fault.Sample{
+		T:      t,
+		Center: layer[j],
+		Radius: im.attack.Technique.SampleRadius(rng),
+		Width:  im.attack.Technique.SampleWidth(rng),
+		Time:   im.attack.Technique.SampleTime(rng),
+		Cycles: im.attack.Technique.Cycles(),
+	}, j
 }
 
 // density returns the pre-characterization part of g at a sample: the
@@ -367,15 +379,20 @@ func (im *Importance) density(s fault.Sample) float64 {
 	if s.T < 0 || s.T >= len(im.centerP) || im.centerP[s.T] == nil {
 		return 0
 	}
-	layerN := float64(len(im.layers[s.T]))
-	pC := im.centerProb(s.T, s.Center)
+	return im.layerDensity(s.T, im.centerProb(s.T, s.Center))
+}
+
+// layerDensity is density at a center of the non-empty layer t whose
+// correlation-tilt probability g_{P|T} is pC.
+func (im *Importance) layerDensity(t int, pC float64) float64 {
+	layerN := float64(len(im.layers[t]))
 	var pUnif float64
 	if pC > 0 {
 		// Center is in Ω_t; the uniform component covers it too.
 		pUnif = 1 / layerN
 	}
 	mixed := im.MixLayer*pUnif + (1-im.MixLayer)*pC
-	return im.tDist.Prob(s.T) * mixed
+	return im.tDist.Prob(t) * mixed
 }
 
 // TimingProbs implements Sampler.

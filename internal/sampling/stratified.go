@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/fault"
-	"repro/internal/netlist"
 	"repro/internal/stats"
 )
 
@@ -164,22 +163,9 @@ func (s *Stratified) Draw(rng *rand.Rand) (fault.Sample, float64) {
 // likelihood ratio (pi_k / alloc_k) · f_P(c)/g(c|k).
 func (s *Stratified) drawIn(k int, rng *rand.Rand) (fault.Sample, float64) {
 	im := s.inner
-	layer := im.layers[k]
-	var center netlist.NodeID
-	if im.MixLayer > 0 && rng.Float64() < im.MixLayer {
-		center = layer[rng.Intn(len(layer))]
-	} else {
-		center = layer[im.pDists[k].Sample(rng.Float64())]
-	}
-	smp := fault.Sample{
-		T:      k,
-		Center: center,
-		Radius: im.attack.Technique.SampleRadius(rng),
-		Width:  im.attack.Technique.SampleWidth(rng),
-		Time:   im.attack.Technique.SampleTime(rng),
-	}
-	g := im.MixLayer/float64(len(layer)) + (1-im.MixLayer)*im.centerProb(k, center)
-	wCond := im.attack.CenterProb(center) / g
+	smp, j := im.drawCenter(k, rng)
+	g := im.MixLayer/float64(len(im.layers[k])) + (1-im.MixLayer)*im.pDists[k].Prob(j)
+	wCond := im.attack.CenterProb(smp.Center) / g
 	return smp, wCond * s.probs[k] / s.alloc[k]
 }
 

@@ -333,3 +333,67 @@ func TestStratifiedAdaptNeyman(t *testing.T) {
 		}
 	}
 }
+
+// TestDrawWeightsMatchDensity checks, bit for bit over 1e5 draws each,
+// that the importance and stratified weights, which read g_{P|T} from
+// the drawn layer index, equal the weights recomputed from the sample
+// alone through density and centerProb.
+func TestDrawWeightsMatchDensity(t *testing.T) {
+	im := fixtureImportance(t, 10)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 100000; i++ {
+		s, w := im.Draw(rng)
+		f := im.attack.Density(s)
+		want := f / (im.MixUniform*f + (1-im.MixUniform)*im.density(s))
+		if math.Float64bits(w) != math.Float64bits(want) {
+			t.Fatalf("importance draw %d %+v: weight %v, density formula %v", i, s, w, want)
+		}
+	}
+	st := fixtureStratified(t, 10)
+	stream := st.Fork(7)
+	for i := 0; i < 100000; i++ {
+		s, w := stream.Draw(nil)
+		k := s.T
+		g := im.MixLayer/float64(len(im.layers[k])) + (1-im.MixLayer)*st.inner.centerProb(k, s.Center)
+		want := im.attack.CenterProb(s.Center) / g * st.probs[k] / st.alloc[k]
+		if math.Float64bits(w) != math.Float64bits(want) {
+			t.Fatalf("stratified draw %d %+v: weight %v, centerProb formula %v", i, s, w, want)
+		}
+	}
+}
+
+// TestDrawsCarryImpactCycles: under a multi-cycle technique every draw
+// of every sampler disturbs the technique's number of cycles; the
+// engine reads a draw's Cycles, so a sampler that left it 0 would
+// estimate a single-cycle attack.
+func TestDrawsCarryImpactCycles(t *testing.T) {
+	char, nl, place := fixture(t)
+	tech := fault.DefaultRadiation()
+	tech.ImpactCycles = 3
+	a, err := fault.NewAttack("multi", 10, tech, fixtureAttack(t, 10).Candidates, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cone, err := NewCone(a, char, nl, place)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := NewImportance(a, char, nl, place, DefaultAlpha, DefaultBeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := NewStratified(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sp := range map[string]Sampler{
+		"random": &Random{Attack: a}, "importance": im, "cone": cone, "stratified": strat.Fork(1),
+	} {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 10000; i++ {
+			if s, _ := sp.Draw(rng); s.Cycles != 3 {
+				t.Fatalf("%s draw %d: Cycles %d, want 3", name, i, s.Cycles)
+			}
+		}
+	}
+}

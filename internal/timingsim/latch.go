@@ -14,7 +14,7 @@ const latchBoundTolerance = 1e-6
 // Register classes of a latch table. An open register captures through
 // the plain setup/hold window: it is ungated, or its enable is high in
 // the cycle. A closed register is clock-gated with its enable low and
-// needs the window widened by GatedWindowFactor (latchCheck).
+// needs the window widened by GatedWindowFactor (Simulator.latch).
 const (
 	classOpen = iota
 	classClosed
@@ -35,8 +35,8 @@ type nodeBound struct {
 // LatchTable is the latch bound and sweep mask of one register-enable
 // pattern of an injection cycle. It depends on the cycle's fault-free
 // values only through the register enables, so the cycles of an attack
-// window share a few tables (Simulator.LatchTables). A table is
-// immutable and safe for concurrent use.
+// window share a few tables. A table is immutable and safe for
+// concurrent use.
 type LatchTable struct {
 	bound []nodeBound // indexed by node
 	// reach[c] marks, by topological position, the nodes from which a
@@ -50,13 +50,28 @@ type LatchTable struct {
 	minPulse         float64
 }
 
-// LatchTables returns, for the fault-free values of each cycle (the
-// bitsets InjectBits reads), the latch table of that cycle's
-// register-enable pattern. Cycles with the same pattern share one
-// table, so the cost is one reverse-topological pass per distinct
-// pattern.
-func (s *Simulator) LatchTables(cycles [][]uint64) []*LatchTable {
-	out := make([]*LatchTable, len(cycles))
+// CycleTable is what InjectPruned reads about one injection cycle: its
+// fault-free values, the flip table of every cell, and the latch table
+// of its register-enable pattern. A table is immutable and safe for
+// concurrent use.
+type CycleTable struct {
+	// Latch is the latch table of the cycle's enable pattern, shared
+	// with every cycle of the same pattern.
+	Latch *LatchTable
+	vals  []uint64
+	// flips[p] is the flip table of the cell at topological position
+	// p; cells with more than maxTableFanin fanins have none.
+	flips []uint8
+}
+
+// CycleTables returns, for the fault-free values of each cycle (the
+// bitsets InjectBits reads, which the tables keep), the cycle's table.
+// Cycles with the same register-enable pattern share one latch table,
+// so the latch cost is one reverse-topological pass per distinct
+// pattern; the flip tables cost one 8-lane cell evaluation per cell
+// and cycle.
+func (s *Simulator) CycleTables(cycles [][]uint64) []*CycleTable {
+	out := make([]*CycleTable, len(cycles))
 	var opens [][]bool
 	var tables []*LatchTable
 	for i, vb := range cycles {
@@ -71,7 +86,14 @@ func (s *Simulator) LatchTables(cycles [][]uint64) []*LatchTable {
 			opens = append(opens, open)
 			tables = append(tables, s.newLatchTable(open))
 		}
-		out[i] = tables[k]
+		ct := &CycleTable{Latch: tables[k], vals: vb, flips: make([]uint8, len(s.order))}
+		s.values, s.valBits = nil, vb // the values evalFlipTable reads
+		for p := range ct.flips {
+			if !s.cells[p].wide {
+				ct.flips[p] = s.evalFlipTable(int32(p))
+			}
+		}
+		out[i] = ct
 	}
 	return out
 }
@@ -80,11 +102,11 @@ func (s *Simulator) LatchTables(cycles [][]uint64) []*LatchTable {
 // every combinational fanout precedes its fanin; open[r] gives register
 // r's class.
 func (s *Simulator) newLatchTable(open []bool) *LatchTable {
-	gf := max(s.dm.GatedWindowFactor, 1) // as latchCheck scales it
+	gf := max(s.dm.GatedWindowFactor, 1) // as Simulator.latch scales it
 	cp := s.dm.ClockPeriod
-	words := (len(s.delays) + 63) / 64
+	words := (s.nl.NumNodes() + 63) / 64
 	lt := &LatchTable{
-		bound:    make([]nodeBound, len(s.delays)),
+		bound:    make([]nodeBound, s.nl.NumNodes()),
 		reach:    [2][]uint64{make([]uint64, words), make([]uint64, words)},
 		reachAny: make([]uint64, words),
 		winEnd: [2]float64{
@@ -104,29 +126,29 @@ func (s *Simulator) newLatchTable(open []bool) *LatchTable {
 	}
 	att := s.dm.Attenuation
 	for k := len(s.order) - 1; k >= 0; k-- {
-		id := s.order[k]
-		if t := s.cellTypes[id]; t == netlist.Const0 || t == netlist.Const1 {
+		c, next := &s.cells[k], &s.cells[k+1]
+		if c.typ == netlist.Const0 || c.typ == netlist.Const1 {
 			continue // Inject never deposits on a constant
 		}
 		b := none
-		for _, r := range s.regFanout[id] {
-			c := classClosed
-			if open[r] {
-				c = classOpen
+		for _, r := range s.regs[c.regs:next.regs] {
+			cl := classClosed
+			if open[r.id] {
+				cl = classOpen
 			}
-			b.slack[c], b.arrival[c] = 0, 0
+			b.slack[cl], b.arrival[cl] = 0, 0
 		}
-		for _, fo := range s.combFanout[id] {
-			fb, d := &lt.bound[fo], s.delays[fo]
-			for c := range b.slack {
-				b.slack[c] = max(b.slack[c], fb.slack[c]+d-att)
-				b.arrival[c] = min(b.arrival[c], fb.arrival[c]+d)
+		for _, q := range s.fanouts[c.fanout:next.fanout] {
+			fb, d := &lt.bound[s.order[q]], s.cellDelay[s.cells[q].typ]
+			for cl := range b.slack {
+				b.slack[cl] = max(b.slack[cl], fb.slack[cl]+d-att)
+				b.arrival[cl] = min(b.arrival[cl], fb.arrival[cl]+d)
 			}
 		}
-		lt.bound[id] = b
-		for c, arr := range b.arrival {
+		lt.bound[s.order[k]] = b
+		for cl, arr := range b.arrival {
 			if arr < inf {
-				lt.reach[c][k>>6] |= 1 << (uint(k) & 63)
+				lt.reach[cl][k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
 	}
@@ -176,8 +198,8 @@ func (lt *LatchTable) MayLatch(st Strike) bool {
 	return open || closed
 }
 
-// InjectPruned is InjectBits for a cycle whose register-enable pattern
-// has latch table lt, pruned by that table; FlippedRegs is identical to
+// InjectPruned is InjectBits for the cycle of table ct, pruned by its
+// latch table and reading its flip tables; FlippedRegs is identical to
 // InjectBits's. A strike the bound rejects is not swept at all. Any
 // other strike seeds and sweeps only the nodes from which a register
 // that can still latch it is reachable: open registers, plus closed
@@ -185,14 +207,14 @@ func (lt *LatchTable) MayLatch(st Strike) bool {
 // a node is such a node too, so each swept node, and every register
 // driver that can latch, sees the same waves as in the full sweep.
 // ActiveGates and ReachedRegs count only the swept nodes.
-func (s *Simulator) InjectPruned(valbits []uint64, lt *LatchTable, strike Strike) Result {
-	s.values, s.valBits = nil, valbits
-	open, closed := lt.classes(strike)
+func (s *Simulator) InjectPruned(ct *CycleTable, strike Strike) Result {
+	s.values, s.valBits, s.flips = nil, ct.vals, ct.flips
+	open, closed := ct.Latch.classes(strike)
 	switch {
 	case closed:
-		return s.inject(strike, lt.reachAny)
+		return s.inject(strike, ct.Latch.reachAny)
 	case open:
-		return s.inject(strike, lt.reach[classOpen])
+		return s.inject(strike, ct.Latch.reach[classOpen])
 	}
 	s.reset()
 	return Result{}

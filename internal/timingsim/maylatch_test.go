@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netlist"
+	"repro/internal/sampling"
 	"repro/internal/soc"
 	"repro/internal/timingsim"
 )
@@ -23,13 +24,12 @@ type latchTally struct {
 }
 
 // latchCase is one strike in a cycle: the cycle's fault-free values as
-// a callback and as the bitset InjectBits reads, and the latch table of
-// its register-enable pattern.
+// a callback and as the bitset InjectBits reads, and the cycle's table.
 type latchCase struct {
 	nl     *netlist.Netlist
 	values func(netlist.NodeID) bool
 	bits   []uint64
-	table  *timingsim.LatchTable
+	table  *timingsim.CycleTable
 }
 
 // checkSound requires that a strike the latch bound rejects latches
@@ -40,19 +40,19 @@ type latchCase struct {
 func checkSound(t *testing.T, label string, sparse, dense *timingsim.Simulator,
 	lc latchCase, st timingsim.Strike, n *latchTally) {
 	t.Helper()
-	may := lc.table.MayLatch(st)
+	may := lc.table.Latch.MayLatch(st)
 	full := sparse.InjectBits(lc.bits, st)
 	rd := dense.Inject(lc.values, st)
 	if !may && (len(full.FlippedRegs) != 0 || len(rd.FlippedRegs) != 0) {
 		t.Fatalf("%s: bound false but sparse flipped %v, reference flipped %v (strike %+v)",
 			label, full.FlippedRegs, rd.FlippedRegs, st)
 	}
-	pruned := sparse.InjectPruned(lc.bits, lc.table, st)
+	pruned := sparse.InjectPruned(lc.table, st)
 	if !slices.Equal(pruned.FlippedRegs, full.FlippedRegs) || !slices.Equal(rd.FlippedRegs, full.FlippedRegs) {
 		t.Fatalf("%s: pruned sweep flipped %v, full sweep %v, reference %v (strike %+v)",
 			label, pruned.FlippedRegs, full.FlippedRegs, rd.FlippedRegs, st)
 	}
-	if pd := dense.InjectPruned(lc.bits, lc.table, st); !sameResult(pd, pruned) {
+	if pd := dense.InjectPruned(lc.table, st); !sameResult(pd, pruned) {
 		t.Fatalf("%s: pruned reference sweep %+v, pruned sparse sweep %+v (strike %+v)", label, pd, pruned, st)
 	}
 	if pruned.ActiveGates > full.ActiveGates || pruned.ReachedRegs > full.ReachedRegs {
@@ -127,48 +127,12 @@ func TestMayLatchSound(t *testing.T) {
 		}
 	})
 	t.Run("mpu", func(t *testing.T) {
-		// A shortened pre-characterization, as in the montecarlo tests.
-		opts := core.DefaultOptions()
-		opts.Precharac.MaxDepth = 51
-		opts.Precharac.TraceCycles = 768
-		opts.Precharac.LifetimeCap = 120
-		opts.Precharac.Probes = 1
-		fw, err := core.Build(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sampler, err := ev.ImportanceSampler()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fw, ev, sampler, cycles := mpuWindow(t)
 		nl := fw.MPU.Netlist
 		sparse, dense := simPair(t, nl, fw.Opts.Delay)
-		s, err := soc.WithMPU(fw.Opts.SoC, ev.Program, fw.MPU)
-		if err != nil {
-			t.Fatal(err)
-		}
 		g := ev.Golden
 		lo := max(g.TargetCycle-ev.Attack.TRange, 0)
-		idx := min(lo/g.Interval, len(g.Checkpoints)-1)
-		for idx > 0 && g.Checkpoints[idx].Cycle > lo {
-			idx--
-		}
-		s.Restore(g.Checkpoints[idx])
-		for s.Cycle() < lo {
-			s.Step()
-		}
-		var cycles [][]uint64
-		for c := lo; c <= g.TargetCycle; c++ {
-			s.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
-				cycles = append(cycles, timingsim.ValueBits(values, nl.NumNodes()))
-				return nil
-			})
-		}
-		tables := sparse.LatchTables(cycles)
+		tables := sparse.CycleTables(cycles)
 		rng := rand.New(rand.NewSource(5))
 		var n latchTally
 		for i, vb := range cycles {
@@ -228,10 +192,10 @@ func TestMayLatchSound(t *testing.T) {
 			lc := newLatchCase(sim, nl, values)
 			start := dm.ClockPeriod - tc.setup
 			edge := timingsim.Strike{Gates: []netlist.NodeID{g}, Time: start, Width: dm.ClockPeriod + tc.hold - start}
-			if !lc.table.MayLatch(edge) {
+			if !lc.table.Latch.MayLatch(edge) {
 				t.Fatalf("%s: deposit spanning the window rejected", tc.name)
 			}
-			for _, res := range []timingsim.Result{sim.Inject(values, edge), sim.InjectPruned(lc.bits, lc.table, edge)} {
+			for _, res := range []timingsim.Result{sim.Inject(values, edge), sim.InjectPruned(lc.table, edge)} {
 				if len(res.FlippedRegs) != 1 || res.FlippedRegs[0] != r {
 					t.Fatalf("%s: deposit spanning the window flipped %v, want [%d]", tc.name, res.FlippedRegs, r)
 				}
@@ -242,7 +206,7 @@ func TestMayLatchSound(t *testing.T) {
 			short := edge
 			short.Width--
 			for _, st := range []timingsim.Strike{late, short} {
-				if lc.table.MayLatch(st) {
+				if lc.table.Latch.MayLatch(st) {
 					t.Fatalf("%s: deposit [%v, %v) 1 ps short of the window kept", tc.name, st.Time, st.Time+st.Width)
 				}
 				if res := sim.Inject(values, st); len(res.FlippedRegs) != 0 {
@@ -254,10 +218,58 @@ func TestMayLatchSound(t *testing.T) {
 	})
 }
 
+// mpuWindow builds the bundled MPU with a shortened
+// pre-characterization, as in the montecarlo tests, and returns it with
+// its evaluation, the importance sampler and the fault-free value
+// bitset of every cycle of the golden attack window.
+func mpuWindow(t *testing.T) (*core.Framework, *core.Evaluation, sampling.Sampler, [][]uint64) {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Precharac.MaxDepth = 51
+	opts.Precharac.TraceCycles = 768
+	opts.Precharac.LifetimeCap = 120
+	opts.Precharac.Probes = 1
+	fw, err := core.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := fw.MPU.Netlist
+	s, err := soc.WithMPU(fw.Opts.SoC, ev.Program, fw.MPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ev.Golden
+	lo := max(g.TargetCycle-ev.Attack.TRange, 0)
+	idx := min(lo/g.Interval, len(g.Checkpoints)-1)
+	for idx > 0 && g.Checkpoints[idx].Cycle > lo {
+		idx--
+	}
+	s.Restore(g.Checkpoints[idx])
+	for s.Cycle() < lo {
+		s.Step()
+	}
+	var cycles [][]uint64
+	for c := lo; c <= g.TargetCycle; c++ {
+		s.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
+			cycles = append(cycles, timingsim.ValueBits(values, nl.NumNodes()))
+			return nil
+		})
+	}
+	return fw, ev, sampler, cycles
+}
+
 // newLatchCase builds the latch case of one cycle's values.
 func newLatchCase(sim *timingsim.Simulator, nl *netlist.Netlist, values func(netlist.NodeID) bool) latchCase {
 	vb := timingsim.ValueBits(values, nl.NumNodes())
-	return latchCase{nl: nl, values: values, bits: vb, table: sim.LatchTables([][]uint64{vb})[0]}
+	return latchCase{nl: nl, values: values, bits: vb, table: sim.CycleTables([][]uint64{vb})[0]}
 }
 
 // bitValues reads a value bitset as an Inject callback.
@@ -265,11 +277,11 @@ func bitValues(vb []uint64) func(netlist.NodeID) bool {
 	return func(id netlist.NodeID) bool { return vb[id>>6]>>(uint(id)&63)&1 == 1 }
 }
 
-// distinct counts the distinct tables in a per-cycle list.
-func distinct(tables []*timingsim.LatchTable) int {
+// distinct counts the distinct latch tables in a per-cycle list.
+func distinct(tables []*timingsim.CycleTable) int {
 	seen := map[*timingsim.LatchTable]bool{}
-	for _, lt := range tables {
-		seen[lt] = true
+	for _, ct := range tables {
+		seen[ct.Latch] = true
 	}
 	return len(seen)
 }

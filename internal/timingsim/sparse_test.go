@@ -126,15 +126,74 @@ func wavesEqual(a, b []Interval) bool {
 	return true
 }
 
-// TestSparseMatchesReferenceSweep drives ~1k random strikes through the
-// sparse fault-cone sweep and the dense full-order reference sweep and
-// requires bit-identical results — including the waveform of every
-// node, not just the latched registers.
+// buildReconvergentDesign returns a random netlist in which each XOR
+// recombines a node's transient from a short and a long path, so it
+// sees several waved fanins with shifted spans.
+func buildReconvergentDesign(rng *rand.Rand) *netlist.Netlist {
+	nl := netlist.New(512)
+	var pool []netlist.NodeID
+	for i := 0; i < 10; i++ {
+		pool = append(pool, nl.AddInput("in"))
+	}
+	pick := func() netlist.NodeID { return pool[rng.Intn(len(pool))] }
+	for i := 0; i < 80; i++ {
+		x := pick()
+		short := nl.AddGate(netlist.Buf, x)
+		long := nl.AddGate(netlist.Inv, nl.AddGate(netlist.Buf, nl.AddGate(netlist.Buf, x)))
+		pool = append(pool, short, long, nl.AddGate(netlist.Xor, short, long, pick()),
+			nl.AddGate(netlist.Nand, pick(), pick()))
+	}
+	for i := 0; i < 24; i++ {
+		r := nl.AddDFF(pick(), "", false)
+		if rng.Intn(3) == 0 {
+			nl.SetDFFEnable(r, pick())
+		}
+	}
+	if err := nl.Validate(); err != nil {
+		panic(err)
+	}
+	return nl
+}
+
+// settle overwrites the value of every combinational node with its
+// cell function over its fanins' values, which makes vals a consistent
+// evaluation from its input and register values.
+func settle(nl *netlist.Netlist, vals []bool) {
+	order, err := nl.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	for _, id := range order {
+		node := nl.Node(id)
+		in := make([]uint64, len(node.Fanin))
+		for j, f := range node.Fanin {
+			if vals[f] {
+				in[j] = 1
+			}
+		}
+		vals[id] = netlist.EvalCell(node.Type, in)&1 == 1
+	}
+}
+
+// TestSparseMatchesReferenceSweep drives ~1.5k random strikes through
+// the sparse kernel and the dense full-order reference sweep, through
+// Inject, InjectBits and InjectPruned, and requires bit-identical
+// results — including the waveform of every node, not just the latched
+// registers. Values are random on odd trials, so not a consistent
+// evaluation, and settled from random inputs and registers on even
+// ones. The designs are four random layered ones and one of
+// reconvergent XORs; the strikes must reach cells too wide for a flip
+// table and narrow cells with several waved fanins.
 func TestSparseMatchesReferenceSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	dm := DefaultDelayModel()
-	for design := 0; design < 4; design++ {
+	var wideWaved, multiWaved int
+	for design := 0; design < 5; design++ {
 		nl := buildRandomDesign(rng)
+		if design == 4 {
+			nl = buildReconvergentDesign(rng)
+		}
+		n := nl.NumNodes()
 		sparse, err := New(nl, dm)
 		if err != nil {
 			t.Fatal(err)
@@ -145,22 +204,57 @@ func TestSparseMatchesReferenceSweep(t *testing.T) {
 		}
 		dense.SetReferenceSweep(true)
 		for trial := 0; trial < 300; trial++ {
-			values := randomValues(rng, nl.NumNodes())
-			st := randomStrike(rng, dm, nl.NumNodes())
-			rs := sparse.Inject(values, st)
-			rd := dense.Inject(values, st)
-			if !resultsEqual(rs, rd) {
-				t.Fatalf("design %d trial %d: sparse %+v != dense %+v (strike %+v)",
-					design, trial, rs, rd, st)
+			vals := make([]bool, n)
+			for i := range vals {
+				vals[i] = rng.Intn(2) == 0
 			}
-			for i := 0; i < nl.NumNodes(); i++ {
-				id := netlist.NodeID(i)
-				if !wavesEqual(sparse.Wave(id), dense.Wave(id)) {
-					t.Fatalf("design %d trial %d: node %d wave sparse %v != dense %v",
-						design, trial, i, sparse.Wave(id), dense.Wave(id))
+			if trial%2 == 0 {
+				settle(nl, vals)
+			}
+			values := func(id netlist.NodeID) bool { return vals[id] }
+			vb := valueBits(values, n)
+			ct := sparse.CycleTables([][]uint64{vb})[0]
+			st := randomStrike(rng, dm, n)
+			same := func(entry string, rs, rd Result) {
+				t.Helper()
+				if !resultsEqual(rs, rd) {
+					t.Fatalf("design %d trial %d %s: sparse %+v != dense %+v (strike %+v)",
+						design, trial, entry, rs, rd, st)
+				}
+				for i := 0; i < n; i++ {
+					id := netlist.NodeID(i)
+					if !wavesEqual(sparse.Wave(id), dense.Wave(id)) {
+						t.Fatalf("design %d trial %d %s: node %d wave sparse %v != dense %v",
+							design, trial, entry, i, sparse.Wave(id), dense.Wave(id))
+					}
 				}
 			}
+			same("Inject", sparse.Inject(values, st), dense.Inject(values, st))
+			for i := 0; i < n; i++ {
+				node := nl.Node(netlist.NodeID(i))
+				if node.Type == netlist.DFF || len(sparse.Wave(netlist.NodeID(i))) == 0 {
+					continue
+				}
+				waved := 0
+				for _, f := range node.Fanin {
+					if len(sparse.Wave(f)) > 0 {
+						waved++
+					}
+				}
+				if len(node.Fanin) > maxTableFanin {
+					wideWaved++
+				} else if waved > 1 {
+					multiWaved++
+				}
+			}
+			same("InjectBits", sparse.InjectBits(vb, st), dense.InjectBits(vb, st))
+			same("InjectPruned", sparse.InjectPruned(ct, st), dense.InjectPruned(ct, st))
 		}
+	}
+	t.Logf("waved cells wider than a flip table: %d; narrow waved cells with several waved fanins: %d",
+		wideWaved, multiWaved)
+	if wideWaved == 0 || multiWaved == 0 {
+		t.Fatal("the strikes never reached a wide cell or a narrow cell's several fanins")
 	}
 }
 
@@ -181,7 +275,7 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 	for i := range cycles {
 		cycles[i] = valueBits(randomValues(rng, nl.NumNodes()), nl.NumNodes())
 	}
-	tables := base.LatchTables(cycles)
+	tables := base.CycleTables(cycles)
 	const workers = 4
 	const trials = 200
 	type runs struct {
@@ -201,12 +295,12 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 			for i := 0; i < trials; i++ {
 				k := i % len(cycles)
 				st := randomStrike(wrng, dm, nl.NumNodes())
-				may := tables[k].MayLatch(st)
+				may := tables[k].Latch.MayLatch(st)
 				res := sim.InjectBits(cycles[k], st)
 				if !may && len(res.FlippedRegs) > 0 {
 					t.Errorf("worker %d trial %d: bound false but flipped %v", w, i, res.FlippedRegs)
 				}
-				if pr := sim.InjectPruned(cycles[k], tables[k], st); !wavesEqualIDs(pr.FlippedRegs, res.FlippedRegs) {
+				if pr := sim.InjectPruned(tables[k], st); !wavesEqualIDs(pr.FlippedRegs, res.FlippedRegs) {
 					t.Errorf("worker %d trial %d: pruned sweep flipped %v, full sweep %v", w, i, pr.FlippedRegs, res.FlippedRegs)
 				}
 				out[w].flipped = append(out[w].flipped,

@@ -32,8 +32,11 @@
 //     perfbench's options (repeated a few passes) and records each
 //     stage's share of the profile: draw, spot lookup, latch bound,
 //     timed sweep, classify, lane-batched resume, grouped resume,
-//     resume ordering, merge and other. Shares, not times, so the
-//     record is not gated.
+//     resume ordering, merge and other. It adds the multi-engine rows:
+//     the gate_importance answers through RunAdaptiveParallel on 1 and
+//     2 engines, with the median wall time per answer and samples per
+//     second. Shares and wall times on a shared host, so the record is
+//     not gated.
 //
 // It uses the same setup as the root go-bench harness, so the numbers
 // are comparable to `go test -bench`.

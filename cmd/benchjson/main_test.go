@@ -6,10 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/timingsim"
 )
 
 // TestCompareRecords pins the regression rule for both row kinds: a
@@ -139,8 +143,11 @@ func TestParseProfile(t *testing.T) {
 }
 
 // TestStageShares attributes hand-built stacks: each sample goes to the
-// innermost stage function on its stack, inlined frames included.
+// innermost stage function on its stack, inlined frames included. The
+// latch bound's frame takes its name from the function itself, so the
+// stage follows the bound wherever it lives.
 func TestStageShares(t *testing.T) {
+	bound := runtime.FuncForPC(reflect.ValueOf((*timingsim.CycleTable).MayLatch).Pointer()).Name()
 	fn := []string{
 		"runtime.memmove",
 		"repro/internal/logicsim.(*Simulator).Step",
@@ -155,8 +162,9 @@ func TestStageShares(t *testing.T) {
 		"runtime.gcBgMarkWorker",
 		"repro/internal/timingsim.(*Simulator).visit",
 		"repro/internal/timingsim.(*Simulator).sweep",
-		"repro/internal/timingsim.(*LatchTable).classes",
+		"repro/internal/timingsim.(*CycleTable).classes",
 		"repro/internal/timingsim.(*Simulator).InjectPruned",
+		bound,
 	}
 	p := &profile{frames: map[uint64][]uint64{}, names: map[uint64]string{}}
 	for i, name := range fn {
@@ -173,7 +181,7 @@ func TestStageShares(t *testing.T) {
 	p.frames[21] = []uint64{8, 9, 5}
 	p.frames[22] = []uint64{14, 15}
 	p.samples = []profSample{
-		{locs: []uint64{1, 20, 5}, values: []uint64{1, 50}}, // grouped resume
+		{locs: []uint64{1, 20, 5}, values: []uint64{3, 50}}, // grouped resume, 3 profile samples
 		{locs: []uint64{1, 2, 5}, values: []uint64{1, 20}},  // lane-batched resume
 		{locs: []uint64{6, 7, 10}, values: []uint64{1, 10}}, // draw
 		{locs: []uint64{21, 4}, values: []uint64{1, 15}},    // spot lookup
@@ -182,10 +190,16 @@ func TestStageShares(t *testing.T) {
 		// the stack, is timed sweep; the latch bound is its own stage.
 		{locs: []uint64{1, 12, 13, 10}, values: []uint64{1, 30}}, // timed sweep
 		{locs: []uint64{22, 10}, values: []uint64{1, 20}},        // latch bound
+		// The exported bound, called from the engine.
+		{locs: []uint64{16, 10}, values: []uint64{1, 10}}, // latch bound
 	}
 	want := map[string]float64{
-		"grouped resume": 50.0 / 150, "lane-batched resume": 20.0 / 150, "draw": 10.0 / 150,
-		"spot lookup": 15.0 / 150, otherStage: 5.0 / 150, "timed sweep": 30.0 / 150, "latch bound": 20.0 / 150,
+		"grouped resume": 50.0 / 160, "lane-batched resume": 20.0 / 160, "draw": 10.0 / 160,
+		"spot lookup": 15.0 / 160, otherStage: 5.0 / 160, "timed sweep": 30.0 / 160, "latch bound": 30.0 / 160,
+	}
+	// The count is the records' first values, not the record count.
+	if n := p.count(); n != len(p.samples)+2 {
+		t.Errorf("count %d, want %d", n, len(p.samples)+2)
 	}
 	shares := p.stageShares()
 	if len(shares) != len(stages)+1 || shares[len(shares)-1].Stage != otherStage {

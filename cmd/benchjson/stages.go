@@ -9,16 +9,20 @@ import (
 	"io"
 	"runtime/pprof"
 	"strings"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/montecarlo"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 )
 
 // stageRecord is BENCH_stages.json: per workload, the share of a
-// time-to-answer run's CPU time spent in each stage.
+// time-to-answer run's CPU time spent in each stage, and the
+// multi-engine rows.
 type stageRecord struct {
-	Workloads []stageSplit `json:"workloads"`
+	Workloads []stageSplit  `json:"workloads"`
+	Parallel  []parallelRow `json:"parallel"`
 }
 
 type stageSplit struct {
@@ -26,7 +30,8 @@ type stageSplit struct {
 	Answers int    `json:"answers"`
 	Passes  int    `json:"passes"`
 	// Samples is the number of Monte Carlo samples over all passes,
-	// CPUSamples the number of profile samples the shares come from.
+	// CPUSamples the number of profile samples (one per 10 ms of CPU)
+	// the shares come from.
 	Samples    int          `json:"samples"`
 	CPUSamples int          `json:"cpu_samples"`
 	Shares     []stageShare `json:"shares"`
@@ -37,23 +42,38 @@ type stageShare struct {
 	Share float64 `json:"share"`
 }
 
+// parallelRow is one multi-engine row: a workload's answers through
+// RunAdaptiveParallel on a pool of Engines engines, timed on the wall
+// clock (not profiled, and not gated).
+type parallelRow struct {
+	Name    string `json:"name"`
+	Engines int    `json:"engines"`
+	Answers int    `json:"answers"`
+	Samples int    `json:"samples"`
+	// AnswerP50 is the median wall time of one answer; SamplesPerSec
+	// is the samples of all answers over their summed wall time.
+	AnswerP50     float64 `json:"time_to_answer_p50_s"`
+	SamplesPerSec float64 `json:"samples_per_s"`
+}
+
 const mcEngine = "repro/internal/montecarlo.(*Engine)."
 
 // stages lists the stages in report order, each with the functions that
 // open it. A CPU sample belongs to the stage of the innermost such
 // function on its stack, inlined frames included, and to "other" when
 // there is none. A function matches a pattern it starts with, so a
-// pattern can name a package or a type. The timed sweep includes strike
-// construction and every timingsim.Simulator method (the pruned entry,
-// the kernel and the per-cycle tables); merge includes the per-sample
-// accumulation.
+// pattern can name a package or a type. The latch bound is every
+// timingsim.CycleTable method: the check InjectPruned makes and the
+// table's latch pass. The timed sweep includes strike construction and
+// every timingsim.Simulator method (the pruned entry, the kernel and
+// the flip tables); merge includes the per-sample accumulation.
 var stages = []struct {
 	name     string
 	patterns []string
 }{
 	{"draw", []string{"repro/internal/sampling."}},
 	{"spot lookup", []string{"repro/internal/placement.(*SpotIndex)."}},
-	{"latch bound", []string{"repro/internal/timingsim.(*LatchTable)."}},
+	{"latch bound", []string{"repro/internal/timingsim.(*CycleTable)."}},
 	{"timed sweep", []string{"repro/internal/fault.(*Attack).StrikeFrom", "repro/internal/timingsim.(*Simulator)."}},
 	{"classify", []string{mcEngine + "classifySingle", "repro/internal/analytical."}},
 	{"lane-batched resume", []string{mcEngine + "resumeBatch"}},
@@ -85,8 +105,20 @@ const (
 	stagePasses = 5
 )
 
+// answerOptions are perfbench's adaptive options for one answer of
+// workload w.
+func answerOptions(w int, seed int64) montecarlo.AdaptiveOptions {
+	return montecarlo.AdaptiveOptions{
+		Mode: stageWorkloads[w].mode, Seed: seed, Epsilon: stageWorkloads[w].eps,
+		Risk:       1 / (stats.Z95 * stats.Z95),
+		MinSamples: 10000, MaxSamples: 1 << 21, CheckEvery: 1000,
+		Batch: true,
+	}
+}
+
 // stagesSuite profiles stagePasses passes of stageAnswers answers per
-// workload and splits each profile by stage.
+// workload and splits each profile by stage, then adds the
+// multi-engine rows.
 func stagesSuite() stageRecord {
 	_, ev := setup()
 	pool, err := ev.NewEnginePool(1)
@@ -94,7 +126,7 @@ func stagesSuite() stageRecord {
 		fatal(err)
 	}
 	var rec stageRecord
-	for _, w := range stageWorkloads {
+	for wi, w := range stageWorkloads {
 		var sp sampling.Sampler = ev.RandomSampler()
 		if w.importance {
 			if sp, err = ev.ImportanceSampler(); err != nil {
@@ -108,12 +140,7 @@ func stagesSuite() stageRecord {
 		samples := 0
 		for range stagePasses {
 			for a := range stageAnswers {
-				c, err := pool.RunAdaptive(context.Background(), sp, montecarlo.AdaptiveOptions{
-					Mode: w.mode, Seed: w.seedBase + int64(a), Epsilon: w.eps,
-					Risk:       1 / (stats.Z95 * stats.Z95),
-					MinSamples: 10000, MaxSamples: 1 << 21, CheckEvery: 1000,
-					Batch: true,
-				})
+				c, err := pool.RunAdaptive(context.Background(), sp, answerOptions(wi, w.seedBase+int64(a)))
 				if err != nil {
 					pprof.StopCPUProfile()
 					fatal(fmt.Errorf("%s answer %d: %w", w.name, a, err))
@@ -127,14 +154,56 @@ func stagesSuite() stageRecord {
 			fatal(fmt.Errorf("%s: %w", w.name, err))
 		}
 		split := stageSplit{Name: w.name, Answers: stageAnswers, Passes: stagePasses, Samples: samples,
-			CPUSamples: len(prof.samples), Shares: prof.stageShares()}
+			CPUSamples: prof.count(), Shares: prof.stageShares()}
 		fmt.Printf("%s: %d samples, %d profile samples\n", w.name, samples, split.CPUSamples)
 		for _, s := range split.Shares {
 			fmt.Printf("  %-20s %5.1f%%\n", s.Stage, 100*s.Share)
 		}
 		rec.Workloads = append(rec.Workloads, split)
 	}
+	for _, n := range []int{1, 2} {
+		rec.Parallel = append(rec.Parallel, parallelRowOf(ev, n))
+	}
 	return rec
+}
+
+// parallelRowOf times stagePasses passes of stageAnswers gate_importance
+// answers through RunAdaptiveParallel on a pool of n engines, after one
+// warm-up answer that builds every engine's batch state.
+func parallelRowOf(ev *core.Evaluation, n int) parallelRow {
+	pool, err := ev.NewEnginePool(n)
+	if err != nil {
+		fatal(err)
+	}
+	sp, err := ev.ImportanceSampler()
+	if err != nil {
+		fatal(err)
+	}
+	w := stageWorkloads[0]
+	answer := func(seed int64) int {
+		c, err := montecarlo.RunAdaptiveParallel(context.Background(), pool.Engines, sp, answerOptions(0, seed))
+		if err != nil {
+			fatal(fmt.Errorf("%s on %d engines, seed %d: %w", w.name, n, seed, err))
+		}
+		return c.Est.N()
+	}
+	answer(w.seedBase - 1)
+	row := parallelRow{Name: w.name, Engines: n, Answers: stagePasses * stageAnswers}
+	times := make([]float64, 0, row.Answers)
+	total := 0.0
+	for range stagePasses {
+		for a := range stageAnswers {
+			start := time.Now()
+			row.Samples += answer(w.seedBase + int64(a))
+			times = append(times, time.Since(start).Seconds())
+			total += times[len(times)-1]
+		}
+	}
+	row.AnswerP50 = stats.Quantile(times, 0.5)
+	row.SamplesPerSec = float64(row.Samples) / total
+	fmt.Printf("%s, RunAdaptiveParallel on %d engines: p50 %.4f s per answer, %.0f samples/s\n",
+		w.name, n, row.AnswerP50, row.SamplesPerSec)
+	return row
 }
 
 // profile is the part of a pprof profile the stage split reads.
@@ -169,6 +238,19 @@ func (p *profile) stageOf(s profSample) string {
 		}
 	}
 	return otherStage
+}
+
+// count returns the number of profile samples: a CPU profile records
+// one sample record per distinct stack, whose first value counts the
+// samples taken there.
+func (p *profile) count() int {
+	n := 0
+	for _, s := range p.samples {
+		if len(s.values) > 0 {
+			n += int(s.values[0])
+		}
+	}
+	return n
 }
 
 // stageShares returns every stage's share of the profile's weight, its

@@ -57,8 +57,8 @@ type batchState struct {
 	// exactly what a scalar StepInject would hand the inject callback.
 	comb [][]uint64
 	// cycle[c-lo] is the timed injection's table for cycle c: its flip
-	// tables and the latch table of its register-enable pattern.
-	// Built on the first gate-attack sample only.
+	// tables, latch bound and sweep mask. Built on the first
+	// gate-attack sample only.
 	cycle []*timingsim.CycleTable
 	sim   *logicsim.Simulator
 	// laneBuf and packBuf are register-word scratch for packing

@@ -9,6 +9,7 @@ var (
 	RandomValues      = randomValues
 	RandomStrike      = randomStrike
 	ValueBits         = valueBits
+	Settle            = settle
 )
 
 // FlipTable returns the flip table ct holds for node id's cell, and
@@ -20,4 +21,27 @@ func (ct *CycleTable) FlipTable(s *Simulator, id netlist.NodeID) (uint8, bool) {
 		return 0, false
 	}
 	return ct.flips[p], true
+}
+
+// EdgeCounts counts, over the cells that have a flip table in ct, the
+// combinational fanin edges the latch bound skips as dead, and the
+// cells whose table has bit {} set, which keep every edge.
+func (ct *CycleTable) EdgeCounts(s *Simulator) (dead, keepAll int) {
+	never := int32(len(s.order))
+	for p := range s.order {
+		c := &s.cells[p]
+		if c.wide {
+			continue
+		}
+		if ct.flips[p]&1 != 0 {
+			keepAll++
+			continue
+		}
+		for _, q := range c.in {
+			if q != never && !ct.liveEdge(s, int32(p), q) {
+				dead++
+			}
+		}
+	}
+	return dead, keepAll
 }

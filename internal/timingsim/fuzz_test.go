@@ -95,7 +95,8 @@ func decodeInjectCase(data []byte) (*netlist.Netlist, []uint64, Strike) {
 // FuzzInjectEquivalence decodes a netlist, its fault-free values and a
 // strike from the input and requires the kernel to match the dense
 // reference sweep, in the result and in every node's wave, through
-// Inject, InjectBits and InjectPruned.
+// Inject, InjectBits and InjectPruned, and a strike the cycle table's
+// latch bound rejects to latch nothing in either InjectBits.
 func FuzzInjectEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	// A wide XNOR and a Mux2 behind a struck buffer, per-gate widths.
@@ -104,6 +105,9 @@ func FuzzInjectEquivalence(f *testing.F) {
 	// Consistent values, reconvergent fanouts of one input.
 	f.Add([]byte{0, 1, 9, 0, 0, 0, 1, 0, 6, 0, 4, 1, 2, 2, 3, 3, 0, 4, 5, 2, 1, 0, 6, 1,
 		1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 180, 150, 0, 2, 0, 2})
+	// Consistent values; a struck buffer whose only path to a register
+	// is fanin 2 of a three-input XOR, wide enough to latch.
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 6, 1, 0, 0, 2, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 180, 100, 0, 1, 2})
 	dm := DefaultDelayModel()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nl, vb, st := decodeInjectCase(data)
@@ -133,7 +137,12 @@ func FuzzInjectEquivalence(f *testing.F) {
 			}
 		}
 		same("Inject", kernel.Inject(values, st), ref.Inject(values, st))
-		same("InjectBits", kernel.InjectBits(vb, st), ref.InjectBits(vb, st))
+		full, dense := kernel.InjectBits(vb, st), ref.InjectBits(vb, st)
+		same("InjectBits", full, dense)
+		if !ct.MayLatch(st) && (len(full.FlippedRegs) != 0 || len(dense.FlippedRegs) != 0) {
+			t.Fatalf("latch bound rejected strike %+v, but InjectBits flipped %v and the reference %v",
+				st, full.FlippedRegs, dense.FlippedRegs)
+		}
 		same("InjectPruned", kernel.InjectPruned(ct, st), ref.InjectPruned(ct, st))
 	})
 }

@@ -1,6 +1,7 @@
 package timingsim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -40,7 +41,7 @@ type latchCase struct {
 func checkSound(t *testing.T, label string, sparse, dense *timingsim.Simulator,
 	lc latchCase, st timingsim.Strike, n *latchTally) {
 	t.Helper()
-	may := lc.table.Latch.MayLatch(st)
+	may := lc.table.MayLatch(st)
 	full := sparse.InjectBits(lc.bits, st)
 	rd := dense.Inject(lc.values, st)
 	if !may && (len(full.FlippedRegs) != 0 || len(rd.FlippedRegs) != 0) {
@@ -87,27 +88,39 @@ func sameResult(a, b timingsim.Result) bool {
 		slices.Equal(a.FlippedRegs, b.FlippedRegs)
 }
 
-// TestMayLatchSound checks the per-cycle latch tables against the timed
-// sweep: whenever a table's bound says no, neither the sparse nor the
-// dense reference Inject may latch a register, and on every strike the
-// pruned sweep must flip exactly what both full sweeps flip. It runs
+// TestMayLatchSound checks the per-cycle tables' latch bound against the
+// timed sweep: whenever a table's bound says no, neither the sparse nor
+// the dense reference Inject may latch a register, and on every strike
+// the pruned sweep must flip exactly what both full sweeps flip. It runs
 // over random designs, whose clock-gated registers see random enables,
-// and over the bundled MPU at every attack-window cycle with
-// importance-sampler strikes. It requires the bound to reject more of
-// the MPU's strikes than an enable-blind bound can, and the mask to
-// prune a real share of the swept gates, so an always-true bound or a
-// mask that prunes nothing fails, and pins the bound's edges at the
-// plain and the widened window.
+// with random values (not a consistent evaluation, so cells with bit {}
+// of their flip table set keep every edge) and with settled ones (so
+// the bound skips dead edges), and over the bundled MPU at every
+// attack-window cycle with importance-sampler strikes. It requires the
+// bound to reject more of the MPU's strikes than an enable-blind or an
+// every-edge bound can, and the mask to prune a real share of the swept
+// gates, so an always-true bound or a mask that prunes nothing fails,
+// and pins the bound's edges at the plain and the widened window and at
+// a logically masked path.
 func TestMayLatchSound(t *testing.T) {
 	dm := timingsim.DefaultDelayModel()
-	t.Run("random", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(11))
+	random := func(t *testing.T, seed int64, settled bool) {
+		rng := rand.New(rand.NewSource(seed))
 		var n latchTally
+		var dead, keepAll int
 		for design := 0; design < 4; design++ {
 			nl := timingsim.BuildRandomDesign(rng)
 			sparse, dense := simPair(t, nl, dm)
 			for trial := 0; trial < 2000; trial++ {
 				values := timingsim.RandomValues(rng, nl.NumNodes())
+				if settled {
+					vals := make([]bool, nl.NumNodes())
+					for i := range vals {
+						vals[i] = values(netlist.NodeID(i))
+					}
+					timingsim.Settle(nl, vals)
+					values = func(id netlist.NodeID) bool { return vals[id] }
+				}
 				st := timingsim.RandomStrike(rng, dm, nl.NumNodes())
 				if trial%2 == 1 {
 					// Deposits wide enough to cover a gated register's
@@ -119,13 +132,24 @@ func TestMayLatchSound(t *testing.T) {
 				}
 				lc := newLatchCase(sparse, nl, values)
 				checkSound(t, "random design", sparse, dense, lc, st, &n)
+				d, k := lc.table.EdgeCounts(sparse)
+				dead += d
+				keepAll += k
 			}
 		}
-		t.Logf("random designs: %+v", n)
+		t.Logf("random designs: %+v; %d dead edges, %d cells keeping every edge", n, dead, keepAll)
 		if n.rejected == 0 || n.latched == 0 || n.latchedClosed == 0 || n.pruned == 0 {
 			t.Fatalf("need rejected, latching, gated-latching and pruned strikes: %+v", n)
 		}
-	})
+		if settled && (dead == 0 || keepAll != 0) {
+			t.Fatalf("settled values: %d dead edges, %d cells with bit {} set; want some and none", dead, keepAll)
+		}
+		if !settled && keepAll == 0 {
+			t.Fatal("random values never set bit {} of a flip table")
+		}
+	}
+	t.Run("random", func(t *testing.T) { random(t, 11, false) })
+	t.Run("settled", func(t *testing.T) { random(t, 12, true) })
 	t.Run("mpu", func(t *testing.T) {
 		fw, ev, sampler, cycles := mpuWindow(t)
 		nl := fw.MPU.Netlist
@@ -142,7 +166,12 @@ func TestMayLatchSound(t *testing.T) {
 				checkSound(t, "mpu", sparse, dense, lc, ev.Attack.Strike(fw.Place, smp), &n)
 			}
 		}
-		t.Logf("MPU cycles %d..%d, %d enable patterns: %+v", lo, g.TargetCycle, distinct(tables), n)
+		dead := 0
+		for _, ct := range tables {
+			d, _ := ct.EdgeCounts(sparse)
+			dead += d
+		}
+		t.Logf("MPU cycles %d..%d, %d dead fanin edges: %+v", lo, g.TargetCycle, dead, n)
 		if n.latched == 0 {
 			t.Fatal("no MPU strike latched a register")
 		}
@@ -152,10 +181,16 @@ func TestMayLatchSound(t *testing.T) {
 			t.Fatalf("the pruned sweep kept waves on %d of the full sweep's %d gates, want at most 90%%",
 				n.prunedGates, n.fullGates)
 		}
-		// The enable-blind bound this table replaced rejected about 53%
-		// of importance draws.
-		if share := float64(n.rejected) / float64(n.strikes); share < 0.58 {
+		// The enable-blind bound that the per-cycle tables replaced
+		// rejected about 53% of importance draws.
+		share := float64(n.rejected) / float64(n.strikes)
+		if share < 0.58 {
 			t.Fatalf("latch bound rejected %.1f%% of MPU strikes, want at least 58%%", 100*share)
+		}
+		// The enable-aware bound over every edge rejected 63.2% of these
+		// strikes; over live edges only, 92.6%.
+		if share < 0.90 {
+			t.Fatalf("live-edge latch bound rejected %.1f%% of MPU strikes, want at least 90%%", 100*share)
 		}
 	})
 
@@ -192,7 +227,7 @@ func TestMayLatchSound(t *testing.T) {
 			lc := newLatchCase(sim, nl, values)
 			start := dm.ClockPeriod - tc.setup
 			edge := timingsim.Strike{Gates: []netlist.NodeID{g}, Time: start, Width: dm.ClockPeriod + tc.hold - start}
-			if !lc.table.Latch.MayLatch(edge) {
+			if !lc.table.MayLatch(edge) {
 				t.Fatalf("%s: deposit spanning the window rejected", tc.name)
 			}
 			for _, res := range []timingsim.Result{sim.Inject(values, edge), sim.InjectPruned(lc.table, edge)} {
@@ -206,12 +241,71 @@ func TestMayLatchSound(t *testing.T) {
 			short := edge
 			short.Width--
 			for _, st := range []timingsim.Strike{late, short} {
-				if lc.table.Latch.MayLatch(st) {
+				if lc.table.MayLatch(st) {
 					t.Fatalf("%s: deposit [%v, %v) 1 ps short of the window kept", tc.name, st.Time, st.Time+st.Width)
 				}
 				if res := sim.Inject(values, st); len(res.FlippedRegs) != 0 {
 					t.Fatalf("%s: deposit [%v, %v) 1 ps short of the window flipped %v",
 						tc.name, st.Time, st.Time+st.Width, res.FlippedRegs)
+				}
+			}
+		}
+	})
+
+	// A buffer whose only path to a register passes an AND. Its edge is
+	// dead when the AND's other input is a gate at 0 and the buffer is
+	// at 1 (only flipping that input flips the output), and when that
+	// input is a primary input or a constant at 0 (flipping both would
+	// flip the output, but neither ever carries a wave). Then a deposit
+	// covering the window is rejected and no sweep latches it; with a
+	// primary input at 1 the same deposit is kept and latches.
+	t.Run("masked", func(t *testing.T) {
+		for _, tc := range []struct {
+			side string // what drives the AND's other input
+			x, a bool
+			live bool
+		}{
+			{"gate", true, false, false},
+			{"input", false, false, false},
+			{"constant", false, false, false},
+			{"input", false, true, true},
+		} {
+			nl := netlist.New(8)
+			x := nl.AddInput("x")
+			a := nl.AddInput("a")
+			g := nl.AddGate(netlist.Buf, x)
+			side := a
+			switch tc.side {
+			case "gate":
+				side = nl.AddGate(netlist.Buf, a)
+			case "constant":
+				side = nl.AddConst(false)
+			}
+			r := nl.AddDFF(nl.AddGate(netlist.And, g, side), "r", false)
+			sim, err := timingsim.New(nl, dm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := make([]bool, nl.NumNodes())
+			vals[x], vals[a] = tc.x, tc.a
+			timingsim.Settle(nl, vals)
+			values := func(id netlist.NodeID) bool { return vals[id] }
+			lc := newLatchCase(sim, nl, values)
+			// The wave at the AND's output spans [winStart−10, winEnd+10).
+			st := timingsim.Strike{Gates: []netlist.NodeID{g},
+				Time:  dm.ClockPeriod - dm.Setup - dm.CellDelay[netlist.And] - 10,
+				Width: dm.Setup + dm.Hold + dm.Attenuation + 20}
+			label := fmt.Sprintf("%s side input at %v", tc.side, vals[side])
+			if got := lc.table.MayLatch(st); got != tc.live {
+				t.Fatalf("%s: bound %v, want %v", label, got, tc.live)
+			}
+			var want []netlist.NodeID
+			if tc.live {
+				want = []netlist.NodeID{r}
+			}
+			for _, res := range []timingsim.Result{sim.Inject(values, st), sim.InjectPruned(lc.table, st)} {
+				if !slices.Equal(res.FlippedRegs, want) {
+					t.Fatalf("%s: flipped %v, want %v", label, res.FlippedRegs, want)
 				}
 			}
 		}
@@ -275,15 +369,6 @@ func newLatchCase(sim *timingsim.Simulator, nl *netlist.Netlist, values func(net
 // bitValues reads a value bitset as an Inject callback.
 func bitValues(vb []uint64) func(netlist.NodeID) bool {
 	return func(id netlist.NodeID) bool { return vb[id>>6]>>(uint(id)&63)&1 == 1 }
-}
-
-// distinct counts the distinct latch tables in a per-cycle list.
-func distinct(tables []*timingsim.CycleTable) int {
-	seen := map[*timingsim.LatchTable]bool{}
-	for _, ct := range tables {
-		seen[ct.Latch] = true
-	}
-	return len(seen)
 }
 
 // simPair returns a sparse simulator and a dense reference-sweep one.

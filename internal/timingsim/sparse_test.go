@@ -260,7 +260,7 @@ func TestSparseMatchesReferenceSweep(t *testing.T) {
 
 // TestForkSharedConeCacheRace runs forked simulators concurrently over
 // the same design with overlapping strikes, so the tables Fork shares
-// (topology, fanins) and the shared latch tables are read from multiple
+// (topology, fanins) and the shared cycle tables are read from multiple
 // goroutines (run under -race), then checks every fork produced the
 // same results as a fresh serial simulator fed the same sequence.
 func TestForkSharedConeCacheRace(t *testing.T) {
@@ -295,7 +295,7 @@ func TestForkSharedConeCacheRace(t *testing.T) {
 			for i := 0; i < trials; i++ {
 				k := i % len(cycles)
 				st := randomStrike(wrng, dm, nl.NumNodes())
-				may := tables[k].Latch.MayLatch(st)
+				may := tables[k].MayLatch(st)
 				res := sim.InjectBits(cycles[k], st)
 				if !may && len(res.FlippedRegs) > 0 {
 					t.Errorf("worker %d trial %d: bound false but flipped %v", w, i, res.FlippedRegs)

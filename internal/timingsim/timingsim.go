@@ -23,13 +23,15 @@
 // under the cycle's fault-free values.
 //
 // A CycleTable, built per injection cycle, holds the cycle's values,
-// the flip table of every cell and a LatchTable: a static pre-check in
-// front of the sweep, shared by the cycles with the same
-// register-enable pattern. From per-node path-delay bounds it proves
-// for most masked strikes that no transient can reach a register's
-// latching window, and InjectPruned sweeps the rest only where a
-// register that can still latch is reachable, without changing which
-// registers latch.
+// the flip table of every cell and a latch bound: a static pre-check in
+// front of the sweep. From per-node path-delay bounds over the cycle's
+// live edges (a fanin is live when flipping it, alone or with other
+// fanins that can carry a transient, flips the cell's output under the
+// cycle's values) it
+// proves for most masked strikes that no transient can reach a
+// register's latching window, and InjectPruned sweeps the rest only
+// where a register that can still latch is reachable, without changing
+// which registers latch.
 package timingsim
 
 import (
@@ -112,6 +114,13 @@ type Strike struct {
 	Widths []float64
 }
 
+// checkWidths panics unless Widths is nil or parallel to Gates.
+func (st Strike) checkWidths() {
+	if st.Widths != nil && len(st.Widths) != len(st.Gates) {
+		panic(fmt.Sprintf("timingsim: %d widths for %d gates", len(st.Widths), len(st.Gates)))
+	}
+}
+
 // widthAt returns the deposit width for the i-th struck gate.
 func (st Strike) widthAt(i int) float64 {
 	if st.Widths != nil {
@@ -163,7 +172,7 @@ type Simulator struct {
 	cellDelay []float64
 	maxFanin  int
 	// full is the sweep mask of the unpruned sweep: every topological
-	// position set (InjectPruned passes a LatchTable's mask instead).
+	// position set (InjectPruned passes a CycleTable's mask instead).
 	full []uint64
 
 	// Per-run sweep state, indexed by topological position and reset
@@ -426,9 +435,7 @@ func (s *Simulator) reset() {
 // they are seeded and swept.
 func (s *Simulator) inject(strike Strike, mask []uint64) Result {
 	s.reset()
-	if strike.Widths != nil && len(strike.Widths) != len(strike.Gates) {
-		panic(fmt.Sprintf("timingsim: %d widths for %d gates", len(strike.Widths), len(strike.Gates)))
-	}
+	strike.checkWidths()
 	for i, g := range strike.Gates {
 		p := s.topoPos[g]
 		if p < 0 {

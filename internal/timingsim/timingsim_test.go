@@ -1,6 +1,7 @@
 package timingsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -219,6 +220,52 @@ func TestStrikeOnRegisterOrConstIgnored(t *testing.T) {
 	if res.ActiveGates != 0 {
 		t.Fatalf("strike on non-gate nodes produced activity: %+v", res)
 	}
+}
+
+// TestStrikeWidthsMustMatchGates requires every entry point to reject a
+// Widths slice that is not parallel to Gates with the same panic, also
+// InjectPruned on a strike its latch bound rejects (the deposit ends
+// long before the latching window) and before the bound reads a width.
+func TestStrikeWidthsMustMatchGates(t *testing.T) {
+	nl := netlist.New(8)
+	a := nl.AddInput("a")
+	g := nl.AddGate(netlist.Buf, a)
+	h := nl.AddGate(netlist.Inv, a)
+	nl.AddDFF(nl.AddGate(netlist.And, g, h), "r", false)
+	sim, err := New(nl, DefaultDelayModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := constValues(map[netlist.NodeID]bool{h: true})
+	vb := valueBits(values, nl.NumNodes())
+	ct := sim.CycleTables([][]uint64{vb})[0]
+	for _, st := range []Strike{
+		{Gates: []netlist.NodeID{g}, Time: 0, Width: 50, Widths: []float64{50, 50}},
+		{Gates: []netlist.NodeID{g, h}, Time: 0, Width: 50, Widths: []float64{50}},
+	} {
+		want := fmt.Sprintf("timingsim: %d widths for %d gates", len(st.Widths), len(st.Gates))
+		for name, run := range map[string]func(){
+			"Inject":       func() { sim.Inject(values, st) },
+			"InjectBits":   func() { sim.InjectBits(vb, st) },
+			"InjectPruned": func() { sim.InjectPruned(ct, st) },
+		} {
+			if got := panicValue(run); got != want {
+				t.Errorf("%s with %d widths for %d gates: panic %q, want %q", name, len(st.Widths), len(st.Gates), got, want)
+			}
+		}
+	}
+}
+
+// panicValue runs f and returns what it panicked with, formatted, or
+// "" when it returned normally.
+func panicValue(f func()) (v string) {
+	defer func() {
+		if r := recover(); r != nil {
+			v = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 func TestInjectIsReentrant(t *testing.T) {

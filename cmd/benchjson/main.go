@@ -33,8 +33,8 @@
 //     stage's share of the profile: draw, spot lookup, latch bound,
 //     timed sweep, classify, lane-batched resume, grouped resume,
 //     resume ordering, merge and other. It adds the multi-engine rows:
-//     the gate_importance answers through RunAdaptiveParallel on 1 and
-//     2 engines, with the median wall time per answer and samples per
+//     each workload's answers through RunAdaptiveParallel on 1 and 2
+//     engines, with the median wall time per answer and samples per
 //     second. Shares and wall times on a shared host, so the record is
 //     not gated.
 //

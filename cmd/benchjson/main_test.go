@@ -144,10 +144,13 @@ func TestParseProfile(t *testing.T) {
 
 // TestStageShares attributes hand-built stacks: each sample goes to the
 // innermost stage function on its stack, inlined frames included. The
-// latch bound's frame takes its name from the function itself, so the
-// stage follows the bound wherever it lives.
+// frames of the latch bound and of the spot record check take their
+// names from the functions themselves, so the stage follows both
+// wherever they live.
 func TestStageShares(t *testing.T) {
-	bound := runtime.FuncForPC(reflect.ValueOf((*timingsim.CycleTable).MayLatch).Pointer()).Name()
+	funcName := func(f any) string { return runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name() }
+	bound := funcName((*timingsim.CycleTable).MayLatch)
+	spot := funcName((*timingsim.CycleTable).SpotMayLatch)
 	fn := []string{
 		"runtime.memmove",
 		"repro/internal/logicsim.(*Simulator).Step",
@@ -165,6 +168,8 @@ func TestStageShares(t *testing.T) {
 		"repro/internal/timingsim.(*CycleTable).classes",
 		"repro/internal/timingsim.(*Simulator).InjectPruned",
 		bound,
+		spot,
+		"repro/internal/montecarlo.(*spotTable).mayLatch",
 	}
 	p := &profile{frames: map[uint64][]uint64{}, names: map[uint64]string{}}
 	for i, name := range fn {
@@ -172,14 +177,17 @@ func TestStageShares(t *testing.T) {
 	}
 	// Location ids equal the function ids they hold, except the
 	// inlined ones: in location 20, Step is inlined into resumeGroup,
-	// in 21 spotOf and DFFWithin are inlined into resumeBatch, and in
-	// 22 the latch bound is inlined into the pruned entry.
+	// in 21 spotOf and DFFWithin are inlined into resumeBatch, in 22
+	// the latch bound is inlined into the pruned entry, and in 23 the
+	// spot record check and the spot table's check are inlined into the
+	// engine's sample path.
 	for i := range fn {
 		p.frames[uint64(i+1)] = []uint64{uint64(i + 1)}
 	}
 	p.frames[20] = []uint64{2, 3}
 	p.frames[21] = []uint64{8, 9, 5}
 	p.frames[22] = []uint64{14, 15}
+	p.frames[23] = []uint64{17, 18, 10}
 	p.samples = []profSample{
 		{locs: []uint64{1, 20, 5}, values: []uint64{3, 50}}, // grouped resume, 3 profile samples
 		{locs: []uint64{1, 2, 5}, values: []uint64{1, 20}},  // lane-batched resume
@@ -192,10 +200,15 @@ func TestStageShares(t *testing.T) {
 		{locs: []uint64{22, 10}, values: []uint64{1, 20}},        // latch bound
 		// The exported bound, called from the engine.
 		{locs: []uint64{16, 10}, values: []uint64{1, 10}}, // latch bound
+		// The spot record check before the spot lookup, inlined or not,
+		// and the spot table's own front-bit check.
+		{locs: []uint64{23}, values: []uint64{1, 25}},     // latch bound
+		{locs: []uint64{17, 10}, values: []uint64{1, 10}}, // latch bound
+		{locs: []uint64{18, 10}, values: []uint64{1, 5}},  // latch bound
 	}
 	want := map[string]float64{
-		"grouped resume": 50.0 / 160, "lane-batched resume": 20.0 / 160, "draw": 10.0 / 160,
-		"spot lookup": 15.0 / 160, otherStage: 5.0 / 160, "timed sweep": 30.0 / 160, "latch bound": 30.0 / 160,
+		"grouped resume": 50.0 / 200, "lane-batched resume": 20.0 / 200, "draw": 10.0 / 200,
+		"spot lookup": 15.0 / 200, otherStage: 5.0 / 200, "timed sweep": 30.0 / 200, "latch bound": 70.0 / 200,
 	}
 	// The count is the records' first values, not the record count.
 	if n := p.count(); n != len(p.samples)+2 {

@@ -63,8 +63,10 @@ const mcEngine = "repro/internal/montecarlo.(*Engine)."
 // function on its stack, inlined frames included, and to "other" when
 // there is none. A function matches a pattern it starts with, so a
 // pattern can name a package or a type. The latch bound is every
-// timingsim.CycleTable method: the check InjectPruned makes and the
-// table's latch pass. The timed sweep includes strike construction and
+// timingsim.CycleTable method (the check InjectPruned makes, the spot
+// record check before the spot lookup, and the table's latch pass) and
+// the engine's spot table, whose front bits precede the record check.
+// The timed sweep includes strike construction and
 // every timingsim.Simulator method (the pruned entry, the kernel and
 // the flip tables); merge includes the per-sample accumulation.
 var stages = []struct {
@@ -73,7 +75,7 @@ var stages = []struct {
 }{
 	{"draw", []string{"repro/internal/sampling."}},
 	{"spot lookup", []string{"repro/internal/placement.(*SpotIndex)."}},
-	{"latch bound", []string{"repro/internal/timingsim.(*CycleTable)."}},
+	{"latch bound", []string{"repro/internal/timingsim.(*CycleTable).", "repro/internal/montecarlo.(*spotTable)."}},
 	{"timed sweep", []string{"repro/internal/fault.(*Attack).StrikeFrom", "repro/internal/timingsim.(*Simulator)."}},
 	{"classify", []string{mcEngine + "classifySingle", "repro/internal/analytical."}},
 	{"lane-batched resume", []string{mcEngine + "resumeBatch"}},
@@ -127,12 +129,7 @@ func stagesSuite() stageRecord {
 	}
 	var rec stageRecord
 	for wi, w := range stageWorkloads {
-		var sp sampling.Sampler = ev.RandomSampler()
-		if w.importance {
-			if sp, err = ev.ImportanceSampler(); err != nil {
-				fatal(err)
-			}
-		}
+		sp := samplerOf(ev, wi)
 		var buf bytes.Buffer
 		if err := pprof.StartCPUProfile(&buf); err != nil {
 			fatal(err)
@@ -161,27 +158,38 @@ func stagesSuite() stageRecord {
 		}
 		rec.Workloads = append(rec.Workloads, split)
 	}
-	for _, n := range []int{1, 2} {
-		rec.Parallel = append(rec.Parallel, parallelRowOf(ev, n))
+	for wi := range stageWorkloads {
+		for _, n := range []int{1, 2} {
+			rec.Parallel = append(rec.Parallel, parallelRowOf(ev, wi, n))
+		}
 	}
 	return rec
 }
 
-// parallelRowOf times stagePasses passes of stageAnswers gate_importance
-// answers through RunAdaptiveParallel on a pool of n engines, after one
-// warm-up answer that builds every engine's batch state.
-func parallelRowOf(ev *core.Evaluation, n int) parallelRow {
-	pool, err := ev.NewEnginePool(n)
-	if err != nil {
-		fatal(err)
+// samplerOf returns workload w's sampler.
+func samplerOf(ev *core.Evaluation, w int) sampling.Sampler {
+	if !stageWorkloads[w].importance {
+		return ev.RandomSampler()
 	}
 	sp, err := ev.ImportanceSampler()
 	if err != nil {
 		fatal(err)
 	}
-	w := stageWorkloads[0]
+	return sp
+}
+
+// parallelRowOf times stagePasses passes of stageAnswers answers of
+// workload wi through RunAdaptiveParallel on a pool of n engines, after
+// one warm-up answer that builds every engine's batch state.
+func parallelRowOf(ev *core.Evaluation, wi, n int) parallelRow {
+	pool, err := ev.NewEnginePool(n)
+	if err != nil {
+		fatal(err)
+	}
+	sp := samplerOf(ev, wi)
+	w := stageWorkloads[wi]
 	answer := func(seed int64) int {
-		c, err := montecarlo.RunAdaptiveParallel(context.Background(), pool.Engines, sp, answerOptions(0, seed))
+		c, err := montecarlo.RunAdaptiveParallel(context.Background(), pool.Engines, sp, answerOptions(wi, seed))
 		if err != nil {
 			fatal(fmt.Errorf("%s on %d engines, seed %d: %w", w.name, n, seed, err))
 		}

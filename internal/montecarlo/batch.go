@@ -58,8 +58,11 @@ type batchState struct {
 	comb [][]uint64
 	// cycle[c-lo] is the timed injection's table for cycle c: its flip
 	// tables, latch bound and sweep mask. Built on the first
-	// gate-attack sample only.
+	// gate-attack sample only. spots holds the spot records of the
+	// engine's attack, built with them and again after Engine.Attack
+	// is replaced.
 	cycle []*timingsim.CycleTable
+	spots *spotTable
 	sim   *logicsim.Simulator
 	// laneBuf and packBuf are register-word scratch for packing
 	// ejected lanes into a group.
@@ -116,10 +119,101 @@ func (e *Engine) ensureBatchState(mode Mode) *batchState {
 	if b == nil {
 		b = e.newBatchState()
 	}
-	if mode == GateAttack && b.cycle == nil {
-		b.cycle = e.Timing.CycleTables(b.comb)
+	if mode == GateAttack {
+		if b.cycle == nil {
+			b.cycle = e.Timing.CycleTables(b.comb)
+		}
+		if b.spots == nil || b.spots.attack != e.Attack {
+			b.spots = e.newSpotTable(b.cycle)
+		}
 	}
 	return b
+}
+
+// spotTable holds, per injection cycle of the window and candidate
+// center of one attack, the latch bound of the center's widest spot:
+// the gates within rmax = Radius + RadiusJitter of it. The spots of
+// every radius in [0, rmax] are nested in that spot, and StrikeFrom
+// deposits at most the drawn width on each gate, so a draw whose record
+// rejects its instant and width is one InjectPruned would flip nothing
+// for.
+type spotTable struct {
+	// attack is the attack the table was built for; a campaign that
+	// replaces Engine.Attack gets a new table. The table keeps rmax and
+	// its own center rows, so it stays sound for the draws it covers
+	// even if the attack is changed in place.
+	attack *fault.Attack
+	rmax   float64
+	// row[id] is center id's row, -1 for a node that is no candidate.
+	row []int32
+	// bounds[k] is the record of a center in cycle c, at k = (c-lo) *
+	// centers + row. Bit k of front is set when some instant in [0,
+	// tmax] with a width of at most wmax (the technique's clock period
+	// and widest pulse) passes record k: a draw inside that range whose
+	// bit is clear is rejected without loading the record.
+	bounds     []timingsim.SpotBound
+	front      []uint64
+	centers    int
+	tmax, wmax float64
+}
+
+// newSpotTable builds the spot records of e.Attack's candidates in each
+// cycle of tables: one spot lookup per candidate, at rmax.
+func (e *Engine) newSpotTable(tables []*timingsim.CycleTable) *spotTable {
+	a := e.Attack
+	n := 0
+	for _, c := range a.Candidates {
+		n = max(n, int(c)+1)
+	}
+	tech := a.Technique
+	t := &spotTable{attack: a, rmax: tech.Radius + tech.RadiusJitter, row: make([]int32, n),
+		tmax: tech.ClockPeriod, wmax: tech.PulseWidth + tech.PulseJitter}
+	for i := range t.row {
+		t.row[i] = -1
+	}
+	for _, c := range a.Candidates {
+		if c >= 0 && t.row[c] < 0 {
+			t.row[c] = int32(t.centers)
+			t.centers++
+		}
+	}
+	t.bounds = make([]timingsim.SpotBound, len(tables)*t.centers)
+	t.front = make([]uint64, (len(t.bounds)+63)/64)
+	for c, r := range t.row {
+		if r < 0 {
+			continue
+		}
+		gates, _ := e.spotIndex().CombWithin(netlist.NodeID(c), t.rmax)
+		for i, ct := range tables {
+			k := i*t.centers + int(r)
+			t.bounds[k] = ct.SpotBound(gates)
+			if ct.SpotMayLatchWithin(&t.bounds[k], t.tmax, t.wmax) {
+				t.front[k>>6] |= 1 << (uint(k) & 63)
+			}
+		}
+	}
+	return t
+}
+
+// mayLatch reports whether a draw in the i-th cycle of the window, with
+// table ct, could flip a register. False is a proof that InjectPruned
+// flips nothing for it. True promises nothing, and is the answer for
+// every draw the table does not cover: its center is no candidate, its
+// radius lies outside [0, rmax] (NaN included) or its width is
+// negative.
+func (t *spotTable) mayLatch(ct *timingsim.CycleTable, i int, s fault.Sample) bool {
+	if !(0 <= s.Radius && s.Radius <= t.rmax && s.Width >= 0) || s.Center < 0 || int(s.Center) >= len(t.row) {
+		return true
+	}
+	r := t.row[s.Center]
+	if r < 0 {
+		return true
+	}
+	k := i*t.centers + int(r)
+	if t.front[k>>6]>>(uint(k)&63)&1 == 0 && 0 <= s.Time && s.Time <= t.tmax && s.Width <= t.wmax {
+		return false
+	}
+	return ct.SpotMayLatch(&t.bounds[k], s.Time, s.Width)
 }
 
 // newBatchState records the golden attack window and forks the lane
@@ -181,6 +275,10 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, aren
 	var flips []netlist.NodeID
 	switch mode {
 	case GateAttack:
+		ct := b.cycle[te-b.lo]
+		if !b.spots.mayLatch(ct, te-b.lo, sample) {
+			break // no struck gate can latch; InjectPruned would flip nothing
+		}
 		gates, dists := e.spotIndex().CombWithin(sample.Center, sample.Radius)
 		if len(gates) > 0 {
 			var strike timingsim.Strike
@@ -189,7 +287,7 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, aren
 			// would, skipping strikes that provably reach no latching
 			// window. applyHardening draws only per flipped register,
 			// so rng use is unchanged.
-			injected := e.Timing.InjectPruned(b.cycle[te-b.lo], strike)
+			injected := e.Timing.InjectPruned(ct, strike)
 			flips = e.applyHardening(rng, injected.FlippedRegs)
 		}
 	case RegisterAttack:

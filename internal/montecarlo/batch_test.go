@@ -101,6 +101,77 @@ var (
 	}}
 )
 
+// nonCandidates returns the strikeable gates that are not candidates
+// of the evaluation's attack.
+func nonCandidates(ev *core.Evaluation) []netlist.NodeID {
+	return slices.DeleteFunc(ev.Framework.CandidateBlock(1), func(id netlist.NodeID) bool {
+		return ev.Attack.CandidateIndex(id) >= 0
+	})
+}
+
+// widerAttack is the default attack widened past every bound of the
+// default technique (radius, jitter, pulse width) and aimed at the
+// strikeable gates that are not default candidates.
+func widerAttack(t testing.TB, ev *core.Evaluation) *fault.Attack {
+	t.Helper()
+	tech := ev.Attack.Technique
+	tech.Radius, tech.RadiusJitter = 2.6, 1.2
+	tech.PulseWidth, tech.PulseJitter = 320, 160
+	a, err := fault.NewAttack("wider", ev.Attack.TRange, tech, nonCandidates(ev), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// replacedAttackEvaluation is the default evaluation after a batched
+// gate run, with its attack then replaced by widerAttack: the batched
+// path must not keep using what it built for the first attack.
+func replacedAttackEvaluation(t testing.TB) *core.Evaluation {
+	ev := evaluation(t)
+	srng, rng := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))
+	samples := make([]fault.Sample, 2000)
+	for i := range samples {
+		samples[i] = ev.Attack.SampleNominal(srng)
+	}
+	ev.Engine.RunBatch(rng, samples, montecarlo.GateAttack)
+	ev.Attack = widerAttack(t, ev)
+	ev.Engine.Attack = ev.Attack
+	return ev
+}
+
+// uncoveredSample draws a nominal sample and, on four of every five
+// draws, takes it out of the spot records' coverage or out of the range
+// of their instant-free check: a radius above Radius + RadiusJitter, a
+// width above PulseWidth + PulseJitter, an instant moved by half a
+// clock period either way (half of them leave [0, ClockPeriod)) or a
+// center that is no candidate.
+func uncoveredSample() func(*core.Evaluation, *rand.Rand) fault.Sample {
+	n := 0
+	var others []netlist.NodeID
+	return func(ev *core.Evaluation, srng *rand.Rand) fault.Sample {
+		s := ev.Attack.SampleNominal(srng)
+		tech := ev.Attack.Technique
+		switch n++; n % 5 {
+		case 0:
+			s.Radius = tech.Radius + tech.RadiusJitter + 2*srng.Float64()
+		case 1:
+			s.Width = tech.PulseWidth + tech.PulseJitter + tech.PulseWidth*srng.Float64()
+		case 2:
+			s.Time += tech.ClockPeriod / 2
+			if srng.Intn(2) == 0 {
+				s.Time -= tech.ClockPeriod
+			}
+		case 3:
+			if others == nil {
+				others = nonCandidates(ev)
+			}
+			s.Center = others[srng.Intn(len(others))]
+		}
+		return s
+	}
+}
+
 // hardenedEvaluation is the default evaluation with every MPU register
 // hardened (F = 2), so copies of one register attack flip different
 // random subsets of its spot.
@@ -125,7 +196,11 @@ func hardenedEvaluation(t testing.TB) *core.Evaluation {
 // lanes, some of them with an offset. Lanes that share a group almost
 // never respond differently later, so the split case builds its input:
 // 64 copies of one wide register strike on the hardened evaluation,
-// whose copies flip different subsets of the spot.
+// whose copies flip different subsets of the spot. Two gate cases
+// check the draws the spot records must leave to the spot lookup: draws
+// outside their coverage (radius, width, instant, center), and the
+// draws of a wider attack with other candidates that replaced the
+// engine's attack after a batched run.
 func TestBatchRunParity(t *testing.T) {
 	nominal := func(ev *core.Evaluation, srng *rand.Rand) fault.Sample { return ev.Attack.SampleNominal(srng) }
 	wide := func(ev *core.Evaluation, srng *rand.Rand) fault.Sample {
@@ -147,6 +222,8 @@ func TestBatchRunParity(t *testing.T) {
 		{"gate-default", evaluation, montecarlo.GateAttack, nominal, 5000, 1, 12, []batchEvent{dmaKept, cutWithheld}},
 		{"register-default", evaluation, montecarlo.RegisterAttack, nominal, 5000, 1, 4, []batchEvent{sharedGroup, dmaKept, offsetGroup}},
 		{"register-hardened-wide", hardenedEvaluation, montecarlo.RegisterAttack, wide, 16, 64, 60, []batchEvent{laterSplit}},
+		{"gate-uncovered", evaluation, montecarlo.GateAttack, uncoveredSample(), 5000, 1, 12, []batchEvent{dmaKept}},
+		{"gate-replaced-attack", replacedAttackEvaluation, montecarlo.GateAttack, nominal, 5000, 1, 12, []batchEvent{dmaKept}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ev := tc.ev(t)
@@ -540,5 +617,57 @@ func TestBatchParallelAndAdaptive(t *testing.T) {
 		batchedA.Successes != scalarA.Successes {
 		t.Errorf("adaptive campaign mismatch: batched %g over %d, scalar %g over %d",
 			batchedA.Est.Estimate(), batchedA.Est.N(), scalarA.Est.Estimate(), scalarA.Est.N())
+	}
+}
+
+// TestSpotRecordsRejectMostDraws checks the spot records on
+// default-technique importance draws: at least 75% must be rejected
+// before their spot lookup (82.2% over perfbench's gate_importance
+// answers), and no rejected draw may flip a register in the scalar
+// RunOnce. After the engine's attack is replaced by a wider one with
+// other candidates, draws around the new candidates, none a default
+// candidate, must be rejected too, so the records follow the attack.
+func TestSpotRecordsRejectMostDraws(t *testing.T) {
+	ev := evaluation(t)
+	sampler, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	check := func(s fault.Sample) {
+		t.Helper()
+		if res := ev.Engine.RunOnce(rng, s, montecarlo.GateAttack); len(res.Flipped) != 0 {
+			t.Fatalf("sample %+v: rejected before its spot lookup, but RunOnce flipped %v", s, res.Flipped)
+		}
+	}
+	const draws = 20000
+	rejected := 0
+	for i := range draws {
+		s, _ := sampler.Draw(rng)
+		if ev.Engine.SpotRecordRejects(s) {
+			rejected++
+			if i < 4000 {
+				check(s)
+			}
+		}
+	}
+	share := float64(rejected) / draws
+	t.Logf("spot records rejected %d of %d importance draws (%.1f%%)", rejected, draws, 100*share)
+	if share < 0.75 {
+		t.Fatalf("spot records rejected %.1f%% of importance draws, want at least 75%%", 100*share)
+	}
+
+	wider := widerAttack(t, ev)
+	ev.Engine.Attack = wider
+	newCenters := 0
+	for range 4000 {
+		if s := wider.SampleNominal(rng); ev.Engine.SpotRecordRejects(s) {
+			newCenters++
+			check(s)
+		}
+	}
+	t.Logf("after the attack was replaced, %d of 4000 draws around its new centers were rejected", newCenters)
+	if newCenters == 0 {
+		t.Fatal("no draw around a center of the replaced attack was rejected: the records did not follow it")
 	}
 }

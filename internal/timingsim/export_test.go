@@ -10,6 +10,7 @@ var (
 	RandomStrike      = randomStrike
 	ValueBits         = valueBits
 	Settle            = settle
+	FractionalDelay   = fractionalDelayModel
 )
 
 // FlipTable returns the flip table ct holds for node id's cell, and

@@ -1,6 +1,7 @@
 package timingsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -25,8 +26,9 @@ func (b *fuzzBytes) next() int {
 // optional enables, a few gates behind the registers, values either
 // bit by bit (possibly not a consistent evaluation) or evaluated from
 // the inputs and registers, and a strike on any nodes, with or without
-// per-gate widths.
-func decodeInjectCase(data []byte) (*netlist.Netlist, []uint64, Strike) {
+// per-gate widths. It also returns a spot for the strike: its gates and
+// a few more, and a width cap at least its widest deposit.
+func decodeInjectCase(data []byte) (*netlist.Netlist, []uint64, Strike, []netlist.NodeID, float64) {
 	b := fuzzBytes(data)
 	nl := netlist.New(64)
 	var pool []netlist.NodeID
@@ -89,14 +91,25 @@ func decodeInjectCase(data []byte) (*netlist.Netlist, []uint64, Strike) {
 			st.Widths = append(st.Widths, float64(b.next()))
 		}
 	}
-	return nl, vb, st
+	spot := slices.Clone(st.Gates)
+	for k := b.next() % 4; k > 0; k-- {
+		spot = append(spot, netlist.NodeID(b.next()%n))
+	}
+	wcap := st.Width
+	for _, w := range st.Widths {
+		wcap = max(wcap, w)
+	}
+	return nl, vb, st, spot, wcap + float64(b.next())
 }
 
 // FuzzInjectEquivalence decodes a netlist, its fault-free values and a
 // strike from the input and requires the kernel to match the dense
 // reference sweep, in the result and in every node's wave, through
 // Inject, InjectBits and InjectPruned, and a strike the cycle table's
-// latch bound rejects to latch nothing in either InjectBits.
+// latch bound rejects to latch nothing in either InjectBits. A strike
+// that the record of a spot around its gates rejects at the spot's
+// width cap, or that the record's instant-free check rules out, must
+// fail the latch bound and latch nothing too.
 func FuzzInjectEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	// A wide XNOR and a Mux2 behind a struck buffer, per-gate widths.
@@ -110,7 +123,7 @@ func FuzzInjectEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 6, 1, 0, 0, 2, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 180, 100, 0, 1, 2})
 	dm := DefaultDelayModel()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		nl, vb, st := decodeInjectCase(data)
+		nl, vb, st, spot, wcap := decodeInjectCase(data)
 		if err := nl.Validate(); err != nil {
 			t.Fatalf("decoded an invalid netlist: %v", err)
 		}
@@ -144,5 +157,14 @@ func FuzzInjectEquivalence(f *testing.F) {
 				st, full.FlippedRegs, dense.FlippedRegs)
 		}
 		same("InjectPruned", kernel.InjectPruned(ct, st), ref.InjectPruned(ct, st))
+		sb := ct.SpotBound(spot)
+		rejected := !ct.SpotMayLatch(&sb, st.Time, wcap)
+		if !ct.SpotMayLatchWithin(&sb, dm.ClockPeriod, wcap) && st.Time <= dm.ClockPeriod {
+			rejected = true // every decoded instant is at least 0
+		}
+		if rejected && (ct.MayLatch(st) || len(full.FlippedRegs) != 0 || len(dense.FlippedRegs) != 0) {
+			t.Fatalf("spot record %+v rejected strike %+v at width cap %v, but the latch bound keeps it: %v; InjectBits flipped %v and the reference %v",
+				sb, st, wcap, ct.MayLatch(st), full.FlippedRegs, dense.FlippedRegs)
+		}
 	})
 }

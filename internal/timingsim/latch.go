@@ -222,6 +222,100 @@ func (ct *CycleTable) MayLatch(st Strike) bool {
 	return open || closed
 }
 
+// SpotBound is the latch bound of a set of gates in one cycle: per
+// register class, the largest slack and the smallest arrival over the
+// set's gates, in float32 rounded outward (slack up, arrival down), so
+// one record takes 16 bytes.
+type SpotBound struct {
+	Slack, Arrival [2]float32
+}
+
+// SpotBound returns the latch bound of the gate set in the table's
+// cycle: −Inf/+Inf in a class no gate of the set can reach.
+func (ct *CycleTable) SpotBound(gates []netlist.NodeID) SpotBound {
+	inf := math.Inf(1)
+	slack, arrival := [2]float64{-inf, -inf}, [2]float64{inf, inf}
+	for _, g := range gates {
+		if ct.bounded[g>>6]>>(uint(g)&63)&1 == 0 {
+			continue // its bound is −Inf/+Inf
+		}
+		b := &ct.bound[g]
+		for cl := range slack {
+			slack[cl] = max(slack[cl], b.slack[cl])
+			arrival[cl] = min(arrival[cl], b.arrival[cl])
+		}
+	}
+	var sb SpotBound
+	for cl := range slack {
+		sb.Slack[cl] = float32Up(slack[cl])
+		sb.Arrival[cl] = float32Down(arrival[cl])
+	}
+	return sb
+}
+
+// SpotMayLatch reports whether a strike on gates of the bound's set, at
+// instant time with no deposit wider than width, could pass the check
+// classes makes. False is a proof that it does not, so that
+// InjectPruned flips nothing; true promises nothing.
+//
+// classes keeps a class only when some deposit's (Time + w) + slack
+// reaches winEnd and some gate's Time + arrival reaches winStart. Every
+// w is at most width, every slack at most the set's Slack and every
+// arrival at least its Arrival, and float addition is monotone, so
+// (Time + width) + Slack and Time + Arrival bound both sums exactly as
+// in the reals: no extra tolerance is needed.
+func (ct *CycleTable) SpotMayLatch(sb *SpotBound, time, width float64) bool {
+	end := time + width
+	return end+float64(sb.Slack[classOpen]) >= ct.winEnd[classOpen] &&
+		time+float64(sb.Arrival[classOpen]) <= ct.winStart[classOpen] ||
+		end+float64(sb.Slack[classClosed]) >= ct.winEnd[classClosed] &&
+			time+float64(sb.Arrival[classClosed]) <= ct.winStart[classClosed]
+}
+
+// SpotMayLatchWithin reports whether SpotMayLatch holds for some
+// instant in [0, tmax] and width at most wmax. False is a proof that it
+// holds for none.
+func (ct *CycleTable) SpotMayLatchWithin(sb *SpotBound, tmax, wmax float64) bool {
+	up, down := math.Inf(1), math.Inf(-1)
+	for cl := range sb.Slack {
+		a, ws := float64(sb.Arrival[cl]), ct.winStart[cl]
+		// Float addition is monotone, so the start test t + a <= ws holds
+		// on a down-set of instants and the end test (t + w) + Slack >=
+		// winEnd on an up-set that grows with w. Some instant in [0, tmax]
+		// passes both exactly when t, the latest one there that passes
+		// the start test, passes the end test at wmax.
+		t := min(tmax, ws-a)
+		for t+a > ws {
+			t = math.Nextafter(t, down)
+		}
+		for t < tmax && math.Nextafter(t, up)+a <= ws {
+			t = math.Nextafter(t, up)
+		}
+		if t >= 0 && (t+wmax)+float64(sb.Slack[cl]) >= ct.winEnd[cl] {
+			return true
+		}
+	}
+	return false
+}
+
+// float32Up returns the smallest float32 not below x.
+func float32Up(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// float32Down returns the largest float32 not above x.
+func float32Down(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
 // InjectPruned is InjectBits for the cycle of table ct, pruned by its
 // latch bound and mask and reading its flip tables; FlippedRegs is
 // identical to InjectBits's. A strike the bound rejects is not swept at

@@ -385,3 +385,186 @@ func simPair(t *testing.T, nl *netlist.Netlist, dm timingsim.DelayModel) (sparse
 	dense.SetReferenceSweep(true)
 	return sparse, dense
 }
+
+// spotTally counts the spot draws a record rejected, the ones whose
+// strike latched a register, and the records whose front bit (the
+// instant-free check) was clear.
+type spotTally struct {
+	draws, rejected, latched, frontClear int
+}
+
+// checkSpotSound requires that a draw the spot record rejects fails the
+// per-strike bound and latches nothing in either full sweep, and that a
+// record whose instant-free check fails rejects the draw whenever its
+// instant lies in [0, tmax] and its width is at most wmax. width is the
+// draw's width, at least every deposit of the strike.
+func checkSpotSound(t *testing.T, label string, sparse, dense *timingsim.Simulator, lc latchCase,
+	sb *timingsim.SpotBound, st timingsim.Strike, width, tmax, wmax float64, n *spotTally) {
+	t.Helper()
+	n.draws++
+	keep := lc.table.SpotMayLatch(sb, st.Time, width)
+	within := lc.table.SpotMayLatchWithin(sb, tmax, wmax)
+	if !within {
+		n.frontClear++
+		if keep && 0 <= st.Time && st.Time <= tmax && width <= wmax {
+			t.Fatalf("%s: record %+v kept instant %v, width %v, but no instant in [0, %v] with width <= %v passes it",
+				label, *sb, st.Time, width, tmax, wmax)
+		}
+	}
+	full := sparse.InjectBits(lc.bits, st)
+	if len(full.FlippedRegs) > 0 {
+		n.latched++
+	}
+	if keep {
+		return
+	}
+	n.rejected++
+	if lc.table.MayLatch(st) {
+		t.Fatalf("%s: record %+v rejected width %v, but the per-strike bound keeps strike %+v", label, *sb, width, st)
+	}
+	if rd := dense.InjectBits(lc.bits, st); len(full.FlippedRegs) != 0 || len(rd.FlippedRegs) != 0 {
+		t.Fatalf("%s: record %+v rejected width %v, but the kernel flipped %v and the reference %v (strike %+v)",
+			label, *sb, width, full.FlippedRegs, rd.FlippedRegs, st)
+	}
+}
+
+// TestSpotBoundSound checks the per-spot records against the per-strike
+// bound and both full sweeps: a record built from a set of gates must
+// reject only strikes on a subset of them that MayLatch rejects and
+// that latch nothing, at any instant, with any deposits no wider than
+// the width the record is checked with. On random designs (random and
+// settled values, a delay model whose path sums float32 cannot hold)
+// the set is random; on the bundled MPU it is the spot of the technique's
+// widest radius around an importance-sampled center, struck at any
+// radius up to it, any width and any instant, in every attack-window
+// cycle. A boundary case pins that a draw whose end plus slack lands
+// exactly on the window's end is kept.
+func TestSpotBoundSound(t *testing.T) {
+	random := func(t *testing.T, seed int64, settled bool) {
+		rng := rand.New(rand.NewSource(seed))
+		var n spotTally
+		for design := 0; design < 4; design++ {
+			dm := timingsim.DefaultDelayModel()
+			if design%2 == 1 {
+				dm = timingsim.FractionalDelay()
+			}
+			nl := timingsim.BuildRandomDesign(rng)
+			sparse, dense := simPair(t, nl, dm)
+			for trial := 0; trial < 300; trial++ {
+				values := timingsim.RandomValues(rng, nl.NumNodes())
+				if settled {
+					vals := make([]bool, nl.NumNodes())
+					for i := range vals {
+						vals[i] = values(netlist.NodeID(i))
+					}
+					timingsim.Settle(nl, vals)
+					values = func(id netlist.NodeID) bool { return vals[id] }
+				}
+				lc := newLatchCase(sparse, nl, values)
+				set := make([]netlist.NodeID, 1+rng.Intn(8))
+				for i := range set {
+					set[i] = netlist.NodeID(rng.Intn(nl.NumNodes()))
+				}
+				sb := lc.table.SpotBound(set)
+				wmax := rng.Float64() * dm.MinPulse * 60
+				for range 8 {
+					width := rng.Float64() * wmax * 1.2
+					st := timingsim.Strike{Time: (rng.Float64()*1.6 - 0.3) * dm.ClockPeriod, Width: width}
+					for _, g := range set {
+						if rng.Intn(2) == 0 {
+							st.Gates = append(st.Gates, g)
+							st.Widths = append(st.Widths, width*(1-0.45*rng.Float64()))
+						}
+					}
+					checkSpotSound(t, "random design", sparse, dense, lc, &sb, st, width, dm.ClockPeriod, wmax, &n)
+				}
+			}
+		}
+		t.Logf("random designs: %+v", n)
+		if n.rejected == 0 || n.latched == 0 || n.frontClear == 0 {
+			t.Fatalf("need rejected draws, latching draws and clear front bits: %+v", n)
+		}
+	}
+	t.Run("random", func(t *testing.T) { random(t, 21, false) })
+	t.Run("settled", func(t *testing.T) { random(t, 22, true) })
+	t.Run("mpu", func(t *testing.T) {
+		fw, ev, sampler, cycles := mpuWindow(t)
+		nl := fw.MPU.Netlist
+		sparse, dense := simPair(t, nl, fw.Opts.Delay)
+		tech := ev.Attack.Technique
+		rmax, wmax := tech.Radius+tech.RadiusJitter, tech.PulseWidth+tech.PulseJitter
+		tables := sparse.CycleTables(cycles)
+		rng := rand.New(rand.NewSource(6))
+		var n spotTally
+		for i, vb := range cycles {
+			lc := latchCase{nl: nl, values: bitValues(vb), bits: vb, table: tables[i]}
+			for j := 0; j < 60; j++ {
+				smp, _ := sampler.Draw(rng)
+				switch j % 3 {
+				case 1: // any radius up to rmax, any width, any instant
+					smp.Radius = rng.Float64() * rmax
+					smp.Width = rng.Float64() * 2 * wmax
+					smp.Time = (rng.Float64()*1.6 - 0.3) * tech.ClockPeriod
+				case 2: // the widest spot and pulse
+					smp.Radius, smp.Width = rmax, wmax
+				}
+				sb := lc.table.SpotBound(fw.Place.CombWithinRadius(smp.Center, rmax))
+				checkSpotSound(t, "mpu", sparse, dense, lc, &sb, ev.Attack.Strike(fw.Place, smp), smp.Width, tech.ClockPeriod, wmax, &n)
+			}
+		}
+		t.Logf("MPU: %+v", n)
+		if n.rejected == 0 || n.latched == 0 || n.frontClear == 0 {
+			t.Fatalf("need rejected draws, latching draws and clear front bits: %+v", n)
+		}
+	})
+
+	// A buffer g driving a second buffer that drives a register: g's
+	// slack is delay − Attenuation and its arrival delay. A draw whose
+	// (Time + Width) + Slack is exactly the window's end, with Time +
+	// Arrival exactly at its start, passes, and its strike latches; one
+	// ending 1e-3 ps earlier fails, and so does its strike.
+	t.Run("boundary", func(t *testing.T) {
+		dm := timingsim.DefaultDelayModel()
+		nl := netlist.New(8)
+		a := nl.AddInput("a")
+		g := nl.AddGate(netlist.Buf, a)
+		r := nl.AddDFF(nl.AddGate(netlist.Buf, g), "r", false)
+		sim, err := timingsim.New(nl, dm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := func(netlist.NodeID) bool { return false }
+		lc := newLatchCase(sim, nl, values)
+		sb := lc.table.SpotBound([]netlist.NodeID{g})
+		d := dm.CellDelay[netlist.Buf]
+		if sb.Slack[0] != float32(d-dm.Attenuation) || sb.Arrival[0] != float32(d) {
+			t.Fatalf("record %+v, want slack %v and arrival %v", sb, d-dm.Attenuation, d)
+		}
+		// The sweep's wave at r's driver spans [Time + d, Time + Width +
+		// d − Attenuation), so the strike latches exactly when the
+		// record's sums cover [ClockPeriod − Setup, ClockPeriod + Hold].
+		slack, arrival := float64(sb.Slack[0]), float64(sb.Arrival[0])
+		time := dm.ClockPeriod - dm.Setup - arrival
+		end := dm.ClockPeriod + dm.Hold
+		width := end - slack - time
+		if (time+width)+slack != end || time+arrival != dm.ClockPeriod-dm.Setup {
+			t.Fatalf("instant %v, width %v do not land exactly on the window", time, width)
+		}
+		st := timingsim.Strike{Gates: []netlist.NodeID{g}, Time: time, Width: width}
+		if !lc.table.SpotMayLatch(&sb, time, width) {
+			t.Fatal("record rejected a draw ending exactly at the window's end")
+		}
+		if res := sim.InjectBits(lc.bits, st); !slices.Equal(res.FlippedRegs, []netlist.NodeID{r}) {
+			t.Fatalf("a strike ending exactly at the window's end flipped %v, want [%d]", res.FlippedRegs, r)
+		}
+		// The widened limits take 1e-6 ps: a draw 1e-3 ps short is out.
+		short := width - 1e-3
+		if lc.table.SpotMayLatch(&sb, time, short) {
+			t.Fatalf("record kept a draw ending %v ps before the window's end", width-short)
+		}
+		st.Width = short
+		if res := sim.InjectBits(lc.bits, st); len(res.FlippedRegs) != 0 {
+			t.Fatalf("a strike ending before the window's end flipped %v", res.FlippedRegs)
+		}
+	})
+}

@@ -31,7 +31,9 @@
 // proves for most masked strikes that no transient can reach a
 // register's latching window, and InjectPruned sweeps the rest only
 // where a register that can still latch is reachable, without changing
-// which registers latch.
+// which registers latch. Its SpotBound records bound a whole set of
+// gates at once, so a caller can reject a strike before it knows which
+// of them the strike hits.
 package timingsim
 
 import (

@@ -2,6 +2,7 @@ package timingsim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -393,5 +394,76 @@ func TestPatternClassString(t *testing.T) {
 	}
 	if PatternClass(9).String() == "" {
 		t.Error("unknown class should format")
+	}
+}
+
+// fractionalDelayModel is the default model with every delay and the
+// attenuation moved off the integers, so path sums are values float32
+// cannot hold.
+func fractionalDelayModel() DelayModel {
+	dm := DefaultDelayModel()
+	dm.CellDelay = maps.Clone(dm.CellDelay)
+	for typ, d := range dm.CellDelay {
+		dm.CellDelay[typ] = d + 0.1
+	}
+	dm.Attenuation = 6.03
+	return dm
+}
+
+// TestSpotBoundRoundsOutward checks the float32 rounding of spot
+// records: slack rounds up and arrival down to the nearest float32, and
+// a value float32 holds stays as it is. Records of random gate sets on
+// random designs under a fractional delay model must bound every
+// gate's slack from above and its arrival from below, and must be the
+// nearest float32 that does.
+func TestSpotBoundRoundsOutward(t *testing.T) {
+	inf := math.Inf(1)
+	tight := func(label string, got float32, x float64, up bool) {
+		t.Helper()
+		switch {
+		case up && float64(got) < x, !up && float64(got) > x:
+			t.Fatalf("%s: %v rounded inward to %v", label, x, got)
+		case float64(got) == x:
+		case up && float64(math.Nextafter32(got, float32(-inf))) >= x,
+			!up && float64(math.Nextafter32(got, float32(inf))) <= x:
+			t.Fatalf("%s: %v rounded to %v, past the nearest float32", label, x, got)
+		}
+	}
+	for _, x := range []float64{0, 2, -3.5, 0.1, -0.1, 1.0 / 3, 600.1, 1e-45, -1e-300, inf, -inf} {
+		tight("slack", float32Up(x), x, true)
+		tight("arrival", float32Down(x), x, false)
+	}
+	rng := rand.New(rand.NewSource(7))
+	dm := fractionalDelayModel()
+	inexact := 0
+	for design := 0; design < 4; design++ {
+		nl := buildRandomDesign(rng)
+		sim, err := New(nl, dm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := sim.CycleTables([][]uint64{valueBits(randomValues(rng, nl.NumNodes()), nl.NumNodes())})[0]
+		for trial := 0; trial < 200; trial++ {
+			set := make([]netlist.NodeID, 1+rng.Intn(8))
+			for i := range set {
+				set[i] = netlist.NodeID(rng.Intn(nl.NumNodes()))
+			}
+			sb := ct.SpotBound(set)
+			for cl := range sb.Slack {
+				slack, arrival := -inf, inf
+				for _, g := range set {
+					slack = max(slack, ct.bound[g].slack[cl])
+					arrival = min(arrival, ct.bound[g].arrival[cl])
+				}
+				tight("record slack", sb.Slack[cl], slack, true)
+				tight("record arrival", sb.Arrival[cl], arrival, false)
+				if float64(sb.Slack[cl]) != slack || float64(sb.Arrival[cl]) != arrival {
+					inexact++
+				}
+			}
+		}
+	}
+	if inexact == 0 {
+		t.Fatal("no record needed rounding")
 	}
 }

@@ -64,9 +64,9 @@ fuzz-smoke:
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
-# RTLCycle), BENCH_campaign.json (per-sample campaign cost, scalar vs
-# lane-batched vs lane-batched with the interpreted evaluator on gate
-# attacks, lane-batched on register attacks, plus one generated vs
+# RTLCycle), BENCH_campaign.json (per-sample cost of the lane-batched
+# campaign loop on gate attacks, with the generated and with the
+# interpreted evaluator, and on register attacks, plus one generated vs
 # interpreted 64-lane eval pass, with the speedup ratios),
 # BENCH_convergence.json (per-sampler samples-to-target-CI —
 # statistical efficiency rather than wall time), and BENCH_stages.json

@@ -348,23 +348,18 @@ func benchCampaignThroughput(b *testing.B, mk func(*core.Evaluation) (sampling.S
 	b.ReportMetric(c.SSF()*1e6, "SSFe-6")
 }
 
-// BenchmarkCampaignScalar and BenchmarkCampaignBatched compare the
-// scalar and the lane-batched execution path on gate attacks with the
-// paper's importance sampler.
-func BenchmarkCampaignScalar(b *testing.B) {
+// BenchmarkCampaignBatched is the lane-batched campaign loop on gate
+// attacks with the paper's importance sampler.
+func BenchmarkCampaignBatched(b *testing.B) {
 	benchCampaignThroughput(b, (*core.Evaluation).ImportanceSampler, montecarlo.CampaignOptions{})
 }
 
-func BenchmarkCampaignBatched(b *testing.B) {
-	benchCampaignThroughput(b, (*core.Evaluation).ImportanceSampler, montecarlo.CampaignOptions{Batch: true})
-}
-
-// BenchmarkCampaignBatchedRegister is the lane-batched path on register
-// attacks with the random sampler: about a fifth of the draws resume
-// RTL, and most of those diverge into grouped resumes.
+// BenchmarkCampaignBatchedRegister is the lane-batched campaign loop
+// on register attacks with the random sampler: about a fifth of the
+// draws resume RTL, and most of those diverge into grouped resumes.
 func BenchmarkCampaignBatchedRegister(b *testing.B) {
 	random := func(ev *core.Evaluation) (sampling.Sampler, error) { return ev.RandomSampler(), nil }
-	benchCampaignThroughput(b, random, montecarlo.CampaignOptions{Batch: true, Mode: montecarlo.RegisterAttack})
+	benchCampaignThroughput(b, random, montecarlo.CampaignOptions{Mode: montecarlo.RegisterAttack})
 }
 
 // --- Microbenchmarks of the substrates --------------------------------------

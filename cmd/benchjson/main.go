@@ -5,22 +5,20 @@
 //     gate-level injection (GateInjection), and one RTL cycle
 //     (RTLCycle).
 //   - BENCH_campaign.json (-suite campaign): per-sample campaign cost
-//     (ns/op and samples/sec) of gate attacks with the importance
-//     sampler on the scalar path (CampaignScalar), the lane-batched
-//     path (CampaignBatched), and the lane-batched path on a stack
-//     built with generated-evaluator binding off
-//     (CampaignBatchedInterp); of register attacks with the random
-//     sampler on the lane-batched path (CampaignBatchedRegister), where
-//     most of a sample's time is the grouped resume of diverged lanes;
-//     plus one 64-lane combinational pass of
-//     the bundled MPU, interpreted (EvalPassInterp) and generated
-//     (EvalPassCodegen), where samples_per_sec counts lanes per second.
-//     speedup_batched_vs_scalar is the batched-over-scalar ratio,
-//     speedup_codegen_vs_interp the eval-pass ratio, and
+//     (ns/op and samples/sec) of the lane-batched campaign loop on gate
+//     attacks with the importance sampler (CampaignBatched), the same
+//     on a stack built with generated-evaluator binding off
+//     (CampaignBatchedInterp), and on register attacks with the random
+//     sampler (CampaignBatchedRegister), where most of a sample's time
+//     is the grouped resume of diverged lanes; plus one 64-lane
+//     combinational pass of the bundled MPU, interpreted
+//     (EvalPassInterp) and generated (EvalPassCodegen), where
+//     samples_per_sec counts lanes per second.
+//     speedup_codegen_vs_interp is the eval-pass ratio and
 //     speedup_codegen_campaign the campaign ratio, which Amdahl
 //     dilutes because most of a sample is timed injection and RTL
 //     resume, not the combinational pass. Fixed-seed results are
-//     bit-identical on every path.
+//     bit-identical on both evaluators.
 //   - BENCH_convergence.json (-suite convergence): statistical
 //     efficiency instead of wall time — for each sampler, the number of
 //     samples (n) an adaptive campaign needs before its 95% CI
@@ -98,12 +96,10 @@ type benchResult struct {
 }
 
 // benchFile is one committed record. The speedup fields are written by
-// the campaign suite only: batched over scalar campaign, generated over
-// interpreted eval pass, and generated over interpreted batched
-// campaign.
+// the campaign suite only: generated over interpreted eval pass, and
+// generated over interpreted campaign.
 type benchFile struct {
 	Benchmarks             []benchResult `json:"benchmarks"`
-	SpeedupBatched         float64       `json:"speedup_batched_vs_scalar,omitempty"`
 	SpeedupCodegen         float64       `json:"speedup_codegen_vs_interp,omitempty"`
 	SpeedupCodegenCampaign float64       `json:"speedup_codegen_campaign,omitempty"`
 }
@@ -150,10 +146,8 @@ func main() {
 		for _, r := range results {
 			ns[r.Name] = r.NsPerOp
 		}
-		file.SpeedupBatched = ns["CampaignScalar"] / ns["CampaignBatched"]
 		file.SpeedupCodegen = ns["EvalPassInterp"] / ns["EvalPassCodegen"]
 		file.SpeedupCodegenCampaign = ns["CampaignBatchedInterp"] / ns["CampaignBatched"]
-		fmt.Printf("batched speedup: %.2fx\n", file.SpeedupBatched)
 		fmt.Printf("codegen eval speedup: %.2fx\n", file.SpeedupCodegen)
 		fmt.Printf("codegen campaign speedup: %.2fx\n", file.SpeedupCodegenCampaign)
 	}
@@ -253,8 +247,8 @@ func runOnceSuite() []benchResult {
 
 // campaignSuite measures per-sample campaign cost on the bundled MPU
 // workload with the same importance sampler and seed the root go-bench
-// harness uses: scalar, lane-batched, and lane-batched on a stack built
-// with generated-evaluator binding off. The EvalPass rows time one
+// harness uses, on the default stack and on a stack built with
+// generated-evaluator binding off. The EvalPass rows time one
 // 64-lane combinational pass of the MPU, interpreted and generated —
 // the work the codegen backend replaces.
 func campaignSuite() []benchResult {
@@ -271,15 +265,13 @@ func campaignSuite() []benchResult {
 
 	var results []benchResult
 	for _, cfg := range []struct {
-		name  string
-		ev    *core.Evaluation
-		batch bool
-		mode  montecarlo.Mode
+		name string
+		ev   *core.Evaluation
+		mode montecarlo.Mode
 	}{
-		{"CampaignScalar", ev, false, montecarlo.GateAttack},
-		{"CampaignBatched", ev, true, montecarlo.GateAttack},
-		{"CampaignBatchedInterp", evInt, true, montecarlo.GateAttack},
-		{"CampaignBatchedRegister", ev, true, montecarlo.RegisterAttack},
+		{"CampaignBatched", ev, montecarlo.GateAttack},
+		{"CampaignBatchedInterp", evInt, montecarlo.GateAttack},
+		{"CampaignBatchedRegister", ev, montecarlo.RegisterAttack},
 	} {
 		res := record(&results, cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -293,7 +285,7 @@ func campaignSuite() []benchResult {
 					b.Fatal(err)
 				}
 			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch, Mode: cfg.mode}
+			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Mode: cfg.mode}
 			b.ResetTimer()
 			if _, err := cfg.ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
 				b.Fatal(err)
@@ -369,7 +361,6 @@ func convergenceSuite() []benchResult {
 			MinSamples:    2000,
 			MaxSamples:    convMaxSamples,
 			CheckEvery:    1000,
-			Batch:         true,
 			AdaptProposal: cfg.adapt,
 		}
 		camp, err := ev.Engine.RunAdaptive(context.Background(), cfg.sampler, aopts)

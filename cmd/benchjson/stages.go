@@ -114,7 +114,6 @@ func answerOptions(w int, seed int64) montecarlo.AdaptiveOptions {
 		Mode: stageWorkloads[w].mode, Seed: seed, Epsilon: stageWorkloads[w].eps,
 		Risk:       1 / (stats.Z95 * stats.Z95),
 		MinSamples: 10000, MaxSamples: 1 << 21, CheckEvery: 1000,
-		Batch: true,
 	}
 }
 

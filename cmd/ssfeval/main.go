@@ -1,9 +1,10 @@
 // Command ssfeval evaluates the System Security Factor of a benchmark
 // under a configurable attack, with a chosen sampling strategy.
 //
-// Campaigns can run across an engine pool (-parallel N), use the
-// lane-batched speculative resume (-batch), and stop adaptively on the
-// paper's weak-LLN convergence bound (-adaptive -eps E). Ctrl-C cancels
+// Campaigns can run across an engine pool (-parallel N) and stop
+// adaptively on the paper's weak-LLN convergence bound (-adaptive
+// -eps E). Gate and register campaigns run the lane-batched loop: RTL
+// resumes of a window of draws run 64 at a time. Ctrl-C cancels
 // a running campaign cleanly and reports the partial results
 // accumulated so far. -cpuprofile / -memprofile write pprof profiles of
 // the campaign for performance investigation.
@@ -58,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 	risk := fs.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
 	maxSamples := fs.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
 	progress := fs.Bool("progress", stderrIsTerminal(), "print a live progress line to stderr")
-	batch := fs.Bool("batch", false, "use the lane-batched speculative resume (gate/register modes)")
 	codegen := fs.Bool("codegen", true, "bind the generated straight-line evaluator when one matches the compiled plan hash (false = always interpret)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile after the campaign to this file")
@@ -75,6 +75,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *maxSamples < 1 {
 		return fmt.Errorf("-max-samples %d: need at least one sample", *maxSamples)
+	}
+	if *mode == "glitch" && (*parallel > 1 || *adaptive) {
+		return fmt.Errorf("glitch campaigns run sequentially with a fixed sample count")
 	}
 
 	// Ctrl-C / SIGTERM cancels the campaign; the partial results are
@@ -139,7 +142,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog, Batch: *batch}
+	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog}
 	var camp *montecarlo.Campaign
 	workers := 1
 	if *cpuProfile != "" {
@@ -173,7 +176,6 @@ func run(args []string, stdout io.Writer) error {
 			aopts.MaxSamples = *maxSamples
 			aopts.MinSamples = min(aopts.MinSamples, *maxSamples)
 			aopts.Progress = prog
-			aopts.Batch = *batch
 			aopts.AdaptProposal = *adaptProp
 			camp, err = pool.RunAdaptive(ctx, sp, aopts)
 		} else if pool.Size() > 1 {
@@ -182,9 +184,6 @@ func run(args []string, stdout io.Writer) error {
 			camp, err = ev.Engine.RunCampaign(ctx, sp, copts)
 		}
 	case "glitch":
-		if *parallel > 1 || *adaptive || *batch {
-			return fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count")
-		}
 		tech := fault.DefaultClockGlitch()
 		tech.Depth = *glitchDepth
 		tech.ClockPeriod = fw.Opts.Delay.ClockPeriod

@@ -46,3 +46,19 @@ func TestRejectsEmptyBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestGlitchRejectsParallelAndAdaptive: glitch campaigns run on one
+// engine with a fixed sample count, so -parallel above 1 and -adaptive
+// are errors in glitch mode.
+func TestGlitchRejectsParallelAndAdaptive(t *testing.T) {
+	for _, args := range [][]string{
+		{"-parallel", "2"},
+		{"-adaptive"},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-mode", "glitch", "-samples", "10", "-progress=false"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), "glitch") {
+			t.Errorf("glitch mode with %v: error %v, output:\n%s", args, err, out.String())
+		}
+	}
+}

@@ -418,15 +418,3 @@ func (p *EnginePool) RunAdaptive(ctx context.Context, sampler sampling.Sampler, 
 	}
 	return montecarlo.RunAdaptiveParallel(ctx, p.Engines, sampler, opts)
 }
-
-// EvaluateSSFParallel runs the campaign across the given number of
-// worker engines. For repeated campaigns build an EnginePool once
-// instead: this convenience clones (and golden-runs) the workers on
-// every call.
-func (e *Evaluation) EvaluateSSFParallel(ctx context.Context, sampler sampling.Sampler, opts montecarlo.CampaignOptions, workers int) (*montecarlo.Campaign, error) {
-	pool, err := e.NewEnginePool(workers)
-	if err != nil {
-		return nil, err
-	}
-	return pool.Run(ctx, sampler, opts)
-}

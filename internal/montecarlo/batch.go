@@ -2,14 +2,14 @@
 // RTL resume, with diverged lanes finished in groups that share their
 // behavioural state.
 //
-// The scalar path pays three per-sample costs: a checkpoint restore to
+// A scalar RunOnce pays three per-sample costs: a checkpoint restore to
 // the injection cycle, one full SoC cycle to apply the gate-level
 // injection, and an RTL resume of the faulty SoC to the marked access's
-// decision. The batched path removes the first two by classifying every
-// single-cycle sample against a cached golden attack window (the
-// fault-free post-evaluation node values at each candidate injection
-// cycle — the injection is a pure function of those values), and
-// amortizes the third by packing up to 64 post-injection register
+// decision. Every campaign, and RunBatch, removes the first two by
+// classifying every single-cycle sample against a cached golden attack
+// window (the fault-free post-evaluation node values at each candidate
+// injection cycle — the injection is a pure function of those values),
+// and amortizes the third by packing up to 64 post-injection register
 // states into the lanes of one forked logicsim.Simulator and stepping
 // them together against the recorded golden bus trace.
 //
@@ -27,7 +27,7 @@
 // between them. A lane whose registers return to golden, with a zero
 // offset, has converged (the fault died — the attack failed), mirroring
 // the scalar convergence cut. Fixed-seed campaign results are
-// bit-identical to the scalar path.
+// bit-identical to running every draw through RunOnce.
 package montecarlo
 
 import (
@@ -43,8 +43,8 @@ import (
 )
 
 // batchState caches the golden attack window and the lane simulator; it
-// is built lazily on the first batched run after RunGolden and reused
-// for the rest of the campaign.
+// is built lazily on the first campaign or RunBatch sample after
+// RunGolden and reused by every later one.
 type batchState struct {
 	// lo = TargetCycle - TRange (clamped to 0) is the first recorded
 	// injection cycle; markedResp = TargetCycle + 1 is the cycle the

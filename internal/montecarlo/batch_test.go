@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/harden"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/sampling"
 )
 
 // concentratedEvaluation aims the whole candidate set at the
@@ -412,10 +414,11 @@ func TestGroupedResumeConvergenceCut(t *testing.T) {
 	t.Logf("%d grouped lanes retired through the cut", found)
 }
 
-// TestBatchCampaignEquivalence is the acceptance criterion: fixed-seed
-// campaigns over the batched and scalar paths must be bit-identical —
-// SSF, per-sample convergence trace, success/class/path counts,
-// register attribution, patterns, and even the total RTL cycle count.
+// TestBatchCampaignEquivalence is the acceptance criterion: a
+// fixed-seed RunCampaign must be bit-identical to the scalar reference
+// loop over RunOnce — SSF, per-sample convergence trace,
+// success/class/path counts, register attribution, patterns, and even
+// the total RTL cycle count.
 func TestBatchCampaignEquivalence(t *testing.T) {
 	ev := evaluation(t)
 	sampler, err := ev.ImportanceSampler()
@@ -423,15 +426,15 @@ func TestBatchCampaignEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := montecarlo.CampaignOptions{
+		// Not a multiple of the 2048-draw window: the final window is
+		// partial.
 		Samples: 3000, Seed: 21,
 		TrackConvergence: true, TrackPatterns: true,
 	}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), sampler, opts)
+	scalar, err := ev.Engine.RunCampaignScalar(context.Background(), sampler, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
-	opts.BatchWindow = 700 // not a divisor of Samples: exercises the partial final window
 	batched, err := ev.Engine.RunCampaign(context.Background(), sampler, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -448,11 +451,10 @@ func TestBatchCampaignEquivalence(t *testing.T) {
 func TestBatchCampaignForcedDivergence(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	opts := montecarlo.CampaignOptions{Samples: 2000, Seed: 4, TrackConvergence: true}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	scalar, err := ev.Engine.RunCampaignScalar(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
 	batched, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -479,11 +481,10 @@ func TestBatchCampaignForcedDivergence(t *testing.T) {
 func TestBatchRegisterAttackEquivalence(t *testing.T) {
 	ev := evaluation(t)
 	opts := montecarlo.CampaignOptions{Samples: 1500, Seed: 9, Mode: montecarlo.RegisterAttack}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	scalar, err := ev.Engine.RunCampaignScalar(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
 	batched, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -541,8 +542,8 @@ func TestBatchHardenedRegisterSpotsStayIntact(t *testing.T) {
 }
 
 // TestBatchMultiCycleFallsBackToScalar: multi-cycle disturbances cannot
-// use the cached-window fast path; the batched campaign must route them
-// through the scalar RunOnce and still match exactly.
+// use the cached-window fast path; RunCampaign must route them through
+// the scalar RunOnce and still match the scalar reference exactly.
 func TestBatchMultiCycleFallsBackToScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -560,11 +561,10 @@ func TestBatchMultiCycleFallsBackToScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := montecarlo.CampaignOptions{Samples: 1200, Seed: 5}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	scalar, err := ev.Engine.RunCampaignScalar(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
 	batched, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -577,46 +577,154 @@ func TestBatchMultiCycleFallsBackToScalar(t *testing.T) {
 	}
 }
 
-// TestBatchParallelAndAdaptive: the orchestration layers must forward
-// the batch option and stay bit-identical to their scalar selves.
+// TestBatchCampaignConfigurations compares RunCampaign with the scalar
+// reference loop on configurations whose callers ran the scalar loop
+// while campaigns had two: the dual-rail MPU of the countermeasures
+// experiment, the illegal-read benchmark (ssfeval -bench read), and a
+// gate attack on an engine hardened with the critical registers of a
+// base campaign, as harden.Evaluate and the rank service run it. Gate
+// attacks use the importance sampler, register attacks the random one.
+func TestBatchCampaignConfigurations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dualRail := func(t *testing.T) *core.Evaluation {
+		opts := framework(t).Opts
+		opts.SoC.MPU.DualRail = true
+		fw, err := core.Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	read := func(t *testing.T) *core.Evaluation {
+		ev, err := framework(t).NewEvaluation(core.BenchmarkIllegalRead, core.DefaultAttackSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	hardened := func(t *testing.T) *core.Evaluation {
+		ev := evaluation(t)
+		sampler, err := ev.ImportanceSampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := ev.Engine.RunCampaign(context.Background(), sampler, montecarlo.CampaignOptions{Samples: 20000, Seed: 76})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resilience, area := harden.DefaultCellParams()
+		plan := harden.Plan{Regs: harden.FromCritical(base.CriticalRegisters(), 0.95), Resilience: resilience, AreaFactor: area}
+		if len(plan.Regs) == 0 {
+			t.Fatal("base campaign found no critical register")
+		}
+		plan.Apply(ev.Engine)
+		return ev
+	}
+	gate, register := montecarlo.GateAttack, montecarlo.RegisterAttack
+	for _, tc := range []struct {
+		name  string
+		ev    func(*testing.T) *core.Evaluation
+		modes []montecarlo.Mode
+	}{
+		{"dual-rail", dualRail, []montecarlo.Mode{gate, register}},
+		{"read", read, []montecarlo.Mode{gate, register}},
+		{"hardened-gate", hardened, []montecarlo.Mode{gate}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := tc.ev(t)
+			for _, mode := range tc.modes {
+				var sampler sampling.Sampler = ev.RandomSampler()
+				opts := montecarlo.CampaignOptions{Samples: 8000, Seed: 77, Mode: mode}
+				if mode == gate {
+					var err error
+					if sampler, err = ev.ImportanceSampler(); err != nil {
+						t.Fatal(err)
+					}
+					opts.Samples = 20000
+				}
+				scalar, err := ev.Engine.RunCampaignScalar(context.Background(), sampler, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batched, err := ev.Engine.RunCampaign(context.Background(), sampler, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareCampaigns(t, mode.String(), batched, scalar)
+				t.Logf("%v: SSF %g, %d successes, paths %v, %d RTL cycles",
+					mode, scalar.SSF(), scalar.Successes, scalar.PathCounts, scalar.RTLCycles)
+				if scalar.PathCounts[montecarlo.PathRTL] == 0 {
+					t.Errorf("%v: no RTL resume — the comparison is vacuous", mode)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchParallelAndAdaptive: the orchestration layers run the
+// lane-batched loop in every shard and chunk, on cloned engines and on
+// one engine across chunks, and must stay bit-identical to the same
+// shards and chunks run through the scalar reference loop.
 func TestBatchParallelAndAdaptive(t *testing.T) {
+	ctx := context.Background()
 	ev := evaluation(t)
 	engines, err := ev.CloneEngines(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	popts := montecarlo.CampaignOptions{Samples: 3000, Seed: 11}
-	scalarP, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), popts)
+	gotP, err := montecarlo.RunCampaignParallel(ctx, engines, ev.RandomSampler(), popts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts.Batch = true
-	batchedP, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), popts)
-	if err != nil {
-		t.Fatal(err)
+	var wantP *montecarlo.Campaign
+	for i, so := range montecarlo.ShardCampaignOptions(len(engines), popts.Samples, popts, 0) {
+		shard, err := engines[i].RunCampaignScalar(ctx, ev.RandomSampler(), so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantP == nil {
+			wantP = shard
+		} else if err := wantP.Merge(shard); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if batchedP.Est.Estimate() != scalarP.Est.Estimate() || batchedP.Successes != scalarP.Successes ||
-		batchedP.ClassCounts != scalarP.ClassCounts || batchedP.PathCounts != scalarP.PathCounts {
-		t.Errorf("parallel campaign mismatch: batched %g/%d, scalar %g/%d",
-			batchedP.Est.Estimate(), batchedP.Successes, scalarP.Est.Estimate(), scalarP.Successes)
-	}
+	compareCampaigns(t, "parallel", gotP, wantP)
 
+	// A fixed-size answer (MinSamples = MaxSamples): the stopping rule
+	// cannot end it early, so it runs every chunk.
 	aopts := montecarlo.DefaultAdaptive(0.02)
 	aopts.Seed = 13
-	aopts.MaxSamples = 4000
-	scalarA, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), aopts)
+	aopts.MinSamples, aopts.MaxSamples = 4000, 4000
+	aopts.TrackConvergence = true
+	gotA, err := ev.Engine.RunAdaptive(ctx, ev.RandomSampler(), aopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aopts.Batch = true
-	batchedA, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), aopts)
-	if err != nil {
-		t.Fatal(err)
+	var wantA *montecarlo.Campaign
+	for chunk := int64(0); chunk*int64(aopts.CheckEvery) < int64(aopts.MaxSamples); chunk++ {
+		c, err := ev.Engine.RunCampaignScalar(ctx, ev.RandomSampler(), montecarlo.CampaignOptions{
+			Samples: aopts.CheckEvery, Seed: aopts.Seed*999983 + chunk, TrackConvergence: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantA == nil {
+			wantA = c
+		} else if err := wantA.MergeSequential(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if batchedA.Est.Estimate() != scalarA.Est.Estimate() || batchedA.Est.N() != scalarA.Est.N() ||
-		batchedA.Successes != scalarA.Successes {
-		t.Errorf("adaptive campaign mismatch: batched %g over %d, scalar %g over %d",
-			batchedA.Est.Estimate(), batchedA.Est.N(), scalarA.Est.Estimate(), scalarA.Est.N())
+	compareCampaigns(t, "adaptive", gotA, wantA)
+	if gotA.Est.N() != aopts.MaxSamples || gotP.PathCounts[montecarlo.PathRTL] == 0 || gotA.PathCounts[montecarlo.PathRTL] == 0 {
+		t.Errorf("parallel paths %v, adaptive %d samples with paths %v: not the intended workload",
+			gotP.PathCounts, gotA.Est.N(), gotA.PathCounts)
 	}
 }
 

@@ -36,18 +36,8 @@ type CampaignOptions struct {
 	// ProgressEvery is the approximate number of samples between
 	// Progress callbacks; 0 means the default (500).
 	ProgressEvery int
-	// Batch enables the lane-batched execution path: single-cycle
-	// samples are classified against the cached golden attack window
-	// and their RTL resumes run up to 64 at a time in the lanes of one
-	// forked simulator; lanes that diverge behaviorally finish in
-	// grouped resumes that share their behavioural state. Results are
-	// bit-identical to the scalar path for the same seed.
+	// Deprecated: ignored; every campaign runs the lane-batched loop.
 	Batch bool
-	// BatchWindow is the number of draws buffered before deferred
-	// resumes are flushed and results are committed (in draw order);
-	// 0 means DefaultBatchWindow. Larger windows fill lanes better;
-	// the window also bounds cancellation latency.
-	BatchWindow int
 }
 
 // Campaign is the aggregate result of a sampling campaign.
@@ -178,11 +168,25 @@ func (e *Engine) RunCampaign(ctx context.Context, sampler sampling.Sampler, opts
 // aggregator under the given shard index (parallel campaigns share one
 // aggregator across their shards).
 func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) (*Campaign, error) {
+	c, sampler, err := e.newCampaign(sampler, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.runSamples(ctx, c, sampler, opts, agg, shard); err != nil {
+		c.Options.Samples = c.Est.N()
+		return c, err
+	}
+	return c, nil
+}
+
+// newCampaign checks the options and starts an empty campaign, with
+// the sampler the campaign draws from.
+func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*Campaign, sampling.Sampler, error) {
 	if e.golden == nil {
-		return nil, fmt.Errorf("montecarlo: RunCampaign before RunGolden")
+		return nil, nil, fmt.Errorf("montecarlo: RunCampaign before RunGolden")
 	}
 	if opts.Samples < 1 {
-		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
+		return nil, nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
 	}
 	// Stateful samplers (per-stratum substreams) are never drawn from
 	// directly: each campaign forks a private stream keyed by its seed,
@@ -192,7 +196,6 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 	if f, ok := sampler.(sampling.Forker); ok {
 		sampler = f.Fork(opts.Seed)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	c := &Campaign{
 		SamplerName:     sampler.Name(),
 		Options:         opts,
@@ -205,57 +208,26 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 		}
 		strata, err := stats.NewStratified(probs)
 		if err != nil {
-			return nil, fmt.Errorf("montecarlo: stratified sampler: %w", err)
+			return nil, nil, fmt.Errorf("montecarlo: stratified sampler: %w", err)
 		}
 		c.Strata = strata
 	}
 	if opts.TrackConvergence {
 		c.Convergence = make([]float64, 0, opts.Samples)
 	}
-	run := e.runSamples
-	if opts.Batch {
-		run = e.runSamplesBatched
-	}
-	if err := run(ctx, c, rng, sampler, opts, agg, shard); err != nil {
-		c.Options.Samples = c.Est.N()
-		return c, err
-	}
-	return c, nil
-}
-
-// runSamples evaluates opts.Samples draws into c, consulting ctx
-// between samples and reporting to agg.
-func (e *Engine) runSamples(ctx context.Context, c *Campaign, rng *rand.Rand, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
-	var layout *timingsim.RegisterLayout
 	if opts.TrackPatterns {
-		if c.Patterns == nil {
-			c.Patterns = make(map[string]bool)
-			c.PatternCounts = make(map[timingsim.PatternClass]int)
-		}
-		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
+		c.Patterns = make(map[string]bool)
+		c.PatternCounts = make(map[timingsim.PatternClass]int)
 	}
-	st, _ := sampler.(sampling.Stratal)
-	done := ctx.Done()
-	for i := 0; i < opts.Samples; i++ {
-		select {
-		case <-done:
-			agg.observe(shard, c, true)
-			return ctx.Err()
-		default:
-		}
-		sample, weight := sampler.Draw(rng)
-		res := e.RunOnce(rng, sample, opts.Mode)
-		e.accumulate(c, &opts, layout, st, sample, weight, &res)
-		agg.observe(shard, c, i+1 == opts.Samples)
-	}
-	return nil
+	return c, sampler, nil
 }
 
 // accumulate folds one evaluated sample into the campaign aggregate.
 // The fold order is the draw order — the weighted estimator is a
-// floating-point sum, so both execution paths commit results in exactly
-// this order to stay bit-identical. st is the sampler's Stratal view
-// when the campaign tracks per-stratum state (c.Strata non-nil).
+// floating-point sum, so results are committed in exactly this order,
+// which keeps campaigns bit-identical to consecutive RunOnce calls. st
+// is the sampler's Stratal view when the campaign tracks per-stratum
+// state (c.Strata non-nil).
 func (e *Engine) accumulate(c *Campaign, opts *CampaignOptions, layout *timingsim.RegisterLayout, st sampling.Stratal, sample fault.Sample, weight float64, res *RunResult) {
 	x := 0.0
 	if res.Success {
@@ -286,12 +258,13 @@ func (e *Engine) accumulate(c *Campaign, opts *CampaignOptions, layout *timingsi
 	}
 }
 
-// DefaultBatchWindow is the number of draws buffered per batched flush:
-// enough that draws aimed at the same injection cycle fill most of a
-// 64-lane word, small enough that cancellation stays responsive.
-const DefaultBatchWindow = 2048
+// batchWindow is the number of draws buffered per flush of deferred
+// resumes: enough that draws aimed at the same injection cycle fill
+// most of a 64-lane word, small enough that cancellation stays
+// responsive.
+const batchWindow = 2048
 
-// windowBufs is runSamplesBatched's per-window scratch. It lives on the
+// windowBufs is runSamples' per-window scratch. It lives on the
 // engine, so every window of every campaign the engine runs reuses it.
 type windowBufs struct {
 	samples []fault.Sample
@@ -315,38 +288,27 @@ func (w *windowBufs) reset(n int) {
 	w.flips = w.flips[:0]
 }
 
-// runSamplesBatched is runSamples over the lane-batched execution path:
-// draws are buffered in windows, every sample is injected and
-// classified in draw order against the cached golden attack window
-// (identical rng consumption to the scalar path), and the deferred
-// PathRTL resumes of each window are completed in 64-lane batches
-// before the window's results are committed — again in draw order, so
-// fixed-seed campaigns are bit-identical to the scalar path.
-func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.Rand, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
+// runSamples evaluates opts.Samples draws into c over the lane-batched
+// execution path: draws are buffered in windows, every sample is
+// injected and classified in draw order against the cached golden
+// attack window (consuming the rng exactly as consecutive RunOnce calls
+// would), and the deferred PathRTL resumes of each window are completed
+// in 64-lane batches before the window's results are committed — again
+// in draw order, so fixed-seed campaigns are bit-identical to running
+// every draw through RunOnce. ctx is consulted between draws, and
+// progress is reported to agg.
+func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
+	rng := rand.New(rand.NewSource(opts.Seed))
 	var layout *timingsim.RegisterLayout
 	if opts.TrackPatterns {
-		if c.Patterns == nil {
-			c.Patterns = make(map[string]bool)
-			c.PatternCounts = make(map[timingsim.PatternClass]int)
-		}
 		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
-	}
-	window := opts.BatchWindow
-	if window < 1 {
-		window = DefaultBatchWindow
-	}
-	if window > opts.Samples {
-		window = opts.Samples
 	}
 	w := &e.win
 	st, _ := sampler.(sampling.Stratal)
 	done := ctx.Done()
 	evaluated := 0
 	for evaluated < opts.Samples {
-		n := opts.Samples - evaluated
-		if n > window {
-			n = window
-		}
+		n := min(opts.Samples-evaluated, batchWindow)
 		w.reset(n)
 		cancelled := false
 		drawn := 0

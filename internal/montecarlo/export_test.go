@@ -1,6 +1,48 @@
 package montecarlo
 
-import "repro/internal/fault"
+import (
+	"context"
+	"math/rand"
+
+	"repro/internal/fault"
+	"repro/internal/sampling"
+	"repro/internal/timingsim"
+)
+
+// RunCampaignScalar is RunCampaign over the scalar sample loop: every
+// draw runs through RunOnce, which injects with the unpruned sweep (the
+// dense reference sweep when the engine's simulator is set to it) and
+// resumes RTL one sample at a time, with no latch bound, spot record or
+// lane batch. It is the reference the campaign equivalence tests
+// compare RunCampaign against. It reports no progress.
+func (e *Engine) RunCampaignScalar(ctx context.Context, sampler sampling.Sampler, opts CampaignOptions) (*Campaign, error) {
+	c, sampler, err := e.newCampaign(sampler, opts)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	var layout *timingsim.RegisterLayout
+	if opts.TrackPatterns {
+		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
+	}
+	st, _ := sampler.(sampling.Stratal)
+	for range opts.Samples {
+		if err := ctx.Err(); err != nil {
+			c.Options.Samples = c.Est.N()
+			return c, err
+		}
+		sample, weight := sampler.Draw(rng)
+		res := e.RunOnce(rng, sample, opts.Mode)
+		e.accumulate(c, &opts, layout, st, sample, weight, &res)
+	}
+	return c, nil
+}
+
+// ShardCampaignOptions exposes the per-engine shard options of one
+// parallel round (see shardCampaignOptions).
+func ShardCampaignOptions(engines, n int, opts CampaignOptions, round int64) []CampaignOptions {
+	return shardCampaignOptions(engines, n, opts, round)
+}
 
 // BatchCounts exposes the batched-resume counters to the external tests
 // (see batchCounts). All are zero before the first batched run.

@@ -54,10 +54,11 @@ func TestFastPathsRunOnceParity(t *testing.T) {
 }
 
 // TestFastPathsCampaignEquivalence is the acceptance-criterion check:
-// a fixed-seed campaign must produce identical SSF, Successes, class
-// and path counts with the fast paths on and off; only the simulated
-// RTL-cycle total may change, and it must shrink — a convergence cut
-// that never fires would leave it equal.
+// a fixed-seed RunCampaign must produce the SSF, Successes, class and
+// path counts of the scalar reference loop on the reference
+// configuration, with every fast path off; only the simulated RTL-cycle
+// total may change, and it must shrink — a convergence cut that never
+// fires would leave it equal.
 func TestFastPathsCampaignEquivalence(t *testing.T) {
 	evFast := evaluation(t)
 	evRef := referenceEvaluation(t)
@@ -66,7 +67,7 @@ func TestFastPathsCampaignEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := evRef.Engine.RunCampaign(context.Background(), evRef.RandomSampler(), opts)
+	ref, err := evRef.Engine.RunCampaignScalar(context.Background(), evRef.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestFastPathsMultiCycleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := evRef.Engine.RunCampaign(context.Background(), evRef.RandomSampler(), opts)
+	ref, err := evRef.Engine.RunCampaignScalar(context.Background(), evRef.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -316,12 +316,8 @@ type AdaptiveOptions struct {
 	// snapshots report Total as 0 (open-ended).
 	Progress      ProgressFunc
 	ProgressEvery int
-	// Batch and BatchWindow as in CampaignOptions: every chunk (and
-	// every shard of a parallel round) runs the lane-batched execution
-	// path, leaving results bit-identical to the scalar run with the
-	// same options.
-	Batch       bool
-	BatchWindow int
+	// Deprecated: ignored; every campaign runs the lane-batched loop.
+	Batch bool
 	// Resume continues a previously checkpointed RunAdaptiveParallel
 	// campaign: the accumulated total restored from a Checkpoint
 	// snapshot of the same options. ResumeRound is the number of rounds
@@ -462,8 +458,6 @@ func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts
 			Seed:             opts.Seed*999983 + chunkIdx,
 			TrackConvergence: opts.TrackConvergence,
 			TrackPatterns:    opts.TrackPatterns,
-			Batch:            opts.Batch,
-			BatchWindow:      opts.BatchWindow,
 		}, agg, 0)
 		chunkIdx++
 		if total == nil {
@@ -517,8 +511,6 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		Mode:          opts.Mode,
 		Seed:          opts.Seed,
 		TrackPatterns: opts.TrackPatterns,
-		Batch:         opts.Batch,
-		BatchWindow:   opts.BatchWindow,
 	}
 	var total *Campaign
 	var conv []float64

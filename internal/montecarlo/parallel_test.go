@@ -194,8 +194,7 @@ func TestCloneEnginesIndependent(t *testing.T) {
 // bound alone certifies SSF 0 with a zero-width CI as soon as
 // MinSamples is reached. On the default framework, this gate
 // importance run (seed 7, CI half-width 1e-4) sees no success in its
-// first 2000 samples; scalar and batched, it must keep sampling until
-// it has one.
+// first 2000 samples; it must keep sampling until it has one.
 func TestRunAdaptiveNeverCertifiesZeroHits(t *testing.T) {
 	fw, err := core.Build(core.DefaultOptions())
 	if err != nil {
@@ -209,27 +208,23 @@ func TestRunAdaptiveNeverCertifiesZeroHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []bool{false, true} {
-		opts := montecarlo.AdaptiveOptions{
-			Mode:       montecarlo.GateAttack,
-			Seed:       7,
-			Epsilon:    1e-4,
-			Risk:       1 / (stats.Z95 * stats.Z95),
-			MinSamples: 2000,
-			MaxSamples: 1 << 20,
-			CheckEvery: 1000,
-			Batch:      batch,
-		}
-		c, err := ev.Engine.RunAdaptive(context.Background(), sampler, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Successes == 0 {
-			t.Fatalf("batch=%v: stopped at %d samples with no success (SSF %g, CI %g)",
-				batch, c.Est.N(), c.SSF(), c.CIHalfWidth())
-		}
-		if c.Est.N() <= opts.MinSamples {
-			t.Fatalf("batch=%v: stopped at %d samples, want past the zero-hit start", batch, c.Est.N())
-		}
+	opts := montecarlo.AdaptiveOptions{
+		Mode:       montecarlo.GateAttack,
+		Seed:       7,
+		Epsilon:    1e-4,
+		Risk:       1 / (stats.Z95 * stats.Z95),
+		MinSamples: 2000,
+		MaxSamples: 1 << 20,
+		CheckEvery: 1000,
+	}
+	c, err := ev.Engine.RunAdaptive(context.Background(), sampler, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Successes == 0 {
+		t.Fatalf("stopped at %d samples with no success (SSF %g, CI %g)", c.Est.N(), c.SSF(), c.CIHalfWidth())
+	}
+	if c.Est.N() <= opts.MinSamples {
+		t.Fatalf("stopped at %d samples, want past the zero-hit start", c.Est.N())
 	}
 }

@@ -33,12 +33,13 @@ func pin(c *montecarlo.Campaign) pinnedResult {
 }
 
 // TestPinnedResults compares fixed-seed campaigns against literal
-// values, so a change to any execution path (scalar, batched resume,
-// chunked adaptive, parallel rounds) that moves a single outcome fails
-// here rather than only in an end-to-end benchmark. The scalar and
-// batched fixed-size campaigns share one expectation: they must agree
-// with each other as well as with the record. Re-record only when a
-// change is meant to alter sampled outcomes, and say so in the change.
+// values, so a change to any execution path (the lane-batched campaign
+// loop, the scalar reference loop over RunOnce, chunked adaptive,
+// parallel rounds) that moves a single outcome fails here rather than
+// only in an end-to-end benchmark. The scalar reference and RunCampaign
+// share one expectation: they must agree with each other as well as
+// with the record. Re-record only when a change is meant to alter
+// sampled outcomes, and say so in the change.
 func TestPinnedResults(t *testing.T) {
 	ev := evaluation(t)
 	pool, err := ev.NewEnginePool(2)
@@ -55,9 +56,9 @@ func TestPinnedResults(t *testing.T) {
 		sampler  sampling.Sampler
 		samples  int
 		eps      float64
-		campaign pinnedResult // scalar and batched RunCampaign
-		adaptive pinnedResult // batched RunAdaptive
-		parallel pinnedResult // batched RunAdaptiveParallel on 2 engines
+		campaign pinnedResult // scalar reference and RunCampaign
+		adaptive pinnedResult // RunAdaptive
+		parallel pinnedResult // RunAdaptiveParallel on 2 engines
 	}{
 		{
 			name: "gate_importance", mode: montecarlo.GateAttack, sampler: importance,
@@ -92,9 +93,8 @@ func TestPinnedResults(t *testing.T) {
 			}
 		}
 		copts := montecarlo.CampaignOptions{Samples: tc.samples, Mode: tc.mode, Seed: 41}
-		c, err := ev.Engine.RunCampaign(ctx, tc.sampler, copts)
+		c, err := ev.Engine.RunCampaignScalar(ctx, tc.sampler, copts)
 		check("scalar", c, err, tc.campaign)
-		copts.Batch = true
 		c, err = ev.Engine.RunCampaign(ctx, tc.sampler, copts)
 		check("batched", c, err, tc.campaign)
 
@@ -102,7 +102,7 @@ func TestPinnedResults(t *testing.T) {
 		// time-to-answer benchmark; the answer stops before MaxSamples.
 		aopts := montecarlo.AdaptiveOptions{
 			Mode: tc.mode, Seed: 43, Epsilon: tc.eps, Risk: 1 / (stats.Z95 * stats.Z95),
-			MinSamples: tc.samples / 2, MaxSamples: tc.samples, CheckEvery: 1000, Batch: true,
+			MinSamples: tc.samples / 2, MaxSamples: tc.samples, CheckEvery: 1000,
 		}
 		c, err = ev.Engine.RunAdaptive(ctx, tc.sampler, aopts)
 		check("adaptive", c, err, tc.adaptive)

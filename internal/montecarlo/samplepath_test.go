@@ -47,7 +47,7 @@ func TestBatchedRegisterAnswerAllocations(t *testing.T) {
 	ev := evaluation(t)
 	opts := montecarlo.AdaptiveOptions{
 		Mode: montecarlo.RegisterAttack, Seed: 3, Epsilon: 1, Risk: 0.5,
-		MinSamples: 10000, MaxSamples: 10000, CheckEvery: 1000, Batch: true,
+		MinSamples: 10000, MaxSamples: 10000, CheckEvery: 1000,
 	}
 	sampler := ev.RandomSampler()
 	var c *montecarlo.Campaign
@@ -67,8 +67,8 @@ func TestBatchedRegisterAnswerAllocations(t *testing.T) {
 }
 
 // TestRunBatchResultsOwnFlipped checks that RunBatch results keep their
-// flip sets after later RunBatch calls and batched campaigns on the
-// same engine: they must not share the engine's window arena.
+// flip sets after later RunBatch calls and campaigns on the same
+// engine: they must not share the engine's window arena.
 func TestRunBatchResultsOwnFlipped(t *testing.T) {
 	ev := evaluation(t)
 	srng := rand.New(rand.NewSource(17))
@@ -93,7 +93,7 @@ func TestRunBatchResultsOwnFlipped(t *testing.T) {
 	}
 	ev.Engine.RunBatch(rand.New(rand.NewSource(19)), draw(3000), montecarlo.RegisterAttack)
 	for _, mode := range []montecarlo.Mode{montecarlo.RegisterAttack, montecarlo.GateAttack} {
-		opts := montecarlo.CampaignOptions{Samples: 5000, Seed: 20, Mode: mode, Batch: true}
+		opts := montecarlo.CampaignOptions{Samples: 5000, Seed: 20, Mode: mode}
 		if _, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts); err != nil {
 			t.Fatal(err)
 		}

@@ -64,8 +64,6 @@ type CampaignSnapshot struct {
 	Mode        Mode   `json:"mode"`
 	Seed        int64  `json:"seed"`
 	Samples     int    `json:"samples"`
-	Batch       bool   `json:"batch,omitempty"`
-	BatchWindow int    `json:"batch_window,omitempty"`
 
 	Est         stats.WelfordState             `json:"est"`
 	Weights     stats.WeightMomentsState       `json:"weights"`
@@ -94,8 +92,6 @@ func (c *Campaign) Snapshot() *CampaignSnapshot {
 		Mode:        c.Options.Mode,
 		Seed:        c.Options.Seed,
 		Samples:     c.Options.Samples,
-		Batch:       c.Options.Batch,
-		BatchWindow: c.Options.BatchWindow,
 		Est:         c.Est.State(),
 		Weights:     c.Weights.State(),
 		ClassCounts: c.ClassCounts,
@@ -148,11 +144,9 @@ func (s *CampaignSnapshot) Campaign() *Campaign {
 	c := &Campaign{
 		SamplerName: s.SamplerName,
 		Options: CampaignOptions{
-			Samples:     s.Samples,
-			Mode:        s.Mode,
-			Seed:        s.Seed,
-			Batch:       s.Batch,
-			BatchWindow: s.BatchWindow,
+			Samples: s.Samples,
+			Mode:    s.Mode,
+			Seed:    s.Seed,
 		},
 		Est:             stats.FromWeightedState(s.Est),
 		Weights:         stats.FromWeightMomentsState(s.Weights),

@@ -33,18 +33,18 @@ func varianceStratified(t *testing.T, ev *core.Evaluation) *sampling.Stratified 
 }
 
 // TestStratifiedCampaignScalarBatchedIdentical: the lane-batched
-// execution path must reproduce the scalar stratified campaign
-// bit-for-bit — estimator, per-stratum state, tallies, and trace.
+// campaign loop must reproduce the stratified campaign of the scalar
+// reference loop bit-for-bit — estimator, per-stratum state, tallies,
+// and trace.
 func TestStratifiedCampaignScalarBatchedIdentical(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	sp := varianceStratified(t, ev)
+	// 2048 + 452 draws: the final window is partial.
 	opts := montecarlo.CampaignOptions{Samples: 2500, Seed: 5, TrackConvergence: true}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
+	scalar, err := ev.Engine.RunCampaignScalar(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
-	opts.BatchWindow = 600 // partial final window
 	batched, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)

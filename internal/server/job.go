@@ -44,8 +44,6 @@ type JobRequest struct {
 	// Seed makes the job reproducible; the per-(round, shard) seeds of
 	// the worker pool are derived from it deterministically.
 	Seed int64 `json:"seed"`
-	// Batch enables the lane-batched execution path.
-	Batch bool `json:"batch,omitempty"`
 	// CheckEvery is the per-engine round size (default 500): the
 	// convergence bound, progress rebase, and checkpoints happen on
 	// round boundaries.
@@ -107,7 +105,6 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 	o := montecarlo.AdaptiveOptions{
 		Mode:             mode,
 		Seed:             r.Seed,
-		Batch:            r.Batch,
 		TrackConvergence: r.TrackConvergence,
 		CheckEvery:       r.CheckEvery,
 	}

@@ -20,11 +20,10 @@ import (
 type RankRequest struct {
 	// Samples per campaign (base + one per variant).
 	Samples int `json:"samples"`
-	// Sampler, Mode, Seed, Batch as in JobRequest.
+	// Sampler, Mode, Seed as in JobRequest.
 	Sampler string `json:"sampler,omitempty"`
 	Mode    string `json:"mode,omitempty"`
 	Seed    int64  `json:"seed"`
-	Batch   bool   `json:"batch,omitempty"`
 	// Variants are the hardening plans to rank.
 	Variants []RankVariant `json:"variants"`
 }
@@ -36,7 +35,8 @@ type RankRequest struct {
 // 0.95 for the paper's countermeasure study).
 type RankVariant struct {
 	Name string `json:"name"`
-	// Regs hardens an explicit register set.
+	// Regs hardens an explicit register set: distinct node IDs of
+	// registers of the served MPU netlist.
 	Regs []netlist.NodeID `json:"regs,omitempty"`
 	// TopN hardens the N most critical registers.
 	TopN int `json:"top_n,omitempty"`
@@ -78,8 +78,9 @@ type RankResponse struct {
 	Entries    []RankEntry `json:"leaderboard"`
 }
 
-// normalize applies defaults and validates.
-func (r *RankRequest) normalize(maxSamples, maxVariants int) error {
+// normalize applies defaults and validates; explicit register sets must
+// name registers of nl.
+func (r *RankRequest) normalize(maxSamples, maxVariants int, nl *netlist.Netlist) error {
 	if r.Sampler == "" {
 		r.Sampler = "importance"
 	}
@@ -124,6 +125,18 @@ func (r *RankRequest) normalize(maxSamples, maxVariants int) error {
 		if v.Share < 0 || v.Share > 1 {
 			return fmt.Errorf("variant %q: share %v outside (0, 1]", v.Name, v.Share)
 		}
+		seen := make(map[netlist.NodeID]bool, len(v.Regs))
+		for _, id := range v.Regs {
+			if id < 0 || int(id) >= nl.NumNodes() || nl.Node(id).Type != netlist.DFF {
+				return fmt.Errorf("variant %q: node %d is not a register of the MPU", v.Name, id)
+			}
+			// A repeat would count its register twice in the area and
+			// register accounting.
+			if seen[id] {
+				return fmt.Errorf("variant %q: register %d named twice", v.Name, id)
+			}
+			seen[id] = true
+		}
 		if v.Resilience == 0 && v.AreaFactor == 0 {
 			v.Resilience, v.AreaFactor = harden.DefaultCellParams()
 		}
@@ -146,7 +159,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if err := req.normalize(s.cfg.MaxSamples, s.cfg.MaxVariants); err != nil {
+	if err := req.normalize(s.cfg.MaxSamples, s.cfg.MaxVariants, s.pool.Evaluation.Framework.MPU.Netlist); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -175,7 +188,6 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		Samples: req.Samples,
 		Mode:    mode,
 		Seed:    req.Seed,
-		Batch:   req.Batch,
 	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/montecarlo"
+	"repro/internal/netlist"
 )
 
 // decodeRequest decodes a request body as the handlers do.
@@ -64,12 +66,26 @@ func FuzzJobRequest(f *testing.F) {
 	})
 }
 
+// rankNetlist is a small netlist to check rank requests against: an
+// input (node 0), registers at nodes 1 to 3, and a gate (node 4).
+func rankNetlist() *netlist.Netlist {
+	nl := netlist.New(5)
+	in := nl.AddInput("in")
+	r1 := nl.AddDFF(in, "r1", false)
+	nl.AddDFF(in, "r2", false)
+	nl.AddDFF(in, "r3", false)
+	nl.AddGate(netlist.Inv, r1)
+	return nl
+}
+
 // FuzzRankRequest is FuzzJobRequest for rank requests: an accepted
 // request names a known mode and sampler, asks for 1..cap samples and
 // 1..maxVariants variants with distinct non-empty names, and each
-// variant names exactly one register selection, a share within [0, 1],
+// variant names exactly one register selection, only distinct
+// registers of the netlist in an explicit set, a share within [0, 1],
 // and cell parameters of at least 1.
 func FuzzRankRequest(f *testing.F) {
+	nl := rankNetlist()
 	for _, body := range []string{
 		`{"samples": 2000, "seed": 1, "variants": [{"name": "top", "top_n": 3}, {"share": 0.95}]}`,
 		`{"samples": 500, "mode": "register", "variants": [{"regs": [1, 2, 3], "resilience": 10, "area_factor": 0.5}]}`,
@@ -78,6 +94,11 @@ func FuzzRankRequest(f *testing.F) {
 		`{"samples": 500, "variants": [{"share": 1.5}]}`,
 		`{"samples": 0, "variants": []}`,
 		`{}`,
+		`{"samples": 50, "sampler": "random", "seed": 1, "variants": [{"regs": [99999999]}]}`,
+		`{"samples": 50, "sampler": "random", "seed": 1, "variants": [{"regs": [-1]}]}`,
+		`{"samples": 50, "sampler": "random", "seed": 1, "variants": [{"regs": [5]}]}`,
+		`{"samples": 50, "variants": [{"regs": [0]}, {"regs": [4]}]}`,
+		`{"samples": 50, "variants": [{"regs": [2, 3, 2]}]}`,
 	} {
 		f.Add([]byte(body), 1<<22, 16)
 	}
@@ -87,7 +108,7 @@ func FuzzRankRequest(f *testing.F) {
 			maxVariants = 16 // Config's default
 		}
 		var req RankRequest
-		if decodeRequest(data, &req) != nil || req.normalize(maxSamples, maxVariants) != nil {
+		if decodeRequest(data, &req) != nil || req.normalize(maxSamples, maxVariants, nl) != nil {
 			return
 		}
 		if _, err := montecarlo.ParseMode(req.Mode); err != nil {
@@ -116,6 +137,14 @@ func FuzzRankRequest(f *testing.F) {
 			}
 			if specs != 1 || v.Share < 0 || v.Share > 1 || v.Resilience < 1 || v.AreaFactor < 1 {
 				t.Fatalf("accepted variant %+v", v)
+			}
+			for j, id := range v.Regs {
+				if !slices.Contains(nl.Regs(), id) {
+					t.Fatalf("accepted variant %+v hardens node %d, which is no register", v, id)
+				}
+				if slices.Contains(v.Regs[:j], id) {
+					t.Fatalf("accepted variant %+v names register %d twice", v, id)
+				}
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/montecarlo"
+	"repro/internal/netlist"
 	"repro/internal/stats"
 )
 
@@ -146,10 +148,18 @@ func TestRankRequestNormalize(t *testing.T) {
 		{"stratified sampler", RankRequest{Samples: 10, Sampler: "stratified"}, true},
 		{"removed sobol sampler", RankRequest{Samples: 10, Sampler: "sobol"}, false},
 		{"unknown mode", RankRequest{Samples: 10, Mode: "weird"}, false},
+		{"registers", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{1, 3}}}}, true},
+		{"node out of range", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{5}}}}, false},
+		{"negative node", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{-1}}}}, false},
+		{"input node", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{0}}}}, false},
+		{"gate node", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{2, 4}}}}, false},
+		{"repeated register", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{1, 3, 1}}}}, false},
 	}
 	for _, c := range cases {
-		c.req.Variants = []RankVariant{{TopN: 3}}
-		err := c.req.normalize(1<<22, 16)
+		if c.req.Variants == nil {
+			c.req.Variants = []RankVariant{{TopN: 3}}
+		}
+		err := c.req.normalize(1<<22, 16, rankNetlist())
 		if c.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
@@ -181,6 +191,39 @@ func TestRankStratifiedHTTP(t *testing.T) {
 	}
 	if resp.Sampler != "stratified" || len(resp.Entries) != 1 {
 		t.Fatalf("rank response %+v", resp)
+	}
+}
+
+// TestRankRejectsNonRegisterHTTP: a rank variant may harden only
+// registers of the served MPU. A node ID out of range, a negative one,
+// or one that names a gate is a client error (400), not a handler
+// panic or a gate's area counted as register area; a register ID is
+// accepted.
+func TestRankRejectsNonRegisterHTTP(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	nl := srv.pool.Evaluation.Framework.MPU.Netlist
+	if nl.Node(5).Type == netlist.DFF {
+		t.Fatal("node 5 of the MPU is a register; pick another non-register")
+	}
+	post := func(regs string) int {
+		t.Helper()
+		r, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(
+			`{"samples":50,"sampler":"random","seed":1,"variants":[{"regs":`+regs+`}]}`))
+		if err != nil {
+			t.Fatalf("regs %s: %v", regs, err)
+		}
+		r.Body.Close()
+		return r.StatusCode
+	}
+	for _, regs := range []string{"[99999999]", "[-1]", "[5]"} {
+		if code := post(regs); code != http.StatusBadRequest {
+			t.Errorf("regs %s: %d, want 400", regs, code)
+		}
+	}
+	if code := post(fmt.Sprintf("[%d]", nl.Regs()[0])); code != http.StatusOK {
+		t.Errorf("regs [%d] (a register): %d, want 200", nl.Regs()[0], code)
 	}
 }
 
@@ -736,6 +779,107 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStoredBatchRecordResumes: servers that still had a batch switch
+// stored "batch" in a job's request and "batch" and "batch_window" in
+// its checkpoint. Such a record must load through the store with a
+// checkpoint that validates, and the job must resume bit-identical to
+// the uninterrupted run.
+func TestStoredBatchRecordResumes(t *testing.T) {
+	p := enginePool(t)
+	req := JobRequest{Samples: 3000, CheckEvery: 250, Sampler: "random", Seed: 17}
+	if err := req.normalize(1 << 22); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := montecarlo.RunAdaptiveParallel(context.Background(),
+		p.Engines, p.Evaluation.RandomSampler(), req.adaptiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Checkpoint the same run after two rounds, then stop it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cp *montecarlo.CampaignSnapshot
+	aopts := req.adaptiveOptions()
+	aopts.Checkpoint = func(rounds int64, total *montecarlo.Campaign) {
+		if rounds == 2 {
+			cp = total.Snapshot()
+			cancel()
+		}
+	}
+	if _, err := montecarlo.RunAdaptiveParallel(ctx, p.Engines, p.Evaluation.RandomSampler(), aopts); err == nil {
+		t.Fatal("interrupted run finished")
+	}
+	if cp == nil {
+		t.Fatal("no checkpoint after two rounds")
+	}
+
+	// The record as such a server wrote it.
+	withKeys := func(obj any, keys string) json.RawMessage {
+		t.Helper()
+		data, err := json.Marshal(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return json.RawMessage(`{` + keys + `,` + string(data[1:]))
+	}
+	data, err := json.Marshal(map[string]any{
+		"id":           "stored",
+		"tenant":       "default",
+		"state":        StateRunning,
+		"submitted_at": time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
+		"rounds":       2,
+		"request":      withKeys(req, `"batch": true`),
+		"checkpoint":   withKeys(cp, `"batch": true, "batch_window": 700`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"batch_window":700`)) || bytes.Count(data, []byte(`"batch":true`)) != 2 {
+		t.Fatalf("record lacks the stored batch keys: %s", data)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "job-stored.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, errs := st.Load()
+	if len(errs) != 0 || len(recs) != 1 {
+		t.Fatalf("store loaded %d records, errors %v", len(recs), errs)
+	}
+	if recs[0].State != StateRunning || recs[0].Checkpoint == nil {
+		t.Fatalf("stored record loaded as %s, checkpoint %v (%s)", recs[0].State, recs[0].Checkpoint, recs[0].Error)
+	}
+	if err := recs[0].Checkpoint.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(p, dir, Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := srv.job("stored")
+	if !ok || j.state() != StateQueued || j.snapshotRecord().Checkpoint == nil {
+		t.Fatal("stored job not queued for resume from its checkpoint")
+	}
+	srv.Start()
+	defer srv.Shutdown()
+	if st := waitTerminal(t, j); st != StateDone {
+		t.Fatalf("stored job ended %s (%s), want done", st, j.snapshotRecord().Error)
+	}
+	got := j.snapshotRecord().Result
+	if got == nil || got.SSF != ref.SSF() || got.Samples != ref.Est.N() || got.Successes != ref.Successes ||
+		got.Variance != ref.Variance() || got.RTLCycles != ref.RTLCycles ||
+		got.ClassCounts != ref.ClassCounts || got.PathCounts != ref.PathCounts {
+		t.Fatalf("resumed result %+v; uninterrupted SSF %v N %d successes %d RTL cycles %d",
+			got, ref.SSF(), ref.Est.N(), ref.Successes, ref.RTLCycles)
+	}
+}
+
 // TestStratifiedRestartResumeBitIdentical: a stratified job carries
 // per-stratum Welford state through the server's checkpoint files; a
 // kill + restart mid-job must still finish bit-identical to an
@@ -837,7 +981,7 @@ func TestRankDeterministic(t *testing.T) {
 			{Name: "share60", Share: 0.6},
 		},
 	}
-	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants); err != nil {
+	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants, srv.pool.Evaluation.Framework.MPU.Netlist); err != nil {
 		t.Fatal(err)
 	}
 	first, err := srv.rank(context.Background(), req)

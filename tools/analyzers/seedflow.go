@@ -8,10 +8,10 @@ import (
 // nondeterministic source: a wall-clock read (time.Now, or a
 // Unix*/Nanosecond method call, which in practice only time.Time
 // carries), the process id, or crypto/rand. Every campaign in this
-// codebase must be reproducible from Options.Seed alone — the scalar,
-// batched, and parallel execution paths all promise bit-identical
-// results for a fixed seed, and a wall-clock seed silently voids that
-// contract while everything still "works".
+// codebase must be reproducible from Options.Seed alone — RunOnce, the
+// lane-batched campaign loop, and the parallel runners all promise
+// bit-identical results for a fixed seed, and a wall-clock seed silently
+// voids that contract while everything still "works".
 //
 // Seeds that are literals, named constants, or arithmetic over
 // variables (the deterministic shard/chunk derivations) pass. A

@@ -349,8 +349,9 @@ func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
 			go func(w int) {
 				defer wg.Done()
 				replay := replays[w]
+				state := make([]uint64, len(allRegs))
 				for i := w; i < len(coneRegs); i += workers {
-					life, contam := replayInjection(replay, coneRegs[i], start, goldenIn, golden, inputs, inConeIdx, allRegs, opts.LifetimeCap)
+					life, contam := replayInjection(replay, state, coneRegs[i], start, goldenIn, golden, inputs, inConeIdx, allRegs, opts.LifetimeCap)
 					lifeSum[i] += float64(life)
 					contamSum[i] += float64(contam)
 				}
@@ -372,7 +373,9 @@ func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
 // golden input waveforms, and returns the error's lifetime (cycles
 // until the cone registers reconverge with the golden run, capped) and
 // its contamination count (distinct other cone registers touched).
-func replayInjection(replay *logicsim.Simulator, r netlist.NodeID, start []uint64, goldenIn, golden [][]uint64, inputs []netlist.NodeID, inConeIdx []bool, allRegs []netlist.NodeID, horizon int) (life, contam int) {
+// state is scratch for the replay's register state, one word per
+// register.
+func replayInjection(replay *logicsim.Simulator, state []uint64, r netlist.NodeID, start []uint64, goldenIn, golden [][]uint64, inputs []netlist.NodeID, inConeIdx []bool, allRegs []netlist.NodeID, horizon int) (life, contam int) {
 	replay.SetRegState(start)
 	replay.FlipReg(r)
 	life = horizon
@@ -382,7 +385,7 @@ func replayInjection(replay *logicsim.Simulator, r netlist.NodeID, start []uint6
 			replay.SetInput(id, goldenIn[k][i])
 		}
 		replay.Step()
-		state := replay.RegState()
+		replay.RegStateInto(state)
 		diff := false
 		for i := range state {
 			if !inConeIdx[i] {

@@ -2,8 +2,10 @@
 //
 //   - BENCH_runonce.json (-suite runonce, default): ns/op, B/op, and
 //     allocs/op for a complete cross-level run (RunOnce), one timed
-//     gate-level injection (GateInjection), and one RTL cycle
-//     (RTLCycle).
+//     gate-level injection (GateInjection), one RTL cycle (RTLCycle),
+//     and one pre-characterization of the default MPU
+//     (Precharacterize: cones, signatures and correlations, and the
+//     lifetime campaign), the set-up every fresh process pays.
 //   - BENCH_campaign.json (-suite campaign): per-sample campaign cost
 //     (ns/op and samples/sec) of the lane-batched campaign loop on gate
 //     attacks with the importance sampler (CampaignBatched), the same
@@ -68,6 +70,7 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/precharac"
 	"repro/internal/sampling"
 	"repro/internal/soc"
 	"repro/internal/stats"
@@ -239,6 +242,26 @@ func runOnceSuite() []benchResult {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Step()
+		}
+	})
+
+	record(&results, "Precharacterize", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := soc.DefaultConfig()
+		mpu, err := soc.BuildMPU(cfg.MPU)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := precharac.DefaultOptions()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, err := soc.WithMPU(cfg, soc.SyntheticProgram(cfg.DMABase, cfg.DMALimit), mpu)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := precharac.Characterize(s, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 

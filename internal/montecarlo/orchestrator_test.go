@@ -211,6 +211,35 @@ func TestRunAdaptiveParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunAdaptiveParallelHugeCheckEvery: a CheckEvery whose round,
+// CheckEvery×engines, overflows int runs one round of the remaining
+// samples, bit-identical to a CheckEvery whose round is exactly that.
+func TestRunAdaptiveParallelHugeCheckEvery(t *testing.T) {
+	ev := evaluation(t)
+	engines, err := ev.CloneEngines(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(checkEvery int) *montecarlo.Campaign {
+		t.Helper()
+		opts := montecarlo.DefaultAdaptive(0.02)
+		opts.MinSamples, opts.MaxSamples = 100, 100
+		opts.CheckEvery = checkEvery
+		opts.Seed = 9
+		c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+		if err != nil {
+			t.Fatalf("CheckEvery %d: %v", checkEvery, err)
+		}
+		return c
+	}
+	want := run(50)
+	got := run(1 << 62)
+	if got.Est.N() != 100 {
+		t.Fatalf("ran %d samples, want 100", got.Est.N())
+	}
+	compareCampaigns(t, "CheckEvery 1<<62 vs 50", got, want)
+}
+
 func TestRunAdaptiveParallelTracksRoundTrace(t *testing.T) {
 	ev := evaluation(t)
 	engines, err := ev.CloneEngines(2)

@@ -550,9 +550,11 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		if remaining <= 0 {
 			break
 		}
-		roundN := opts.CheckEvery * nE
-		if roundN > remaining {
-			roundN = remaining
+		// CheckEvery×nE can overflow; a round that would pass
+		// remaining is cut to it without forming the product.
+		roundN := remaining
+		if opts.CheckEvery <= remaining/nE {
+			roundN = opts.CheckEvery * nE
 		}
 		shardOpts := shardCampaignOptions(nE, roundN, copts, round)
 		results, errs := runShards(ctx, engines, cur, shardOpts, agg)

@@ -18,8 +18,6 @@ package precharac
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/logicsim"
 	"repro/internal/modelcheck"
@@ -54,13 +52,6 @@ type Options struct {
 	// campaigns start. The guard rejects only error-severity findings,
 	// so skipping it never changes results on a valid design.
 	SkipModelCheck bool
-	// Workers bounds the goroutines of the lifetime campaign's
-	// per-register replays (0 means runtime.NumCPU(), 1 forces the
-	// serial path). Each injected register is an independent replay
-	// against the shared golden trajectory, and per-register results
-	// are merged in sorted register order, so the output is
-	// byte-identical at every worker count.
-	Workers int
 }
 
 // DefaultOptions returns the settings used by the paper-scale
@@ -203,33 +194,49 @@ func (c *Characterization) computeCorrelations(nl *netlist.Netlist, trace *logic
 			c.rsDensity = d
 		}
 	}
-	c.corrFanin = corrLayers(nl, trace, rsSigs, c.Fanin, false)
-	c.corrFanout = corrLayers(nl, trace, rsSigs, c.Fanout, true)
+	// A node persists across unrolled layers and sits in both cones, so
+	// its signature is computed once, on first use.
+	sigs := make([][]uint64, nl.NumNodes())
+	c.corrFanin = corrLayers(trace, sigs, rsSigs, c.Fanin, false)
+	c.corrFanout = corrLayers(trace, sigs, rsSigs, c.Fanout, true)
 }
 
-func corrLayers(nl *netlist.Netlist, trace *logicsim.Trace, rsSigs [][]uint64, cone *netlist.Cone, forward bool) [][]float64 {
+// corrLayers fills one cone's correlation table, depth by depth. Each
+// responding signal's signature is aligned to the depth once, so a
+// node's overlap with it is one AND and popcount per word.
+func corrLayers(trace *logicsim.Trace, sigs, rsSigs [][]uint64, cone *netlist.Cone, forward bool) [][]float64 {
 	out := make([][]float64, len(cone.ByDepth))
+	aligned := make([][]uint64, len(rsSigs))
+	for i, rsSig := range rsSigs {
+		aligned[i] = make([]uint64, len(rsSig))
+	}
 	for d, layer := range cone.ByDepth {
-		out[d] = make([]float64, nl.NumNodes())
+		out[d] = make([]float64, len(sigs))
+		// Backward (fanin): flips at g at cycle k reach rs at k+d, so
+		// rs's signature is shifted down by d. Forward (fanout): flips
+		// at rs at cycle k reach g at k+d, so it is shifted up by d.
+		shift := d
+		if forward {
+			shift = -d
+		}
+		for i, rsSig := range rsSigs {
+			for w := range aligned[i] {
+				aligned[i][w] = extractShifted(rsSig, w, shift)
+			}
+		}
 		for _, g := range layer {
-			ss := trace.SwitchSignature(g)
+			ss := sigs[g]
+			if ss == nil {
+				ss = trace.SwitchSignature(g)
+				sigs[g] = ss
+			}
 			weight := popcount(ss)
 			if weight == 0 {
 				continue
 			}
 			best := 0.0
-			for _, rsSig := range rsSigs {
-				var overlap int
-				if forward {
-					// Flips at rs at cycle k reach g at k+d:
-					// align rs's signature shifted up by d.
-					overlap = andPopcountShiftUp(ss, rsSig, d)
-				} else {
-					// Flips at g at cycle k reach rs at k+d:
-					// align rs's signature shifted down by d.
-					overlap = andPopcountShiftDown(ss, rsSig, d)
-				}
-				if corr := float64(overlap) / float64(weight); corr > best {
+			for _, rs := range aligned {
+				if corr := float64(andPopcount(ss, rs)) / float64(weight); corr > best {
 					best = corr
 				}
 			}
@@ -250,6 +257,10 @@ func corrLayers(nl *netlist.Netlist, trace *logicsim.Trace, rsSigs [][]uint64, c
 // cones (e.g. a performance counter) can never influence the responding
 // signals, so divergence there does not keep an error "alive" in the
 // paper's sense.
+//
+// One replay carries up to 64 injections, one per simulator lane (see
+// laneReplay), so a probe costs ceil(len(coneRegs)/64) replays instead
+// of one per register.
 func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
 	nl := s.MPU.Netlist
 	regsInCone := map[netlist.NodeID]bool{}
@@ -263,26 +274,19 @@ func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
 	if len(regsInCone) == 0 {
 		return fmt.Errorf("precharac: no registers in responding-signal cones")
 	}
-	// coneRegs fixes the injection-spot order: workers are assigned
-	// registers by index and results are merged back in this order, so
-	// the campaign output does not depend on the worker count.
+	// coneRegs fixes the injection order: lane l of batch b flips
+	// coneRegs[64b+l], and results are stored in this order.
 	coneRegs := make([]netlist.NodeID, 0, len(regsInCone))
 	//maporder-ok (sorted below)
 	for r := range regsInCone {
 		coneRegs = append(coneRegs, r)
 	}
 	sortIDs(coneRegs)
-	sums := map[netlist.NodeID]*RegChar{}
-	for _, r := range coneRegs {
-		sums[r] = &RegChar{Reg: r}
+	sim, err := logicsim.New(nl)
+	if err != nil {
+		return err
 	}
-	allRegs := nl.Regs()
-	// inConeIdx[i] marks position i of RegState as security-relevant.
-	inConeIdx := make([]bool, len(allRegs))
-	for i, r := range allRegs {
-		inConeIdx[i] = regsInCone[r]
-	}
-	inputs := nl.Inputs()
+	rp := newLaneReplay(sim, coneRegs, opts.LifetimeCap)
 
 	// Probe points spread across the benchmark, past the privileged
 	// setup.
@@ -291,119 +295,146 @@ func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
 	if stride < 1 {
 		stride = 1
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(coneRegs) {
-		workers = len(coneRegs)
-	}
-	// One private replay simulator per worker: a Simulator is not safe
-	// for concurrent use, but forks share the immutable netlist, plan,
-	// and topological order.
-	replays := make([]*logicsim.Simulator, workers)
-	base, err := logicsim.New(nl)
-	if err != nil {
-		return err
-	}
-	replays[0] = base
-	for w := 1; w < workers; w++ {
-		replays[w] = base.Fork()
-	}
-	// lifeSum/contamSum accumulate per-register across probes in fixed
-	// slots of the sorted register order — every (register, probe) cell
-	// has one writer, so the worker count never reorders an addition.
+	// lifeSum/contamSum accumulate per register across probes, in probe
+	// order.
 	lifeSum := make([]float64, len(coneRegs))
 	contamSum := make([]float64, len(coneRegs))
+	var life, contam [64]int
 	for p := 0; p < opts.Probes; p++ {
 		probe := warmup + p*stride
 		s.Reset()
 		for s.Cycle() < probe {
 			s.Step()
 		}
-		start := s.Sim.RegState()
-
-		// Golden trajectory: per-cycle input vectors and register
-		// states, captured from the full-system run.
-		goldenIn := make([][]uint64, opts.LifetimeCap)
-		golden := make([][]uint64, opts.LifetimeCap+1)
-		golden[0] = start
-		for k := 0; k < opts.LifetimeCap; k++ {
-			k := k
-			s.StepInject(func(func(netlist.NodeID) bool) []netlist.NodeID {
-				in := make([]uint64, len(inputs))
-				for i, id := range inputs {
-					in[i] = s.Sim.Val(id) & 1
-				}
-				goldenIn[k] = in
-				return nil
-			})
-			golden[k+1] = s.Sim.RegState()
+		rp.recordGolden(s)
+		for first := 0; first < len(coneRegs); first += 64 {
+			n := rp.run(first, &life, &contam)
+			for l := 0; l < n; l++ {
+				lifeSum[first+l] += float64(life[l])
+				contamSum[first+l] += float64(contam[l])
+			}
 		}
-
-		// Replay one injection per cone register, striped across the
-		// workers against the shared read-only golden trajectory.
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				replay := replays[w]
-				state := make([]uint64, len(allRegs))
-				for i := w; i < len(coneRegs); i += workers {
-					life, contam := replayInjection(replay, state, coneRegs[i], start, goldenIn, golden, inputs, inConeIdx, allRegs, opts.LifetimeCap)
-					lifeSum[i] += float64(life)
-					contamSum[i] += float64(contam)
-				}
-			}(w)
-		}
-		wg.Wait()
 	}
 	for i, r := range coneRegs {
-		rc := sums[r]
-		rc.Lifetime = lifeSum[i] / float64(opts.Probes)
-		rc.Contamination = contamSum[i] / float64(opts.Probes)
+		rc := &RegChar{Reg: r, Lifetime: lifeSum[i] / float64(opts.Probes), Contamination: contamSum[i] / float64(opts.Probes)}
 		rc.MemoryType = rc.Lifetime >= float64(opts.MemLifetimeMin) && rc.Contamination <= opts.MemContamMax
 		c.Regs[r] = rc
 	}
 	return nil
 }
 
-// replayInjection flips one register at the probe state, replays the
-// golden input waveforms, and returns the error's lifetime (cycles
-// until the cone registers reconverge with the golden run, capped) and
-// its contamination count (distinct other cone registers touched).
-// state is scratch for the replay's register state, one word per
-// register.
-func replayInjection(replay *logicsim.Simulator, state []uint64, r netlist.NodeID, start []uint64, goldenIn, golden [][]uint64, inputs []netlist.NodeID, inConeIdx []bool, allRegs []netlist.NodeID, horizon int) (life, contam int) {
-	replay.SetRegState(start)
-	replay.FlipReg(r)
-	life = horizon
-	contamIdx := map[int]bool{}
-	for k := 0; k < horizon; k++ {
-		for i, id := range inputs {
-			replay.SetInput(id, goldenIn[k][i])
-		}
-		replay.Step()
-		replay.RegStateInto(state)
-		diff := false
-		for i := range state {
-			if !inConeIdx[i] {
-				continue
+// laneReplay replays bit-flip injections against a golden trajectory,
+// up to 64 at once: lane l of a replay flips one cone register, and
+// the golden start state and inputs are broadcast from lane 0 to every
+// lane, so each lane runs exactly the single-injection replay of its
+// register. The buffers are filled once per probe (recordGolden) and
+// reused by every replay; nothing is allocated per replayed cycle.
+type laneReplay struct {
+	sim      *logicsim.Simulator
+	inputs   []netlist.NodeID
+	coneRegs []netlist.NodeID
+	horizon  int
+	// start is the golden register state at the probe (Netlist.Regs
+	// order); goldenIn[k*len(inputs)+i] is input i during cycle k, and
+	// golden[k*len(coneRegs)+j] is cone register j after cycle k. Every
+	// word holds its lane-0 value in all lanes.
+	start    []uint64
+	goldenIn []uint64
+	golden   []uint64
+	// contam[j] collects the lanes whose error reached cone register j
+	// while still alive.
+	contam []uint64
+}
+
+func newLaneReplay(sim *logicsim.Simulator, coneRegs []netlist.NodeID, horizon int) *laneReplay {
+	nl := sim.Netlist()
+	inputs := nl.Inputs()
+	return &laneReplay{
+		sim:      sim,
+		inputs:   inputs,
+		coneRegs: coneRegs,
+		horizon:  horizon,
+		start:    make([]uint64, len(nl.Regs())),
+		goldenIn: make([]uint64, horizon*len(inputs)),
+		golden:   make([]uint64, horizon*len(coneRegs)),
+		contam:   make([]uint64, len(coneRegs)),
+	}
+}
+
+// broadcast returns the word holding lane 0 of w in every lane.
+func broadcast(w uint64) uint64 { return -(w & 1) }
+
+// recordGolden captures the golden trajectory from the SoC's current
+// state: the register state now, and the MPU's inputs and cone
+// registers over the next horizon cycles, which it steps.
+func (rp *laneReplay) recordGolden(s *soc.SoC) {
+	s.Sim.RegStateInto(rp.start)
+	for i, w := range rp.start {
+		rp.start[i] = broadcast(w)
+	}
+	nIn, nCone := len(rp.inputs), len(rp.coneRegs)
+	for k := 0; k < rp.horizon; k++ {
+		in := rp.goldenIn[k*nIn : (k+1)*nIn]
+		s.StepInject(func(func(netlist.NodeID) bool) []netlist.NodeID {
+			for i, id := range rp.inputs {
+				in[i] = broadcast(s.Sim.Val(id))
 			}
-			if (state[i]^golden[k+1][i])&1 != 0 {
-				diff = true
-				if allRegs[i] != r {
-					contamIdx[i] = true
-				}
-			}
-		}
-		if !diff {
-			life = k + 1
-			break
+			return nil
+		})
+		g := rp.golden[k*nCone : (k+1)*nCone]
+		for j, r := range rp.coneRegs {
+			g[j] = broadcast(s.Sim.Val(r))
 		}
 	}
-	return life, len(contamIdx)
+}
+
+// run replays the injections into coneRegs[first:first+n], n at most
+// 64, and returns n. life[l] is lane l's error lifetime: the first
+// cycle count after which every cone register matches the golden run,
+// or the horizon if none does. contam[l] is the number of other cone
+// registers its error reached before then.
+func (rp *laneReplay) run(first int, life, contam *[64]int) int {
+	n := min(len(rp.coneRegs)-first, 64)
+	sim := rp.sim
+	sim.SetRegState(rp.start)
+	for l, r := range rp.coneRegs[first : first+n] {
+		sim.SetReg(r, sim.Val(r)^1<<uint(l))
+	}
+	alive := logicsim.AllLanes >> uint(64-n)
+	for l := 0; l < n; l++ {
+		life[l] = rp.horizon
+		contam[l] = 0
+	}
+	clear(rp.contam)
+	nIn, nCone := len(rp.inputs), len(rp.coneRegs)
+	for k := 0; k < rp.horizon && alive != 0; k++ {
+		in := rp.goldenIn[k*nIn : (k+1)*nIn]
+		for i, id := range rp.inputs {
+			sim.SetInput(id, in[i])
+		}
+		sim.Step()
+		g := rp.golden[k*nCone : (k+1)*nCone]
+		var diff uint64
+		for j, r := range rp.coneRegs {
+			d := sim.Val(r) ^ g[j]
+			diff |= d
+			rp.contam[j] |= d & alive
+		}
+		for dead := alive &^ diff; dead != 0; dead &= dead - 1 {
+			life[bits.TrailingZeros64(dead)] = k + 1
+		}
+		alive &= diff
+	}
+	// A lane's own register is not contamination.
+	for l := 0; l < n; l++ {
+		rp.contam[first+l] &^= 1 << uint(l)
+	}
+	for _, m := range rp.contam {
+		for ; m != 0; m &= m - 1 {
+			contam[bits.TrailingZeros64(m)]++
+		}
+	}
+	return n
 }
 
 // computeCombLifetimes assigns every combinational gate the maximum
@@ -568,21 +599,11 @@ func popcount(w []uint64) int {
 	return n
 }
 
-// andPopcountShiftDown counts bits where a[c] and b[c+shift] are both
-// set (b shifted down towards cycle 0).
-func andPopcountShiftDown(a, b []uint64, shift int) int {
+// andPopcount counts the bits set in both a and b (len(b) ≥ len(a)).
+func andPopcount(a, b []uint64) int {
 	n := 0
-	for w := range a {
-		n += bits.OnesCount64(a[w] & extractShifted(b, w, shift))
-	}
-	return n
-}
-
-// andPopcountShiftUp counts bits where a[c] and b[c-shift] are both set.
-func andPopcountShiftUp(a, b []uint64, shift int) int {
-	n := 0
-	for w := range a {
-		n += bits.OnesCount64(a[w] & extractShifted(b, w, -shift))
+	for w, x := range a {
+		n += bits.OnesCount64(x & b[w])
 	}
 	return n
 }

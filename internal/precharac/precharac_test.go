@@ -1,10 +1,10 @@
 package precharac
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
-	"repro/internal/logicsim"
 	"repro/internal/netlist"
 	"repro/internal/soc"
 )
@@ -212,61 +212,6 @@ func TestLifetimeAccessors(t *testing.T) {
 	}
 }
 
-// TestReplayInjectionAllocatesNothingPerCycle pins that a lifetime
-// replay reads the register state into its worker's buffer instead of
-// allocating a fresh copy every replayed cycle. Per-cycle copies made
-// the lifetime campaign the bulk of set-up's garbage (about 120 MB of
-// the 140 MB core.Build allocated on the default MPU), so the process's
-// peak RSS swung with whichever burst a collection happened to catch.
-func TestReplayInjectionAllocatesNothingPerCycle(t *testing.T) {
-	s := synthSoC(t)
-	nl := s.MPU.Netlist
-	sim, err := logicsim.New(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 40
-	inputs, allRegs := nl.Inputs(), nl.Regs()
-	start := sim.RegState()
-	goldenIn := make([][]uint64, horizon)
-	golden := make([][]uint64, horizon+1)
-	golden[0] = start
-	for k := range goldenIn {
-		goldenIn[k] = make([]uint64, len(inputs))
-		for i, id := range inputs {
-			sim.SetInput(id, goldenIn[k][i])
-		}
-		sim.Step()
-		golden[k+1] = sim.RegState()
-	}
-	inCone := make([]bool, len(allRegs))
-	for i := range inCone {
-		inCone[i] = true
-	}
-	replay := sim.Fork()
-	state := make([]uint64, len(allRegs))
-	// A flip that stays live for the whole horizon without touching
-	// another register replays every cycle and records no
-	// contamination, so any allocation is a per-cycle one.
-	reg := netlist.Invalid
-	for _, r := range allRegs {
-		life, contam := replayInjection(replay, state, r, start, goldenIn, golden, inputs, inCone, allRegs, horizon)
-		if life == horizon && contam == 0 {
-			reg = r
-			break
-		}
-	}
-	if reg == netlist.Invalid {
-		t.Fatal("no register keeps its flip live for the horizon without contaminating another")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		replayInjection(replay, state, reg, start, goldenIn, golden, inputs, inCone, allRegs, horizon)
-	})
-	if allocs != 0 {
-		t.Errorf("replaying %d cycles allocated %v times, want 0", horizon, allocs)
-	}
-}
-
 func TestFaninRegLayers(t *testing.T) {
 	c, s := getChar(t)
 	nl := s.MPU.Netlist
@@ -323,6 +268,27 @@ func TestScalarAndParallelTracesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// andPopcountShiftDown counts bits where a[c] and b[c+shift] are both
+// set (b shifted down towards cycle 0). With andPopcountShiftUp it is
+// the word-by-word reference for the aligned signatures corrLayers
+// ANDs against.
+func andPopcountShiftDown(a, b []uint64, shift int) int {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w] & extractShifted(b, w, shift))
+	}
+	return n
+}
+
+// andPopcountShiftUp counts bits where a[c] and b[c-shift] are both set.
+func andPopcountShiftUp(a, b []uint64, shift int) int {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w] & extractShifted(b, w, -shift))
+	}
+	return n
 }
 
 func TestBitsetShiftHelpers(t *testing.T) {

@@ -38,6 +38,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"samples": 10, "epsilon": 0.01}`,
 		`{"samples": -1, "sampler": "sobol"}`,
 		`{}`,
+		`{"samples": 100, "check_every": 4611686018427387904, "sampler": "random"}`,
 	} {
 		f.Add([]byte(body), 1<<22)
 		f.Add([]byte(body), 1000)

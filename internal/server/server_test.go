@@ -495,6 +495,41 @@ func TestUnknownSamplerRejectedHTTP(t *testing.T) {
 	}
 }
 
+// TestHugeCheckEveryRunsHTTP: a check_every whose round overflows on
+// the two-engine pool is accepted and runs to its sample count.
+func TestHugeCheckEveryRunsHTTP(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	srv.Start()
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	r, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"samples": 100, "check_every": 4611686018427387904, "sampler": "random"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(r.Body).Decode(&st)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %+v", r.StatusCode, st)
+	}
+	j, ok := srv.job(st.ID)
+	if !ok {
+		t.Fatalf("job %s not found", st.ID)
+	}
+	if state := waitTerminal(t, j); state != StateDone {
+		t.Fatalf("job ended %s: %s", state, j.status().Error)
+	}
+	if res := j.status().Result; res == nil || res.Samples != 100 {
+		t.Fatalf("result %+v, want 100 samples", res)
+	}
+}
+
 func TestQueueBackpressure(t *testing.T) {
 	// QueueDepth 1 and no Start: the first submission parks in the
 	// queue, the second must be rejected with 429 + Retry-After.

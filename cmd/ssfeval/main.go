@@ -76,6 +76,9 @@ func run(args []string, stdout io.Writer) error {
 	if *maxSamples < 1 {
 		return fmt.Errorf("-max-samples %d: need at least one sample", *maxSamples)
 	}
+	if !*adaptive && *samples < 1 {
+		return fmt.Errorf("-samples %d: need at least one sample", *samples)
+	}
 	if *mode == "glitch" && (*parallel > 1 || *adaptive) {
 		return fmt.Errorf("glitch campaigns run sequentially with a fixed sample count")
 	}
@@ -179,7 +182,12 @@ func run(args []string, stdout io.Writer) error {
 			aopts.AdaptProposal = *adaptProp
 			camp, err = pool.RunAdaptive(ctx, sp, aopts)
 		} else if pool.Size() > 1 {
-			camp, err = pool.Run(ctx, sp, copts)
+			// A fixed-size run in one round: -samples split over the
+			// pool's engines.
+			camp, err = montecarlo.RunAdaptiveParallel(ctx, pool.Engines, sp, montecarlo.AdaptiveOptions{
+				Mode: copts.Mode, Seed: *seed, Progress: prog,
+				MinSamples: *samples, MaxSamples: *samples, CheckEvery: *samples,
+			})
 		} else {
 			camp, err = ev.Engine.RunCampaign(ctx, sp, copts)
 		}

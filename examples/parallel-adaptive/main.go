@@ -2,12 +2,15 @@
 // engine pool and let it stop itself on the paper's weak-LLN
 // convergence bound, instead of guessing a sample count up front.
 //
-// This composes the two campaign orchestration features:
+// It runs the one round loop every multi-engine or adaptive campaign
+// runs:
 //
 //   - an EnginePool clones the SoC over the shared MPU elaboration so
-//     shards run concurrently on independent engines;
-//   - RunAdaptive(Parallel) checks Pr[|estimate − SSF| ≥ eps] ≤ risk
-//     between rounds and stops as soon as the bound holds.
+//     each round's shards run concurrently on independent engines;
+//   - EnginePool.RunAdaptive (montecarlo.RunAdaptiveParallel on the
+//     pool) checks Pr[|estimate − SSF| ≥ eps] ≤ risk between rounds and
+//     stops as soon as the bound holds. With MinSamples == MaxSamples
+//     the same call is a fixed-size parallel campaign.
 //
 // A progress callback observes the campaign while it runs, and a
 // context deadline shows how long campaigns stay cancellable: the

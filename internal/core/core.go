@@ -340,7 +340,7 @@ func (e *Evaluation) EvaluateSSF(ctx context.Context, sampler sampling.Sampler, 
 // CloneEngines builds n independent engines over the same design,
 // benchmark, and attack — each with its own SoC instance and golden run
 // (the MPU elaboration, placement, and characterization are shared;
-// they are immutable). Use with montecarlo.RunCampaignParallel.
+// they are immutable). Use with montecarlo.RunAdaptiveParallel.
 func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 	f := e.Framework
 	out := make([]*montecarlo.Engine, 0, n)
@@ -374,9 +374,11 @@ func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 // 0 is the evaluation's own engine, the rest are clones sharing the
 // immutable MPU elaboration, placement, and pre-characterization.
 // Build the pool once (each clone pays one golden run) and run as many
-// parallel or adaptive campaigns over it as needed. The pool runs one
-// campaign at a time; the engines themselves are not safe for
-// concurrent use outside the pool's own sharding.
+// campaigns over it as needed: RunAdaptive, or
+// montecarlo.RunAdaptiveParallel on Engines (a fixed-size campaign is
+// one with MinSamples == MaxSamples). The pool runs one campaign at a
+// time; the engines themselves are not safe for concurrent use outside
+// the round loop's own sharding.
 type EnginePool struct {
 	Evaluation *Evaluation
 	Engines    []*montecarlo.Engine
@@ -403,15 +405,10 @@ func (e *Evaluation) NewEnginePool(workers int) (*EnginePool, error) {
 // Size returns the number of engines in the pool.
 func (p *EnginePool) Size() int { return len(p.Engines) }
 
-// Run splits the campaign across the pool and merges the shard results
-// (montecarlo.RunCampaignParallel).
-func (p *EnginePool) Run(ctx context.Context, sampler sampling.Sampler, opts montecarlo.CampaignOptions) (*montecarlo.Campaign, error) {
-	return montecarlo.RunCampaignParallel(ctx, p.Engines, sampler, opts)
-}
-
-// RunAdaptive runs chunked adaptive rounds across the pool, stopping
-// on the weak-LLN bound. A pool of one engine degenerates to the
-// sequential RunAdaptive (including its per-sample convergence trace).
+// RunAdaptive runs adaptive rounds across the pool, stopping on the
+// weak-LLN bound (montecarlo.RunAdaptiveParallel). A pool of one engine
+// runs the engine's RunAdaptive: the same round loop, with the round
+// seeds that method has always used.
 func (p *EnginePool) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts montecarlo.AdaptiveOptions) (*montecarlo.Campaign, error) {
 	if len(p.Engines) == 1 {
 		return p.Engines[0].RunAdaptive(ctx, sampler, opts)

@@ -2,6 +2,7 @@ package montecarlo_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -667,10 +668,13 @@ func TestBatchCampaignConfigurations(t *testing.T) {
 	}
 }
 
-// TestBatchParallelAndAdaptive: the orchestration layers run the
-// lane-batched loop in every shard and chunk, on cloned engines and on
-// one engine across chunks, and must stay bit-identical to the same
-// shards and chunks run through the scalar reference loop.
+// TestBatchParallelAndAdaptive: the round loop runs the lane-batched
+// loop in every shard, on cloned engines and on one engine across
+// rounds, and must stay bit-identical to the same shards run through
+// the scalar reference loop and merged in index order. A fixed-size
+// RunAdaptiveParallel with CheckEvery ≥ its sample count runs one
+// round, split over the engines with earlier shards taking the
+// remainder.
 func TestBatchParallelAndAdaptive(t *testing.T) {
 	ctx := context.Background()
 	ev := evaluation(t)
@@ -678,53 +682,67 @@ func TestBatchParallelAndAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := montecarlo.CampaignOptions{Samples: 3000, Seed: 11}
-	gotP, err := montecarlo.RunCampaignParallel(ctx, engines, ev.RandomSampler(), popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantP *montecarlo.Campaign
-	for i, so := range montecarlo.ShardCampaignOptions(len(engines), popts.Samples, popts, 0) {
-		shard, err := engines[i].RunCampaignScalar(ctx, ev.RandomSampler(), so)
+	for _, tc := range []struct {
+		mode    montecarlo.Mode
+		samples int
+	}{
+		{montecarlo.GateAttack, 3000},
+		{montecarlo.GateAttack, 3001},
+		{montecarlo.RegisterAttack, 3001},
+	} {
+		label := fmt.Sprintf("parallel %v %d", tc.mode, tc.samples)
+		gotP, err := montecarlo.RunAdaptiveParallel(ctx, engines, ev.RandomSampler(), montecarlo.AdaptiveOptions{
+			Mode: tc.mode, Seed: 11,
+			MinSamples: tc.samples, MaxSamples: tc.samples, CheckEvery: tc.samples,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantP == nil {
-			wantP = shard
-		} else if err := wantP.Merge(shard); err != nil {
-			t.Fatal(err)
+		popts := montecarlo.CampaignOptions{Samples: tc.samples, Mode: tc.mode, Seed: 11}
+		var wantP *montecarlo.Campaign
+		for i, so := range montecarlo.ShardCampaignOptions(len(engines), popts.Samples, popts, 0) {
+			shard, err := engines[i].RunCampaignScalar(ctx, ev.RandomSampler(), so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantP == nil {
+				wantP = shard
+			} else if err := wantP.Merge(shard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compareCampaigns(t, label, gotP, wantP)
+		if gotP.Est.N() != tc.samples || gotP.PathCounts[montecarlo.PathRTL] == 0 {
+			t.Errorf("%s: %d samples with paths %v: not the intended workload", label, gotP.Est.N(), gotP.PathCounts)
 		}
 	}
-	compareCampaigns(t, "parallel", gotP, wantP)
 
-	// A fixed-size answer (MinSamples = MaxSamples): the stopping rule
-	// cannot end it early, so it runs every chunk.
+	// A fixed-size answer (MinSamples = MaxSamples) on one engine runs
+	// every round of CheckEvery samples, seeded Seed·999983 + round.
 	aopts := montecarlo.DefaultAdaptive(0.02)
 	aopts.Seed = 13
 	aopts.MinSamples, aopts.MaxSamples = 4000, 4000
-	aopts.TrackConvergence = true
 	gotA, err := ev.Engine.RunAdaptive(ctx, ev.RandomSampler(), aopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wantA *montecarlo.Campaign
-	for chunk := int64(0); chunk*int64(aopts.CheckEvery) < int64(aopts.MaxSamples); chunk++ {
+	for round := int64(0); round*int64(aopts.CheckEvery) < int64(aopts.MaxSamples); round++ {
 		c, err := ev.Engine.RunCampaignScalar(ctx, ev.RandomSampler(), montecarlo.CampaignOptions{
-			Samples: aopts.CheckEvery, Seed: aopts.Seed*999983 + chunk, TrackConvergence: true,
+			Samples: aopts.CheckEvery, Seed: aopts.Seed*999983 + round,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wantA == nil {
 			wantA = c
-		} else if err := wantA.MergeSequential(c); err != nil {
+		} else if err := wantA.Merge(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	compareCampaigns(t, "adaptive", gotA, wantA)
-	if gotA.Est.N() != aopts.MaxSamples || gotP.PathCounts[montecarlo.PathRTL] == 0 || gotA.PathCounts[montecarlo.PathRTL] == 0 {
-		t.Errorf("parallel paths %v, adaptive %d samples with paths %v: not the intended workload",
-			gotP.PathCounts, gotA.Est.N(), gotA.PathCounts)
+	if gotA.Est.N() != aopts.MaxSamples || gotA.PathCounts[montecarlo.PathRTL] == 0 {
+		t.Errorf("adaptive %d samples with paths %v: not the intended workload", gotA.Est.N(), gotA.PathCounts)
 	}
 }
 

@@ -196,11 +196,7 @@ func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*C
 	if f, ok := sampler.(sampling.Forker); ok {
 		sampler = f.Fork(opts.Seed)
 	}
-	c := &Campaign{
-		SamplerName:     sampler.Name(),
-		Options:         opts,
-		RegContribution: make(map[netlist.NodeID]float64),
-	}
+	c := emptyCampaign(sampler.Name(), opts)
 	if st, ok := sampler.(sampling.Stratal); ok {
 		probs := make([]float64, st.NumStrata())
 		for k := range probs {
@@ -212,6 +208,18 @@ func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*C
 		}
 		c.Strata = strata
 	}
+	return c, sampler, nil
+}
+
+// emptyCampaign starts a campaign with the state accumulate folds into:
+// the attribution map, and the convergence trace and pattern sets when
+// the options track them.
+func emptyCampaign(samplerName string, opts CampaignOptions) *Campaign {
+	c := &Campaign{
+		SamplerName:     samplerName,
+		Options:         opts,
+		RegContribution: make(map[netlist.NodeID]float64),
+	}
 	if opts.TrackConvergence {
 		c.Convergence = make([]float64, 0, opts.Samples)
 	}
@@ -219,7 +227,16 @@ func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*C
 		c.Patterns = make(map[string]bool)
 		c.PatternCounts = make(map[timingsim.PatternClass]int)
 	}
-	return c, sampler, nil
+	return c
+}
+
+// patternLayout is the register layout accumulate classifies latched
+// patterns with; nil when the options do not track patterns.
+func (e *Engine) patternLayout(opts CampaignOptions) *timingsim.RegisterLayout {
+	if !opts.TrackPatterns {
+		return nil
+	}
+	return timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
 }
 
 // accumulate folds one evaluated sample into the campaign aggregate.
@@ -299,10 +316,7 @@ func (w *windowBufs) reset(n int) {
 // progress is reported to agg.
 func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	var layout *timingsim.RegisterLayout
-	if opts.TrackPatterns {
-		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
-	}
+	layout := e.patternLayout(opts)
 	w := &e.win
 	st, _ := sampler.(sampling.Stratal)
 	done := ctx.Done()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sampling"
-	"repro/internal/timingsim"
 )
 
 // RunCampaignScalar is RunCampaign over the scalar sample loop: every
@@ -21,10 +20,7 @@ func (e *Engine) RunCampaignScalar(ctx context.Context, sampler sampling.Sampler
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	var layout *timingsim.RegisterLayout
-	if opts.TrackPatterns {
-		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
-	}
+	layout := e.patternLayout(opts)
 	st, _ := sampler.(sampling.Stratal)
 	for range opts.Samples {
 		if err := ctx.Err(); err != nil {
@@ -39,9 +35,10 @@ func (e *Engine) RunCampaignScalar(ctx context.Context, sampler sampling.Sampler
 }
 
 // ShardCampaignOptions exposes the per-engine shard options of one
-// parallel round (see shardCampaignOptions).
+// RunAdaptiveParallel round (see shardCampaignOptions), seeded from
+// opts.Seed as RunAdaptiveParallel seeds them.
 func ShardCampaignOptions(engines, n int, opts CampaignOptions, round int64) []CampaignOptions {
-	return shardCampaignOptions(engines, n, opts, round)
+	return shardCampaignOptions(engines, n, opts, opts.Seed*1000003, round)
 }
 
 // BatchCounts exposes the batched-resume counters to the external tests

@@ -58,8 +58,10 @@ func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunRes
 // RunGlitchCampaign estimates the SSF of a clock-glitch attack by plain
 // Monte Carlo over the attack's own distribution (the glitch parameter
 // space is small enough that pre-characterization-driven sampling is
-// unnecessary). Cancellation via ctx returns the partial campaign
-// accumulated so far alongside the context's error.
+// unnecessary). Each run folds into the campaign as a sample of weight
+// 1 at the draw's timing distance, exactly as a campaign sample does.
+// Cancellation via ctx returns the partial campaign accumulated so far
+// alongside the context's error.
 func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAttack, opts CampaignOptions) (*Campaign, error) {
 	if e.golden == nil {
 		return nil, fmt.Errorf("montecarlo: RunGlitchCampaign before RunGolden")
@@ -71,14 +73,8 @@ func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAtta
 		return nil, fmt.Errorf("montecarlo: TRange %d reaches into MPU setup", attack.TRange)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	c := &Campaign{
-		SamplerName:     "glitch-random",
-		Options:         opts,
-		RegContribution: make(map[netlist.NodeID]float64),
-	}
-	if opts.TrackConvergence {
-		c.Convergence = make([]float64, 0, opts.Samples)
-	}
+	c := emptyCampaign("glitch-random", opts)
+	layout := e.patternLayout(opts)
 	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, opts.Samples, 1)
 	done := ctx.Done()
 	for i := 0; i < opts.Samples; i++ {
@@ -91,21 +87,7 @@ func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAtta
 		}
 		sample := attack.SampleNominal(rng)
 		res := e.RunGlitchOnce(rng, sample)
-		x := 0.0
-		if res.Success {
-			x = 1.0
-			c.Successes++
-			for _, r := range res.Flipped {
-				c.RegContribution[r] += 1
-			}
-		}
-		c.Est.Add(x, 1)
-		c.ClassCounts[res.Class]++
-		c.PathCounts[res.Path]++
-		c.RTLCycles += res.ResumeCycles
-		if opts.TrackConvergence {
-			c.Convergence = append(c.Convergence, c.Est.Estimate())
-		}
+		e.accumulate(c, &opts, layout, nil, fault.Sample{T: sample.T}, 1, &res)
 		agg.observe(0, c, i+1 == opts.Samples)
 	}
 	return c, nil

@@ -141,6 +141,39 @@ func TestGlitchCampaignEndToEnd(t *testing.T) {
 	t.Logf("glitch: SSF=%.5f successes=%d classes=%v", c.SSF(), c.Successes, c.ClassCounts)
 }
 
+// TestGlitchCampaignFoldsLikeCampaigns: glitch runs fold through the
+// campaign accumulator with weight 1, so the weight moments, the
+// per-t tallies and the tracked patterns fill as in any campaign.
+func TestGlitchCampaignFoldsLikeCampaigns(t *testing.T) {
+	ev := evaluation(t)
+	attack, err := fault.NewGlitchAttack("glitch", 50, fault.DefaultClockGlitch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	c, err := ev.Engine.RunGlitchCampaign(context.Background(), attack,
+		montecarlo.CampaignOptions{Samples: n, Seed: 1, TrackPatterns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ess := c.ESS(); ess != n {
+		t.Errorf("ESS %v, want %d", ess, n)
+	}
+	draws, hits := 0, 0
+	for i := range c.TDraws {
+		draws += c.TDraws[i]
+	}
+	for i := range c.THits {
+		hits += c.THits[i]
+	}
+	if draws != n || hits != c.Successes {
+		t.Errorf("TDraws sum to %d, THits to %d; want %d and %d successes", draws, hits, n, c.Successes)
+	}
+	if c.ClassCounts[montecarlo.Masked] < n && len(c.Patterns) == 0 {
+		t.Error("latched glitches tracked no pattern")
+	}
+}
+
 func TestGlitchDeterministicDepthSweep(t *testing.T) {
 	// A deeper glitch flips at least as many registers as a shallow
 	// one at the same cycle.

@@ -54,19 +54,22 @@ func TestParallelCancellationMergesPartialsNoLeak(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	ctx, prog := cancelAfter(300)
-	opts := montecarlo.CampaignOptions{
-		Samples: 1 << 20, Seed: 7,
-		Progress: prog, ProgressEvery: 50,
-	}
-	c, err := montecarlo.RunCampaignParallel(ctx, engines, ev.RandomSampler(), opts)
+	opts := fixedSize(1<<20, 7)
+	totals := map[int]bool{}
+	opts.Progress = func(p montecarlo.Progress) { totals[p.Total] = true; prog(p) } // callbacks are serialized
+	opts.ProgressEvery = 50
+	c, err := montecarlo.RunAdaptiveParallel(ctx, engines, ev.RandomSampler(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if c == nil || c.Est.N() < 300 || c.Est.N() >= opts.Samples {
+	if c == nil || c.Est.N() < 300 || c.Est.N() >= opts.MaxSamples {
 		t.Fatalf("partial merge wrong: %+v", c)
 	}
-	// All shard goroutines must have exited (RunCampaignParallel joins
-	// them before returning); allow the runtime a moment to reap.
+	if len(totals) != 1 || !totals[opts.MaxSamples] {
+		t.Errorf("fixed-size progress reported Total %v, want %d", totals, opts.MaxSamples)
+	}
+	// All shard goroutines must have exited (the round loop joins them
+	// before returning); allow the runtime a moment to reap.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -85,8 +88,7 @@ func TestParallelShardPanicIsolated(t *testing.T) {
 	// Sabotage shard 1 so its first run panics; the orchestrator must
 	// convert that into an indexed error instead of crashing.
 	engines[1].SoC = nil
-	_, err = montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 100, Seed: 1})
+	_, err = montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), fixedSize(100, 1))
 	if err == nil {
 		t.Fatal("panicking shard produced no error")
 	}
@@ -106,47 +108,18 @@ func TestRunAdaptiveTracksConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Convergence) != c.Est.N() {
-		t.Fatalf("trace length %d, campaign has %d samples", len(c.Convergence), c.Est.N())
+	// One entry per round: the merged estimate after each round.
+	rounds := (c.Est.N() + opts.CheckEvery - 1) / opts.CheckEvery
+	if len(c.Convergence) != rounds {
+		t.Fatalf("trace length %d, campaign ran %d rounds (%d samples)", len(c.Convergence), rounds, c.Est.N())
 	}
-	last := c.Convergence[len(c.Convergence)-1]
-	if math.Abs(last-c.SSF()) > 1e-9 {
+	if last := c.Convergence[len(c.Convergence)-1]; last != c.SSF() {
 		t.Errorf("trace ends at %v, SSF is %v", last, c.SSF())
 	}
 	for i, v := range c.Convergence {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("trace entry %d is %v", i, v)
 		}
-	}
-}
-
-func TestMergeSequentialExtendsTrace(t *testing.T) {
-	ev := evaluation(t)
-	o1 := montecarlo.CampaignOptions{Samples: 300, Seed: 1, TrackConvergence: true}
-	o2 := montecarlo.CampaignOptions{Samples: 200, Seed: 2, TrackConvergence: true}
-	c1, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), o1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := append([]float64(nil), c1.Convergence...)
-	c1.MergeSequential(c2)
-	if c1.Est.N() != 500 || len(c1.Convergence) != 500 {
-		t.Fatalf("merged N=%d trace=%d", c1.Est.N(), len(c1.Convergence))
-	}
-	for i, v := range prefix {
-		if c1.Convergence[i] != v {
-			t.Fatalf("prefix entry %d changed: %v -> %v", i, v, c1.Convergence[i])
-		}
-	}
-	// The appended entries are running estimates of the combined
-	// campaign, so the last one converges to the merged estimate.
-	last := c1.Convergence[499]
-	if math.Abs(last-c1.SSF()) > 1e-9 {
-		t.Errorf("trace ends at %v, merged SSF is %v", last, c1.SSF())
 	}
 }
 
@@ -312,17 +285,19 @@ func TestParallelProgressAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var final montecarlo.Progress
-	opts := montecarlo.CampaignOptions{
-		Samples: 900, Seed: 3,
-		Progress:      func(p montecarlo.Progress) { final = p }, // callbacks are serialized
-		ProgressEvery: 100,
-	}
-	c, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	totals := map[int]bool{}
+	opts := fixedSize(900, 3)
+	opts.Progress = func(p montecarlo.Progress) { final = p; totals[p.Total] = true } // callbacks are serialized
+	opts.ProgressEvery = 100
+	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Done != 900 {
 		t.Errorf("final aggregate Done = %d", final.Done)
+	}
+	if len(totals) != 1 || !totals[900] {
+		t.Errorf("fixed-size progress reported Total %v, want 900", totals)
 	}
 	if math.Abs(final.SSF-c.SSF()) > 1e-9 {
 		t.Errorf("aggregate SSF %v, merged campaign %v", final.SSF, c.SSF())
@@ -341,15 +316,15 @@ func TestEnginePoolRun(t *testing.T) {
 	if pool.Engines[0] != ev.Engine {
 		t.Error("pool does not reuse the evaluation's engine")
 	}
-	a, err := pool.Run(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 400, Seed: 9})
+	a, err := pool.RunAdaptive(context.Background(), ev.RandomSampler(), fixedSize(400, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pool.Run(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 400, Seed: 9})
+	b, err := pool.RunAdaptive(context.Background(), ev.RandomSampler(), fixedSize(400, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.SSF() != b.SSF() || a.Successes != b.Successes {
+	if a.Est.N() != 400 || a.SSF() != b.SSF() || a.Successes != b.Successes {
 		t.Error("pool campaigns not reproducible across reuse")
 	}
 }

@@ -16,9 +16,7 @@ import (
 // attribution, and pattern sets. Convergence traces are dropped — a
 // cross-shard merge has no meaningful global sample order, so the
 // receiver's trace is cleared to avoid misreading a partial trace as
-// the whole campaign's. Use MergeSequential when o is a same-engine
-// continuation of c (the chunked adaptive rounds), where the
-// concatenated order is real.
+// the whole campaign's (the round loop keeps its own per-round trace).
 //
 // Merge errors when the campaigns are statistically incomparable:
 // importance weights are likelihood ratios against one proposal, so
@@ -89,44 +87,6 @@ func (c *Campaign) Merge(o *Campaign) error {
 	return nil
 }
 
-// MergeSequential folds a continuation chunk into this campaign while
-// extending the convergence trace: o must have been run after c on the
-// same engine (as the chunked RunAdaptive rounds are), so the
-// concatenated sample order is the campaign's real order. The appended
-// entries are recomputed as running estimates of the combined campaign
-// — o's own trace is relative to its chunk only. When either side did
-// not track convergence the trace is dropped, as in Merge. The replay
-// reconstructs terms of the plain weighted mean, so campaigns carrying
-// per-stratum state (whose traces follow the stratified estimator) also
-// drop the trace.
-//
-// MergeSequential errors under the same conditions as Merge (sampler
-// or attack-mode mismatch), leaving the receiver unchanged.
-func (c *Campaign) MergeSequential(o *Campaign) error {
-	var conv []float64
-	replayable := c.Strata == nil && (o == nil || o.Strata == nil)
-	if o != nil && replayable && c.Convergence != nil && o.Convergence != nil {
-		// The k-th chunk entry m_k is the running mean after k terms,
-		// so each weighted term is recoverable as
-		// m_k·k − m_{k−1}·(k−1); replaying the terms on a copy of the
-		// pre-merge estimator yields the campaign-global trace.
-		conv = c.Convergence
-		scratch := c.Est
-		prev := 0.0
-		for k, m := range o.Convergence {
-			term := m*float64(k+1) - prev*float64(k)
-			scratch.Add(term, 1)
-			conv = append(conv, scratch.Estimate())
-			prev = m
-		}
-	}
-	if err := c.Merge(o); err != nil {
-		return err
-	}
-	c.Convergence = conv
-	return nil
-}
-
 // mergeTally adds per-t tallies element-wise, growing dst as needed.
 func mergeTally(dst *[]int, src []int) {
 	for len(*dst) < len(src) {
@@ -182,13 +142,12 @@ func runShards(ctx context.Context, engines []*Engine, sampler sampling.Sampler,
 }
 
 // mergeShards folds shard results in index order, so the merged result
-// is independent of goroutine scheduling. The fold target is a clone of
-// the first contributing shard — never the shard itself — so the
-// entries of results stay intact for callers that retain per-shard
-// campaigns (e.g. a per-shard checkpoint store). Cancellation is not a
-// shard failure: when the only errors are the context's, the partial
-// shards are merged and returned alongside the context error. Any other
-// shard error (including an isolated panic) fails the whole campaign.
+// is independent of goroutine scheduling. The fold target is the first
+// contributing shard itself: the round loop keeps no shard campaign
+// past its merge. Cancellation is not a shard failure: when the only
+// errors are the context's, the partial shards are merged and returned
+// alongside the context error. Any other shard error (including an
+// isolated panic) fails the whole campaign.
 func mergeShards(ctx context.Context, results []*Campaign, errs []error) (*Campaign, error) {
 	// Preallocated to the shard count: the merge runs once per adaptive
 	// round, and growing these inside the round loop shows up in the
@@ -212,7 +171,7 @@ func mergeShards(ctx context.Context, results []*Campaign, errs []error) (*Campa
 			continue
 		}
 		if merged == nil {
-			merged = r.Clone()
+			merged = r
 			continue
 		}
 		if err := merged.Merge(r); err != nil {
@@ -229,61 +188,22 @@ func mergeShards(ctx context.Context, results []*Campaign, errs []error) (*Campa
 }
 
 // shardCampaignOptions derives the per-engine shard options for one
-// parallel round of n total samples: an even split (earlier shards take
-// the remainder) with deterministically derived per-shard seeds.
-func shardCampaignOptions(engines int, n int, opts CampaignOptions, round int64) []CampaignOptions {
+// round of n total samples: an even split (earlier shards take the
+// remainder), with shard i of round r seeded seed0 + r·engines + i.
+func shardCampaignOptions(engines int, n int, opts CampaignOptions, seed0, round int64) []CampaignOptions {
 	base := n / engines
 	extra := n % engines
 	out := make([]CampaignOptions, engines)
 	for i := range out {
 		so := opts
-		so.Progress = nil // shards report through the shared aggregator
 		so.Samples = base
 		if i < extra {
 			so.Samples++
 		}
-		so.Seed = opts.Seed*1000003 + round*int64(engines) + int64(i)
+		so.Seed = seed0 + round*int64(engines) + int64(i)
 		out[i] = so
 	}
 	return out
-}
-
-// RunCampaignParallel splits a campaign across the given engines, one
-// goroutine per engine, and merges the shard results. Every engine must
-// target the same design/benchmark/attack and have completed its golden
-// run; each shard draws from the shared sampler with its own
-// deterministically-derived seed, so the merged result is reproducible
-// (independent of scheduling) but differs from the sequential campaign
-// with the same seed.
-//
-// Samplers built by internal/sampling are safe for concurrent Draw with
-// distinct rngs (they are immutable after construction).
-//
-// The context cancels the campaign: the shards stop at their next
-// sample boundary, their partials are merged, and the merged partial
-// Campaign is returned together with the context's error. A shard that
-// panics or fails is reported as an indexed error ("shard %d: ...")
-// without taking down the process; any such failure fails the whole
-// campaign.
-func RunCampaignParallel(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts CampaignOptions) (*Campaign, error) {
-	if err := validateEngines(engines); err != nil {
-		return nil, err
-	}
-	if opts.Samples < 1 {
-		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
-	}
-	if opts.TrackConvergence {
-		return nil, fmt.Errorf("montecarlo: convergence tracking is per-shard; run sequentially to trace convergence")
-	}
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, opts.Samples, len(engines))
-	shardOpts := shardCampaignOptions(len(engines), opts.Samples, opts, 0)
-	results, errs := runShards(ctx, engines, sampler, shardOpts, agg)
-	merged, err := mergeShards(ctx, results, errs)
-	if merged != nil {
-		merged.Options.Seed = opts.Seed
-		merged.Options.Progress = opts.Progress
-	}
-	return merged, err
 }
 
 // AdaptiveOptions configures RunAdaptive and RunAdaptiveParallel.
@@ -292,41 +212,41 @@ type AdaptiveOptions struct {
 	Mode          Mode
 	Seed          int64
 	TrackPatterns bool
-	// TrackConvergence records the campaign's running estimate. In
-	// RunAdaptive the trace has one entry per sample, exactly as a
-	// sequential RunCampaign would produce (the chunked rounds are
-	// stitched with MergeSequential). In RunAdaptiveParallel the
-	// per-sample order across shards is not meaningful, so the trace
-	// holds one entry per round instead: the merged estimate after
-	// each round.
+	// TrackConvergence records the campaign's running estimate, one
+	// entry per round: the merged estimate after each round. (The
+	// per-sample order across shards is not meaningful; a per-sample
+	// trace comes from RunCampaign.)
 	TrackConvergence bool
 	// Epsilon and Risk define the stopping criterion via the paper's
 	// weak-LLN bound: stop once
 	// Pr[|estimate − SSF| ≥ Epsilon] ≤ Risk, i.e.
-	// variance/(N·Epsilon²) ≤ Risk.
+	// variance/(N·Epsilon²) ≤ Risk. A fixed-size run (MinSamples ==
+	// MaxSamples ≥ 1) needs no criterion: it cannot stop before
+	// MaxSamples, so Epsilon and Risk are not consulted.
 	Epsilon, Risk float64
 	// MinSamples guards against stopping on a premature zero-variance
 	// streak; MaxSamples bounds the total effort.
 	MinSamples, MaxSamples int
-	// CheckEvery controls how often the bound is evaluated. In the
-	// parallel run each engine contributes CheckEvery samples per
-	// round, so the bound is checked every CheckEvery×engines samples.
+	// CheckEvery controls how often the bound is evaluated: each engine
+	// contributes CheckEvery samples per round, so the bound is checked
+	// every CheckEvery×engines samples. A fixed-size run with CheckEvery
+	// ≥ MaxSamples runs in one round.
 	CheckEvery int
-	// Progress and ProgressEvery as in CampaignOptions; adaptive
-	// snapshots report Total as 0 (open-ended).
+	// Progress and ProgressEvery as in CampaignOptions; snapshots
+	// report Total as MaxSamples when MinSamples == MaxSamples, and as
+	// 0 (open-ended) otherwise.
 	Progress      ProgressFunc
 	ProgressEvery int
 	// Deprecated: ignored; every campaign runs the lane-batched loop.
 	Batch bool
-	// Resume continues a previously checkpointed RunAdaptiveParallel
-	// campaign: the accumulated total restored from a Checkpoint
-	// snapshot of the same options. ResumeRound is the number of rounds
-	// that snapshot had completed — the round counter (and with it the
-	// deterministic per-(round, shard) seeds) continues from there, so
-	// a resumed run is bit-identical to the uninterrupted run with the
-	// same options, provided the snapshot round-tripped exactly
+	// Resume continues a previously checkpointed campaign: the
+	// accumulated total restored from a Checkpoint snapshot of the same
+	// options. ResumeRound is the number of rounds that snapshot had
+	// completed — the round counter (and with it the deterministic
+	// per-(round, shard) seeds) continues from there, so a resumed run
+	// is bit-identical to the uninterrupted run with the same options
+	// and engine count, provided the snapshot round-tripped exactly
 	// (CampaignSnapshot guarantees this, including through JSON).
-	// RunAdaptive ignores both fields.
 	Resume      *Campaign
 	ResumeRound int64
 	// AdaptProposal re-tunes the sampler between rounds when it
@@ -341,14 +261,13 @@ type AdaptiveOptions struct {
 	// estimate unbiased. Non-adaptive samplers are unaffected.
 	AdaptProposal bool
 	AdaptFloor    float64
-	// Checkpoint, when non-nil, is invoked by RunAdaptiveParallel after
-	// every merged round with the number of completed rounds and a deep
-	// copy of the accumulated campaign (safe to retain and serialize;
-	// its Convergence holds the per-round trace when TrackConvergence
-	// is set). Feed the copy back through Resume/ResumeRound to
-	// continue after an interruption. The callback runs on the
-	// orchestrating goroutine between rounds; it must not call back
-	// into the engines. RunAdaptive ignores it.
+	// Checkpoint, when non-nil, is invoked after every merged round with
+	// the number of completed rounds and a deep copy of the accumulated
+	// campaign (safe to retain and serialize; its Convergence holds the
+	// per-round trace when TrackConvergence is set). Feed the copy back
+	// through Resume/ResumeRound to continue after an interruption. The
+	// callback runs on the orchestrating goroutine between rounds; it
+	// must not call back into the engines.
 	Checkpoint func(rounds int64, total *Campaign)
 }
 
@@ -363,10 +282,12 @@ func DefaultAdaptive(eps float64) AdaptiveOptions {
 	}
 }
 
-// sanitize validates the stopping criterion and applies the defaults
+// sanitize validates the stopping criterion, which a fixed-size run
+// (MinSamples == MaxSamples ≥ 1) does without, and applies the defaults
 // RunAdaptive has always applied to the effort bounds.
 func (o *AdaptiveOptions) sanitize() error {
-	if o.Epsilon <= 0 || o.Risk <= 0 || o.Risk >= 1 {
+	fixed := o.MinSamples >= 1 && o.MinSamples == o.MaxSamples
+	if !fixed && (o.Epsilon <= 0 || o.Risk <= 0 || o.Risk >= 1) {
 		return fmt.Errorf("montecarlo: bad criterion eps=%v risk=%v", o.Epsilon, o.Risk)
 	}
 	if o.MinSamples < 1 {
@@ -427,78 +348,44 @@ func (o *AdaptiveOptions) finish(total *Campaign) *Campaign {
 // RunAdaptive samples until the weak-LLN convergence bound the paper
 // quotes drops below the requested risk ("the whole process is continued
 // until the empirical estimate converges"), then returns the campaign.
-// Cancellation via ctx returns the partial campaign accumulated so far
-// alongside the context's error.
+// It is the round loop of RunAdaptiveParallel on this one engine, with
+// rounds of CheckEvery samples seeded Seed·999983 + round (so its
+// answers differ from a one-engine RunAdaptiveParallel, whose seeds
+// start at Seed·1000003). Cancellation via ctx returns the partial
+// campaign accumulated so far alongside the context's error.
 func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
-	if e.golden == nil {
-		return nil, fmt.Errorf("montecarlo: RunAdaptive before RunGolden")
-	}
-	if err := opts.sanitize(); err != nil {
-		return nil, err
-	}
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, 0, 1)
-	var total *Campaign
-	cur := sampler
-	chunkIdx := int64(0)
-	for {
-		remaining := opts.MaxSamples
-		if total != nil {
-			remaining = opts.MaxSamples - total.Est.N()
-		}
-		if remaining <= 0 {
-			break
-		}
-		chunkN := opts.CheckEvery
-		if chunkN > remaining {
-			chunkN = remaining
-		}
-		chunk, err := e.runCampaign(ctx, cur, CampaignOptions{
-			Samples:          chunkN,
-			Mode:             opts.Mode,
-			Seed:             opts.Seed*999983 + chunkIdx,
-			TrackConvergence: opts.TrackConvergence,
-			TrackPatterns:    opts.TrackPatterns,
-		}, agg, 0)
-		chunkIdx++
-		if total == nil {
-			total = chunk
-		} else if chunk != nil {
-			if merr := total.MergeSequential(chunk); merr != nil {
-				return opts.finish(total), merr
-			}
-		}
-		if err != nil {
-			return opts.finish(total), err
-		}
-		agg.rebase(0)
-		if opts.converged(total) {
-			break
-		}
-		next, aerr := opts.adapted(cur, total)
-		if aerr != nil {
-			return opts.finish(total), aerr
-		}
-		cur = next
-	}
-	return opts.finish(total), nil
+	return runRounds(ctx, []*Engine{e}, sampler, opts, opts.Seed*999983)
 }
 
-// RunAdaptiveParallel composes the parallel and adaptive campaigns: it
-// runs chunked rounds across the engine pool (CheckEvery samples per
-// engine per round) and evaluates the weak-LLN stopping bound on the
-// merged estimator between rounds, so it stops within one round of the
-// criterion being met. Per-(round, shard) seeds are derived
-// deterministically and shards merge in index order, making the result
-// reproducible and independent of scheduling (it differs from the
-// sequential RunAdaptive with the same seed).
+// RunAdaptiveParallel runs rounds across the engine pool (CheckEvery
+// samples per engine per round) and evaluates the weak-LLN stopping
+// bound on the merged estimator between rounds, so it stops within one
+// round of the criterion being met. Every engine must target the same
+// design/benchmark/attack and have completed its golden run; shards
+// draw from the shared sampler (samplers built by internal/sampling
+// are safe for concurrent Draw with distinct rngs). Per-(round, shard)
+// seeds are derived deterministically from Seed·1000003 and shards
+// merge in index order, making the result reproducible and independent
+// of scheduling. A fixed-size run (MinSamples == MaxSamples) is the
+// parallel campaign of that many samples.
 //
 // Cancellation returns the merged partial campaign alongside the
 // context's error. A panicking or failing shard surfaces as an indexed
-// error and ends the campaign, but the rounds accumulated before the
-// failing round are not discarded: the partial campaign is returned
-// alongside the error, exactly as on cancellation. (The failing round's
-// own shards are dropped — a half-merged round would not be resumable.)
+// error ("shard %d: ...") and ends the campaign, but the rounds
+// accumulated before the failing round are not discarded: the partial
+// campaign is returned alongside the error, exactly as on cancellation.
+// (The failing round's own shards are dropped — a half-merged round
+// would not be resumable.)
 func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
+	return runRounds(ctx, engines, sampler, opts, opts.Seed*1000003)
+}
+
+// runRounds is the round loop under RunAdaptive and
+// RunAdaptiveParallel. Round r runs one shard per engine, shard i
+// seeded seed0 + r·len(engines) + i, merges the shards into the
+// running total, and checkpoints; the loop stops once the total meets
+// the criterion or MaxSamples.
+func runRounds(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts AdaptiveOptions, seed0 int64) (*Campaign, error) {
 	if err := validateEngines(engines); err != nil {
 		return nil, err
 	}
@@ -506,10 +393,13 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		return nil, err
 	}
 	nE := len(engines)
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, 0, nE)
+	size := 0 // open-ended
+	if opts.MinSamples == opts.MaxSamples {
+		size = opts.MaxSamples
+	}
+	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, size, nE)
 	copts := CampaignOptions{
 		Mode:          opts.Mode,
-		Seed:          opts.Seed,
 		TrackPatterns: opts.TrackPatterns,
 	}
 	var total *Campaign
@@ -556,7 +446,7 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		if opts.CheckEvery <= remaining/nE {
 			roundN = opts.CheckEvery * nE
 		}
-		shardOpts := shardCampaignOptions(nE, roundN, copts, round)
+		shardOpts := shardCampaignOptions(nE, roundN, copts, seed0, round)
 		results, errs := runShards(ctx, engines, cur, shardOpts, agg)
 		roundTotal, err := mergeShards(ctx, results, errs)
 		if roundTotal != nil {

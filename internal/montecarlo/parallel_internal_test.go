@@ -29,37 +29,53 @@ func synthetic(sampler string, mode Mode, vals ...float64) *Campaign {
 	return c
 }
 
-func TestMergeShardsDoesNotAliasShardResults(t *testing.T) {
-	c0 := synthetic("s", GateAttack, 1, 0)
-	c1 := synthetic("s", GateAttack, 0, 0, 1)
-	merged, err := mergeShards(context.Background(), []*Campaign{c0, c1}, []error{nil, nil})
+// TestMergeShardsFoldsIntoFirstShard: the merge skips empty shards,
+// folds the rest in index order into the first contributing shard
+// itself, and leaves the later shards as they were.
+func TestMergeShardsFoldsIntoFirstShard(t *testing.T) {
+	empty := synthetic("s", GateAttack)
+	c1 := synthetic("s", GateAttack, 1, 0)
+	c2 := synthetic("s", GateAttack, 0, 0, 1)
+	merged, err := mergeShards(context.Background(), []*Campaign{empty, c1, nil, c2}, make([]error, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged == c0 || merged == c1 {
-		t.Fatal("merged campaign aliases a shard result")
+	if merged != c1 {
+		t.Fatal("merge did not fold into the first contributing shard")
 	}
-	if merged.Est.N() != 5 {
-		t.Fatalf("merged N = %d", merged.Est.N())
+	if merged.Est.N() != 5 || merged.Successes != 2 || merged.Options.Samples != 5 {
+		t.Fatalf("merged N = %d, successes %d, Options.Samples %d", merged.Est.N(), merged.Successes, merged.Options.Samples)
 	}
-	// Mutating the merged campaign — as the server's checkpoint path
-	// does between rounds — must leave the per-shard results intact.
-	merged.Est.Add(5, 1)
-	merged.Successes += 10
-	merged.ClassCounts[1] += 3
-	merged.RegContribution[netlist.NodeID(2)] = 7
-	merged.Patterns["new"] = true
-	if c0.Est.N() != 2 || c0.Successes != 1 || c0.ClassCounts[1] != 0 {
-		t.Errorf("shard 0 counters mutated by post-merge writes: %+v", c0)
+	if merged.RegContribution[netlist.NodeID(1)] != 5 || !merged.Patterns["ps"] {
+		t.Errorf("attribution or patterns not merged: %v %v", merged.RegContribution, merged.Patterns)
 	}
-	if _, ok := c0.RegContribution[netlist.NodeID(2)]; ok {
-		t.Error("shard 0 RegContribution aliased by merged campaign")
+	if c2.Est.N() != 3 || c2.Successes != 1 {
+		t.Errorf("later shard changed by the merge: %+v", c2)
 	}
-	if c0.Patterns["new"] {
-		t.Error("shard 0 Patterns aliased by merged campaign")
-	}
-	if c0.RegContribution[netlist.NodeID(1)] != 2 {
-		t.Errorf("shard 0 contribution overwritten: %v", c0.RegContribution)
+}
+
+// TestSanitizeFixedSizeNeedsNoCriterion: a run with MinSamples ==
+// MaxSamples ≥ 1 cannot stop early, so it needs no stopping criterion;
+// every other run, the zero-valued options included, still does.
+func TestSanitizeFixedSizeNeedsNoCriterion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    AdaptiveOptions
+		ok   bool
+	}{
+		{"zero value", AdaptiveOptions{}, false},
+		{"fixed size", AdaptiveOptions{MinSamples: 10, MaxSamples: 10}, true},
+		{"one sample", AdaptiveOptions{MinSamples: 1, MaxSamples: 1}, true},
+		{"open budget", AdaptiveOptions{MinSamples: 10, MaxSamples: 20}, false},
+		{"max below min", AdaptiveOptions{MinSamples: 20, MaxSamples: 10}, false},
+		{"negative equal bounds", AdaptiveOptions{MinSamples: -1, MaxSamples: -1}, false},
+		{"criterion", AdaptiveOptions{Epsilon: 0.01, Risk: 0.05}, true},
+		{"bad risk", AdaptiveOptions{Epsilon: 0.01, Risk: 1, MinSamples: 10, MaxSamples: 20}, false},
+	} {
+		o := tc.o
+		if err := o.sanitize(); (err == nil) != tc.ok {
+			t.Errorf("%s: sanitize error %v, want ok %v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -45,6 +45,13 @@ func TestCampaignMerge(t *testing.T) {
 	}
 }
 
+// fixedSize is a fixed-size campaign of n samples for the round loop:
+// MinSamples == MaxSamples needs no stopping criterion, and CheckEvery
+// n runs it in one round.
+func fixedSize(n int, seed int64) montecarlo.AdaptiveOptions {
+	return montecarlo.AdaptiveOptions{Seed: seed, MinSamples: n, MaxSamples: n, CheckEvery: n}
+}
+
 func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -54,8 +61,8 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := montecarlo.CampaignOptions{Samples: 3000, Seed: 5}
-	par, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	opts := fixedSize(3000, 5)
+	par, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 		t.Fatalf("parallel N = %d", par.Est.N())
 	}
 	// Reproducibility: same engines, same seed -> identical result.
-	par2, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	par2, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +80,7 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 	// Statistical agreement with a sequential campaign of the same
 	// size (different streams, same distribution): class fractions
 	// within a loose tolerance.
-	seq, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	seq, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +93,22 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	ev := evaluation(t)
-	if _, err := montecarlo.RunCampaignParallel(context.Background(), nil, ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 10}); err == nil {
+	if _, err := montecarlo.RunAdaptiveParallel(context.Background(), nil, ev.RandomSampler(), fixedSize(10, 1)); err == nil {
 		t.Error("no engines accepted")
 	}
 	engines, err := ev.CloneEngines(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 0}); err == nil {
-		t.Error("zero samples accepted")
+	if _, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), montecarlo.AdaptiveOptions{}); err == nil {
+		t.Error("zero-valued options (no samples, no criterion) accepted")
 	}
-	if _, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 10, TrackConvergence: true}); err == nil {
-		t.Error("convergence tracking in parallel accepted")
+	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), fixedSize(10, 1))
+	if err != nil {
+		t.Fatalf("fixed-size run without a criterion: %v", err)
+	}
+	if c.Est.N() != 10 {
+		t.Errorf("fixed-size run of 10 ran %d samples", c.Est.N())
 	}
 }
 
@@ -109,7 +119,7 @@ func TestParallelUnevenSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 samples over 3 engines: 34+33+33.
-	c, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 100, Seed: 1})
+	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), fixedSize(100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ type Progress struct {
 	// Done is the number of samples evaluated so far.
 	Done int
 	// Total is the requested sample count, or 0 when the campaign is
-	// open-ended (adaptive runs stop on the convergence bound).
+	// open-ended (an adaptive run whose MinSamples is below MaxSamples
+	// may stop on the convergence bound).
 	Total int
 	// SSF is the running importance-weighted estimate over everything
 	// evaluated so far.
@@ -48,8 +49,8 @@ type progressAgg struct {
 }
 
 // shardProgress mirrors one shard's current campaign. The base fields
-// fold in completed chunks when a shard runs several campaigns back to
-// back (the adaptive rounds), since each chunk restarts its counters.
+// fold in completed rounds when a shard runs several campaigns back to
+// back, since each round's campaign restarts its counters.
 type shardProgress struct {
 	baseN     int
 	baseSum   float64
@@ -115,8 +116,8 @@ func (a *progressAgg) observe(shard int, c *Campaign, force bool) {
 	a.fn(p)
 }
 
-// rebase folds the shard's current chunk into its base so the next
-// chunk campaign extends rather than replaces it.
+// rebase folds the shard's current round into its base so the next
+// round's campaign extends rather than replaces it.
 func (a *progressAgg) rebase(shard int) {
 	if a == nil {
 		return

@@ -3,7 +3,7 @@ package montecarlo_test
 import (
 	"context"
 	"encoding/json"
-	"math"
+	"errors"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -90,9 +90,6 @@ func TestMergeRejectsMismatchedSampler(t *testing.T) {
 	if c1.Est.State() != before {
 		t.Error("failed Merge mutated the receiver")
 	}
-	if err := c1.MergeSequential(c2); err == nil {
-		t.Fatal("MergeSequential accepted campaigns from different samplers")
-	}
 }
 
 func TestMergeRejectsMismatchedMode(t *testing.T) {
@@ -109,48 +106,6 @@ func TestMergeRejectsMismatchedMode(t *testing.T) {
 	}
 	if err := c1.Merge(c2); err == nil {
 		t.Fatal("Merge accepted campaigns from different attack modes")
-	}
-}
-
-// MergeSequential's trace replay must stay consistent with the direct
-// weighted union when importance weights are non-unit: every appended
-// entry is the running weighted mean of the concatenated term sequence.
-func TestMergeSequentialImportanceWeights(t *testing.T) {
-	ev := evaluation(t)
-	im, err := ev.ImportanceSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := ev.Engine.RunCampaign(context.Background(), im,
-		montecarlo.CampaignOptions{Samples: 300, Seed: 1, TrackConvergence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ev.Engine.RunCampaign(context.Background(), im,
-		montecarlo.CampaignOptions{Samples: 200, Seed: 2, TrackConvergence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent reference: the weighted term sums recovered from the
-	// chunks' own running means. sum1 and each prefix sum of chunk 2
-	// give the expected concatenated running means directly.
-	sum1 := c1.SSF() * 300
-	trace2 := append([]float64(nil), c2.Convergence...)
-	if err := c1.MergeSequential(c2); err != nil {
-		t.Fatal(err)
-	}
-	if c1.Est.N() != 500 || len(c1.Convergence) != 500 {
-		t.Fatalf("merged N=%d trace=%d", c1.Est.N(), len(c1.Convergence))
-	}
-	for k, m2 := range trace2 {
-		want := (sum1 + m2*float64(k+1)) / float64(300+k+1)
-		got := c1.Convergence[300+k]
-		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("merged trace entry %d = %v, want %v", 300+k, got, want)
-		}
-	}
-	if got, want := c1.Convergence[499], c1.SSF(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("trace ends at %v, merged SSF is %v", got, want)
 	}
 }
 
@@ -219,9 +174,7 @@ func TestRunAdaptiveParallelResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := montecarlo.AdaptiveOptions{
-		Epsilon:          1, // fixed-size: min == max pins the total
-		Risk:             0.5,
-		MinSamples:       1200,
+		MinSamples:       1200, // fixed-size: min == max pins the total
 		MaxSamples:       1200,
 		CheckEvery:       200, // rounds of 400 samples, 3 rounds
 		Seed:             9,
@@ -277,4 +230,64 @@ func TestRunAdaptiveParallelResumeBitIdentical(t *testing.T) {
 			t.Fatalf("trace entry %d: %v vs %v", i, resumed.Convergence[i], full.Convergence[i])
 		}
 	}
+}
+
+// TestRunAdaptiveResumeBitIdentical: one-engine RunAdaptive runs the
+// round loop too, so it checkpoints and resumes. A run stopped at its
+// second checkpoint and resumed from the JSON round trip of that
+// snapshot must finish bit-identical to the uninterrupted run.
+func TestRunAdaptiveResumeBitIdentical(t *testing.T) {
+	ev := evaluation(t)
+	opts := montecarlo.DefaultAdaptive(0.01)
+	opts.Mode = montecarlo.RegisterAttack
+	opts.Seed = 4
+	opts.MinSamples, opts.CheckEvery, opts.MaxSamples = 600, 300, 20000
+	opts.TrackConvergence = true
+	full, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Est.N() <= 2*opts.CheckEvery || full.Est.N() >= opts.MaxSamples {
+		t.Fatalf("uninterrupted run stopped at %d samples: the resume would be vacuous", full.Est.N())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stopRounds int64
+	var stopData []byte
+	interrupted := opts
+	interrupted.Checkpoint = func(rounds int64, total *montecarlo.Campaign) {
+		if rounds != 2 {
+			return
+		}
+		data, err := json.Marshal(total.Snapshot())
+		if err != nil {
+			t.Error(err)
+		}
+		stopRounds, stopData = rounds, data
+		cancel()
+	}
+	part, err := ev.Engine.RunAdaptive(ctx, ev.RandomSampler(), interrupted)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if stopData == nil || part.Est.N() != 2*opts.CheckEvery {
+		t.Fatalf("interrupted run: checkpoint after %d rounds, partial of %d samples", stopRounds, part.Est.N())
+	}
+
+	var snap montecarlo.CampaignSnapshot
+	if err := json.Unmarshal(stopData, &snap); err != nil {
+		t.Fatal(err)
+	}
+	resumedOpts := opts
+	resumedOpts.Resume = snap.Campaign()
+	resumedOpts.ResumeRound = stopRounds
+	resumed, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), resumedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Est.State() != full.Est.State() || resumed.SSF() != full.SSF() {
+		t.Fatalf("resumed estimator %+v, uninterrupted %+v", resumed.Est.State(), full.Est.State())
+	}
+	compareCampaigns(t, "resumed RunAdaptive", resumed, full)
 }

@@ -97,9 +97,9 @@ func (r *JobRequest) normalize(maxSamples int) error {
 }
 
 // adaptiveOptions translates the request into the engine's options.
-// Fixed-size jobs run through the same round-based adaptive machinery
-// (MinSamples = MaxSamples = Samples pins the total exactly) so every
-// job checkpoints and resumes uniformly.
+// Fixed-size jobs run through the same round loop as adaptive ones
+// (MinSamples = MaxSamples = Samples pins the total exactly and needs no
+// stopping criterion) so every job checkpoints and resumes uniformly.
 func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 	mode, _ := montecarlo.ParseMode(r.Mode)
 	o := montecarlo.AdaptiveOptions{
@@ -112,11 +112,6 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 		o.CheckEvery = 500
 	}
 	if r.Samples > 0 {
-		// Fixed size: the bound can never stop the run before
-		// MinSamples == the requested count, and MaxSamples stops it
-		// exactly there.
-		o.Epsilon = 1
-		o.Risk = 0.5
 		o.MinSamples = r.Samples
 		o.MaxSamples = r.Samples
 		return o

@@ -42,10 +42,11 @@ type RankVariant struct {
 	TopN int `json:"top_n,omitempty"`
 	// Share hardens the registers covering this share of success mass.
 	Share float64 `json:"share,omitempty"`
-	// Resilience is the hardened cell's upset-rate improvement factor
-	// (default 10, the paper's published figure).
+	// Resilience is the hardened cell's upset-rate improvement factor,
+	// at least 1 (default 10, the paper's published figure).
 	Resilience float64 `json:"resilience,omitempty"`
-	// AreaFactor is the hardened cell's relative area (default 3).
+	// AreaFactor is the hardened cell's relative area, at least 1
+	// (default 3). Each field defaults on its own.
 	AreaFactor float64 `json:"area_factor,omitempty"`
 }
 
@@ -137,14 +138,18 @@ func (r *RankRequest) normalize(maxSamples, maxVariants int, nl *netlist.Netlist
 			}
 			seen[id] = true
 		}
-		if v.Resilience == 0 && v.AreaFactor == 0 {
-			v.Resilience, v.AreaFactor = harden.DefaultCellParams()
+		resilience, areaFactor := harden.DefaultCellParams()
+		if v.Resilience == 0 {
+			v.Resilience = resilience
+		}
+		if v.AreaFactor == 0 {
+			v.AreaFactor = areaFactor
 		}
 		if v.Resilience < 1 {
 			return fmt.Errorf("variant %q: resilience %v < 1", v.Name, v.Resilience)
 		}
 		if v.AreaFactor < 1 {
-			v.AreaFactor = 1
+			return fmt.Errorf("variant %q: area_factor %v < 1", v.Name, v.AreaFactor)
 		}
 	}
 	return nil
@@ -184,15 +189,18 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		return nil, err
 	}
 	mode, _ := montecarlo.ParseMode(req.Mode)
-	copts := montecarlo.CampaignOptions{
-		Samples: req.Samples,
-		Mode:    mode,
-		Seed:    req.Seed,
+	// Every campaign is fixed-size and runs in one round across the pool.
+	opts := montecarlo.AdaptiveOptions{
+		Mode:       mode,
+		Seed:       req.Seed,
+		MinSamples: req.Samples,
+		MaxSamples: req.Samples,
+		CheckEvery: req.Samples,
 	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 
-	base, err := montecarlo.RunCampaignParallel(ctx, s.pool.Engines, sp, copts)
+	base, err := montecarlo.RunAdaptiveParallel(ctx, s.pool.Engines, sp, opts)
 	if err != nil {
 		return nil, fmt.Errorf("base campaign: %w", err)
 	}
@@ -229,7 +237,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		for _, eng := range s.pool.Engines {
 			restores = append(restores, plan.Apply(eng))
 		}
-		hard, err := montecarlo.RunCampaignParallel(ctx, s.pool.Engines, sp, copts)
+		hard, err := montecarlo.RunAdaptiveParallel(ctx, s.pool.Engines, sp, opts)
 		for i := len(restores) - 1; i >= 0; i-- {
 			restores[i]()
 		}

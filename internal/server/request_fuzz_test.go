@@ -27,8 +27,10 @@ func fuzzCap(c int) int {
 // FuzzJobRequest feeds arbitrary bodies to the job-submit decoding:
 // JSON decode, then normalize under a fuzzed sample cap. Neither may
 // panic, and an accepted job must name a known mode and sampler and
-// translate into engine options the adaptive runner accepts, with
-// 0 < MinSamples ≤ MaxSamples ≤ cap.
+// translate into engine options the round loop accepts, with
+// 0 < MinSamples ≤ MaxSamples ≤ cap: a fixed-size job pins
+// MinSamples == MaxSamples and needs no stopping criterion, an adaptive
+// one has a valid criterion.
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"samples": 1000, "seed": 3}`,
@@ -60,9 +62,11 @@ func FuzzJobRequest(f *testing.F) {
 			t.Fatalf("accepted job %+v runs with min %d, max %d samples under cap %d",
 				req, o.MinSamples, o.MaxSamples, maxSamples)
 		}
-		if !(o.Epsilon > 0) || !(o.Risk > 0 && o.Risk < 1) || o.CheckEvery < 1 {
-			t.Fatalf("accepted job %+v runs with epsilon %v, risk %v, check every %d",
-				req, o.Epsilon, o.Risk, o.CheckEvery)
+		fixed := req.Samples > 0 && o.MinSamples == o.MaxSamples
+		criterion := o.Epsilon > 0 && o.Risk > 0 && o.Risk < 1
+		if !(fixed || criterion) || o.CheckEvery < 1 {
+			t.Fatalf("accepted job %+v runs with min %d, max %d samples, epsilon %v, risk %v, check every %d",
+				req, o.MinSamples, o.MaxSamples, o.Epsilon, o.Risk, o.CheckEvery)
 		}
 	})
 }
@@ -89,6 +93,7 @@ func FuzzRankRequest(f *testing.F) {
 	nl := rankNetlist()
 	for _, body := range []string{
 		`{"samples": 2000, "seed": 1, "variants": [{"name": "top", "top_n": 3}, {"share": 0.95}]}`,
+		`{"samples": 500, "variants": [{"top_n": 3, "resilience": 10}]}`,
 		`{"samples": 500, "mode": "register", "variants": [{"regs": [1, 2, 3], "resilience": 10, "area_factor": 0.5}]}`,
 		`{"samples": 500, "variants": [{"name": "a", "top_n": 1}, {"name": "a", "top_n": 2}]}`,
 		`{"samples": 500, "variants": [{"top_n": 1, "share": 0.5}]}`,

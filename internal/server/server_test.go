@@ -109,8 +109,8 @@ func TestJobRequestNormalize(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", r)
 	}
 	o := r.adaptiveOptions()
-	if o.MinSamples != 100 || o.MaxSamples != 100 || o.Epsilon != 1 || o.Risk != 0.5 {
-		t.Errorf("fixed-size job not pinned: %+v", o)
+	if o.MinSamples != 100 || o.MaxSamples != 100 || o.Epsilon != 0 || o.Risk != 0 {
+		t.Errorf("fixed-size job not pinned, or given a stopping criterion: %+v", o)
 	}
 	if o.CheckEvery != 500 {
 		t.Errorf("CheckEvery default = %d", o.CheckEvery)
@@ -165,6 +165,40 @@ func TestRankRequestNormalize(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: error expected", c.name)
+		}
+	}
+}
+
+// TestRankCellDefaults: each cell parameter of a rank variant defaults
+// on its own (resilience 10, area factor 3), and an explicit value
+// below 1 is a client error, for the area factor as for the resilience.
+func TestRankCellDefaults(t *testing.T) {
+	cases := []struct {
+		name             string
+		v                RankVariant
+		ok               bool
+		resilience, area float64
+	}{
+		{"both absent", RankVariant{TopN: 3}, true, 10, 3},
+		{"resilience only", RankVariant{TopN: 3, Resilience: 10}, true, 10, 3},
+		{"area factor only", RankVariant{TopN: 3, AreaFactor: 3}, true, 10, 3},
+		{"both explicit", RankVariant{TopN: 3, Resilience: 5, AreaFactor: 2}, true, 5, 2},
+		{"area factor below 1", RankVariant{TopN: 3, AreaFactor: 0.5}, false, 0, 0},
+		{"negative area factor", RankVariant{TopN: 3, Resilience: 10, AreaFactor: -2}, false, 0, 0},
+		{"resilience below 1", RankVariant{TopN: 3, Resilience: 0.5}, false, 0, 0},
+	}
+	for _, c := range cases {
+		req := RankRequest{Samples: 10, Variants: []RankVariant{c.v}}
+		err := req.normalize(1<<22, 16, rankNetlist())
+		if (err == nil) != c.ok {
+			t.Errorf("%s: normalize error %v, want ok %v", c.name, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		if v := req.Variants[0]; v.Resilience != c.resilience || v.AreaFactor != c.area {
+			t.Errorf("%s: resilience %v, area factor %v; want %v, %v", c.name, v.Resilience, v.AreaFactor, c.resilience, c.area)
 		}
 	}
 }
@@ -670,6 +704,11 @@ func TestJobLifecycleAndSSE(t *testing.T) {
 	for _, e := range events[:len(events)-1] {
 		if e.name != "progress" {
 			t.Fatalf("unexpected mid-stream event %q", e.name)
+		}
+		// A fixed-size job's progress names its sample count as total.
+		var p ProgressEvent
+		if err := json.Unmarshal([]byte(e.data), &p); err != nil || p.Total != 600 {
+			t.Errorf("progress event %s: total %d, want 600 (err %v)", e.data, p.Total, err)
 		}
 		progress++
 	}

@@ -64,12 +64,13 @@ fuzz-smoke:
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
-# RTLCycle, plus Precharacterize, one pre-characterization of the
-# default MPU, the set-up every process pays), BENCH_campaign.json
-# (per-sample cost of the lane-batched campaign loop on gate attacks,
-# with the generated and with the interpreted evaluator, and on
-# register attacks, plus one generated vs interpreted 64-lane eval
-# pass, with the speedup ratios),
+# RTLCycle, plus the set-up every process pays: Precharacterize, one
+# pre-characterization of the default MPU, and EvaluationSetup, one
+# NewEvaluation plus ImportanceSampler on the built framework),
+# BENCH_campaign.json (per-sample cost of the lane-batched campaign loop
+# on gate attacks, with the generated and with the interpreted
+# evaluator, and on register attacks, plus one generated vs interpreted
+# 64-lane eval pass, with the speedup ratios),
 # BENCH_convergence.json (per-sampler samples-to-target-CI —
 # statistical efficiency rather than wall time), and BENCH_stages.json
 # (each stage's share of the CPU time of perfbench-style answers, from

@@ -3,9 +3,12 @@
 //   - BENCH_runonce.json (-suite runonce, default): ns/op, B/op, and
 //     allocs/op for a complete cross-level run (RunOnce), one timed
 //     gate-level injection (GateInjection), one RTL cycle (RTLCycle),
-//     and one pre-characterization of the default MPU
-//     (Precharacterize: cones, signatures and correlations, and the
-//     lifetime campaign), the set-up every fresh process pays.
+//     one pre-characterization of the default MPU (Precharacterize:
+//     cones, signatures and correlations, and the lifetime campaign),
+//     and one evaluation set-up on the built framework
+//     (EvaluationSetup: NewEvaluation, whose attack takes the candidate
+//     block, with the golden run, plus ImportanceSampler), the set-up
+//     every fresh process pays.
 //   - BENCH_campaign.json (-suite campaign): per-sample campaign cost
 //     (ns/op and samples/sec) of the lane-batched campaign loop on gate
 //     attacks with the importance sampler (CampaignBatched), the same
@@ -260,6 +263,19 @@ func runOnceSuite() []benchResult {
 				b.Fatal(err)
 			}
 			if _, err := precharac.Characterize(s, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	record(&results, "EvaluationSetup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ev.ImportanceSampler(); err != nil {
 				b.Fatal(err)
 			}
 		}

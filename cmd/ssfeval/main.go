@@ -47,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 	samples := fs.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns)")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	tRange := fs.Int("trange", 50, "temporal accuracy range (cycles)")
-	blockFrac := fs.Float64("block", 0.125, "candidate sub-block fraction of MPU gates")
+	blockFrac := fs.Float64("block", 0.125, "candidate sub-block fraction of MPU gates; the block never drops the decision logic (912 of 1,274 gates on the default MPU), so any value below ~0.716 selects the same block")
 	mode := fs.String("mode", "gate", "attack mode: gate | register | glitch")
 	glitchDepth := fs.Float64("glitch-depth", 300, "clock-glitch depth in ps (glitch mode)")
 	alpha := fs.Float64("alpha", sampling.DefaultAlpha, "importance-sampling alpha")

@@ -78,7 +78,10 @@ func main() {
 	out.Row("SSF before", res.BaseSSF)
 	out.Row("SSF after", res.HardenedSSF)
 	improvement := fmt.Sprintf("%.1fx", res.Improvement)
-	if res.HardenedNoSuccess {
+	switch {
+	case res.Unresolved():
+		improvement = fmt.Sprintf("unresolved (no hardened successes seen; 95%% bound %.3gx)", res.Improvement)
+	case res.HardenedNoSuccess:
 		improvement = ">= " + improvement + " (no hardened successes seen)"
 	}
 	out.Row("security improvement", improvement)

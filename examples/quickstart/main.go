@@ -4,8 +4,8 @@
 //  1. build the framework (elaborates the MPU to gates, places it, and
 //     runs the one-time system pre-characterization);
 //  2. prepare an evaluation of the illegal-memory-write benchmark under
-//     the default attack model (50-cycle timing window, 1/8-of-MPU
-//     spatial targeting);
+//     the default attack model (50-cycle timing window, strike centers
+//     over the candidate block around the MPU's decision logic);
 //  3. run an importance-sampling Monte Carlo campaign and report SSF.
 //
 // Run with: go run ./examples/quickstart

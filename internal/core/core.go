@@ -14,9 +14,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/analytical"
 	"repro/internal/fault"
@@ -126,7 +128,10 @@ func (f *Framework) SecurityTarget() netlist.NodeID {
 // cycles (unroll indices 0–2 of the pre-characterized cones), it adds
 // the placement-nearest remaining gates until the budget is reached —
 // i.e. the physical neighbourhood an attacker aiming at the protection
-// logic would irradiate.
+// logic would irradiate. The decision logic is never truncated, so the
+// block holds at least those seed gates: on the default MPU they are
+// 912 of the 1,274 strikeable gates, and every frac below about 0.716
+// selects exactly them.
 func (f *Framework) CandidateBlock(frac float64) []netlist.NodeID {
 	nl := f.MPU.Netlist
 	var comb []netlist.NodeID
@@ -138,49 +143,55 @@ func (f *Framework) CandidateBlock(frac float64) []netlist.NodeID {
 		}
 	}
 	if frac >= 1 {
-		sort.Slice(comb, func(a, b int) bool { return comb[a] < comb[b] })
 		return comb
 	}
-	seed := map[netlist.NodeID]bool{}
+	isSeed := make([]bool, nl.NumNodes())
+	var seeds []netlist.NodeID
+	addSeed := func(g netlist.NodeID) {
+		if !isSeed[g] {
+			isSeed[g] = true
+			seeds = append(seeds, g)
+		}
+	}
 	for i := 0; i <= 2 && i <= f.Char.MaxUnrollIndex(); i++ {
 		for _, g := range f.Char.CombLayer(nl, i) {
-			seed[g] = true
+			addSeed(g)
 		}
 	}
-	if len(seed) == 0 {
-		seed[f.SecurityTarget()] = true
+	if len(seeds) == 0 {
+		addSeed(f.SecurityTarget())
 	}
-	// Order every gate by its distance to the nearest seed gate
-	// (seeds themselves are at distance 0).
-	dist := make(map[netlist.NodeID]float64, len(comb))
+	n := max(int(frac*float64(len(comb))), len(seeds), 1) // never truncate the decision logic itself
+	// Gates are ordered by their distance to the nearest seed gate. Each
+	// node has its own placement cell, so every other gate is at least
+	// one pitch from every seed and the seeds come first; only the gates
+	// the budget takes past them need a distance.
+	var block, rest []netlist.NodeID
 	for _, g := range comb {
-		if seed[g] {
-			dist[g] = 0
-			continue
+		if isSeed[g] {
+			block = append(block, g)
+		} else {
+			rest = append(rest, g)
 		}
-		best := -1.0
-		for s := range seed {
-			if d := f.Place.Dist(g, s); best < 0 || d < best {
-				best = d
+	}
+	if extra := min(n-len(block), len(rest)); extra > 0 {
+		dist := make([]float64, nl.NumNodes())
+		for _, g := range rest {
+			best := math.Inf(1)
+			for _, s := range seeds {
+				best = min(best, f.Place.Dist(g, s))
 			}
+			dist[g] = best
 		}
-		dist[g] = best
+		slices.SortFunc(rest, func(a, b netlist.NodeID) int {
+			if c := cmp.Compare(dist[a], dist[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		block = append(block, rest[:extra]...)
+		slices.Sort(block)
 	}
-	sort.Slice(comb, func(a, b int) bool {
-		if dist[comb[a]] != dist[comb[b]] {
-			return dist[comb[a]] < dist[comb[b]]
-		}
-		return comb[a] < comb[b]
-	})
-	n := int(frac * float64(len(comb)))
-	if n < len(seed) {
-		n = len(seed) // never truncate the decision logic itself
-	}
-	if n < 1 {
-		n = 1
-	}
-	block := append([]netlist.NodeID(nil), comb[:n]...)
-	sort.Slice(block, func(a, b int) bool { return block[a] < block[b] })
 	return block
 }
 
@@ -196,7 +207,8 @@ type AttackSpec struct {
 }
 
 // DefaultAttackSpec matches the paper's experimental setup: a 50-cycle
-// timing window and a sub-block of around 1/8 of the MPU.
+// timing window and a sub-block fraction of 1/8 of the MPU, which
+// CandidateBlock raises to the decision logic it never truncates.
 func DefaultAttackSpec() AttackSpec {
 	return AttackSpec{
 		TRange:    50,

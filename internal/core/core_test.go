@@ -142,8 +142,7 @@ func TestCandidateBlockTinyFraction(t *testing.T) {
 
 func TestSecurityTargetIsLegalGate(t *testing.T) {
 	fw := testFramework(t)
-	id, ok := fw.MPU.Netlist.FindNode("legal")
-	if !ok || id != fw.SecurityTarget() {
-		t.Fatalf("SecurityTarget %d, legal gate %d (found=%v)", fw.SecurityTarget(), id, ok)
+	if name := fw.MPU.Netlist.Node(fw.SecurityTarget()).Name; name != "legal" {
+		t.Fatalf("SecurityTarget %d is named %q, not legal", fw.SecurityTarget(), name)
 	}
 }

@@ -97,7 +97,10 @@ func (r *CriticalResult) String() string {
 	s.Row("SSF before hardening", r.Hardening.BaseSSF, "-")
 	s.Row("SSF after hardening", r.Hardening.HardenedSSF, "-")
 	imp := fmt.Sprintf("%.1fx", r.Hardening.Improvement)
-	if r.Hardening.HardenedNoSuccess {
+	switch {
+	case r.Hardening.Unresolved():
+		imp = fmt.Sprintf("unresolved (no hardened successes observed; 95%% bound %.3gx)", r.Hardening.Improvement)
+	case r.Hardening.HardenedNoSuccess:
 		imp = ">=" + imp + " (no hardened successes observed)"
 	}
 	s.Row("security improvement", imp, "up to 6.5x")

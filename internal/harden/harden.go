@@ -8,6 +8,7 @@ package harden
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
@@ -74,8 +75,9 @@ func (p Plan) Apply(e *montecarlo.Engine) (restore func()) {
 type Result struct {
 	// BaseSSF and HardenedSSF are the estimates before/after.
 	BaseSSF, HardenedSSF float64
-	// Improvement is BaseSSF / HardenedSSF (capped readably when the
-	// hardened campaign observes no successes).
+	// Improvement is BaseSSF / HardenedSSF; when the hardened campaign
+	// observes no successes it is the 95% lower bound that the function
+	// Improvement returns.
 	Improvement float64
 	// HardenedNoSuccess reports that the hardened campaign saw zero
 	// successes, making Improvement a lower bound.
@@ -112,17 +114,50 @@ func Evaluate(ctx context.Context, e *montecarlo.Engine, sampler sampling.Sample
 		NumRegs:      len(p.Regs),
 		RegFraction:  float64(len(p.Regs)) / float64(len(nl.Regs())),
 	}
-	switch {
-	case res.HardenedSSF > 0:
-		res.Improvement = res.BaseSSF / res.HardenedSSF
-	case res.BaseSSF > 0:
-		// No hardened successes observed: report the resolution-
-		// limited lower bound (one success at the smallest weight
-		// the campaign could have produced).
-		res.HardenedNoSuccess = true
-		res.Improvement = res.BaseSSF * float64(opts.Samples)
-	default:
-		res.Improvement = 1
-	}
+	res.Improvement, res.HardenedNoSuccess = Improvement(res.BaseSSF, res.HardenedSSF, hard.Est.N(), sampler)
 	return res, nil
+}
+
+// Unresolved reports that the hardened campaign saw no success and its
+// lower bound on the improvement is below 1 (or unknown): the campaign
+// is no evidence either way.
+func (r Result) Unresolved() bool { return r.HardenedNoSuccess && r.Improvement < 1 }
+
+// Improvement returns the security improvement base / hardened of a
+// plan whose hardened campaign drew n samples from sampler. When that
+// campaign saw no success (hardened 0, base > 0) it returns, with
+// noSuccess set, the 95% lower bound base / ub, where
+// ub = w_max·(1 − 0.05^(1/n)) is the one-sided upper bound on an SSF
+// estimated 0 from n draws whose weights never exceed w_max. A sampler
+// whose largest weight is unknown gives 0, no bound at all.
+func Improvement(base, hardened float64, n int, sampler sampling.Sampler) (improvement float64, noSuccess bool) {
+	switch {
+	case hardened > 0:
+		return base / hardened, false
+	case base > 0:
+		wMax, ok := maxWeight(sampler)
+		if !ok {
+			return 0, true
+		}
+		return base / (wMax * (1 - math.Pow(0.05, 1/float64(n)))), true
+	default:
+		return 1, false
+	}
+}
+
+// maxWeight returns the largest importance weight the sampler can give a
+// draw: 1 for the nominal distribution, and 1/MixUniform for the
+// importance sampler, whose defensive mixture keeps g ≥ MixUniform·f.
+// The cone sampler (its support drops strikes) and the stratified one
+// (its weights carry the stratum allocation) report none.
+func maxWeight(sampler sampling.Sampler) (float64, bool) {
+	switch s := sampler.(type) {
+	case *sampling.Random:
+		return 1, true
+	case *sampling.Importance:
+		if s.MixUniform > 0 {
+			return 1 / s.MixUniform, true
+		}
+	}
+	return 0, false
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/sampling"
 )
 
 var (
@@ -132,5 +133,49 @@ func TestEvaluateEmptyPlan(t *testing.T) {
 	opts := montecarlo.CampaignOptions{Samples: 10, Seed: 1}
 	if _, err := Evaluate(context.Background(), e.Engine, e.RandomSampler(), opts, Plan{Resilience: 10, AreaFactor: 3}); err == nil {
 		t.Error("empty plan accepted")
+	}
+}
+
+// TestImprovementBound: with successes the improvement is the plain
+// ratio; with none it is base / (w_max·(1 − 0.05^(1/n))), with w_max 1
+// for random draws and 1/MixUniform for importance draws, and 0 (no
+// bound) for samplers whose largest weight is unknown. Below 1 it is
+// unresolved.
+func TestImprovementBound(t *testing.T) {
+	ub500 := 1 - math.Pow(0.05, 1.0/500) // ≈ 3/500
+	cases := []struct {
+		name             string
+		base, hardened   float64
+		n                int
+		sampler          sampling.Sampler
+		want             float64
+		noSuccess, unres bool
+	}{
+		{"hits", 4e-4, 1e-4, 500, &sampling.Random{}, 4, false, false},
+		{"no hits anywhere", 0, 0, 500, &sampling.Random{}, 1, false, false},
+		{"random, resolved", 0.05, 0, 500, &sampling.Random{}, 0.05 / ub500, true, false},
+		{"random, unresolved", 1e-3, 0, 500, &sampling.Random{}, 1e-3 / ub500, true, true},
+		{"importance", 7.2e-4, 0, 500, &sampling.Importance{MixUniform: 0.05}, 7.2e-4 / (20 * ub500), true, true},
+		{"importance, one draw", 0.5, 0, 1, &sampling.Importance{MixUniform: 0.5}, 0.5 / (2 * 0.95), true, true},
+		{"importance without mixture", 7.2e-4, 0, 500, &sampling.Importance{}, 0, true, true},
+		{"cone", 7.2e-4, 0, 500, &sampling.Cone{}, 0, true, true},
+		{"stratified", 7.2e-4, 0, 500, &sampling.Stratified{}, 0, true, true},
+	}
+	for _, c := range cases {
+		got, noSuccess := Improvement(c.base, c.hardened, c.n, c.sampler)
+		if math.Abs(got-c.want) > 1e-12*c.want || noSuccess != c.noSuccess {
+			t.Errorf("%s: Improvement = %v, %v; want %v, %v", c.name, got, noSuccess, c.want, c.noSuccess)
+		}
+		r := Result{Improvement: got, HardenedNoSuccess: noSuccess}
+		if r.Unresolved() != c.unres {
+			t.Errorf("%s: Unresolved() = %v at improvement %v", c.name, r.Unresolved(), got)
+		}
+	}
+	// The rank body {"samples": 500, "variants": [{"top_n": 3,
+	// "resilience": 10}]} on a default server has a base SSF of
+	// 0.361/500, which the old base_ssf × samples rule reported as an
+	// improvement of 0.361; the sound bound is ≈0.006.
+	if got, _ := Improvement(0.361/500, 0, 500, &sampling.Importance{MixUniform: sampling.DefaultMixUniform}); math.Abs(got-0.006) > 0.0005 {
+		t.Errorf("500-sample zero-hit improvement %v, want ≈0.006", got)
 	}
 }

@@ -422,7 +422,7 @@ func TestRegGroupsNaming(t *testing.T) {
 			t.Fatalf("bit %d is not a DFF", i)
 		}
 	}
-	if id, ok := nl.FindNode("cfg_base[2]"); !ok || id != bits[2] {
+	if nl.Node(bits[2]).Name != "cfg_base[2]" {
 		t.Fatal("per-bit naming broken")
 	}
 }

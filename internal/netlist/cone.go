@@ -49,17 +49,6 @@ func (c *Cone) Contains(id NodeID, depth int) bool {
 	return lo < len(layer) && layer[lo] == id
 }
 
-// DepthsOf returns every unroll depth at which the node appears.
-func (c *Cone) DepthsOf(id NodeID) []int {
-	var ds []int
-	for d := range c.ByDepth {
-		if c.Contains(id, d) {
-			ds = append(ds, d)
-		}
-	}
-	return ds
-}
-
 // UnrolledFaninCone computes the fanin cone of the given root nodes in
 // the unrolled netlist, up to maxDepth register crossings. Depth 0 holds
 // the roots plus everything reaching them combinationally in the
@@ -157,46 +146,42 @@ func (c *Cone) FilterRegs(n *Netlist) [][]NodeID {
 	return out
 }
 
-// FilterComb returns, per depth, only the combinational gates of the
-// cone (excluding constants), used for the radiated-gate sample space.
-func (c *Cone) FilterComb(n *Netlist) [][]NodeID {
-	out := make([][]NodeID, len(c.ByDepth))
-	for d, layer := range c.ByDepth {
-		for _, id := range layer {
-			t := n.Node(id).Type
-			if t.IsCombinational() && t != Const0 && t != Const1 {
-				out[d] = append(out[d], id)
-			}
-		}
-	}
-	return out
-}
-
 // Merge returns a cone whose depth-d layer is the union of the two
-// cones' depth-d layers. The cones may have different depths.
+// cones' depth-d layers. The cones may have different depths. Both
+// layers are sorted and free of duplicates, so one linear pass merges
+// them.
 func Merge(a, b *Cone) *Cone {
-	depth := len(a.ByDepth)
-	if len(b.ByDepth) > depth {
-		depth = len(b.ByDepth)
-	}
+	depth := max(len(a.ByDepth), len(b.ByDepth))
 	out := &Cone{ByDepth: make([][]NodeID, depth)}
-	for d := 0; d < depth; d++ {
-		seen := map[NodeID]bool{}
-		add := func(layer []NodeID) {
-			for _, id := range layer {
-				if !seen[id] {
-					seen[id] = true
-					out.ByDepth[d] = append(out.ByDepth[d], id)
-				}
-			}
-		}
+	for d := range out.ByDepth {
+		var la, lb []NodeID
 		if d < len(a.ByDepth) {
-			add(a.ByDepth[d])
+			la = a.ByDepth[d]
 		}
 		if d < len(b.ByDepth) {
-			add(b.ByDepth[d])
+			lb = b.ByDepth[d]
 		}
-		sortNodeIDs(out.ByDepth[d])
+		if len(la)+len(lb) == 0 {
+			continue
+		}
+		m := make([]NodeID, 0, len(la)+len(lb))
+		i, j := 0, 0
+		for i < len(la) && j < len(lb) {
+			switch {
+			case la[i] < lb[j]:
+				m = append(m, la[i])
+				i++
+			case lb[j] < la[i]:
+				m = append(m, lb[j])
+				j++
+			default:
+				m = append(m, la[i])
+				i++
+				j++
+			}
+		}
+		m = append(m, la[i:]...)
+		out.ByDepth[d] = append(m, lb[j:]...)
 	}
 	return out
 }

@@ -12,7 +12,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node in a netlist. The node's output net shares the
@@ -131,7 +130,6 @@ type Netlist struct {
 	inputs  []NodeID
 	regs    []NodeID
 	outputs []Port
-	byName  map[string]NodeID
 
 	// fanouts is built lazily by Fanouts and invalidated on mutation.
 	fanouts [][]NodeID
@@ -139,10 +137,7 @@ type Netlist struct {
 
 // New returns an empty netlist with capacity hints.
 func New(nodeCap int) *Netlist {
-	return &Netlist{
-		nodes:  make([]Node, 0, nodeCap),
-		byName: make(map[string]NodeID),
-	}
+	return &Netlist{nodes: make([]Node, 0, nodeCap)}
 }
 
 // NumNodes returns the total number of nodes (cells) in the netlist.
@@ -169,9 +164,6 @@ func (n *Netlist) add(node Node) NodeID {
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, node)
 	n.fanouts = nil
-	if node.Name != "" {
-		n.byName[node.Name] = id
-	}
 	return id
 }
 
@@ -240,14 +232,7 @@ func (n *Netlist) SetDFFEnable(id, en NodeID) {
 
 // SetName assigns or reassigns a debug name to a node.
 func (n *Netlist) SetName(id NodeID, name string) {
-	old := n.nodes[id].Name
-	if old != "" {
-		delete(n.byName, old)
-	}
 	n.nodes[id].Name = name
-	if name != "" {
-		n.byName[name] = id
-	}
 }
 
 // AddOutput registers a named primary output driven by the given node.
@@ -256,37 +241,6 @@ func (n *Netlist) AddOutput(name string, id NodeID) {
 		panic(fmt.Sprintf("netlist: output %q driver %d out of range", name, id))
 	}
 	n.outputs = append(n.outputs, Port{Name: name, Node: id})
-}
-
-// FindNode returns the node with the given name.
-func (n *Netlist) FindNode(name string) (NodeID, bool) {
-	id, ok := n.byName[name]
-	return id, ok
-}
-
-// FindOutput returns the driver of the named primary output.
-func (n *Netlist) FindOutput(name string) (NodeID, bool) {
-	for _, p := range n.outputs {
-		if p.Name == name {
-			return p.Node, true
-		}
-	}
-	return Invalid, false
-}
-
-// NamesMatching returns the ids of all named nodes whose name passes the
-// given predicate, sorted by id. It is used to collect register groups
-// (e.g. every bit of a multi-bit register) by prefix.
-func (n *Netlist) NamesMatching(pred func(string) bool) []NodeID {
-	var ids []NodeID
-	//maporder-ok (sorted by id below)
-	for name, id := range n.byName {
-		if pred(name) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Fanouts returns, for each node, the list of nodes it feeds. The result
@@ -348,15 +302,11 @@ func (n *Netlist) Clone() *Netlist {
 		inputs:  append([]NodeID(nil), n.inputs...),
 		regs:    append([]NodeID(nil), n.regs...),
 		outputs: append([]Port(nil), n.outputs...),
-		byName:  make(map[string]NodeID, len(n.byName)),
 	}
 	for i, node := range n.nodes {
 		cp := node
 		cp.Fanin = append([]NodeID(nil), node.Fanin...)
 		c.nodes[i] = cp
-	}
-	for k, v := range n.byName {
-		c.byName[k] = v
 	}
 	return c
 }

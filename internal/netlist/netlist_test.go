@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -291,6 +292,50 @@ func TestMergeCones(t *testing.T) {
 		for i := 1; i < len(layer); i++ {
 			if layer[i] <= layer[i-1] {
 				t.Fatal("merged layer not sorted/deduped")
+			}
+		}
+	}
+}
+
+// TestMergeMatchesSetUnion compares Merge with a set union per depth on
+// random sorted, duplicate-free layers of unequal depths, including
+// empty layers on either side.
+func TestMergeMatchesSetUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randCone := func(depth int) *Cone {
+		c := &Cone{ByDepth: make([][]NodeID, depth)}
+		for d := range c.ByDepth {
+			for id := NodeID(0); id < 40; id++ {
+				if rng.Intn(3) == 0 {
+					c.ByDepth[d] = append(c.ByDepth[d], id)
+				}
+			}
+		}
+		return c
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, b := randCone(rng.Intn(4)), randCone(rng.Intn(4))
+		m := Merge(a, b)
+		if m.MaxDepth() != max(a.MaxDepth(), b.MaxDepth()) {
+			t.Fatalf("merged depth %d of %d and %d", m.MaxDepth(), a.MaxDepth(), b.MaxDepth())
+		}
+		for d, layer := range m.ByDepth {
+			in := map[NodeID]bool{}
+			for _, c := range []*Cone{a, b} {
+				if d < c.MaxDepth() {
+					for _, id := range c.ByDepth[d] {
+						in[id] = true
+					}
+				}
+			}
+			var want []NodeID
+			for id := NodeID(0); id < 40; id++ {
+				if in[id] {
+					want = append(want, id)
+				}
+			}
+			if !slices.Equal(layer, want) {
+				t.Fatalf("trial %d depth %d: merged %v, union %v", trial, d, layer, want)
 			}
 		}
 	}

@@ -25,12 +25,17 @@ type Point struct {
 	X, Y float64
 }
 
-// Placement holds one location per netlist node.
+// Placement holds one location per netlist node. Every node sits on its
+// own cell of a cols × rows grid of integer points, so radius queries
+// read only the cells of the square window around their center.
 type Placement struct {
 	nl     *netlist.Netlist
 	points []Point
 	rows   int
 	cols   int
+	// cell[y*cols+x] is the node placed at grid point (x, y), Invalid
+	// for an empty cell.
+	cell []netlist.NodeID
 }
 
 // Iterations of barycentric relaxation. More iterations improve
@@ -73,7 +78,14 @@ func Place(nl *netlist.Netlist) *Placement {
 		}
 		legalize(next, pos, cols, rows)
 	}
-	return &Placement{nl: nl, points: pos, rows: rows, cols: cols}
+	cell := make([]netlist.NodeID, rows*cols)
+	for i := range cell {
+		cell[i] = netlist.Invalid
+	}
+	for i, pt := range pos {
+		cell[int(pt.Y)*cols+int(pt.X)] = netlist.NodeID(i)
+	}
+	return &Placement{nl: nl, points: pos, rows: rows, cols: cols, cell: cell}
 }
 
 // legalize snaps relaxed positions back onto the grid: sort by X to
@@ -126,13 +138,6 @@ func (p *Placement) Bounds() (w, h float64) {
 	return float64(p.cols - 1), float64(p.rows - 1)
 }
 
-// Diameter returns the diagonal of the placement bounding box; a strike
-// radius at or above this value covers every gate.
-func (p *Placement) Diameter() float64 {
-	w, h := p.Bounds()
-	return math.Hypot(w, h)
-}
-
 // Dist returns the Euclidean distance between two placed nodes.
 func (p *Placement) Dist(a, b netlist.NodeID) float64 {
 	pa, pb := p.points[a], p.points[b]
@@ -142,16 +147,49 @@ func (p *Placement) Dist(a, b netlist.NodeID) float64 {
 // WithinRadius returns every node placed within Euclidean distance r of
 // the center node, including the center itself, sorted by id.
 func (p *Placement) WithinRadius(center netlist.NodeID, r float64) []netlist.NodeID {
+	return p.within(center, r*r)
+}
+
+// within returns the nodes whose squared distance dx*dx+dy*dy from the
+// center is at most r2, sorted by id. Nodes sit on integer grid points,
+// so a node k columns or rows away has d2 >= k*k exactly, and only the
+// cells of the square window of half-width reach(r2) can pass; the test
+// itself is the one a scan of every node would make, so a NaN r2 holds
+// no node.
+func (p *Placement) within(center netlist.NodeID, r2 float64) []netlist.NodeID {
 	c := p.points[center]
-	r2 := r * r
+	k := p.reach(r2)
+	cx, cy := int(c.X), int(c.Y)
+	x0, x1 := max(cx-k, 0), min(cx+k, p.cols-1)
+	y0, y1 := max(cy-k, 0), min(cy+k, p.rows-1)
 	var out []netlist.NodeID
-	for i, pt := range p.points {
-		dx, dy := pt.X-c.X, pt.Y-c.Y
-		if dx*dx+dy*dy <= r2 {
-			out = append(out, netlist.NodeID(i))
+	for y := y0; y <= y1; y++ {
+		for _, id := range p.cell[y*p.cols+x0 : y*p.cols+x1+1] {
+			if id == netlist.Invalid {
+				continue
+			}
+			pt := p.points[id]
+			dx, dy := pt.X-c.X, pt.Y-c.Y
+			if dx*dx+dy*dy <= r2 {
+				out = append(out, id)
+			}
 		}
 	}
+	slices.Sort(out)
 	return out
+}
+
+// reach returns the window half-width for squared radius r2: ⌊√r2⌋,
+// which is never below the largest integer k with k*k <= r2 because
+// math.Sqrt is correctly rounded (a wider window only tests more
+// cells), capped at the grid's larger side, past which the window
+// covers every cell (as it does for a NaN r2).
+func (p *Placement) reach(r2 float64) int {
+	span := max(p.cols, p.rows)
+	if !(r2 < float64(span*span)) {
+		return span
+	}
+	return int(math.Sqrt(r2))
 }
 
 // CombWithinRadius returns only the combinational gates (excluding
@@ -240,25 +278,23 @@ func (si *SpotIndex) spotOf(center netlist.NodeID, r float64) *spot {
 	return sp
 }
 
-// rebuild rescans the placement for every node within the padded cap of
-// r around center. Spots handed out before stay intact: fill allocates
-// each spot's slices and never writes them again.
+// rebuild collects every node within the padded cap of r around center
+// from the grid window. Spots handed out before stay intact: fill
+// allocates each spot's slices and never writes them again.
 func (si *SpotIndex) rebuild(e *spotEntry, center netlist.NodeID, r float64) {
 	capR := r * spotCapGrowth
 	*e = spotEntry{cap2: capR * capR}
 	p := si.p
 	c := p.points[center]
-	for i, pt := range p.points {
+	e.ids = p.within(center, e.cap2)
+	for _, id := range e.ids {
+		pt := p.points[id]
 		dx, dy := pt.X-c.X, pt.Y-c.Y
-		if d2 := dx*dx + dy*dy; d2 <= e.cap2 {
-			id := netlist.NodeID(i)
-			t := p.nl.Node(id).Type
-			e.ids = append(e.ids, id)
-			e.d2 = append(e.d2, d2)
-			e.dist = append(e.dist, p.Dist(id, center))
-			e.comb = append(e.comb, t.IsCombinational() && t != netlist.Const0 && t != netlist.Const1)
-			e.dff = append(e.dff, t == netlist.DFF)
-		}
+		t := p.nl.Node(id).Type
+		e.d2 = append(e.d2, dx*dx+dy*dy)
+		e.dist = append(e.dist, p.Dist(id, center))
+		e.comb = append(e.comb, t.IsCombinational() && t != netlist.Const0 && t != netlist.Const1)
+		e.dff = append(e.dff, t == netlist.DFF)
 	}
 	e.bp = slices.Clone(e.d2)
 	slices.Sort(e.bp)
@@ -301,22 +337,4 @@ func (si *SpotIndex) DFFWithin(center netlist.NodeID, r float64) []netlist.NodeI
 		return sp.dff
 	}
 	return nil
-}
-
-// MeanNeighborDist reports the average placed distance between connected
-// nodes — the quality metric used by tests to check that the relaxation
-// actually produces locality (it must beat a row-major id layout).
-func (p *Placement) MeanNeighborDist() float64 {
-	total, cnt := 0.0, 0
-	for i := 0; i < p.nl.NumNodes(); i++ {
-		id := netlist.NodeID(i)
-		for _, f := range p.nl.Node(id).Fanin {
-			total += p.Dist(id, f)
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return total / float64(cnt)
 }

@@ -240,3 +240,53 @@ func TestSpotIndexMatchesRadiusQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestGridQueriesMatchScan compares the grid-window answers of
+// WithinRadius, CombWithinRadius and SpotIndex with a scan of every
+// placed node, for every node as center, on grids with empty cells. The
+// radii cover 0, the breakpoints 1, √2 and 2, values between them and
+// just below them, a radius past the grid, a negative radius (its square
+// is the query), NaN (no node) and +Inf (every node).
+func TestGridQueriesMatchScan(t *testing.T) {
+	below := func(x float64) float64 { return math.Nextafter(x, 0) }
+	radii := []float64{0, 0.9, 1, math.Sqrt2, 1.5, 2, 2.1, 3.15, 100, -1.5, math.NaN(), math.Inf(1),
+		below(1), below(2), below(3), below(math.Sqrt2)}
+	rng := rand.New(rand.NewSource(11))
+	for _, nl := range []*netlist.Netlist{mixedNetlist(rng), randomNetlist(rng, 300), chainNetlist(40)} {
+		p := Place(nl)
+		si := p.NewSpotIndex()
+		for _, r := range radii {
+			for i := 0; i < nl.NumNodes(); i++ {
+				c := netlist.NodeID(i)
+				want := p.WithinRadiusScan(c, r)
+				if got := p.WithinRadius(c, r); !slices.Equal(got, want) {
+					t.Fatalf("%d nodes, center %d r %v: WithinRadius %v, scan %v", nl.NumNodes(), c, r, got, want)
+				}
+				var wantComb, wantDFF []netlist.NodeID
+				for _, id := range want {
+					switch ty := nl.Node(id).Type; {
+					case ty.IsCombinational() && ty != netlist.Const0 && ty != netlist.Const1:
+						wantComb = append(wantComb, id)
+					case ty == netlist.DFF:
+						wantDFF = append(wantDFF, id)
+					}
+				}
+				if got := p.CombWithinRadius(c, r); !slices.Equal(got, wantComb) {
+					t.Fatalf("%d nodes, center %d r %v: CombWithinRadius %v, scan %v", nl.NumNodes(), c, r, got, wantComb)
+				}
+				gates, dists := si.CombWithin(c, r)
+				if !slices.Equal(gates, wantComb) {
+					t.Fatalf("%d nodes, center %d r %v: CombWithin %v, scan %v", nl.NumNodes(), c, r, gates, wantComb)
+				}
+				for j, g := range gates {
+					if math.Float64bits(dists[j]) != math.Float64bits(p.Dist(g, c)) {
+						t.Fatalf("center %d r %v: gate %d distance %v, Dist %v", c, r, g, dists[j], p.Dist(g, c))
+					}
+				}
+				if got := si.DFFWithin(c, r); !slices.Equal(got, wantDFF) {
+					t.Fatalf("%d nodes, center %d r %v: DFFWithin %v, scan %v", nl.NumNodes(), c, r, got, wantDFF)
+				}
+			}
+		}
+	}
+}

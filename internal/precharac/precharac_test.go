@@ -196,9 +196,9 @@ func TestLifetimeAccessors(t *testing.T) {
 	// it; gates feeding config registers inherit the config lifetime.
 	nl := s.MPU.Netlist
 	anyPos := false
-	for _, layer := range c.Fanin.FilterComb(nl) {
+	for _, layer := range c.Fanin.ByDepth {
 		for _, g := range layer {
-			if c.Lifetime(g) > 0 {
+			if nl.Node(g).Type.IsCombinational() && c.Lifetime(g) > 0 {
 				anyPos = true
 			}
 		}

@@ -12,6 +12,7 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -144,7 +145,7 @@ type Cone struct {
 // radius so that any center whose spot reaches the cone stays in the
 // support.
 func NewCone(attack *fault.Attack, char *precharac.Characterization, nl *netlist.Netlist, place *placement.Placement) (*Cone, error) {
-	layers, err := candidateLayers(attack, char, nl, place)
+	layers, err := candidateLayers(attack, char, nl, newCandidateSpots(attack, nl, place))
 	if err != nil {
 		return nil, err
 	}
@@ -244,27 +245,18 @@ const (
 //
 // place, when non-nil, enables spatial dilation of the correlation: a
 // strike centered at gate g deposits transients at every gate within
-// the spot radius, so the weight of g as a *center* uses the maximum
-// correlation (and matching lifetime) over g's spot neighbourhood
-// rather than g alone. The dilation radius is the technique's maximum
-// spot radius.
+// the spot radius, so the weight of g as a *center* accumulates the
+// correlation boost (where the lifetime matches) of every gate in g's
+// spot rather than of g alone. The dilation radius is the technique's
+// maximum spot radius.
 func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *netlist.Netlist, place *placement.Placement, alpha, beta float64) (*Importance, error) {
 	if alpha < 0 || beta < 0 {
 		return nil, fmt.Errorf("sampling: negative alpha/beta (%v, %v)", alpha, beta)
 	}
-	layers, err := candidateLayers(attack, char, nl, place)
+	spots := newCandidateSpots(attack, nl, place)
+	layers, err := candidateLayers(attack, char, nl, spots)
 	if err != nil {
 		return nil, err
-	}
-	maxRadius := attack.Technique.Radius + attack.Technique.RadiusJitter
-	// Spot neighbourhoods are timing-independent: precompute them once
-	// instead of once per (t, gate).
-	var spot map[netlist.NodeID][]netlist.NodeID
-	if place != nil {
-		spot = make(map[netlist.NodeID][]netlist.NodeID, len(attack.Candidates))
-		for _, g := range attack.Candidates {
-			spot[g] = place.CombWithinRadius(g, maxRadius)
-		}
 	}
 	// Excess correlation over the chance baseline: a node switching
 	// every cycle overlaps the responding signal's switches at
@@ -287,30 +279,40 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 		centerP:    make([][]float64, attack.TRange),
 	}
 	omega := make([]float64, attack.TRange)
+	w := make([]float64, len(attack.Candidates))
+	ws := make([]float64, 0, len(attack.Candidates))
 	for t := 0; t < attack.TRange; t++ {
 		layer := layers[t]
 		if len(layer) == 0 {
 			continue
 		}
-		ws := make([]float64, len(layer))
-		sum := 0.0
-		for j, g := range layer {
-			w := 1.0
-			if place != nil {
-				// Spot dilation: a strike centered at g deposits
-				// transients at every gate within the spot, so
-				// its weight accumulates the boost of each
-				// reachable gate.
-				for _, h := range spot[g] {
-					if char.Lifetime(h) >= beta*float64(t) {
-						w += alpha * excess(t, h)
-					}
-				}
-			} else if char.Lifetime(g) >= beta*float64(t) {
-				w += alpha * excess(t, g)
+		// Spot dilation: a strike centered at candidate i deposits
+		// transients at every gate within its spot, so its weight
+		// 1 + Σ α·excess(t, h) accumulates the boost of each reachable
+		// gate h whose lifetime reaches β·t. Gates are visited in id
+		// order, each candidate's own spot order; a zero boost would
+		// leave every weight unchanged.
+		for i := range w {
+			w[i] = 1
+		}
+		for h := 0; h < nl.NumNodes(); h++ {
+			id := netlist.NodeID(h)
+			holders := spots.holding(id)
+			if len(holders) == 0 || !(char.Lifetime(id) >= beta*float64(t)) {
+				continue
 			}
-			ws[j] = w
-			sum += w
+			if b := alpha * excess(t, id); b != 0 {
+				for _, i := range holders {
+					w[i] += b
+				}
+			}
+		}
+		ws = ws[:0]
+		sum := 0.0
+		for _, g := range layer {
+			x := w[attack.CandidateIndex(g)]
+			ws = append(ws, x)
+			sum += x
 		}
 		omega[t] = sum
 		pd, err := stats.NewDiscrete(ws)
@@ -474,6 +476,53 @@ func (im *Importance) centerProb(t int, center netlist.NodeID) float64 {
 	return im.centerP[t][i]
 }
 
+// candidateSpots holds every attack candidate's spot at the technique's
+// maximum radius, spots[i] for candidate i in id order, and inverts it:
+// the candidates whose spot holds node h are the candidate indices
+// holders[start[h]:start[h+1]], rising. Without a placement a
+// candidate's spot is the candidate itself.
+type candidateSpots struct {
+	spots   [][]netlist.NodeID
+	start   []int32
+	holders []int32
+}
+
+func newCandidateSpots(attack *fault.Attack, nl *netlist.Netlist, place *placement.Placement) candidateSpots {
+	spots := make([][]netlist.NodeID, len(attack.Candidates))
+	maxRadius := attack.Technique.Radius + attack.Technique.RadiusJitter
+	for i, g := range attack.Candidates {
+		if place != nil {
+			spots[i] = place.CombWithinRadius(g, maxRadius)
+		} else {
+			spots[i] = []netlist.NodeID{g}
+		}
+	}
+	n := nl.NumNodes()
+	start := make([]int32, n+1)
+	for _, spot := range spots {
+		for _, h := range spot {
+			start[h+1]++
+		}
+	}
+	for h := 0; h < n; h++ {
+		start[h+1] += start[h]
+	}
+	holders := make([]int32, start[n])
+	next := slices.Clone(start[:n])
+	for i, spot := range spots {
+		for _, h := range spot {
+			holders[next[h]] = int32(i)
+			next[h]++
+		}
+	}
+	return candidateSpots{spots: spots, start: start, holders: holders}
+}
+
+// holding returns the indices of the candidates whose spot holds h.
+func (s candidateSpots) holding(h netlist.NodeID) []int32 {
+	return s.holders[s.start[h]:s.start[h+1]]
+}
+
 // candidateLayers intersects the characterization cones with the attack
 // candidate set. layers[t] holds Ω_t: the candidate centers whose spot,
 // fired at timing distance t, can deposit a transient into the cone's
@@ -481,38 +530,24 @@ func (im *Importance) centerProb(t int, center netlist.NodeID) float64 {
 // the cone layer is dilated by the technique's maximum spot radius (a
 // strike centered just outside the cone still reaches it); without one,
 // the layer is the plain cone∩candidate intersection.
-func candidateLayers(attack *fault.Attack, char *precharac.Characterization, nl *netlist.Netlist, place *placement.Placement) ([][]netlist.NodeID, error) {
+func candidateLayers(attack *fault.Attack, char *precharac.Characterization, nl *netlist.Netlist, spots candidateSpots) ([][]netlist.NodeID, error) {
 	if attack.TRange-1 > char.MaxUnrollIndex() {
 		return nil, fmt.Errorf("sampling: TRange %d exceeds characterized unroll depth %d", attack.TRange, char.MaxUnrollIndex())
 	}
-	maxRadius := attack.Technique.Radius + attack.Technique.RadiusJitter
-	// Spot neighbourhoods are timing-independent; compute them once.
-	var spot map[netlist.NodeID][]netlist.NodeID
-	if place != nil {
-		spot = make(map[netlist.NodeID][]netlist.NodeID, len(attack.Candidates))
-		for _, g := range attack.Candidates {
-			spot[g] = place.CombWithinRadius(g, maxRadius)
-		}
-	}
 	layers := make([][]netlist.NodeID, attack.TRange)
-	for t := 0; t < attack.TRange; t++ {
-		inCone := make(map[netlist.NodeID]bool)
-		for _, g := range char.CombLayer(nl, t) {
-			inCone[g] = true
+	inCone := make([]bool, nl.NumNodes())
+	for t := range layers {
+		cone := char.CombLayer(nl, t)
+		for _, h := range cone {
+			inCone[h] = true
 		}
-		for _, g := range attack.Candidates {
-			ok := inCone[g]
-			if !ok && place != nil {
-				for _, h := range spot[g] {
-					if inCone[h] {
-						ok = true
-						break
-					}
-				}
-			}
-			if ok {
+		for i, g := range attack.Candidates {
+			if inCone[g] || slices.ContainsFunc(spots.spots[i], func(h netlist.NodeID) bool { return inCone[h] }) {
 				layers[t] = append(layers[t], g)
 			}
+		}
+		for _, h := range cone {
+			inCone[h] = false
 		}
 	}
 	return layers, nil

@@ -266,7 +266,7 @@ func TestLayersRespectCandidateSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layers, err := candidateLayers(a, char, nl, place)
+	layers, err := candidateLayers(a, char, nl, newCandidateSpots(a, nl, place))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,11 +129,6 @@ func (s *Stratified) TimingProbs() []float64 {
 	return append([]float64(nil), s.alloc...)
 }
 
-// Allocation returns a copy of the per-stratum draw fractions.
-func (s *Stratified) Allocation() []float64 {
-	return append([]float64(nil), s.alloc...)
-}
-
 // NumStrata implements Stratal.
 func (s *Stratified) NumStrata() int { return len(s.probs) }
 

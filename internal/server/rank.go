@@ -57,9 +57,11 @@ type RankEntry struct {
 	// SSF is the hardened design's estimate; lower is more secure.
 	SSF    float64 `json:"ssf"`
 	StdErr float64 `json:"std_err"`
-	// Improvement is BaseSSF / SSF; when the hardened campaign saw no
-	// successes it is the resolution-limited lower bound and
-	// NoSuccess is set.
+	// Improvement is BaseSSF / SSF. When the hardened campaign saw no
+	// successes, NoSuccess is set and Improvement is the 95% lower
+	// bound of harden.Improvement; below 1 (0 for a sampler whose
+	// largest weight is unknown: cone, stratified) it is unresolved, no
+	// evidence either way.
 	Improvement float64 `json:"improvement"`
 	NoSuccess   bool    `json:"no_success,omitempty"`
 	// AreaOverhead is the fractional netlist area increase.
@@ -254,16 +256,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		if nRegs > 0 {
 			entry.RegFraction = float64(len(regs)) / float64(nRegs)
 		}
-		switch {
-		case entry.SSF > 0:
-			entry.Improvement = resp.BaseSSF / entry.SSF
-		case resp.BaseSSF > 0:
-			// No hardened successes: resolution-limited lower bound.
-			entry.NoSuccess = true
-			entry.Improvement = resp.BaseSSF * float64(req.Samples)
-		default:
-			entry.Improvement = 1
-		}
+		entry.Improvement, entry.NoSuccess = harden.Improvement(resp.BaseSSF, entry.SSF, hard.Est.N(), sp)
 		resp.Entries = append(resp.Entries, entry)
 	}
 	// Most secure (lowest hardened SSF) first; ties break by name so

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/sampling"
 	"repro/internal/stats"
 )
 
@@ -1091,6 +1092,38 @@ func TestRankDeterministic(t *testing.T) {
 	if byName["top8"].AreaOverhead <= byName["top3"].AreaOverhead {
 		t.Errorf("top8 overhead %v not above top3 %v",
 			byName["top8"].AreaOverhead, byName["top3"].AreaOverhead)
+	}
+}
+
+// TestRankZeroHitBound: a hardened campaign without a success reports
+// the sound 95% lower bound on the improvement, base_ssf / (w_max·(1 −
+// 0.05^(1/n))) with w_max = 1/MixUniform for the importance sampler. At
+// 500 samples that bound is far below 1, so the entry is unresolved
+// (no_success with an improvement below 1), not the 0.36 that
+// base_ssf × samples read as.
+func TestRankZeroHitBound(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	var req RankRequest
+	if err := json.Unmarshal([]byte(`{"samples": 500, "variants": [{"top_n": 3, "resilience": 10}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants, srv.pool.Evaluation.Framework.MPU.Netlist); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.rank(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := resp.Entries[0]
+	if !e.NoSuccess || e.SSF != 0 || resp.BaseSSF == 0 {
+		t.Fatalf("want a zero-hit hardened campaign against a base with hits: base %v, entry %+v", resp.BaseSSF, e)
+	}
+	want := resp.BaseSSF / ((1 / sampling.DefaultMixUniform) * (1 - math.Pow(0.05, 1.0/500)))
+	if math.Abs(e.Improvement-want) > 1e-12*want {
+		t.Errorf("improvement %v, want base/ub = %v", e.Improvement, want)
+	}
+	if e.Improvement >= 1 || e.Improvement > resp.BaseSSF*500/10 {
+		t.Errorf("improvement %v at base %v: not the unresolved bound", e.Improvement, resp.BaseSSF)
 	}
 }
 

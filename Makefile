@@ -66,7 +66,9 @@ fuzz-smoke:
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
 # RTLCycle, plus the set-up every process pays: Precharacterize, one
 # pre-characterization of the default MPU, and EvaluationSetup, one
-# NewEvaluation plus ImportanceSampler on the built framework),
+# NewEvaluation plus ImportanceSampler on the built framework, and
+# EnginePool, a fresh evaluation with NewEnginePool(4) and one
+# 2,048-sample gate campaign on each engine in turn),
 # BENCH_campaign.json (per-sample cost of the lane-batched campaign loop
 # on gate attacks, with the generated and with the interpreted
 # evaluator, and on register attacks, plus one generated vs interpreted

@@ -8,7 +8,10 @@
 //     and one evaluation set-up on the built framework
 //     (EvaluationSetup: NewEvaluation, whose attack takes the candidate
 //     block, with the golden run, plus ImportanceSampler), the set-up
-//     every fresh process pays.
+//     every fresh process pays, and one 4-engine pool from scratch
+//     (EnginePool: NewEvaluation, NewEnginePool(4), ImportanceSampler
+//     and one 2,048-sample gate campaign on each engine in turn, so the
+//     first of them builds the gate tables).
 //   - BENCH_campaign.json (-suite campaign): per-sample campaign cost
 //     (ns/op and samples/sec) of the lane-batched campaign loop on gate
 //     attacks with the importance sampler (CampaignBatched), the same
@@ -277,6 +280,30 @@ func runOnceSuite() []benchResult {
 			}
 			if _, err := ev.ImportanceSampler(); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+
+	record(&results, "EnginePool", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool, err := ev.NewEnginePool(4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sampler, err := ev.ImportanceSampler()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k, eng := range pool.Engines {
+				opts := montecarlo.CampaignOptions{Samples: 2048, Mode: montecarlo.GateAttack, Seed: int64(k + 1)}
+				if _, err := eng.RunCampaign(context.Background(), sampler, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

@@ -103,7 +103,7 @@ func main() {
 }
 
 // defaultWorkers sizes the pool to the host without over-cloning: each
-// engine pays one golden run at startup.
+// engine holds its own SoC, simulators and scratch.
 func defaultWorkers() int {
 	n := runtime.NumCPU()
 	if n > 8 {

@@ -289,7 +289,6 @@ func (f *Framework) NewEvaluationAttack(prog *soc.Program, attack *fault.Attack)
 	if err != nil {
 		return nil, err
 	}
-	engine.DensifyAttackWindow()
 	return &Evaluation{
 		Framework: f,
 		Program:   prog,
@@ -349,44 +348,29 @@ func (e *Evaluation) EvaluateSSF(ctx context.Context, sampler sampling.Sampler, 
 	return e.Engine.RunCampaign(ctx, sampler, opts)
 }
 
-// CloneEngines builds n independent engines over the same design,
-// benchmark, and attack — each with its own SoC instance and golden run
-// (the MPU elaboration, placement, and characterization are shared;
-// they are immutable). Use with montecarlo.RunAdaptiveParallel.
+// CloneEngines builds n independent engines over the evaluation's
+// engine (montecarlo.Engine.Clone): each has its own SoC instance and
+// simulator forks, and all share the evaluation's golden run, window
+// snapshots and gate tables, which none of them writes. Use with
+// montecarlo.RunAdaptiveParallel.
 func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
-	f := e.Framework
 	out := make([]*montecarlo.Engine, 0, n)
 	for i := 0; i < n; i++ {
-		s, err := soc.WithMPU(f.Opts.SoC, e.Program, f.MPU)
+		eng, err := e.Engine.Clone()
 		if err != nil {
 			return nil, err
 		}
-		eval, err := analytical.New(f.MPU)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := montecarlo.New(s, e.Attack, f.Place, f.Opts.Delay, f.Char, eval)
-		if err != nil {
-			return nil, err
-		}
-		// Share the parent's timed simulator tables (topology, fanins
-		// and the latch-window bound) instead of rebuilding them per
-		// clone.
-		eng.Timing = e.Engine.Timing.Fork()
-		if _, err := eng.RunGolden(f.Opts.CheckpointInterval); err != nil {
-			return nil, err
-		}
-		eng.DensifyAttackWindow()
 		out = append(out, eng)
 	}
 	return out, nil
 }
 
 // EnginePool is a reusable set of engines over one evaluation: engine
-// 0 is the evaluation's own engine, the rest are clones sharing the
-// immutable MPU elaboration, placement, and pre-characterization.
-// Build the pool once (each clone pays one golden run) and run as many
-// campaigns over it as needed: RunAdaptive, or
+// 0 is the evaluation's own engine, the rest are its clones, which
+// share the immutable MPU elaboration, placement, pre-characterization
+// and the evaluation's golden run and window tables. Build the pool
+// once (a clone costs a SoC and two simulator forks, no golden run) and
+// run as many campaigns over it as needed: RunAdaptive, or
 // montecarlo.RunAdaptiveParallel on Engines (a fixed-size campaign is
 // one with MinSamples == MaxSamples). The pool runs one campaign at a
 // time; the engines themselves are not safe for concurrent use outside
@@ -397,8 +381,8 @@ type EnginePool struct {
 }
 
 // NewEnginePool builds a pool of the given size (minimum 1). The
-// evaluation's existing engine is reused as the first pool member, so
-// a pool of size n performs n-1 additional golden runs.
+// evaluation's existing engine is the first pool member and the other
+// n-1 are its clones.
 func (e *Evaluation) NewEnginePool(workers int) (*EnginePool, error) {
 	if workers < 1 {
 		workers = 1

@@ -125,24 +125,21 @@ func (r Result) Unresolved() bool { return r.HardenedNoSuccess && r.Improvement 
 
 // Improvement returns the security improvement base / hardened of a
 // plan whose hardened campaign drew n samples from sampler. When that
-// campaign saw no success (hardened 0, base > 0) it returns, with
-// noSuccess set, the 95% lower bound base / ub, where
-// ub = w_max·(1 − 0.05^(1/n)) is the one-sided upper bound on an SSF
-// estimated 0 from n draws whose weights never exceed w_max. A sampler
-// whose largest weight is unknown gives 0, no bound at all.
+// campaign saw no success (hardened 0) it returns, with noSuccess set,
+// the 95% lower bound base / ub, where ub = w_max·(1 − 0.05^(1/n)) is
+// the one-sided upper bound on an SSF estimated 0 from n draws whose
+// weights never exceed w_max. A sampler whose largest weight is
+// unknown gives 0, no bound at all, and so does a base campaign that
+// saw no success either: neither SSF is resolved.
 func Improvement(base, hardened float64, n int, sampler sampling.Sampler) (improvement float64, noSuccess bool) {
-	switch {
-	case hardened > 0:
+	if hardened > 0 {
 		return base / hardened, false
-	case base > 0:
-		wMax, ok := maxWeight(sampler)
-		if !ok {
-			return 0, true
-		}
-		return base / (wMax * (1 - math.Pow(0.05, 1/float64(n)))), true
-	default:
-		return 1, false
 	}
+	wMax, ok := maxWeight(sampler)
+	if !ok {
+		return 0, true
+	}
+	return base / (wMax * (1 - math.Pow(0.05, 1/float64(n)))), true
 }
 
 // maxWeight returns the largest importance weight the sampler can give a

@@ -140,7 +140,7 @@ func TestEvaluateEmptyPlan(t *testing.T) {
 // ratio; with none it is base / (w_max·(1 − 0.05^(1/n))), with w_max 1
 // for random draws and 1/MixUniform for importance draws, and 0 (no
 // bound) for samplers whose largest weight is unknown. Below 1 it is
-// unresolved.
+// unresolved, which includes a base campaign without a success.
 func TestImprovementBound(t *testing.T) {
 	ub500 := 1 - math.Pow(0.05, 1.0/500) // ≈ 3/500
 	cases := []struct {
@@ -152,7 +152,8 @@ func TestImprovementBound(t *testing.T) {
 		noSuccess, unres bool
 	}{
 		{"hits", 4e-4, 1e-4, 500, &sampling.Random{}, 4, false, false},
-		{"no hits anywhere", 0, 0, 500, &sampling.Random{}, 1, false, false},
+		{"no hits anywhere", 0, 0, 500, &sampling.Random{}, 0, true, true},
+		{"no hits anywhere, importance", 0, 0, 500, &sampling.Importance{MixUniform: 0.05}, 0, true, true},
 		{"random, resolved", 0.05, 0, 500, &sampling.Random{}, 0.05 / ub500, true, false},
 		{"random, unresolved", 1e-3, 0, 500, &sampling.Random{}, 1e-3 / ub500, true, true},
 		{"importance", 7.2e-4, 0, 500, &sampling.Importance{MixUniform: 0.05}, 7.2e-4 / (20 * ub500), true, true},

@@ -6,7 +6,7 @@
 // the injection cycle, one full SoC cycle to apply the gate-level
 // injection, and an RTL resume of the faulty SoC to the marked access's
 // decision. Every campaign, and RunBatch, removes the first two by
-// classifying every single-cycle sample against a cached golden attack
+// classifying every single-cycle sample against the model's golden attack
 // window (the fault-free post-evaluation node values at each candidate
 // injection cycle — the injection is a pure function of those values),
 // and amortizes the third by packing up to 64 post-injection register
@@ -42,28 +42,12 @@ import (
 	"repro/internal/timingsim"
 )
 
-// batchState caches the golden attack window and the lane simulator; it
-// is built lazily on the first campaign or RunBatch sample after
-// RunGolden and reused by every later one.
+// batchState is an engine's own part of the lane-batched path: the
+// lane simulator, forked from the engine's SoC, and the scratch of the
+// batched and grouped resumes. The golden attack window they read is
+// the engine's model.
 type batchState struct {
-	// lo = TargetCycle - TRange (clamped to 0) is the first recorded
-	// injection cycle; markedResp = TargetCycle + 1 is the cycle the
-	// marked response is consumed — no resume runs past it without
-	// diverging.
-	lo         int
-	markedResp int
-	// comb[c-lo] is a bitset over node IDs of the golden post-Eval
-	// values during cycle c (injection cycles lo <= c <= TargetCycle) —
-	// exactly what a scalar StepInject would hand the inject callback.
-	comb [][]uint64
-	// cycle[c-lo] is the timed injection's table for cycle c: its flip
-	// tables, latch bound and sweep mask. Built on the first
-	// gate-attack sample only. spots holds the spot records of the
-	// engine's attack, built with them and again after Engine.Attack
-	// is replaced.
-	cycle []*timingsim.CycleTable
-	spots *spotTable
-	sim   *logicsim.Simulator
+	sim *logicsim.Simulator
 	// laneBuf and packBuf are register-word scratch for packing
 	// ejected lanes into a group.
 	laneBuf, packBuf []uint64
@@ -110,26 +94,6 @@ type pendingResume struct {
 	flips []netlist.NodeID
 }
 
-// ensureBatchState records the golden attack window once: the post-Eval
-// value bitsets the gate-level injection consumes and, once a gate
-// attack needs them, their cycle tables. The golden register state per
-// cycle is Golden.Regs.
-func (e *Engine) ensureBatchState(mode Mode) *batchState {
-	b := e.batch
-	if b == nil {
-		b = e.newBatchState()
-	}
-	if mode == GateAttack {
-		if b.cycle == nil {
-			b.cycle = e.Timing.CycleTables(b.comb)
-		}
-		if b.spots == nil || b.spots.attack != e.Attack {
-			b.spots = e.newSpotTable(b.cycle)
-		}
-	}
-	return b
-}
-
 // spotTable holds, per injection cycle of the window and candidate
 // center of one attack, the latch bound of the center's widest spot:
 // the gates within rmax = Radius + RadiusJitter of it. The spots of
@@ -138,12 +102,7 @@ func (e *Engine) ensureBatchState(mode Mode) *batchState {
 // rejects its instant and width is one InjectPruned would flip nothing
 // for.
 type spotTable struct {
-	// attack is the attack the table was built for; a campaign that
-	// replaces Engine.Attack gets a new table. The table keeps rmax and
-	// its own center rows, so it stays sound for the draws it covers
-	// even if the attack is changed in place.
-	attack *fault.Attack
-	rmax   float64
+	rmax float64
 	// row[id] is center id's row, -1 for a node that is no candidate.
 	row []int32
 	// bounds[k] is the record of a center in cycle c, at k = (c-lo) *
@@ -157,16 +116,17 @@ type spotTable struct {
 	tmax, wmax float64
 }
 
-// newSpotTable builds the spot records of e.Attack's candidates in each
-// cycle of tables: one spot lookup per candidate, at rmax.
+// newSpotTable builds the spot records of the engine's attack's
+// candidates in each cycle of tables: one spot lookup per candidate, at
+// rmax.
 func (e *Engine) newSpotTable(tables []*timingsim.CycleTable) *spotTable {
-	a := e.Attack
+	a := e.attack
 	n := 0
 	for _, c := range a.Candidates {
 		n = max(n, int(c)+1)
 	}
 	tech := a.Technique
-	t := &spotTable{attack: a, rmax: tech.Radius + tech.RadiusJitter, row: make([]int32, n),
+	t := &spotTable{rmax: tech.Radius + tech.RadiusJitter, row: make([]int32, n),
 		tmax: tech.ClockPeriod, wmax: tech.PulseWidth + tech.PulseJitter}
 	for i := range t.row {
 		t.row[i] = -1
@@ -216,38 +176,21 @@ func (t *spotTable) mayLatch(ct *timingsim.CycleTable, i int, s fault.Sample) bo
 	return ct.SpotMayLatch(&t.bounds[k], s.Time, s.Width)
 }
 
-// newBatchState records the golden attack window and forks the lane
-// simulator.
-func (e *Engine) newBatchState() *batchState {
-	g := e.golden
-	lo := max(g.TargetCycle-e.Attack.TRange, 0)
-	b := &batchState{lo: lo, markedResp: g.TargetCycle + 1}
-	b.comb = make([][]uint64, g.TargetCycle-lo+1)
-	nn := e.SoC.MPU.Netlist.NumNodes()
-	e.restoreTo(lo)
-	for c := lo; c <= g.TargetCycle; c++ {
-		bitset := make([]uint64, (nn+63)/64)
-		e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
-			for i := 0; i < nn; i++ {
-				if values(netlist.NodeID(i)) {
-					bitset[i>>6] |= 1 << uint(i&63)
-				}
-			}
-			return nil
-		})
-		b.comb[c-lo] = bitset
-	}
-	b.sim = e.SoC.Sim.Fork()
+// newBatchState forks e's lane simulator and sizes the scratch of its
+// batched resumes to the window of its model.
+func newBatchState(e *Engine) *batchState {
 	nr := len(e.SoC.MPU.Netlist.Regs())
-	b.laneBuf = make([]uint64, nr)
-	b.packBuf = make([]uint64, nr)
-	b.teCount = make([]int, len(b.comb)+1)
-	e.batch = b
-	return b
+	return &batchState{
+		sim:     e.SoC.Sim.Fork(),
+		laneBuf: make([]uint64, nr),
+		packBuf: make([]uint64, nr),
+		teCount: make([]int, len(e.m.comb)+1),
+	}
 }
 
 // evalSample runs one sample's injection and classification against the
-// cached golden window, without touching the SoC simulator. Samples the
+// model's golden window, without touching the SoC simulator; gt is the
+// model's gate tables for a gate attack (tablesFor). Samples the
 // fast path cannot express exactly (effective multi-cycle disturbances,
 // injection cycles outside the recorded window) fall through to the
 // scalar RunOnce; rng consumption order is identical either way. When
@@ -257,9 +200,9 @@ func (e *Engine) newBatchState() *batchState {
 // path appends the flip set to *arena and returns a capped sub-slice of
 // it as the result's Flipped, so it lives exactly as long as the
 // caller's arena.
-func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, arena *[]netlist.NodeID) (res RunResult, te int, deferred bool) {
-	g := e.golden
-	b := e.ensureBatchState(mode)
+func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, gt *gateTables, arena *[]netlist.NodeID) (res RunResult, te int, deferred bool) {
+	m := e.m
+	g := m.golden
 	te = g.TargetCycle - sample.T
 	cycles := sample.Cycles
 	if cycles < 1 || mode == RegisterAttack {
@@ -268,21 +211,21 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode, aren
 	if max := g.TargetCycle - te + 1; cycles > max {
 		cycles = max
 	}
-	if cycles != 1 || te < b.lo || te > g.TargetCycle {
+	if cycles != 1 || te < m.lo || te > g.TargetCycle {
 		return e.RunOnce(rng, sample, mode), te, false
 	}
 
 	var flips []netlist.NodeID
 	switch mode {
 	case GateAttack:
-		ct := b.cycle[te-b.lo]
-		if !b.spots.mayLatch(ct, te-b.lo, sample) {
+		ct := gt.cycle[te-m.lo]
+		if !gt.spots.mayLatch(ct, te-m.lo, sample) {
 			break // no struck gate can latch; InjectPruned would flip nothing
 		}
 		gates, dists := e.spotIndex().CombWithin(sample.Center, sample.Radius)
 		if len(gates) > 0 {
 			var strike timingsim.Strike
-			strike, e.strikeWidths = e.Attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
+			strike, e.strikeWidths = e.attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
 			// The pruned sweep flips exactly the registers InjectBits
 			// would, skipping strikes that provably reach no latching
 			// window. applyHardening draws only per flipped register,
@@ -311,8 +254,9 @@ func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []R
 	results := make([]RunResult, len(samples))
 	pend := make([]pendingResume, 0, 64)
 	var flips []netlist.NodeID
+	gt := e.tablesFor(mode)
 	for i, s := range samples {
-		res, te, deferred := e.evalSample(rng, s, mode, &flips)
+		res, te, deferred := e.evalSample(rng, s, mode, gt, &flips)
 		results[i] = res
 		if deferred {
 			pend = append(pend, pendingResume{idx: i, te: te, flips: res.Flipped})
@@ -336,19 +280,19 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 	if len(pend) == 0 {
 		return
 	}
-	b := e.batch
+	b, lo := e.batch, e.m.lo
 	count := b.teCount
 	clear(count)
 	for _, p := range pend {
-		count[p.te-b.lo+1]++
+		count[p.te-lo+1]++
 	}
 	for i := 1; i < len(count); i++ {
 		count[i] += count[i-1]
 	}
 	sorted := slices.Grow(b.sorted[:0], len(pend))[:len(pend)]
 	for _, p := range pend {
-		sorted[count[p.te-b.lo]] = p
-		count[p.te-b.lo]++
+		sorted[count[p.te-lo]] = p
+		count[p.te-lo]++
 	}
 	b.sorted = sorted
 	for start := 0; start < len(sorted); start += 64 {
@@ -376,7 +320,7 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 // must be te-sorted.
 func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	b := e.batch
-	g := e.golden
+	g := e.m.golden
 	sim := b.sim
 	startC := lanes[0].te + 1
 	sim.SetRegState(g.Regs[startC])
@@ -414,7 +358,7 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 				}
 			}
 		}
-		if c == b.markedResp {
+		if c == e.m.markedResp {
 			// Every remaining lane reaches the marked decision with
 			// golden behavioural state, so its outcome is a closed form
 			// of its own grant/viol lanes: the scalar resume would step
@@ -497,7 +441,7 @@ func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, off *[6
 				if k != 0 {
 					b.counts.OffsetGroups++
 				}
-				packLanes(b.packBuf, b.laneBuf, e.golden.Regs[c], lane[:n])
+				packLanes(b.packBuf, b.laneBuf, e.m.golden.Regs[c], lane[:n])
 				e.SoC.Sim.SetRegState(b.packBuf)
 				b.counts.Lanes += n
 				e.resumeGroup(lane[:n], lanes, results)
@@ -522,7 +466,7 @@ func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, off *[6
 // architectural state, its own lane and the shadow lane all equal the
 // golden state — the scalar resume's all-lanes condition.
 func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunResult) {
-	g := e.golden
+	g := e.m.golden
 	s := e.SoC
 	sim := s.Sim
 	grant, viol := s.MPU.OutGrant[0], s.MPU.OutViol[0]

@@ -127,20 +127,16 @@ func widerAttack(t testing.TB, ev *core.Evaluation) *fault.Attack {
 	return a
 }
 
-// replacedAttackEvaluation is the default evaluation after a batched
-// gate run, with its attack then replaced by widerAttack: the batched
-// path must not keep using what it built for the first attack.
+// replacedAttackEvaluation is an evaluation of the default benchmark
+// with the default attack replaced by widerAttack: its spot records
+// must cover the wider attack's own candidates and bounds.
 func replacedAttackEvaluation(t testing.TB) *core.Evaluation {
 	ev := evaluation(t)
-	srng, rng := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))
-	samples := make([]fault.Sample, 2000)
-	for i := range samples {
-		samples[i] = ev.Attack.SampleNominal(srng)
+	wider, err := ev.Framework.NewEvaluationAttack(ev.Program, widerAttack(t, ev))
+	if err != nil {
+		t.Fatal(err)
 	}
-	ev.Engine.RunBatch(rng, samples, montecarlo.GateAttack)
-	ev.Attack = widerAttack(t, ev)
-	ev.Engine.Attack = ev.Attack
-	return ev
+	return wider
 }
 
 // uncoveredSample draws a nominal sample and, on four of every five
@@ -202,8 +198,8 @@ func hardenedEvaluation(t testing.TB) *core.Evaluation {
 // whose copies flip different subsets of the spot. Two gate cases
 // check the draws the spot records must leave to the spot lookup: draws
 // outside their coverage (radius, width, instant, center), and the
-// draws of a wider attack with other candidates that replaced the
-// engine's attack after a batched run.
+// draws of an evaluation whose attack is a wider one with other
+// candidates.
 func TestBatchRunParity(t *testing.T) {
 	nominal := func(ev *core.Evaluation, srng *rand.Rand) fault.Sample { return ev.Attack.SampleNominal(srng) }
 	wide := func(ev *core.Evaluation, srng *rand.Rand) fault.Sample {
@@ -750,9 +746,9 @@ func TestBatchParallelAndAdaptive(t *testing.T) {
 // default-technique importance draws: at least 75% must be rejected
 // before their spot lookup (82.2% over perfbench's gate_importance
 // answers), and no rejected draw may flip a register in the scalar
-// RunOnce. After the engine's attack is replaced by a wider one with
-// other candidates, draws around the new candidates, none a default
-// candidate, must be rejected too, so the records follow the attack.
+// RunOnce. On an evaluation of a wider attack with other candidates,
+// draws around those candidates, none a default candidate, must be
+// rejected too, so the records follow the attack.
 func TestSpotRecordsRejectMostDraws(t *testing.T) {
 	ev := evaluation(t)
 	sampler, err := ev.ImportanceSampler()
@@ -760,7 +756,7 @@ func TestSpotRecordsRejectMostDraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
-	check := func(s fault.Sample) {
+	check := func(ev *core.Evaluation, s fault.Sample) {
 		t.Helper()
 		if res := ev.Engine.RunOnce(rng, s, montecarlo.GateAttack); len(res.Flipped) != 0 {
 			t.Fatalf("sample %+v: rejected before its spot lookup, but RunOnce flipped %v", s, res.Flipped)
@@ -773,7 +769,7 @@ func TestSpotRecordsRejectMostDraws(t *testing.T) {
 		if ev.Engine.SpotRecordRejects(s) {
 			rejected++
 			if i < 4000 {
-				check(s)
+				check(ev, s)
 			}
 		}
 	}
@@ -783,16 +779,15 @@ func TestSpotRecordsRejectMostDraws(t *testing.T) {
 		t.Fatalf("spot records rejected %.1f%% of importance draws, want at least 75%%", 100*share)
 	}
 
-	wider := widerAttack(t, ev)
-	ev.Engine.Attack = wider
+	wider := replacedAttackEvaluation(t)
 	newCenters := 0
 	for range 4000 {
-		if s := wider.SampleNominal(rng); ev.Engine.SpotRecordRejects(s) {
+		if s := wider.Attack.SampleNominal(rng); wider.Engine.SpotRecordRejects(s) {
 			newCenters++
-			check(s)
+			check(wider, s)
 		}
 	}
-	t.Logf("after the attack was replaced, %d of 4000 draws around its new centers were rejected", newCenters)
+	t.Logf("on the wider attack, %d of 4000 draws around its centers were rejected", newCenters)
 	if newCenters == 0 {
 		t.Fatal("no draw around a center of the replaced attack was rejected: the records did not follow it")
 	}

@@ -182,7 +182,7 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 // newCampaign checks the options and starts an empty campaign, with
 // the sampler the campaign draws from.
 func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*Campaign, sampling.Sampler, error) {
-	if e.golden == nil {
+	if e.m == nil {
 		return nil, nil, fmt.Errorf("montecarlo: RunCampaign before RunGolden")
 	}
 	if opts.Samples < 1 {
@@ -307,7 +307,7 @@ func (w *windowBufs) reset(n int) {
 
 // runSamples evaluates opts.Samples draws into c over the lane-batched
 // execution path: draws are buffered in windows, every sample is
-// injected and classified in draw order against the cached golden
+// injected and classified in draw order against the model's golden
 // attack window (consuming the rng exactly as consecutive RunOnce calls
 // would), and the deferred PathRTL resumes of each window are completed
 // in 64-lane batches before the window's results are committed — again
@@ -319,6 +319,7 @@ func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.S
 	layout := e.patternLayout(opts)
 	w := &e.win
 	st, _ := sampler.(sampling.Stratal)
+	gt := e.tablesFor(opts.Mode)
 	done := ctx.Done()
 	evaluated := 0
 	for evaluated < opts.Samples {
@@ -336,7 +337,7 @@ func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.S
 				break
 			}
 			sample, weight := sampler.Draw(rng)
-			res, te, deferred := e.evalSample(rng, sample, opts.Mode, &w.flips)
+			res, te, deferred := e.evalSample(rng, sample, opts.Mode, gt, &w.flips)
 			w.samples[j], w.weights[j], w.results[j] = sample, weight, res
 			if deferred {
 				w.pend = append(w.pend, pendingResume{idx: j, te: te, flips: res.Flipped})

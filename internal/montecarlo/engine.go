@@ -22,18 +22,6 @@ import (
 	"repro/internal/timingsim"
 )
 
-// Options tunes engine construction.
-type Options struct {
-	// SkipModelCheck disables the static verification pass New runs
-	// over the MPU netlist and placement before building the engine.
-	// The guard only rejects error-severity findings (cycles, dangling
-	// references, multiply-driven registers) — structure the
-	// simulators cannot evaluate soundly — so skipping it never
-	// changes results on a valid design; it only removes the O(nodes)
-	// construction cost and the protection against malformed ones.
-	SkipModelCheck bool
-}
-
 // Mode selects what the strike physically hits.
 type Mode int
 
@@ -178,11 +166,13 @@ type Golden struct {
 }
 
 // Engine evaluates fault attacks on one SoC + benchmark. It is not safe
-// for concurrent use; create one engine per goroutine (sharing the MPU
-// elaboration via soc.WithMPU is fine).
+// for concurrent use; create one engine per goroutine with Clone. The
+// engines of an evaluation share its model (the golden run, the window
+// snapshots and the gate tables; see model), which none of them writes;
+// each owns its SoC, lane simulator, timed-simulator fork, spot index,
+// hardening map and scratch.
 type Engine struct {
 	SoC    *soc.SoC
-	Attack *fault.Attack
 	Place  *placement.Placement
 	Timing *timingsim.Simulator
 
@@ -203,13 +193,6 @@ type Engine struct {
 	// cycle (faulted runs can run longer, e.g. skipped traps).
 	ResumeMargin int
 
-	// StateCacheSize bounds the injection-window state cache: an LRU
-	// of exact-cycle snapshots keyed by the warm-up target cycle, so
-	// re-stepping from the nearest golden checkpoint is paid once per
-	// distinct cycle instead of once per sample (every sample's
-	// injection cycle falls in the same small TRange window). Set 0 to
-	// disable; New sets DefaultStateCacheSize.
-	StateCacheSize int
 	// DisableConvergenceCut turns off the golden-state early exit of
 	// RTL resumes: with the cut enabled (default), a resume whose
 	// state equals the golden run's at the same cycle stops
@@ -217,8 +200,9 @@ type Engine struct {
 	// are identical either way; only ResumeCycles changes.
 	DisableConvergenceCut bool
 
-	golden *Golden
-	cache  *stateCache
+	// attack is the attack the engine evaluates, fixed when it is built.
+	attack *fault.Attack
+	m      *model // nil before RunGolden
 	batch  *batchState
 	win    windowBufs
 
@@ -242,105 +226,76 @@ func (e *Engine) spotIndex() *placement.SpotIndex {
 	return e.spots
 }
 
-// DefaultStateCacheSize is the default bound of the injection-window
-// state cache; it comfortably covers the TRange windows used by the
-// paper's experiments.
-const DefaultStateCacheSize = 128
-
-// stateCache is a small LRU of exact-cycle SoC snapshots.
-type stateCache struct {
-	limit int
-	tick  int64
-	at    map[int]*cacheEntry
-}
-
-type cacheEntry struct {
-	cp   *soc.Checkpoint
-	used int64
-}
-
-func newStateCache(limit int) *stateCache {
-	return &stateCache{limit: limit, at: make(map[int]*cacheEntry, limit)}
-}
-
-func (c *stateCache) get(cycle int) *soc.Checkpoint {
-	e := c.at[cycle]
-	if e == nil {
-		return nil
-	}
-	c.tick++
-	e.used = c.tick
-	return e.cp
-}
-
-func (c *stateCache) put(cycle int, cp *soc.Checkpoint) {
-	if e := c.at[cycle]; e != nil {
-		c.tick++
-		e.cp, e.used = cp, c.tick
-		return
-	}
-	for len(c.at) >= c.limit {
-		// Evict the least recently used entry (limit is small enough
-		// that a scan beats bookkeeping on every get).
-		lruCycle, lruUsed := -1, int64(0)
-		for cyc, e := range c.at {
-			if lruCycle < 0 || e.used < lruUsed {
-				lruCycle, lruUsed = cyc, e.used
-			}
-		}
-		delete(c.at, lruCycle)
-	}
-	c.tick++
-	c.at[cycle] = &cacheEntry{cp: cp, used: c.tick}
-}
-
 // New assembles an engine. The SoC must be loaded with the attack
 // benchmark (not the synthetic pre-characterization program). It runs
-// the static verification layer over the design first; use
-// NewWithOptions to skip it.
+// the static verification layer over the design first.
 func New(s *soc.SoC, attack *fault.Attack, place *placement.Placement, dm timingsim.DelayModel, char *precharac.Characterization, eval *analytical.Evaluator) (*Engine, error) {
-	return NewWithOptions(s, attack, place, dm, char, eval, Options{})
-}
-
-// NewWithOptions is New with explicit engine options.
-func NewWithOptions(s *soc.SoC, attack *fault.Attack, place *placement.Placement, dm timingsim.DelayModel, char *precharac.Characterization, eval *analytical.Evaluator, opts Options) (*Engine, error) {
-	if !opts.SkipModelCheck {
-		report := modelcheck.CheckModel(modelcheck.Model{
-			Netlist:    s.MPU.Netlist,
-			Place:      place,
-			Responding: s.MPU.RespondingSignals,
-		})
-		if err := report.Err(modelcheck.Error); err != nil {
-			return nil, fmt.Errorf("montecarlo: design rejected by static verification: %w", err)
-		}
+	report := modelcheck.CheckModel(modelcheck.Model{
+		Netlist:    s.MPU.Netlist,
+		Place:      place,
+		Responding: s.MPU.RespondingSignals,
+	})
+	if err := report.Err(modelcheck.Error); err != nil {
+		return nil, fmt.Errorf("montecarlo: design rejected by static verification: %w", err)
 	}
 	tsim, err := timingsim.New(s.MPU.Netlist, dm)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		SoC: s, Attack: attack, Place: place, Timing: tsim,
+	return &Engine{
+		SoC: s, Place: place, Timing: tsim,
 		Char: char, Analytical: eval,
-		ResumeMargin:   200,
-		StateCacheSize: DefaultStateCacheSize,
+		ResumeMargin: defaultResumeMargin,
+		attack:       attack,
+	}, nil
+}
+
+// defaultResumeMargin is New's ResumeMargin.
+const defaultResumeMargin = 200
+
+// Clone returns an engine over the receiver's model: a fresh SoC on the
+// same program and MPU, its own forks of the timed and lane simulators,
+// and New's defaults with no hardening. It shares the placement, the
+// characterization and the analytical evaluator, which are read-only,
+// and runs no golden run and no static verification. RunGolden must
+// have been called on the receiver.
+func (e *Engine) Clone() (*Engine, error) {
+	if e.m == nil {
+		return nil, fmt.Errorf("montecarlo: Clone before RunGolden")
 	}
-	return e, nil
+	s, err := soc.WithMPU(e.SoC.Cfg, e.SoC.Prog, e.SoC.MPU)
+	if err != nil {
+		return nil, err
+	}
+	c := &Engine{
+		SoC: s, Place: e.Place, Timing: e.Timing.Fork(),
+		Char: e.Char, Analytical: e.Analytical,
+		ResumeMargin: defaultResumeMargin,
+		attack:       e.attack,
+		m:            e.m,
+	}
+	c.batch = newBatchState(c)
+	return c, nil
 }
 
 // Golden returns the golden-run artifacts (nil before RunGolden).
-func (e *Engine) Golden() *Golden { return e.golden }
+func (e *Engine) Golden() *Golden {
+	if e.m == nil {
+		return nil
+	}
+	return e.m.golden
+}
 
 // RunGolden performs the fault-free reference run, dumping a checkpoint
 // every interval cycles, and verifies the security mechanism works: the
-// marked access must trap.
+// marked access must trap. It then builds the engine's model from the
+// run (see newModel); engines cloned from this one share it.
 func (e *Engine) RunGolden(interval int) (*Golden, error) {
 	if interval < 1 {
 		return nil, fmt.Errorf("montecarlo: checkpoint interval %d", interval)
 	}
 	s := e.SoC
 	s.Reset()
-	e.cache = nil // exact-cycle snapshots belong to the previous golden run
-	e.batch = nil // ditto for the lane-batch window
 	s.LogAccesses = true
 	s.Accesses = s.Accesses[:0]
 	s.LogBusTrace = true
@@ -379,11 +334,12 @@ func (e *Engine) RunGolden(interval int) (*Golden, error) {
 		// capture it from the final state.
 		g.Policy = e.Analytical.CurrentPolicy(s)
 	}
-	if e.Attack.TRange > g.TargetCycle-g.SetupEnd {
+	if e.attack.TRange > g.TargetCycle-g.SetupEnd {
 		return nil, fmt.Errorf("montecarlo: TRange %d reaches into MPU setup (target %d, setup end %d)",
-			e.Attack.TRange, g.TargetCycle, g.SetupEnd)
+			e.attack.TRange, g.TargetCycle, g.SetupEnd)
 	}
-	e.golden = g
+	e.m = newModel(s, g, e.attack)
+	e.batch = newBatchState(e)
 	return g, nil
 }
 
@@ -401,23 +357,9 @@ func (g *Golden) onGolden(s *soc.SoC) bool {
 	return c < len(g.Arch) && s.Arch() == g.Arch[c] && s.Sim.RegDiffMask(g.Regs[c]) == 0
 }
 
-// restoreTo rewinds the SoC to the exact cycle: from the state cache
-// when a snapshot of that cycle exists, otherwise from the latest
-// golden checkpoint at or before it, stepping forward (and caching the
-// result for the next sample aimed at the same cycle).
-func (e *Engine) restoreTo(cycle int) {
-	if e.StateCacheSize > 0 {
-		if e.cache == nil {
-			e.cache = newStateCache(e.StateCacheSize)
-		} else {
-			e.cache.limit = e.StateCacheSize
-		}
-		if cp := e.cache.get(cycle); cp != nil {
-			e.SoC.Restore(cp)
-			return
-		}
-	}
-	g := e.golden
+// stepTo rewinds the SoC to the exact cycle from the latest golden
+// checkpoint at or before it, stepping forward.
+func (g *Golden) stepTo(s *soc.SoC, cycle int) {
 	idx := cycle / g.Interval
 	if idx >= len(g.Checkpoints) {
 		idx = len(g.Checkpoints) - 1
@@ -425,44 +367,9 @@ func (e *Engine) restoreTo(cycle int) {
 	for idx > 0 && g.Checkpoints[idx].Cycle > cycle {
 		idx--
 	}
-	e.SoC.Restore(g.Checkpoints[idx])
-	for e.SoC.Cycle() < cycle {
-		e.SoC.Step()
-	}
-	if e.StateCacheSize > 0 {
-		e.cache.put(cycle, e.SoC.Snapshot())
-	}
-}
-
-// DensifyAttackWindow pre-populates the state cache with one snapshot
-// per cycle of the attack's injection window [TargetCycle-TRange,
-// TargetCycle+1], growing StateCacheSize if the window does not fit.
-// After it, every sample's warm-up is a single Restore. Call after
-// RunGolden; a no-op when the cache is disabled.
-func (e *Engine) DensifyAttackWindow() {
-	g := e.golden
-	if g == nil || e.StateCacheSize <= 0 {
-		return
-	}
-	lo := g.TargetCycle - e.Attack.TRange
-	if lo < 0 {
-		lo = 0
-	}
-	// One extra slot below the window: the glitch model warms up to
-	// te-1 to observe the pre-glitch cycle.
-	if lo > 0 {
-		lo--
-	}
-	// One extra slot above: lane-batched resumes that diverge at the
-	// marked-response cycle fall back to a scalar restore there.
-	hi := g.TargetCycle + 1
-	if need := hi - lo + 1; e.StateCacheSize < need+4 {
-		e.StateCacheSize = need + 4
-	}
-	e.restoreTo(lo)
-	for c := lo + 1; c <= hi; c++ {
-		e.SoC.Step()
-		e.cache.put(c, e.SoC.Snapshot())
+	s.Restore(g.Checkpoints[idx])
+	for s.Cycle() < cycle {
+		s.Step()
 	}
 }
 
@@ -488,7 +395,7 @@ func (g *Golden) accessWindow(from, to int) []soc.AccessEvent {
 // batches and groups instead (resumeBatch, resumeGroup); this loop is
 // their oracle.
 func (e *Engine) resumeRTL() (resumed int, success bool) {
-	g := e.golden
+	g := e.m.golden
 	s := e.SoC
 	start := s.Cycle()
 	limit := g.FinalCycle + e.ResumeMargin
@@ -506,7 +413,7 @@ func (e *Engine) resumeRTL() (resumed int, success bool) {
 // must have been called. rng drives hardening suppression only; the
 // sample itself is drawn by the caller.
 func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResult {
-	g := e.golden
+	g := e.m.golden
 	te := g.TargetCycle - sample.T
 	e.restoreTo(te)
 
@@ -536,7 +443,7 @@ func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResu
 					return nil
 				}
 				var strike timingsim.Strike
-				strike, e.strikeWidths = e.Attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
+				strike, e.strikeWidths = e.attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
 				res := e.Timing.Inject(values, strike)
 				cycleFlips = e.applyHardening(rng, res.FlippedRegs)
 			case RegisterAttack:
@@ -600,7 +507,7 @@ func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResu
 // caller copies it out before the scratch is reused. The classification
 // itself allocates nothing.
 func (e *Engine) classifySingle(t, te int, flipped []netlist.NodeID) (res RunResult, needRTL bool) {
-	g := e.golden
+	g := e.m.golden
 	switch {
 	case len(flipped) == 0:
 		res.Class = Masked
@@ -655,10 +562,10 @@ func (e *Engine) classifySingle(t, te int, flipped []netlist.NodeID) (res RunRes
 // (a conjunction) or the set is not analytically covered, the whole
 // set is credited.
 func (e *Engine) AttributeSuccess(sample fault.Sample, flipped []netlist.NodeID) []netlist.NodeID {
-	if e.Analytical == nil || !e.Analytical.Covers(flipped) || e.golden == nil {
+	if e.Analytical == nil || !e.Analytical.Covers(flipped) || e.m == nil {
 		return flipped
 	}
-	g := e.golden
+	g := e.m.golden
 	te := g.TargetCycle - sample.T
 	window := g.accessWindow(te, g.MarkedIssue)
 	var solo []netlist.NodeID

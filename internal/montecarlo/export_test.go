@@ -2,10 +2,14 @@ package montecarlo
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 
 	"repro/internal/fault"
 	"repro/internal/sampling"
+	"repro/internal/soc"
 )
 
 // RunCampaignScalar is RunCampaign over the scalar sample loop: every
@@ -59,10 +63,45 @@ func (e *Engine) DropSpotCache() { e.spots = nil }
 
 // SpotRecordRejects reports whether the batched path rejects a
 // single-cycle gate sample in the attack window before its spot
-// lookup, from the spot records of the engine's attack. It builds what
-// the first gate-attack sample builds.
+// lookup, from the spot records of the engine's attack. It builds the
+// model's gate tables if no gate campaign has yet.
 func (e *Engine) SpotRecordRejects(s fault.Sample) bool {
-	b := e.ensureBatchState(GateAttack)
-	i := e.golden.TargetCycle - s.T - b.lo
-	return !b.spots.mayLatch(b.cycle[i], i, s)
+	gt := e.tablesFor(GateAttack)
+	i := e.m.golden.TargetCycle - s.T - e.m.lo
+	return !gt.spots.mayLatch(gt.cycle[i], i, s)
+}
+
+// WindowSnapshots returns the first cycle of the model's window
+// snapshots and the snapshots, one per cycle from it.
+func (e *Engine) WindowSnapshots() (first int, snaps []*soc.Checkpoint) {
+	return e.m.snapLo, e.m.snaps
+}
+
+// StepFromCheckpoint rewinds the engine's SoC to the cycle from the
+// latest golden checkpoint at or before it, reading no window snapshot.
+func (e *Engine) StepFromCheckpoint(cycle int) { e.m.golden.stepTo(e.SoC, cycle) }
+
+// GateTablesBuilt reports whether the model's gate tables exist yet.
+func (e *Engine) GateTablesBuilt() bool { return e.m.gate.cycle != nil }
+
+// ModelDigest hashes the contents of the engine's model: the golden
+// checkpoints, the window snapshots and fault-free node values, and the
+// cycle tables and spot records once they are built.
+func (e *Engine) ModelDigest() string {
+	m := e.m
+	h := sha256.New()
+	for _, cp := range m.golden.Checkpoints {
+		fmt.Fprint(h, *cp)
+	}
+	for _, cp := range m.snaps {
+		fmt.Fprint(h, *cp)
+	}
+	fmt.Fprint(h, m.snapLo, m.lo, m.markedResp, m.comb)
+	for _, ct := range m.gate.cycle {
+		fmt.Fprint(h, *ct)
+	}
+	if m.gate.spots != nil {
+		fmt.Fprint(h, *m.gate.spots)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

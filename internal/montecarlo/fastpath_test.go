@@ -11,13 +11,14 @@ import (
 )
 
 // referenceEvaluation builds an evaluation with every per-run fast path
-// disabled: dense full-netlist injection sweep, no injection-window
-// state cache, no convergence-cut resume.
+// that can be switched off disabled: dense full-netlist injection
+// sweep, no convergence-cut resume. Its restores inside the attack
+// window still read the window snapshots, which TestWindowSnapshots
+// holds to stepping from the golden checkpoints.
 func referenceEvaluation(t *testing.T) *core.Evaluation {
 	t.Helper()
 	ev := evaluation(t)
 	ev.Engine.Timing.SetReferenceSweep(true)
-	ev.Engine.StateCacheSize = 0
 	ev.Engine.DisableConvergenceCut = true
 	return ev
 }
@@ -124,7 +125,6 @@ func TestFastPathsMultiCycleEquivalence(t *testing.T) {
 	evFast := mk()
 	evRef := mk()
 	evRef.Engine.Timing.SetReferenceSweep(true)
-	evRef.Engine.StateCacheSize = 0
 	evRef.Engine.DisableConvergenceCut = true
 	opts := montecarlo.CampaignOptions{Samples: 1200, Seed: 5}
 	fast, err := evFast.Engine.RunCampaign(context.Background(), evFast.RandomSampler(), opts)

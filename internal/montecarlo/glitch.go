@@ -16,7 +16,7 @@ import (
 // previous-cycle value. Downstream classification reuses the standard
 // cross-level pipeline (masked / memory-type / RTL resume).
 func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunResult {
-	g := e.golden
+	g := e.m.golden
 	te := g.TargetCycle - sample.T
 	// Warm up to the cycle BEFORE the glitched one so its settled
 	// values are observable (the glitch capture compares consecutive
@@ -63,13 +63,13 @@ func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunRes
 // Cancellation via ctx returns the partial campaign accumulated so far
 // alongside the context's error.
 func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAttack, opts CampaignOptions) (*Campaign, error) {
-	if e.golden == nil {
+	if e.m == nil {
 		return nil, fmt.Errorf("montecarlo: RunGlitchCampaign before RunGolden")
 	}
 	if opts.Samples < 1 {
 		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
 	}
-	if attack.TRange > e.golden.TargetCycle-e.golden.SetupEnd {
+	if attack.TRange > e.m.golden.TargetCycle-e.m.golden.SetupEnd {
 		return nil, fmt.Errorf("montecarlo: TRange %d reaches into MPU setup", attack.TRange)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))

@@ -96,9 +96,8 @@ func TestCampaignBeforeGoldenFails(t *testing.T) {
 }
 
 // TestModelCheckGuard pins the construction-time static verification:
-// a design with an error-severity defect is rejected by New, the
-// SkipModelCheck escape hatch admits it, and precharac applies the same
-// gate.
+// a design with an error-severity defect is rejected by New, and
+// precharac applies the same gate.
 func TestModelCheckGuard(t *testing.T) {
 	fw := framework(t)
 	prog, _ := fw.BenchmarkProgram(core.BenchmarkIllegalWrite)
@@ -125,10 +124,6 @@ func TestModelCheckGuard(t *testing.T) {
 
 	if _, err := montecarlo.New(s, attack, place, fw.Opts.Delay, nil, nil); err == nil {
 		t.Error("New accepted a design with an error-severity finding")
-	}
-	if _, err := montecarlo.NewWithOptions(s, attack, place, fw.Opts.Delay, nil, nil,
-		montecarlo.Options{SkipModelCheck: true}); err != nil {
-		t.Errorf("SkipModelCheck still rejected: %v", err)
 	}
 	pcOpts := fw.Opts.Precharac
 	if _, err := precharac.Characterize(s, pcOpts); err == nil {

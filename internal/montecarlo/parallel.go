@@ -103,7 +103,7 @@ func validateEngines(engines []*Engine) error {
 		return fmt.Errorf("montecarlo: no engines")
 	}
 	for i, e := range engines {
-		if e == nil || e.golden == nil {
+		if e == nil || e.m == nil {
 			return fmt.Errorf("montecarlo: engine %d has no golden run", i)
 		}
 	}
@@ -361,7 +361,8 @@ func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts
 // samples per engine per round) and evaluates the weak-LLN stopping
 // bound on the merged estimator between rounds, so it stops within one
 // round of the criterion being met. Every engine must target the same
-// design/benchmark/attack and have completed its golden run; shards
+// design/benchmark/attack and have completed its golden run (a pool
+// built with Engine.Clone shares one); shards
 // draw from the shared sampler (samplers built by internal/sampling
 // are safe for concurrent Draw with distinct rngs). Per-(round, shard)
 // seeds are derived deterministically from Seed·1000003 and shards

@@ -47,11 +47,6 @@ type Options struct {
 	// most the latter.
 	MemLifetimeMin int
 	MemContamMax   float64
-	// SkipModelCheck disables the static verification pass run over
-	// the netlist (and the responding-signal cone window) before the
-	// campaigns start. The guard rejects only error-severity findings,
-	// so skipping it never changes results on a valid design.
-	SkipModelCheck bool
 }
 
 // DefaultOptions returns the settings used by the paper-scale
@@ -123,15 +118,13 @@ func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 	if len(c.Responding) == 0 {
 		return nil, fmt.Errorf("precharac: design has no responding signals")
 	}
-	if !opts.SkipModelCheck {
-		report := modelcheck.CheckModel(modelcheck.Model{
-			Netlist:    nl,
-			Responding: c.Responding,
-			MaxDepth:   opts.MaxDepth,
-		})
-		if err := report.Err(modelcheck.Error); err != nil {
-			return nil, fmt.Errorf("precharac: design rejected by static verification: %w", err)
-		}
+	report := modelcheck.CheckModel(modelcheck.Model{
+		Netlist:    nl,
+		Responding: c.Responding,
+		MaxDepth:   opts.MaxDepth,
+	})
+	if err := report.Err(modelcheck.Error); err != nil {
+		return nil, fmt.Errorf("precharac: design rejected by static verification: %w", err)
 	}
 
 	// Step 1: unrolled cones.

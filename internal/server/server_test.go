@@ -1127,6 +1127,55 @@ func TestRankZeroHitBound(t *testing.T) {
 	}
 }
 
+// TestRankZeroHitBase: when neither the base nor the hardened campaign
+// sees a success, both SSFs are unresolved, so the entry reports
+// no_success with an improvement below 1, not an improvement of 1
+// ("hardening changed nothing"). On a 3-engine pool over the default
+// framework, 500 random draws hit nothing.
+func TestRankZeroHitBase(t *testing.T) {
+	fw, err := core.Build(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := ev.NewEnginePool(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(pool, t.TempDir(), Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req RankRequest
+	if err := json.Unmarshal([]byte(`{"samples": 500, "sampler": "random", "variants": [{"top_n": 3, "resilience": 10}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants, fw.MPU.Netlist); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.rank(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := resp.Entries[0]
+	if resp.BaseSSF != 0 || e.SSF != 0 {
+		t.Fatalf("want zero-hit base and hardened campaigns: base %v, entry %+v", resp.BaseSSF, e)
+	}
+	if !e.NoSuccess || e.Improvement >= 1 {
+		t.Errorf("entry %+v: want no_success with an improvement below 1", e)
+	}
+	body, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"no_success":true`) {
+		t.Errorf("rank entry JSON %s lacks \"no_success\":true", body)
+	}
+}
+
 func TestWriteJSONMarshalFailure(t *testing.T) {
 	// A value json cannot encode (NaN) must produce a clean 500, not a
 	// truncated body under a success status line.

@@ -202,9 +202,6 @@ func (s *SoC) Cycle() int { return s.cycle }
 // Done reports whether the core has halted with no access in flight.
 func (s *SoC) Done() bool { return s.cpu.Halted && !s.pending.Active }
 
-// CPUReg returns a core register value.
-func (s *SoC) CPUReg(i int) uint16 { return s.cpu.R[i] }
-
 // Priv reports whether the core is in privileged mode.
 func (s *SoC) Priv() bool { return s.cpu.Priv }
 

@@ -66,16 +66,6 @@ func (w *Welford) LLNBound(eps float64) float64 {
 	return b
 }
 
-// SamplesForRisk returns the number of samples the LLN bound requires to
-// push the risk of an eps-deviation below delta, given the current
-// variance estimate.
-func (w *Welford) SamplesForRisk(eps, delta float64) int {
-	if eps <= 0 || delta <= 0 {
-		return math.MaxInt32
-	}
-	return int(math.Ceil(w.Variance() / (delta * eps * eps)))
-}
-
 // WelfordState is the exported snapshot of a Welford accumulator, used
 // to serialize estimators (e.g. campaign checkpoints). The fields are
 // the exact internal state, so a State/FromWelfordState round trip —

@@ -80,10 +80,6 @@ func (s *Stratified) StratumN(k int) int { return s.strata[k].N() }
 // StratumMean returns the running conditional mean of stratum k.
 func (s *Stratified) StratumMean(k int) float64 { return s.strata[k].Mean() }
 
-// StratumVariance returns the sample variance of stratum k's weighted
-// terms (0 for fewer than two draws).
-func (s *Stratified) StratumVariance(k int) float64 { return s.strata[k].Variance() }
-
 // StratumStdDev returns the sample standard deviation of stratum k.
 func (s *Stratified) StratumStdDev(k int) float64 { return s.strata[k].StdDev() }
 

@@ -20,7 +20,7 @@ test:
 	$(GO) -C perfbench test ./...
 
 race:
-	$(GO) test -race ./internal/montecarlo/... ./internal/timingsim/... ./internal/logicsim/... ./internal/stats/... ./internal/sampling/... ./internal/server/... ./internal/precharac/... ./internal/netlist/... ./internal/core/...
+	$(GO) test -race ./internal/montecarlo/... ./internal/timingsim/... ./internal/logicsim/... ./internal/stats/... ./internal/sampling/... ./internal/server/... ./internal/precharac/... ./internal/netlist/... ./internal/core/... ./internal/soc/...
 
 # smoke-server is the evaluation-service e2e check: build cmd/ssfserver,
 # submit a job over HTTP, stream its SSE progress, kill the server after
@@ -51,10 +51,11 @@ lint:
 	else echo "lint: govulncheck not installed, skipping"; fi
 
 # fuzz-smoke gives the fuzz targets a short budget each: enough to
-# catch parser, checkpoint-decoding, request-decoding, evaluator- or
-# sweep-equivalence regressions without stalling CI.
+# catch parser, checkpoint-decoding, request-decoding, evaluator-,
+# sweep- or cone-equivalence regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzNetlistDeserialize -fuzztime=20s
+	$(GO) test ./internal/netlist/ -run '^FuzzUnrolledCone$$' -fuzz '^FuzzUnrolledCone$$' -fuzztime=20s
 	$(GO) test ./internal/logicsim/ -run '^FuzzPlanEquivalence$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/logicsim/codegen/ -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/montecarlo/ -run '^FuzzCampaignSnapshot$$' -fuzz '^FuzzCampaignSnapshot$$' -fuzztime=20s
@@ -65,7 +66,8 @@ fuzz-smoke:
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
 # RTLCycle, plus the set-up every process pays: Precharacterize, one
-# pre-characterization of the default MPU, and EvaluationSetup, one
+# pre-characterization of the default MPU, Placement, one
+# placement.Place of the default MPU, and EvaluationSetup, one
 # NewEvaluation plus ImportanceSampler on the built framework, and
 # EnginePool, a fresh evaluation with NewEnginePool(4) and one
 # 2,048-sample gate campaign on each engine in turn),

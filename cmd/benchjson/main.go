@@ -5,6 +5,7 @@
 //     gate-level injection (GateInjection), one RTL cycle (RTLCycle),
 //     one pre-characterization of the default MPU (Precharacterize:
 //     cones, signatures and correlations, and the lifetime campaign),
+//     one placement of the default MPU (Placement: placement.Place),
 //     and one evaluation set-up on the built framework
 //     (EvaluationSetup: NewEvaluation, whose attack takes the candidate
 //     block, with the golden run, plus ImportanceSampler), the set-up
@@ -76,6 +77,7 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/placement"
 	"repro/internal/precharac"
 	"repro/internal/sampling"
 	"repro/internal/soc"
@@ -268,6 +270,13 @@ func runOnceSuite() []benchResult {
 			if _, err := precharac.Characterize(s, opts); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	record(&results, "Placement", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			placement.Place(fw.MPU.Netlist)
 		}
 	})
 

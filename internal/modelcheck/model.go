@@ -39,7 +39,13 @@ func CheckModel(m Model) *Report {
 	}
 	if len(m.Responding) > 0 {
 		r.Findings = append(r.Findings, checkResponding(m.Netlist, m.Responding)...)
-		if m.MaxDepth > 0 {
+		// The cone walk indexes nodes by the responding ids, so an id
+		// that MC003 found out of range skips it.
+		inRange := true
+		for _, rs := range m.Responding {
+			inRange = inRange && rs >= 0 && int(rs) < m.Netlist.NumNodes()
+		}
+		if m.MaxDepth > 0 && inRange {
 			r.Findings = append(r.Findings, CheckConeWindow(m.Netlist, m.Responding, m.MaxDepth)...)
 		}
 	}

@@ -276,3 +276,21 @@ func TestCheckModelRespondingSignal(t *testing.T) {
 		t.Fatalf("DFF responding signal flagged:\n%s", r)
 	}
 }
+
+// TestCheckModelRespondingOutOfRange: a responding id outside the
+// netlist is reported as MC003 and never walked, with and without the
+// cone-window check, alone or next to a valid register.
+func TestCheckModelRespondingOutOfRange(t *testing.T) {
+	n := mustReadUnchecked(t, "gnl v1\n0 input \"a\"\n1 dff 0 \"r[0]\"\n")
+	for _, resp := range [][]netlist.NodeID{{99}, {-1}, {1, 99}, {-5, 1}} {
+		for _, depth := range []int{0, 3} {
+			r := modelcheck.CheckModel(modelcheck.Model{Netlist: n, Responding: resp, MaxDepth: depth})
+			if len(r.ByID(modelcheck.IDRespondingSignal)) != 1 {
+				t.Errorf("responding %v, MaxDepth %d: want one MC003 finding:\n%s", resp, depth, r)
+			}
+			if len(r.ByID(modelcheck.IDConeEscape)) != 0 {
+				t.Errorf("responding %v, MaxDepth %d: cone window checked past a bad id:\n%s", resp, depth, r)
+			}
+		}
+	}
+}

@@ -11,9 +11,10 @@ import (
 
 // interpretedEvaluation builds a second, fully interpreted evaluation
 // stack: generated-evaluator binding is disabled around core.Build, so
-// every plan compiled for it interprets the op stream. Plans bind at
-// compile time, so re-enabling afterwards does not retroactively
-// switch the returned engine.
+// the plan compiled for its fresh MPU interprets the op stream, and
+// every SoC on that MPU forks it. Plans bind at compile time, so
+// re-enabling afterwards does not retroactively switch the returned
+// engine.
 func interpretedEvaluation(t *testing.T) *core.Evaluation {
 	t.Helper()
 	opts := core.DefaultOptions()
@@ -21,8 +22,9 @@ func interpretedEvaluation(t *testing.T) *core.Evaluation {
 	opts.Precharac.TraceCycles = 768
 	opts.Precharac.LifetimeCap = 120
 	opts.Precharac.Probes = 1
-	// NewEvaluation compiles the engine's own simulator, so the whole
-	// stack construction stays inside the disabled window.
+	// The MPU's plan is compiled by the first SoC built on it, inside
+	// core.Build; the whole stack construction stays inside the
+	// disabled window all the same.
 	prev := logicsim.SetGeneratedEnabled(false)
 	defer logicsim.SetGeneratedEnabled(prev)
 	fw, err := core.Build(opts)

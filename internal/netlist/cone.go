@@ -1,6 +1,6 @@
 package netlist
 
-import "sort"
+import "slices"
 
 // Cone holds the result of an unrolled cone extraction rooted at one or
 // more responding signals. ByDepth[i] lists the nodes whose value i
@@ -8,7 +8,9 @@ import "sort"
 // influenced by (fanout cone) the roots. A node may legitimately appear
 // at several depths when register paths of different lengths reconverge.
 type Cone struct {
-	// ByDepth[i] is sorted by NodeID and free of duplicates.
+	// ByDepth[i] is sorted by NodeID and free of duplicates. Layers
+	// past a cone's fixed point share one slice, so callers must treat
+	// them as read-only.
 	ByDepth [][]NodeID
 }
 
@@ -27,7 +29,7 @@ func (c *Cone) All() []NodeID {
 			}
 		}
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -71,62 +73,71 @@ func (n *Netlist) UnrolledFanoutCone(roots []NodeID, maxDepth int) *Cone {
 	return n.unrolledCone(roots, maxDepth, true)
 }
 
+// unrolledCone builds the cone one layer at a time. Layer d+1 depends
+// on layer d alone: fanin, it is the combinational closure of the
+// fanins of layer d's registers; fanout, the closure of the registers
+// that layer d's nodes feed. So once a layer equals the one before, it
+// is the fixed point, and every deeper layer shares its slice.
 func (n *Netlist) unrolledCone(roots []NodeID, maxDepth int, forward bool) *Cone {
 	if maxDepth < 0 {
 		maxDepth = 0
-	}
-	inSet := make([][]bool, maxDepth+1)
-	for d := range inSet {
-		inSet[d] = make([]bool, len(n.nodes))
-	}
-	type item struct {
-		id    NodeID
-		depth int
-	}
-	var queue []item
-	push := func(id NodeID, d int) {
-		if d > maxDepth || inSet[d][id] {
-			return
-		}
-		inSet[d][id] = true
-		queue = append(queue, item{id, d})
-	}
-	for _, r := range roots {
-		push(r, 0)
 	}
 	var fanouts [][]NodeID
 	if forward {
 		fanouts = n.Fanouts()
 	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		node := &n.nodes[it.id]
-		if forward {
-			for _, succ := range fanouts[it.id] {
-				nd := it.depth
-				if n.nodes[succ].Type == DFF {
-					nd++
-				}
-				push(succ, nd)
-			}
-		} else {
-			nd := it.depth
-			if node.Type == DFF {
-				nd++
-			}
-			for _, f := range node.Fanin {
-				push(f, nd)
-			}
-		}
-	}
 	cone := &Cone{ByDepth: make([][]NodeID, maxDepth+1)}
+	in := make([]bool, len(n.nodes))
+	// seeds starts the current layer's closure and next collects the
+	// following layer's; stack is the closure's work list.
+	seeds := append([]NodeID(nil), roots...)
+	var next, stack []NodeID
 	for d := 0; d <= maxDepth; d++ {
-		for i, in := range inSet[d] {
-			if in {
-				cone.ByDepth[d] = append(cone.ByDepth[d], NodeID(i))
+		clear(in)
+		for _, id := range seeds {
+			if !in[id] {
+				in[id] = true
+				stack = append(stack, id)
 			}
 		}
+		next = next[:0]
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			var succ []NodeID
+			if forward {
+				succ = fanouts[id]
+			} else {
+				succ = n.nodes[id].Fanin
+				if n.nodes[id].Type == DFF {
+					next = append(next, succ...)
+					continue
+				}
+			}
+			for _, s := range succ {
+				switch {
+				case forward && n.nodes[s].Type == DFF:
+					next = append(next, s)
+				case !in[s]:
+					in[s] = true
+					stack = append(stack, s)
+				}
+			}
+		}
+		var layer []NodeID
+		for i, ok := range in {
+			if ok {
+				layer = append(layer, NodeID(i))
+			}
+		}
+		if d > 0 && slices.Equal(layer, cone.ByDepth[d-1]) {
+			for k := d; k <= maxDepth; k++ {
+				cone.ByDepth[k] = cone.ByDepth[d-1]
+			}
+			break
+		}
+		cone.ByDepth[d] = layer
+		seeds, next = next, seeds
 	}
 	return cone
 }
@@ -184,8 +195,4 @@ func Merge(a, b *Cone) *Cone {
 		out.ByDepth[d] = append(m, lb[j:]...)
 	}
 	return out
-}
-
-func sortNodeIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

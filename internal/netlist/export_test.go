@@ -1,5 +1,70 @@
 package netlist
 
+// UnrolledConeBFS is the cone extraction as a breadth-first walk over
+// every (node, depth) pair of the unrolled netlist, with one visited
+// flag per pair: the oracle of the layer-by-layer unrolledCone behind
+// UnrolledFaninCone (forward false) and UnrolledFanoutCone (forward
+// true).
+func (n *Netlist) UnrolledConeBFS(roots []NodeID, maxDepth int, forward bool) *Cone {
+	if maxDepth < 0 {
+		maxDepth = 0
+	}
+	inSet := make([][]bool, maxDepth+1)
+	for d := range inSet {
+		inSet[d] = make([]bool, len(n.nodes))
+	}
+	type item struct {
+		id    NodeID
+		depth int
+	}
+	var queue []item
+	push := func(id NodeID, d int) {
+		if d > maxDepth || inSet[d][id] {
+			return
+		}
+		inSet[d][id] = true
+		queue = append(queue, item{id, d})
+	}
+	for _, r := range roots {
+		push(r, 0)
+	}
+	var fanouts [][]NodeID
+	if forward {
+		fanouts = n.Fanouts()
+	}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		node := &n.nodes[it.id]
+		if forward {
+			for _, succ := range fanouts[it.id] {
+				nd := it.depth
+				if n.nodes[succ].Type == DFF {
+					nd++
+				}
+				push(succ, nd)
+			}
+		} else {
+			nd := it.depth
+			if node.Type == DFF {
+				nd++
+			}
+			for _, f := range node.Fanin {
+				push(f, nd)
+			}
+		}
+	}
+	cone := &Cone{ByDepth: make([][]NodeID, maxDepth+1)}
+	for d := 0; d <= maxDepth; d++ {
+		for i, in := range inSet[d] {
+			if in {
+				cone.ByDepth[d] = append(cone.ByDepth[d], NodeID(i))
+			}
+		}
+	}
+	return cone
+}
+
 // DepthsOf returns every unroll depth at which the node appears.
 func (c *Cone) DepthsOf(id NodeID) []int {
 	var ds []int

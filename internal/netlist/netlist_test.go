@@ -513,10 +513,11 @@ func TestCellTypeString(t *testing.T) {
 	}
 }
 
-// bruteForceFaninDepths computes, for every node, the set of unroll
-// depths at which it can influence the root — by explicit graph walking
-// — as an oracle for UnrolledFaninCone.
-func bruteForceFaninDepths(n *Netlist, root NodeID, maxDepth int) map[NodeID]map[int]bool {
+// bruteForceDepths computes, for every node, the set of unroll depths at
+// which it can influence the root (forward false) or be influenced by
+// it (forward true), by explicit recursive graph walking: an oracle for
+// UnrolledFaninCone and UnrolledFanoutCone.
+func bruteForceDepths(n *Netlist, root NodeID, maxDepth int, forward bool) map[NodeID]map[int]bool {
 	out := map[NodeID]map[int]bool{}
 	var visit func(id NodeID, d int)
 	visit = func(id NodeID, d int) {
@@ -530,6 +531,16 @@ func bruteForceFaninDepths(n *Netlist, root NodeID, maxDepth int) map[NodeID]map
 			return
 		}
 		out[id][d] = true
+		if forward {
+			for _, s := range n.Fanouts()[id] {
+				if n.Node(s).Type == DFF {
+					visit(s, d+1)
+				} else {
+					visit(s, d)
+				}
+			}
+			return
+		}
 		nd := d
 		if n.Node(id).Type == DFF {
 			nd++
@@ -542,8 +553,11 @@ func bruteForceFaninDepths(n *Netlist, root NodeID, maxDepth int) map[NodeID]map
 	return out
 }
 
-func TestUnrolledFaninConeMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
+// checkConeMatchesBruteForce compares every layer of the cone rooted at
+// root with bruteForceDepths, on random DAGs.
+func checkConeMatchesBruteForce(t *testing.T, seed int64, forward bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 20; trial++ {
 		n := randomDAG(rng, 80)
 		if len(n.Regs()) == 0 {
@@ -552,7 +566,10 @@ func TestUnrolledFaninConeMatchesBruteForce(t *testing.T) {
 		root := n.Regs()[rng.Intn(len(n.Regs()))]
 		const maxDepth = 6
 		cone := n.UnrolledFaninCone([]NodeID{root}, maxDepth)
-		want := bruteForceFaninDepths(n, root, maxDepth)
+		if forward {
+			cone = n.UnrolledFanoutCone([]NodeID{root}, maxDepth)
+		}
+		want := bruteForceDepths(n, root, maxDepth, forward)
 		for d := 0; d <= maxDepth; d++ {
 			inLayer := map[NodeID]bool{}
 			for _, id := range cone.ByDepth[d] {
@@ -572,4 +589,12 @@ func TestUnrolledFaninConeMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestUnrolledFaninConeMatchesBruteForce(t *testing.T) {
+	checkConeMatchesBruteForce(t, 77, false)
+}
+
+func TestUnrolledFanoutConeMatchesBruteForce(t *testing.T) {
+	checkConeMatchesBruteForce(t, 78, true)
 }

@@ -15,7 +15,6 @@ package placement
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/netlist"
 )
@@ -59,6 +58,7 @@ func Place(nl *netlist.Netlist) *Placement {
 
 	fanouts := nl.Fanouts()
 	next := make([]Point, n)
+	order, tmp := make([]netlist.NodeID, n), make([]netlist.NodeID, n)
 	for it := 0; it < relaxIterations; it++ {
 		// Barycentric move: average of connected nodes.
 		for i := 0; i < n; i++ {
@@ -76,7 +76,7 @@ func Place(nl *netlist.Netlist) *Placement {
 			}
 			next[i] = Point{X: sumX / cnt, Y: sumY / cnt}
 		}
-		legalize(next, pos, cols, rows)
+		legalize(next, pos, cols, rows, order, tmp)
 	}
 	cell := make([]netlist.NodeID, rows*cols)
 	for i := range cell {
@@ -88,23 +88,16 @@ func Place(nl *netlist.Netlist) *Placement {
 	return &Placement{nl: nl, points: pos, rows: rows, cols: cols, cell: cell}
 }
 
-// legalize snaps relaxed positions back onto the grid: sort by X to
-// assign columns in balanced chunks, then sort each column by Y. Ties
-// break on node id, keeping the whole procedure deterministic. The
-// result is written into out.
-func legalize(relaxed []Point, out []Point, cols, rows int) {
+// legalize snaps relaxed positions back onto the grid: order the nodes
+// by (X, id) to assign columns in balanced chunks, then each column by
+// (Y, id). Both orders are total, so the result is deterministic. It is
+// written into out; order and tmp are scratch of len(relaxed).
+func legalize(relaxed, out []Point, cols, rows int, order, tmp []netlist.NodeID) {
 	n := len(relaxed)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	for i := range order {
+		order[i] = netlist.NodeID(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if relaxed[ia].X != relaxed[ib].X {
-			return relaxed[ia].X < relaxed[ib].X
-		}
-		return ia < ib
-	})
+	sortByX(order, tmp, relaxed)
 	for c := 0; c < cols; c++ {
 		lo := c * rows
 		hi := lo + rows
@@ -114,16 +107,44 @@ func legalize(relaxed []Point, out []Point, cols, rows int) {
 		if hi > n {
 			hi = n
 		}
-		col := idx[lo:hi]
-		sort.Slice(col, func(a, b int) bool {
-			if relaxed[col[a]].Y != relaxed[col[b]].Y {
-				return relaxed[col[a]].Y < relaxed[col[b]].Y
+		col := order[lo:hi]
+		slices.SortFunc(col, func(a, b netlist.NodeID) int {
+			switch ya, yb := relaxed[a].Y, relaxed[b].Y; {
+			case ya < yb:
+				return -1
+			case ya > yb:
+				return 1
 			}
-			return col[a] < col[b]
+			return int(a - b)
 		})
 		for r, node := range col {
 			out[node] = Point{X: float64(c), Y: float64(r)}
 		}
+	}
+}
+
+// sortByX sorts ids, given in rising id order, by their relaxed X. It
+// is a stable LSD radix sort over the bits of X, a byte per pass, so
+// ties keep id order. Every X is an average of grid coordinates, so it
+// is ≥ 0 and its bits order as unsigned integers. The passes alternate
+// between ids and tmp, and there are eight, so the result ends in ids.
+func sortByX(ids, tmp []netlist.NodeID, relaxed []Point) {
+	for shift := 0; shift < 64; shift += 8 {
+		var start [256]int
+		for _, id := range ids {
+			start[math.Float64bits(relaxed[id].X)>>shift&0xff]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, id := range ids {
+			d := math.Float64bits(relaxed[id].X) >> shift & 0xff
+			tmp[start[d]] = id
+			start[d]++
+		}
+		ids, tmp = tmp, ids
 	}
 }
 

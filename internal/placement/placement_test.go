@@ -290,3 +290,73 @@ func TestGridQueriesMatchScan(t *testing.T) {
 		}
 	}
 }
+
+// TestLegalizeMatchesSortSlice compares legalize with the sort.Slice
+// legalization on random relaxed points: drawn from a few values, so
+// most X and most Y tie; spread over the grid like real relaxed
+// coordinates; and spread over many binary orders of magnitude, with
+// zeros, so every byte of the radix keys varies. Sizes include grids
+// whose last column is partial and a single node.
+func TestLegalizeMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		cols := int(math.Ceil(math.Sqrt(float64(n))))
+		rows := (n + cols - 1) / cols
+		levels := 1 + rng.Intn(6)
+		relaxed := make([]Point, n)
+		for i := range relaxed {
+			switch trial % 3 {
+			case 0:
+				relaxed[i] = Point{X: float64(rng.Intn(levels)) / 3, Y: float64(rng.Intn(levels)) / 2}
+			case 1:
+				relaxed[i] = Point{X: rng.Float64() * float64(cols-1), Y: rng.Float64() * float64(rows-1)}
+			default:
+				scale := math.Ldexp(1, rng.Intn(120)-60)
+				relaxed[i] = Point{X: float64(rng.Intn(3)) * rng.Float64() * scale, Y: float64(rng.Intn(levels))}
+			}
+		}
+		got, want := make([]Point, n), make([]Point, n)
+		legalize(relaxed, got, cols, rows, make([]netlist.NodeID, n), make([]netlist.NodeID, n))
+		legalizeSortSlice(relaxed, want, cols, rows)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("trial %d (%d nodes): node %d at %v, sort.Slice puts it at %v", trial, n, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPlaceMatchesSortSlice compares whole placements with the
+// sort.Slice legalization on random netlists, a chain, and netlists
+// where most nodes are unconnected inputs, whose relaxed coordinates
+// stay on the grid and tie by whole columns and rows.
+func TestPlaceMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	nls := []*netlist.Netlist{chainNetlist(100), mixedNetlist(rng), netlist.New(0)}
+	for trial := 0; trial < 10; trial++ {
+		nls = append(nls, randomNetlist(rng, 20+rng.Intn(400)))
+		nl := netlist.New(300)
+		for i := 0; i < 50+rng.Intn(250); i++ {
+			nl.AddInput("")
+		}
+		for i := 0; i < rng.Intn(20); i++ {
+			nl.AddGate(netlist.Nand, netlist.NodeID(rng.Intn(nl.NumNodes())), netlist.NodeID(rng.Intn(nl.NumNodes())))
+		}
+		nls = append(nls, nl)
+	}
+	for i, nl := range nls {
+		got, want := Place(nl).Points(), PlaceSortSlice(nl)
+		if j := firstDiff(got, want); j >= 0 {
+			t.Fatalf("netlist %d (%d nodes): node %d at %v, sort.Slice puts it at %v", i, nl.NumNodes(), j, got[j], want[j])
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []Point) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}

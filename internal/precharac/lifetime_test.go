@@ -2,6 +2,7 @@ package precharac
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/logicsim"
@@ -60,8 +61,23 @@ func coneRegsOf(c *Characterization, nl *netlist.Netlist) []netlist.NodeID {
 			}
 		}
 	}
-	sortIDs(regs)
+	slices.Sort(regs)
 	return regs
+}
+
+// recordWindow records a window of the replay's horizon by stepping the
+// SoC from its current state, the way the benchmark run records a
+// probe's window.
+func recordWindow(rp *laneReplay, s *soc.SoC) *window {
+	w := rp.newWindow(s.Cycle())
+	for k := 0; k < rp.horizon; k++ {
+		s.StepInject(func(func(netlist.NodeID) bool) []netlist.NodeID {
+			rp.recordCycle(w, k, s.Sim)
+			return nil
+		})
+		rp.recordLatched(w, k, s.Sim)
+	}
+	return w
 }
 
 // scalarLifetimes runs the lifetime campaign one injection per replay,
@@ -137,11 +153,17 @@ func scalarLifetimes(t *testing.T, s *soc.SoC, c *Characterization, opts Options
 // the single-injection replay: every characterized register's lifetime
 // and contamination must carry the same bits, and its class must match,
 // on the default MPU with its two probes (163 cone registers in batches
-// of 64, 64 and 35), the reduced test options, a one-cycle horizon and
-// the dual-rail MPU.
+// of 64, 64 and 35), the reduced test options, a one-cycle horizon,
+// probes whose windows overlap and the dual-rail MPU. The scalar replay
+// resets the SoC and steps it to each probe; the campaign records every
+// window from its one benchmark run.
 func TestLanePackedLifetimesMatchScalar(t *testing.T) {
 	capOne := smallOpts()
 	capOne.LifetimeCap = 1
+	// Four probes 48 cycles apart share most of their 200-cycle
+	// windows, and the last one ends past the trace.
+	overlap := smallOpts()
+	overlap.TraceCycles, overlap.Probes, overlap.LifetimeCap = 256, 4, 200
 	dualRail := func(t *testing.T) *soc.SoC {
 		cfg := soc.DefaultConfig()
 		cfg.MPU.DualRail = true
@@ -159,6 +181,7 @@ func TestLanePackedLifetimesMatchScalar(t *testing.T) {
 		{"default", synthSoC, DefaultOptions()},
 		{"small", synthSoC, smallOpts()},
 		{"cap-1", synthSoC, capOne},
+		{"overlapping-probes", synthSoC, overlap},
 		{"dual-rail", dualRail, DefaultOptions()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,31 +239,26 @@ func reconvergenceDesign() (*netlist.Netlist, []netlist.NodeID) {
 }
 
 // goldenRun steps sim through the input sequence (lane 0) and returns
-// the scalar replay's golden trajectory together with a laneReplay whose
-// buffers hold the same trajectory.
-func goldenRun(t *testing.T, sim *logicsim.Simulator, coneRegs []netlist.NodeID, in [][]uint64) (rp *laneReplay, start []uint64, goldenIn, golden [][]uint64) {
+// the scalar replay's golden trajectory together with a laneReplay and
+// the window it records of the same trajectory.
+func goldenRun(t *testing.T, sim *logicsim.Simulator, coneRegs []netlist.NodeID, in [][]uint64) (rp *laneReplay, w *window, start []uint64, goldenIn, golden [][]uint64) {
 	t.Helper()
-	horizon := len(in)
-	rp = newLaneReplay(sim.Fork(), coneRegs, horizon)
+	rp = newLaneReplay(sim.Fork(), coneRegs, len(in))
+	w = rp.newWindow(0)
 	start = sim.RegState()
-	for i, w := range start {
-		rp.start[i] = broadcast(w)
-	}
 	goldenIn = in
 	golden = [][]uint64{start}
-	inputs := sim.Netlist().Inputs()
 	for k := range in {
-		for i, id := range inputs {
+		for i, id := range sim.Netlist().Inputs() {
 			sim.SetInput(id, in[k][i])
-			rp.goldenIn[k*len(inputs)+i] = broadcast(in[k][i])
 		}
-		sim.Step()
+		sim.Eval()
+		rp.recordCycle(w, k, sim)
+		sim.Latch()
+		rp.recordLatched(w, k, sim)
 		golden = append(golden, sim.RegState())
-		for j, r := range coneRegs {
-			rp.golden[k*len(coneRegs)+j] = broadcast(sim.Val(r))
-		}
 	}
-	return rp, start, goldenIn, golden
+	return rp, w, start, goldenIn, golden
 }
 
 // TestLaneReplayReconvergenceOutsideCones checks the lane replay against
@@ -260,7 +278,7 @@ func TestLaneReplayReconvergenceOutsideCones(t *testing.T) {
 	for k := range in {
 		in[k] = []uint64{uint64(k>>1) & 1}
 	}
-	rp, start, goldenIn, golden := goldenRun(t, sim, coneRegs, in)
+	rp, w, start, goldenIn, golden := goldenRun(t, sim, coneRegs, in)
 
 	// The design must do what the test relies on: a flip of a has left
 	// the cone registers after one cycle and is back in b two cycles
@@ -287,7 +305,7 @@ func TestLaneReplayReconvergenceOutsideCones(t *testing.T) {
 		}
 	}
 	var life, contam [64]int
-	if n := rp.run(0, &life, &contam); n != len(coneRegs) {
+	if n := rp.run(w, 0, &life, &contam); n != len(coneRegs) {
 		t.Fatalf("replayed %d lanes, want %d", n, len(coneRegs))
 	}
 	state := make([]uint64, len(allRegs))
@@ -323,13 +341,13 @@ func TestLaneReplayAllocatesNothingPerCycle(t *testing.T) {
 	for s.Cycle() < 64 {
 		s.Step()
 	}
-	rp.recordGolden(s)
+	w := recordWindow(rp, s)
 	// A batch with a flip that stays live for the whole horizon steps
 	// every cycle, so any allocation in it is a per-cycle one.
 	var life, contam [64]int
 	first := -1
 	for f := 0; f < len(coneRegs) && first < 0; f += 64 {
-		n := rp.run(f, &life, &contam)
+		n := rp.run(w, f, &life, &contam)
 		for _, l := range life[:n] {
 			if l == opts.LifetimeCap {
 				first = f
@@ -340,7 +358,7 @@ func TestLaneReplayAllocatesNothingPerCycle(t *testing.T) {
 		t.Fatal("no batch keeps a flip live for the horizon")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		rp.run(first, &life, &contam)
+		rp.run(w, first, &life, &contam)
 	})
 	if allocs != 0 {
 		t.Errorf("replaying %d cycles allocated %v times, want 0", opts.LifetimeCap, allocs)
@@ -351,11 +369,11 @@ func TestLaneReplayAllocatesNothingPerCycle(t *testing.T) {
 // lane 0, broadcast to every lane, whatever the SoC's other lanes hold.
 // The SoC keeps its lanes equal, so junk is written into lanes 1–63 of
 // every register of one of two SoCs at the same probe; both must record
-// the same buffers.
+// the same window.
 func TestRecordGoldenReadsLaneZero(t *testing.T) {
 	c, _ := getChar(t)
 	const horizon = 30
-	record := func(junk bool) *laneReplay {
+	record := func(junk bool) *window {
 		s := synthSoC(t)
 		for s.Cycle() < 100 {
 			s.Step()
@@ -369,9 +387,7 @@ func TestRecordGoldenReadsLaneZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp := newLaneReplay(sim, coneRegsOf(c, s.MPU.Netlist), horizon)
-		rp.recordGolden(s)
-		return rp
+		return recordWindow(newLaneReplay(sim, coneRegsOf(c, s.MPU.Netlist), horizon), s)
 	}
 	want, got := record(false), record(true)
 	for _, buf := range []struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -32,7 +33,7 @@ func characterizationHash(c *Characterization) uint64 {
 	for r := range c.Regs {
 		regs = append(regs, r)
 	}
-	sortIDs(regs)
+	slices.Sort(regs)
 	for _, r := range regs {
 		rc := c.Regs[r]
 		word(uint64(rc.Reg))

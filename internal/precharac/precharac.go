@@ -18,6 +18,7 @@ package precharac
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/logicsim"
 	"repro/internal/modelcheck"
@@ -131,18 +132,42 @@ func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 	c.Fanin = nl.UnrolledFaninCone(c.Responding, opts.MaxDepth)
 	c.Fanout = nl.UnrolledFanoutCone(c.Responding, opts.MaxDepth)
 	c.Cone = netlist.Merge(c.Fanin, c.Fanout)
+	coneRegs := c.coneRegs(nl)
+	if len(coneRegs) == 0 {
+		return nil, fmt.Errorf("precharac: no registers in responding-signal cones")
+	}
+
+	// Steps 2 and 3 read one run of the synthetic benchmark.
+	rp := newLaneReplay(s.Sim.Fork(), coneRegs, opts.LifetimeCap)
+	trace, windows := runBenchmark(s, opts, rp)
 
 	// Step 2: switching signatures and bit-flip correlation.
-	trace := captureTrace(s, opts)
 	c.computeCorrelations(nl, trace)
 
 	// Step 3: error lifetime and contamination.
-	if err := c.lifetimeCampaign(s, opts); err != nil {
-		return nil, err
-	}
+	c.lifetimeCampaign(rp, windows, opts)
 	c.computeCombLifetimes(nl)
 	c.fillNodeTables()
 	return c, nil
+}
+
+// coneRegs returns the registers of the cones in ascending id order.
+func (c *Characterization) coneRegs(nl *netlist.Netlist) []netlist.NodeID {
+	in := make([]bool, nl.NumNodes())
+	for _, layer := range c.Cone.ByDepth {
+		for _, id := range layer {
+			if nl.Node(id).Type == netlist.DFF {
+				in[id] = true
+			}
+		}
+	}
+	var regs []netlist.NodeID
+	for id, ok := range in {
+		if ok {
+			regs = append(regs, netlist.NodeID(id))
+		}
+	}
+	return regs
 }
 
 // fillNodeTables derives the dense per-node lifetime and memory-type
@@ -156,25 +181,51 @@ func (c *Characterization) fillNodeTables() {
 	}
 }
 
-// captureTrace records a synthetic-benchmark trace of the MPU netlist.
-func captureTrace(s *soc.SoC, opts Options) *logicsim.Trace {
-	s.Reset()
+// runBenchmark runs the synthetic benchmark once from reset, for
+// max(TraceCycles, last probe + LifetimeCap) cycles, and records from
+// that run both the trace the switching signatures are extracted from
+// and, per lifetime probe, the golden window its replays read. The
+// probes are spread across the benchmark past its privileged set-up.
+func runBenchmark(s *soc.SoC, opts Options, rp *laneReplay) (*logicsim.Trace, []*window) {
+	const warmup = 64
+	stride := max((opts.TraceCycles-warmup)/opts.Probes, 1)
+	windows := make([]*window, opts.Probes)
+	for p := range windows {
+		windows[p] = rp.newWindow(warmup + p*stride)
+	}
 	trace := logicsim.NewTrace(s.MPU.Netlist, opts.TraceCycles)
-	for cyc := 0; cyc < opts.TraceCycles; cyc++ {
-		cyc := cyc
-		s.StepInject(func(func(netlist.NodeID) bool) []netlist.NodeID {
+	cycles := max(opts.TraceCycles, windows[len(windows)-1].probe+rp.horizon)
+	s.Reset()
+	cyc := 0
+	// record runs between the cycle's evaluation and its latch, and
+	// returns no flips, so StepInject steps exactly as Step does.
+	record := func(func(netlist.NodeID) bool) []netlist.NodeID {
+		if cyc < opts.TraceCycles {
 			if opts.BitParallel {
 				trace.RecordSources(s.Sim, cyc)
 			} else {
 				trace.RecordAll(s.Sim, cyc)
 			}
-			return nil
-		})
+		}
+		for _, w := range windows {
+			if k := cyc - w.probe; k >= 0 && k < rp.horizon {
+				rp.recordCycle(w, k, s.Sim)
+			}
+		}
+		return nil
+	}
+	for ; cyc < cycles; cyc++ {
+		s.StepInject(record)
+		for _, w := range windows {
+			if k := cyc - w.probe; k >= 0 && k < rp.horizon {
+				rp.recordLatched(w, k, s.Sim)
+			}
+		}
 	}
 	if opts.BitParallel {
 		trace.FillCombParallel(s.Sim)
 	}
-	return trace
+	return trace, windows
 }
 
 // computeCorrelations evaluates Corr_i(g, rs) for every node in the
@@ -188,16 +239,18 @@ func (c *Characterization) computeCorrelations(nl *netlist.Netlist, trace *logic
 		}
 	}
 	// A node persists across unrolled layers and sits in both cones, so
-	// its signature is computed once, on first use.
+	// its signature and its weight (the cycles it switches in) are
+	// computed once, on first use.
 	sigs := make([][]uint64, nl.NumNodes())
-	c.corrFanin = corrLayers(trace, sigs, rsSigs, c.Fanin, false)
-	c.corrFanout = corrLayers(trace, sigs, rsSigs, c.Fanout, true)
+	weights := make([]int, nl.NumNodes())
+	c.corrFanin = corrLayers(trace, sigs, weights, rsSigs, c.Fanin, false)
+	c.corrFanout = corrLayers(trace, sigs, weights, rsSigs, c.Fanout, true)
 }
 
 // corrLayers fills one cone's correlation table, depth by depth. Each
 // responding signal's signature is aligned to the depth once, so a
 // node's overlap with it is one AND and popcount per word.
-func corrLayers(trace *logicsim.Trace, sigs, rsSigs [][]uint64, cone *netlist.Cone, forward bool) [][]float64 {
+func corrLayers(trace *logicsim.Trace, sigs [][]uint64, weights []int, rsSigs [][]uint64, cone *netlist.Cone, forward bool) [][]float64 {
 	out := make([][]float64, len(cone.ByDepth))
 	aligned := make([][]uint64, len(rsSigs))
 	for i, rsSig := range rsSigs {
@@ -222,8 +275,9 @@ func corrLayers(trace *logicsim.Trace, sigs, rsSigs [][]uint64, cone *netlist.Co
 			if ss == nil {
 				ss = trace.SwitchSignature(g)
 				sigs[g] = ss
+				weights[g] = popcount(ss)
 			}
-			weight := popcount(ss)
+			weight := weights[g]
 			if weight == 0 {
 				continue
 			}
@@ -239,69 +293,31 @@ func corrLayers(trace *logicsim.Trace, sigs, rsSigs [][]uint64, cone *netlist.Co
 	return out
 }
 
-// lifetimeCampaign injects one bit flip per register (at several probe
-// points of the synthetic benchmark) and tracks how long the error
-// stays visible in the responding-signal cones.
+// lifetimeCampaign injects one bit flip per cone register at each
+// probe of the synthetic benchmark and tracks how long the error stays
+// visible in the responding-signal cones.
 //
-// The campaign is module-level: the golden run records the MPU's input
-// waveforms, and each faulty run replays those inputs into a standalone
-// netlist simulation. Lifetime and contamination are measured over the
-// registers inside the responding-signal cones — registers outside the
-// cones (e.g. a performance counter) can never influence the responding
-// signals, so divergence there does not keep an error "alive" in the
-// paper's sense.
+// The campaign is module-level: the benchmark run records the MPU's
+// input waveforms from each probe on (a window), and each faulty run
+// replays those inputs into a standalone netlist simulation. Lifetime
+// and contamination are measured over the registers inside the
+// responding-signal cones — registers outside the cones (e.g. a
+// performance counter) can never influence the responding signals, so
+// divergence there does not keep an error "alive" in the paper's sense.
 //
 // One replay carries up to 64 injections, one per simulator lane (see
 // laneReplay), so a probe costs ceil(len(coneRegs)/64) replays instead
 // of one per register.
-func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
-	nl := s.MPU.Netlist
-	regsInCone := map[netlist.NodeID]bool{}
-	for _, layer := range c.Cone.ByDepth {
-		for _, id := range layer {
-			if nl.Node(id).Type == netlist.DFF {
-				regsInCone[id] = true
-			}
-		}
-	}
-	if len(regsInCone) == 0 {
-		return fmt.Errorf("precharac: no registers in responding-signal cones")
-	}
-	// coneRegs fixes the injection order: lane l of batch b flips
-	// coneRegs[64b+l], and results are stored in this order.
-	coneRegs := make([]netlist.NodeID, 0, len(regsInCone))
-	//maporder-ok (sorted below)
-	for r := range regsInCone {
-		coneRegs = append(coneRegs, r)
-	}
-	sortIDs(coneRegs)
-	sim, err := logicsim.New(nl)
-	if err != nil {
-		return err
-	}
-	rp := newLaneReplay(sim, coneRegs, opts.LifetimeCap)
-
-	// Probe points spread across the benchmark, past the privileged
-	// setup.
-	warmup := 64
-	stride := (opts.TraceCycles - warmup) / opts.Probes
-	if stride < 1 {
-		stride = 1
-	}
+func (c *Characterization) lifetimeCampaign(rp *laneReplay, windows []*window, opts Options) {
+	coneRegs := rp.coneRegs
 	// lifeSum/contamSum accumulate per register across probes, in probe
 	// order.
 	lifeSum := make([]float64, len(coneRegs))
 	contamSum := make([]float64, len(coneRegs))
 	var life, contam [64]int
-	for p := 0; p < opts.Probes; p++ {
-		probe := warmup + p*stride
-		s.Reset()
-		for s.Cycle() < probe {
-			s.Step()
-		}
-		rp.recordGolden(s)
+	for _, w := range windows {
 		for first := 0; first < len(coneRegs); first += 64 {
-			n := rp.run(first, &life, &contam)
+			n := rp.run(w, first, &life, &contam)
 			for l := 0; l < n; l++ {
 				lifeSum[first+l] += float64(life[l])
 				contamSum[first+l] += float64(contam[l])
@@ -313,83 +329,96 @@ func (c *Characterization) lifetimeCampaign(s *soc.SoC, opts Options) error {
 		rc.MemoryType = rc.Lifetime >= float64(opts.MemLifetimeMin) && rc.Contamination <= opts.MemContamMax
 		c.Regs[r] = rc
 	}
-	return nil
 }
 
 // laneReplay replays bit-flip injections against a golden trajectory,
-// up to 64 at once: lane l of a replay flips one cone register, and
-// the golden start state and inputs are broadcast from lane 0 to every
-// lane, so each lane runs exactly the single-injection replay of its
-// register. The buffers are filled once per probe (recordGolden) and
-// reused by every replay; nothing is allocated per replayed cycle.
+// up to 64 at once: lane l of a replay flips one cone register (the
+// cone registers in ascending id order; lane l of batch b flips
+// coneRegs[64b+l]), and the golden start state and inputs are
+// broadcast from lane 0 to every lane, so each lane runs exactly the
+// single-injection replay of its register. The golden trajectory is a
+// window recorded once per probe and read by every replay; nothing is
+// allocated per replayed cycle.
 type laneReplay struct {
 	sim      *logicsim.Simulator
 	inputs   []netlist.NodeID
 	coneRegs []netlist.NodeID
 	horizon  int
-	// start is the golden register state at the probe (Netlist.Regs
-	// order); goldenIn[k*len(inputs)+i] is input i during cycle k, and
-	// golden[k*len(coneRegs)+j] is cone register j after cycle k. Every
-	// word holds its lane-0 value in all lanes.
-	start    []uint64
-	goldenIn []uint64
-	golden   []uint64
 	// contam[j] collects the lanes whose error reached cone register j
 	// while still alive.
 	contam []uint64
 }
 
+// window is one probe's golden trajectory over the replay horizon,
+// from the probe cycle on. start is the register state at the probe
+// (Netlist.Regs order); goldenIn[k*len(inputs)+i] is input i during
+// cycle k, and golden[k*len(coneRegs)+j] is cone register j after
+// cycle k. Every word holds its lane-0 value in all lanes.
+type window struct {
+	probe    int
+	start    []uint64
+	goldenIn []uint64
+	golden   []uint64
+}
+
 func newLaneReplay(sim *logicsim.Simulator, coneRegs []netlist.NodeID, horizon int) *laneReplay {
-	nl := sim.Netlist()
-	inputs := nl.Inputs()
 	return &laneReplay{
 		sim:      sim,
-		inputs:   inputs,
+		inputs:   sim.Netlist().Inputs(),
 		coneRegs: coneRegs,
 		horizon:  horizon,
-		start:    make([]uint64, len(nl.Regs())),
-		goldenIn: make([]uint64, horizon*len(inputs)),
-		golden:   make([]uint64, horizon*len(coneRegs)),
 		contam:   make([]uint64, len(coneRegs)),
+	}
+}
+
+// newWindow allocates an empty window of the replay's horizon from the
+// probe cycle on.
+func (rp *laneReplay) newWindow(probe int) *window {
+	return &window{
+		probe:    probe,
+		start:    make([]uint64, len(rp.sim.Netlist().Regs())),
+		goldenIn: make([]uint64, rp.horizon*len(rp.inputs)),
+		golden:   make([]uint64, rp.horizon*len(rp.coneRegs)),
 	}
 }
 
 // broadcast returns the word holding lane 0 of w in every lane.
 func broadcast(w uint64) uint64 { return -(w & 1) }
 
-// recordGolden captures the golden trajectory from the SoC's current
-// state: the register state now, and the MPU's inputs and cone
-// registers over the next horizon cycles, which it steps.
-func (rp *laneReplay) recordGolden(s *soc.SoC) {
-	s.Sim.RegStateInto(rp.start)
-	for i, w := range rp.start {
-		rp.start[i] = broadcast(w)
-	}
-	nIn, nCone := len(rp.inputs), len(rp.coneRegs)
-	for k := 0; k < rp.horizon; k++ {
-		in := rp.goldenIn[k*nIn : (k+1)*nIn]
-		s.StepInject(func(func(netlist.NodeID) bool) []netlist.NodeID {
-			for i, id := range rp.inputs {
-				in[i] = broadcast(s.Sim.Val(id))
-			}
-			return nil
-		})
-		g := rp.golden[k*nCone : (k+1)*nCone]
-		for j, r := range rp.coneRegs {
-			g[j] = broadcast(s.Sim.Val(r))
+// recordCycle records cycle k of the window from a simulator between
+// the cycle's evaluation and its latch: the inputs, and at k = 0 the
+// register state, which is still the state at the probe.
+func (rp *laneReplay) recordCycle(w *window, k int, sim *logicsim.Simulator) {
+	if k == 0 {
+		sim.RegStateInto(w.start)
+		for i, x := range w.start {
+			w.start[i] = broadcast(x)
 		}
+	}
+	in := w.goldenIn[k*len(rp.inputs) : (k+1)*len(rp.inputs)]
+	for i, id := range rp.inputs {
+		in[i] = broadcast(sim.Val(id))
 	}
 }
 
-// run replays the injections into coneRegs[first:first+n], n at most
-// 64, and returns n. life[l] is lane l's error lifetime: the first
-// cycle count after which every cone register matches the golden run,
-// or the horizon if none does. contam[l] is the number of other cone
-// registers its error reached before then.
-func (rp *laneReplay) run(first int, life, contam *[64]int) int {
+// recordLatched records the cone registers the simulator latched at the
+// end of cycle k of the window.
+func (rp *laneReplay) recordLatched(w *window, k int, sim *logicsim.Simulator) {
+	g := w.golden[k*len(rp.coneRegs) : (k+1)*len(rp.coneRegs)]
+	for j, r := range rp.coneRegs {
+		g[j] = broadcast(sim.Val(r))
+	}
+}
+
+// run replays the injections into coneRegs[first:first+n] against the
+// window, n at most 64, and returns n. life[l] is lane l's error
+// lifetime: the first cycle count after which every cone register
+// matches the golden run, or the horizon if none does. contam[l] is the
+// number of other cone registers its error reached before then.
+func (rp *laneReplay) run(w *window, first int, life, contam *[64]int) int {
 	n := min(len(rp.coneRegs)-first, 64)
 	sim := rp.sim
-	sim.SetRegState(rp.start)
+	sim.SetRegState(w.start)
 	for l, r := range rp.coneRegs[first : first+n] {
 		sim.SetReg(r, sim.Val(r)^1<<uint(l))
 	}
@@ -401,12 +430,12 @@ func (rp *laneReplay) run(first int, life, contam *[64]int) int {
 	clear(rp.contam)
 	nIn, nCone := len(rp.inputs), len(rp.coneRegs)
 	for k := 0; k < rp.horizon && alive != 0; k++ {
-		in := rp.goldenIn[k*nIn : (k+1)*nIn]
+		in := w.goldenIn[k*nIn : (k+1)*nIn]
 		for i, id := range rp.inputs {
 			sim.SetInput(id, in[i])
 		}
 		sim.Step()
-		g := rp.golden[k*nCone : (k+1)*nCone]
+		g := w.golden[k*nCone : (k+1)*nCone]
 		var diff uint64
 		for j, r := range rp.coneRegs {
 			d := sim.Val(r) ^ g[j]
@@ -517,7 +546,7 @@ func (c *Characterization) selectRegs(memory bool) []netlist.NodeID {
 			out = append(out, rc.Reg)
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -574,14 +603,6 @@ func (c *Characterization) FaninCompRegsByDepth(nl *netlist.Netlist) [][]netlist
 	return out
 }
 
-func sortIDs(ids []netlist.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
 // --- bitset helpers ------------------------------------------------------
 
 func popcount(w []uint64) int {
@@ -594,6 +615,7 @@ func popcount(w []uint64) int {
 
 // andPopcount counts the bits set in both a and b (len(b) ≥ len(a)).
 func andPopcount(a, b []uint64) int {
+	b = b[:len(a)] // lets the loop run without bounds checks
 	n := 0
 	for w, x := range a {
 		n += bits.OnesCount64(x & b[w])

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 	"repro/internal/soc"
 )
@@ -233,6 +234,29 @@ func TestFaninRegLayers(t *testing.T) {
 	}
 }
 
+// TestCharacterizeRunsBenchmarkOnce: the trace and every probe's window
+// come from one run of the synthetic benchmark from reset, so the SoC
+// ends max(TraceCycles, last probe + LifetimeCap) cycles in.
+func TestCharacterizeRunsBenchmarkOnce(t *testing.T) {
+	long := smallOpts()
+	long.TraceCycles, long.Probes, long.LifetimeCap = 256, 4, 200
+	for _, tc := range []struct {
+		opts   Options
+		cycles int
+	}{
+		{DefaultOptions(), 1024}, // probes 64 and 544 end at 744
+		{long, 64 + 3*48 + 200},  // probes 48 cycles apart end past the trace
+	} {
+		s := synthSoC(t)
+		if _, err := Characterize(s, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		if s.Cycle() != tc.cycles {
+			t.Errorf("%+v: SoC ran %d cycles, want %d", tc.opts, s.Cycle(), tc.cycles)
+		}
+	}
+}
+
 func TestCharacterizeRejectsBadOptions(t *testing.T) {
 	s := synthSoC(t)
 	bad := smallOpts()
@@ -254,11 +278,15 @@ func TestScalarAndParallelTracesAgree(t *testing.T) {
 	optsB.BitParallel = false
 	optsA.TraceCycles, optsB.TraceCycles = 200, 200
 
-	sA := synthSoC(t)
-	trA := captureTrace(sA, optsA)
-	sB := synthSoC(t)
-	trB := captureTrace(sB, optsB)
-	nl := sA.MPU.Netlist
+	c, _ := getChar(t)
+	trace := func(opts Options) *logicsim.Trace {
+		s := synthSoC(t)
+		rp := newLaneReplay(s.Sim.Fork(), coneRegsOf(c, s.MPU.Netlist), opts.LifetimeCap)
+		tr, _ := runBenchmark(s, opts, rp)
+		return tr
+	}
+	trA, trB := trace(optsA), trace(optsB)
+	nl := synthSoC(t).MPU.Netlist
 	for i := 0; i < nl.NumNodes(); i++ {
 		id := netlist.NodeID(i)
 		a, b := trA.ValueBits(id), trB.ValueBits(id)

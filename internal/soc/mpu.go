@@ -16,8 +16,10 @@ package soc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/hdl"
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
@@ -107,6 +109,26 @@ type MPU struct {
 	// "legal" gate whose output feeds both the grant and the
 	// violation decision. A transient here flips both coherently.
 	CriticalGate netlist.NodeID
+
+	// sim is the netlist's simulator at power-on, compiled by the
+	// first newSim call (under simOnce); every SoC on this MPU runs a
+	// fork of it.
+	simOnce sync.Once
+	sim     *logicsim.Simulator
+	simErr  error
+}
+
+// newSim returns a power-on simulator of the MPU netlist. The first
+// call compiles the evaluation plan, so the plan binds a generated
+// evaluator or not as logicsim.SetGeneratedEnabled stands at that call;
+// every later call forks it, sharing the immutable plan and
+// topological order. The netlist must not change after the first call.
+func (m *MPU) newSim() (*logicsim.Simulator, error) {
+	m.simOnce.Do(func() { m.sim, m.simErr = logicsim.New(m.Netlist) })
+	if m.simErr != nil {
+		return nil, m.simErr
+	}
+	return m.sim.Fork(), nil
 }
 
 // RegionCfgWords returns the (base, limit, perm) cfg_addr triplet of a

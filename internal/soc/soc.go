@@ -157,7 +157,9 @@ func New(cfg Config, prog *Program) (*SoC, error) {
 	return WithMPU(cfg, prog, mpu)
 }
 
-// WithMPU builds a SoC around an existing MPU elaboration.
+// WithMPU builds a SoC around an existing MPU elaboration. The MPU's
+// evaluation plan is compiled once, by the first SoC built on it; every
+// later SoC simulates a fork of it.
 func WithMPU(cfg Config, prog *Program, mpu *MPU) (*SoC, error) {
 	if cfg.MemWords <= 0 {
 		return nil, fmt.Errorf("soc: MemWords = %d", cfg.MemWords)
@@ -165,7 +167,7 @@ func WithMPU(cfg Config, prog *Program, mpu *MPU) (*SoC, error) {
 	if prog == nil || len(prog.Instrs) == 0 {
 		return nil, fmt.Errorf("soc: empty program")
 	}
-	sim, err := logicsim.New(mpu.Netlist)
+	sim, err := mpu.newSim()
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package soc
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
@@ -432,6 +434,101 @@ func TestWithMPUValidation(t *testing.T) {
 	}
 	if _, err := WithMPU(DefaultConfig(), nil, m); err == nil {
 		t.Error("nil program accepted")
+	}
+}
+
+// TestWithMPUSharesOnePlan: every SoC on one MPU simulates a fork of
+// one compiled plan, bound or not to the generated evaluator as the
+// first SoC found the switch; SoCs on another MPU compile their own.
+// Forks keep their own state: stepping one SoC leaves a second at
+// power-on.
+func TestWithMPUSharesOnePlan(t *testing.T) {
+	cfg := DefaultConfig()
+	prog := SyntheticProgram(cfg.DMABase, cfg.DMALimit)
+	build := func(m *MPU) *SoC {
+		s, err := WithMPU(cfg, prog, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	m, err := BuildMPU(cfg.MPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := build(m), build(m)
+	if a.Sim.Plan() != b.Sim.Plan() {
+		t.Fatal("two SoCs on one MPU compiled two plans")
+	}
+	if !a.Sim.Plan().Generated() {
+		t.Fatal("the default MPU's plan did not bind the generated evaluator")
+	}
+	power := a.Sim.RegState()
+	a.Run(300)
+	if !slices.Equal(b.Sim.RegState(), power) {
+		t.Fatal("stepping one SoC moved another on the same MPU")
+	}
+
+	prev := logicsim.SetGeneratedEnabled(false)
+	other, err := BuildMPU(cfg.MPU)
+	if err == nil {
+		b = build(other)
+	}
+	logicsim.SetGeneratedEnabled(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Sim.Plan() == a.Sim.Plan() || b.Sim.Plan().Generated() {
+		t.Fatal("an MPU first built on with generated code off shares or binds the generated plan")
+	}
+	if build(other).Sim.Plan() != b.Sim.Plan() {
+		t.Fatal("the interpreted MPU compiled a second plan")
+	}
+}
+
+// TestWithMPUConcurrent builds SoCs on one fresh MPU from several
+// goroutines at once (run it under -race): they share one plan, and
+// each runs the benchmark to the same state as a SoC on an MPU of its
+// own.
+func TestWithMPUConcurrent(t *testing.T) {
+	cfg := DefaultConfig()
+	prog := SyntheticProgram(cfg.DMABase, cfg.DMALimit)
+	ref, err := New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(200)
+	want := ref.Sim.RegState()
+	m, err := BuildMPU(cfg.MPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	socs := make([]*SoC, 4)
+	var wg sync.WaitGroup
+	for i := range socs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := WithMPU(cfg, prog, m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			s.Run(200)
+			socs[i] = s
+		}()
+	}
+	wg.Wait()
+	for i, s := range socs {
+		if s == nil {
+			t.Fatalf("SoC %d was not built", i)
+		}
+		if s.Sim.Plan() != socs[0].Sim.Plan() {
+			t.Errorf("SoC %d compiled a plan of its own", i)
+		}
+		if !slices.Equal(s.Sim.RegState(), want) {
+			t.Errorf("SoC %d ended in another state than a SoC on its own MPU", i)
+		}
 	}
 }
 

@@ -19,8 +19,12 @@ test:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# race also runs the pinned set-up tests at 1, 2 and 4 procs: set-up
+# splits its work over GOMAXPROCS workers, and its results must not
+# depend on how many there are.
 race:
-	$(GO) test -race ./internal/montecarlo/... ./internal/timingsim/... ./internal/logicsim/... ./internal/stats/... ./internal/sampling/... ./internal/server/... ./internal/precharac/... ./internal/netlist/... ./internal/core/... ./internal/soc/...
+	$(GO) test -race ./internal/montecarlo/... ./internal/timingsim/... ./internal/logicsim/... ./internal/stats/... ./internal/sampling/... ./internal/server/... ./internal/precharac/... ./internal/netlist/... ./internal/core/... ./internal/soc/... ./internal/placement/... ./internal/modelcheck/... ./internal/par/...
+	$(GO) test -race -cpu 1,2,4 -run 'Pinned' ./internal/precharac/ ./internal/sampling/ ./internal/placement/ ./internal/montecarlo/
 
 # smoke-server is the evaluation-service e2e check: build cmd/ssfserver,
 # submit a job over HTTP, stream its SSE progress, kill the server after
@@ -67,10 +71,12 @@ fuzz-smoke:
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
 # RTLCycle, plus the set-up every process pays: Precharacterize, one
 # pre-characterization of the default MPU, Placement, one
-# placement.Place of the default MPU, and EvaluationSetup, one
-# NewEvaluation plus ImportanceSampler on the built framework, and
-# EnginePool, a fresh evaluation with NewEnginePool(4) and one
-# 2,048-sample gate campaign on each engine in turn),
+# placement.Place of the default MPU, Build, one core.Build from
+# scratch, which places the MPU beside its pre-characterization,
+# EvaluationSetup, one NewEvaluation plus ImportanceSampler on the
+# built framework, and EnginePool, a fresh evaluation with
+# NewEnginePool(4) and one 2,048-sample gate campaign on each engine in
+# turn),
 # BENCH_campaign.json (per-sample cost of the lane-batched campaign loop
 # on gate attacks, with the generated and with the interpreted
 # evaluator, and on register attacks, plus one generated vs interpreted

@@ -4,9 +4,15 @@
 //     allocs/op for a complete cross-level run (RunOnce), one timed
 //     gate-level injection (GateInjection), one RTL cycle (RTLCycle),
 //     one pre-characterization of the default MPU (Precharacterize:
-//     cones, signatures and correlations, and the lifetime campaign),
-//     one placement of the default MPU (Placement: placement.Place),
-//     and one evaluation set-up on the built framework
+//     cones, signatures and correlations, and the lifetime campaign;
+//     every iteration characterizes the same MPU, so the netlist's
+//     static check, which runs once per MPU, is not in it), one
+//     placement of the default MPU (Placement: placement.Place), one
+//     framework from scratch (Build: core.Build, which elaborates and
+//     checks the MPU and then places it beside the pre-characterization,
+//     so on more than one core it reads less than Precharacterize plus
+//     Placement plus the elaboration), one evaluation set-up on the
+//     built framework
 //     (EvaluationSetup: NewEvaluation, whose attack takes the candidate
 //     block, with the golden run, plus ImportanceSampler), the set-up
 //     every fresh process pays, and one 4-engine pool from scratch
@@ -277,6 +283,15 @@ func runOnceSuite() []benchResult {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			placement.Place(fw.MPU.Netlist)
+		}
+	})
+
+	record(&results, "Build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Build(core.DefaultOptions()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 

@@ -22,8 +22,10 @@ import (
 
 	"repro/internal/analytical"
 	"repro/internal/fault"
+	"repro/internal/modelcheck"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/precharac"
 	"repro/internal/sampling"
@@ -91,25 +93,33 @@ type Framework struct {
 
 // Build elaborates the SoC design, places the MPU netlist, and runs the
 // (one-time) system pre-characterization with the synthetic benchmark.
+// Once the netlist has passed its static check, the placement, which
+// reads nothing else, runs beside the pre-characterization.
 func Build(opts Options) (*Framework, error) {
 	mpu, err := soc.BuildMPU(opts.SoC.MPU)
 	if err != nil {
 		return nil, err
 	}
-	synth, err := soc.WithMPU(opts.SoC, soc.SyntheticProgram(opts.SoC.DMABase, opts.SoC.DMALimit), mpu)
+	if err := mpu.CheckNetlist().Err(modelcheck.Error); err != nil {
+		return nil, fmt.Errorf("core: design rejected by static verification: %w", err)
+	}
+	fw := &Framework{Opts: opts, MPU: mpu}
+	par.Each(2, func() func(int) {
+		return func(i int) {
+			if i == 1 {
+				fw.Place = placement.Place(mpu.Netlist)
+				return
+			}
+			var synth *soc.SoC
+			if synth, err = soc.WithMPU(opts.SoC, soc.SyntheticProgram(opts.SoC.DMABase, opts.SoC.DMALimit), mpu); err == nil {
+				fw.Char, err = precharac.Characterize(synth, opts.Precharac)
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	char, err := precharac.Characterize(synth, opts.Precharac)
-	if err != nil {
-		return nil, err
-	}
-	return &Framework{
-		Opts:  opts,
-		MPU:   mpu,
-		Place: placement.Place(mpu.Netlist),
-		Char:  char,
-	}, nil
+	return fw, nil
 }
 
 // SecurityTarget returns the natural aim point of a precisely targeted

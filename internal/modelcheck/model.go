@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/placement"
@@ -25,7 +26,15 @@ type Model struct {
 // CheckModel runs the netlist-structural checks plus every model-level
 // check the Model provides inputs for.
 func CheckModel(m Model) *Report {
-	r := CheckNetlist(m.Netlist)
+	return CheckModelFrom(CheckNetlist(m.Netlist), m)
+}
+
+// CheckModelFrom is CheckModel for a netlist whose structural report is
+// known: nr must be CheckNetlist(m.Netlist). It returns a new report
+// with nr's findings followed by the model-level ones and leaves nr
+// unchanged, so one structural report serves every model of a netlist.
+func CheckModelFrom(nr *Report, m Model) *Report {
+	r := &Report{Findings: slices.Clone(nr.Findings)}
 	// Model-level checks need sound node references; if the structural
 	// pass found dangling refs, traversals below would index out of
 	// range.

@@ -228,9 +228,11 @@ func (e *Engine) spotIndex() *placement.SpotIndex {
 
 // New assembles an engine. The SoC must be loaded with the attack
 // benchmark (not the synthetic pre-characterization program). It runs
-// the static verification layer over the design first.
+// the static verification layer over the design first; the netlist's
+// structural checks run once per MPU (soc.MPU.CheckNetlist), the
+// placement and responding-signal checks on every call.
 func New(s *soc.SoC, attack *fault.Attack, place *placement.Placement, dm timingsim.DelayModel, char *precharac.Characterization, eval *analytical.Evaluator) (*Engine, error) {
-	report := modelcheck.CheckModel(modelcheck.Model{
+	report := modelcheck.CheckModelFrom(s.MPU.CheckNetlist(), modelcheck.Model{
 		Netlist:    s.MPU.Netlist,
 		Place:      place,
 		Responding: s.MPU.RespondingSignals,

@@ -22,16 +22,20 @@ var (
 	fwErr  error
 )
 
+// testOptions configures the framework the package's tests share: the
+// defaults with a shorter pre-characterization.
+func testOptions() core.Options {
+	opts := core.DefaultOptions()
+	opts.Precharac.MaxDepth = 51
+	opts.Precharac.TraceCycles = 768
+	opts.Precharac.LifetimeCap = 120
+	opts.Precharac.Probes = 1
+	return opts
+}
+
 func framework(t testing.TB) *core.Framework {
 	t.Helper()
-	fwOnce.Do(func() {
-		opts := core.DefaultOptions()
-		opts.Precharac.MaxDepth = 51
-		opts.Precharac.TraceCycles = 768
-		opts.Precharac.LifetimeCap = 120
-		opts.Precharac.Probes = 1
-		fw, fwErr = core.Build(opts)
-	})
+	fwOnce.Do(func() { fw, fwErr = core.Build(testOptions()) })
 	if fwErr != nil {
 		t.Fatal(fwErr)
 	}

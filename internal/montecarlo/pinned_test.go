@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/montecarlo"
 	"repro/internal/sampling"
 	"repro/internal/stats"
@@ -39,9 +40,18 @@ func pin(c *montecarlo.Campaign) pinnedResult {
 // only in an end-to-end benchmark. The scalar reference and RunCampaign
 // share one expectation: they must agree with each other as well as
 // with the record. Re-record only when a change is meant to alter
-// sampled outcomes, and say so in the change.
+// sampled outcomes, and say so in the change. The test builds its own
+// framework rather than the shared one, so a run at each -cpu value
+// checks a set-up done at that value.
 func TestPinnedResults(t *testing.T) {
-	ev := evaluation(t)
+	fw, err := core.Build(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := fw.NewEvaluation(core.BenchmarkIllegalWrite, core.DefaultAttackSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool, err := ev.NewEnginePool(2)
 	if err != nil {
 		t.Fatal(err)

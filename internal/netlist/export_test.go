@@ -122,3 +122,7 @@ func (n *Netlist) NamesMatching(pred func(string) bool) []NodeID {
 	}
 	return ids
 }
+
+// RandomDAG exposes randomDAG, a random valid netlist, to the external
+// tests.
+var RandomDAG = randomDAG

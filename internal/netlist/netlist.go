@@ -12,6 +12,7 @@ package netlist
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in a netlist. The node's output net shares the
@@ -131,8 +132,10 @@ type Netlist struct {
 	regs    []NodeID
 	outputs []Port
 
-	// fanouts is built lazily by Fanouts and invalidated on mutation.
-	fanouts [][]NodeID
+	// fanouts is built lazily by Fanouts and cleared on mutation. It is
+	// stored only once filled, so goroutines that read a finished
+	// netlist may all build it at once and each sees a complete table.
+	fanouts atomic.Pointer[[][]NodeID]
 }
 
 // New returns an empty netlist with capacity hints.
@@ -163,7 +166,7 @@ func (n *Netlist) Outputs() []Port { return n.outputs }
 func (n *Netlist) add(node Node) NodeID {
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, node)
-	n.fanouts = nil
+	n.fanouts.Store(nil)
 	return id
 }
 
@@ -245,10 +248,11 @@ func (n *Netlist) AddOutput(name string, id NodeID) {
 
 // Fanouts returns, for each node, the list of nodes it feeds. The result
 // is cached until the netlist is mutated. The caller must not mutate the
-// returned slices.
+// returned slices. Several goroutines may call it on a netlist nobody
+// mutates; the first calls may each build the table, all equal.
 func (n *Netlist) Fanouts() [][]NodeID {
-	if n.fanouts != nil {
-		return n.fanouts
+	if fo := n.fanouts.Load(); fo != nil {
+		return *fo
 	}
 	fo := make([][]NodeID, len(n.nodes))
 	cnt := make([]int, len(n.nodes))
@@ -267,7 +271,7 @@ func (n *Netlist) Fanouts() [][]NodeID {
 			fo[f] = append(fo[f], NodeID(i))
 		}
 	}
-	n.fanouts = fo
+	n.fanouts.Store(&fo)
 	return fo
 }
 

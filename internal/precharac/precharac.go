@@ -23,6 +23,7 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/modelcheck"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/soc"
 )
 
@@ -104,7 +105,9 @@ type Characterization struct {
 
 // Characterize runs all three pre-characterization steps on a SoC that
 // executes a synthetic benchmark. The SoC is Reset and driven by the
-// campaign; it is left in an arbitrary state afterwards.
+// campaign; it is left in an arbitrary state afterwards. After the one
+// benchmark run, the lifetime campaign and the correlations share
+// GOMAXPROCS workers; the result does not depend on how many.
 func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 	if opts.MaxDepth < 1 || opts.TraceCycles < 2 || opts.LifetimeCap < 1 || opts.Probes < 1 {
 		return nil, fmt.Errorf("precharac: invalid options %+v", opts)
@@ -119,7 +122,7 @@ func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 	if len(c.Responding) == 0 {
 		return nil, fmt.Errorf("precharac: design has no responding signals")
 	}
-	report := modelcheck.CheckModel(modelcheck.Model{
+	report := modelcheck.CheckModelFrom(s.MPU.CheckNetlist(), modelcheck.Model{
 		Netlist:    nl,
 		Responding: c.Responding,
 		MaxDepth:   opts.MaxDepth,
@@ -141,13 +144,39 @@ func Characterize(s *soc.SoC, opts Options) (*Characterization, error) {
 	rp := newLaneReplay(s.Sim.Fork(), coneRegs, opts.LifetimeCap)
 	trace, windows := runBenchmark(s, opts, rp)
 
-	// Step 2: switching signatures and bit-flip correlation.
-	c.computeCorrelations(nl, trace)
-
-	// Step 3: error lifetime and contamination.
-	c.lifetimeCampaign(rp, windows, opts)
-	c.computeCombLifetimes(nl)
-	c.fillNodeTables()
+	// Step 2's switching signatures are all taken before the work is
+	// split. Task 0 is step 3, error lifetime and contamination; every
+	// other task is one depth of one cone's bit-flip correlation, so the
+	// worker that runs step 3 joins the correlations when it is done.
+	// Each task writes only its own results.
+	sigs := c.switchSignatures(nl, trace)
+	nFanin := len(c.Fanin.ByDepth)
+	c.corrFanin = make([][]float64, nFanin)
+	c.corrFanout = make([][]float64, len(c.Fanout.ByDepth))
+	par.Each(1+nFanin+len(c.corrFanout), func() func(int) {
+		aligned := make([][]uint64, len(sigs.rs))
+		for i, rs := range sigs.rs {
+			aligned[i] = make([]uint64, len(rs))
+		}
+		return func(i int) {
+			switch {
+			case i == 0:
+				c.lifetimeCampaign(rp, windows, opts)
+				c.computeCombLifetimes(nl)
+				c.fillNodeTables()
+			case i <= nFanin:
+				// Backward (fanin): flips at g at cycle k reach rs at
+				// k+d, so rs's signature is shifted down by d.
+				d := i - 1
+				c.corrFanin[d] = sigs.correlate(c.Fanin.ByDepth[d], d, aligned)
+			default:
+				// Forward (fanout): flips at rs at cycle k reach g at
+				// k+d, so it is shifted up by d.
+				d := i - 1 - nFanin
+				c.corrFanout[d] = sigs.correlate(c.Fanout.ByDepth[d], -d, aligned)
+			}
+		}
+	})
 	return c, nil
 }
 
@@ -228,67 +257,69 @@ func runBenchmark(s *soc.SoC, opts Options, rp *laneReplay) (*logicsim.Trace, []
 	return trace, windows
 }
 
-// computeCorrelations evaluates Corr_i(g, rs) for every node in the
-// cones, taking the maximum over responding signals.
-func (c *Characterization) computeCorrelations(nl *netlist.Netlist, trace *logicsim.Trace) {
-	rsSigs := make([][]uint64, len(c.Responding))
+// signatures holds what every correlation depth reads: each responding
+// signal's switching signature, and each cone node's signature and
+// weight (the cycles it switches in).
+type signatures struct {
+	rs [][]uint64 // [responding signal]
+	// node[g] and weight[g] are node g's signature and weight; node[g]
+	// is nil off the cones.
+	node   [][]uint64
+	weight []int
+}
+
+// switchSignatures takes the switching signatures of the responding
+// signals and of every cone node from the trace, and sets the chance
+// baseline of the correlation (SwitchDensity).
+func (c *Characterization) switchSignatures(nl *netlist.Netlist, trace *logicsim.Trace) *signatures {
+	s := &signatures{
+		rs:     make([][]uint64, len(c.Responding)),
+		node:   make([][]uint64, nl.NumNodes()),
+		weight: make([]int, nl.NumNodes()),
+	}
 	for i, rs := range c.Responding {
-		rsSigs[i] = trace.SwitchSignature(rs)
-		if d := float64(popcount(rsSigs[i])) / float64(trace.NumCycles()); d > c.rsDensity {
+		s.rs[i] = trace.SwitchSignature(rs)
+		if d := float64(popcount(s.rs[i])) / float64(trace.NumCycles()); d > c.rsDensity {
 			c.rsDensity = d
 		}
 	}
-	// A node persists across unrolled layers and sits in both cones, so
-	// its signature and its weight (the cycles it switches in) are
-	// computed once, on first use.
-	sigs := make([][]uint64, nl.NumNodes())
-	weights := make([]int, nl.NumNodes())
-	c.corrFanin = corrLayers(trace, sigs, weights, rsSigs, c.Fanin, false)
-	c.corrFanout = corrLayers(trace, sigs, weights, rsSigs, c.Fanout, true)
+	// A node persists across unrolled layers and sits in both cones;
+	// its signature is taken once.
+	for _, layer := range c.Cone.ByDepth {
+		for _, g := range layer {
+			if s.node[g] == nil {
+				s.node[g] = trace.SwitchSignature(g)
+				s.weight[g] = popcount(s.node[g])
+			}
+		}
+	}
+	return s
 }
 
-// corrLayers fills one cone's correlation table, depth by depth. Each
-// responding signal's signature is aligned to the depth once, so a
-// node's overlap with it is one AND and popcount per word.
-func corrLayers(trace *logicsim.Trace, sigs [][]uint64, weights []int, rsSigs [][]uint64, cone *netlist.Cone, forward bool) [][]float64 {
-	out := make([][]float64, len(cone.ByDepth))
-	aligned := make([][]uint64, len(rsSigs))
-	for i, rsSig := range rsSigs {
-		aligned[i] = make([]uint64, len(rsSig))
+// correlate returns one cone depth's correlation table: entry g, for
+// every node g of the layer, is Corr(g, rs) maximized over the
+// responding signals, whose signatures are shifted so that bit k of the
+// result pairs with bit k+shift of theirs. aligned, one signature per
+// responding signal, is the caller's scratch.
+func (s *signatures) correlate(layer []netlist.NodeID, shift int, aligned [][]uint64) []float64 {
+	out := make([]float64, len(s.node))
+	for i, rs := range s.rs {
+		for w := range aligned[i] {
+			aligned[i][w] = extractShifted(rs, w, shift)
+		}
 	}
-	for d, layer := range cone.ByDepth {
-		out[d] = make([]float64, len(sigs))
-		// Backward (fanin): flips at g at cycle k reach rs at k+d, so
-		// rs's signature is shifted down by d. Forward (fanout): flips
-		// at rs at cycle k reach g at k+d, so it is shifted up by d.
-		shift := d
-		if forward {
-			shift = -d
+	for _, g := range layer {
+		weight := s.weight[g]
+		if weight == 0 {
+			continue
 		}
-		for i, rsSig := range rsSigs {
-			for w := range aligned[i] {
-				aligned[i][w] = extractShifted(rsSig, w, shift)
+		best := 0.0
+		for _, rs := range aligned {
+			if corr := float64(andPopcount(s.node[g], rs)) / float64(weight); corr > best {
+				best = corr
 			}
 		}
-		for _, g := range layer {
-			ss := sigs[g]
-			if ss == nil {
-				ss = trace.SwitchSignature(g)
-				sigs[g] = ss
-				weights[g] = popcount(ss)
-			}
-			weight := weights[g]
-			if weight == 0 {
-				continue
-			}
-			best := 0.0
-			for _, rs := range aligned {
-				if corr := float64(andPopcount(ss, rs)) / float64(weight); corr > best {
-					best = corr
-				}
-			}
-			out[d][g] = best
-		}
+		out[g] = best
 	}
 	return out
 }
@@ -614,13 +645,20 @@ func popcount(w []uint64) int {
 }
 
 // andPopcount counts the bits set in both a and b (len(b) ≥ len(a)).
+// Even and odd words have their own accumulators, so the additions do
+// not wait on each other.
 func andPopcount(a, b []uint64) int {
 	b = b[:len(a)] // lets the loop run without bounds checks
-	n := 0
-	for w, x := range a {
-		n += bits.OnesCount64(x & b[w])
+	n0, n1 := 0, 0
+	w := 0
+	for ; w+1 < len(a); w += 2 {
+		n0 += bits.OnesCount64(a[w] & b[w])
+		n1 += bits.OnesCount64(a[w+1] & b[w+1])
 	}
-	return n
+	if w < len(a) {
+		n0 += bits.OnesCount64(a[w] & b[w])
+	}
+	return n0 + n1
 }
 
 // extractShifted returns word w of the bitset b logically shifted so

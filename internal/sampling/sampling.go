@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/precharac"
 	"repro/internal/stats"
@@ -278,53 +279,65 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 		pDists:     make([]*stats.Discrete, attack.TRange),
 		centerP:    make([][]float64, attack.TRange),
 	}
+	// Each timing distance's table is one task, with the worker's own
+	// weight scratch; a task writes only its own omega, pDists, centerP
+	// and errs entries.
 	omega := make([]float64, attack.TRange)
-	w := make([]float64, len(attack.Candidates))
-	ws := make([]float64, 0, len(attack.Candidates))
-	for t := 0; t < attack.TRange; t++ {
-		layer := layers[t]
-		if len(layer) == 0 {
-			continue
-		}
-		// Spot dilation: a strike centered at candidate i deposits
-		// transients at every gate within its spot, so its weight
-		// 1 + Σ α·excess(t, h) accumulates the boost of each reachable
-		// gate h whose lifetime reaches β·t. Gates are visited in id
-		// order, each candidate's own spot order; a zero boost would
-		// leave every weight unchanged.
-		for i := range w {
-			w[i] = 1
-		}
-		for h := 0; h < nl.NumNodes(); h++ {
-			id := netlist.NodeID(h)
-			holders := spots.holding(id)
-			if len(holders) == 0 || !(char.Lifetime(id) >= beta*float64(t)) {
-				continue
+	errs := make([]error, attack.TRange)
+	par.Each(attack.TRange, func() func(int) {
+		w := make([]float64, len(attack.Candidates))
+		ws := make([]float64, 0, len(attack.Candidates))
+		return func(t int) {
+			layer := layers[t]
+			if len(layer) == 0 {
+				return
 			}
-			if b := alpha * excess(t, id); b != 0 {
-				for _, i := range holders {
-					w[i] += b
+			// Spot dilation: a strike centered at candidate i deposits
+			// transients at every gate within its spot, so its weight
+			// 1 + Σ α·excess(t, h) accumulates the boost of each
+			// reachable gate h whose lifetime reaches β·t. Gates are
+			// visited in id order, each candidate's own spot order; a
+			// zero boost would leave every weight unchanged.
+			for i := range w {
+				w[i] = 1
+			}
+			for h := 0; h < nl.NumNodes(); h++ {
+				id := netlist.NodeID(h)
+				holders := spots.holding(id)
+				if len(holders) == 0 || !(char.Lifetime(id) >= beta*float64(t)) {
+					continue
+				}
+				if b := alpha * excess(t, id); b != 0 {
+					for _, i := range holders {
+						w[i] += b
+					}
 				}
 			}
+			ws = ws[:0]
+			sum := 0.0
+			for _, g := range layer {
+				x := w[attack.CandidateIndex(g)]
+				ws = append(ws, x)
+				sum += x
+			}
+			omega[t] = sum
+			pd, err := stats.NewDiscrete(ws)
+			if err != nil {
+				errs[t] = err
+				return
+			}
+			im.pDists[t] = pd
+			cp := make([]float64, len(attack.Candidates))
+			for j, g := range layer {
+				cp[attack.CandidateIndex(g)] = pd.Prob(j)
+			}
+			im.centerP[t] = cp
 		}
-		ws = ws[:0]
-		sum := 0.0
-		for _, g := range layer {
-			x := w[attack.CandidateIndex(g)]
-			ws = append(ws, x)
-			sum += x
-		}
-		omega[t] = sum
-		pd, err := stats.NewDiscrete(ws)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		im.pDists[t] = pd
-		cp := make([]float64, len(attack.Candidates))
-		for j, g := range layer {
-			cp[attack.CandidateIndex(g)] = pd.Prob(j)
-		}
-		im.centerP[t] = cp
 	}
 	tDist, err := stats.NewDiscrete(omega)
 	if err != nil {
@@ -536,8 +549,16 @@ func candidateLayers(attack *fault.Attack, char *precharac.Characterization, nl 
 	}
 	layers := make([][]netlist.NodeID, attack.TRange)
 	inCone := make([]bool, nl.NumNodes())
+	var prev []netlist.NodeID
 	for t := range layers {
+		// Past the cones' fixed point the cone layer repeats, and so
+		// does Ω_t.
 		cone := char.CombLayer(nl, t)
+		if t > 0 && slices.Equal(cone, prev) {
+			layers[t] = layers[t-1]
+			continue
+		}
+		prev = cone
 		for _, h := range cone {
 			inCone[h] = true
 		}

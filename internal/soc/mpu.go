@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/hdl"
 	"repro/internal/logicsim"
+	"repro/internal/modelcheck"
 	"repro/internal/netlist"
 )
 
@@ -116,6 +117,20 @@ type MPU struct {
 	simOnce sync.Once
 	sim     *logicsim.Simulator
 	simErr  error
+
+	// check is the netlist's structural report, run by the first
+	// CheckNetlist call (under checkOnce).
+	checkOnce sync.Once
+	check     *modelcheck.Report
+}
+
+// CheckNetlist returns modelcheck.CheckNetlist of the MPU netlist. The
+// first call runs the checks; every later call returns the same report,
+// which callers must not modify. The netlist must not change after the
+// first call.
+func (m *MPU) CheckNetlist() *modelcheck.Report {
+	m.checkOnce.Do(func() { m.check = modelcheck.CheckNetlist(m.Netlist) })
+	return m.check
 }
 
 // newSim returns a power-on simulator of the MPU netlist. The first

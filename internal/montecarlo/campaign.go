@@ -306,13 +306,18 @@ func (w *windowBufs) reset(n int) {
 }
 
 // runSamples evaluates opts.Samples draws into c over the lane-batched
-// execution path: draws are buffered in windows, every sample is
-// injected and classified in draw order against the model's golden
-// attack window (consuming the rng exactly as consecutive RunOnce calls
-// would), and the deferred PathRTL resumes of each window are completed
-// in 64-lane batches before the window's results are committed — again
-// in draw order, so fixed-seed campaigns are bit-identical to running
-// every draw through RunOnce. ctx is consulted between draws, and
+// execution path, one window at a time: it draws the window's samples
+// and weights, injects and classifies them in draw order against the
+// model's golden attack window, completes the deferred PathRTL resumes
+// in 64-lane batches, and commits the results in draw order. Drawing
+// the whole window before its first evaluation keeps the sampler's
+// tables warm across the draws, and leaves the rng stream as
+// consecutive RunOnce calls would consume it, because the rng drives
+// only the draws and applyHardening. An engine with hardened registers
+// therefore draws each sample just before its evaluation (a draw step
+// of 1). Either way fixed-seed campaigns are bit-identical to running
+// every draw through RunOnce. ctx is consulted between evaluations, a
+// cancelled window commits exactly the samples it evaluated, and
 // progress is reported to agg.
 func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -320,14 +325,18 @@ func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.S
 	w := &e.win
 	st, _ := sampler.(sampling.Stratal)
 	gt := e.tablesFor(opts.Mode)
+	drawStep := batchWindow
+	if len(e.Hardened) > 0 {
+		drawStep = 1
+	}
 	done := ctx.Done()
 	evaluated := 0
 	for evaluated < opts.Samples {
 		n := min(opts.Samples-evaluated, batchWindow)
 		w.reset(n)
 		cancelled := false
-		drawn := 0
-		for j := 0; j < n; j++ {
+		drawn, ran := 0, 0
+		for ; ran < n; ran++ {
 			select {
 			case <-done:
 				cancelled = true
@@ -336,16 +345,17 @@ func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.S
 			if cancelled {
 				break
 			}
-			sample, weight := sampler.Draw(rng)
-			res, te, deferred := e.evalSample(rng, sample, opts.Mode, gt, &w.flips)
-			w.samples[j], w.weights[j], w.results[j] = sample, weight, res
-			if deferred {
-				w.pend = append(w.pend, pendingResume{idx: j, te: te, flips: res.Flipped})
+			for end := min(n, ran+drawStep); drawn < end; drawn++ {
+				w.samples[drawn], w.weights[drawn] = sampler.Draw(rng)
 			}
-			drawn++
+			res, te, deferred := e.evalSample(rng, w.samples[ran], opts.Mode, gt, &w.flips)
+			w.results[ran] = res
+			if deferred {
+				w.pend = append(w.pend, pendingResume{idx: ran, te: te, flips: res.Flipped})
+			}
 		}
 		e.flushResumes(w.pend, w.results)
-		for j := 0; j < drawn; j++ {
+		for j := 0; j < ran; j++ {
 			e.accumulate(c, &opts, layout, st, w.samples[j], w.weights[j], &w.results[j])
 			evaluated++
 			agg.observe(shard, c, evaluated == opts.Samples)

@@ -11,6 +11,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -279,14 +280,13 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 		pDists:     make([]*stats.Discrete, attack.TRange),
 		centerP:    make([][]float64, attack.TRange),
 	}
-	// Each timing distance's table is one task, with the worker's own
-	// weight scratch; a task writes only its own omega, pDists, centerP
-	// and errs entries.
+	// Each timing distance's weights are one task, with the worker's own
+	// scratch; a task writes only its own omega, ws and hashes entries.
 	omega := make([]float64, attack.TRange)
-	errs := make([]error, attack.TRange)
+	ws := make([][]float64, attack.TRange)
+	hashes := make([]uint64, attack.TRange)
 	par.Each(attack.TRange, func() func(int) {
 		w := make([]float64, len(attack.Candidates))
-		ws := make([]float64, 0, len(attack.Candidates))
 		return func(t int) {
 			layer := layers[t]
 			if len(layer) == 0 {
@@ -313,31 +313,62 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 					}
 				}
 			}
-			ws = ws[:0]
+			x := make([]float64, len(layer))
 			sum := 0.0
-			for _, g := range layer {
-				x := w[attack.CandidateIndex(g)]
-				ws = append(ws, x)
-				sum += x
+			hash := uint64(14695981039346656037) // FNV-1a over the weights' bits
+			for j, g := range layer {
+				x[j] = w[attack.CandidateIndex(g)]
+				sum += x[j]
+				hash = (hash ^ math.Float64bits(x[j])) * 1099511628211
 			}
 			omega[t] = sum
-			pd, err := stats.NewDiscrete(ws)
+			ws[t], hashes[t] = x, hash
+		}
+	})
+	// Past the cones' fixed point and the correlations' depth, timing
+	// distances repeat both Ω_t and its weights (15 of 50 are distinct
+	// on the default MPU). Each distinct pair gets one table and one
+	// centerP row, which its repeats share, so a draw reads few, warm
+	// tables. The tables are built on the workers; distinct lists them
+	// in rising t, so the error returned is the lowest t's.
+	var distinct []int
+	same := make([]int, attack.TRange)
+	for t, x := range ws {
+		same[t] = t
+		if x == nil {
+			continue
+		}
+		if r := slices.IndexFunc(distinct, func(r int) bool {
+			return hashes[r] == hashes[t] && slices.Equal(layers[r], layers[t]) && slices.Equal(ws[r], x)
+		}); r >= 0 {
+			same[t] = distinct[r]
+		} else {
+			distinct = append(distinct, t)
+		}
+	}
+	errs := make([]error, len(distinct))
+	par.Each(len(distinct), func() func(int) {
+		return func(i int) {
+			t := distinct[i]
+			pd, err := stats.NewDiscrete(ws[t])
 			if err != nil {
-				errs[t] = err
+				errs[i] = err
 				return
 			}
-			im.pDists[t] = pd
 			cp := make([]float64, len(attack.Candidates))
-			for j, g := range layer {
+			for j, g := range layers[t] {
 				cp[attack.CandidateIndex(g)] = pd.Prob(j)
 			}
-			im.centerP[t] = cp
+			im.pDists[t], im.centerP[t] = pd, cp
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	for t, r := range same {
+		im.pDists[t], im.centerP[t] = im.pDists[r], im.centerP[r]
 	}
 	tDist, err := stats.NewDiscrete(omega)
 	if err != nil {
@@ -503,13 +534,18 @@ type candidateSpots struct {
 func newCandidateSpots(attack *fault.Attack, nl *netlist.Netlist, place *placement.Placement) candidateSpots {
 	spots := make([][]netlist.NodeID, len(attack.Candidates))
 	maxRadius := attack.Technique.Radius + attack.Technique.RadiusJitter
-	for i, g := range attack.Candidates {
-		if place != nil {
-			spots[i] = place.CombWithinRadius(g, maxRadius)
-		} else {
-			spots[i] = []netlist.NodeID{g}
+	// One radius query per candidate, on the set-up workers; a query
+	// only reads the placement, and a task writes only its own spot.
+	par.Each(len(spots), func() func(int) {
+		return func(i int) {
+			g := attack.Candidates[i]
+			if place != nil {
+				spots[i] = place.CombWithinRadius(g, maxRadius)
+			} else {
+				spots[i] = []netlist.NodeID{g}
+			}
 		}
-	}
+	})
 	n := nl.NumNodes()
 	start := make([]int32, n+1)
 	for _, spot := range spots {

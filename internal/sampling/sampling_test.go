@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/precharac"
 	"repro/internal/soc"
+	"repro/internal/stats"
 )
 
 // shared fixture: characterized MPU + placement + attack.
@@ -139,6 +141,9 @@ func TestImportanceConstruction(t *testing.T) {
 	if _, err := NewImportance(a, char, nl, place, 1, -1); err == nil {
 		t.Error("negative beta accepted")
 	}
+	if _, err := NewImportance(a, char, nl, place, 1e308, 1); err == nil {
+		t.Error("alpha 1e308 accepted: its weights overflow")
+	}
 	im, err := NewImportance(a, char, nl, place, DefaultAlpha, DefaultBeta)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +160,45 @@ func TestImportanceConstruction(t *testing.T) {
 	// uniform (the decision logic correlates there).
 	if probs[0] <= 1.0/10 {
 		t.Errorf("g_T(0) = %v, expected above uniform 0.1", probs[0])
+	}
+}
+
+// TestImportanceSharesEqualTables: two timing distances share one
+// layer table and centerP row exactly when their Ω_t and their tables
+// are equal, and past the characterization's depth some do.
+func TestImportanceSharesEqualTables(t *testing.T) {
+	char, nl, place := fixture(t)
+	a := fixtureAttack(t, char.MaxUnrollIndex()+1)
+	im, err := NewImportance(a, char, nl, place, DefaultAlpha, DefaultBeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := func(d *stats.Discrete) []float64 {
+		out := make([]float64, d.Len())
+		for i := range out {
+			out[i] = d.Prob(i)
+		}
+		return out
+	}
+	shared := 0
+	for t1 := range im.pDists {
+		for t2 := t1 + 1; t2 < len(im.pDists); t2++ {
+			d1, d2 := im.pDists[t1], im.pDists[t2]
+			if d1 == nil || d2 == nil {
+				continue
+			}
+			equal := slices.Equal(im.layers[t1], im.layers[t2]) && slices.Equal(probs(d1), probs(d2))
+			rowShared := &im.centerP[t1][0] == &im.centerP[t2][0]
+			if (d1 == d2) != equal || rowShared != equal {
+				t.Fatalf("t=%d, %d: table shared %v, centerP row shared %v, equal %v", t1, t2, d1 == d2, rowShared, equal)
+			}
+			if equal {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Errorf("no two of %d timing distances share a table", a.TRange)
 	}
 }
 

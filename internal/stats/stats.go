@@ -241,26 +241,41 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Discrete is a normalized discrete distribution over indices 0..n-1
-// supporting O(log n) sampling via the cumulative table. It backs both
-// g_T (timing distance) and g_{P|T} (center gate) sampling.
+// Discrete is a normalized discrete distribution over indices 0..n-1.
+// It backs both g_T (timing distance) and g_{P|T} (center gate)
+// sampling. Sample reads a guide index over the cumulative table, so a
+// draw is O(1) in the usual case: most variates land in a bucket that
+// one index owns, and the rest search only the indices their bucket
+// spans.
 type Discrete struct {
 	probs []float64
 	cum   []float64
+	// guide[b] is the first index with cum > b/K for the K = len(guide)−1
+	// equal buckets of [0, 1), and guide[K] is the last index. K is a
+	// power of two, so a variate's bucket is exact; nil when an index
+	// does not fit in 16 bits.
+	guide []uint16
 }
 
-// NewDiscrete builds a distribution from non-negative weights; they are
-// normalized internally. It returns an error when every weight is zero.
+// maxGuideBuckets caps the guide at 8 KB of uint16 entries.
+const maxGuideBuckets = 4096
+
+// NewDiscrete builds a distribution from non-negative, finite weights;
+// they are normalized internally. It returns an error when every weight
+// is zero or when their total overflows.
 func NewDiscrete(weights []float64) (*Discrete, error) {
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
+		if !(w >= 0 && w <= math.MaxFloat64) {
 			return nil, fmt.Errorf("stats: weight %d is %v", i, w)
 		}
 		total += w
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("stats: all %d weights are zero", len(weights))
+	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("stats: the total of %d weights overflows", len(weights))
 	}
 	d := &Discrete{
 		probs: make([]float64, len(weights)),
@@ -283,7 +298,40 @@ func NewDiscrete(weights []float64) (*Discrete, error) {
 			break
 		}
 	}
+	d.buildGuide()
 	return d, nil
+}
+
+// buildGuide fills the guide in one pass over the cumulative table.
+// Bucket edge b/k lies below cum[i] exactly when b < ⌈cum[i]·k⌉ (the
+// product is exact), so index i owns the edges from the previous
+// index's limit up to its own. For an edge in [0, 1), cum[i] > b/k is
+// false and then true as i rises: the running sum never falls, and
+// rounding can push interior values above 1 only past the point where
+// every value exceeds the edge. So the limits never fall, and each edge
+// gets the first index above it.
+func (d *Discrete) buildGuide() {
+	n := len(d.cum)
+	if n-1 > math.MaxUint16 {
+		return
+	}
+	k := 1
+	for k < 4*n && k < maxGuideBuckets {
+		k <<= 1
+	}
+	g := make([]uint16, k+1)
+	b := 0
+	for i, c := range d.cum {
+		end := k
+		if x := c * float64(k); x < float64(k) {
+			end = int(math.Ceil(x))
+		}
+		for ; b < end; b++ {
+			g[b] = uint16(i)
+		}
+	}
+	g[k] = uint16(n - 1)
+	d.guide = g
 }
 
 // Prob returns the probability mass at index i.
@@ -296,25 +344,23 @@ func (d *Discrete) Len() int { return len(d.probs) }
 // u in [0, 1). Bin i owns the half-open interval [cum[i-1], cum[i]),
 // so a variate exactly equal to an interior cumulative value belongs
 // to the next bin with mass, never to bin i itself.
+//
+// The owner is the first index with cum > u. It necessarily has
+// nonzero mass: a zero-probability bin shares its cumulative value with
+// its predecessor, so it can never be the *first* index to exceed u.
+// A variate in bucket b = ⌊u·K⌋ lies in [b/K, (b+1)/K), so its owner
+// lies in [guide[b], guide[b+1]], and the search there returns what a
+// search over the whole table would.
 func (d *Discrete) Sample(u float64) int {
-	// The first index with cum > u is the owner of [cum[i-1], cum[i]).
-	// It necessarily has nonzero mass: a zero-probability bin shares
-	// its cumulative value with its predecessor, so it can never be
-	// the *first* index to exceed u.
-	// Open-coded binary search: Sample runs once per draw, and the
-	// sort.Search closure indirection is measurable there. Identical
-	// result (first index with cum > u).
-	cum := d.cum
-	lo, hi := 0, len(cum)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
+	if g := d.guide; g != nil && 0 <= u && u < 1 {
+		b := int(u * float64(len(g)-1))
+		lo, hi := int(g[b]), int(g[b+1])
+		if lo == hi {
+			return lo
 		}
+		return d.search(u, lo, hi)
 	}
-	i := lo
+	i := d.search(u, 0, len(d.cum))
 	if i >= len(d.cum) {
 		// Defensive: only reachable for u >= 1, outside the contract.
 		i = len(d.cum) - 1
@@ -323,4 +369,20 @@ func (d *Discrete) Sample(u float64) int {
 		}
 	}
 	return i
+}
+
+// search returns the first index in [lo, hi) with cum > u, or hi when
+// there is none. Open-coded: Sample runs once per draw, and the
+// sort.Search closure indirection is measurable there.
+func (d *Discrete) search(u float64, lo, hi int) int {
+	cum := d.cum
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cum[mid] > u {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

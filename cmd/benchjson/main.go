@@ -48,8 +48,10 @@
 //     resume ordering, merge and other. It adds the multi-engine rows:
 //     each workload's answers through RunAdaptiveParallel on 1 and 2
 //     engines, with the median wall time per answer and samples per
-//     second. Shares and wall times on a shared host, so the record is
-//     not gated.
+//     second. The answers do not depend on the engine count, so both
+//     rows time the same answers; the suite exits non-zero when a
+//     pass's sample count differs between them. Shares and wall times
+//     on a shared host, so the record is not gated.
 //
 // It uses the same setup as the root go-bench harness, so the numbers
 // are comparable to `go test -bench`.
@@ -417,6 +419,10 @@ const (
 
 func convergenceSuite() []benchResult {
 	fw, ev := setup()
+	pool, err := ev.NewEnginePool(1)
+	if err != nil {
+		fatal(err)
+	}
 	newIm := func() *sampling.Importance {
 		im, err := sampling.NewImportance(ev.Attack, fw.Char, fw.MPU.Netlist, fw.Place, sampling.DefaultAlpha, sampling.DefaultBeta)
 		if err != nil {
@@ -453,7 +459,7 @@ func convergenceSuite() []benchResult {
 			CheckEvery:    1000,
 			AdaptProposal: cfg.adapt,
 		}
-		camp, err := ev.Engine.RunAdaptive(context.Background(), cfg.sampler, aopts)
+		camp, err := pool.RunAdaptive(context.Background(), cfg.sampler, aopts)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", cfg.name, err))
 		}

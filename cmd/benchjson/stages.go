@@ -81,7 +81,7 @@ var stages = []struct {
 	{"lane-batched resume", []string{mcEngine + "resumeBatch"}},
 	{"grouped resume", []string{mcEngine + "resumeClasses", mcEngine + "resumeGroup", mcEngine + "splitGroup"}},
 	{"resume ordering", []string{mcEngine + "flushResumes"}},
-	{"merge", []string{mcEngine + "accumulate", "repro/internal/montecarlo.(*Campaign).Merge", "repro/internal/montecarlo.mergeShards"}},
+	{"merge", []string{mcEngine + "accumulate", "repro/internal/montecarlo.(*Campaign).Merge", "repro/internal/montecarlo.commitBlocks"}},
 }
 
 const otherStage = "other"
@@ -127,6 +127,7 @@ func stagesSuite() stageRecord {
 		fatal(err)
 	}
 	var rec stageRecord
+	passSamples := make([]int, len(stageWorkloads))
 	for wi, w := range stageWorkloads {
 		sp := samplerOf(ev, wi)
 		var buf bytes.Buffer
@@ -156,10 +157,11 @@ func stagesSuite() stageRecord {
 			fmt.Printf("  %-20s %5.1f%%\n", s.Stage, 100*s.Share)
 		}
 		rec.Workloads = append(rec.Workloads, split)
+		passSamples[wi] = samples / stagePasses
 	}
 	for wi := range stageWorkloads {
 		for _, n := range []int{1, 2} {
-			rec.Parallel = append(rec.Parallel, parallelRowOf(ev, wi, n))
+			rec.Parallel = append(rec.Parallel, parallelRowOf(ev, wi, n, passSamples[wi]))
 		}
 	}
 	return rec
@@ -179,8 +181,10 @@ func samplerOf(ev *core.Evaluation, w int) sampling.Sampler {
 
 // parallelRowOf times stagePasses passes of stageAnswers answers of
 // workload wi through RunAdaptiveParallel on a pool of n engines, after
-// one warm-up answer that builds every engine's batch state.
-func parallelRowOf(ev *core.Evaluation, wi, n int) parallelRow {
+// one warm-up answer that builds every engine's batch state. Answers do
+// not depend on the engine count, so every pass must take passSamples,
+// the samples of the profiled one-engine pass; it exits otherwise.
+func parallelRowOf(ev *core.Evaluation, wi, n, passSamples int) parallelRow {
 	pool, err := ev.NewEnginePool(n)
 	if err != nil {
 		fatal(err)
@@ -199,12 +203,17 @@ func parallelRowOf(ev *core.Evaluation, wi, n int) parallelRow {
 	times := make([]float64, 0, row.Answers)
 	total := 0.0
 	for range stagePasses {
+		pass := 0
 		for a := range stageAnswers {
 			start := time.Now()
-			row.Samples += answer(w.seedBase + int64(a))
+			pass += answer(w.seedBase + int64(a))
 			times = append(times, time.Since(start).Seconds())
 			total += times[len(times)-1]
 		}
+		if pass != passSamples {
+			fatal(fmt.Errorf("%s on %d engines: a pass took %d samples, on one engine %d", w.name, n, pass, passSamples))
+		}
+		row.Samples += pass
 	}
 	row.AnswerP50 = stats.Quantile(times, 0.5)
 	row.SamplesPerSec = float64(row.Samples) / total

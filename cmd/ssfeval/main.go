@@ -1,9 +1,9 @@
 // Command ssfeval evaluates the System Security Factor of a benchmark
 // under a configurable attack, with a chosen sampling strategy.
 //
-// Campaigns can run across an engine pool (-parallel N) and stop
-// adaptively on the paper's weak-LLN convergence bound (-adaptive
-// -eps E). Gate and register campaigns run the lane-batched loop: RTL
+// Campaigns run in seeded blocks across an engine pool (-parallel N,
+// which changes only the speed) and can stop adaptively on the paper's
+// weak-LLN convergence bound (-adaptive -eps E). Gate and register campaigns run the lane-batched loop: RTL
 // resumes of a window of draws run 64 at a time. Ctrl-C cancels
 // a running campaign cleanly and reports the partial results
 // accumulated so far. -cpuprofile / -memprofile write pprof profiles of
@@ -52,9 +52,9 @@ func run(args []string, stdout io.Writer) error {
 	glitchDepth := fs.Float64("glitch-depth", 300, "clock-glitch depth in ps (glitch mode)")
 	alpha := fs.Float64("alpha", sampling.DefaultAlpha, "importance-sampling alpha")
 	beta := fs.Float64("beta", sampling.DefaultBeta, "importance-sampling beta")
-	parallel := fs.Int("parallel", 1, "number of worker engines (campaign shards)")
+	parallel := fs.Int("parallel", 1, "number of worker engines: blocks run at once (changes only the speed, not the result)")
 	adaptive := fs.Bool("adaptive", false, "stop on the weak-LLN convergence bound instead of a fixed sample count")
-	adaptProp := fs.Bool("adapt-proposal", false, "adaptive: re-tune the proposal between rounds (importance/stratified samplers)")
+	adaptProp := fs.Bool("adapt-proposal", false, "adaptive: re-tune the proposal after every block (importance/stratified samplers)")
 	eps := fs.Float64("eps", 0.005, "adaptive: absolute accuracy target epsilon")
 	risk := fs.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
 	maxSamples := fs.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
@@ -170,27 +170,18 @@ func run(args []string, stdout io.Writer) error {
 			return perr
 		}
 		workers = pool.Size()
+		// A fixed-size run is -samples in blocks of FixedSizeBlock.
+		aopts := montecarlo.AdaptiveOptions{MinSamples: *samples, MaxSamples: *samples, CheckEvery: montecarlo.FixedSizeBlock}
 		if *adaptive {
-			aopts := montecarlo.DefaultAdaptive(*eps)
+			aopts = montecarlo.DefaultAdaptive(*eps)
 			aopts.Risk = *risk
-			aopts.Mode = copts.Mode
-			aopts.Seed = *seed
 			// The cap is hard: a MinSamples above it would raise it.
 			aopts.MaxSamples = *maxSamples
 			aopts.MinSamples = min(aopts.MinSamples, *maxSamples)
-			aopts.Progress = prog
 			aopts.AdaptProposal = *adaptProp
-			camp, err = pool.RunAdaptive(ctx, sp, aopts)
-		} else if pool.Size() > 1 {
-			// A fixed-size run in one round: -samples split over the
-			// pool's engines.
-			camp, err = montecarlo.RunAdaptiveParallel(ctx, pool.Engines, sp, montecarlo.AdaptiveOptions{
-				Mode: copts.Mode, Seed: *seed, Progress: prog,
-				MinSamples: *samples, MaxSamples: *samples, CheckEvery: *samples,
-			})
-		} else {
-			camp, err = ev.Engine.RunCampaign(ctx, sp, copts)
 		}
+		aopts.Mode, aopts.Seed, aopts.Progress = copts.Mode, *seed, prog
+		camp, err = pool.RunAdaptive(ctx, sp, aopts)
 	case "glitch":
 		tech := fault.DefaultClockGlitch()
 		tech.Depth = *glitchDepth

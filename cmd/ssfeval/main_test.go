@@ -62,3 +62,36 @@ func TestGlitchRejectsParallelAndAdaptive(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelChangesOnlySpeed: -parallel 1 and -parallel 2 report the
+// same answer (SSF, CI, samples, outcome and path counts), fixed-size
+// and adaptive; only the timing and engine-count rows differ.
+func TestParallelChangesOnlySpeed(t *testing.T) {
+	answer := func(args []string, parallel string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run(append(args, "-parallel", parallel, "-progress=false"), &out); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if !strings.Contains(line, "framework ready") && !strings.Contains(line, "throughput") &&
+				!strings.Contains(line, "worker engines") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	for _, args := range [][]string{
+		{"-samples", "6000", "-seed", "42"},
+		{"-mode", "register", "-sampler", "random", "-adaptive", "-eps", "0.006", "-seed", "3"},
+	} {
+		one, two := answer(args, "1"), answer(args, "2")
+		if one != two {
+			t.Errorf("%v: -parallel 1 and 2 differ:\n%s\n---\n%s", args, one, two)
+		}
+		if reportRow(t, one, "samples") == "0" {
+			t.Errorf("%v: no samples", args)
+		}
+	}
+}

@@ -1,11 +1,12 @@
 // Command ssfserver runs the campaign engine as a long-running
 // HTTP/JSON evaluation service: submit campaign jobs (fixed-size or
 // adaptive), stream their progress over SSE, fetch results, and rank
-// hardening variants on a ranked SSF leaderboard. Jobs are partitioned
-// deterministically across a pool of worker engines, checkpointed to an
-// on-disk store every round, and resumed bit-identically after a
-// restart. See the README's "Evaluation server" section for the API
-// and a curl quick-start.
+// hardening variants on a ranked SSF leaderboard. Jobs run in seeded
+// blocks across a pool of worker engines, so the worker count changes
+// only the speed; they are checkpointed to an on-disk store every round
+// and resumed bit-identically after a restart, on any worker count. See
+// the README's "Evaluation server" section for the API and a curl
+// quick-start.
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", defaultWorkers(), "engine pool size (campaign shards per job)")
+	workers := flag.Int("workers", defaultWorkers(), "engine pool size: blocks a job runs at once (changes only the speed)")
 	storeDir := flag.String("store", "ssfserver-data", "job store directory (checkpoints and results)")
 	benchName := flag.String("bench", "write", "benchmark: write | read")
 	tRange := flag.Int("trange", 50, "temporal accuracy range (cycles)")
@@ -35,7 +36,7 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "bounded job queue depth (backpressure beyond it)")
 	rate := flag.Float64("rate", 5, "per-tenant submissions per second (0 disables rate limiting)")
 	burst := flag.Float64("burst", 10, "per-tenant burst size")
-	checkpointEvery := flag.Int64("checkpoint-every", 1, "checkpoint cadence in campaign rounds")
+	checkpointEvery := flag.Int64("checkpoint-every", 1, "checkpoint cadence in blocks of a job's check_every samples")
 	maxSamples := flag.Int("max-samples", 1<<22, "per-job sample budget cap")
 	flag.Parse()
 

@@ -6,11 +6,14 @@
 // runs:
 //
 //   - an EnginePool clones the SoC over the shared MPU elaboration so
-//     each round's shards run concurrently on independent engines;
+//     each round's blocks of CheckEvery samples run concurrently on
+//     independent engines;
 //   - EnginePool.RunAdaptive (montecarlo.RunAdaptiveParallel on the
-//     pool) checks Pr[|estimate − SSF| ≥ eps] ≤ risk between rounds and
-//     stops as soon as the bound holds. With MinSamples == MaxSamples
-//     the same call is a fixed-size parallel campaign.
+//     pool) checks Pr[|estimate − SSF| ≥ eps] ≤ risk after every block
+//     and stops as soon as the bound holds. Blocks are seeded by their
+//     index and commit in order, so the pool size changes only the
+//     speed. With MinSamples == MaxSamples the same call is a
+//     fixed-size campaign.
 //
 // A progress callback observes the campaign while it runs, and a
 // context deadline shows how long campaigns stay cancellable: the

@@ -384,7 +384,7 @@ func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 // montecarlo.RunAdaptiveParallel on Engines (a fixed-size campaign is
 // one with MinSamples == MaxSamples). The pool runs one campaign at a
 // time; the engines themselves are not safe for concurrent use outside
-// the round loop's own sharding.
+// the round loop, which runs at most one block per engine at a time.
 type EnginePool struct {
 	Evaluation *Evaluation
 	Engines    []*montecarlo.Engine
@@ -411,13 +411,9 @@ func (e *Evaluation) NewEnginePool(workers int) (*EnginePool, error) {
 // Size returns the number of engines in the pool.
 func (p *EnginePool) Size() int { return len(p.Engines) }
 
-// RunAdaptive runs adaptive rounds across the pool, stopping on the
-// weak-LLN bound (montecarlo.RunAdaptiveParallel). A pool of one engine
-// runs the engine's RunAdaptive: the same round loop, with the round
-// seeds that method has always used.
+// RunAdaptive runs an answer across the pool, stopping on the weak-LLN
+// bound (montecarlo.RunAdaptiveParallel); the answer is the same on
+// every pool size.
 func (p *EnginePool) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts montecarlo.AdaptiveOptions) (*montecarlo.Campaign, error) {
-	if len(p.Engines) == 1 {
-		return p.Engines[0].RunAdaptive(ctx, sampler, opts)
-	}
 	return montecarlo.RunAdaptiveParallel(ctx, p.Engines, sampler, opts)
 }

@@ -131,15 +131,6 @@ func (s *Simulator) notInput(id netlist.NodeID) {
 	panic(fmt.Sprintf("logicsim: SetInput on non-input node %d (%v)", id, s.nl.Node(id).Type))
 }
 
-// SetInputBool drives a primary input with the same value in all lanes.
-func (s *Simulator) SetInputBool(id netlist.NodeID, v bool) {
-	if v {
-		s.SetInput(id, AllLanes)
-	} else {
-		s.SetInput(id, 0)
-	}
-}
-
 // Eval propagates the current input and register values through the
 // combinational logic. It does not advance registers.
 func (s *Simulator) Eval() {
@@ -304,22 +295,5 @@ func (s *Simulator) DriveWord(bits []netlist.NodeID, v uint64) {
 			s.notInput(id)
 		}
 		s.vals[id] = -(v >> uint(i) & 1)
-	}
-}
-
-// DriveWordLanes drives the listed input nodes (LSB first) with per-lane
-// values: vals[lane] supplies the multi-bit value for that lane.
-func (s *Simulator) DriveWordLanes(bits []netlist.NodeID, vals []uint64) {
-	if len(vals) > 64 {
-		panic("logicsim: more than 64 lanes")
-	}
-	for i, id := range bits {
-		var word uint64
-		for lane, v := range vals {
-			if v>>uint(i)&1 == 1 {
-				word |= 1 << uint(lane)
-			}
-		}
-		s.SetInput(id, word)
 	}
 }

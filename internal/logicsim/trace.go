@@ -131,20 +131,3 @@ func (t *Trace) SwitchSignature(id netlist.NodeID) []uint64 {
 
 // words returns the number of 64-bit words needed for the cycle count.
 func words(cycles int) int { return (cycles + 63) / 64 }
-
-// CaptureScalar runs the simulator for the given number of cycles,
-// calling drive(cycle) before each cycle's evaluation so the caller can
-// set primary inputs, and records the value of every node at every
-// cycle. The simulator is stepped (registers advance) after each record.
-func CaptureScalar(sim *Simulator, cycles int, drive func(cycle int)) *Trace {
-	t := NewTrace(sim.Netlist(), cycles)
-	for c := 0; c < cycles; c++ {
-		if drive != nil {
-			drive(c)
-		}
-		sim.Eval()
-		t.RecordAll(sim, c)
-		sim.Latch()
-	}
-	return t
-}

@@ -470,7 +470,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 	s := e.SoC
 	sim := s.Sim
 	grant, viol := s.MPU.OutGrant[0], s.MPU.OutViol[0]
-	limit := g.FinalCycle + e.ResumeMargin
+	limit := g.FinalCycle + resumeMargin
 	useCut := !e.DisableConvergenceCut
 	live := uint64(1)<<len(lane) - 1
 	e.batch.counts.Groups++

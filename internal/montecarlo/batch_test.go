@@ -669,13 +669,37 @@ func TestBatchCampaignConfigurations(t *testing.T) {
 	}
 }
 
+// chainedBlocks is the round loop's answer rebuilt from one-stream
+// campaigns: blocks of checkEvery samples (the last one cut at n), block
+// k seeded seed·999983 + k, run through the scalar reference loop on
+// one engine and merged in index order.
+func chainedBlocks(t *testing.T, eng *montecarlo.Engine, sampler sampling.Sampler, mode montecarlo.Mode, seed int64, n, checkEvery int) *montecarlo.Campaign {
+	t.Helper()
+	var want *montecarlo.Campaign
+	for k, done := int64(0), 0; done < n; k++ {
+		c, err := eng.RunCampaignScalar(context.Background(), sampler, montecarlo.CampaignOptions{
+			Samples: min(checkEvery, n-done), Mode: mode, Seed: seed*999983 + k,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done += c.Est.N()
+		if want == nil {
+			want = c
+		} else if err := want.Merge(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
 // TestBatchParallelAndAdaptive: the round loop runs the lane-batched
-// loop in every shard, on cloned engines and on one engine across
-// rounds, and must stay bit-identical to the same shards run through
+// loop in every block, on cloned engines and on one engine across
+// rounds, and must stay bit-identical to the same blocks run through
 // the scalar reference loop and merged in index order. A fixed-size
-// RunAdaptiveParallel with CheckEvery ≥ its sample count runs one
-// round, split over the engines with earlier shards taking the
-// remainder.
+// RunAdaptiveParallel of 3,001 samples in blocks of 1,000 runs one
+// round of three blocks on three engines and a last block of one
+// sample.
 func TestBatchParallelAndAdaptive(t *testing.T) {
 	ctx := context.Background()
 	ev := evaluation(t)
@@ -694,54 +718,27 @@ func TestBatchParallelAndAdaptive(t *testing.T) {
 		label := fmt.Sprintf("parallel %v %d", tc.mode, tc.samples)
 		gotP, err := montecarlo.RunAdaptiveParallel(ctx, engines, ev.RandomSampler(), montecarlo.AdaptiveOptions{
 			Mode: tc.mode, Seed: 11,
-			MinSamples: tc.samples, MaxSamples: tc.samples, CheckEvery: tc.samples,
+			MinSamples: tc.samples, MaxSamples: tc.samples, CheckEvery: 1000,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		popts := montecarlo.CampaignOptions{Samples: tc.samples, Mode: tc.mode, Seed: 11}
-		var wantP *montecarlo.Campaign
-		for i, so := range montecarlo.ShardCampaignOptions(len(engines), popts.Samples, popts, 0) {
-			shard, err := engines[i].RunCampaignScalar(ctx, ev.RandomSampler(), so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantP == nil {
-				wantP = shard
-			} else if err := wantP.Merge(shard); err != nil {
-				t.Fatal(err)
-			}
-		}
-		compareCampaigns(t, label, gotP, wantP)
+		compareCampaigns(t, label, gotP, chainedBlocks(t, engines[0], ev.RandomSampler(), tc.mode, 11, tc.samples, 1000))
 		if gotP.Est.N() != tc.samples || gotP.PathCounts[montecarlo.PathRTL] == 0 {
 			t.Errorf("%s: %d samples with paths %v: not the intended workload", label, gotP.Est.N(), gotP.PathCounts)
 		}
 	}
 
 	// A fixed-size answer (MinSamples = MaxSamples) on one engine runs
-	// every round of CheckEvery samples, seeded Seed·999983 + round.
+	// every block of CheckEvery samples in a round of its own.
 	aopts := montecarlo.DefaultAdaptive(0.02)
 	aopts.Seed = 13
 	aopts.MinSamples, aopts.MaxSamples = 4000, 4000
-	gotA, err := ev.Engine.RunAdaptive(ctx, ev.RandomSampler(), aopts)
+	gotA, err := runAdaptive(ctx, ev, ev.RandomSampler(), aopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantA *montecarlo.Campaign
-	for round := int64(0); round*int64(aopts.CheckEvery) < int64(aopts.MaxSamples); round++ {
-		c, err := ev.Engine.RunCampaignScalar(ctx, ev.RandomSampler(), montecarlo.CampaignOptions{
-			Samples: aopts.CheckEvery, Seed: aopts.Seed*999983 + round,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantA == nil {
-			wantA = c
-		} else if err := wantA.Merge(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compareCampaigns(t, "adaptive", gotA, wantA)
+	compareCampaigns(t, "adaptive", gotA, chainedBlocks(t, ev.Engine, ev.RandomSampler(), aopts.Mode, aopts.Seed, aopts.MaxSamples, aopts.CheckEvery))
 	if gotA.Est.N() != aopts.MaxSamples || gotA.PathCounts[montecarlo.PathRTL] == 0 {
 		t.Errorf("adaptive %d samples with paths %v: not the intended workload", gotA.Est.N(), gotA.PathCounts)
 	}

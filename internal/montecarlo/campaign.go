@@ -190,9 +190,8 @@ func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*C
 	}
 	// Stateful samplers (per-stratum substreams) are never drawn from
 	// directly: each campaign forks a private stream keyed by its seed,
-	// so the per-(round, shard) seed derivation of the parallel runners
-	// makes every stream — and every resumed replay of it —
-	// deterministic.
+	// so the per-block seeds of the round loop make every stream — and
+	// every resumed replay of it — deterministic.
 	if f, ok := sampler.(sampling.Forker); ok {
 		sampler = f.Fork(opts.Seed)
 	}

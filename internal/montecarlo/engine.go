@@ -189,10 +189,6 @@ type Engine struct {
 	// paper).
 	Hardened map[netlist.NodeID]float64
 
-	// ResumeMargin bounds the RTL resume beyond the golden final
-	// cycle (faulted runs can run longer, e.g. skipped traps).
-	ResumeMargin int
-
 	// DisableConvergenceCut turns off the golden-state early exit of
 	// RTL resumes: with the cut enabled (default), a resume whose
 	// state equals the golden run's at the same cycle stops
@@ -247,13 +243,13 @@ func New(s *soc.SoC, attack *fault.Attack, place *placement.Placement, dm timing
 	return &Engine{
 		SoC: s, Place: place, Timing: tsim,
 		Char: char, Analytical: eval,
-		ResumeMargin: defaultResumeMargin,
-		attack:       attack,
+		attack: attack,
 	}, nil
 }
 
-// defaultResumeMargin is New's ResumeMargin.
-const defaultResumeMargin = 200
+// resumeMargin bounds an RTL resume beyond the golden final cycle
+// (faulted runs can run longer, e.g. skipped traps).
+const resumeMargin = 200
 
 // Clone returns an engine over the receiver's model: a fresh SoC on the
 // same program and MPU, its own forks of the timed and lane simulators,
@@ -272,9 +268,8 @@ func (e *Engine) Clone() (*Engine, error) {
 	c := &Engine{
 		SoC: s, Place: e.Place, Timing: e.Timing.Fork(),
 		Char: e.Char, Analytical: e.Analytical,
-		ResumeMargin: defaultResumeMargin,
-		attack:       e.attack,
-		m:            e.m,
+		attack: e.attack,
+		m:      e.m,
 	}
 	c.batch = newBatchState(c)
 	return c, nil
@@ -400,7 +395,7 @@ func (e *Engine) resumeRTL() (resumed int, success bool) {
 	g := e.m.golden
 	s := e.SoC
 	start := s.Cycle()
-	limit := g.FinalCycle + e.ResumeMargin
+	limit := g.FinalCycle + resumeMargin
 	useCut := !e.DisableConvergenceCut
 	for !s.Done() && !s.Marked.Resolved && s.Cycle() < limit {
 		if useCut && g.onGolden(s) {

@@ -38,13 +38,6 @@ func (e *Engine) RunCampaignScalar(ctx context.Context, sampler sampling.Sampler
 	return c, nil
 }
 
-// ShardCampaignOptions exposes the per-engine shard options of one
-// RunAdaptiveParallel round (see shardCampaignOptions), seeded from
-// opts.Seed as RunAdaptiveParallel seeds them.
-func ShardCampaignOptions(engines, n int, opts CampaignOptions, round int64) []CampaignOptions {
-	return shardCampaignOptions(engines, n, opts, opts.Seed*1000003, round)
-}
-
 // BatchCounts exposes the batched-resume counters to the external tests
 // (see batchCounts). All are zero before the first batched run.
 type BatchCounts = batchCounts

@@ -13,6 +13,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/placement"
 	"repro/internal/precharac"
+	"repro/internal/sampling"
 	"repro/internal/soc"
 )
 
@@ -49,6 +50,12 @@ func evaluation(t testing.TB) *core.Evaluation {
 		t.Fatal(err)
 	}
 	return ev
+}
+
+// runAdaptive runs an answer through the round loop on the
+// evaluation's own engine.
+func runAdaptive(ctx context.Context, ev *core.Evaluation, sampler sampling.Sampler, opts montecarlo.AdaptiveOptions) (*montecarlo.Campaign, error) {
+	return montecarlo.RunAdaptiveParallel(ctx, []*montecarlo.Engine{ev.Engine}, sampler, opts)
 }
 
 func TestGoldenRunArtifacts(t *testing.T) {

@@ -88,7 +88,9 @@ func TestParallelShardPanicIsolated(t *testing.T) {
 	// Sabotage shard 1 so its first run panics; the orchestrator must
 	// convert that into an indexed error instead of crashing.
 	engines[1].SoC = nil
-	_, err = montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), fixedSize(100, 1))
+	opts := fixedSize(100, 1)
+	opts.CheckEvery = 50 // two blocks: the round runs one on each engine
+	_, err = montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
 	if err == nil {
 		t.Fatal("panicking shard produced no error")
 	}
@@ -104,14 +106,14 @@ func TestRunAdaptiveTracksConvergence(t *testing.T) {
 	opts.CheckEvery = 200
 	opts.MaxSamples = 5000
 	opts.TrackConvergence = true
-	c, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	c, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One entry per round: the merged estimate after each round.
-	rounds := (c.Est.N() + opts.CheckEvery - 1) / opts.CheckEvery
-	if len(c.Convergence) != rounds {
-		t.Fatalf("trace length %d, campaign ran %d rounds (%d samples)", len(c.Convergence), rounds, c.Est.N())
+	// One entry per block: the total after each committed block.
+	blocks := (c.Est.N() + opts.CheckEvery - 1) / opts.CheckEvery
+	if len(c.Convergence) != blocks {
+		t.Fatalf("trace length %d, campaign ran %d blocks (%d samples)", len(c.Convergence), blocks, c.Est.N())
 	}
 	if last := c.Convergence[len(c.Convergence)-1]; last != c.SSF() {
 		t.Errorf("trace ends at %v, SSF is %v", last, c.SSF())
@@ -123,6 +125,10 @@ func TestRunAdaptiveTracksConvergence(t *testing.T) {
 	}
 }
 
+// TestRunAdaptiveParallelStopsNearSequential: blocks commit in index
+// order and the bound is checked after each, so three engines stop at
+// the same block as one and give the same answer, even when the
+// stopping block is not the last of its round.
 func TestRunAdaptiveParallelStopsNearSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -136,7 +142,7 @@ func TestRunAdaptiveParallelStopsNearSequential(t *testing.T) {
 	opts.MinSamples = 600
 	opts.CheckEvery = 150
 	opts.MaxSamples = 30000
-	seq, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	seq, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +150,15 @@ func TestRunAdaptiveParallelStopsNearSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Est.N() < opts.MinSamples || par.Est.N() > opts.MaxSamples {
+	if par.Est.N() < opts.MinSamples || par.Est.N() >= opts.MaxSamples {
 		t.Fatalf("parallel adaptive ran %d samples", par.Est.N())
 	}
-	if par.Est.N() < opts.MaxSamples && par.Est.LLNBound(opts.Epsilon) > opts.Risk {
+	if par.Est.LLNBound(opts.Epsilon) > opts.Risk {
 		t.Errorf("stopped with bound %v > risk %v", par.Est.LLNBound(opts.Epsilon), opts.Risk)
 	}
-	// Both runs chase the same criterion, so the parallel stop point
-	// lands within one round (CheckEvery per engine) of the sequential
-	// one, plus the sequential check granularity.
-	round := opts.CheckEvery * len(engines)
-	if diff := par.Est.N() - seq.Est.N(); diff > round+opts.CheckEvery || diff < -(round+opts.CheckEvery) {
-		t.Errorf("parallel stopped at %d, sequential at %d (round size %d)",
-			par.Est.N(), seq.Est.N(), round)
+	if par.Est.N() != seq.Est.N() || par.Est.State() != seq.Est.State() || par.Successes != seq.Successes {
+		t.Errorf("3 engines stopped at %d samples (SSF %v), 1 engine at %d (SSF %v)",
+			par.Est.N(), par.SSF(), seq.Est.N(), seq.SSF())
 	}
 }
 
@@ -184,9 +186,9 @@ func TestRunAdaptiveParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunAdaptiveParallelHugeCheckEvery: a CheckEvery whose round,
-// CheckEvery×engines, overflows int runs one round of the remaining
-// samples, bit-identical to a CheckEvery whose round is exactly that.
+// TestRunAdaptiveParallelHugeCheckEvery: a CheckEvery whose block
+// offsets k·CheckEvery overflow int runs one block of the remaining
+// samples, bit-identical to a CheckEvery of exactly MaxSamples.
 func TestRunAdaptiveParallelHugeCheckEvery(t *testing.T) {
 	ev := evaluation(t)
 	engines, err := ev.CloneEngines(2)
@@ -205,12 +207,12 @@ func TestRunAdaptiveParallelHugeCheckEvery(t *testing.T) {
 		}
 		return c
 	}
-	want := run(50)
+	want := run(100)
 	got := run(1 << 62)
 	if got.Est.N() != 100 {
 		t.Fatalf("ran %d samples, want 100", got.Est.N())
 	}
-	compareCampaigns(t, "CheckEvery 1<<62 vs 50", got, want)
+	compareCampaigns(t, "CheckEvery 1<<62 vs 100", got, want)
 }
 
 func TestRunAdaptiveParallelTracksRoundTrace(t *testing.T) {
@@ -228,9 +230,9 @@ func TestRunAdaptiveParallelTracksRoundTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := (c.Est.N() + 2*opts.CheckEvery - 1) / (2 * opts.CheckEvery)
-	if len(c.Convergence) != rounds {
-		t.Errorf("round trace has %d entries, ran %d rounds", len(c.Convergence), rounds)
+	blocks := (c.Est.N() + opts.CheckEvery - 1) / opts.CheckEvery
+	if len(c.Convergence) != blocks {
+		t.Errorf("trace has %d entries, ran %d blocks", len(c.Convergence), blocks)
 	}
 	if last := c.Convergence[len(c.Convergence)-1]; math.Abs(last-c.SSF()) > 1e-12 {
 		t.Errorf("trace ends at %v, SSF is %v", last, c.SSF())

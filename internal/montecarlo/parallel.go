@@ -14,9 +14,9 @@ import (
 // Merge folds another campaign (same sampler, same engine family) into
 // this one: estimator, class/path/success accounting, register
 // attribution, and pattern sets. Convergence traces are dropped — a
-// cross-shard merge has no meaningful global sample order, so the
-// receiver's trace is cleared to avoid misreading a partial trace as
-// the whole campaign's (the round loop keeps its own per-round trace).
+// merge has no meaningful global sample order, so the receiver's trace
+// is cleared to avoid misreading a partial trace as the whole
+// campaign's (the round loop keeps its own per-block trace).
 //
 // Merge errors when the campaigns are statistically incomparable:
 // importance weights are likelihood ratios against one proposal, so
@@ -110,18 +110,15 @@ func validateEngines(engines []*Engine) error {
 	return nil
 }
 
-// runShards runs one campaign per engine concurrently, one goroutine
-// per engine (engines with a zero-sample shard are skipped). Shard
-// panics are isolated: a panicking shard surfaces as that shard's
-// indexed error instead of crashing the process.
-func runShards(ctx context.Context, engines []*Engine, sampler sampling.Sampler, shardOpts []CampaignOptions, agg *progressAgg) ([]*Campaign, []error) {
-	results := make([]*Campaign, len(engines))
-	errs := make([]error, len(engines))
+// runBlocks runs a round's blocks concurrently, block i on engine i,
+// one goroutine each. Block panics are isolated: a panicking block
+// surfaces as its engine's indexed error instead of crashing the
+// process.
+func runBlocks(ctx context.Context, engines []*Engine, sampler sampling.Sampler, blocks []CampaignOptions, agg *progressAgg) ([]*Campaign, []error) {
+	results := make([]*Campaign, len(blocks))
+	errs := make([]error, len(blocks))
 	var wg sync.WaitGroup
-	for i := range engines {
-		if shardOpts[i].Samples == 0 {
-			continue
-		}
+	for i := range blocks {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -130,7 +127,7 @@ func runShards(ctx context.Context, engines []*Engine, sampler sampling.Sampler,
 					errs[i] = fmt.Errorf("shard %d: panic: %v", i, r)
 				}
 			}()
-			c, err := engines[i].runCampaign(ctx, sampler, shardOpts[i], agg, i)
+			c, err := engines[i].runCampaign(ctx, sampler, blocks[i], agg, i)
 			if err != nil {
 				err = fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -141,81 +138,56 @@ func runShards(ctx context.Context, engines []*Engine, sampler sampling.Sampler,
 	return results, errs
 }
 
-// mergeShards folds shard results in index order, so the merged result
-// is independent of goroutine scheduling. The fold target is the first
-// contributing shard itself: the round loop keeps no shard campaign
-// past its merge. Cancellation is not a shard failure: when the only
-// errors are the context's, the partial shards are merged and returned
-// alongside the context error. Any other shard error (including an
-// isolated panic) fails the whole campaign.
-func mergeShards(ctx context.Context, results []*Campaign, errs []error) (*Campaign, error) {
-	// Preallocated to the shard count: the merge runs once per adaptive
-	// round, and growing these inside the round loop shows up in the
-	// aggregation profile of large pools.
-	hard := make([]error, 0, len(errs))
+// hardError joins a round's block errors other than the context's:
+// cancellation is not a block failure, any other error (an isolated
+// panic included) fails the whole round.
+func hardError(ctx context.Context, errs []error) error {
+	var hard []error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			continue
-		}
-		hard = append(hard, err)
-	}
-	if len(hard) > 0 {
-		return nil, errors.Join(hard...)
-	}
-	var merged *Campaign
-	for i, r := range results {
-		if r == nil || r.Est.N() == 0 {
-			continue
-		}
-		if merged == nil {
-			merged = r
-			continue
-		}
-		if err := merged.Merge(r); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+		if err != nil && !(ctx.Err() != nil && errors.Is(err, ctx.Err())) {
+			hard = append(hard, err)
 		}
 	}
-	if merged == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("montecarlo: no shards ran")
-	}
-	return merged, ctx.Err()
+	return errors.Join(hard...)
 }
 
-// shardCampaignOptions derives the per-engine shard options for one
-// round of n total samples: an even split (earlier shards take the
-// remainder), with shard i of round r seeded seed0 + r·engines + i.
-func shardCampaignOptions(engines int, n int, opts CampaignOptions, seed0, round int64) []CampaignOptions {
-	base := n / engines
-	extra := n % engines
-	out := make([]CampaignOptions, engines)
-	for i := range out {
-		so := opts
-		so.Samples = base
-		if i < extra {
-			so.Samples++
+// commitBlocks folds a round's blocks into total in index order and
+// returns the new total: with no total yet, the first committed block
+// becomes it. Empty blocks are skipped. after runs once per committed
+// block, and the rest of the round is discarded once it returns true.
+func commitBlocks(total *Campaign, blocks []*Campaign, after func(*Campaign) bool) (*Campaign, error) {
+	for i, c := range blocks {
+		if c.Est.N() == 0 {
+			continue
 		}
-		so.Seed = seed0 + round*int64(engines) + int64(i)
-		out[i] = so
+		if total == nil {
+			total = c
+		} else if err := total.Merge(c); err != nil {
+			return total, fmt.Errorf("shard %d: %w", i, err)
+		}
+		if after(total) {
+			break
+		}
 	}
-	return out
+	return total, nil
 }
 
-// AdaptiveOptions configures RunAdaptive and RunAdaptiveParallel.
+// FixedSizeBlock is the block size (CheckEvery) with which ssfeval and
+// the server's rank endpoint run fixed-size answers through
+// RunAdaptiveParallel: one lane-batched window. The answer depends only
+// on the seed and the sample count, so the pool size changes only the
+// speed.
+const FixedSizeBlock = batchWindow
+
+// AdaptiveOptions configures RunAdaptiveParallel.
 type AdaptiveOptions struct {
 	// Mode, Seed, TrackPatterns as in CampaignOptions.
 	Mode          Mode
 	Seed          int64
 	TrackPatterns bool
 	// TrackConvergence records the campaign's running estimate, one
-	// entry per round: the merged estimate after each round. (The
-	// per-sample order across shards is not meaningful; a per-sample
-	// trace comes from RunCampaign.)
+	// entry per block: the total after each committed block. (A
+	// per-sample trace comes from RunCampaign.)
 	TrackConvergence bool
 	// Epsilon and Risk define the stopping criterion via the paper's
 	// weak-LLN bound: stop once
@@ -227,10 +199,9 @@ type AdaptiveOptions struct {
 	// MinSamples guards against stopping on a premature zero-variance
 	// streak; MaxSamples bounds the total effort.
 	MinSamples, MaxSamples int
-	// CheckEvery controls how often the bound is evaluated: each engine
-	// contributes CheckEvery samples per round, so the bound is checked
-	// every CheckEvery×engines samples. A fixed-size run with CheckEvery
-	// ≥ MaxSamples runs in one round.
+	// CheckEvery is the block size: the answer is cut into blocks of
+	// CheckEvery samples (the last one cut at MaxSamples), block k
+	// seeded Seed·999983 + k, and the bound is checked after each.
 	CheckEvery int
 	// Progress and ProgressEvery as in CampaignOptions; snapshots
 	// report Total as MaxSamples when MinSamples == MaxSamples, and as
@@ -241,34 +212,33 @@ type AdaptiveOptions struct {
 	Batch bool
 	// Resume continues a previously checkpointed campaign: the
 	// accumulated total restored from a Checkpoint snapshot of the same
-	// options. ResumeRound is the number of rounds that snapshot had
-	// completed — the round counter (and with it the deterministic
-	// per-(round, shard) seeds) continues from there, so a resumed run
-	// is bit-identical to the uninterrupted run with the same options
-	// and engine count, provided the snapshot round-tripped exactly
-	// (CampaignSnapshot guarantees this, including through JSON).
-	Resume      *Campaign
-	ResumeRound int64
-	// AdaptProposal re-tunes the sampler between rounds when it
+	// options. The next block is its sample count over CheckEvery, so a
+	// resumed run is bit-identical to the uninterrupted run with the
+	// same options on any pool, provided the snapshot round-tripped
+	// exactly (CampaignSnapshot guarantees this, including through
+	// JSON). A total that is not a whole number of blocks and is below
+	// MaxSamples is rejected.
+	Resume *Campaign
+	// AdaptProposal re-tunes the sampler after every block when it
 	// implements sampling.Adaptive: the Importance sampler re-tilts
 	// its timing distribution toward the observed per-stratum hit
 	// rates, and the Stratified sampler switches to Neyman allocation
 	// from the per-stratum variances. The re-tuned proposal is a pure
 	// function of the accumulated campaign state, so checkpointed runs
-	// resume bit-identically; weight-floor clamping (AdaptFloor, as a
-	// fraction of the largest re-tuned weight; 0 means
-	// sampling.DefaultAdaptFloor) keeps every stratum explored and the
-	// estimate unbiased. Non-adaptive samplers are unaffected.
+	// resume bit-identically; weight-floor clamping
+	// (sampling.DefaultAdaptFloor of the largest re-tuned weight) keeps
+	// every stratum explored and the estimate unbiased. Each block then
+	// needs the proposal of every block before it, so a round runs one
+	// block. Non-adaptive samplers are unaffected.
 	AdaptProposal bool
-	AdaptFloor    float64
-	// Checkpoint, when non-nil, is invoked after every merged round with
-	// the number of completed rounds and a deep copy of the accumulated
+	// Checkpoint, when non-nil, is invoked after every round with the
+	// number of committed blocks and a deep copy of the accumulated
 	// campaign (safe to retain and serialize; its Convergence holds the
-	// per-round trace when TrackConvergence is set). Feed the copy back
-	// through Resume/ResumeRound to continue after an interruption. The
-	// callback runs on the orchestrating goroutine between rounds; it
-	// must not call back into the engines.
-	Checkpoint func(rounds int64, total *Campaign)
+	// per-block trace when TrackConvergence is set). Feed the copy back
+	// through Resume to continue after an interruption. The callback
+	// runs on the orchestrating goroutine between rounds; it must not
+	// call back into the engines.
+	Checkpoint func(blocks int64, total *Campaign)
 }
 
 // DefaultAdaptive returns a criterion targeting ±eps at 5% risk.
@@ -284,7 +254,7 @@ func DefaultAdaptive(eps float64) AdaptiveOptions {
 
 // sanitize validates the stopping criterion, which a fixed-size run
 // (MinSamples == MaxSamples ≥ 1) does without, and applies the defaults
-// RunAdaptive has always applied to the effort bounds.
+// of the effort bounds.
 func (o *AdaptiveOptions) sanitize() error {
 	fixed := o.MinSamples >= 1 && o.MinSamples == o.MaxSamples
 	if !fixed && (o.Epsilon <= 0 || o.Risk <= 0 || o.Risk >= 1) {
@@ -316,171 +286,165 @@ func (o *AdaptiveOptions) converged(total *Campaign) bool {
 		total.llnBound(o.Epsilon) <= o.Risk
 }
 
+// adapts reports whether the run re-tunes sampler s between blocks.
+func (o *AdaptiveOptions) adapts(s sampling.Sampler) bool {
+	_, ok := s.(sampling.Adaptive)
+	return o.AdaptProposal && ok
+}
+
 // adapted re-tunes the sampler from the accumulated campaign between
-// rounds (no-op unless AdaptProposal is set and the sampler supports
-// it). Determinism: the result depends only on (sampler, total).
+// blocks (no-op unless the run adapts). Determinism: the result depends
+// only on (sampler, total).
 func (o *AdaptiveOptions) adapted(s sampling.Sampler, total *Campaign) (sampling.Sampler, error) {
-	if !o.AdaptProposal || total == nil {
+	if !o.adapts(s) || total == nil {
 		return s, nil
 	}
-	ad, ok := s.(sampling.Adaptive)
-	if !ok {
-		return s, nil
-	}
-	return ad.Adapt(sampling.AdaptState{
+	return s.(sampling.Adaptive).Adapt(sampling.AdaptState{
 		Draws:  total.TDraws,
 		Hits:   total.THits,
 		Strata: total.Strata,
-		Floor:  o.AdaptFloor,
 	})
 }
 
-// finish stamps the synthesized options of an adaptive campaign.
-func (o *AdaptiveOptions) finish(total *Campaign) *Campaign {
-	if total == nil {
-		return nil
-	}
-	total.Options.Seed = o.Seed
-	total.Options.Samples = total.Est.N()
-	return total
-}
-
-// RunAdaptive samples until the weak-LLN convergence bound the paper
-// quotes drops below the requested risk ("the whole process is continued
-// until the empirical estimate converges"), then returns the campaign.
-// It is the round loop of RunAdaptiveParallel on this one engine, with
-// rounds of CheckEvery samples seeded Seed·999983 + round (so its
-// answers differ from a one-engine RunAdaptiveParallel, whose seeds
-// start at Seed·1000003). Cancellation via ctx returns the partial
-// campaign accumulated so far alongside the context's error.
-func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
-	return runRounds(ctx, []*Engine{e}, sampler, opts, opts.Seed*999983)
-}
-
-// RunAdaptiveParallel runs rounds across the engine pool (CheckEvery
-// samples per engine per round) and evaluates the weak-LLN stopping
-// bound on the merged estimator between rounds, so it stops within one
-// round of the criterion being met. Every engine must target the same
-// design/benchmark/attack and have completed its golden run (a pool
-// built with Engine.Clone shares one); shards
-// draw from the shared sampler (samplers built by internal/sampling
-// are safe for concurrent Draw with distinct rngs). Per-(round, shard)
-// seeds are derived deterministically from Seed·1000003 and shards
-// merge in index order, making the result reproducible and independent
-// of scheduling. A fixed-size run (MinSamples == MaxSamples) is the
-// parallel campaign of that many samples.
+// RunAdaptiveParallel samples until the weak-LLN convergence bound the
+// paper quotes drops below the requested risk ("the whole process is
+// continued until the empirical estimate converges"), or to MaxSamples,
+// and returns the campaign. It cuts the answer into blocks of
+// CheckEvery samples, block k seeded Seed·999983 + k, and runs up to
+// one block per engine at a time; the blocks commit into the total in
+// index order, with the bound checked after each, so the answer depends
+// only on the options, not on the number of engines or on scheduling.
+// Every engine must target the same design/benchmark/attack and have
+// completed its golden run (a pool built with Engine.Clone shares one);
+// the blocks draw from the shared sampler (samplers built by
+// internal/sampling are safe for concurrent Draw with distinct rngs). A
+// fixed-size run (MinSamples == MaxSamples) is the campaign of that
+// many samples.
 //
-// Cancellation returns the merged partial campaign alongside the
-// context's error. A panicking or failing shard surfaces as an indexed
-// error ("shard %d: ...") and ends the campaign, but the rounds
-// accumulated before the failing round are not discarded: the partial
-// campaign is returned alongside the error, exactly as on cancellation.
-// (The failing round's own shards are dropped — a half-merged round
-// would not be resumable.)
+// Cancellation returns the partial campaign alongside the context's
+// error. A panicking or failing block surfaces as an indexed error
+// ("shard %d: ...", the engine's index) and ends the campaign, but the
+// rounds committed before the failing round are not discarded: the
+// partial campaign is returned alongside the error, exactly as on
+// cancellation. (The failing round's own blocks are dropped.)
 func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
-	return runRounds(ctx, engines, sampler, opts, opts.Seed*1000003)
-}
-
-// runRounds is the round loop under RunAdaptive and
-// RunAdaptiveParallel. Round r runs one shard per engine, shard i
-// seeded seed0 + r·len(engines) + i, merges the shards into the
-// running total, and checkpoints; the loop stops once the total meets
-// the criterion or MaxSamples.
-func runRounds(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts AdaptiveOptions, seed0 int64) (*Campaign, error) {
 	if err := validateEngines(engines); err != nil {
 		return nil, err
 	}
 	if err := opts.sanitize(); err != nil {
 		return nil, err
 	}
-	nE := len(engines)
 	size := 0 // open-ended
 	if opts.MinSamples == opts.MaxSamples {
 		size = opts.MaxSamples
 	}
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, size, nE)
-	copts := CampaignOptions{
-		Mode:          opts.Mode,
-		TrackPatterns: opts.TrackPatterns,
+	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, size, len(engines))
+	perRound := len(engines)
+	if opts.adapts(sampler) {
+		perRound = 1
 	}
+	seed0 := opts.Seed * 999983
 	var total *Campaign
 	var conv []float64
+	// finish stamps the synthesized options and restores the per-block
+	// convergence trace on every return path that carries a campaign
+	// (normal stop, cancellation, failure).
+	finish := func() *Campaign {
+		if total == nil {
+			return nil
+		}
+		if opts.TrackConvergence {
+			total.Convergence = conv
+		}
+		total.Options.Seed = opts.Seed
+		total.Options.Samples = total.Est.N()
+		return total
+	}
 	cur := sampler
-	startRound := int64(0)
+	next := int64(0) // index of the next block
 	if opts.Resume != nil {
 		total = opts.Resume.Clone()
 		conv = total.Convergence
 		total.Convergence = nil
-		startRound = opts.ResumeRound
+		n := total.Est.N()
+		if n%opts.CheckEvery != 0 && n < opts.MaxSamples {
+			return nil, fmt.Errorf("montecarlo: resumed campaign of %d samples is not a whole number of %d-sample blocks", n, opts.CheckEvery)
+		}
+		next = int64(n / opts.CheckEvery)
 		// Re-derive the proposal the uninterrupted run would be using at
-		// this round. Adapt is a pure function of the accumulated state
+		// this block. Adapt is a pure function of the accumulated state
 		// (not of the receiver chain), so one application to the original
-		// sampler lands on the same proposal the round-by-round
+		// sampler lands on the same proposal the block-by-block
 		// adaptations would have produced.
-		next, aerr := opts.adapted(cur, total)
-		if aerr != nil {
-			return opts.finish(total), aerr
-		}
-		cur = next
-	}
-	// finish restores the per-round convergence trace on every return
-	// path that carries a campaign (normal stop, cancellation, hard
-	// shard failure).
-	finish := func() *Campaign {
-		if total != nil && opts.TrackConvergence {
-			total.Convergence = conv
-		}
-		return opts.finish(total)
-	}
-	for round := startRound; ; round++ {
-		done := 0
-		if total != nil {
-			done = total.Est.N()
-		}
-		remaining := opts.MaxSamples - done
-		if remaining <= 0 {
-			break
-		}
-		// CheckEvery×nE can overflow; a round that would pass
-		// remaining is cut to it without forming the product.
-		roundN := remaining
-		if opts.CheckEvery <= remaining/nE {
-			roundN = opts.CheckEvery * nE
-		}
-		shardOpts := shardCampaignOptions(nE, roundN, copts, seed0, round)
-		results, errs := runShards(ctx, engines, cur, shardOpts, agg)
-		roundTotal, err := mergeShards(ctx, results, errs)
-		if roundTotal != nil {
-			if total == nil {
-				total = roundTotal
-			} else if merr := total.Merge(roundTotal); merr != nil {
-				return finish(), merr
-			}
-			if opts.TrackConvergence {
-				conv = append(conv, total.SSF())
-			}
-		}
+		adapted, err := opts.adapted(cur, total)
 		if err != nil {
 			return finish(), err
 		}
-		if opts.Checkpoint != nil && total != nil {
+		cur = adapted
+	}
+	blocks := make([]CampaignOptions, 0, perRound)
+	for {
+		planned := 0
+		if total != nil {
+			planned = total.Est.N()
+		}
+		// Block sizes come from the samples still to plan, never from
+		// k·CheckEvery, which can overflow.
+		blocks = blocks[:0]
+		for len(blocks) < perRound && planned < opts.MaxSamples {
+			b := CampaignOptions{
+				Mode:          opts.Mode,
+				TrackPatterns: opts.TrackPatterns,
+				Samples:       min(opts.CheckEvery, opts.MaxSamples-planned),
+				Seed:          seed0 + next + int64(len(blocks)),
+			}
+			planned += b.Samples
+			blocks = append(blocks, b)
+		}
+		if len(blocks) == 0 {
+			break
+		}
+		results, errs := runBlocks(ctx, engines, cur, blocks, agg)
+		if err := hardError(ctx, errs); err != nil {
+			return finish(), err
+		}
+		// A cancelled round commits whatever its blocks evaluated and
+		// ends the run; otherwise the rule is checked after each block.
+		cancelled := ctx.Err()
+		stop := false
+		var err error
+		total, err = commitBlocks(total, results, func(t *Campaign) bool {
+			next++
+			if opts.TrackConvergence {
+				conv = append(conv, t.SSF())
+			}
+			stop = cancelled == nil && opts.converged(t)
+			return stop
+		})
+		if err != nil {
+			return finish(), err
+		}
+		if cancelled != nil {
+			return finish(), cancelled
+		}
+		if opts.Checkpoint != nil {
 			snap := total.Clone()
 			if opts.TrackConvergence {
 				snap.Convergence = append([]float64(nil), conv...)
 			}
-			opts.Checkpoint(round+1, snap)
+			opts.Checkpoint(next, snap)
 		}
-		for i := range engines {
+		for i := range blocks {
 			agg.rebase(i)
 		}
-		if opts.converged(total) {
+		if stop {
 			break
 		}
-		next, aerr := opts.adapted(cur, total)
-		if aerr != nil {
-			return finish(), aerr
+		adapted, err := opts.adapted(cur, total)
+		if err != nil {
+			return finish(), err
 		}
-		cur = next
+		cur = adapted
 	}
 	return finish(), nil
 }

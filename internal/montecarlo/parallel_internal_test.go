@@ -1,15 +1,15 @@
 package montecarlo
 
 import (
-	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/netlist"
 )
 
-// synthetic builds a standalone campaign aggregate for merge tests (no
-// engine needed: mergeShards only touches accumulated state).
+// synthetic builds a standalone campaign aggregate for commit tests
+// (no engine needed: commitBlocks only touches accumulated state).
 func synthetic(sampler string, mode Mode, vals ...float64) *Campaign {
 	c := &Campaign{
 		SamplerName:     sampler,
@@ -29,19 +29,24 @@ func synthetic(sampler string, mode Mode, vals ...float64) *Campaign {
 	return c
 }
 
-// TestMergeShardsFoldsIntoFirstShard: the merge skips empty shards,
-// folds the rest in index order into the first contributing shard
-// itself, and leaves the later shards as they were.
-func TestMergeShardsFoldsIntoFirstShard(t *testing.T) {
+// TestCommitBlocksFoldsIntoFirstBlock: the commit skips empty blocks,
+// folds the rest in index order into the first committed block itself,
+// leaves the later blocks as they were, and discards the rest of the
+// round once after reports the stopping rule.
+func TestCommitBlocksFoldsIntoFirstBlock(t *testing.T) {
 	empty := synthetic("s", GateAttack)
 	c1 := synthetic("s", GateAttack, 1, 0)
 	c2 := synthetic("s", GateAttack, 0, 0, 1)
-	merged, err := mergeShards(context.Background(), []*Campaign{empty, c1, nil, c2}, make([]error, 4))
+	var seen []int
+	merged, err := commitBlocks(nil, []*Campaign{empty, c1, c2}, func(t *Campaign) bool {
+		seen = append(seen, t.Est.N())
+		return false
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged != c1 {
-		t.Fatal("merge did not fold into the first contributing shard")
+		t.Fatal("commit did not fold into the first committed block")
 	}
 	if merged.Est.N() != 5 || merged.Successes != 2 || merged.Options.Samples != 5 {
 		t.Fatalf("merged N = %d, successes %d, Options.Samples %d", merged.Est.N(), merged.Successes, merged.Options.Samples)
@@ -50,7 +55,20 @@ func TestMergeShardsFoldsIntoFirstShard(t *testing.T) {
 		t.Errorf("attribution or patterns not merged: %v %v", merged.RegContribution, merged.Patterns)
 	}
 	if c2.Est.N() != 3 || c2.Successes != 1 {
-		t.Errorf("later shard changed by the merge: %+v", c2)
+		t.Errorf("later block changed by the commit: %+v", c2)
+	}
+	if !slices.Equal(seen, []int{2, 5}) {
+		t.Errorf("after saw totals of %v samples, want [2 5]", seen)
+	}
+
+	total := synthetic("s", GateAttack, 0)
+	b1, b2 := synthetic("s", GateAttack, 1), synthetic("s", GateAttack, 1)
+	got, err := commitBlocks(total, []*Campaign{b1, b2}, func(*Campaign) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != total || got.Est.N() != 2 {
+		t.Errorf("stopping after the first block: total of %d samples, want 2 in the old total", got.Est.N())
 	}
 }
 
@@ -79,11 +97,11 @@ func TestSanitizeFixedSizeNeedsNoCriterion(t *testing.T) {
 	}
 }
 
-func TestMergeShardsSamplerMismatchIsHardError(t *testing.T) {
+func TestCommitBlocksSamplerMismatchIsHardError(t *testing.T) {
 	c0 := synthetic("random", GateAttack, 1)
 	c1 := synthetic("importance", GateAttack, 0)
-	_, err := mergeShards(context.Background(), []*Campaign{c0, c1}, []error{nil, nil})
-	if err == nil || !strings.Contains(err.Error(), "sampler") {
-		t.Fatalf("want sampler-mismatch error, got %v", err)
+	_, err := commitBlocks(nil, []*Campaign{c0, c1}, func(*Campaign) bool { return false })
+	if err == nil || !strings.Contains(err.Error(), "sampler") || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("want sampler-mismatch error indexed to block 1, got %v", err)
 	}
 }

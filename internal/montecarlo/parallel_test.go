@@ -3,10 +3,12 @@ package montecarlo_test
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/montecarlo"
+	"repro/internal/sampling"
 	"repro/internal/stats"
 )
 
@@ -46,10 +48,10 @@ func TestCampaignMerge(t *testing.T) {
 }
 
 // fixedSize is a fixed-size campaign of n samples for the round loop:
-// MinSamples == MaxSamples needs no stopping criterion, and CheckEvery
-// n runs it in one round.
+// MinSamples == MaxSamples needs no stopping criterion, and blocks of
+// FixedSizeBlock samples run it as ssfeval and the rank endpoint do.
 func fixedSize(n int, seed int64) montecarlo.AdaptiveOptions {
-	return montecarlo.AdaptiveOptions{Seed: seed, MinSamples: n, MaxSamples: n, CheckEvery: n}
+	return montecarlo.AdaptiveOptions{Seed: seed, MinSamples: n, MaxSamples: n, CheckEvery: montecarlo.FixedSizeBlock}
 }
 
 func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
@@ -118,14 +120,22 @@ func TestParallelUnevenSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 100 samples over 3 engines: 34+33+33.
-	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), fixedSize(100, 1))
+	// 100 samples in blocks of 30 on 3 engines: a round of 30+30+30,
+	// then a last block of 10 on one engine.
+	opts := fixedSize(100, 1)
+	opts.CheckEvery = 30
+	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Est.N() != 100 {
 		t.Fatalf("N = %d", c.Est.N())
 	}
+	one, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareCampaigns(t, "3 engines vs 1", c, one)
 }
 
 func TestRunAdaptiveStops(t *testing.T) {
@@ -134,7 +144,7 @@ func TestRunAdaptiveStops(t *testing.T) {
 	opts.MinSamples = 500
 	opts.CheckEvery = 250
 	opts.MaxSamples = 20000
-	c, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	c, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +167,11 @@ func TestRunAdaptiveTighterCriterionNeedsMore(t *testing.T) {
 	loose.MinSamples, loose.CheckEvery, loose.MaxSamples = 200, 200, 30000
 	tight := loose
 	tight.Epsilon = 0.002
-	cl, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), loose)
+	cl, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), loose)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), tight)
+	ct, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +183,12 @@ func TestRunAdaptiveTighterCriterionNeedsMore(t *testing.T) {
 func TestRunAdaptiveValidation(t *testing.T) {
 	ev := evaluation(t)
 	bad := montecarlo.DefaultAdaptive(0)
-	if _, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), bad); err == nil {
+	if _, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), bad); err == nil {
 		t.Error("epsilon 0 accepted")
 	}
 	bad = montecarlo.DefaultAdaptive(0.01)
 	bad.Risk = 2
-	if _, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), bad); err == nil {
+	if _, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), bad); err == nil {
 		t.Error("risk 2 accepted")
 	}
 }
@@ -228,7 +238,7 @@ func TestRunAdaptiveNeverCertifiesZeroHits(t *testing.T) {
 		MaxSamples: 1 << 20,
 		CheckEvery: 1000,
 	}
-	c, err := ev.Engine.RunAdaptive(context.Background(), sampler, opts)
+	c, err := runAdaptive(context.Background(), ev, sampler, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,5 +247,101 @@ func TestRunAdaptiveNeverCertifiesZeroHits(t *testing.T) {
 	}
 	if c.Est.N() <= opts.MinSamples {
 		t.Fatalf("stopped at %d samples, want past the zero-hit start", c.Est.N())
+	}
+}
+
+// answerPrint is everything of an answer that must not depend on the
+// number of engines: pin's fields, the class counts and the per-t
+// tallies.
+type answerPrint struct {
+	pinnedResult
+	Classes       [3]int
+	TDraws, THits []int
+}
+
+func printOf(c *montecarlo.Campaign) answerPrint {
+	return answerPrint{pin(c), c.ClassCounts, c.TDraws, c.THits}
+}
+
+// TestAnswersIndependentOfEngineCount: blocks are seeded by their
+// index and commit in index order, so 1, 2 and 3 engines give
+// bit-identical answers: fixed-size and adaptive, on the random,
+// importance and stratified samplers, with and without AdaptProposal
+// (which runs one block per round). The adaptive cases stop at a block
+// that is not the last of its round on some pool size, so the rest of
+// that round is discarded.
+func TestAnswersIndependentOfEngineCount(t *testing.T) {
+	gate := concentratedEvaluation(t)
+	gateEngines, err := gate.CloneEngines(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := evaluation(t)
+	regEngines, err := reg.CloneEngines(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	importance := varianceImportance(t, gate)
+	stratified := varianceStratified(t, gate)
+	fixed := func(n int) montecarlo.AdaptiveOptions {
+		return montecarlo.AdaptiveOptions{Seed: 5, MinSamples: n, MaxSamples: n, CheckEvery: 700}
+	}
+	adaptive := func(eps float64) montecarlo.AdaptiveOptions {
+		return montecarlo.AdaptiveOptions{
+			Seed: 6, Epsilon: eps, Risk: 1 / (stats.Z95 * stats.Z95),
+			MinSamples: 600, MaxSamples: 40000, CheckEvery: 300,
+		}
+	}
+	adapt := func(o montecarlo.AdaptiveOptions) montecarlo.AdaptiveOptions {
+		o.AdaptProposal = true
+		return o
+	}
+	register := func(o montecarlo.AdaptiveOptions) montecarlo.AdaptiveOptions {
+		o.Mode = montecarlo.RegisterAttack
+		return o
+	}
+	discarded := map[int]bool{}
+	for _, tc := range []struct {
+		name    string
+		engines []*montecarlo.Engine
+		sampler sampling.Sampler
+		opts    montecarlo.AdaptiveOptions
+	}{
+		{"fixed random gate", gateEngines, gate.RandomSampler(), fixed(3000)},
+		{"fixed random register", regEngines, reg.RandomSampler(), register(fixed(2500))},
+		{"fixed importance", gateEngines, importance, fixed(3000)},
+		{"fixed importance adapted", gateEngines, importance, adapt(fixed(3000))},
+		{"fixed stratified", gateEngines, stratified, fixed(3000)},
+		{"fixed stratified adapted", gateEngines, stratified, adapt(fixed(3000))},
+		{"adaptive random register", regEngines, reg.RandomSampler(), register(adaptive(6.5e-3))},
+		{"adaptive importance", gateEngines, importance, adaptive(1e-3)},
+		{"adaptive importance adapted", gateEngines, importance, adapt(adaptive(1e-3))},
+		{"adaptive stratified", gateEngines, stratified, adaptive(1e-3)},
+		{"adaptive stratified adapted", gateEngines, stratified, adapt(adaptive(1e-3))},
+	} {
+		var want answerPrint
+		for n := 1; n <= len(tc.engines); n++ {
+			c, err := montecarlo.RunAdaptiveParallel(context.Background(), tc.engines[:n], tc.sampler, tc.opts)
+			if err != nil {
+				t.Fatalf("%s on %d engines: %v", tc.name, n, err)
+			}
+			got := printOf(c)
+			if n == 1 {
+				want = got
+				if got.Successes == 0 {
+					t.Fatalf("%s: no success in %d samples: not the intended workload", tc.name, got.N)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %d engines:\n got %+v\nwant %+v (1 engine)", tc.name, n, got, want)
+			}
+			if blocks := got.N / tc.opts.CheckEvery; !tc.opts.AdaptProposal && got.N < tc.opts.MaxSamples && blocks%n != 0 {
+				discarded[n] = true
+			}
+		}
+	}
+	if !discarded[2] || !discarded[3] {
+		t.Errorf("no adaptive answer stopped inside a round on 2 and on 3 engines: %v", discarded)
 	}
 }

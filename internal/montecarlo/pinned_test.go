@@ -2,6 +2,7 @@ package montecarlo_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -35,11 +36,12 @@ func pin(c *montecarlo.Campaign) pinnedResult {
 
 // TestPinnedResults compares fixed-seed campaigns against literal
 // values, so a change to any execution path (the lane-batched campaign
-// loop, the scalar reference loop over RunOnce, chunked adaptive,
-// parallel rounds) that moves a single outcome fails here rather than
+// loop, the scalar reference loop over RunOnce, the round loop on any
+// number of engines) that moves a single outcome fails here rather than
 // only in an end-to-end benchmark. The scalar reference and RunCampaign
-// share one expectation: they must agree with each other as well as
-// with the record. Re-record only when a change is meant to alter
+// share one expectation, and the adaptive answer on 1, 2 and 3 engines
+// another: each group must agree within itself as well as with the
+// record. Re-record only when a change is meant to alter
 // sampled outcomes, and say so in the change. The test builds its own
 // framework rather than the shared one, so a run at each -cpu value
 // checks a set-up done at that value.
@@ -52,7 +54,7 @@ func TestPinnedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := ev.NewEnginePool(2)
+	pool, err := ev.NewEnginePool(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +69,7 @@ func TestPinnedResults(t *testing.T) {
 		samples  int
 		eps      float64
 		campaign pinnedResult // scalar reference and RunCampaign
-		adaptive pinnedResult // RunAdaptive
-		parallel pinnedResult // RunAdaptiveParallel on 2 engines
+		adaptive pinnedResult // RunAdaptiveParallel on 1, 2 and 3 engines
 	}{
 		{
 			name: "gate_importance", mode: montecarlo.GateAttack, sampler: importance,
@@ -77,8 +78,6 @@ func TestPinnedResults(t *testing.T) {
 				Paths: [4]int{11221, 234, 203, 342}, RTLCycles: 2027, Successes: 37},
 			adaptive: pinnedResult{SSF: 0x3f3120095e32e04c, CI: 0x3f29acfbabf2beef, N: 6000,
 				Paths: [4]int{5611, 131, 96, 162}, RTLCycles: 753, Successes: 13},
-			parallel: pinnedResult{SSF: 0x3f2b6427ea3d4436, CI: 0x3f22d574633b7b08, N: 6000,
-				Paths: [4]int{5625, 125, 93, 157}, RTLCycles: 853, Successes: 12},
 		},
 		{
 			name: "register_random", mode: montecarlo.RegisterAttack, sampler: ev.RandomSampler(),
@@ -87,8 +86,6 @@ func TestPinnedResults(t *testing.T) {
 				Paths: [4]int{3491, 2512, 172, 1825}, RTLCycles: 31666, Successes: 257},
 			adaptive: pinnedResult{SSF: 0x3f9ff2e48e8a71db, CI: 0x3f73bd99675af3a2, N: 5000,
 				Paths: [4]int{2187, 1633, 113, 1067}, RTLCycles: 19038, Successes: 156},
-			parallel: pinnedResult{SSF: 0x3fa126e978d4fdf7, CI: 0x3f72a68b47f6aa32, N: 6000,
-				Paths: [4]int{2593, 1907, 152, 1348}, RTLCycles: 23840, Successes: 201},
 		},
 	}
 	ctx := context.Background()
@@ -114,9 +111,9 @@ func TestPinnedResults(t *testing.T) {
 			Mode: tc.mode, Seed: 43, Epsilon: tc.eps, Risk: 1 / (stats.Z95 * stats.Z95),
 			MinSamples: tc.samples / 2, MaxSamples: tc.samples, CheckEvery: 1000,
 		}
-		c, err = ev.Engine.RunAdaptive(ctx, tc.sampler, aopts)
-		check("adaptive", c, err, tc.adaptive)
-		c, err = montecarlo.RunAdaptiveParallel(ctx, pool.Engines, tc.sampler, aopts)
-		check("parallel", c, err, tc.parallel)
+		for n := 1; n <= pool.Size(); n++ {
+			c, err = montecarlo.RunAdaptiveParallel(ctx, pool.Engines[:n], tc.sampler, aopts)
+			check(fmt.Sprintf("adaptive on %d engines", n), c, err, tc.adaptive)
+		}
 	}
 }

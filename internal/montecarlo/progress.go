@@ -48,9 +48,9 @@ type progressAgg struct {
 	lastDone int             //guarded-by:mu
 }
 
-// shardProgress mirrors one shard's current campaign. The base fields
-// fold in completed rounds when a shard runs several campaigns back to
-// back, since each round's campaign restarts its counters.
+// shardProgress mirrors the current block of one engine (shard). The
+// base fields fold in its completed blocks, since each block's campaign
+// restarts its counters.
 type shardProgress struct {
 	baseN     int
 	baseSum   float64
@@ -116,8 +116,8 @@ func (a *progressAgg) observe(shard int, c *Campaign, force bool) {
 	a.fn(p)
 }
 
-// rebase folds the shard's current round into its base so the next
-// round's campaign extends rather than replaces it.
+// rebase folds the shard's current block into its base so the next
+// round's block extends rather than replaces it.
 func (a *progressAgg) rebase(shard int) {
 	if a == nil {
 		return

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -166,76 +168,88 @@ func TestCampaignSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 // A run resumed from a JSON-round-tripped checkpoint must finish
-// bit-identical to the uninterrupted run with the same options.
+// bit-identical to the uninterrupted run with the same options, on any
+// pool: a checkpoint taken on 2 engines resumes on 1 and on 3.
 func TestRunAdaptiveParallelResumeBitIdentical(t *testing.T) {
 	ev := evaluation(t)
-	engines, err := ev.CloneEngines(2)
+	engines, err := ev.CloneEngines(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := montecarlo.AdaptiveOptions{
 		MinSamples:       1200, // fixed-size: min == max pins the total
 		MaxSamples:       1200,
-		CheckEvery:       200, // rounds of 400 samples, 3 rounds
+		CheckEvery:       200, // 6 blocks: 3 rounds of 2 on 2 engines
 		Seed:             9,
 		TrackConvergence: true,
 	}
 	type cp struct {
-		rounds int64
+		blocks int64
 		data   []byte
 	}
 	var cps []cp
-	opts.Checkpoint = func(rounds int64, total *montecarlo.Campaign) {
+	opts.Checkpoint = func(blocks int64, total *montecarlo.Campaign) {
 		data, err := json.Marshal(total.Snapshot())
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		cps = append(cps, cp{rounds: rounds, data: data})
+		cps = append(cps, cp{blocks: blocks, data: data})
 	}
-	full, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	full, err := montecarlo.RunAdaptiveParallel(context.Background(), engines[:2], ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) != 3 {
-		t.Fatalf("got %d checkpoints, want 3", len(cps))
+	if len(cps) != 3 || cps[0].blocks != 2 {
+		t.Fatalf("got %d checkpoints, the first after %d blocks; want 3, the first after 2", len(cps), cps[0].blocks)
 	}
 	// Resume from the first checkpoint (after round 1 of 3).
-	var snap montecarlo.CampaignSnapshot
-	if err := json.Unmarshal(cps[0].data, &snap); err != nil {
-		t.Fatal(err)
-	}
 	opts.Checkpoint = nil
-	opts.Resume = snap.Campaign()
-	opts.ResumeRound = cps[0].rounds
-	resumed, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Est.State() != full.Est.State() {
-		t.Fatalf("resumed estimator %+v, uninterrupted %+v", resumed.Est.State(), full.Est.State())
-	}
-	if resumed.SSF() != full.SSF() {
-		t.Fatalf("resumed SSF %v, uninterrupted %v", resumed.SSF(), full.SSF())
-	}
-	if resumed.Successes != full.Successes || resumed.ClassCounts != full.ClassCounts ||
-		resumed.PathCounts != full.PathCounts || resumed.RTLCycles != full.RTLCycles {
-		t.Error("resumed aggregates differ from the uninterrupted run")
-	}
-	if len(resumed.Convergence) != len(full.Convergence) {
-		t.Fatalf("trace length %d vs %d", len(resumed.Convergence), len(full.Convergence))
-	}
-	for i := range resumed.Convergence {
-		if resumed.Convergence[i] != full.Convergence[i] {
-			t.Fatalf("trace entry %d: %v vs %v", i, resumed.Convergence[i], full.Convergence[i])
+	for _, n := range []int{1, 3} {
+		var snap montecarlo.CampaignSnapshot
+		if err := json.Unmarshal(cps[0].data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		opts.Resume = snap.Campaign()
+		resumed, err := montecarlo.RunAdaptiveParallel(context.Background(), engines[:n], ev.RandomSampler(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("resumed on %d engines", n)
+		if resumed.Est.State() != full.Est.State() {
+			t.Fatalf("%s: estimator %+v, uninterrupted %+v", label, resumed.Est.State(), full.Est.State())
+		}
+		compareCampaigns(t, label, resumed, full)
+		if !reflect.DeepEqual(resumed.TDraws, full.TDraws) || !reflect.DeepEqual(resumed.THits, full.THits) {
+			t.Errorf("%s: per-t tallies differ", label)
 		}
 	}
 }
 
-// TestRunAdaptiveResumeBitIdentical: one-engine RunAdaptive runs the
-// round loop too, so it checkpoints and resumes. A run stopped at its
-// second checkpoint and resumed from the JSON round trip of that
-// snapshot must finish bit-identical to the uninterrupted run.
+// TestResumeRejectsPartialBlock: a resumed total must be a whole number
+// of blocks, or reach MaxSamples; otherwise the next block's seed would
+// not be the one the uninterrupted run used.
+func TestResumeRejectsPartialBlock(t *testing.T) {
+	ev := evaluation(t)
+	part, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 150, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := montecarlo.AdaptiveOptions{MinSamples: 400, MaxSamples: 400, CheckEvery: 100, Resume: part}
+	if _, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts); err == nil || !strings.Contains(err.Error(), "whole number") {
+		t.Errorf("resume of 150 samples in 100-sample blocks: error %v", err)
+	}
+	opts.MinSamples, opts.MaxSamples = 150, 150
+	c, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
+	if err != nil || c.Est.N() != 150 {
+		t.Errorf("resume of a finished 150-sample answer: %v, %v", c, err)
+	}
+}
+
+// TestRunAdaptiveResumeBitIdentical: a one-engine adaptive answer
+// checkpoints after every block. A run stopped at its second checkpoint
+// and resumed from the JSON round trip of that snapshot must finish
+// bit-identical to the uninterrupted run.
 func TestRunAdaptiveResumeBitIdentical(t *testing.T) {
 	ev := evaluation(t)
 	opts := montecarlo.DefaultAdaptive(0.01)
@@ -243,7 +257,7 @@ func TestRunAdaptiveResumeBitIdentical(t *testing.T) {
 	opts.Seed = 4
 	opts.MinSamples, opts.CheckEvery, opts.MaxSamples = 600, 300, 20000
 	opts.TrackConvergence = true
-	full, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	full, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,26 +267,26 @@ func TestRunAdaptiveResumeBitIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var stopRounds int64
+	var stopBlocks int64
 	var stopData []byte
 	interrupted := opts
-	interrupted.Checkpoint = func(rounds int64, total *montecarlo.Campaign) {
-		if rounds != 2 {
+	interrupted.Checkpoint = func(blocks int64, total *montecarlo.Campaign) {
+		if blocks != 2 {
 			return
 		}
 		data, err := json.Marshal(total.Snapshot())
 		if err != nil {
 			t.Error(err)
 		}
-		stopRounds, stopData = rounds, data
+		stopBlocks, stopData = blocks, data
 		cancel()
 	}
-	part, err := ev.Engine.RunAdaptive(ctx, ev.RandomSampler(), interrupted)
+	part, err := runAdaptive(ctx, ev, ev.RandomSampler(), interrupted)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 	if stopData == nil || part.Est.N() != 2*opts.CheckEvery {
-		t.Fatalf("interrupted run: checkpoint after %d rounds, partial of %d samples", stopRounds, part.Est.N())
+		t.Fatalf("interrupted run: checkpoint after %d blocks, partial of %d samples", stopBlocks, part.Est.N())
 	}
 
 	var snap montecarlo.CampaignSnapshot
@@ -281,13 +295,12 @@ func TestRunAdaptiveResumeBitIdentical(t *testing.T) {
 	}
 	resumedOpts := opts
 	resumedOpts.Resume = snap.Campaign()
-	resumedOpts.ResumeRound = stopRounds
-	resumed, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), resumedOpts)
+	resumed, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), resumedOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Est.State() != full.Est.State() || resumed.SSF() != full.SSF() {
 		t.Fatalf("resumed estimator %+v, uninterrupted %+v", resumed.Est.State(), full.Est.State())
 	}
-	compareCampaigns(t, "resumed RunAdaptive", resumed, full)
+	compareCampaigns(t, "resumed answer", resumed, full)
 }

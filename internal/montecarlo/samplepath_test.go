@@ -53,7 +53,7 @@ func TestBatchedRegisterAnswerAllocations(t *testing.T) {
 	var c *montecarlo.Campaign
 	answer := func() {
 		var err error
-		if c, err = ev.Engine.RunAdaptive(context.Background(), sampler, opts); err != nil {
+		if c, err = runAdaptive(context.Background(), ev, sampler, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -58,8 +58,8 @@ func (c *Campaign) Clone() *Campaign {
 // float64s in the shortest form that parses back to the same value, and
 // the estimator state is captured exactly (stats.WelfordState). Feeding
 // a restored campaign to AdaptiveOptions.Resume therefore continues a
-// checkpointed RunAdaptiveParallel or RunAdaptive as if it had never
-// stopped.
+// checkpointed RunAdaptiveParallel, on any number of engines, as if it
+// had never stopped.
 type CampaignSnapshot struct {
 	SamplerName string `json:"sampler"`
 	Mode        Mode   `json:"mode"`

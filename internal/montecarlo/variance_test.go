@@ -196,9 +196,10 @@ func TestMergeRejectsMismatchedVarianceState(t *testing.T) {
 
 // TestStratifiedAdaptResumeBitIdentical composes everything the
 // checkpointing path must preserve: stratified sampler, Neyman proposal
-// re-tuning between rounds, parallel shards, and a JSON-round-tripped
+// re-tuning after every block, an engine pool, and a JSON-round-tripped
 // checkpoint — the resumed run must be bit-identical to the
-// uninterrupted one.
+// uninterrupted one. A block needs the proposal adapted from every
+// block before it, so each round runs one block and checkpoints.
 func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	engines, err := ev.CloneEngines(2)
@@ -211,7 +212,7 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 		Risk:             0.5,
 		MinSamples:       1800,
 		MaxSamples:       1800,
-		CheckEvery:       300, // rounds of 600 samples, 3 rounds
+		CheckEvery:       300, // 6 blocks, one per round
 		Seed:             9,
 		TrackConvergence: true,
 		AdaptProposal:    true,
@@ -229,8 +230,8 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(checkpoints) != 3 {
-		t.Fatalf("got %d checkpoints, want 3", len(checkpoints))
+	if len(checkpoints) != 6 {
+		t.Fatalf("got %d checkpoints, want 6", len(checkpoints))
 	}
 	if full.Strata.TotalHits() == 0 {
 		t.Fatal("no hits — adaptation never had a signal")
@@ -244,7 +245,6 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 	}
 	opts.Checkpoint = nil
 	opts.Resume = snap.Campaign()
-	opts.ResumeRound = 1
 	resumed, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, sp, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -266,9 +266,9 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdaptiveProposalSequentialReproducible: the chunked sequential
-// adaptive run with proposal re-tuning is a pure function of its
-// options — two runs agree bit-for-bit.
+// TestAdaptiveProposalSequentialReproducible: a one-engine adaptive
+// run with proposal re-tuning is a pure function of its options — two
+// runs agree bit-for-bit.
 func TestAdaptiveProposalSequentialReproducible(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	sp := varianceStratified(t, ev)
@@ -281,11 +281,11 @@ func TestAdaptiveProposalSequentialReproducible(t *testing.T) {
 		Seed:          6,
 		AdaptProposal: true,
 	}
-	a, err := ev.Engine.RunAdaptive(context.Background(), sp, opts)
+	a, err := runAdaptive(context.Background(), ev, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ev.Engine.RunAdaptive(context.Background(), sp, opts)
+	b, err := runAdaptive(context.Background(), ev, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,14 +41,15 @@ type JobRequest struct {
 	// Sampler is "random", "cone", "importance" (default), or
 	// "stratified".
 	Sampler string `json:"sampler,omitempty"`
-	// Seed makes the job reproducible; the per-(round, shard) seeds of
-	// the worker pool are derived from it deterministically.
+	// Seed makes the job reproducible: the job's blocks are seeded
+	// from it and their index, so the result does not depend on the
+	// server's worker count.
 	Seed int64 `json:"seed"`
-	// CheckEvery is the per-engine round size (default 500): the
-	// convergence bound, progress rebase, and checkpoints happen on
-	// round boundaries.
+	// CheckEvery is the block size (default 500): the job runs in
+	// blocks of this many samples, up to one per worker at a time, and
+	// the convergence bound is checked after each block.
 	CheckEvery int `json:"check_every,omitempty"`
-	// TrackConvergence records the merged estimate after every round.
+	// TrackConvergence records the estimate after every block.
 	TrackConvergence bool `json:"track_convergence,omitempty"`
 }
 
@@ -198,7 +199,8 @@ type jobRecord struct {
 	Error       string                       `json:"error,omitempty"`
 }
 
-// JobStatus is the API view of a job (GET /v1/jobs/{id}).
+// JobStatus is the API view of a job (GET /v1/jobs/{id}). Rounds is
+// the number of blocks the job's last checkpoint holds.
 type JobStatus struct {
 	ID          string         `json:"id"`
 	Tenant      string         `json:"tenant"`

@@ -191,18 +191,19 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		return nil, err
 	}
 	mode, _ := montecarlo.ParseMode(req.Mode)
-	// Every campaign is fixed-size and runs in one round across the pool.
+	// Every campaign is fixed-size, in blocks of FixedSizeBlock across
+	// the pool, so the leaderboard does not depend on the pool size.
 	opts := montecarlo.AdaptiveOptions{
 		Mode:       mode,
 		Seed:       req.Seed,
 		MinSamples: req.Samples,
 		MaxSamples: req.Samples,
-		CheckEvery: req.Samples,
+		CheckEvery: montecarlo.FixedSizeBlock,
 	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 
-	base, err := montecarlo.RunAdaptiveParallel(ctx, s.pool.Engines, sp, opts)
+	base, err := s.pool.RunAdaptive(ctx, sp, opts)
 	if err != nil {
 		return nil, fmt.Errorf("base campaign: %w", err)
 	}
@@ -239,7 +240,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		for _, eng := range s.pool.Engines {
 			restores = append(restores, plan.Apply(eng))
 		}
-		hard, err := montecarlo.RunAdaptiveParallel(ctx, s.pool.Engines, sp, opts)
+		hard, err := s.pool.RunAdaptive(ctx, sp, opts)
 		for i := len(restores) - 1; i >= 0; i-- {
 			restores[i]()
 		}

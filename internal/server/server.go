@@ -1,11 +1,11 @@
 // Package server turns the Monte Carlo campaign engine into a
 // long-running evaluation service: an HTTP/JSON API over a job queue
-// that runs campaigns across a core.EnginePool with deterministic
-// per-job seed partitioning, streams progress over SSE, checkpoints
-// every job to an on-disk store so a restarted server resumes
-// interrupted jobs bit-identically, applies per-tenant token-bucket
-// rate limits, and bounds the queue with backpressure (429 +
-// Retry-After). The headline POST /v1/rank endpoint evaluates N
+// that runs campaigns across a core.EnginePool in seeded blocks (a
+// job's result does not depend on the pool size), streams progress
+// over SSE, checkpoints every job to an on-disk store so a restarted
+// server resumes interrupted jobs bit-identically, applies per-tenant
+// token-bucket rate limits, and bounds the queue with backpressure
+// (429 + Retry-After). The headline POST /v1/rank endpoint evaluates N
 // hardening variants of the design and returns a ranked SSF
 // leaderboard.
 package server
@@ -32,8 +32,9 @@ type Config struct {
 	// QueueDepth bounds the number of jobs waiting to run; submissions
 	// beyond it get 429 + Retry-After. Default 64.
 	QueueDepth int
-	// CheckpointEvery is the checkpoint cadence in campaign rounds
-	// (every round = CheckEvery × pool-size samples). Default 1.
+	// CheckpointEvery is the checkpoint cadence in blocks of
+	// check_every samples: a job checkpoints after each round that
+	// completes a multiple of it. Default 1.
 	CheckpointEvery int64
 	// RatePerSec and Burst configure the per-tenant token bucket over
 	// job and rank submissions. RatePerSec <= 0 disables limiting.
@@ -304,7 +305,7 @@ func (s *Server) cancelJob(j *Job) bool {
 }
 
 // runJob executes one job end to end: resume from its checkpoint if
-// one exists, checkpoint every CheckpointEvery rounds, stream progress
+// one exists, checkpoint every CheckpointEvery blocks, stream progress
 // to the job's SSE hub, and persist the terminal state. A server
 // shutdown mid-job re-queues it instead of failing it.
 func (s *Server) runJob(ctx context.Context, j *Job) {
@@ -334,7 +335,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	aopts := rec.Request.adaptiveOptions()
 	if rec.Checkpoint != nil {
 		aopts.Resume = rec.Checkpoint.Campaign()
-		aopts.ResumeRound = rec.Rounds
 	}
 	aopts.Progress = func(p montecarlo.Progress) {
 		ev := &ProgressEvent{
@@ -356,12 +356,14 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		hub.publish(sseMsg{event: "progress", data: mustJSON(ev)})
 	}
 	aopts.ProgressEvery = aopts.CheckEvery
-	aopts.Checkpoint = func(rounds int64, total *montecarlo.Campaign) {
-		if rounds%s.cfg.CheckpointEvery != 0 {
+	last := rec.Rounds
+	aopts.Checkpoint = func(blocks int64, total *montecarlo.Campaign) {
+		if blocks/s.cfg.CheckpointEvery == last/s.cfg.CheckpointEvery {
 			return
 		}
+		last = blocks
 		j.mu.Lock()
-		j.rec.Rounds = rounds
+		j.rec.Rounds = blocks
 		j.rec.Checkpoint = total.Snapshot()
 		cp := j.rec
 		j.mu.Unlock()
@@ -371,7 +373,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 
 	s.poolMu.Lock()
-	camp, err := montecarlo.RunAdaptiveParallel(jctx, s.pool.Engines, sp, aopts)
+	camp, err := s.pool.RunAdaptive(jctx, sp, aopts)
 	s.poolMu.Unlock()
 
 	if err != nil && errors.Is(err, context.Canceled) {

@@ -809,9 +809,11 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 		t.Fatalf("after shutdown job is %s, want queued for resume", st)
 	}
 
-	// A fresh server over the same store must pick the job up from its
-	// checkpoint and finish bit-identical to an uninterrupted run.
-	srv2, err := New(p, dir, Config{CheckpointEvery: 1, Logf: t.Logf})
+	// A fresh server over the same store, with one worker instead of
+	// two, must pick the job up from its checkpoint and finish
+	// bit-identical to an uninterrupted run.
+	one := &core.EnginePool{Evaluation: p.Evaluation, Engines: p.Engines[:1]}
+	srv2, err := New(one, dir, Config{CheckpointEvery: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1044,10 +1046,18 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRankDeterministic: a rank request's campaigns run in blocks of
+// montecarlo.FixedSizeBlock, so a one-engine server returns the
+// leaderboard of the two-engine one.
 func TestRankDeterministic(t *testing.T) {
 	srv := newTestServer(t, Config{})
+	p := srv.pool
+	one, err := New(&core.EnginePool{Evaluation: p.Evaluation, Engines: p.Engines[:1]}, t.TempDir(), Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := RankRequest{
-		Samples: 800,
+		Samples: 2*montecarlo.FixedSizeBlock + 500,
 		Sampler: "importance",
 		Seed:    3,
 		Variants: []RankVariant{
@@ -1063,12 +1073,12 @@ func TestRankDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := srv.rank(context.Background(), req)
+	second, err := one.rank(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("rank not deterministic:\n%+v\n%+v", first, second)
+		t.Fatalf("rank differs between 2 engines and 1:\n%+v\n%+v", first, second)
 	}
 	if len(first.Entries) != 3 {
 		t.Fatalf("leaderboard has %d entries", len(first.Entries))

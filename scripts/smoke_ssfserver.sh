@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for cmd/ssfserver: submit a job, stream its SSE
 # progress, fetch the result; then run the identical job again, kill the
-# server after its first checkpoints, restart on the same store, let the
-# job resume, and require the resumed SSF to be bit-identical to the
-# uninterrupted run (same request + same worker count => deterministic).
+# server after its first checkpoints, restart it on the same store with
+# one worker instead of two, let the job resume, and require the resumed
+# SSF to be bit-identical to the uninterrupted run (a job's blocks are
+# seeded by their index, so the result depends on the request alone, not
+# on the worker count).
 #
 # Usage: scripts/smoke_ssfserver.sh [port]
 set -euo pipefail
 
 PORT="${1:-18080}"
 BASE="http://127.0.0.1:${PORT}"
-SAMPLES=300000
-JOB='{"samples":'"$SAMPLES"',"check_every":200,"sampler":"random","seed":42}'
+# Large enough that the second run is still running when the server is
+# stopped, with blocks large enough to keep checkpoint writes few.
+SAMPLES=3000000
+JOB='{"samples":'"$SAMPLES"',"check_every":2000,"sampler":"random","seed":42}'
 
 command -v jq >/dev/null || { echo "smoke: jq is required" >&2; exit 1; }
 
@@ -26,8 +30,8 @@ trap cleanup EXIT
 
 say() { echo "smoke: $*"; }
 
-start_server() {
-    "$WORKDIR/ssfserver" -addr "127.0.0.1:${PORT}" -workers 2 -rate 0 \
+start_server() { # worker count
+    "$WORKDIR/ssfserver" -addr "127.0.0.1:${PORT}" -workers "$1" -rate 0 \
         -store "$WORKDIR/store" -checkpoint-every 1 >>"$WORKDIR/server.log" 2>&1 &
     SERVER_PID=$!
     for _ in $(seq 1 240); do
@@ -78,8 +82,8 @@ wait_done() { # id
 say "building ssfserver"
 go build -o "$WORKDIR/ssfserver" ./cmd/ssfserver
 
-say "starting server on port $PORT"
-start_server
+say "starting server on port $PORT with 2 workers"
+start_server 2
 
 say "submitting reference job ($SAMPLES samples)"
 JOB_A="$(submit_job)"
@@ -106,11 +110,16 @@ for _ in $(seq 1 200); do
     sleep 0.05
 done
 [ "${ROUNDS:-0}" -ge 2 ] || { echo "smoke: no checkpoint before timeout" >&2; exit 1; }
-say "job $JOB_B checkpointed $ROUNDS rounds; stopping server"
+say "job $JOB_B checkpointed $ROUNDS blocks; stopping server"
 stop_server
+STORED="$(jq -r '.state' "$WORKDIR/store/job-$JOB_B.json")"
+if [ "$STORED" != queued ]; then
+    echo "smoke: job $JOB_B was $STORED at shutdown, not interrupted: the resume went untested" >&2
+    exit 1
+fi
 
-say "restarting server on the same store"
-start_server
+say "restarting server on the same store with 1 worker"
+start_server 1
 STATE="$(job_field "$JOB_B" '.state')"
 case "$STATE" in
     queued|running|done) say "job $JOB_B recovered in state $STATE" ;;

@@ -138,8 +138,8 @@ func run(args []string, stdout io.Writer) error {
 	var prog montecarlo.ProgressFunc
 	if *progress {
 		prog = func(p montecarlo.Progress) {
-			fmt.Fprintf(os.Stderr, "\r%9d samples  ssf=%.3e  paths m/a/p/r %d/%d/%d/%d  %.0f runs/s ",
-				p.Done, p.SSF,
+			fmt.Fprintf(os.Stderr, "\r%9d samples  ssf=%.3e ± %.1e  paths m/a/p/r %d/%d/%d/%d  %.0f runs/s ",
+				p.Done, p.SSF, p.CIHalfWidth,
 				p.PathCounts[0], p.PathCounts[1], p.PathCounts[2], p.PathCounts[3],
 				p.RunsPerSec)
 		}

@@ -63,9 +63,8 @@ func main() {
 	opts := montecarlo.DefaultAdaptive(2e-4)
 	opts.MinSamples = 2000
 	opts.CheckEvery = 1000
-	opts.ProgressEvery = 2000
 	opts.Progress = func(p montecarlo.Progress) {
-		fmt.Printf("  %6d samples  ssf=%.3e  %5.0f runs/s\n", p.Done, p.SSF, p.RunsPerSec)
+		fmt.Printf("  %6d samples  ssf=%.3e ± %.1e  %5.0f runs/s\n", p.Done, p.SSF, p.CIHalfWidth, p.RunsPerSec)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

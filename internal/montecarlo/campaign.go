@@ -29,13 +29,10 @@ type CampaignOptions struct {
 	// TrackPatterns records the distinct latched error patterns
 	// (Fig 7(b)); costs one map entry per distinct pattern.
 	TrackPatterns bool
-	// Progress, when non-nil, is invoked with aggregate snapshots
-	// while the campaign runs (see ProgressFunc for the threading
-	// contract). It does not affect the campaign result.
+	// Progress, when non-nil, receives a snapshot of the committed
+	// total after every window (see ProgressFunc). It does not affect
+	// the campaign result.
 	Progress ProgressFunc
-	// ProgressEvery is the approximate number of samples between
-	// Progress callbacks; 0 means the default (500).
-	ProgressEvery int
 	// Deprecated: ignored; every campaign runs the lane-batched loop.
 	Batch bool
 }
@@ -160,19 +157,11 @@ func tally(s *[]int, t int) {
 // alongside the context's error, with Options.Samples reflecting the
 // samples actually evaluated.
 func (e *Engine) RunCampaign(ctx context.Context, sampler sampling.Sampler, opts CampaignOptions) (*Campaign, error) {
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, opts.Samples, 1)
-	return e.runCampaign(ctx, sampler, opts, agg, 0)
-}
-
-// runCampaign is RunCampaign reporting progress through a caller-owned
-// aggregator under the given shard index (parallel campaigns share one
-// aggregator across their shards).
-func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) (*Campaign, error) {
 	c, sampler, err := e.newCampaign(sampler, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.runSamples(ctx, c, sampler, opts, agg, shard); err != nil {
+	if err := e.runSamples(ctx, c, sampler, opts); err != nil {
 		c.Options.Samples = c.Est.N()
 		return c, err
 	}
@@ -317,8 +306,9 @@ func (w *windowBufs) reset(n int) {
 // of 1). Either way fixed-seed campaigns are bit-identical to running
 // every draw through RunOnce. ctx is consulted between evaluations, a
 // cancelled window commits exactly the samples it evaluated, and
-// progress is reported to agg.
-func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
+// opts.Progress sees the total after every window that committed any.
+func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.Sampler, opts CampaignOptions) error {
+	rep := newReporter(opts.Progress, opts.Samples, 0)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	layout := e.patternLayout(opts)
 	w := &e.win
@@ -356,11 +346,12 @@ func (e *Engine) runSamples(ctx context.Context, c *Campaign, sampler sampling.S
 		e.flushResumes(w.pend, w.results)
 		for j := 0; j < ran; j++ {
 			e.accumulate(c, &opts, layout, st, w.samples[j], w.weights[j], &w.results[j])
-			evaluated++
-			agg.observe(shard, c, evaluated == opts.Samples)
+		}
+		evaluated += ran
+		if ran > 0 {
+			rep.report(c)
 		}
 		if cancelled {
-			agg.observe(shard, c, true)
 			return ctx.Err()
 		}
 	}

@@ -60,8 +60,9 @@ func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunRes
 // space is small enough that pre-characterization-driven sampling is
 // unnecessary). Each run folds into the campaign as a sample of weight
 // 1 at the draw's timing distance, exactly as a campaign sample does.
-// Cancellation via ctx returns the partial campaign accumulated so far
-// alongside the context's error.
+// opts.Progress sees the total after every 2,048 samples and after the
+// last. Cancellation via ctx returns the partial campaign accumulated so
+// far alongside the context's error.
 func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAttack, opts CampaignOptions) (*Campaign, error) {
 	if e.m == nil {
 		return nil, fmt.Errorf("montecarlo: RunGlitchCampaign before RunGolden")
@@ -75,12 +76,14 @@ func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAtta
 	rng := rand.New(rand.NewSource(opts.Seed))
 	c := emptyCampaign("glitch-random", opts)
 	layout := e.patternLayout(opts)
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, opts.Samples, 1)
+	rep := newReporter(opts.Progress, opts.Samples, 0)
 	done := ctx.Done()
 	for i := 0; i < opts.Samples; i++ {
 		select {
 		case <-done:
-			agg.observe(0, c, true)
+			if i%batchWindow != 0 {
+				rep.report(c)
+			}
 			c.Options.Samples = c.Est.N()
 			return c, ctx.Err()
 		default:
@@ -88,7 +91,9 @@ func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAtta
 		sample := attack.SampleNominal(rng)
 		res := e.RunGlitchOnce(rng, sample)
 		e.accumulate(c, &opts, layout, nil, fault.Sample{T: sample.T}, 1, &res)
-		agg.observe(0, c, i+1 == opts.Samples)
+		if n := i + 1; n%batchWindow == 0 || n == opts.Samples {
+			rep.report(c)
+		}
 	}
 	return c, nil
 }

@@ -125,7 +125,11 @@ func TestGlitchCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ev.Engine.RunGlitchCampaign(context.Background(), attack, montecarlo.CampaignOptions{Samples: 3000, Seed: 1})
+	var snaps []montecarlo.Progress
+	c, err := ev.Engine.RunGlitchCampaign(context.Background(), attack, montecarlo.CampaignOptions{
+		Samples: 3000, Seed: 1,
+		Progress: func(p montecarlo.Progress) { snaps = append(snaps, p) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +137,11 @@ func TestGlitchCampaignEndToEnd(t *testing.T) {
 	if total != 3000 {
 		t.Fatalf("class counts sum %d", total)
 	}
+	// Progress reports once per 2,048 samples and after the last.
+	if len(snaps) != 2 || snaps[0].Done != montecarlo.FixedSizeBlock {
+		t.Errorf("progress snapshots %+v, want 2, the first at %d", snaps, montecarlo.FixedSizeBlock)
+	}
+	checkProgress(t, "glitch campaign", snaps, c)
 	// A half-period glitch on a design with deep comparators must
 	// disturb something in a substantial share of the cycles.
 	if c.ClassCounts[montecarlo.Masked] == 3000 {

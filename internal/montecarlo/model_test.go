@@ -128,7 +128,7 @@ func TestClonesMatchSeparateEngines(t *testing.T) {
 				opts montecarlo.AdaptiveOptions
 			}{{"fixed", fixedSize(4000, 9)}, {"adaptive", adaptive}} {
 				opts := run.opts
-				opts.Mode, opts.TrackPatterns = mode, true
+				opts.Mode = mode
 				label := fmt.Sprintf("%d engines, %v, %s", n, mode, run.name)
 				got, err := montecarlo.RunAdaptiveParallel(context.Background(), pool.Engines, sampler, opts)
 				if err != nil {

@@ -3,6 +3,7 @@ package montecarlo_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/montecarlo"
+	"repro/internal/sampling"
+	"repro/internal/stats"
 )
 
 // cancelAfter returns a context plus a progress callback that cancels
@@ -29,7 +32,7 @@ func TestCampaignCancellationReturnsPartial(t *testing.T) {
 	ctx, prog := cancelAfter(200)
 	opts := montecarlo.CampaignOptions{
 		Samples: 1 << 20, Seed: 1,
-		Progress: prog, ProgressEvery: 50,
+		Progress: prog,
 	}
 	c, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(), opts)
 	if !errors.Is(err, context.Canceled) {
@@ -57,7 +60,6 @@ func TestParallelCancellationMergesPartialsNoLeak(t *testing.T) {
 	opts := fixedSize(1<<20, 7)
 	totals := map[int]bool{}
 	opts.Progress = func(p montecarlo.Progress) { totals[p.Total] = true; prog(p) } // callbacks are serialized
-	opts.ProgressEvery = 50
 	c, err := montecarlo.RunAdaptiveParallel(ctx, engines, ev.RandomSampler(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -239,45 +241,58 @@ func TestRunAdaptiveParallelTracksRoundTrace(t *testing.T) {
 	}
 }
 
+// checkProgress requires the snapshots to count up and the last one to
+// be the returned answer: its sample count, its path mix and the bits
+// of its SSF, CI half-width and ESS.
+func checkProgress(t *testing.T, label string, snaps []montecarlo.Progress, c *montecarlo.Campaign) {
+	t.Helper()
+	if len(snaps) == 0 {
+		t.Fatalf("%s: no progress snapshots", label)
+	}
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i].Done < snaps[i-1].Done {
+			t.Errorf("%s: Done went backwards: %d after %d", label, snaps[i].Done, snaps[i-1].Done)
+		}
+	}
+	p := snaps[len(snaps)-1]
+	bits := math.Float64bits
+	if p.Done != c.Est.N() || p.PathCounts != c.PathCounts ||
+		bits(p.SSF) != bits(c.SSF()) || bits(p.CIHalfWidth) != bits(c.CIHalfWidth()) || bits(p.ESS) != bits(c.ESS()) {
+		t.Errorf("%s: final progress %d samples, paths %v, SSF %v ± %v, ESS %v; answer %d, %v, %v ± %v, %v",
+			label, p.Done, p.PathCounts, p.SSF, p.CIHalfWidth, p.ESS,
+			c.Est.N(), c.PathCounts, c.SSF(), c.CIHalfWidth(), c.ESS())
+	}
+}
+
+// TestProgressReporting: RunCampaign reports the committed total once
+// per window.
 func TestProgressReporting(t *testing.T) {
 	ev := evaluation(t)
 	var snaps []montecarlo.Progress
 	opts := montecarlo.CampaignOptions{
-		Samples: 1000, Seed: 1,
-		Progress:      func(p montecarlo.Progress) { snaps = append(snaps, p) },
-		ProgressEvery: 100,
+		Samples: 5000, Seed: 1,
+		Progress: func(p montecarlo.Progress) { snaps = append(snaps, p) },
 	}
 	c, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) < 5 {
-		t.Fatalf("only %d progress snapshots", len(snaps))
+	window := montecarlo.FixedSizeBlock
+	want := []int{window, 2 * window, 5000}
+	if len(snaps) != len(want) {
+		t.Fatalf("%d progress snapshots, want one per window (%v)", len(snaps), want)
 	}
-	prev := 0
-	for _, p := range snaps {
-		if p.Done < prev {
-			t.Fatalf("Done went backwards: %d after %d", p.Done, prev)
+	for i, p := range snaps {
+		paths := 0
+		for _, n := range p.PathCounts {
+			paths += n
 		}
-		prev = p.Done
-		if p.Total != 1000 {
-			t.Errorf("Total = %d", p.Total)
+		if p.Done != want[i] || p.Total != opts.Samples || paths != p.Done {
+			t.Errorf("snapshot %d: Done %d, Total %d, path mix sums to %d; want Done %d of %d",
+				i, p.Done, p.Total, paths, want[i], opts.Samples)
 		}
 	}
-	final := snaps[len(snaps)-1]
-	if final.Done != 1000 {
-		t.Errorf("final Done = %d", final.Done)
-	}
-	if math.Abs(final.SSF-c.SSF()) > 1e-12 {
-		t.Errorf("final progress SSF %v, campaign %v", final.SSF, c.SSF())
-	}
-	paths := 0
-	for _, n := range final.PathCounts {
-		paths += n
-	}
-	if paths != 1000 {
-		t.Errorf("final path mix sums to %d", paths)
-	}
+	checkProgress(t, "campaign", snaps, c)
 }
 
 func TestParallelProgressAggregates(t *testing.T) {
@@ -290,7 +305,6 @@ func TestParallelProgressAggregates(t *testing.T) {
 	totals := map[int]bool{}
 	opts := fixedSize(900, 3)
 	opts.Progress = func(p montecarlo.Progress) { final = p; totals[p.Total] = true } // callbacks are serialized
-	opts.ProgressEvery = 100
 	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +315,90 @@ func TestParallelProgressAggregates(t *testing.T) {
 	if len(totals) != 1 || !totals[900] {
 		t.Errorf("fixed-size progress reported Total %v, want 900", totals)
 	}
-	if math.Abs(final.SSF-c.SSF()) > 1e-9 {
+	if final.SSF != c.SSF() {
 		t.Errorf("aggregate SSF %v, merged campaign %v", final.SSF, c.SSF())
+	}
+}
+
+// TestFinalProgressIsTheAnswer: on 1, 2 and 3 engines the last
+// snapshot of an answer is the answer, also when it stops on the first
+// block of a round (the register answer on 2 engines) and when SSF
+// reads the stratified estimate.
+func TestFinalProgressIsTheAnswer(t *testing.T) {
+	ev := evaluation(t)
+	stratified, err := ev.StratifiedSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// perfbench's register_random rule at seed 2001.
+	register := montecarlo.AdaptiveOptions{
+		Mode: montecarlo.RegisterAttack, Seed: 2001, Epsilon: 2e-3, Risk: 1 / (stats.Z95 * stats.Z95),
+		MinSamples: 10000, MaxSamples: 1 << 20, CheckEvery: 1000,
+	}
+	gate := montecarlo.DefaultAdaptive(2e-4)
+	gate.Seed, gate.MaxSamples = 5, 6000
+	for n := 1; n <= 3; n++ {
+		engines, err := ev.CloneEngines(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name    string
+			sampler sampling.Sampler
+			opts    montecarlo.AdaptiveOptions
+		}{{"register", ev.RandomSampler(), register}, {"stratified gate", stratified, gate}} {
+			var snaps []montecarlo.Progress
+			opts := run.opts
+			opts.Progress = func(p montecarlo.Progress) { snaps = append(snaps, p) }
+			c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, run.sampler, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s on %d engines", run.name, n)
+			checkProgress(t, label, snaps, c)
+			if blocks := (c.Est.N() + opts.CheckEvery - 1) / opts.CheckEvery; len(snaps) != blocks {
+				t.Errorf("%s: %d snapshots for %d blocks", label, len(snaps), blocks)
+			}
+			if run.name == "register" && n == 2 && c.Est.N()/opts.CheckEvery%2 != 1 {
+				t.Errorf("%s: stopped after %d samples, not on the first block of a round", label, c.Est.N())
+			}
+		}
+	}
+}
+
+// TestResumedProgressCountsResumedSamples: the snapshots of a resumed
+// answer count its resumed samples, so Done never falls below them.
+func TestResumedProgressCountsResumedSamples(t *testing.T) {
+	ev := evaluation(t)
+	engines, err := ev.CloneEngines(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := montecarlo.AdaptiveOptions{MinSamples: 6000, MaxSamples: 6000, CheckEvery: 1000, Seed: 5}
+	var first *montecarlo.Campaign
+	opts.Checkpoint = func(_ int64, total *montecarlo.Campaign) {
+		if first == nil {
+			first = total
+		}
+	}
+	if _, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts); err != nil {
+		t.Fatal(err)
+	}
+	resumed := first.Est.N()
+	var snaps []montecarlo.Progress
+	opts.Checkpoint = nil
+	opts.Resume = first
+	opts.Progress = func(p montecarlo.Progress) { snaps = append(snaps, p) }
+	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) == 0 || snaps[0].Done != resumed+opts.CheckEvery {
+		t.Fatalf("resumed from %d samples, first snapshots %v", resumed, snaps)
+	}
+	checkProgress(t, "resumed answer", snaps, c)
+	if c.Est.N() != 6000 {
+		t.Errorf("resumed answer has %d samples", c.Est.N())
 	}
 }
 

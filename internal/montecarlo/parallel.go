@@ -114,7 +114,7 @@ func validateEngines(engines []*Engine) error {
 // one goroutine each. Block panics are isolated: a panicking block
 // surfaces as its engine's indexed error instead of crashing the
 // process.
-func runBlocks(ctx context.Context, engines []*Engine, sampler sampling.Sampler, blocks []CampaignOptions, agg *progressAgg) ([]*Campaign, []error) {
+func runBlocks(ctx context.Context, engines []*Engine, sampler sampling.Sampler, blocks []CampaignOptions) ([]*Campaign, []error) {
 	results := make([]*Campaign, len(blocks))
 	errs := make([]error, len(blocks))
 	var wg sync.WaitGroup
@@ -127,7 +127,7 @@ func runBlocks(ctx context.Context, engines []*Engine, sampler sampling.Sampler,
 					errs[i] = fmt.Errorf("shard %d: panic: %v", i, r)
 				}
 			}()
-			c, err := engines[i].runCampaign(ctx, sampler, blocks[i], agg, i)
+			c, err := engines[i].RunCampaign(ctx, sampler, blocks[i])
 			if err != nil {
 				err = fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -181,10 +181,9 @@ const FixedSizeBlock = batchWindow
 
 // AdaptiveOptions configures RunAdaptiveParallel.
 type AdaptiveOptions struct {
-	// Mode, Seed, TrackPatterns as in CampaignOptions.
-	Mode          Mode
-	Seed          int64
-	TrackPatterns bool
+	// Mode and Seed as in CampaignOptions.
+	Mode Mode
+	Seed int64
 	// TrackConvergence records the campaign's running estimate, one
 	// entry per block: the total after each committed block. (A
 	// per-sample trace comes from RunCampaign.)
@@ -203,11 +202,11 @@ type AdaptiveOptions struct {
 	// CheckEvery samples (the last one cut at MaxSamples), block k
 	// seeded Seed·999983 + k, and the bound is checked after each.
 	CheckEvery int
-	// Progress and ProgressEvery as in CampaignOptions; snapshots
-	// report Total as MaxSamples when MinSamples == MaxSamples, and as
-	// 0 (open-ended) otherwise.
-	Progress      ProgressFunc
-	ProgressEvery int
+	// Progress, when non-nil, receives a snapshot of the total after
+	// every committed block (see ProgressFunc). Snapshots report Total
+	// as MaxSamples when MinSamples == MaxSamples, and as 0
+	// (open-ended) otherwise.
+	Progress ProgressFunc
 	// Deprecated: ignored; every campaign runs the lane-batched loop.
 	Batch bool
 	// Resume continues a previously checkpointed campaign: the
@@ -319,7 +318,8 @@ func (o *AdaptiveOptions) adapted(s sampling.Sampler, total *Campaign) (sampling
 // the blocks draw from the shared sampler (samplers built by
 // internal/sampling are safe for concurrent Draw with distinct rngs). A
 // fixed-size run (MinSamples == MaxSamples) is the campaign of that
-// many samples.
+// many samples. Progress reports the total after each committed block,
+// on the calling goroutine.
 //
 // Cancellation returns the partial campaign alongside the context's
 // error. A panicking or failing block surfaces as an indexed error
@@ -334,11 +334,6 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 	if err := opts.sanitize(); err != nil {
 		return nil, err
 	}
-	size := 0 // open-ended
-	if opts.MinSamples == opts.MaxSamples {
-		size = opts.MaxSamples
-	}
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, size, len(engines))
 	perRound := len(engines)
 	if opts.adapts(sampler) {
 		perRound = 1
@@ -382,6 +377,14 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		}
 		cur = adapted
 	}
+	size, resumed := 0, 0 // Progress.Total 0: open-ended
+	if opts.MinSamples == opts.MaxSamples {
+		size = opts.MaxSamples
+	}
+	if total != nil {
+		resumed = total.Est.N()
+	}
+	rep := newReporter(opts.Progress, size, resumed)
 	blocks := make([]CampaignOptions, 0, perRound)
 	for {
 		planned := 0
@@ -393,10 +396,9 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		blocks = blocks[:0]
 		for len(blocks) < perRound && planned < opts.MaxSamples {
 			b := CampaignOptions{
-				Mode:          opts.Mode,
-				TrackPatterns: opts.TrackPatterns,
-				Samples:       min(opts.CheckEvery, opts.MaxSamples-planned),
-				Seed:          seed0 + next + int64(len(blocks)),
+				Mode:    opts.Mode,
+				Samples: min(opts.CheckEvery, opts.MaxSamples-planned),
+				Seed:    seed0 + next + int64(len(blocks)),
 			}
 			planned += b.Samples
 			blocks = append(blocks, b)
@@ -404,7 +406,7 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		if len(blocks) == 0 {
 			break
 		}
-		results, errs := runBlocks(ctx, engines, cur, blocks, agg)
+		results, errs := runBlocks(ctx, engines, cur, blocks)
 		if err := hardError(ctx, errs); err != nil {
 			return finish(), err
 		}
@@ -419,6 +421,7 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 				conv = append(conv, t.SSF())
 			}
 			stop = cancelled == nil && opts.converged(t)
+			rep.report(t)
 			return stop
 		})
 		if err != nil {
@@ -433,9 +436,6 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 				snap.Convergence = append([]float64(nil), conv...)
 			}
 			opts.Checkpoint(next, snap)
-		}
-		for i := range blocks {
-			agg.rebase(i)
 		}
 		if stop {
 			break

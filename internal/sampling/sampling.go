@@ -38,10 +38,11 @@ type Sampler interface {
 
 // Forker is implemented by samplers that carry per-campaign mutable
 // state, such as the Stratified sampler's per-stratum substreams.
-// Campaign runners fork one private stream per (campaign, shard) using
-// the shard's deterministically derived seed, so parallel and resumed
-// runs replay the exact same streams. Samplers without per-draw state
-// simply don't implement Forker and are used as-is.
+// Every campaign forks one private stream from its seed; the round loop
+// seeds each block from its index, so an answer forks one stream per
+// block, and parallel and resumed runs replay the exact same streams.
+// Samplers without per-draw state simply don't implement Forker and
+// are used as-is.
 type Forker interface {
 	Sampler
 	// Fork returns an independent stream of this sampler. The result

@@ -153,15 +153,11 @@ func resultFrom(c *montecarlo.Campaign) *JobResult {
 	if c == nil {
 		return nil
 	}
-	ci := c.CIHalfWidth()
-	if math.IsInf(ci, 0) || math.IsNaN(ci) {
-		ci = 0
-	}
 	return &JobResult{
 		SSF:         c.SSF(),
 		StdErr:      c.Est.StdErr(),
 		Variance:    c.Variance(),
-		CIHalfWidth: ci,
+		CIHalfWidth: finite(c.CIHalfWidth()),
 		ESS:         c.ESS(),
 		Samples:     c.Est.N(),
 		Successes:   c.Successes,
@@ -174,13 +170,25 @@ func resultFrom(c *montecarlo.Campaign) *JobResult {
 	}
 }
 
-// ProgressEvent is one SSE progress snapshot.
+// finite maps a value JSON cannot carry (the infinite CI half-width of
+// an empty campaign) to 0.
+func finite(x float64) float64 {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return 0
+	}
+	return x
+}
+
+// ProgressEvent is one SSE progress snapshot of the job's committed
+// total, resumed samples included.
 type ProgressEvent struct {
-	Done       int     `json:"done"`
-	Total      int     `json:"total"`
-	SSF        float64 `json:"ssf"`
-	RunsPerSec float64 `json:"runs_per_sec"`
-	ElapsedMS  int64   `json:"elapsed_ms"`
+	Done        int     `json:"done"`
+	Total       int     `json:"total"`
+	SSF         float64 `json:"ssf"`
+	CIHalfWidth float64 `json:"ci_half_width"`
+	ESS         float64 `json:"ess"`
+	RunsPerSec  float64 `json:"runs_per_sec"`
+	ElapsedMS   int64   `json:"elapsed_ms"`
 }
 
 // jobRecord is the persisted form of a job — everything needed to serve

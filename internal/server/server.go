@@ -338,24 +338,20 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 	aopts.Progress = func(p montecarlo.Progress) {
 		ev := &ProgressEvent{
-			Done:       p.Done,
-			Total:      p.Total,
-			SSF:        p.SSF,
-			RunsPerSec: p.RunsPerSec,
-			ElapsedMS:  p.Elapsed.Milliseconds(),
+			Done:        p.Done,
+			Total:       p.Total,
+			SSF:         p.SSF,
+			CIHalfWidth: finite(p.CIHalfWidth),
+			ESS:         p.ESS,
+			RunsPerSec:  p.RunsPerSec,
+			ElapsedMS:   p.Elapsed.Milliseconds(),
 		}
 		j.mu.Lock()
-		// Progress counts restart at zero on resume; fold in the
-		// checkpointed samples so clients see monotonic totals.
-		if rec.Checkpoint != nil {
-			ev.Done += rec.Checkpoint.Est.N
-		}
 		j.progress = ev
 		hub := j.hub
 		j.mu.Unlock()
 		hub.publish(sseMsg{event: "progress", data: mustJSON(ev)})
 	}
-	aopts.ProgressEvery = aopts.CheckEvery
 	last := rec.Rounds
 	aopts.Checkpoint = func(blocks int64, total *montecarlo.Campaign) {
 		if blocks/s.cfg.CheckpointEvery == last/s.cfg.CheckpointEvery {

@@ -727,6 +727,11 @@ func TestJobLifecycleAndSSE(t *testing.T) {
 	if finalStatus.Result == nil || finalStatus.Result.Samples != 600 {
 		t.Fatalf("terminal event result: %+v", finalStatus.Result)
 	}
+	// The last progress event is the committed total: the result.
+	if pr, res := finalStatus.Progress, finalStatus.Result; pr == nil || pr.Done != res.Samples ||
+		pr.SSF != res.SSF || pr.CIHalfWidth != res.CIHalfWidth || pr.ESS != res.ESS {
+		t.Errorf("last progress %+v, result %+v", pr, res)
+	}
 
 	// GET status agrees with the stream, and the result matches a direct
 	// run of the identical options on the same pool exactly.
@@ -853,6 +858,10 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	}
 	if got.ClassCounts != ref.ClassCounts || got.PathCounts != ref.PathCounts {
 		t.Error("resumed histograms differ from the uninterrupted run")
+	}
+	// Progress counts the resumed samples: the last event is the result.
+	if pr := j2.status().Progress; pr == nil || pr.Done != got.Samples || pr.SSF != got.SSF {
+		t.Errorf("resumed job's last progress %+v, result of %d samples", pr, got.Samples)
 	}
 }
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for cmd/ssfserver: submit a job, stream its SSE
-# progress, fetch the result; then run the identical job again, kill the
-# server after its first checkpoints, restart it on the same store with
-# one worker instead of two, let the job resume, and require the resumed
-# SSF to be bit-identical to the uninterrupted run (a job's blocks are
-# seeded by their index, so the result depends on the request alone, not
-# on the worker count).
+# progress, fetch the result; run an adaptive register job; then run the
+# first job again, kill the server after its first checkpoints, restart
+# it on the same store with one worker instead of two, let the job
+# resume, and require the resumed SSF to be bit-identical to the
+# uninterrupted run (a job's blocks are seeded by their index, so the
+# result depends on the request alone, not on the worker count). Every
+# finished job's last progress must count its result's samples.
 #
 # Usage: scripts/smoke_ssfserver.sh [port]
 set -euo pipefail
@@ -16,6 +17,9 @@ BASE="http://127.0.0.1:${PORT}"
 # stopped, with blocks large enough to keep checkpoint writes few.
 SAMPLES=3000000
 JOB='{"samples":'"$SAMPLES"',"check_every":2000,"sampler":"random","seed":42}'
+# perfbench's register_random rule; on 2 workers it stops on the first
+# block of a round.
+ADAPTIVE='{"epsilon":0.002,"risk":0.2603,"mode":"register","sampler":"random","seed":2001,"check_every":1000,"min_samples":10000}'
 
 command -v jq >/dev/null || { echo "smoke: jq is required" >&2; exit 1; }
 
@@ -57,8 +61,8 @@ stop_server() {
     exit 1
 }
 
-submit_job() {
-    curl -sf -X POST "$BASE/v1/jobs" -d "$JOB" | jq -r '.id'
+submit_job() { # request body
+    curl -sf -X POST "$BASE/v1/jobs" -d "$1" | jq -r '.id'
 }
 
 job_field() { # id, jq expression
@@ -79,6 +83,16 @@ wait_done() { # id
     exit 1
 }
 
+check_progress() { # id: the last progress event reports the result's samples
+    local done samples
+    done="$(job_field "$1" '.progress.done')"
+    samples="$(job_field "$1" '.result.samples')"
+    if [ "$done" != "$samples" ]; then
+        echo "smoke: job $1 last reported $done samples, its result has $samples" >&2
+        exit 1
+    fi
+}
+
 say "building ssfserver"
 go build -o "$WORKDIR/ssfserver" ./cmd/ssfserver
 
@@ -86,7 +100,7 @@ say "starting server on port $PORT with 2 workers"
 start_server 2
 
 say "submitting reference job ($SAMPLES samples)"
-JOB_A="$(submit_job)"
+JOB_A="$(submit_job "$JOB")"
 [ -n "$JOB_A" ] && [ "$JOB_A" != null ] || { echo "smoke: submit failed" >&2; exit 1; }
 
 say "sampling the SSE progress stream"
@@ -94,11 +108,19 @@ SSE="$(curl -sN --max-time 3 "$BASE/v1/jobs/$JOB_A/events" | head -20 || true)"
 echo "$SSE" | grep -q "^event: " || { echo "smoke: no SSE events:"; echo "$SSE"; exit 1; } >&2
 
 wait_done "$JOB_A"
+check_progress "$JOB_A"
 SSF_A="$(job_field "$JOB_A" '.result.ssf')"
 say "reference job done: ssf=$SSF_A"
 
+say "running an adaptive register job"
+JOB_R="$(submit_job "$ADAPTIVE")"
+[ -n "$JOB_R" ] && [ "$JOB_R" != null ] || { echo "smoke: adaptive submit failed" >&2; exit 1; }
+wait_done "$JOB_R"
+check_progress "$JOB_R"
+say "adaptive job done: $(job_field "$JOB_R" '.result.samples') samples"
+
 say "submitting identical job and killing the server mid-run"
-JOB_B="$(submit_job)"
+JOB_B="$(submit_job "$JOB")"
 for _ in $(seq 1 200); do
     ROUNDS="$(job_field "$JOB_B" '.rounds // 0')"
     [ "$ROUNDS" -ge 2 ] && break
@@ -126,6 +148,7 @@ case "$STATE" in
     *) echo "smoke: job $JOB_B in unexpected state $STATE after restart" >&2; exit 1 ;;
 esac
 wait_done "$JOB_B"
+check_progress "$JOB_B"
 SSF_B="$(job_field "$JOB_B" '.result.ssf')"
 SAMPLES_B="$(job_field "$JOB_B" '.result.samples')"
 say "resumed job done: ssf=$SSF_B samples=$SAMPLES_B"

@@ -278,7 +278,7 @@ func BenchmarkAnalyticalVsRTL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rtlOnly.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+	if _, err := rtlOnly.RunGolden(core.CheckpointInterval); err != nil {
 		b.Fatal(err)
 	}
 	// Collect samples whose outcome is decided analytically.

@@ -56,8 +56,9 @@ func run(args []string, stdout io.Writer) error {
 	adaptive := fs.Bool("adaptive", false, "stop on the weak-LLN convergence bound instead of a fixed sample count")
 	adaptProp := fs.Bool("adapt-proposal", false, "adaptive: re-tune the proposal after every block (importance/stratified samplers)")
 	eps := fs.Float64("eps", 0.005, "adaptive: absolute accuracy target epsilon")
-	risk := fs.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
-	maxSamples := fs.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
+	def := montecarlo.DefaultAdaptive(0) // the stopping rule's defaults
+	risk := fs.Float64("risk", def.Risk, "adaptive: acceptable risk of an eps-deviation")
+	maxSamples := fs.Int("max-samples", def.MaxSamples, "adaptive: hard cap on total samples")
 	progress := fs.Bool("progress", stderrIsTerminal(), "print a live progress line to stderr")
 	codegen := fs.Bool("codegen", true, "bind the generated straight-line evaluator when one matches the compiled plan hash (false = always interpret)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")

@@ -36,7 +36,6 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "bounded job queue depth (backpressure beyond it)")
 	rate := flag.Float64("rate", 5, "per-tenant submissions per second (0 disables rate limiting)")
 	burst := flag.Float64("burst", 10, "per-tenant burst size")
-	checkpointEvery := flag.Int64("checkpoint-every", 1, "checkpoint cadence in blocks of a job's check_every samples")
 	maxSamples := flag.Int("max-samples", 1<<22, "per-job sample budget cap")
 	flag.Parse()
 
@@ -71,11 +70,10 @@ func main() {
 		time.Since(t0).Round(time.Millisecond), pool.Size(), bench)
 
 	srv, err := server.New(pool, *storeDir, server.Config{
-		QueueDepth:      *queueDepth,
-		CheckpointEvery: *checkpointEvery,
-		RatePerSec:      *rate,
-		Burst:           *burst,
-		MaxSamples:      *maxSamples,
+		QueueDepth: *queueDepth,
+		RatePerSec: *rate,
+		Burst:      *burst,
+		MaxSamples: *maxSamples,
 	})
 	if err != nil {
 		fatal(err)

@@ -73,16 +73,6 @@ func (p Policy) UserAllowed(addr uint16, write bool) bool {
 	return false
 }
 
-// RangeAllowed reports whether every address of the range is permitted.
-func (p Policy) RangeAllowed(ar soc.AccessRange) bool {
-	for a := uint32(ar.Lo); a <= uint32(ar.Hi); a++ {
-		if !p.UserAllowed(uint16(a), ar.Write) {
-			return false
-		}
-	}
-	return true
-}
-
 // Evaluator maps MPU register bits to their configuration semantics and
 // evaluates fault outcomes without simulation. Its tables are dense
 // over the netlist's node IDs, so classifying a flip is one array read.
@@ -173,14 +163,6 @@ func (e *Evaluator) CurrentPolicy(s *soc.SoC) Policy {
 			Perm:  uint8(s.Sim.ReadWord(e.mpu.Groups[fmt.Sprintf("cfg_perm%d", i)])),
 		}
 	}
-	return p
-}
-
-// Faulted returns the policy with the given register flips applied.
-// Flips on inert registers leave the policy unchanged.
-func (e *Evaluator) Faulted(base Policy, flipped []netlist.NodeID) Policy {
-	p := append(Policy(nil), base...)
-	e.applyFlips(p, flipped)
 	return p
 }
 

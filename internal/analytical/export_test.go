@@ -22,3 +22,21 @@ func (e *Evaluator) OutcomeCoarse(base Policy, prog *soc.Program, flipped []netl
 	}
 	return true
 }
+
+// RangeAllowed reports whether every address of the range is permitted.
+func (p Policy) RangeAllowed(ar soc.AccessRange) bool {
+	for a := uint32(ar.Lo); a <= uint32(ar.Hi); a++ {
+		if !p.UserAllowed(uint16(a), ar.Write) {
+			return false
+		}
+	}
+	return true
+}
+
+// Faulted returns the policy with the given register flips applied.
+// Flips on inert registers leave the policy unchanged.
+func (e *Evaluator) Faulted(base Policy, flipped []netlist.NodeID) Policy {
+	p := append(Policy(nil), base...)
+	e.applyFlips(p, flipped)
+	return p
+}

@@ -65,19 +65,19 @@ type Options struct {
 	Delay     timingsim.DelayModel
 	// WorkIters sizes the benchmarks' legitimate work loop.
 	WorkIters uint16
-	// CheckpointInterval is the golden-run checkpoint spacing.
-	CheckpointInterval int
 }
+
+// CheckpointInterval is every evaluation's golden-run checkpoint spacing.
+const CheckpointInterval = 32
 
 // DefaultOptions returns the configuration used throughout the
 // experiments.
 func DefaultOptions() Options {
 	return Options{
-		SoC:                soc.DefaultConfig(),
-		Precharac:          precharac.DefaultOptions(),
-		Delay:              timingsim.DefaultDelayModel(),
-		WorkIters:          20,
-		CheckpointInterval: 32,
+		SoC:       soc.DefaultConfig(),
+		Precharac: precharac.DefaultOptions(),
+		Delay:     timingsim.DefaultDelayModel(),
+		WorkIters: 20,
 	}
 }
 
@@ -295,7 +295,7 @@ func (f *Framework) NewEvaluationAttack(prog *soc.Program, attack *fault.Attack)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := engine.RunGolden(f.Opts.CheckpointInterval)
+	golden, err := engine.RunGolden(CheckpointInterval)
 	if err != nil {
 		return nil, err
 	}

@@ -206,27 +206,19 @@ const ChargeSharingDecay = 0.45
 // center (charge sharing).
 func (a *Attack) Strike(p *placement.Placement, s Sample) timingsim.Strike {
 	gates := p.CombWithinRadius(s.Center, s.Radius)
-	widths := make([]float64, len(gates))
+	dists := make([]float64, len(gates))
 	for i, g := range gates {
-		frac := 1.0
-		if s.Radius > 0 {
-			frac = 1 - ChargeSharingDecay*p.Dist(g, s.Center)/s.Radius
-		}
-		widths[i] = s.Width * frac
+		dists[i] = p.Dist(g, s.Center)
 	}
-	return timingsim.Strike{
-		Gates:  gates,
-		Time:   s.Time,
-		Width:  s.Width,
-		Widths: widths,
-	}
+	strike, _ := a.StrikeFrom(s, gates, dists, make([]float64, 0, len(gates)))
+	return strike
 }
 
 // StrikeFrom assembles the same Strike as Strike from a precomputed
 // spot — the struck gates and their placed distances from s.Center, as
 // placement.SpotIndex.CombWithin returns them — reusing widthsBuf as
-// the width scratch. The computed widths are bit-identical to Strike's;
-// the returned slice is the grown scratch for the caller to keep.
+// the width scratch. The returned slice is the grown scratch for the
+// caller to keep.
 func (a *Attack) StrikeFrom(s Sample, gates []netlist.NodeID, dists, widthsBuf []float64) (timingsim.Strike, []float64) {
 	widths := widthsBuf[:0]
 	for _, d := range dists {

@@ -128,33 +128,16 @@ func (r Result) Unresolved() bool { return r.HardenedNoSuccess && r.Improvement 
 // campaign saw no success (hardened 0) it returns, with noSuccess set,
 // the 95% lower bound base / ub, where ub = w_max·(1 − 0.05^(1/n)) is
 // the one-sided upper bound on an SSF estimated 0 from n draws whose
-// weights never exceed w_max. A sampler whose largest weight is
-// unknown gives 0, no bound at all, and so does a base campaign that
-// saw no success either: neither SSF is resolved.
+// weights never exceed w_max = sampling.MaxWeight(sampler). A sampler
+// whose largest weight is unknown gives 0, no bound at all, and so does
+// a base campaign that saw no success either: neither SSF is resolved.
 func Improvement(base, hardened float64, n int, sampler sampling.Sampler) (improvement float64, noSuccess bool) {
 	if hardened > 0 {
 		return base / hardened, false
 	}
-	wMax, ok := maxWeight(sampler)
+	wMax, ok := sampling.MaxWeight(sampler)
 	if !ok {
 		return 0, true
 	}
 	return base / (wMax * (1 - math.Pow(0.05, 1/float64(n)))), true
-}
-
-// maxWeight returns the largest importance weight the sampler can give a
-// draw: 1 for the nominal distribution, and 1/MixUniform for the
-// importance sampler, whose defensive mixture keeps g ≥ MixUniform·f.
-// The cone sampler (its support drops strikes) and the stratified one
-// (its weights carry the stratum allocation) report none.
-func maxWeight(sampler sampling.Sampler) (float64, bool) {
-	switch s := sampler.(type) {
-	case *sampling.Random:
-		return 1, true
-	case *sampling.Importance:
-		if s.MixUniform > 0 {
-			return 1 / s.MixUniform, true
-		}
-	}
-	return 0, false
 }

@@ -138,10 +138,24 @@ func TestEvaluateEmptyPlan(t *testing.T) {
 
 // TestImprovementBound: with successes the improvement is the plain
 // ratio; with none it is base / (w_max·(1 − 0.05^(1/n))), with w_max 1
-// for random draws and 1/MixUniform for importance draws, and 0 (no
-// bound) for samplers whose largest weight is unknown. Below 1 it is
+// for random draws and 1/DefaultMixUniform for importance draws, and 0
+// (no bound) for samplers whose largest weight is unknown. Below 1 it is
 // unresolved, which includes a base campaign without a success.
 func TestImprovementBound(t *testing.T) {
+	e := evaluation(t)
+	random := e.RandomSampler()
+	importance, err := e.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cone, err := e.ConeSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stratified, err := e.StratifiedSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ub500 := 1 - math.Pow(0.05, 1.0/500) // ≈ 3/500
 	cases := []struct {
 		name             string
@@ -151,16 +165,15 @@ func TestImprovementBound(t *testing.T) {
 		want             float64
 		noSuccess, unres bool
 	}{
-		{"hits", 4e-4, 1e-4, 500, &sampling.Random{}, 4, false, false},
-		{"no hits anywhere", 0, 0, 500, &sampling.Random{}, 0, true, true},
-		{"no hits anywhere, importance", 0, 0, 500, &sampling.Importance{MixUniform: 0.05}, 0, true, true},
-		{"random, resolved", 0.05, 0, 500, &sampling.Random{}, 0.05 / ub500, true, false},
-		{"random, unresolved", 1e-3, 0, 500, &sampling.Random{}, 1e-3 / ub500, true, true},
-		{"importance", 7.2e-4, 0, 500, &sampling.Importance{MixUniform: 0.05}, 7.2e-4 / (20 * ub500), true, true},
-		{"importance, one draw", 0.5, 0, 1, &sampling.Importance{MixUniform: 0.5}, 0.5 / (2 * 0.95), true, true},
-		{"importance without mixture", 7.2e-4, 0, 500, &sampling.Importance{}, 0, true, true},
-		{"cone", 7.2e-4, 0, 500, &sampling.Cone{}, 0, true, true},
-		{"stratified", 7.2e-4, 0, 500, &sampling.Stratified{}, 0, true, true},
+		{"hits", 4e-4, 1e-4, 500, random, 4, false, false},
+		{"no hits anywhere", 0, 0, 500, random, 0, true, true},
+		{"no hits anywhere, importance", 0, 0, 500, importance, 0, true, true},
+		{"random, resolved", 0.05, 0, 500, random, 0.05 / ub500, true, false},
+		{"random, unresolved", 1e-3, 0, 500, random, 1e-3 / ub500, true, true},
+		{"random, one draw", 0.5, 0, 1, random, 0.5 / 0.95, true, true},
+		{"importance", 7.2e-4, 0, 500, importance, 7.2e-4 / (20 * ub500), true, true},
+		{"cone", 7.2e-4, 0, 500, cone, 0, true, true},
+		{"stratified", 7.2e-4, 0, 500, stratified, 0, true, true},
 	}
 	for _, c := range cases {
 		got, noSuccess := Improvement(c.base, c.hardened, c.n, c.sampler)
@@ -176,7 +189,7 @@ func TestImprovementBound(t *testing.T) {
 	// "resilience": 10}]} on a default server has a base SSF of
 	// 0.361/500, which the old base_ssf × samples rule reported as an
 	// improvement of 0.361; the sound bound is ≈0.006.
-	if got, _ := Improvement(0.361/500, 0, 500, &sampling.Importance{MixUniform: sampling.DefaultMixUniform}); math.Abs(got-0.006) > 0.0005 {
+	if got, _ := Improvement(0.361/500, 0, 500, importance); math.Abs(got-0.006) > 0.0005 {
 		t.Errorf("500-sample zero-hit improvement %v, want ≈0.006", got)
 	}
 }

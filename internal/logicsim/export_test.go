@@ -64,3 +64,14 @@ func CaptureParallel(sim *Simulator, cycles int, drive func(cycle int)) *Trace {
 	t.FillCombParallel(sim)
 	return t
 }
+
+// SetReferenceEval switches Eval/Latch between the compiled SoA plan
+// (the default) and the original pointer-walking sweep over
+// netlist.Node. The two are bit-identical; the reference path exists
+// for equivalence testing and debugging. Forks inherit the setting.
+func (s *Simulator) SetReferenceEval(on bool) { s.reference = on }
+
+// Lane returns the given lane of the node's output net.
+func (s *Simulator) Lane(id netlist.NodeID, lane int) bool {
+	return s.vals[id]>>uint(lane)&1 == 1
+}

@@ -100,12 +100,6 @@ func (s *Simulator) Fork() *Simulator {
 // by every fork; callers must treat it as read-only.
 func (s *Simulator) Plan() *Plan { return s.plan }
 
-// SetReferenceEval switches Eval/Latch between the compiled SoA plan
-// (the default) and the original pointer-walking sweep over
-// netlist.Node. The two are bit-identical; the reference path exists
-// for equivalence testing and debugging. Forks inherit the setting.
-func (s *Simulator) SetReferenceEval(on bool) { s.reference = on }
-
 // Netlist returns the simulated netlist.
 func (s *Simulator) Netlist() *netlist.Netlist { return s.nl }
 
@@ -189,11 +183,6 @@ func (s *Simulator) Val(id netlist.NodeID) uint64 { return s.vals[id] }
 
 // Bool returns lane 0 of the node's output net.
 func (s *Simulator) Bool(id netlist.NodeID) bool { return s.vals[id]&1 == 1 }
-
-// Lane returns the given lane of the node's output net.
-func (s *Simulator) Lane(id netlist.NodeID, lane int) bool {
-	return s.vals[id]>>uint(lane)&1 == 1
-}
 
 // SetReg overwrites a register's current output value (all 64 lanes).
 // This is the fault-injection hook: flipping a register bit after a

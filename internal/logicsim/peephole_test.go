@@ -50,7 +50,7 @@ func compilePeepholePair(t *testing.T) (folded, raw *Plan, nl *netlist.Netlist) 
 	if err != nil {
 		t.Fatalf("peephole compile: %v", err)
 	}
-	r, err := CompileWithOptions(n, CompileOptions{NoPeephole: true})
+	r, err := CompileWithOptions(n, CompileOptions{noPeephole: true})
 	if err != nil {
 		t.Fatalf("raw compile: %v", err)
 	}
@@ -134,9 +134,9 @@ func TestPeepholeShrinksOpStream(t *testing.T) {
 	}
 }
 
-// TestPeepholeChangesHash documents that NoPeephole plans hash
-// differently and therefore can never bind evaluators generated from
-// the folded form.
+// TestPeepholeChangesHash documents that plans compiled without the
+// peephole pass hash differently and therefore can never bind
+// evaluators generated from the folded form.
 func TestPeepholeChangesHash(t *testing.T) {
 	folded, raw, _ := compilePeepholePair(t)
 	if folded.Hash() == raw.Hash() {

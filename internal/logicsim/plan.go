@@ -108,14 +108,13 @@ type CompileOptions struct {
 	// tooling that wants to inspect a rejected plan (netlint -plan) and
 	// for benchmarks of compilation itself, not for production use.
 	SkipPlanCheck bool
-	// NoPeephole disables the compile-time peephole pass (buf-chain
-	// elision and constant folding via modelcheck.FoldNetlist). The
-	// pass is exact — every node's value is unchanged in every lane —
-	// so the switch exists for equivalence tests and ablation
-	// benchmarks, not correctness. Note that the packed op stream (and
+	// noPeephole disables the compile-time peephole pass (buf-chain
+	// elision and constant folding via modelcheck.FoldNetlist), which
+	// only the equivalence tests do: the pass is exact, every node's
+	// value is unchanged in every lane. The packed op stream (and
 	// therefore Plan.Hash) differs between the two forms, so a plan
-	// compiled with NoPeephole never binds a generated evaluator.
-	NoPeephole bool
+	// compiled without the pass never binds a generated evaluator.
+	noPeephole bool
 }
 
 // Compile builds the evaluation plan for a netlist. The netlist must be
@@ -152,7 +151,7 @@ func CompileWithOptions(nl *netlist.Netlist, opts CompileOptions) (*Plan, error)
 	// exactly one op computing its exact value, so results are
 	// bit-identical and the PL verifier accepts either form.
 	var fold *modelcheck.Fold
-	if !opts.NoPeephole {
+	if !opts.noPeephole {
 		fold = modelcheck.FoldNetlist(nl)
 	}
 	for _, id := range order {

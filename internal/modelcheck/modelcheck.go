@@ -187,17 +187,6 @@ func (r *Report) add(n *netlist.Netlist, f Finding) {
 	r.Findings = append(r.Findings, f)
 }
 
-// Count returns the number of findings at exactly the given severity.
-func (r *Report) Count(sev Severity) int {
-	c := 0
-	for _, f := range r.Findings {
-		if f.Sev == sev {
-			c++
-		}
-	}
-	return c
-}
-
 // Max returns the highest severity present, or Info-1 if none. ok is
 // false on an empty report.
 func (r *Report) Max() (Severity, bool) {
@@ -221,17 +210,6 @@ func (r *Report) HasAtLeast(sev Severity) bool {
 		}
 	}
 	return false
-}
-
-// ByID returns the findings carrying the given check ID.
-func (r *Report) ByID(id string) []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.ID == id {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // Sort orders the findings deterministically for presentation: by node,

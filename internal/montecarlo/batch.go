@@ -326,7 +326,7 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	sim.SetRegState(g.Regs[startC])
 	var active uint64
 	next := 0
-	useCut := !e.DisableConvergenceCut
+	useCut := !e.noConvergenceCut
 	grant := e.SoC.MPU.OutGrant[0]
 	viol := e.SoC.MPU.OutViol[0]
 	trace := g.BusTrace
@@ -471,7 +471,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 	sim := s.Sim
 	grant, viol := s.MPU.OutGrant[0], s.MPU.OutViol[0]
 	limit := g.FinalCycle + resumeMargin
-	useCut := !e.DisableConvergenceCut
+	useCut := !e.noConvergenceCut
 	live := uint64(1)<<len(lane) - 1
 	e.batch.counts.Groups++
 	//hot

@@ -380,7 +380,7 @@ func TestGroupedResumeConvergenceCut(t *testing.T) {
 		ev.Engine.Char = nil
 		ev.Engine.Analytical = nil
 	}
-	evFull.Engine.DisableConvergenceCut = true
+	evFull.Engine.DisableConvergenceCut()
 	rng := rand.New(rand.NewSource(1))
 	srng := rand.New(rand.NewSource(99))
 	found := 0

@@ -189,12 +189,12 @@ type Engine struct {
 	// paper).
 	Hardened map[netlist.NodeID]float64
 
-	// DisableConvergenceCut turns off the golden-state early exit of
-	// RTL resumes: with the cut enabled (default), a resume whose
-	// state equals the golden run's at the same cycle stops
-	// immediately with the golden outcome (attack failed). Outcomes
-	// are identical either way; only ResumeCycles changes.
-	DisableConvergenceCut bool
+	// noConvergenceCut turns off the golden-state early exit of RTL
+	// resumes, which only tests do: with the cut, a resume whose state
+	// equals the golden run's at the same cycle stops immediately with
+	// the golden outcome (attack failed). Outcomes are identical either
+	// way; only ResumeCycles changes.
+	noConvergenceCut bool
 
 	// attack is the attack the engine evaluates, fixed when it is built.
 	attack *fault.Attack
@@ -396,7 +396,7 @@ func (e *Engine) resumeRTL() (resumed int, success bool) {
 	s := e.SoC
 	start := s.Cycle()
 	limit := g.FinalCycle + resumeMargin
-	useCut := !e.DisableConvergenceCut
+	useCut := !e.noConvergenceCut
 	for !s.Done() && !s.Marked.Resolved && s.Cycle() < limit {
 		if useCut && g.onGolden(s) {
 			return s.Cycle() - start, false

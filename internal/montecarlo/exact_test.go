@@ -117,7 +117,7 @@ func TestExactRegisterSSF(t *testing.T) {
 			t.Fatal(err)
 		}
 		rtl.Char, rtl.Analytical = nil, nil
-		rtl.DisableConvergenceCut = true
+		rtl.DisableConvergenceCut()
 		if got, _ := exactRegisterSSF(t, rtl, ev.Attack); got != exact {
 			t.Errorf("RTL-only enumeration gives %.17g, with the shortcuts %.17g", got, exact)
 		}

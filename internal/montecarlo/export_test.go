@@ -38,6 +38,10 @@ func (e *Engine) RunCampaignScalar(ctx context.Context, sampler sampling.Sampler
 	return c, nil
 }
 
+// DisableConvergenceCut turns off the golden-state early exit of the
+// engine's RTL resumes (see noConvergenceCut).
+func (e *Engine) DisableConvergenceCut() { e.noConvergenceCut = true }
+
 // BatchCounts exposes the batched-resume counters to the external tests
 // (see batchCounts). All are zero before the first batched run.
 type BatchCounts = batchCounts

@@ -19,7 +19,7 @@ func referenceEvaluation(t *testing.T) *core.Evaluation {
 	t.Helper()
 	ev := evaluation(t)
 	ev.Engine.Timing.SetReferenceSweep(true)
-	ev.Engine.DisableConvergenceCut = true
+	ev.Engine.DisableConvergenceCut()
 	return ev
 }
 
@@ -125,7 +125,7 @@ func TestFastPathsMultiCycleEquivalence(t *testing.T) {
 	evFast := mk()
 	evRef := mk()
 	evRef.Engine.Timing.SetReferenceSweep(true)
-	evRef.Engine.DisableConvergenceCut = true
+	evRef.Engine.DisableConvergenceCut()
 	opts := montecarlo.CampaignOptions{Samples: 1200, Seed: 5}
 	fast, err := evFast.Engine.RunCampaign(context.Background(), evFast.RandomSampler(), opts)
 	if err != nil {

@@ -94,7 +94,7 @@ func separateEngines(t *testing.T, ev *core.Evaluation, n int) []*montecarlo.Eng
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+		if _, err := eng.RunGolden(core.CheckpointInterval); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = eng

@@ -150,6 +150,74 @@ func (f *fakeSampler) Draw(rng *rand.Rand) (fault.Sample, float64) {
 }
 func (f *fakeSampler) TimingProbs() []float64 { return nil }
 
+// drawRecorder passes a sampler's draws through, counting them and
+// keeping the largest weight. It is for one engine at a time.
+type drawRecorder struct {
+	sampling.Sampler
+	draws int
+	max   float64
+}
+
+func (r *drawRecorder) Draw(rng *rand.Rand) (fault.Sample, float64) {
+	s, w := r.Sampler.Draw(rng)
+	r.draws++
+	r.max = max(r.max, w)
+	return s, w
+}
+
+// TestMaxWeightBoundsDraws: sampling.MaxWeight bounds every weight the
+// random, importance and adapted-importance samplers draw in gate and
+// register campaigns, and reports no bound for the cone and stratified
+// samplers.
+func TestMaxWeightBoundsDraws(t *testing.T) {
+	ev := evaluation(t)
+	im, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A register campaign's hits tilt g_T hard toward t = 1.
+	c, err := ev.Engine.RunCampaign(context.Background(), im, montecarlo.CampaignOptions{Samples: 4000, Mode: montecarlo.RegisterAttack, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adapted, err := im.(sampling.Adaptive).Adapt(sampling.AdaptState{Draws: c.TDraws, Hits: c.THits})
+	if err != nil || adapted == im {
+		t.Fatalf("adaptation to %d hits: %v", c.Successes, err)
+	}
+	for _, s := range []struct {
+		name string
+		sampling.Sampler
+	}{{"random", ev.RandomSampler()}, {"importance", im}, {"adapted importance", adapted}} {
+		name, sp := s.name, s.Sampler
+		wMax, ok := sampling.MaxWeight(sp)
+		if !ok {
+			t.Fatalf("%s: no largest weight", name)
+		}
+		for _, mode := range []montecarlo.Mode{montecarlo.GateAttack, montecarlo.RegisterAttack} {
+			rec := &drawRecorder{Sampler: sp}
+			if _, err := ev.Engine.RunCampaign(context.Background(), rec, montecarlo.CampaignOptions{Samples: 20000, Mode: mode, Seed: 5}); err != nil {
+				t.Fatal(err)
+			}
+			if rec.max > wMax*(1+1e-12) {
+				t.Errorf("%s, %v: drew weight %v above MaxWeight %v", name, mode, rec.max, wMax)
+			}
+		}
+	}
+	cone, err := ev.ConeSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stratified, err := ev.StratifiedSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []sampling.Sampler{cone, stratified} {
+		if w, ok := sampling.MaxWeight(sp); ok {
+			t.Errorf("%s: MaxWeight %v, want unknown", sp.Name(), w)
+		}
+	}
+}
+
 func TestRunOnceDeterministic(t *testing.T) {
 	ev := evaluation(t)
 	rng := rand.New(rand.NewSource(1))
@@ -227,7 +295,7 @@ func TestAnalyticalMatchesRTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rtlOnly.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+	if _, err := rtlOnly.RunGolden(core.CheckpointInterval); err != nil {
 		t.Fatal(err)
 	}
 
@@ -267,7 +335,7 @@ func TestPrunedRunsWouldFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rtlOnly.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+	if _, err := rtlOnly.RunGolden(core.CheckpointInterval); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))

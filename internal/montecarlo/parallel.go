@@ -215,8 +215,9 @@ type AdaptiveOptions struct {
 	// resumed run is bit-identical to the uninterrupted run with the
 	// same options on any pool, provided the snapshot round-tripped
 	// exactly (CampaignSnapshot guarantees this, including through
-	// JSON). A total that is not a whole number of blocks and is below
-	// MaxSamples is rejected.
+	// JSON). A total whose mode, sampler name or seed differ from the
+	// run's is rejected before any block runs, and so is one that is
+	// not a whole number of blocks and is below MaxSamples.
 	Resume *Campaign
 	// AdaptProposal re-tunes the sampler after every block when it
 	// implements sampling.Adaptive: the Importance sampler re-tilts
@@ -338,21 +339,19 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 	if opts.adapts(sampler) {
 		perRound = 1
 	}
+	if r := opts.Resume; r != nil && (r.Options.Mode != opts.Mode || r.SamplerName != sampler.Name() || r.Options.Seed != opts.Seed) {
+		return nil, fmt.Errorf("montecarlo: cannot resume a %s %v campaign of seed %d as a %s %v answer of seed %d",
+			r.SamplerName, r.Options.Mode, r.Options.Seed, sampler.Name(), opts.Mode, opts.Seed)
+	}
 	seed0 := opts.Seed * 999983
 	var total *Campaign
 	var conv []float64
-	// finish stamps the synthesized options and restores the per-block
-	// convergence trace on every return path that carries a campaign
-	// (normal stop, cancellation, failure).
+	// finish restores the per-block convergence trace on every return
+	// path that carries a campaign (normal stop, cancellation, failure).
 	finish := func() *Campaign {
-		if total == nil {
-			return nil
-		}
-		if opts.TrackConvergence {
+		if total != nil && opts.TrackConvergence {
 			total.Convergence = conv
 		}
-		total.Options.Seed = opts.Seed
-		total.Options.Samples = total.Est.N()
 		return total
 	}
 	cur := sampler
@@ -416,6 +415,8 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		stop := false
 		var err error
 		total, err = commitBlocks(total, results, func(t *Campaign) bool {
+			// The total carries the answer's seed, not its first block's.
+			t.Options.Seed = opts.Seed
 			next++
 			if opts.TrackConvergence {
 				conv = append(conv, t.SSF())

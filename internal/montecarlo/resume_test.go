@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -203,6 +204,15 @@ func TestRunAdaptiveParallelResumeBitIdentical(t *testing.T) {
 	if len(cps) != 3 || cps[0].blocks != 2 {
 		t.Fatalf("got %d checkpoints, the first after %d blocks; want 3, the first after 2", len(cps), cps[0].blocks)
 	}
+	for _, c := range cps {
+		var snap montecarlo.CampaignSnapshot
+		if err := json.Unmarshal(c.data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Seed != opts.Seed || snap.Samples != snap.Est.N {
+			t.Errorf("checkpoint after %d blocks carries seed %d and %d samples, want seed %d and %d", c.blocks, snap.Seed, snap.Samples, opts.Seed, snap.Est.N)
+		}
+	}
 	// Resume from the first checkpoint (after round 1 of 3).
 	opts.Checkpoint = nil
 	for _, n := range []int{1, 3} {
@@ -235,7 +245,7 @@ func TestResumeRejectsPartialBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := montecarlo.AdaptiveOptions{MinSamples: 400, MaxSamples: 400, CheckEvery: 100, Resume: part}
+	opts := montecarlo.AdaptiveOptions{MinSamples: 400, MaxSamples: 400, CheckEvery: 100, Seed: 1, Resume: part}
 	if _, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts); err == nil || !strings.Contains(err.Error(), "whole number") {
 		t.Errorf("resume of 150 samples in 100-sample blocks: error %v", err)
 	}
@@ -243,6 +253,126 @@ func TestResumeRejectsPartialBlock(t *testing.T) {
 	c, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts)
 	if err != nil || c.Est.N() != 150 {
 		t.Errorf("resume of a finished 150-sample answer: %v, %v", c, err)
+	}
+}
+
+// TestResumeRejectsAnotherAnswer: a checkpoint resumes only the answer
+// it was taken from. A total of another mode, sampler or seed is
+// rejected before any block runs, which includes a checkpoint of a seed
+// that carried its first block's seed, Seed·999983.
+func TestResumeRejectsAnotherAnswer(t *testing.T) {
+	ev := evaluation(t)
+	im, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := montecarlo.AdaptiveOptions{MinSamples: 600, MaxSamples: 600, CheckEvery: 200, Seed: 7}
+	var first *montecarlo.Campaign
+	opts.Checkpoint = func(_ int64, total *montecarlo.Campaign) {
+		if first == nil {
+			first = total
+		}
+	}
+	if _, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Checkpoint = nil
+	for _, c := range []struct {
+		name    string
+		sampler sampling.Sampler
+		change  func(*montecarlo.AdaptiveOptions)
+	}{
+		{"seed", ev.RandomSampler(), func(o *montecarlo.AdaptiveOptions) { o.Seed = 8 }},
+		{"first block's seed", ev.RandomSampler(), func(o *montecarlo.AdaptiveOptions) { o.Seed = 7 * 999983 }},
+		{"mode", ev.RandomSampler(), func(o *montecarlo.AdaptiveOptions) { o.Mode = montecarlo.RegisterAttack }},
+		{"sampler", im, func(*montecarlo.AdaptiveOptions) {}},
+	} {
+		o := opts
+		c.change(&o)
+		o.Resume = first
+		sp := &drawRecorder{Sampler: c.sampler}
+		camp, err := runAdaptive(context.Background(), ev, sp, o)
+		if err == nil || !strings.Contains(err.Error(), "cannot resume") || camp != nil {
+			t.Errorf("%s: resumed with %v, %v", c.name, camp, err)
+		}
+		if sp.draws != 0 {
+			t.Errorf("%s: ran %d draws before rejecting the resume", c.name, sp.draws)
+		}
+	}
+	o := opts
+	o.Resume = first
+	if c, err := runAdaptive(context.Background(), ev, ev.RandomSampler(), o); err != nil || c.Est.N() != 600 || c.Options.Seed != 7 {
+		t.Errorf("resume of its own answer: %v, %v", c, err)
+	}
+}
+
+// TestValidateRejectsImpossibleSnapshots: Validate accepts a real
+// checkpoint and rejects every state accumulation cannot produce,
+// including a negative m2 that resumed into a wrong answer.
+func TestValidateRejectsImpossibleSnapshots(t *testing.T) {
+	ev := evaluation(t)
+	c, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(),
+		montecarlo.CampaignOptions{Samples: 2000, Mode: montecarlo.RegisterAttack, Seed: 1, TrackPatterns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Successes == 0 || len(c.PatternCounts) == 0 {
+		t.Fatalf("campaign with %d successes and %d pattern classes", c.Successes, len(c.PatternCounts))
+	}
+	data, err := json.Marshal(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := func() *montecarlo.CampaignSnapshot {
+		var s montecarlo.CampaignSnapshot
+		if err := json.Unmarshal(data, &s); err != nil {
+			t.Fatal(err)
+		}
+		return &s
+	}
+	if err := decoded().Validate(); err != nil {
+		t.Fatalf("real checkpoint rejected: %v", err)
+	}
+	for _, m := range []struct {
+		name   string
+		mutate func(*montecarlo.CampaignSnapshot)
+	}{
+		{"negative m2", func(s *montecarlo.CampaignSnapshot) { s.Est.M2 = -5 }},
+		{"NaN m2", func(s *montecarlo.CampaignSnapshot) { s.Est.M2 = math.NaN() }},
+		{"infinite mean", func(s *montecarlo.CampaignSnapshot) { s.Est.Mean = math.Inf(1) }},
+		{"negative mean", func(s *montecarlo.CampaignSnapshot) { s.Est.Mean = -s.Est.Mean }},
+		{"negative weight sum", func(s *montecarlo.CampaignSnapshot) { s.Weights.SumW = -1 }},
+		{"infinite squared weight sum", func(s *montecarlo.CampaignSnapshot) { s.Weights.SumW2 = math.Inf(1) }},
+		{"negative count", func(s *montecarlo.CampaignSnapshot) { s.ClassCounts[1] += s.ClassCounts[0] + 1; s.ClassCounts[0] = -1 }},
+		{"negative RTL cycles", func(s *montecarlo.CampaignSnapshot) { s.RTLCycles = -1 }},
+		{"samples", func(s *montecarlo.CampaignSnapshot) { s.Samples++ }},
+		{"weight count", func(s *montecarlo.CampaignSnapshot) { s.Weights.N-- }},
+		{"class counts", func(s *montecarlo.CampaignSnapshot) { s.ClassCounts[0]++ }},
+		{"path counts", func(s *montecarlo.CampaignSnapshot) { s.PathCounts[0]-- }},
+		{"per-t draws", func(s *montecarlo.CampaignSnapshot) { s.TDraws[0]++ }},
+		{"successes over hits", func(s *montecarlo.CampaignSnapshot) { s.Successes++ }},
+		{"successes beyond the samples", func(s *montecarlo.CampaignSnapshot) {
+			s.Successes, s.THits = s.Est.N+1, []int{s.Est.N + 1}
+		}},
+		{"hits beyond draws", func(s *montecarlo.CampaignSnapshot) {
+			s.THits = make([]int, len(s.TDraws))
+			s.THits[0] = s.TDraws[0] + 1
+			s.Successes = s.THits[0]
+		}},
+		{"hits past the last draw", func(s *montecarlo.CampaignSnapshot) {
+			s.THits = append(make([]int, len(s.TDraws)), s.Successes)
+		}},
+		{"negative pattern count", func(s *montecarlo.CampaignSnapshot) {
+			for k := range s.PatternHist {
+				s.PatternHist[k] = -1
+			}
+		}},
+	} {
+		s := decoded()
+		m.mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: accepted", m.name)
+		}
 	}
 }
 

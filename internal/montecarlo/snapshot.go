@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/netlist"
@@ -190,19 +191,74 @@ func (s *CampaignSnapshot) Campaign() *Campaign {
 	return c
 }
 
-// Validate sanity-checks a snapshot loaded from untrusted storage
-// before it is fed to AdaptiveOptions.Resume.
+// Validate checks a snapshot loaded from untrusted storage before it is
+// fed to AdaptiveOptions.Resume. It rejects what no campaign can
+// accumulate, so that a corrupt checkpoint fails instead of resuming
+// into a wrong answer: an unknown mode, a negative or non-finite
+// estimator or weight sum, a negative count, counts that do not add up
+// to the sample count or to the successes, and more hits than draws at
+// some timing distance.
 func (s *CampaignSnapshot) Validate() error {
-	if s.Est.N < 0 {
-		return fmt.Errorf("montecarlo: snapshot has negative sample count %d", s.Est.N)
-	}
-	if s.Mode != GateAttack && s.Mode != RegisterAttack {
+	n := s.Est.N
+	switch {
+	case s.Mode != GateAttack && s.Mode != RegisterAttack:
 		return fmt.Errorf("montecarlo: snapshot has unknown mode %d", int(s.Mode))
+	case n < 0:
+		return fmt.Errorf("montecarlo: snapshot has negative sample count %d", n)
+	case !accumulated(s.Est) || !nonNegative(s.Weights.SumW) || !nonNegative(s.Weights.SumW2):
+		return fmt.Errorf("montecarlo: snapshot has estimator %+v and weight sums %+v", s.Est, s.Weights)
+	case s.Samples != n || s.Weights.N != n || !sumsTo(s.ClassCounts[:], n) || !sumsTo(s.PathCounts[:], n) || !sumsTo(s.TDraws, n):
+		return fmt.Errorf("montecarlo: snapshot of %d samples counts %d samples, %d weights, classes %v, paths %v, per-t draws %v",
+			n, s.Samples, s.Weights.N, s.ClassCounts, s.PathCounts, s.TDraws)
+	case s.Successes > n || !sumsTo(s.THits, s.Successes) || s.RTLCycles < 0:
+		return fmt.Errorf("montecarlo: snapshot has %d successes in %d samples, per-t hits %v, %d RTL cycles", s.Successes, n, s.THits, s.RTLCycles)
 	}
-	if s.Strata != nil {
-		if _, err := stats.FromStratifiedState(*s.Strata); err != nil {
-			return fmt.Errorf("montecarlo: snapshot strata: %w", err)
+	for t, h := range s.THits {
+		if t >= len(s.TDraws) || h > s.TDraws[t] {
+			return fmt.Errorf("montecarlo: snapshot has %d hits at t=%d in fewer draws", h, t)
 		}
 	}
+	for _, v := range s.PatternHist {
+		if v < 0 {
+			return fmt.Errorf("montecarlo: snapshot has a negative pattern count %d", v)
+		}
+	}
+	if s.Strata == nil {
+		return nil
+	}
+	if _, err := stats.FromStratifiedState(*s.Strata); err != nil {
+		return fmt.Errorf("montecarlo: snapshot strata: %w", err)
+	}
+	draws := make([]int, len(s.Strata.Strata))
+	for k, w := range s.Strata.Strata {
+		if !accumulated(w) {
+			return fmt.Errorf("montecarlo: snapshot stratum %d has estimator %+v", k, w)
+		}
+		draws[k] = w.N
+	}
+	if !sumsTo(draws, n) || !sumsTo(s.Strata.Hits, s.Successes) {
+		return fmt.Errorf("montecarlo: snapshot strata hold %v draws and %v hits, not %d and %d", draws, s.Strata.Hits, n, s.Successes)
+	}
 	return nil
+}
+
+// accumulated reports whether a Welford state is one that a stream of
+// non-negative terms produces.
+func accumulated(w stats.WelfordState) bool {
+	return w.N >= 0 && nonNegative(w.Mean) && nonNegative(w.M2)
+}
+
+// nonNegative reports whether x is finite and not negative.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// sumsTo reports whether the counts are non-negative and add up to
+// total, without overflowing.
+func sumsTo(counts []int, total int) bool {
+	for _, c := range counts {
+		if c < 0 || c > total {
+			return false
+		}
+		total -= c
+	}
+	return total == 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/montecarlo"
@@ -14,9 +15,9 @@ import (
 // FuzzCampaignSnapshot feeds arbitrary JSON to the checkpoint decoder.
 // Whatever decodes and passes Validate — the gate a stored checkpoint
 // passes before a job resumes from it — must survive reconstruction,
-// the estimate and its CI, a Merge into a fresh campaign of the same
-// sampler and mode, and a Snapshot → JSON round trip that re-encodes
-// byte-identically. The corpus starts from real snapshots of a short
+// have a variance of at least 0 and a CI that is not NaN, survive a
+// Merge into a fresh campaign of the same sampler and mode, and a
+// Snapshot → JSON round trip that re-encodes byte-identically. The corpus starts from real snapshots of a short
 // gate campaign and a short stratified campaign.
 func FuzzCampaignSnapshot(f *testing.F) {
 	ev := evaluation(f)
@@ -54,7 +55,10 @@ func FuzzCampaignSnapshot(f *testing.F) {
 			return
 		}
 		c := snap.Campaign()
-		_, _ = c.SSF(), c.CIHalfWidth()
+		_ = c.SSF()
+		if v, ci := c.EstimatorVariance(), c.CIHalfWidth(); !(v >= 0) || !(c.Variance() >= 0) || math.IsNaN(ci) {
+			t.Fatalf("validated snapshot has variance %v (%v per term) and CI half-width %v", v, c.Variance(), ci)
+		}
 
 		fresh := &montecarlo.CampaignSnapshot{SamplerName: snap.SamplerName, Mode: snap.Mode}
 		if snap.Strata != nil {

@@ -35,9 +35,6 @@ type Options struct {
 	// TraceCycles is the length of the synthetic-benchmark trace the
 	// switching signatures are extracted from.
 	TraceCycles int
-	// BitParallel selects the 64-way signature extraction (the
-	// scalar path exists for the ablation benchmark).
-	BitParallel bool
 	// LifetimeCap is the horizon (cycles) of the lifetime campaign;
 	// errors alive at the horizon report this value.
 	LifetimeCap int
@@ -57,7 +54,6 @@ func DefaultOptions() Options {
 	return Options{
 		MaxDepth:       50,
 		TraceCycles:    1024,
-		BitParallel:    true,
 		LifetimeCap:    200,
 		Probes:         2,
 		MemLifetimeMin: 100,
@@ -230,11 +226,7 @@ func runBenchmark(s *soc.SoC, opts Options, rp *laneReplay) (*logicsim.Trace, []
 	// returns no flips, so StepInject steps exactly as Step does.
 	record := func(func(netlist.NodeID) bool) []netlist.NodeID {
 		if cyc < opts.TraceCycles {
-			if opts.BitParallel {
-				trace.RecordSources(s.Sim, cyc)
-			} else {
-				trace.RecordAll(s.Sim, cyc)
-			}
+			trace.RecordSources(s.Sim, cyc)
 		}
 		for _, w := range windows {
 			if k := cyc - w.probe; k >= 0 && k < rp.horizon {
@@ -251,9 +243,7 @@ func runBenchmark(s *soc.SoC, opts Options, rp *laneReplay) (*logicsim.Trace, []
 			}
 		}
 	}
-	if opts.BitParallel {
-		trace.FillCombParallel(s.Sim)
-	}
+	trace.FillCombParallel(s.Sim)
 	return trace, windows
 }
 

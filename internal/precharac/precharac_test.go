@@ -271,25 +271,30 @@ func TestCharacterizeRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestScalarAndParallelTracesAgree: the benchmark run's trace, which
+// records the sources and recovers the gates 64 cycles at a time,
+// equals the scalar RecordAll trace of the same synthetic run.
 func TestScalarAndParallelTracesAgree(t *testing.T) {
-	optsA := smallOpts()
-	optsA.BitParallel = true
-	optsB := smallOpts()
-	optsB.BitParallel = false
-	optsA.TraceCycles, optsB.TraceCycles = 200, 200
-
+	opts := smallOpts()
+	opts.TraceCycles = 200
 	c, _ := getChar(t)
-	trace := func(opts Options) *logicsim.Trace {
-		s := synthSoC(t)
-		rp := newLaneReplay(s.Sim.Fork(), coneRegsOf(c, s.MPU.Netlist), opts.LifetimeCap)
-		tr, _ := runBenchmark(s, opts, rp)
-		return tr
+	s := synthSoC(t)
+	rp := newLaneReplay(s.Sim.Fork(), coneRegsOf(c, s.MPU.Netlist), opts.LifetimeCap)
+	parallel, _ := runBenchmark(s, opts, rp)
+
+	s = synthSoC(t)
+	nl := s.MPU.Netlist
+	scalar := logicsim.NewTrace(nl, opts.TraceCycles)
+	s.Reset()
+	for cyc := 0; cyc < opts.TraceCycles; cyc++ {
+		s.StepInject(func(func(netlist.NodeID) bool) []netlist.NodeID {
+			scalar.RecordAll(s.Sim, cyc)
+			return nil
+		})
 	}
-	trA, trB := trace(optsA), trace(optsB)
-	nl := synthSoC(t).MPU.Netlist
 	for i := 0; i < nl.NumNodes(); i++ {
 		id := netlist.NodeID(i)
-		a, b := trA.ValueBits(id), trB.ValueBits(id)
+		a, b := parallel.ValueBits(id), scalar.ValueBits(id)
 		for w := range a {
 			if a[w] != b[w] {
 				t.Fatalf("node %d (%s) word %d: parallel %x scalar %x", i, nl.Node(id).Name, w, a[w], b[w])

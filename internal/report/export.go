@@ -41,23 +41,3 @@ func CSV(w io.Writer, header []string, columns ...[]float64) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// KeyValueCSV writes a two-column key,value CSV for scalar result sets.
-func KeyValueCSV(w io.Writer, pairs ...interface{}) error {
-	if len(pairs)%2 != 0 {
-		return fmt.Errorf("report: odd key/value list")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"metric", "value"}); err != nil {
-		return err
-	}
-	for i := 0; i < len(pairs); i += 2 {
-		key := fmt.Sprintf("%v", pairs[i])
-		val := fmt.Sprintf("%v", pairs[i+1])
-		if err := cw.Write([]string{key, val}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -106,17 +106,3 @@ func TestCSVExport(t *testing.T) {
 		t.Error("header/column mismatch accepted")
 	}
 }
-
-func TestKeyValueCSV(t *testing.T) {
-	var buf strings.Builder
-	if err := KeyValueCSV(&buf, "ssf", 0.001, "runs", 100); err != nil {
-		t.Fatal(err)
-	}
-	want := "metric,value\nssf,0.001\nruns,100\n"
-	if buf.String() != want {
-		t.Errorf("KeyValueCSV = %q", buf.String())
-	}
-	if err := KeyValueCSV(&buf, "odd"); err == nil {
-		t.Error("odd list accepted")
-	}
-}

@@ -127,6 +127,22 @@ func (r *Random) TimingProbs() []float64 {
 	return out
 }
 
+// MaxWeight returns the largest weight f/g the sampler can give a draw,
+// up to rounding: 1 for the nominal distribution, 1/DefaultMixUniform
+// for the importance sampler, adapted or not, whose defensive mixture
+// keeps g ≥ DefaultMixUniform·f, and false for the cone sampler (its
+// support drops strikes) and the stratified one (its weights carry the
+// stratum allocation).
+func MaxWeight(s Sampler) (float64, bool) {
+	switch s := s.(type) {
+	case *Random:
+		return 1, true
+	case *Importance:
+		return 1 / s.mixUniform, true
+	}
+	return 0, false
+}
+
 // --- Fanin/fanout-cone sampling ------------------------------------------
 
 // Cone samples the timing distance uniformly but restricts strike
@@ -209,21 +225,18 @@ func (c *Cone) TimingProbs() []float64 {
 // effective error lifetime of the registers latching g.
 type Importance struct {
 	attack *fault.Attack
-	// Alpha scales how strongly correlation concentrates the mass;
-	// Beta scales the lifetime requirement per unroll depth.
-	Alpha, Beta float64
-	// MixUniform is the global defensive-mixture weight: each draw
+	// mixUniform is the global defensive-mixture weight: each draw
 	// comes from the nominal distribution f with this probability, so
 	// no importance weight exceeds its reciprocal even off the
-	// characterized support. 0 disables it.
-	MixUniform float64
-	// MixLayer is the within-layer defensive mixture: after the
+	// characterized support.
+	mixUniform float64
+	// mixLayer is the within-layer defensive mixture: after the
 	// timing distance is drawn, the center comes from the uniform
 	// distribution over Ω_t with this probability instead of the
 	// correlation tilt. It bounds the weight of successes the
 	// correlation heuristic misses while preserving the temporal
-	// concentration. 0 disables it.
-	MixLayer float64
+	// concentration.
+	mixLayer float64
 
 	layers [][]netlist.NodeID
 	tDist  *stats.Discrete
@@ -274,9 +287,9 @@ func NewImportance(attack *fault.Attack, char *precharac.Characterization, nl *n
 		return c
 	}
 	im := &Importance{
-		attack: attack, Alpha: alpha, Beta: beta,
-		MixUniform: DefaultMixUniform,
-		MixLayer:   DefaultMixLayer,
+		attack:     attack,
+		mixUniform: DefaultMixUniform,
+		mixLayer:   DefaultMixLayer,
 		layers:     layers,
 		pDists:     make([]*stats.Discrete, attack.TRange),
 		centerP:    make([][]float64, attack.TRange),
@@ -384,10 +397,10 @@ func (im *Importance) Name() string { return "importance" }
 
 // Draw implements Sampler.
 func (im *Importance) Draw(rng *rand.Rand) (fault.Sample, float64) {
-	if im.MixUniform > 0 && rng.Float64() < im.MixUniform {
+	if rng.Float64() < im.mixUniform {
 		s := im.attack.SampleNominal(rng)
 		f := im.attack.Density(s)
-		g := im.MixUniform*f + (1-im.MixUniform)*im.density(s)
+		g := im.mixUniform*f + (1-im.mixUniform)*im.density(s)
 		return s, f / g
 	}
 	t := im.tDist.Sample(rng.Float64())
@@ -395,7 +408,7 @@ func (im *Importance) Draw(rng *rand.Rand) (fault.Sample, float64) {
 	// g_{P|T} of the drawn center is its layer entry's probability,
 	// the value centerP holds for it.
 	f := im.attack.Density(s)
-	g := im.MixUniform*f + (1-im.MixUniform)*im.layerDensity(t, im.pDists[t].Prob(j))
+	g := im.mixUniform*f + (1-im.mixUniform)*im.layerDensity(t, im.pDists[t].Prob(j))
 	return s, f / g
 }
 
@@ -405,7 +418,7 @@ func (im *Importance) Draw(rng *rand.Rand) (fault.Sample, float64) {
 func (im *Importance) drawCenter(t int, rng *rand.Rand) (fault.Sample, int) {
 	layer := im.layers[t]
 	var j int
-	if im.MixLayer > 0 && rng.Float64() < im.MixLayer {
+	if rng.Float64() < im.mixLayer {
 		j = rng.Intn(len(layer))
 	} else {
 		j = im.pDists[t].Sample(rng.Float64())
@@ -438,7 +451,7 @@ func (im *Importance) layerDensity(t int, pC float64) float64 {
 		// Center is in Ω_t; the uniform component covers it too.
 		pUnif = 1 / layerN
 	}
-	mixed := im.MixLayer*pUnif + (1-im.MixLayer)*pC
+	mixed := im.mixLayer*pUnif + (1-im.mixLayer)*pC
 	return im.tDist.Prob(t) * mixed
 }
 

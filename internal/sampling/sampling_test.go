@@ -234,7 +234,7 @@ func TestImportanceWeightsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := 1/im.MixUniform + 1e-9
+	bound := 1/im.mixUniform + 1e-9
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		_, w := im.Draw(rng)

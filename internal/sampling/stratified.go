@@ -159,7 +159,7 @@ func (s *Stratified) Draw(rng *rand.Rand) (fault.Sample, float64) {
 func (s *Stratified) drawIn(k int, rng *rand.Rand) (fault.Sample, float64) {
 	im := s.inner
 	smp, j := im.drawCenter(k, rng)
-	g := im.MixLayer/float64(len(im.layers[k])) + (1-im.MixLayer)*im.pDists[k].Prob(j)
+	g := im.mixLayer/float64(len(im.layers[k])) + (1-im.mixLayer)*im.pDists[k].Prob(j)
 	wCond := im.attack.CenterProb(smp.Center) / g
 	return smp, wCond * s.probs[k] / s.alloc[k]
 }

@@ -344,7 +344,7 @@ func TestDrawWeightsMatchDensity(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		s, w := im.Draw(rng)
 		f := im.attack.Density(s)
-		want := f / (im.MixUniform*f + (1-im.MixUniform)*im.density(s))
+		want := f / (im.mixUniform*f + (1-im.mixUniform)*im.density(s))
 		if math.Float64bits(w) != math.Float64bits(want) {
 			t.Fatalf("importance draw %d %+v: weight %v, density formula %v", i, s, w, want)
 		}
@@ -354,7 +354,7 @@ func TestDrawWeightsMatchDensity(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		s, w := stream.Draw(nil)
 		k := s.T
-		g := im.MixLayer/float64(len(im.layers[k])) + (1-im.MixLayer)*st.inner.centerProb(k, s.Center)
+		g := im.mixLayer/float64(len(im.layers[k])) + (1-im.mixLayer)*st.inner.centerProb(k, s.Center)
 		want := im.attack.CenterProb(s.Center) / g * st.probs[k] / st.alloc[k]
 		if math.Float64bits(w) != math.Float64bits(want) {
 			t.Fatalf("stratified draw %d %+v: weight %v, centerProb formula %v", i, s, w, want)

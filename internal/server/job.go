@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -28,12 +29,13 @@ type JobRequest struct {
 	// Samples runs a fixed-size campaign of exactly this many samples.
 	Samples int `json:"samples,omitempty"`
 	// Epsilon/Risk run an adaptive campaign: stop once
-	// Pr[|estimate − SSF| ≥ Epsilon] ≤ Risk.
+	// Pr[|estimate − SSF| ≥ Epsilon] ≤ Risk. Risk defaults to
+	// montecarlo.DefaultAdaptive's.
 	Epsilon float64 `json:"epsilon,omitempty"`
 	Risk    float64 `json:"risk,omitempty"`
 	// MinSamples/MaxSamples bound the adaptive effort. They default to
-	// 2000 and 1<<20, clamped to MaxSamples and to the server's sample
-	// cap; a job needs MinSamples ≤ MaxSamples ≤ cap.
+	// montecarlo.DefaultAdaptive's, clamped to MaxSamples and to the
+	// server's sample cap; a job needs MinSamples ≤ MaxSamples ≤ cap.
 	MinSamples int `json:"min_samples,omitempty"`
 	MaxSamples int `json:"max_samples,omitempty"`
 	// Mode is "gate" (default) or "register".
@@ -45,9 +47,9 @@ type JobRequest struct {
 	// from it and their index, so the result does not depend on the
 	// server's worker count.
 	Seed int64 `json:"seed"`
-	// CheckEvery is the block size (default 500): the job runs in
-	// blocks of this many samples, up to one per worker at a time, and
-	// the convergence bound is checked after each block.
+	// CheckEvery is the block size (default montecarlo.DefaultAdaptive's):
+	// the job runs in blocks of this many samples, up to one per worker
+	// at a time, and the convergence bound is checked after each block.
 	CheckEvery int `json:"check_every,omitempty"`
 	// TrackConvergence records the estimate after every block.
 	TrackConvergence bool `json:"track_convergence,omitempty"`
@@ -81,11 +83,12 @@ func (r *JobRequest) normalize(maxSamples int) error {
 		}
 		// Resolve the defaults and check the bounds here: the engine
 		// raises MaxSamples to MinSamples, which would bypass the cap.
+		def := montecarlo.DefaultAdaptive(r.Epsilon)
 		if r.MaxSamples == 0 {
-			r.MaxSamples = min(1<<20, maxSamples)
+			r.MaxSamples = min(def.MaxSamples, maxSamples)
 		}
 		if r.MinSamples == 0 {
-			r.MinSamples = min(2000, r.MaxSamples)
+			r.MinSamples = min(def.MinSamples, r.MaxSamples)
 		}
 		if r.MinSamples > r.MaxSamples {
 			return fmt.Errorf("min_samples %d exceeds max_samples %d", r.MinSamples, r.MaxSamples)
@@ -97,36 +100,29 @@ func (r *JobRequest) normalize(maxSamples int) error {
 	return nil
 }
 
-// adaptiveOptions translates the request into the engine's options.
-// Fixed-size jobs run through the same round loop as adaptive ones
-// (MinSamples = MaxSamples = Samples pins the total exactly and needs no
-// stopping criterion) so every job checkpoints and resumes uniformly.
+// adaptiveOptions translates a normalized request into the engine's
+// options, taking each value the request leaves unset from
+// montecarlo.DefaultAdaptive. Fixed-size jobs run through the same
+// round loop as adaptive ones (MinSamples = MaxSamples = Samples pins
+// the total exactly and needs no stopping criterion) so every job
+// checkpoints and resumes uniformly.
 func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 	mode, _ := montecarlo.ParseMode(r.Mode)
+	def := montecarlo.DefaultAdaptive(r.Epsilon)
 	o := montecarlo.AdaptiveOptions{
 		Mode:             mode,
 		Seed:             r.Seed,
 		TrackConvergence: r.TrackConvergence,
-		CheckEvery:       r.CheckEvery,
-	}
-	if o.CheckEvery < 1 {
-		o.CheckEvery = 500
+		CheckEvery:       cmp.Or(r.CheckEvery, def.CheckEvery),
 	}
 	if r.Samples > 0 {
-		o.MinSamples = r.Samples
-		o.MaxSamples = r.Samples
+		o.MinSamples, o.MaxSamples = r.Samples, r.Samples
 		return o
 	}
 	o.Epsilon = r.Epsilon
-	o.Risk = r.Risk
-	if o.Risk == 0 {
-		o.Risk = 0.05
-	}
-	o.MinSamples = r.MinSamples
-	if o.MinSamples == 0 {
-		// Job records stored before normalize resolved this default.
-		o.MinSamples = 2000
-	}
+	o.Risk = cmp.Or(r.Risk, def.Risk)
+	// Job records stored before normalize resolved MinSamples carry 0.
+	o.MinSamples = cmp.Or(r.MinSamples, def.MinSamples)
 	o.MaxSamples = r.MaxSamples
 	return o
 }

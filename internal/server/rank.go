@@ -81,9 +81,12 @@ type RankResponse struct {
 	Entries    []RankEntry `json:"leaderboard"`
 }
 
+// maxVariants caps the variant count of one rank request.
+const maxVariants = 16
+
 // normalize applies defaults and validates; explicit register sets must
 // name registers of nl.
-func (r *RankRequest) normalize(maxSamples, maxVariants int, nl *netlist.Netlist) error {
+func (r *RankRequest) normalize(maxSamples int, nl *netlist.Netlist) error {
 	if r.Sampler == "" {
 		r.Sampler = "importance"
 	}
@@ -166,7 +169,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if err := req.normalize(s.cfg.MaxSamples, s.cfg.MaxVariants, s.pool.Evaluation.Framework.MPU.Netlist); err != nil {
+	if err := req.normalize(s.cfg.MaxSamples, s.pool.Evaluation.Framework.MPU.Netlist); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

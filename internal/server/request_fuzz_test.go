@@ -106,15 +106,12 @@ func FuzzRankRequest(f *testing.F) {
 		`{"samples": 50, "variants": [{"regs": [0]}, {"regs": [4]}]}`,
 		`{"samples": 50, "variants": [{"regs": [2, 3, 2]}]}`,
 	} {
-		f.Add([]byte(body), 1<<22, 16)
+		f.Add([]byte(body), 1<<22)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, maxSamples, maxVariants int) {
+	f.Fuzz(func(t *testing.T, data []byte, maxSamples int) {
 		maxSamples = fuzzCap(maxSamples)
-		if maxVariants <= 0 {
-			maxVariants = 16 // Config's default
-		}
 		var req RankRequest
-		if decodeRequest(data, &req) != nil || req.normalize(maxSamples, maxVariants, nl) != nil {
+		if decodeRequest(data, &req) != nil || req.normalize(maxSamples, nl) != nil {
 			return
 		}
 		if _, err := montecarlo.ParseMode(req.Mode); err != nil {

@@ -32,19 +32,12 @@ type Config struct {
 	// QueueDepth bounds the number of jobs waiting to run; submissions
 	// beyond it get 429 + Retry-After. Default 64.
 	QueueDepth int
-	// CheckpointEvery is the checkpoint cadence in blocks of
-	// check_every samples: a job checkpoints after each round that
-	// completes a multiple of it. Default 1.
-	CheckpointEvery int64
 	// RatePerSec and Burst configure the per-tenant token bucket over
 	// job and rank submissions. RatePerSec <= 0 disables limiting.
 	RatePerSec float64
 	Burst      float64
 	// MaxSamples caps any single job's sample budget. Default 1<<22.
 	MaxSamples int
-	// MaxVariants caps the variant count of one rank request.
-	// Default 16.
-	MaxVariants int
 	// Logf receives operational log lines; nil means log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -53,14 +46,8 @@ func (c *Config) applyDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
 	if c.MaxSamples <= 0 {
 		c.MaxSamples = 1 << 22
-	}
-	if c.MaxVariants <= 0 {
-		c.MaxVariants = 16
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -305,9 +292,9 @@ func (s *Server) cancelJob(j *Job) bool {
 }
 
 // runJob executes one job end to end: resume from its checkpoint if
-// one exists, checkpoint every CheckpointEvery blocks, stream progress
-// to the job's SSE hub, and persist the terminal state. A server
-// shutdown mid-job re-queues it instead of failing it.
+// one exists, checkpoint after every round, stream progress to the
+// job's SSE hub, and persist the terminal state. A server shutdown
+// mid-job re-queues it instead of failing it.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	j.mu.Lock()
 	if j.rec.State != StateQueued { // cancelled while waiting
@@ -352,12 +339,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.mu.Unlock()
 		hub.publish(sseMsg{event: "progress", data: mustJSON(ev)})
 	}
-	last := rec.Rounds
 	aopts.Checkpoint = func(blocks int64, total *montecarlo.Campaign) {
-		if blocks/s.cfg.CheckpointEvery == last/s.cfg.CheckpointEvery {
-			return
-		}
-		last = blocks
 		j.mu.Lock()
 		j.rec.Rounds = blocks
 		j.rec.Checkpoint = total.Snapshot()

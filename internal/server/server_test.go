@@ -117,13 +117,15 @@ func TestJobRequestNormalize(t *testing.T) {
 		t.Errorf("CheckEvery default = %d", o.CheckEvery)
 	}
 
+	// A request carrying only epsilon runs montecarlo's defaults.
 	a := JobRequest{Epsilon: 0.01}
 	if err := a.normalize(1 << 22); err != nil {
 		t.Fatal(err)
 	}
-	ao := a.adaptiveOptions()
-	if ao.Risk != 0.05 || ao.MinSamples != 2000 || ao.MaxSamples != 1<<20 {
-		t.Errorf("adaptive defaults: %+v", ao)
+	want := montecarlo.DefaultAdaptive(0.01)
+	want.Mode, want.Seed = montecarlo.GateAttack, 0
+	if ao := a.adaptiveOptions(); !reflect.DeepEqual(ao, want) {
+		t.Errorf("adaptive defaults: %+v, want %+v", ao, want)
 	}
 
 	// Under a cap below the defaults, both defaults shrink to the cap.
@@ -160,7 +162,7 @@ func TestRankRequestNormalize(t *testing.T) {
 		if c.req.Variants == nil {
 			c.req.Variants = []RankVariant{{TopN: 3}}
 		}
-		err := c.req.normalize(1<<22, 16, rankNetlist())
+		err := c.req.normalize(1<<22, rankNetlist())
 		if c.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
@@ -190,7 +192,7 @@ func TestRankCellDefaults(t *testing.T) {
 	}
 	for _, c := range cases {
 		req := RankRequest{Samples: 10, Variants: []RankVariant{c.v}}
-		err := req.normalize(1<<22, 16, rankNetlist())
+		err := req.normalize(1<<22, rankNetlist())
 		if (err == nil) != c.ok {
 			t.Errorf("%s: normalize error %v, want ok %v", c.name, err, c.ok)
 			continue
@@ -342,8 +344,15 @@ func TestStoreRoundTrip(t *testing.T) {
 		SubmittedAt: base.Add(time.Minute),
 		Rounds:      2,
 		Checkpoint: &montecarlo.CampaignSnapshot{
-			SamplerName: "random", Mode: montecarlo.GateAttack,
-			Est: stats.WelfordState{N: 400, Mean: 0.125, M2: 43.75},
+			SamplerName: "random", Mode: montecarlo.GateAttack, Seed: 7, Samples: 400,
+			// 50 successes in 400 draws of weight 1.
+			Est:         stats.WelfordState{N: 400, Mean: 0.125, M2: 43.75},
+			Weights:     stats.WeightMomentsState{N: 400, SumW: 400, SumW2: 400},
+			ClassCounts: [3]int{350, 50, 0},
+			PathCounts:  [4]int{350, 50, 0, 0},
+			TDraws:      []int{400},
+			THits:       []int{50},
+			Successes:   50,
 		},
 	}
 	recB := jobRecord{
@@ -461,16 +470,36 @@ func TestInvalidCheckpointLoadsAsFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(jobRecord{
-		ID: "bad", State: StateRunning, SubmittedAt: time.Now().UTC(),
-		Request: JobRequest{Samples: 200, Sampler: "random", Mode: "gate", Seed: 1},
-		Rounds:  1,
-		Checkpoint: &montecarlo.CampaignSnapshot{
+	bad := map[string]struct {
+		snap    montecarlo.CampaignSnapshot
+		wantErr string
+	}{
+		"negative-n": {montecarlo.CampaignSnapshot{
 			SamplerName: "random", Mode: montecarlo.GateAttack,
 			Est: stats.WelfordState{N: -1},
-		},
-	}); err != nil {
-		t.Fatal(err)
+		}, "negative sample count -1"},
+		// Consistent but for its m2: resumed as a gate answer at eps
+		// 1e-4, it ran to MaxSamples and reported 3.4× the gate SSF.
+		"negative-m2": {montecarlo.CampaignSnapshot{
+			SamplerName: "random", Mode: montecarlo.GateAttack, Seed: 1, Samples: 2000,
+			Est:         stats.WelfordState{N: 2000, Mean: 0.5, M2: -5},
+			Weights:     stats.WeightMomentsState{N: 2000, SumW: 2000, SumW2: 2000},
+			ClassCounts: [3]int{1999, 1, 0},
+			PathCounts:  [4]int{1999, 1, 0, 0},
+			TDraws:      []int{2000},
+			THits:       []int{1},
+			Successes:   1,
+		}, "M2:-5"},
+	}
+	for id, b := range bad {
+		if err := st.Save(jobRecord{
+			ID: id, State: StateRunning, SubmittedAt: time.Now().UTC(),
+			Request:    JobRequest{Samples: 4000, Sampler: "random", Mode: "gate", Seed: 1},
+			Rounds:     1,
+			Checkpoint: &b.snap,
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, err := New(enginePool(t), dir, Config{Logf: t.Logf})
 	if err != nil {
@@ -481,24 +510,24 @@ func TestInvalidCheckpointLoadsAsFailed(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	r, err := http.Get(ts.URL + "/v1/jobs/bad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("status of the invalid job: %d, want 200", r.StatusCode)
-	}
-	var got JobStatus
-	if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.State != StateFailed || !strings.Contains(got.Error, "negative sample count -1") {
-		t.Fatalf("invalid job listed as %s with error %q", got.State, got.Error)
-	}
-	j, _ := srv.job("bad")
-	if j.snapshotRecord().Checkpoint != nil {
-		t.Error("invalid checkpoint kept")
+	for id, b := range bad {
+		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got JobStatus
+		err = json.NewDecoder(r.Body).Decode(&got)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, decoding %v", id, r.StatusCode, err)
+		}
+		if got.State != StateFailed || !strings.HasPrefix(got.Error, "invalid checkpoint") || !strings.Contains(got.Error, b.wantErr) {
+			t.Errorf("%s: listed as %s with error %q", id, got.State, got.Error)
+		}
+		j, _ := srv.job(id)
+		if j.snapshotRecord().Checkpoint != nil {
+			t.Errorf("%s: invalid checkpoint kept", id)
+		}
 	}
 }
 
@@ -779,7 +808,7 @@ func TestJobLifecycleAndSSE(t *testing.T) {
 func TestRestartResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	p := enginePool(t)
-	srv, err := New(p, dir, Config{CheckpointEvery: 1, Logf: t.Logf})
+	srv, err := New(p, dir, Config{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,7 +847,7 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	// two, must pick the job up from its checkpoint and finish
 	// bit-identical to an uninterrupted run.
 	one := &core.EnginePool{Evaluation: p.Evaluation, Engines: p.Engines[:1]}
-	srv2, err := New(one, dir, Config{CheckpointEvery: 1, Logf: t.Logf})
+	srv2, err := New(one, dir, Config{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -974,7 +1003,7 @@ func TestStoredBatchRecordResumes(t *testing.T) {
 func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	p := enginePool(t)
-	srv, err := New(p, dir, Config{CheckpointEvery: 1, Logf: t.Logf})
+	srv, err := New(p, dir, Config{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1011,7 +1040,7 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 		t.Fatalf("stratified checkpoint lost its strata: %+v", cp)
 	}
 
-	srv2, err := New(p, dir, Config{CheckpointEvery: 1, Logf: t.Logf})
+	srv2, err := New(p, dir, Config{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1075,7 +1104,7 @@ func TestRankDeterministic(t *testing.T) {
 			{Name: "share60", Share: 0.6},
 		},
 	}
-	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants, srv.pool.Evaluation.Framework.MPU.Netlist); err != nil {
+	if err := req.normalize(srv.cfg.MaxSamples, srv.pool.Evaluation.Framework.MPU.Netlist); err != nil {
 		t.Fatal(err)
 	}
 	first, err := srv.rank(context.Background(), req)
@@ -1126,7 +1155,7 @@ func TestRankZeroHitBound(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"samples": 500, "variants": [{"top_n": 3, "resilience": 10}]}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants, srv.pool.Evaluation.Framework.MPU.Netlist); err != nil {
+	if err := req.normalize(srv.cfg.MaxSamples, srv.pool.Evaluation.Framework.MPU.Netlist); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := srv.rank(context.Background(), req)
@@ -1172,7 +1201,7 @@ func TestRankZeroHitBase(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"samples": 500, "sampler": "random", "variants": [{"top_n": 3, "resilience": 10}]}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if err := req.normalize(srv.cfg.MaxSamples, srv.cfg.MaxVariants, fw.MPU.Netlist); err != nil {
+	if err := req.normalize(srv.cfg.MaxSamples, fw.MPU.Netlist); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := srv.rank(context.Background(), req)

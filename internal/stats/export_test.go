@@ -41,3 +41,6 @@ func (d *Discrete) GuideBuckets() int { return max(len(d.guide)-1, 0) }
 
 // Cum returns d's cumulative table.
 func (d *Discrete) Cum() []float64 { return d.cum }
+
+// StratumMean returns the running conditional mean of stratum k.
+func (s *Stratified) StratumMean(k int) float64 { return s.strata[k].Mean() }

@@ -77,9 +77,6 @@ func (s *Stratified) N() int {
 // StratumN returns the number of draws in stratum k.
 func (s *Stratified) StratumN(k int) int { return s.strata[k].N() }
 
-// StratumMean returns the running conditional mean of stratum k.
-func (s *Stratified) StratumMean(k int) float64 { return s.strata[k].Mean() }
-
 // StratumStdDev returns the sample standard deviation of stratum k.
 func (s *Stratified) StratumStdDev(k int) float64 { return s.strata[k].StdDev() }
 

@@ -87,33 +87,6 @@ func (l *RegisterLayout) Classify(flipped []netlist.NodeID) PatternClass {
 	return MultiByte
 }
 
-// FullByte reports whether the flipped set covers every bit of at least
-// one full byte of a register word — the paper notes that none of the
-// observed single-byte errors flip all eight bits, which is why the
-// single-byte abstraction used by prior fault analyses is inaccurate.
-func (l *RegisterLayout) FullByte(flipped []netlist.NodeID, groups map[string][]netlist.NodeID) bool {
-	type byteKey struct {
-		group string
-		byteN int
-	}
-	count := make(map[byteKey]int)
-	for _, id := range flipped {
-		if rb, ok := l.loc[id]; ok {
-			count[byteKey{rb.group, rb.bit / 8}]++
-		}
-	}
-	for k, c := range count {
-		width := len(groups[k.group]) - k.byteN*8
-		if width > 8 {
-			width = 8
-		}
-		if width > 0 && c == width {
-			return true
-		}
-	}
-	return false
-}
-
 // PatternKey returns a canonical signature for a flipped-register set,
 // used to count distinct error patterns (Fig 7(b)).
 func PatternKey(flipped []netlist.NodeID) string {

@@ -46,3 +46,39 @@ func (ct *CycleTable) EdgeCounts(s *Simulator) (dead, keepAll int) {
 	}
 	return dead, keepAll
 }
+
+// FullByte reports whether the flipped set covers every bit of at least
+// one full byte of a register word — the paper notes that none of the
+// observed single-byte errors flip all eight bits, which is why the
+// single-byte abstraction used by prior fault analyses is inaccurate.
+func (l *RegisterLayout) FullByte(flipped []netlist.NodeID, groups map[string][]netlist.NodeID) bool {
+	type byteKey struct {
+		group string
+		byteN int
+	}
+	count := make(map[byteKey]int)
+	for _, id := range flipped {
+		if rb, ok := l.loc[id]; ok {
+			count[byteKey{rb.group, rb.bit / 8}]++
+		}
+	}
+	for k, c := range count {
+		width := len(groups[k.group]) - k.byteN*8
+		if width > 8 {
+			width = 8
+		}
+		if width > 0 && c == width {
+			return true
+		}
+	}
+	return false
+}
+
+// Wave returns the fault waveform computed for a node by the most
+// recent Inject call. The caller must not mutate it.
+func (s *Simulator) Wave(id netlist.NodeID) []Interval {
+	if p := s.topoPos[id]; p >= 0 {
+		return s.wave(p)
+	}
+	return nil
+}

@@ -366,15 +366,6 @@ func (s *Simulator) Fork() *Simulator {
 // equivalence testing and debugging.
 func (s *Simulator) SetReferenceSweep(on bool) { s.reference = on }
 
-// Wave returns the fault waveform computed for a node by the most
-// recent Inject call. The caller must not mutate it.
-func (s *Simulator) Wave(id netlist.NodeID) []Interval {
-	if p := s.topoPos[id]; p >= 0 {
-		return s.wave(p)
-	}
-	return nil
-}
-
 // wave returns position p's waveform in the arena, capped so that no
 // append can reach another waveform.
 func (s *Simulator) wave(p int32) []Interval {

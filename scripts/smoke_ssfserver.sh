@@ -6,7 +6,9 @@
 # resume, and require the resumed SSF to be bit-identical to the
 # uninterrupted run (a job's blocks are seeded by their index, so the
 # result depends on the request alone, not on the worker count). Every
-# finished job's last progress must count its result's samples.
+# finished job's last progress must count its result's samples. A copy
+# of the interrupted job's record with a corrupted checkpoint (negative
+# m2) must come back failed with an "invalid checkpoint" error.
 #
 # Usage: scripts/smoke_ssfserver.sh [port]
 set -euo pipefail
@@ -36,7 +38,7 @@ say() { echo "smoke: $*"; }
 
 start_server() { # worker count
     "$WORKDIR/ssfserver" -addr "127.0.0.1:${PORT}" -workers "$1" -rate 0 \
-        -store "$WORKDIR/store" -checkpoint-every 1 >>"$WORKDIR/server.log" 2>&1 &
+        -store "$WORKDIR/store" >>"$WORKDIR/server.log" 2>&1 &
     SERVER_PID=$!
     for _ in $(seq 1 240); do
         if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -140,6 +142,11 @@ if [ "$STORED" != queued ]; then
     exit 1
 fi
 
+CORRUPT=badc0ffee000
+jq --arg id "$CORRUPT" '.id = $id | .checkpoint.est.m2 = -1' \
+    "$WORKDIR/store/job-$JOB_B.json" >"$WORKDIR/store/job-$CORRUPT.json"
+say "stored job $CORRUPT: job $JOB_B's record with a negative m2"
+
 say "restarting server on the same store with 1 worker"
 start_server 1
 STATE="$(job_field "$JOB_B" '.state')"
@@ -147,6 +154,13 @@ case "$STATE" in
     queued|running|done) say "job $JOB_B recovered in state $STATE" ;;
     *) echo "smoke: job $JOB_B in unexpected state $STATE after restart" >&2; exit 1 ;;
 esac
+STATE="$(job_field "$CORRUPT" '.state')"
+ERROR="$(job_field "$CORRUPT" '.error')"
+if [ "$STATE" != failed ] || [[ "$ERROR" != "invalid checkpoint"* ]]; then
+    echo "smoke: corrupted job $CORRUPT recovered as $STATE ($ERROR), want failed on an invalid checkpoint" >&2
+    exit 1
+fi
+say "corrupted job $CORRUPT failed: $ERROR"
 wait_done "$JOB_B"
 check_progress "$JOB_B"
 SSF_B="$(job_field "$JOB_B" '.result.ssf')"

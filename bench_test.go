@@ -117,10 +117,6 @@ func BenchmarkFig9ConvergenceRandom(b *testing.B) {
 	benchFig9(b, func(ev *core.Evaluation) (sampling.Sampler, error) { return ev.RandomSampler(), nil })
 }
 
-func BenchmarkFig9ConvergenceCone(b *testing.B) {
-	benchFig9(b, (*core.Evaluation).ConeSampler)
-}
-
 func BenchmarkFig9ConvergenceImportance(b *testing.B) {
 	benchFig9(b, (*core.Evaluation).ImportanceSampler)
 }
@@ -310,7 +306,7 @@ func BenchmarkAnalyticalVsRTL(b *testing.B) {
 // reports the resulting estimator variance (design-choice ablation).
 func benchAlpha(b *testing.B, alpha float64) {
 	_, ev := benchSetup(b)
-	sp, err := ev.ImportanceSamplerAB(alpha, sampling.DefaultBeta)
+	sp, err := ev.Sampler("importance", alpha, sampling.DefaultBeta)
 	if err != nil {
 		b.Fatal(err)
 	}

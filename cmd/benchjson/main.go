@@ -418,20 +418,13 @@ const (
 )
 
 func convergenceSuite() []benchResult {
-	fw, ev := setup()
+	_, ev := setup()
 	pool, err := ev.NewEnginePool(1)
 	if err != nil {
 		fatal(err)
 	}
-	newIm := func() *sampling.Importance {
-		im, err := sampling.NewImportance(ev.Attack, fw.Char, fw.MPU.Netlist, fw.Place, sampling.DefaultAlpha, sampling.DefaultBeta)
-		if err != nil {
-			fatal(err)
-		}
-		return im
-	}
-	newStrat := func() sampling.Sampler {
-		sp, err := sampling.NewStratified(newIm())
+	newSampler := func(name string) sampling.Sampler {
+		sp, err := ev.Sampler(name, sampling.DefaultAlpha, sampling.DefaultBeta)
 		if err != nil {
 			fatal(err)
 		}
@@ -442,11 +435,11 @@ func convergenceSuite() []benchResult {
 		sampler sampling.Sampler
 		adapt   bool
 	}{
-		{"ConvRandom", ev.RandomSampler(), false},
-		{"ConvImportance", newIm(), false},
-		{"ConvImportanceAdapt", newIm(), true},
-		{"ConvStratified", newStrat(), false},
-		{"ConvStratifiedNeyman", newStrat(), true},
+		{"ConvRandom", newSampler("random"), false},
+		{"ConvImportance", newSampler("importance"), false},
+		{"ConvImportanceAdapt", newSampler("importance"), true},
+		{"ConvStratified", newSampler("stratified"), false},
+		{"ConvStratifiedNeyman", newSampler("stratified"), true},
 	}
 	var results []benchResult
 	for _, cfg := range cfgs {

@@ -20,6 +20,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -43,7 +44,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ssfeval", flag.ExitOnError)
 	benchName := fs.String("bench", "write", "benchmark: write | read")
-	strategy := fs.String("sampler", "importance", "sampler: random | cone | importance | stratified")
+	strategy := fs.String("sampler", "importance", "sampler: "+strings.Join(core.SamplerNames(), " | "))
 	samples := fs.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns)")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	tRange := fs.Int("trange", 50, "temporal accuracy range (cycles)")
@@ -83,6 +84,9 @@ func run(args []string, stdout io.Writer) error {
 	if *mode == "glitch" && (*parallel > 1 || *adaptive) {
 		return fmt.Errorf("glitch campaigns run sequentially with a fixed sample count")
 	}
+	if err := core.CheckSampler(*strategy); err != nil {
+		return err
+	}
 
 	// Ctrl-C / SIGTERM cancels the campaign; the partial results are
 	// still reported.
@@ -115,23 +119,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "framework ready in %v; evaluator: %s; golden run: target cycle %d, final cycle %d\n",
 		time.Since(t0).Round(time.Millisecond), evalKind, ev.Golden.TargetCycle, ev.Golden.FinalCycle)
 
-	var sp sampling.Sampler
-	switch *strategy {
-	case "random":
-		sp = ev.RandomSampler()
-	case "cone":
-		sp, err = ev.ConeSampler()
-	case "importance":
-		sp, err = ev.ImportanceSamplerAB(*alpha, *beta)
-	case "stratified":
-		var im *sampling.Importance
-		im, err = sampling.NewImportance(ev.Attack, fw.Char, fw.MPU.Netlist, fw.Place, *alpha, *beta)
-		if err == nil {
-			sp, err = sampling.NewStratified(im)
-		}
-	default:
-		err = fmt.Errorf("unknown sampler %q", *strategy)
-	}
+	sp, err := ev.Sampler(*strategy, *alpha, *beta)
 	if err != nil {
 		return err
 	}

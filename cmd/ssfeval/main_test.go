@@ -47,6 +47,22 @@ func TestRejectsEmptyBudgets(t *testing.T) {
 	}
 }
 
+// TestRejectsUnknownSampler: -sampler names one of core's samplers;
+// any other name, the deleted cone sampler's included, is an error that
+// lists them, given before the framework is built.
+func TestRejectsUnknownSampler(t *testing.T) {
+	for _, name := range []string{"cone", "sobol"} {
+		var out strings.Builder
+		err := run([]string{"-sampler", name, "-samples", "10", "-progress=false"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "random, importance, stratified") {
+			t.Errorf("-sampler %s: error %v, output:\n%s", name, err, out.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-sampler %s: built the framework first:\n%s", name, out.String())
+		}
+	}
+}
+
 // TestGlitchRejectsParallelAndAdaptive: glitch campaigns run on one
 // engine with a fixed sample count, so -parallel above 1 and -adaptive
 // are errors in glitch mode.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/analytical"
 	"repro/internal/fault"
@@ -313,32 +314,69 @@ func (e *Evaluation) RandomSampler() sampling.Sampler {
 	return &sampling.Random{Attack: e.Attack}
 }
 
-// ConeSampler returns the fanin/fanout-cone-restricted sampler.
-func (e *Evaluation) ConeSampler() (sampling.Sampler, error) {
-	return sampling.NewCone(e.Attack, e.Framework.Char, e.Framework.MPU.Netlist, e.Framework.Place)
-}
-
 // ImportanceSampler returns the paper's pre-characterization-driven
 // sampler with default α/β.
 func (e *Evaluation) ImportanceSampler() (sampling.Sampler, error) {
-	return e.ImportanceSamplerAB(sampling.DefaultAlpha, sampling.DefaultBeta)
+	return e.Sampler("importance", sampling.DefaultAlpha, sampling.DefaultBeta)
 }
 
-// ImportanceSamplerAB returns the importance sampler with explicit α/β.
-func (e *Evaluation) ImportanceSamplerAB(alpha, beta float64) (sampling.Sampler, error) {
+// samplers is the one table of the sampling strategies a caller can
+// name, in the order SamplerNames lists them, each with its
+// constructor over an evaluation. α and β tune the importance proposal,
+// which the stratified sampler allocates over; the random sampler
+// ignores them. Each name is its sampler's Name().
+var samplers = []struct {
+	name  string
+	build func(e *Evaluation, alpha, beta float64) (sampling.Sampler, error)
+}{
+	{"random", func(e *Evaluation, _, _ float64) (sampling.Sampler, error) {
+		return e.RandomSampler(), nil
+	}},
+	{"importance", func(e *Evaluation, alpha, beta float64) (sampling.Sampler, error) {
+		return e.importance(alpha, beta)
+	}},
+	{"stratified", func(e *Evaluation, alpha, beta float64) (sampling.Sampler, error) {
+		im, err := e.importance(alpha, beta)
+		if err != nil {
+			return nil, err
+		}
+		return sampling.NewStratified(im)
+	}},
+}
+
+// importance builds the importance proposal with the given α and β.
+func (e *Evaluation) importance(alpha, beta float64) (*sampling.Importance, error) {
 	return sampling.NewImportance(e.Attack, e.Framework.Char, e.Framework.MPU.Netlist, e.Framework.Place, alpha, beta)
 }
 
-// StratifiedSampler returns the variance-reduction sampler that
-// allocates draws deterministically across timing-distance strata on
-// top of the importance proposal; campaigns using it report the
-// post-stratified estimator.
-func (e *Evaluation) StratifiedSampler() (sampling.Sampler, error) {
-	im, err := sampling.NewImportance(e.Attack, e.Framework.Char, e.Framework.MPU.Netlist, e.Framework.Place, sampling.DefaultAlpha, sampling.DefaultBeta)
-	if err != nil {
-		return nil, err
+// SamplerNames returns the names Sampler builds, in a fixed order.
+func SamplerNames() []string {
+	names := make([]string, len(samplers))
+	for i, s := range samplers {
+		names[i] = s.name
 	}
-	return sampling.NewStratified(im)
+	return names
+}
+
+// CheckSampler returns nil if Sampler builds the named strategy, and
+// otherwise an error that lists the names it builds.
+func CheckSampler(name string) error {
+	if slices.Contains(SamplerNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown sampler %q (known: %s)", name, strings.Join(SamplerNames(), ", "))
+}
+
+// Sampler builds the named sampling strategy (see SamplerNames) over
+// the evaluation, with α and β for the importance proposal; an unknown
+// name gets CheckSampler's error.
+func (e *Evaluation) Sampler(name string, alpha, beta float64) (sampling.Sampler, error) {
+	for _, s := range samplers {
+		if s.name == name {
+			return s.build(e, alpha, beta)
+		}
+	}
+	return nil, CheckSampler(name)
 }
 
 // DefaultCampaign returns campaign options with convergence tracking on.

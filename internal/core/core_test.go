@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
+	"repro/internal/sampling"
 )
 
 var (
@@ -103,15 +107,11 @@ func TestEvaluationEndToEnd(t *testing.T) {
 	if ev.Golden.TargetCycle <= 0 {
 		t.Fatal("golden run missing")
 	}
-	cone, err := ev.ConeSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
 	imp, err := ev.ImportanceSampler()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.RandomSampler().Name() == "" || cone.Name() == "" || imp.Name() == "" {
+	if ev.RandomSampler().Name() == "" || imp.Name() == "" {
 		t.Error("unnamed sampler")
 	}
 	camp, err := ev.EvaluateSSF(context.Background(), imp, DefaultCampaign(200))
@@ -120,6 +120,51 @@ func TestEvaluationEndToEnd(t *testing.T) {
 	}
 	if camp.Est.N() != 200 || len(camp.Convergence) != 200 {
 		t.Errorf("campaign bookkeeping: N=%d conv=%d", camp.Est.N(), len(camp.Convergence))
+	}
+}
+
+// TestSamplerTable: every name the table lists builds a sampler whose
+// Name() is that name, α and β reach the importance proposal, and any
+// other name, the deleted cone sampler's included, is an error that
+// lists the known names.
+func TestSamplerTable(t *testing.T) {
+	fw := testFramework(t)
+	ev, err := fw.NewEvaluation(BenchmarkIllegalWrite, DefaultAttackSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := SamplerNames()
+	if !slices.Equal(names, []string{"random", "importance", "stratified"}) {
+		t.Errorf("SamplerNames() = %v", names)
+	}
+	for _, name := range names {
+		if err := CheckSampler(name); err != nil {
+			t.Errorf("CheckSampler(%q): %v", name, err)
+		}
+		sp, err := ev.Sampler(name, sampling.DefaultAlpha, sampling.DefaultBeta)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sp.Name() != name {
+			t.Errorf("sampler %q builds %q", name, sp.Name())
+		}
+	}
+	for _, name := range names[1:] {
+		if _, err := ev.Sampler(name, -1, sampling.DefaultBeta); err == nil {
+			t.Errorf("%s: negative alpha accepted", name)
+		}
+	}
+	for _, name := range []string{"cone", "fanin-cone", "sobol", "", "Random"} {
+		sp, err := ev.Sampler(name, sampling.DefaultAlpha, sampling.DefaultBeta)
+		if sp != nil {
+			t.Errorf("%q built a sampler", name)
+		}
+		for _, err := range []error{err, CheckSampler(name)} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown sampler %q", name)) ||
+				!strings.Contains(err.Error(), strings.Join(names, ", ")) {
+				t.Errorf("%q: error %v, want one that names it and lists %v", name, err, names)
+			}
+		}
 	}
 }
 

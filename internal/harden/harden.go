@@ -36,7 +36,13 @@ func DefaultCellParams() (resilience, areaFactor float64) { return 10, 3 }
 // FromCritical selects the top-ranked registers covering the given
 // share of the success mass (e.g. 0.95).
 func FromCritical(ranked []montecarlo.CriticalRegister, share float64) []netlist.NodeID {
-	n := montecarlo.CoverageCount(ranked, share)
+	return Top(ranked, montecarlo.CoverageCount(ranked, share))
+}
+
+// Top selects the n top-ranked registers, or all of them when fewer
+// are ranked.
+func Top(ranked []montecarlo.CriticalRegister, n int) []netlist.NodeID {
+	n = min(n, len(ranked))
 	regs := make([]netlist.NodeID, 0, n)
 	for _, cr := range ranked[:n] {
 		regs = append(regs, cr.Reg)
@@ -93,7 +99,6 @@ type Result struct {
 // Evaluate runs the same campaign with and without the plan and
 // reports the security improvement and area cost.
 func Evaluate(ctx context.Context, e *montecarlo.Engine, sampler sampling.Sampler, opts montecarlo.CampaignOptions, p Plan) (Result, error) {
-	nl := e.SoC.MPU.Netlist
 	if len(p.Regs) == 0 {
 		return Result{}, fmt.Errorf("harden: empty plan")
 	}
@@ -107,15 +112,24 @@ func Evaluate(ctx context.Context, e *montecarlo.Engine, sampler sampling.Sample
 	if err != nil {
 		return Result{}, err
 	}
+	return Compare(base, hard, sampler, p, e.SoC.MPU.Netlist), nil
+}
+
+// Compare scores plan p on netlist nl from a base campaign and the
+// hardened campaign run with the same sampler and options: both SSF
+// estimates, the improvement, and the plan's area and register cost.
+func Compare(base, hard *montecarlo.Campaign, sampler sampling.Sampler, p Plan, nl *netlist.Netlist) Result {
 	res := Result{
 		BaseSSF:      base.SSF(),
 		HardenedSSF:  hard.SSF(),
 		AreaOverhead: p.AreaOverhead(nl),
 		NumRegs:      len(p.Regs),
-		RegFraction:  float64(len(p.Regs)) / float64(len(nl.Regs())),
+	}
+	if n := len(nl.Regs()); n > 0 {
+		res.RegFraction = float64(len(p.Regs)) / float64(n)
 	}
 	res.Improvement, res.HardenedNoSuccess = Improvement(res.BaseSSF, res.HardenedSSF, hard.Est.N(), sampler)
-	return res, nil
+	return res
 }
 
 // Unresolved reports that the hardened campaign saw no success and its

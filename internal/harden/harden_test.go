@@ -3,6 +3,7 @@ package harden
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,6 +49,12 @@ func TestFromCritical(t *testing.T) {
 	}
 	if len(FromCritical(ranked, 1.0)) != 3 {
 		t.Error("full coverage")
+	}
+	if regs := Top(ranked, 2); !slices.Equal(regs, []netlist.NodeID{10, 11}) {
+		t.Errorf("Top(2) = %v", regs)
+	}
+	if regs := Top(ranked, 5); !slices.Equal(regs, []netlist.NodeID{10, 11, 12}) {
+		t.Errorf("Top(5) of 3 ranked = %v", regs)
 	}
 }
 
@@ -148,11 +155,7 @@ func TestImprovementBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cone, err := e.ConeSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stratified, err := e.StratifiedSampler()
+	stratified, err := e.Sampler("stratified", sampling.DefaultAlpha, sampling.DefaultBeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,6 @@ func TestImprovementBound(t *testing.T) {
 		{"random, unresolved", 1e-3, 0, 500, random, 1e-3 / ub500, true, true},
 		{"random, one draw", 0.5, 0, 1, random, 0.5 / 0.95, true, true},
 		{"importance", 7.2e-4, 0, 500, importance, 7.2e-4 / (20 * ub500), true, true},
-		{"cone", 7.2e-4, 0, 500, cone, 0, true, true},
 		{"stratified", 7.2e-4, 0, 500, stratified, 0, true, true},
 	}
 	for _, c := range cases {

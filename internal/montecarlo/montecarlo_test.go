@@ -167,8 +167,7 @@ func (r *drawRecorder) Draw(rng *rand.Rand) (fault.Sample, float64) {
 
 // TestMaxWeightBoundsDraws: sampling.MaxWeight bounds every weight the
 // random, importance and adapted-importance samplers draw in gate and
-// register campaigns, and reports no bound for the cone and stratified
-// samplers.
+// register campaigns, and reports no bound for the stratified sampler.
 func TestMaxWeightBoundsDraws(t *testing.T) {
 	ev := evaluation(t)
 	im, err := ev.ImportanceSampler()
@@ -203,18 +202,12 @@ func TestMaxWeightBoundsDraws(t *testing.T) {
 			}
 		}
 	}
-	cone, err := ev.ConeSampler()
+	stratified, err := ev.Sampler("stratified", sampling.DefaultAlpha, sampling.DefaultBeta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stratified, err := ev.StratifiedSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range []sampling.Sampler{cone, stratified} {
-		if w, ok := sampling.MaxWeight(sp); ok {
-			t.Errorf("%s: MaxWeight %v, want unknown", sp.Name(), w)
-		}
+	if w, ok := sampling.MaxWeight(stratified); ok {
+		t.Errorf("stratified: MaxWeight %v, want unknown", w)
 	}
 }
 

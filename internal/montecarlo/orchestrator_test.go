@@ -326,7 +326,7 @@ func TestParallelProgressAggregates(t *testing.T) {
 // reads the stratified estimate.
 func TestFinalProgressIsTheAnswer(t *testing.T) {
 	ev := evaluation(t)
-	stratified, err := ev.StratifiedSampler()
+	stratified, err := ev.Sampler("stratified", sampling.DefaultAlpha, sampling.DefaultBeta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,7 +254,7 @@ func DefaultAdaptive(eps float64) AdaptiveOptions {
 
 // sanitize validates the stopping criterion, which a fixed-size run
 // (MinSamples == MaxSamples ≥ 1) does without, and applies the defaults
-// of the effort bounds.
+// of the effort bounds and of the block size (DefaultAdaptive's).
 func (o *AdaptiveOptions) sanitize() error {
 	fixed := o.MinSamples >= 1 && o.MinSamples == o.MaxSamples
 	if !fixed && (o.Epsilon <= 0 || o.Risk <= 0 || o.Risk >= 1) {
@@ -267,7 +267,7 @@ func (o *AdaptiveOptions) sanitize() error {
 		o.MaxSamples = o.MinSamples
 	}
 	if o.CheckEvery < 1 {
-		o.CheckEvery = 100
+		o.CheckEvery = DefaultAdaptive(0).CheckEvery
 	}
 	return nil
 }

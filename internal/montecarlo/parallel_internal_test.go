@@ -74,25 +74,34 @@ func TestCommitBlocksFoldsIntoFirstBlock(t *testing.T) {
 
 // TestSanitizeFixedSizeNeedsNoCriterion: a run with MinSamples ==
 // MaxSamples ≥ 1 cannot stop early, so it needs no stopping criterion;
-// every other run, the zero-valued options included, still does.
+// every other run, the zero-valued options included, still does. An
+// accepted run without a block size gets DefaultAdaptive's.
 func TestSanitizeFixedSizeNeedsNoCriterion(t *testing.T) {
+	def := DefaultAdaptive(0).CheckEvery
 	for _, tc := range []struct {
-		name string
-		o    AdaptiveOptions
-		ok   bool
+		name       string
+		o          AdaptiveOptions
+		ok         bool
+		checkEvery int
 	}{
-		{"zero value", AdaptiveOptions{}, false},
-		{"fixed size", AdaptiveOptions{MinSamples: 10, MaxSamples: 10}, true},
-		{"one sample", AdaptiveOptions{MinSamples: 1, MaxSamples: 1}, true},
-		{"open budget", AdaptiveOptions{MinSamples: 10, MaxSamples: 20}, false},
-		{"max below min", AdaptiveOptions{MinSamples: 20, MaxSamples: 10}, false},
-		{"negative equal bounds", AdaptiveOptions{MinSamples: -1, MaxSamples: -1}, false},
-		{"criterion", AdaptiveOptions{Epsilon: 0.01, Risk: 0.05}, true},
-		{"bad risk", AdaptiveOptions{Epsilon: 0.01, Risk: 1, MinSamples: 10, MaxSamples: 20}, false},
+		{"zero value", AdaptiveOptions{}, false, 0},
+		{"fixed size", AdaptiveOptions{MinSamples: 10, MaxSamples: 10}, true, def},
+		{"one sample", AdaptiveOptions{MinSamples: 1, MaxSamples: 1}, true, def},
+		{"open budget", AdaptiveOptions{MinSamples: 10, MaxSamples: 20}, false, 0},
+		{"max below min", AdaptiveOptions{MinSamples: 20, MaxSamples: 10}, false, 0},
+		{"negative equal bounds", AdaptiveOptions{MinSamples: -1, MaxSamples: -1}, false, 0},
+		{"criterion", AdaptiveOptions{Epsilon: 0.01, Risk: 0.05}, true, def},
+		{"bad risk", AdaptiveOptions{Epsilon: 0.01, Risk: 1, MinSamples: 10, MaxSamples: 20}, false, 0},
+		{"zero block size", AdaptiveOptions{Epsilon: 0.01, Risk: 0.05, MinSamples: 10, MaxSamples: 20}, true, def},
+		{"negative block size", AdaptiveOptions{MinSamples: 10, MaxSamples: 10, CheckEvery: -3}, true, def},
+		{"block size kept", AdaptiveOptions{MinSamples: 10, MaxSamples: 10, CheckEvery: 7}, true, 7},
 	} {
 		o := tc.o
 		if err := o.sanitize(); (err == nil) != tc.ok {
 			t.Errorf("%s: sanitize error %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if tc.ok && o.CheckEvery != tc.checkEvery {
+			t.Errorf("%s: CheckEvery %d, want %d", tc.name, o.CheckEvery, tc.checkEvery)
 		}
 	}
 }

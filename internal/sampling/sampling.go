@@ -1,8 +1,9 @@
-// Package sampling implements the three sampling strategies the paper
-// compares (Fig 9): plain random sampling from the nominal attack
-// distribution f_{T,P}, uniform sampling restricted to the responding
-// signals' fanin/fanout cones, and the full importance-sampling strategy
-// g_{T,P} = g_T · g_{P|T} built from the pre-characterization.
+// Package sampling implements the sampling strategies of the paper's
+// Fig 9: plain random sampling from the nominal attack distribution
+// f_{T,P} and the full importance-sampling strategy g_{T,P} = g_T ·
+// g_{P|T} built from the pre-characterization, plus a stratified
+// sampler that allocates draws over the importance proposal's timing
+// distances.
 //
 // Every sampler returns, with each draw, the likelihood ratio
 // f(t,p)/g(t,p) so the Monte Carlo engine's weighted estimator stays
@@ -130,9 +131,8 @@ func (r *Random) TimingProbs() []float64 {
 // MaxWeight returns the largest weight f/g the sampler can give a draw,
 // up to rounding: 1 for the nominal distribution, 1/DefaultMixUniform
 // for the importance sampler, adapted or not, whose defensive mixture
-// keeps g ≥ DefaultMixUniform·f, and false for the cone sampler (its
-// support drops strikes) and the stratified one (its weights carry the
-// stratum allocation).
+// keeps g ≥ DefaultMixUniform·f, and false for the stratified sampler
+// (its weights carry the stratum allocation).
 func MaxWeight(s Sampler) (float64, bool) {
 	switch s := s.(type) {
 	case *Random:
@@ -141,75 +141,6 @@ func MaxWeight(s Sampler) (float64, bool) {
 		return 1 / s.mixUniform, true
 	}
 	return 0, false
-}
-
-// --- Fanin/fanout-cone sampling ------------------------------------------
-
-// Cone samples the timing distance uniformly but restricts strike
-// centers to the gates of the responding signals' fanin/fanout cones at
-// the sampled depth — the paper's intermediate strategy ("Fanin Cone
-// Sampling" in Fig 9). Strikes centered outside the cones are assumed
-// ineffective (their indicator is 0), which holds up to spot-radius
-// boundary effects.
-type Cone struct {
-	attack *fault.Attack
-	// layers[i] is Ω_i: cone gates at unroll depth i that are also
-	// attack candidates.
-	layers [][]netlist.NodeID
-	tDist  *stats.Discrete
-}
-
-// NewCone builds the cone-restricted sampler from a characterization.
-// place, when non-nil, dilates the cone layers by the technique's spot
-// radius so that any center whose spot reaches the cone stays in the
-// support.
-func NewCone(attack *fault.Attack, char *precharac.Characterization, nl *netlist.Netlist, place *placement.Placement) (*Cone, error) {
-	layers, err := candidateLayers(attack, char, nl, newCandidateSpots(attack, nl, place))
-	if err != nil {
-		return nil, err
-	}
-	// Timing distances whose layer is empty can never be drawn; ones
-	// with gates share the probability uniformly.
-	w := make([]float64, attack.TRange)
-	for t := range w {
-		if len(layers[t]) > 0 {
-			w[t] = 1
-		}
-	}
-	tDist, err := stats.NewDiscrete(w)
-	if err != nil {
-		return nil, fmt.Errorf("sampling: no cone gates within TRange: %w", err)
-	}
-	return &Cone{attack: attack, layers: layers, tDist: tDist}, nil
-}
-
-// Name implements Sampler.
-func (c *Cone) Name() string { return "fanin-cone" }
-
-// Draw implements Sampler.
-func (c *Cone) Draw(rng *rand.Rand) (fault.Sample, float64) {
-	t := c.tDist.Sample(rng.Float64())
-	layer := c.layers[t]
-	center := layer[rng.Intn(len(layer))]
-	s := fault.Sample{
-		T:      t,
-		Center: center,
-		Radius: c.attack.Technique.SampleRadius(rng),
-		Width:  c.attack.Technique.SampleWidth(rng),
-		Time:   c.attack.Technique.SampleTime(rng),
-		Cycles: c.attack.Technique.Cycles(),
-	}
-	g := c.tDist.Prob(t) * (1 / float64(len(layer)))
-	return s, c.attack.Density(s) / g
-}
-
-// TimingProbs implements Sampler.
-func (c *Cone) TimingProbs() []float64 {
-	out := make([]float64, c.attack.TRange)
-	for i := range out {
-		out[i] = c.tDist.Prob(i)
-	}
-	return out
 }
 
 // --- Importance sampling ---------------------------------------------------

@@ -86,49 +86,18 @@ func TestRandomSamplerWeightsAreOne(t *testing.T) {
 	}
 }
 
-func TestConeSamplerSupport(t *testing.T) {
+// TestImportanceRejectsExcessiveTRange: the candidate layers Ω_t come
+// from the characterization's cones, so a TRange beyond its unroll depth
+// is an error, not a sampler with missing layers.
+func TestImportanceRejectsExcessiveTRange(t *testing.T) {
 	char, nl, place := fixture(t)
-	a := fixtureAttack(t, 10)
-	c, err := NewCone(a, char, nl, place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		s, w := c.Draw(rng)
-		if w <= 0 {
-			t.Fatalf("non-positive weight %v", w)
-		}
-		if s.T < 0 || s.T >= 10 {
-			t.Fatalf("T out of range: %d", s.T)
-		}
-		// Center must be in the layer for the drawn t.
-		found := false
-		for _, g := range c.layers[s.T] {
-			if g == s.Center {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("center %d not in layer %d", s.Center, s.T)
-		}
-	}
-	probs := c.TimingProbs()
-	sum := 0.0
-	for _, p := range probs {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("timing probs sum %v", sum)
-	}
-}
-
-func TestConeRejectsExcessiveTRange(t *testing.T) {
-	char, nl, place := fixture(t)
-	a := fixtureAttack(t, 1000)
-	if _, err := NewCone(a, char, nl, place); err == nil {
+	a := fixtureAttack(t, char.MaxUnrollIndex()+2)
+	if _, err := NewImportance(a, char, nl, place, DefaultAlpha, DefaultBeta); err == nil {
 		t.Error("TRange beyond characterized depth accepted")
+	}
+	a = fixtureAttack(t, char.MaxUnrollIndex()+1)
+	if _, err := NewImportance(a, char, nl, place, DefaultAlpha, DefaultBeta); err != nil {
+		t.Errorf("TRange at the characterized depth: %v", err)
 	}
 }
 

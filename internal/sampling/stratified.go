@@ -29,15 +29,21 @@ const strataSeedMix = -7046029254386353131 // 0x9E3779B97F4A7C15 as int64
 // only decides how accurate each stratum's conditional mean is, never
 // the estimate's expectation.
 //
-// Like Cone, the within-stratum support is the dilated candidate layer
-// Ω_t: centers whose spot cannot reach the cone at distance t are
-// assumed ineffective (indicator 0), so strata with an empty layer have
-// a conditional mean of exactly zero and receive no draws.
+// The within-stratum support is the dilated candidate layer Ω_t: the
+// sampler has no nominal component, so it never draws a center whose
+// spot cannot reach the cones at distance t, and strata with an empty
+// layer receive no draws. It therefore estimates SSF restricted to the
+// layers' support. On the default attack that drops 22 of the 912
+// candidate centers at t = 0 (0.048% of the nominal mass); the exact
+// register SSF has no success at T = 0, so register answers lose
+// nothing, and whether gate answers do is unchecked until an exact gate
+// oracle exists.
 //
 // Draws carry the full likelihood ratio (pi_t / alloc_t) · w_cond, so a
-// plain weighted mean over the stream is also unbiased (up to the
-// deterministic schedule's O(1/N) allocation rounding); the stratified
-// estimator is simply the lower-variance read of the same stream.
+// plain weighted mean over the stream reads the same restricted SSF (up
+// to the deterministic schedule's O(1/N) allocation rounding); the
+// stratified estimator is simply the lower-variance read of the same
+// stream.
 type Stratified struct {
 	inner *Importance
 	probs []float64 // pi_t = f_T(t)

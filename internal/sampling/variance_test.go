@@ -34,12 +34,7 @@ func fixtureStratified(t *testing.T, tRange int) *Stratified {
 // property tests.
 func varianceSamplers(t *testing.T) map[string]Sampler {
 	t.Helper()
-	char, nl, place := fixture(t)
 	a := fixtureAttack(t, 10)
-	cone, err := NewCone(a, char, nl, place)
-	if err != nil {
-		t.Fatal(err)
-	}
 	im := fixtureImportance(t, 10)
 	strat := fixtureStratified(t, 10)
 	sub, err := strat.ForkStrata(5, func(k int) bool { return k%2 == 0 })
@@ -48,7 +43,6 @@ func varianceSamplers(t *testing.T) map[string]Sampler {
 	}
 	return map[string]Sampler{
 		"random":            &Random{Attack: a},
-		"cone":              cone,
 		"importance":        im,
 		"stratified":        strat,
 		"stratified-stream": strat.Fork(3),
@@ -374,10 +368,6 @@ func TestDrawsCarryImpactCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cone, err := NewCone(a, char, nl, place)
-	if err != nil {
-		t.Fatal(err)
-	}
 	im, err := NewImportance(a, char, nl, place, DefaultAlpha, DefaultBeta)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +377,7 @@ func TestDrawsCarryImpactCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sp := range map[string]Sampler{
-		"random": &Random{Attack: a}, "importance": im, "cone": cone, "stratified": strat.Fork(1),
+		"random": &Random{Attack: a}, "importance": im, "stratified": strat.Fork(1),
 	} {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 10000; i++ {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/montecarlo"
 )
 
@@ -40,8 +41,8 @@ type JobRequest struct {
 	MaxSamples int `json:"max_samples,omitempty"`
 	// Mode is "gate" (default) or "register".
 	Mode string `json:"mode,omitempty"`
-	// Sampler is "random", "cone", "importance" (default), or
-	// "stratified".
+	// Sampler is one of core.SamplerNames: "random", "importance"
+	// (default) or "stratified".
 	Sampler string `json:"sampler,omitempty"`
 	// Seed makes the job reproducible: the job's blocks are seeded
 	// from it and their index, so the result does not depend on the
@@ -66,7 +67,7 @@ func (r *JobRequest) normalize(maxSamples int) error {
 	if _, err := montecarlo.ParseMode(r.Mode); err != nil {
 		return err
 	}
-	if err := checkSampler(r.Sampler); err != nil {
+	if err := core.CheckSampler(r.Sampler); err != nil {
 		return err
 	}
 	fixed := r.Samples > 0

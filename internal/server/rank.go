@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/harden"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
@@ -60,7 +61,7 @@ type RankEntry struct {
 	// Improvement is BaseSSF / SSF. When the hardened campaign saw no
 	// successes, NoSuccess is set and Improvement is the 95% lower
 	// bound of harden.Improvement; below 1 (0 for a sampler whose
-	// largest weight is unknown: cone, stratified) it is unresolved, no
+	// largest weight is unknown: stratified) it is unresolved, no
 	// evidence either way.
 	Improvement float64 `json:"improvement"`
 	NoSuccess   bool    `json:"no_success,omitempty"`
@@ -96,7 +97,7 @@ func (r *RankRequest) normalize(maxSamples int, nl *netlist.Netlist) error {
 	if _, err := montecarlo.ParseMode(r.Mode); err != nil {
 		return err
 	}
-	if err := checkSampler(r.Sampler); err != nil {
+	if err := core.CheckSampler(r.Sampler); err != nil {
 		return err
 	}
 	if r.Samples < 1 || r.Samples > maxSamples {
@@ -212,7 +213,6 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 	}
 	ranked := base.CriticalRegisters()
 	nl := s.pool.Evaluation.Framework.MPU.Netlist
-	nRegs := len(nl.Regs())
 
 	resp := &RankResponse{
 		BaseSSF:    base.SSF(),
@@ -227,14 +227,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		regs := v.Regs
 		switch {
 		case v.TopN > 0:
-			n := v.TopN
-			if n > len(ranked) {
-				n = len(ranked)
-			}
-			regs = make([]netlist.NodeID, 0, n)
-			for _, cr := range ranked[:n] {
-				regs = append(regs, cr.Reg)
-			}
+			regs = harden.Top(ranked, v.TopN)
 		case v.Share > 0:
 			regs = harden.FromCritical(ranked, v.Share)
 		}
@@ -250,18 +243,17 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		if err != nil {
 			return nil, fmt.Errorf("variant %q: %w", v.Name, err)
 		}
-		entry := RankEntry{
+		res := harden.Compare(base, hard, sp, plan, nl)
+		resp.Entries = append(resp.Entries, RankEntry{
 			Name:         v.Name,
-			SSF:          hard.SSF(),
+			SSF:          res.HardenedSSF,
 			StdErr:       hard.Est.StdErr(),
-			AreaOverhead: plan.AreaOverhead(nl),
-			NumRegs:      len(regs),
-		}
-		if nRegs > 0 {
-			entry.RegFraction = float64(len(regs)) / float64(nRegs)
-		}
-		entry.Improvement, entry.NoSuccess = harden.Improvement(resp.BaseSSF, entry.SSF, hard.Est.N(), sp)
-		resp.Entries = append(resp.Entries, entry)
+			Improvement:  res.Improvement,
+			NoSuccess:    res.HardenedNoSuccess,
+			AreaOverhead: res.AreaOverhead,
+			NumRegs:      res.NumRegs,
+			RegFraction:  res.RegFraction,
+		})
 	}
 	// Most secure (lowest hardened SSF) first; ties break by name so
 	// the leaderboard is fully deterministic.

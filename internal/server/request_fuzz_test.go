@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/montecarlo"
 	"repro/internal/netlist"
 )
@@ -39,6 +40,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"epsilon": 0.01, "max_samples": 10, "check_every": 3, "batch": true, "seed": 4}`,
 		`{"samples": 10, "epsilon": 0.01}`,
 		`{"samples": -1, "sampler": "sobol"}`,
+		`{"samples": 1000, "sampler": "cone", "seed": 3}`,
 		`{}`,
 		`{"samples": 100, "check_every": 4611686018427387904, "sampler": "random"}`,
 	} {
@@ -54,7 +56,7 @@ func FuzzJobRequest(f *testing.F) {
 		if _, err := montecarlo.ParseMode(req.Mode); err != nil {
 			t.Fatalf("accepted job %+v: %v", req, err)
 		}
-		if err := checkSampler(req.Sampler); err != nil {
+		if err := core.CheckSampler(req.Sampler); err != nil {
 			t.Fatalf("accepted job %+v: %v", req, err)
 		}
 		o := req.adaptiveOptions()
@@ -105,6 +107,7 @@ func FuzzRankRequest(f *testing.F) {
 		`{"samples": 50, "sampler": "random", "seed": 1, "variants": [{"regs": [5]}]}`,
 		`{"samples": 50, "variants": [{"regs": [0]}, {"regs": [4]}]}`,
 		`{"samples": 50, "variants": [{"regs": [2, 3, 2]}]}`,
+		`{"samples": 500, "sampler": "cone", "seed": 1, "variants": [{"top_n": 3}]}`,
 	} {
 		f.Add([]byte(body), 1<<22)
 	}
@@ -117,7 +120,7 @@ func FuzzRankRequest(f *testing.F) {
 		if _, err := montecarlo.ParseMode(req.Mode); err != nil {
 			t.Fatalf("accepted rank request %+v: %v", req, err)
 		}
-		if err := checkSampler(req.Sampler); err != nil {
+		if err := core.CheckSampler(req.Sampler); err != nil {
 			t.Fatalf("accepted rank request %+v: %v", req, err)
 		}
 		if req.Samples < 1 || req.Samples > maxSamples {

@@ -188,40 +188,17 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// knownSamplers is the one list of sampling strategies a job or rank
-// request may name, each with its constructor over the pool's
-// evaluation.
-var knownSamplers = map[string]func(*core.Evaluation) (sampling.Sampler, error){
-	"random": func(ev *core.Evaluation) (sampling.Sampler, error) {
-		return ev.RandomSampler(), nil
-	},
-	"cone":       (*core.Evaluation).ConeSampler,
-	"importance": (*core.Evaluation).ImportanceSampler,
-	"stratified": (*core.Evaluation).StratifiedSampler,
-}
-
-// checkSampler rejects a sampler name the server cannot build.
-func checkSampler(name string) error {
-	if _, ok := knownSamplers[name]; !ok {
-		return fmt.Errorf("unknown sampler %q", name)
-	}
-	return nil
-}
-
 // sampler returns (building and caching on first use) the named
-// sampling strategy over the pool's evaluation. Samplers are immutable
-// after construction and safe for concurrent Draw with distinct rngs.
+// sampling strategy over the pool's evaluation, with the default α and
+// β. Samplers are immutable after construction and safe for concurrent
+// Draw with distinct rngs.
 func (s *Server) sampler(name string) (sampling.Sampler, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sp, ok := s.samplers[name]; ok {
 		return sp, nil
 	}
-	newSampler, ok := knownSamplers[name]
-	if !ok {
-		return nil, fmt.Errorf("server: unknown sampler %q", name)
-	}
-	sp, err := newSampler(s.pool.Evaluation)
+	sp, err := s.pool.Evaluation.Sampler(name, sampling.DefaultAlpha, sampling.DefaultBeta)
 	if err != nil {
 		return nil, err
 	}

@@ -86,6 +86,7 @@ func TestJobRequestNormalize(t *testing.T) {
 		{"unknown sampler", JobRequest{Samples: 10, Sampler: "bogus"}, false},
 		{"stratified sampler", JobRequest{Samples: 10, Sampler: "stratified"}, true},
 		{"removed sobol sampler", JobRequest{Samples: 10, Sampler: "sobol"}, false},
+		{"removed cone sampler", JobRequest{Samples: 10, Sampler: "cone"}, false},
 		{"unknown mode", JobRequest{Samples: 10, Mode: "weird"}, false},
 		{"negative check_every", JobRequest{Samples: 10, CheckEvery: -1}, false},
 		{"min_samples over cap", JobRequest{Epsilon: 1e-4, MinSamples: 100_000_000}, false},
@@ -150,6 +151,7 @@ func TestRankRequestNormalize(t *testing.T) {
 		{"unknown sampler", RankRequest{Samples: 10, Sampler: "bogus"}, false},
 		{"stratified sampler", RankRequest{Samples: 10, Sampler: "stratified"}, true},
 		{"removed sobol sampler", RankRequest{Samples: 10, Sampler: "sobol"}, false},
+		{"removed cone sampler", RankRequest{Samples: 10, Sampler: "cone"}, false},
 		{"unknown mode", RankRequest{Samples: 10, Mode: "weird"}, false},
 		{"registers", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{1, 3}}}}, true},
 		{"node out of range", RankRequest{Samples: 10, Variants: []RankVariant{{Regs: []netlist.NodeID{5}}}}, false},
@@ -417,8 +419,9 @@ func waitTerminal(t *testing.T, j *Job) string {
 }
 
 // TestStoredRemovedSamplerFailsCleanly: a queued job persisted with a
-// sampler this server no longer builds fails with an error naming the
-// sampler, and the job queued behind it still runs.
+// sampler this server no longer builds (sobol, or cone, deleted later)
+// fails with an unknown-sampler error naming it, and the job queued
+// behind them still runs.
 func TestStoredRemovedSamplerFailsCleanly(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore(dir)
@@ -426,15 +429,16 @@ func TestStoredRemovedSamplerFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	for _, rec := range []jobRecord{
-		{ID: "old", State: StateQueued, SubmittedAt: base,
-			Request: JobRequest{Samples: 200, Sampler: "sobol", Mode: "gate", Seed: 1}},
-		{ID: "next", State: StateQueued, SubmittedAt: base.Add(time.Minute),
-			Request: JobRequest{Samples: 200, Sampler: "random", Mode: "gate", Seed: 2}},
-	} {
-		if err := st.Save(rec); err != nil {
+	removed := []string{"sobol", "cone"}
+	for i, name := range removed {
+		if err := st.Save(jobRecord{ID: name, State: StateQueued, SubmittedAt: base.Add(time.Duration(i) * time.Second),
+			Request: JobRequest{Samples: 200, Sampler: name, Mode: "gate", Seed: 1}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := st.Save(jobRecord{ID: "next", State: StateQueued, SubmittedAt: base.Add(time.Minute),
+		Request: JobRequest{Samples: 200, Sampler: "random", Mode: "gate", Seed: 2}}); err != nil {
+		t.Fatal(err)
 	}
 	srv, err := New(enginePool(t), dir, Config{Logf: t.Logf})
 	if err != nil {
@@ -442,22 +446,25 @@ func TestStoredRemovedSamplerFailsCleanly(t *testing.T) {
 	}
 	srv.Start()
 	defer srv.Shutdown()
-	old, ok := srv.job("old")
-	if !ok {
-		t.Fatal("stored job not loaded")
-	}
-	if st := waitTerminal(t, old); st != StateFailed {
-		t.Fatalf("removed-sampler job ended %s, want failed", st)
-	}
-	if e := old.snapshotRecord().Error; !strings.Contains(e, `"sobol"`) {
-		t.Errorf("error %q does not name the sampler", e)
+	for _, name := range removed {
+		old, ok := srv.job(name)
+		if !ok {
+			t.Fatalf("stored %s job not loaded", name)
+		}
+		if st := waitTerminal(t, old); st != StateFailed {
+			t.Fatalf("removed-sampler job %s ended %s, want failed", name, st)
+		}
+		if e := old.snapshotRecord().Error; !strings.Contains(e, fmt.Sprintf("unknown sampler %q", name)) ||
+			!strings.Contains(e, "random, importance, stratified") {
+			t.Errorf("%s: error %q does not name the sampler and the known ones", name, e)
+		}
 	}
 	next, ok := srv.job("next")
 	if !ok {
 		t.Fatal("stored job not loaded")
 	}
 	if st := waitTerminal(t, next); st != StateDone {
-		t.Fatalf("job behind the failed one ended %s (%s), want done", st, next.snapshotRecord().Error)
+		t.Fatalf("job behind the failed ones ended %s (%s), want done", st, next.snapshotRecord().Error)
 	}
 }
 
@@ -531,31 +538,41 @@ func TestInvalidCheckpointLoadsAsFailed(t *testing.T) {
 	}
 }
 
-// TestUnknownSamplerRejectedHTTP: a syntactically valid submission
-// naming a sampler the server does not implement is a client error —
-// clean 400 before any work is queued.
+// TestUnknownSamplerRejectedHTTP: a syntactically valid job or rank
+// request naming a sampler the server does not implement, the deleted
+// cone sampler included, is a client error — clean 400 listing the
+// known samplers before any work is queued.
 func TestUnknownSamplerRejectedHTTP(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	r, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"samples": 100, "sampler": "sobolev"}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"samples": 100, "sampler": "sobolev"}`},
+		{"/v1/jobs", `{"samples": 100, "sampler": "cone"}`},
+		{"/v1/rank", `{"samples": 100, "sampler": "cone", "variants": [{"top_n": 3}]}`},
+	} {
+		r, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(r.Body).Decode(&e)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: %d, want 400", c.path, c.body, r.StatusCode)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(e.Error, "unknown sampler") || !strings.Contains(e.Error, "random, importance, stratified") {
+			t.Errorf("%s %s: error %q does not name the sampler field and the known samplers", c.path, c.body, e.Error)
+		}
 	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown sampler submit: %d, want 400", r.StatusCode)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(e.Error, "sampler") {
-		t.Errorf("error %q does not name the sampler field", e.Error)
+	if n := len(srv.queue); n != 0 {
+		t.Errorf("%d jobs queued, want 0", n)
 	}
 }
 
@@ -1062,7 +1079,7 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	}
 	got := j2.snapshotRecord().Result
 
-	sp, err := p.Evaluation.StratifiedSampler()
+	sp, err := p.Evaluation.Sampler("stratified", sampling.DefaultAlpha, sampling.DefaultBeta)
 	if err != nil {
 		t.Fatal(err)
 	}

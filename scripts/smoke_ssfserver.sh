@@ -8,7 +8,10 @@
 # result depends on the request alone, not on the worker count). Every
 # finished job's last progress must count its result's samples. A copy
 # of the interrupted job's record with a corrupted checkpoint (negative
-# m2) must come back failed with an "invalid checkpoint" error.
+# m2) must come back failed with an "invalid checkpoint" error. Work
+# naming the deleted cone sampler checks the upgrade path: a job or rank
+# request gets a 400, and a stored queued job must come back failed with
+# an "unknown sampler" error.
 #
 # Usage: scripts/smoke_ssfserver.sh [port]
 set -euo pipefail
@@ -85,6 +88,26 @@ wait_done() { # id
     exit 1
 }
 
+wait_terminal() { # id: waits until the job is neither queued nor running
+    for _ in $(seq 1 600); do
+        case "$(job_field "$1" '.state')" in
+            queued|running) sleep 0.5 ;;
+            *) return 0 ;;
+        esac
+    done
+    echo "smoke: job $1 never finished" >&2
+    exit 1
+}
+
+reject_unknown_sampler() { # path, request body naming an unknown sampler
+    local code
+    code="$(curl -s -o "$WORKDIR/reply.json" -w '%{http_code}' -X POST "$BASE$1" -d "$2")"
+    if [ "$code" != 400 ] || ! jq -e '.error | startswith("unknown sampler")' "$WORKDIR/reply.json" >/dev/null; then
+        echo "smoke: POST $1 $2 answered $code: $(cat "$WORKDIR/reply.json"), want 400 unknown sampler" >&2
+        exit 1
+    fi
+}
+
 check_progress() { # id: the last progress event reports the result's samples
     local done samples
     done="$(job_field "$1" '.progress.done')"
@@ -100,6 +123,10 @@ go build -o "$WORKDIR/ssfserver" ./cmd/ssfserver
 
 say "starting server on port $PORT with 2 workers"
 start_server 2
+
+say "rejecting a job and a rank request naming the deleted cone sampler"
+reject_unknown_sampler /v1/jobs '{"samples":1000,"sampler":"cone","seed":1}'
+reject_unknown_sampler /v1/rank '{"samples":1000,"sampler":"cone","seed":1,"variants":[{"top_n":3}]}'
 
 say "submitting reference job ($SAMPLES samples)"
 JOB_A="$(submit_job "$JOB")"
@@ -147,6 +174,11 @@ jq --arg id "$CORRUPT" '.id = $id | .checkpoint.est.m2 = -1' \
     "$WORKDIR/store/job-$JOB_B.json" >"$WORKDIR/store/job-$CORRUPT.json"
 say "stored job $CORRUPT: job $JOB_B's record with a negative m2"
 
+CONE=c0ffee000000
+jq --arg id "$CONE" '.id = $id | .request.sampler = "cone" | del(.checkpoint, .rounds)' \
+    "$WORKDIR/store/job-$JOB_B.json" >"$WORKDIR/store/job-$CONE.json"
+say "stored job $CONE: job $JOB_B's request, queued, naming the cone sampler"
+
 say "restarting server on the same store with 1 worker"
 start_server 1
 STATE="$(job_field "$JOB_B" '.state')"
@@ -161,6 +193,14 @@ if [ "$STATE" != failed ] || [[ "$ERROR" != "invalid checkpoint"* ]]; then
     exit 1
 fi
 say "corrupted job $CORRUPT failed: $ERROR"
+wait_terminal "$CONE"
+STATE="$(job_field "$CONE" '.state')"
+ERROR="$(job_field "$CONE" '.error')"
+if [ "$STATE" != failed ] || [[ "$ERROR" != "unknown sampler"* ]]; then
+    echo "smoke: stored cone job $CONE ended $STATE ($ERROR), want failed on an unknown sampler" >&2
+    exit 1
+fi
+say "stored cone job $CONE failed: $ERROR"
 wait_done "$JOB_B"
 check_progress "$JOB_B"
 SSF_B="$(job_field "$JOB_B" '.result.ssf')"

@@ -56,8 +56,8 @@ lint:
 
 # fuzz-smoke gives the fuzz targets a short budget each: enough to
 # catch parser, checkpoint-decoding, request-decoding, evaluator-,
-# sweep-, cone- or discrete-sampling-equivalence regressions without
-# stalling CI.
+# sweep-, cone- or discrete-sampling-equivalence and glitch depth-piece
+# regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzNetlistDeserialize -fuzztime=20s
 	$(GO) test ./internal/netlist/ -run '^FuzzUnrolledCone$$' -fuzz '^FuzzUnrolledCone$$' -fuzztime=20s
@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^FuzzRankRequest$$' -fuzz '^FuzzRankRequest$$' -fuzztime=20s
 	$(GO) test ./internal/timingsim/ -run '^FuzzInjectEquivalence$$' -fuzz '^FuzzInjectEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/stats/ -run '^FuzzDiscreteSample$$' -fuzz '^FuzzDiscreteSample$$' -fuzztime=20s
+	$(GO) test ./internal/fault/ -run '^FuzzDepthPieces$$' -fuzz '^FuzzDepthPieces$$' -fuzztime=20s
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,

@@ -6,8 +6,10 @@
 // weak-LLN convergence bound (-adaptive -eps E). Gate and register campaigns run the lane-batched loop: RTL
 // resumes of a window of draws run 64 at a time. Ctrl-C cancels
 // a running campaign cleanly and reports the partial results
-// accumulated so far. -cpuprofile / -memprofile write pprof profiles of
-// the campaign for performance investigation.
+// accumulated so far. Glitch mode (-mode glitch) is answered exactly
+// instead of sampled, so -samples, -seed, -sampler, -parallel and
+// -adaptive do not apply to it. -cpuprofile / -memprofile write pprof
+// profiles of the campaign for performance investigation.
 package main
 
 import (
@@ -44,13 +46,13 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ssfeval", flag.ExitOnError)
 	benchName := fs.String("bench", "write", "benchmark: write | read")
-	strategy := fs.String("sampler", "importance", "sampler: "+strings.Join(core.SamplerNames(), " | "))
-	samples := fs.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns)")
-	seed := fs.Int64("seed", 1, "campaign seed")
+	strategy := fs.String("sampler", core.DefaultSampler, "sampler: "+strings.Join(core.SamplerNames(), " | ")+" (not glitch mode)")
+	samples := fs.Int("samples", 20000, "number of Monte Carlo samples (fixed-size campaigns; not glitch mode)")
+	seed := fs.Int64("seed", 1, "campaign seed (not glitch mode)")
 	tRange := fs.Int("trange", 50, "temporal accuracy range (cycles)")
 	blockFrac := fs.Float64("block", 0.125, "candidate sub-block fraction of MPU gates; the block never drops the decision logic (912 of 1,274 gates on the default MPU), so any value below ~0.716 selects the same block")
-	mode := fs.String("mode", "gate", "attack mode: gate | register | glitch")
-	glitchDepth := fs.Float64("glitch-depth", 300, "clock-glitch depth in ps (glitch mode)")
+	mode := fs.String("mode", "gate", "attack mode: gate | register | glitch (answered exactly, without samples)")
+	glitchDepth := fs.Float64("glitch-depth", fault.DefaultClockGlitch().Depth, "clock-glitch depth in ps (glitch mode)")
 	alpha := fs.Float64("alpha", sampling.DefaultAlpha, "importance-sampling alpha")
 	beta := fs.Float64("beta", sampling.DefaultBeta, "importance-sampling beta")
 	parallel := fs.Int("parallel", 1, "number of worker engines: blocks run at once (changes only the speed, not the result)")
@@ -78,14 +80,24 @@ func run(args []string, stdout io.Writer) error {
 	if *maxSamples < 1 {
 		return fmt.Errorf("-max-samples %d: need at least one sample", *maxSamples)
 	}
-	if !*adaptive && *samples < 1 {
+	if !*adaptive && *mode != "glitch" && *samples < 1 {
 		return fmt.Errorf("-samples %d: need at least one sample", *samples)
 	}
 	if *mode == "glitch" && (*parallel > 1 || *adaptive) {
-		return fmt.Errorf("glitch campaigns run sequentially with a fixed sample count")
+		return fmt.Errorf("glitch mode is answered exactly: -parallel and -adaptive do not apply")
 	}
 	if err := core.CheckSampler(*strategy); err != nil {
 		return err
+	}
+	opts := core.DefaultOptions()
+	var gattack *fault.GlitchAttack
+	if *mode == "glitch" {
+		tech := fault.DefaultClockGlitch()
+		tech.Depth, tech.ClockPeriod = *glitchDepth, opts.Delay.ClockPeriod
+		var err error
+		if gattack, err = fault.NewGlitchAttack("glitch", *tRange, tech); err != nil {
+			return err
+		}
 	}
 
 	// Ctrl-C / SIGTERM cancels the campaign; the partial results are
@@ -97,7 +109,6 @@ func run(args []string, stdout io.Writer) error {
 	// Plans bind generated evaluators at compile time, so the switch
 	// must cover the whole stack construction, not just the campaign.
 	logicsim.SetGeneratedEnabled(*codegen)
-	opts := core.DefaultOptions()
 	if *tRange+1 > opts.Precharac.MaxDepth {
 		opts.Precharac.MaxDepth = *tRange + 1
 	}
@@ -119,11 +130,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "framework ready in %v; evaluator: %s; golden run: target cycle %d, final cycle %d\n",
 		time.Since(t0).Round(time.Millisecond), evalKind, ev.Golden.TargetCycle, ev.Golden.FinalCycle)
 
-	sp, err := ev.Sampler(*strategy, *alpha, *beta)
-	if err != nil {
-		return err
-	}
-
 	var prog montecarlo.ProgressFunc
 	if *progress {
 		prog = func(p montecarlo.Progress) {
@@ -134,7 +140,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog}
 	var camp *montecarlo.Campaign
 	workers := 1
 	if *cpuProfile != "" {
@@ -151,8 +156,10 @@ func run(args []string, stdout io.Writer) error {
 	t1 := time.Now()
 	switch *mode {
 	case "gate", "register":
-		if *mode == "register" {
-			copts.Mode = montecarlo.RegisterAttack
+		aMode, _ := montecarlo.ParseMode(*mode)
+		sp, serr := ev.Sampler(*strategy, *alpha, *beta)
+		if serr != nil {
+			return serr
 		}
 		pool, perr := ev.NewEnginePool(*parallel)
 		if perr != nil {
@@ -169,18 +176,24 @@ func run(args []string, stdout io.Writer) error {
 			aopts.MinSamples = min(aopts.MinSamples, *maxSamples)
 			aopts.AdaptProposal = *adaptProp
 		}
-		aopts.Mode, aopts.Seed, aopts.Progress = copts.Mode, *seed, prog
+		aopts.Mode, aopts.Seed, aopts.Progress = aMode, *seed, prog
 		camp, err = pool.RunAdaptive(ctx, sp, aopts)
 	case "glitch":
-		tech := fault.DefaultClockGlitch()
-		tech.Depth = *glitchDepth
-		tech.ClockPeriod = fw.Opts.Delay.ClockPeriod
-		var gattack *fault.GlitchAttack
-		gattack, err = fault.NewGlitchAttack("glitch", *tRange, tech)
-		if err != nil {
-			return err
+		ans, gerr := ev.Engine.ExactGlitch(gattack)
+		if gerr != nil {
+			return gerr
 		}
-		camp, err = ev.Engine.RunGlitchCampaign(ctx, gattack, copts)
+		t := report.NewTable(fmt.Sprintf("Exact SSF: %s benchmark, glitch attacks (%g ± %g ps, TRange %d)",
+			bench, *glitchDepth, gattack.Technique.DepthJitter, *tRange), "metric", "value")
+		t.Row("SSF", ans.SSF)
+		t.Row("depth pieces (latching stale data)", fmt.Sprintf("%d (%d)", ans.Pieces, ans.Stale))
+		t.Row("mass masked / mem-only / both", fmt.Sprintf("%.5f / %.5f / %.5f",
+			ans.ClassMass[0], ans.ClassMass[1], ans.ClassMass[2]))
+		t.Row("mass by path (masked/analytical/pruned/rtl)", fmt.Sprintf("%.5f / %.5f / %.5f / %.5f",
+			ans.PathMass[0], ans.PathMass[1], ans.PathMass[2], ans.PathMass[3]))
+		t.Row("answered in", time.Since(t1).Round(time.Microsecond))
+		t.Render(stdout)
+		return writeHeapProfile(*memProfile)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -234,20 +247,25 @@ func run(args []string, stdout io.Writer) error {
 		t.Row("per-stratum hits", hits)
 	}
 	t.Render(stdout)
+	return writeHeapProfile(*memProfile)
+}
 
-	if *memProfile != "" {
-		f, perr := os.Create(*memProfile)
-		if perr != nil {
-			return perr
-		}
-		runtime.GC() // materialize up-to-date heap statistics
-		if perr := pprof.WriteHeapProfile(f); perr != nil {
-			f.Close()
-			return perr
-		}
-		return f.Close()
+// writeHeapProfile writes a heap profile to path; an empty path writes
+// nothing.
+func writeHeapProfile(path string) error {
+	if path == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize up-to-date heap statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // stderrIsTerminal reports whether stderr is an interactive terminal

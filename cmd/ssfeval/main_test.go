@@ -63,9 +63,8 @@ func TestRejectsUnknownSampler(t *testing.T) {
 	}
 }
 
-// TestGlitchRejectsParallelAndAdaptive: glitch campaigns run on one
-// engine with a fixed sample count, so -parallel above 1 and -adaptive
-// are errors in glitch mode.
+// TestGlitchRejectsParallelAndAdaptive: glitch mode is answered
+// exactly, so -parallel above 1 and -adaptive are errors there.
 func TestGlitchRejectsParallelAndAdaptive(t *testing.T) {
 	for _, args := range [][]string{
 		{"-parallel", "2"},
@@ -75,6 +74,50 @@ func TestGlitchRejectsParallelAndAdaptive(t *testing.T) {
 		err := run(append([]string{"-mode", "glitch", "-samples", "10", "-progress=false"}, args...), &out)
 		if err == nil || !strings.Contains(err.Error(), "glitch") {
 			t.Errorf("glitch mode with %v: error %v, output:\n%s", args, err, out.String())
+		}
+	}
+}
+
+// TestGlitchIsExact: glitch mode prints the default glitch attack's
+// exact answer, the same for any -samples (even 0) and -seed.
+func TestGlitchIsExact(t *testing.T) {
+	want := strings.Join([]string{
+		"Exact SSF: memory-write benchmark, glitch attacks (300 ± 150 ps, TRange 50)",
+		"  metric                                       value",
+		"  -------------------------------------------  -------------------------------------",
+		"  SSF                                          0",
+		"  depth pieces (latching stale data)           56 (6)",
+		"  mass masked / mem-only / both                0.98600 / 0.00347 / 0.01053",
+		"  mass by path (masked/analytical/pruned/rtl)  0.98600 / 0.00200 / 0.00147 / 0.01053",
+	}, "\n")
+	for _, args := range [][]string{{}, {"-samples", "0", "-seed", "7"}} {
+		var out strings.Builder
+		if err := run(append([]string{"-mode", "glitch", "-progress=false"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if line != "" && !strings.Contains(line, "framework ready") && !strings.Contains(line, "answered in") {
+				kept = append(kept, strings.TrimRight(line, " "))
+			}
+		}
+		if got := strings.Join(kept, "\n"); got != want {
+			t.Errorf("%v: output\n%s\nwant\n%s", args, got, want)
+		}
+	}
+}
+
+// TestRejectsBadGlitchInput: a non-finite glitch depth is an error
+// given before the framework is built, not an answer.
+func TestRejectsBadGlitchInput(t *testing.T) {
+	for _, depth := range []string{"NaN", "+Inf", "-Inf"} {
+		var out strings.Builder
+		err := run([]string{"-mode", "glitch", "-glitch-depth", depth, "-samples", "2000", "-progress=false"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "glitch depth") {
+			t.Errorf("-glitch-depth %s: error %v, output:\n%s", depth, err, out.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-glitch-depth %s: built the framework first:\n%s", depth, out.String())
 		}
 	}
 }

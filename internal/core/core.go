@@ -320,6 +320,9 @@ func (e *Evaluation) ImportanceSampler() (sampling.Sampler, error) {
 	return e.Sampler("importance", sampling.DefaultAlpha, sampling.DefaultBeta)
 }
 
+// DefaultSampler names the sampler a caller gets when it names none.
+const DefaultSampler = "importance"
+
 // samplers is the one table of the sampling strategies a caller can
 // name, in the order SamplerNames lists them, each with its
 // constructor over an evaluation. α and β tune the importance proposal,
@@ -333,7 +336,11 @@ var samplers = []struct {
 		return e.RandomSampler(), nil
 	}},
 	{"importance", func(e *Evaluation, alpha, beta float64) (sampling.Sampler, error) {
-		return e.importance(alpha, beta)
+		im, err := e.importance(alpha, beta)
+		if err != nil {
+			return nil, err // a true nil, not a nil *Importance
+		}
+		return im, nil
 	}},
 	{"stratified", func(e *Evaluation, alpha, beta float64) (sampling.Sampler, error) {
 		im, err := e.importance(alpha, beta)

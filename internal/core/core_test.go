@@ -124,9 +124,9 @@ func TestEvaluationEndToEnd(t *testing.T) {
 }
 
 // TestSamplerTable: every name the table lists builds a sampler whose
-// Name() is that name, α and β reach the importance proposal, and any
-// other name, the deleted cone sampler's included, is an error that
-// lists the known names.
+// Name() is that name, α and β reach the importance proposal, the
+// default is one of the names, and any other name, the deleted cone
+// sampler's included, is an error that lists the known names.
 func TestSamplerTable(t *testing.T) {
 	fw := testFramework(t)
 	ev, err := fw.NewEvaluation(BenchmarkIllegalWrite, DefaultAttackSpec())
@@ -136,6 +136,9 @@ func TestSamplerTable(t *testing.T) {
 	names := SamplerNames()
 	if !slices.Equal(names, []string{"random", "importance", "stratified"}) {
 		t.Errorf("SamplerNames() = %v", names)
+	}
+	if err := CheckSampler(DefaultSampler); err != nil {
+		t.Errorf("DefaultSampler: %v", err)
 	}
 	for _, name := range names {
 		if err := CheckSampler(name); err != nil {
@@ -149,10 +152,19 @@ func TestSamplerTable(t *testing.T) {
 			t.Errorf("sampler %q builds %q", name, sp.Name())
 		}
 	}
+	// A construction error returns a true nil, not an interface that
+	// holds a nil sampler.
 	for _, name := range names[1:] {
-		if _, err := ev.Sampler(name, -1, sampling.DefaultBeta); err == nil {
+		sp, err := ev.Sampler(name, -1, sampling.DefaultBeta)
+		if err == nil {
 			t.Errorf("%s: negative alpha accepted", name)
 		}
+		if sp != nil {
+			t.Errorf("%s: negative alpha returned the non-nil sampler %#v", name, sp)
+		}
+	}
+	if sp, err := ev.ImportanceSampler(); sp == nil || err != nil {
+		t.Errorf("ImportanceSampler() = %v, %v", sp, err)
 	}
 	for _, name := range []string{"cone", "fanin-cone", "sobol", "", "Random"} {
 		sp, err := ev.Sampler(name, sampling.DefaultAlpha, sampling.DefaultBeta)

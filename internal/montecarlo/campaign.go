@@ -177,12 +177,12 @@ func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*C
 	if opts.Samples < 1 {
 		return nil, nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
 	}
-	// Stateful samplers (per-stratum substreams) are never drawn from
-	// directly: each campaign forks a private stream keyed by its seed,
-	// so the per-block seeds of the round loop make every stream — and
-	// every resumed replay of it — deterministic.
+	// Stateful samplers (the stratum schedule) are never drawn from
+	// directly: each campaign forks a private stream, which draws from
+	// the campaign's rng, so the per-block seeds of the round loop make
+	// every stream — and every resumed replay of it — deterministic.
 	if f, ok := sampler.(sampling.Forker); ok {
-		sampler = f.Fork(opts.Seed)
+		sampler = f.Fork()
 	}
 	c := emptyCampaign(sampler.Name(), opts)
 	if st, ok := sampler.(sampling.Stratal); ok {

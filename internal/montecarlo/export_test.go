@@ -78,6 +78,11 @@ func (e *Engine) WindowSnapshots() (first int, snaps []*soc.Checkpoint) {
 // latest golden checkpoint at or before it, reading no window snapshot.
 func (e *Engine) StepFromCheckpoint(cycle int) { e.m.golden.stepTo(e.SoC, cycle) }
 
+// GlitchThresholds returns, in Netlist.Regs order, each register's
+// threshold depth at timing distance t, from the capture ExactGlitch
+// splits the depth distribution with.
+func (e *Engine) GlitchThresholds(t int) []float64 { return e.glitchThresholds(t) }
+
 // GateTablesBuilt reports whether the model's gate tables exist yet.
 func (e *Engine) GateTablesBuilt() bool { return e.m.gate.cycle != nil }
 

@@ -1,7 +1,6 @@
 package montecarlo
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -16,32 +15,9 @@ import (
 // previous-cycle value. Downstream classification reuses the standard
 // cross-level pipeline (masked / memory-type / RTL resume).
 func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunResult {
-	g := e.m.golden
-	te := g.TargetCycle - sample.T
-	// Warm up to the cycle BEFORE the glitched one so its settled
-	// values are observable (the glitch capture compares consecutive
-	// cycles).
-	if te < 1 {
-		te = 1
-	}
-	e.restoreTo(te - 1)
-
-	nl := e.SoC.MPU.Netlist
-	prev := make([]bool, nl.NumNodes())
-	e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
-		for i := range prev {
-			prev[i] = values(netlist.NodeID(i))
-		}
-		return nil
-	})
-
-	glitchTime := e.Timing.ClockPeriod() - sample.Depth
 	var flipped []netlist.NodeID
-	e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
-		flipped = e.Timing.GlitchCapture(
-			func(id netlist.NodeID) bool { return prev[id] },
-			values, glitchTime)
-		flipped = e.applyHardening(rng, flipped)
+	te := e.stepGlitched(sample.T, func(prev, cur func(netlist.NodeID) bool) []netlist.NodeID {
+		flipped = e.applyHardening(rng, e.Timing.GlitchCapture(prev, cur, sample.Depth))
 		return flipped
 	})
 
@@ -55,45 +31,85 @@ func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunRes
 	return res
 }
 
-// RunGlitchCampaign estimates the SSF of a clock-glitch attack by plain
-// Monte Carlo over the attack's own distribution (the glitch parameter
-// space is small enough that pre-characterization-driven sampling is
-// unnecessary). Each run folds into the campaign as a sample of weight
-// 1 at the draw's timing distance, exactly as a campaign sample does.
-// opts.Progress sees the total after every 2,048 samples and after the
-// last. Cancellation via ctx returns the partial campaign accumulated so
-// far alongside the context's error.
-func (e *Engine) RunGlitchCampaign(ctx context.Context, attack *fault.GlitchAttack, opts CampaignOptions) (*Campaign, error) {
+// stepGlitched restores the golden state at the beginning of the cycle
+// before the glitched cycle te = Tt − t and steps through both; latch
+// returns te's injected flips from both cycles' fault-free values (the
+// glitch capture compares consecutive cycles).
+func (e *Engine) stepGlitched(t int, latch func(prev, cur func(netlist.NodeID) bool) []netlist.NodeID) (te int) {
+	te = max(e.m.golden.TargetCycle-t, 1)
+	e.restoreTo(te - 1)
+	prev := make([]bool, e.SoC.MPU.Netlist.NumNodes())
+	e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
+		for i := range prev {
+			prev[i] = values(netlist.NodeID(i))
+		}
+		return nil
+	})
+	e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
+		return latch(func(id netlist.NodeID) bool { return prev[id] }, values)
+	})
+	return te
+}
+
+// glitchThresholds returns, in Netlist.Regs order, the depth above
+// which a glitch at timing distance t makes each register latch stale
+// data (timingsim.GlitchThresholds).
+func (e *Engine) glitchThresholds(t int) []float64 {
+	var th []float64
+	e.stepGlitched(t, func(prev, cur func(netlist.NodeID) bool) []netlist.NodeID {
+		th = e.Timing.GlitchThresholds(prev, cur)
+		return nil
+	})
+	return th
+}
+
+// GlitchAnswer is the exact answer of a clock-glitch attack: the
+// attack's probability mass over its (timing distance, depth piece)
+// pairs, split by outcome.
+type GlitchAnswer struct {
+	// SSF is the mass of the pieces whose run bypasses the policy.
+	SSF float64
+	// Pieces counts the pieces of positive mass, and Stale those whose
+	// glitch latches stale data in some register.
+	Pieces, Stale int
+	// ClassMass[c] and PathMass[p] are the mass decided in outcome class
+	// c and on evaluation path p; each sums to 1.
+	ClassMass [Mixed + 1]float64
+	PathMass  [PathRTL + 1]float64
+}
+
+// ExactGlitch answers a clock-glitch attack exactly. A glitch's flip
+// set is a step function of its depth, so for each timing distance one
+// capture gives every register's threshold depth, the technique splits
+// its depth distribution at them (fault.ClockGlitch.DepthPieces), and
+// RunGlitchOnce decides each piece of positive mass at its depth. The
+// SSF is the finite sum of the masses of the pieces that succeed.
+// Hardened engines are rejected: their suppression is drawn at random.
+func (e *Engine) ExactGlitch(attack *fault.GlitchAttack) (*GlitchAnswer, error) {
 	if e.m == nil {
-		return nil, fmt.Errorf("montecarlo: RunGlitchCampaign before RunGolden")
+		return nil, fmt.Errorf("montecarlo: ExactGlitch before RunGolden")
 	}
-	if opts.Samples < 1 {
-		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
+	if len(e.Hardened) > 0 {
+		return nil, fmt.Errorf("montecarlo: ExactGlitch on a hardened engine")
 	}
-	if attack.TRange > e.m.golden.TargetCycle-e.m.golden.SetupEnd {
+	if g := e.m.golden; attack.TRange > g.TargetCycle-g.SetupEnd {
 		return nil, fmt.Errorf("montecarlo: TRange %d reaches into MPU setup", attack.TRange)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	c := emptyCampaign("glitch-random", opts)
-	layout := e.patternLayout(opts)
-	rep := newReporter(opts.Progress, opts.Samples, 0)
-	done := ctx.Done()
-	for i := 0; i < opts.Samples; i++ {
-		select {
-		case <-done:
-			if i%batchWindow != 0 {
-				rep.report(c)
+	ans := &GlitchAnswer{}
+	for t := range attack.TRange {
+		for _, p := range attack.Technique.DepthPieces(e.glitchThresholds(t)) {
+			res := e.RunGlitchOnce(nil, fault.GlitchSample{T: t, Depth: p.Depth})
+			mass := p.Mass / float64(attack.TRange)
+			ans.Pieces++
+			if res.Class != Masked {
+				ans.Stale++
 			}
-			c.Options.Samples = c.Est.N()
-			return c, ctx.Err()
-		default:
-		}
-		sample := attack.SampleNominal(rng)
-		res := e.RunGlitchOnce(rng, sample)
-		e.accumulate(c, &opts, layout, nil, fault.Sample{T: sample.T}, 1, &res)
-		if n := i + 1; n%batchWindow == 0 || n == opts.Samples {
-			rep.report(c)
+			ans.ClassMass[res.Class] += mass
+			ans.PathMass[res.Path] += mass
+			if res.Success {
+				ans.SSF += mass
+			}
 		}
 	}
-	return c, nil
+	return ans, nil
 }

@@ -1,8 +1,9 @@
 package montecarlo_test
 
 import (
-	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -33,25 +34,30 @@ func TestGlitchCaptureSemantics(t *testing.T) {
 	pf := func(id netlist.NodeID) bool { return prev[id] }
 	cf := func(id netlist.NodeID) bool { return cur[id] }
 
-	// Capture at full period: everything settled, nothing flips.
-	if got := sim.GlitchCapture(pf, cf, dm.ClockPeriod); len(got) != 0 {
+	// No glitch: everything settled, nothing flips.
+	if got := sim.GlitchCapture(pf, cf, 0); len(got) != 0 {
 		t.Fatalf("unglitched capture flipped %v", got)
 	}
 	// Capture right after the sources switch: both regs unsettled...
-	got := sim.GlitchCapture(pf, cf, dm.Setup/2)
+	got := sim.GlitchCapture(pf, cf, dm.ClockPeriod-dm.Setup/2)
 	if len(got) != 2 {
 		t.Fatalf("deep glitch flipped %v, want both", got)
 	}
 	// Capture between the fast path (0 ps) and the slow path (42 ps):
-	// only the deep register flips. Deadline = glitchTime - setup.
+	// only the deep register flips. Deadline = capture edge - setup.
 	mid := 3*dm.CellDelay[netlist.Inv] - 1 + dm.Setup
-	got = sim.GlitchCapture(pf, cf, mid)
+	got = sim.GlitchCapture(pf, cf, dm.ClockPeriod-mid)
 	if len(got) != 1 || got[0] != r {
 		t.Fatalf("mid glitch flipped %v, want [%d]", got, r)
 	}
-	_ = fast
+	// The thresholds, in register order, are the depths above which
+	// each register flips.
+	want := []float64{dm.ClockPeriod - dm.Setup - 3*dm.CellDelay[netlist.Inv], dm.ClockPeriod - dm.Setup}
+	if th := sim.GlitchThresholds(pf, cf); !slices.Equal(nl.Regs(), []netlist.NodeID{r, fast}) || !slices.Equal(th, want) {
+		t.Fatalf("thresholds %v of registers %v, want %v of [%d %d]", th, nl.Regs(), want, r, fast)
+	}
 	// Unchanged data never flips, no matter how deep the glitch.
-	if got := sim.GlitchCapture(pf, pf, 0); len(got) != 0 {
+	if got := sim.GlitchCapture(pf, pf, dm.ClockPeriod); len(got) != 0 {
 		t.Fatalf("static cycle flipped %v", got)
 	}
 }
@@ -71,10 +77,10 @@ func TestGlitchCaptureRespectsClockGating(t *testing.T) {
 	at := func(m map[netlist.NodeID]bool) func(netlist.NodeID) bool {
 		return func(id netlist.NodeID) bool { return m[id] }
 	}
-	if got := sim.GlitchCapture(at(prev), at(curOn), 1); len(got) != 1 {
+	if got := sim.GlitchCapture(at(prev), at(curOn), dm.ClockPeriod-1); len(got) != 1 {
 		t.Fatalf("enabled reg not glitched: %v", got)
 	}
-	if got := sim.GlitchCapture(at(prev), at(curOff), 1); len(got) != 0 {
+	if got := sim.GlitchCapture(at(prev), at(curOff), dm.ClockPeriod-1); len(got) != 0 {
 		t.Fatalf("gated-off reg glitched: %v", got)
 	}
 }
@@ -95,91 +101,114 @@ func TestSettleTime(t *testing.T) {
 	}
 }
 
-func TestGlitchAttackSampling(t *testing.T) {
+// TestNewGlitchAttackValidation: a glitch attack needs a timing range,
+// a positive finite clock period, a finite depth and a finite,
+// non-negative jitter.
+func TestNewGlitchAttackValidation(t *testing.T) {
 	tech := fault.DefaultClockGlitch()
-	a, err := fault.NewGlitchAttack("g", 20, tech)
-	if err != nil {
+	if _, err := fault.NewGlitchAttack("g", 20, tech); err != nil {
 		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		s := a.SampleNominal(rng)
-		if s.T < 0 || s.T >= 20 {
-			t.Fatalf("T = %d", s.T)
-		}
-		if s.Depth < 0 || s.Depth > tech.ClockPeriod {
-			t.Fatalf("depth = %v", s.Depth)
-		}
 	}
 	if _, err := fault.NewGlitchAttack("g", 0, tech); err == nil {
 		t.Error("TRange 0 accepted")
 	}
-	if _, err := fault.NewGlitchAttack("g", 5, fault.ClockGlitch{}); err == nil {
-		t.Error("zero clock period accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, bad := range map[string]fault.ClockGlitch{
+		"zero clock period":     {},
+		"NaN clock period":      {Depth: 300, ClockPeriod: nan},
+		"infinite clock period": {Depth: 300, ClockPeriod: inf},
+		"NaN depth":             {Depth: nan, DepthJitter: 150, ClockPeriod: 600},
+		"infinite depth":        {Depth: -inf, DepthJitter: 150, ClockPeriod: 600},
+		"negative jitter":       {Depth: 300, DepthJitter: -1, ClockPeriod: 600},
+		"NaN jitter":            {Depth: 300, DepthJitter: nan, ClockPeriod: 600},
+		"infinite jitter":       {Depth: 300, DepthJitter: inf, ClockPeriod: 600},
+	} {
+		if _, err := fault.NewGlitchAttack("g", 5, bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
-func TestGlitchCampaignEndToEnd(t *testing.T) {
+// TestExactGlitchDefault pins the exact answer of the default glitch
+// attack (300 ± 150 ps, TRange 50) on the memory-write benchmark: no
+// piece succeeds, and 6 of its 56 pieces latch stale data, 1.40% of
+// the mass.
+func TestExactGlitchDefault(t *testing.T) {
 	ev := evaluation(t)
 	attack, err := fault.NewGlitchAttack("glitch", 50, fault.DefaultClockGlitch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps []montecarlo.Progress
-	c, err := ev.Engine.RunGlitchCampaign(context.Background(), attack, montecarlo.CampaignOptions{
-		Samples: 3000, Seed: 1,
-		Progress: func(p montecarlo.Progress) { snaps = append(snaps, p) },
-	})
+	ans, err := ev.Engine.ExactGlitch(attack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := c.ClassCounts[0] + c.ClassCounts[1] + c.ClassCounts[2]
-	if total != 3000 {
-		t.Fatalf("class counts sum %d", total)
+	if ans.SSF != 0 || ans.Pieces != 56 || ans.Stale != 6 {
+		t.Errorf("SSF %v over %d pieces, %d stale; want 0 over 56, 6 stale", ans.SSF, ans.Pieces, ans.Stale)
 	}
-	// Progress reports once per 2,048 samples and after the last.
-	if len(snaps) != 2 || snaps[0].Done != montecarlo.FixedSizeBlock {
-		t.Errorf("progress snapshots %+v, want 2, the first at %d", snaps, montecarlo.FixedSizeBlock)
+	// Masked 0.98600, memory-only 0.00347, both 0.01053; the
+	// memory-only mass splits into analytical 0.00200 and pruned 0.00147.
+	for i, want := range []float64{0.986, 13.0 / 3750, 79.0 / 7500} {
+		if got := ans.ClassMass[i]; math.Abs(got-want) > 1e-12 {
+			t.Errorf("%v mass %v, want %v", montecarlo.OutcomeClass(i), got, want)
+		}
 	}
-	checkProgress(t, "glitch campaign", snaps, c)
-	// A half-period glitch on a design with deep comparators must
-	// disturb something in a substantial share of the cycles.
-	if c.ClassCounts[montecarlo.Masked] == 3000 {
-		t.Error("glitch campaign never latched a stale value")
+	for i, want := range []float64{0.986, 0.002, 11.0 / 7500, 79.0 / 7500} {
+		if got := ans.PathMass[i]; math.Abs(got-want) > 1e-12 {
+			t.Errorf("%v path mass %v, want %v", montecarlo.EvalPath(i), got, want)
+		}
 	}
-	t.Logf("glitch: SSF=%.5f successes=%d classes=%v", c.SSF(), c.Successes, c.ClassCounts)
+	for name, m := range map[string][]float64{"class": ans.ClassMass[:], "path": ans.PathMass[:]} {
+		sum := 0.0
+		for _, x := range m {
+			sum += x
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("%s masses sum to %v", name, sum)
+		}
+	}
 }
 
-// TestGlitchCampaignFoldsLikeCampaigns: glitch runs fold through the
-// campaign accumulator with weight 1, so the weight moments, the
-// per-t tallies and the tracked patterns fill as in any campaign.
-func TestGlitchCampaignFoldsLikeCampaigns(t *testing.T) {
+// TestGlitchPiecesPredictFlips: on every timing distance, the register
+// set RunGlitchOnce latches at each depth piece is the set whose
+// threshold lies below the piece's depth, at the default depth, a
+// deep one, and one clipped at the clock period (where a third of the
+// mass is the point at 600 ps).
+func TestGlitchPiecesPredictFlips(t *testing.T) {
 	ev := evaluation(t)
-	attack, err := fault.NewGlitchAttack("glitch", 50, fault.DefaultClockGlitch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1000
-	c, err := ev.Engine.RunGlitchCampaign(context.Background(), attack,
-		montecarlo.CampaignOptions{Samples: n, Seed: 1, TrackPatterns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ess := c.ESS(); ess != n {
-		t.Errorf("ESS %v, want %d", ess, n)
-	}
-	draws, hits := 0, 0
-	for i := range c.TDraws {
-		draws += c.TDraws[i]
-	}
-	for i := range c.THits {
-		hits += c.THits[i]
-	}
-	if draws != n || hits != c.Successes {
-		t.Errorf("TDraws sum to %d, THits to %d; want %d and %d successes", draws, hits, n, c.Successes)
-	}
-	if c.ClassCounts[montecarlo.Masked] < n && len(c.Patterns) == 0 {
-		t.Error("latched glitches tracked no pattern")
+	for _, depth := range []float64{300, 450, 550} {
+		tech := fault.DefaultClockGlitch()
+		tech.Depth = depth
+		stale, atPeriod := 0, 0.0
+		regs := ev.Engine.SoC.MPU.Netlist.Regs()
+		for T := range 50 {
+			th := ev.Engine.GlitchThresholds(T)
+			for _, p := range tech.DepthPieces(th) {
+				var want []netlist.NodeID
+				for i, r := range regs {
+					if p.Depth > th[i] {
+						want = append(want, r)
+					}
+				}
+				slices.Sort(want)
+				res := ev.Engine.RunGlitchOnce(nil, fault.GlitchSample{T: T, Depth: p.Depth})
+				if !slices.Equal(res.Flipped, want) {
+					t.Fatalf("depth %v, T %d, piece at %v ps: flipped %v, thresholds predict %v", depth, T, p.Depth, res.Flipped, want)
+				}
+				if len(want) > 0 {
+					stale++
+				}
+				if p.Depth == tech.ClockPeriod {
+					atPeriod += p.Mass / 50
+				}
+			}
+		}
+		if stale == 0 {
+			t.Errorf("depth %v: no piece latched stale data", depth)
+		}
+		if wantAt := max(depth+tech.DepthJitter-tech.ClockPeriod, 0) / (2 * tech.DepthJitter); math.Abs(atPeriod-wantAt) > 1e-12 {
+			t.Errorf("depth %v: mass %v at the clock period, want %v", depth, atPeriod, wantAt)
+		}
 	}
 }
 
@@ -195,15 +224,23 @@ func TestGlitchDeterministicDepthSweep(t *testing.T) {
 	}
 }
 
-func TestGlitchCampaignValidation(t *testing.T) {
+// TestExactGlitchValidation: a timing range that reaches into the MPU
+// set-up and a hardened engine, whose suppression is random, are
+// rejected.
+func TestExactGlitchValidation(t *testing.T) {
 	ev := evaluation(t)
 	attack, _ := fault.NewGlitchAttack("glitch", 5000, fault.DefaultClockGlitch())
-	if _, err := ev.Engine.RunGlitchCampaign(context.Background(), attack, montecarlo.CampaignOptions{Samples: 10}); err == nil {
+	if _, err := ev.Engine.ExactGlitch(attack); err == nil {
 		t.Error("oversized TRange accepted")
 	}
 	ok, _ := fault.NewGlitchAttack("glitch", 10, fault.DefaultClockGlitch())
-	if _, err := ev.Engine.RunGlitchCampaign(context.Background(), ok, montecarlo.CampaignOptions{Samples: 0}); err == nil {
-		t.Error("zero samples accepted")
+	hard, err := ev.Engine.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard.Hardened = map[netlist.NodeID]float64{ev.Engine.SoC.MPU.Netlist.Regs()[0]: 10}
+	if _, err := hard.ExactGlitch(ok); err == nil {
+		t.Error("hardened engine accepted")
 	}
 }
 

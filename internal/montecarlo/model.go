@@ -18,10 +18,11 @@ import (
 // a pool read it concurrently.
 type model struct {
 	golden *Golden
-	// lo = TargetCycle - TRange (clamped to 0) is the first recorded
-	// injection cycle; markedResp = TargetCycle + 1 is the cycle the
-	// marked response is consumed — no resume runs past it without
-	// diverging.
+	// lo = TargetCycle - TRange + 1 (clamped to 0) is the first
+	// recorded injection cycle, the earliest a draw can reach (every
+	// sampler draws T < TRange); markedResp = TargetCycle + 1 is the
+	// cycle the marked response is consumed — no resume runs past it
+	// without diverging.
 	lo         int
 	markedResp int
 	// snaps[c-snapLo] is the golden state at the beginning of cycle c,
@@ -56,7 +57,7 @@ type gateTables struct {
 // recording the golden state at the beginning of each of its cycles
 // and the post-Eval node values of each injection cycle.
 func newModel(s *soc.SoC, g *Golden, attack *fault.Attack) *model {
-	lo := max(g.TargetCycle-attack.TRange, 0)
+	lo := max(g.TargetCycle-attack.TRange+1, 0)
 	m := &model{golden: g, lo: lo, markedResp: g.TargetCycle + 1, snapLo: max(lo-1, 0)}
 	nn := s.MPU.Netlist.NumNodes()
 	g.stepTo(s, m.snapLo)

@@ -16,14 +16,14 @@ import (
 
 // TestWindowSnapshots holds the model's window snapshots to the golden
 // run: one per cycle of [lo−1, TargetCycle+1], lo = TargetCycle −
-// TRange, each equal — architectural state, cycle, memory and every MPU
-// register word — to the state reached by restoring the latest golden
-// checkpoint at or before its cycle and stepping to it.
+// TRange + 1, each equal — architectural state, cycle, memory and
+// every MPU register word — to the state reached by restoring the
+// latest golden checkpoint at or before its cycle and stepping to it.
 func TestWindowSnapshots(t *testing.T) {
 	ev := evaluation(t)
 	g := ev.Golden
 	first, snaps := ev.Engine.WindowSnapshots()
-	if want := g.TargetCycle - ev.Attack.TRange - 1; first != want {
+	if want := g.TargetCycle - ev.Attack.TRange; first != want {
 		t.Fatalf("window snapshots start at cycle %d, want %d", first, want)
 	}
 	if want := g.TargetCycle + 1 - first + 1; len(snaps) != want {

@@ -267,9 +267,10 @@ func printOf(c *montecarlo.Campaign) answerPrint {
 // index and commit in index order, so 1, 2 and 3 engines give
 // bit-identical answers: fixed-size and adaptive, on the random,
 // importance and stratified samplers, with and without AdaptProposal
-// (which runs one block per round). The adaptive cases stop at a block
-// that is not the last of its round on some pool size, so the rest of
-// that round is discarded.
+// (which runs one block per round), and on a forked stratified stream,
+// which each block forks afresh like its base. The adaptive cases stop
+// at a block that is not the last of its round on some pool size, so
+// the rest of that round is discarded.
 func TestAnswersIndependentOfEngineCount(t *testing.T) {
 	gate := concentratedEvaluation(t)
 	gateEngines, err := gate.CloneEngines(3)
@@ -313,6 +314,7 @@ func TestAnswersIndependentOfEngineCount(t *testing.T) {
 		{"fixed importance adapted", gateEngines, importance, adapt(fixed(3000))},
 		{"fixed stratified", gateEngines, stratified, fixed(3000)},
 		{"fixed stratified adapted", gateEngines, stratified, adapt(fixed(3000))},
+		{"fixed stratified stream", gateEngines, stratified.Fork(), fixed(3000)},
 		{"adaptive random register", regEngines, reg.RandomSampler(), register(adaptive(6.5e-3))},
 		{"adaptive importance", gateEngines, importance, adaptive(1e-3)},
 		{"adaptive importance adapted", gateEngines, importance, adapt(adaptive(1e-3))},

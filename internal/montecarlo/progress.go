@@ -27,9 +27,9 @@ type Progress struct {
 	RunsPerSec float64
 }
 
-// ProgressFunc receives campaign progress snapshots: RunCampaign and
-// RunGlitchCampaign report after every 2,048 committed samples and
-// after the last, RunAdaptiveParallel after every committed block. The
+// ProgressFunc receives campaign progress snapshots: RunCampaign
+// reports after every 2,048 committed samples and after the last,
+// RunAdaptiveParallel after every committed block. The
 // callback runs on the calling goroutine while no sample is evaluated,
 // so keep it fast.
 type ProgressFunc func(Progress)

@@ -78,61 +78,6 @@ func TestStratifiedCampaignScalarBatchedIdentical(t *testing.T) {
 	}
 }
 
-// TestStratifiedDisjointForkMergeMatchesSequential is the campaign-level
-// merge guarantee: two campaigns over complementary stratum subsets
-// (ForkStrata), run with the sequential campaign's seed, merge into
-// exactly the sequential campaign's per-stratum state — bit for bit —
-// because per-stratum streams depend only on per-stratum draw counts.
-func TestStratifiedDisjointForkMergeMatchesSequential(t *testing.T) {
-	ev := concentratedEvaluation(t)
-	sp := varianceStratified(t, ev)
-	ctx := context.Background()
-	opts := montecarlo.CampaignOptions{Samples: 3000, Seed: 9}
-	full, err := ev.Engine.RunCampaign(ctx, sp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Strata.TotalHits() == 0 {
-		t.Fatal("no hits — the comparison would be vacuous")
-	}
-
-	even := func(k int) bool { return k%2 == 0 }
-	odd := func(k int) bool { return k%2 == 1 }
-	part := func(include func(int) bool) *montecarlo.Campaign {
-		n := 0
-		for k := 0; k < full.Strata.K(); k++ {
-			if include(k) {
-				n += full.Strata.StratumN(k)
-			}
-		}
-		sub, err := sp.ForkStrata(1, include) // fork seed replaced by opts.Seed inside the run
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ev.Engine.RunCampaign(ctx, sub, montecarlo.CampaignOptions{Samples: n, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	merged := part(even).Clone()
-	if err := merged.Merge(part(odd)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Strata.State(), full.Strata.State()) {
-		t.Fatal("merged per-stratum state differs from the sequential run")
-	}
-	if merged.SSF() != full.SSF() {
-		t.Fatalf("merged SSF %v, sequential %v", merged.SSF(), full.SSF())
-	}
-	if merged.Successes != full.Successes {
-		t.Errorf("merged successes %d, sequential %d", merged.Successes, full.Successes)
-	}
-	if !reflect.DeepEqual(merged.TDraws, full.TDraws) || !reflect.DeepEqual(merged.THits, full.THits) {
-		t.Error("merged per-t tallies differ from the sequential run")
-	}
-}
-
 // TestVarianceStateSnapshotRoundTrip: the stratified campaign state —
 // strata, weight moments, tallies — survives Snapshot → JSON → Campaign
 // → Snapshot bit-identically.

@@ -38,17 +38,17 @@ type Sampler interface {
 }
 
 // Forker is implemented by samplers that carry per-campaign mutable
-// state, such as the Stratified sampler's per-stratum substreams.
-// Every campaign forks one private stream from its seed; the round loop
-// seeds each block from its index, so an answer forks one stream per
-// block, and parallel and resumed runs replay the exact same streams.
-// Samplers without per-draw state simply don't implement Forker and
-// are used as-is.
+// state, such as the Stratified sampler's stratum schedule. Every
+// campaign forks one private stream, which draws from the campaign's
+// rng; the round loop seeds each block from its index, so an answer
+// forks one stream per block, and parallel and resumed runs replay the
+// exact same draws. Samplers without per-draw state simply don't
+// implement Forker and are used as-is.
 type Forker interface {
 	Sampler
-	// Fork returns an independent stream of this sampler. The result
-	// must depend only on (receiver, seed).
-	Fork(seed int64) Sampler
+	// Fork returns a fresh stream of this sampler, which depends only
+	// on the receiver.
+	Fork() Sampler
 }
 
 // Stratal is implemented by samplers that partition the attack space
@@ -81,12 +81,6 @@ type AdaptState struct {
 	// (nil otherwise); allocation tuning reads its per-stratum
 	// variances.
 	Strata *stats.Stratified
-	// Floor is the clamping floor, as a fraction of the largest
-	// re-tuned weight: no stratum's probability or allocation is tilted
-	// below Floor times the maximum. It keeps every stratum explored so
-	// the estimator stays unbiased (a proposal that starves a stratum
-	// with true mass would never correct itself).
-	Floor float64
 }
 
 // Adaptive is implemented by samplers that can re-tune themselves from
@@ -100,7 +94,11 @@ type Adaptive interface {
 	Adapt(state AdaptState) (Sampler, error)
 }
 
-// DefaultAdaptFloor is the default weight-floor fraction for Adapt.
+// DefaultAdaptFloor is Adapt's clamping floor, as a fraction of the
+// largest re-tuned weight: no stratum's probability or allocation is
+// tilted below it times the maximum. It keeps every stratum explored so
+// the estimator stays unbiased (a proposal that starves a stratum with
+// true mass would never correct itself).
 const DefaultAdaptFloor = 0.02
 
 // --- Random --------------------------------------------------------------
@@ -399,10 +397,10 @@ func (im *Importance) TimingProbs() []float64 {
 // distribution g_T toward the observed per-stratum hit rates, keeping
 // the within-layer center distributions untouched. The new weight of a
 // non-empty timing distance is its raw hit rate, floor-clamped at
-// state.Floor times the largest rate so no stratum is starved; empty
-// layers stay at zero (they cannot be drawn). Importance weights are
-// computed from the re-tilted distribution itself, so every draw stays
-// individually unbiased — combining rounds drawn under different
+// DefaultAdaptFloor times the largest rate so no stratum is starved;
+// empty layers stay at zero (they cannot be drawn). Importance weights
+// are computed from the re-tilted distribution itself, so every draw
+// stays individually unbiased — combining rounds drawn under different
 // proposals is plain multiple-distribution importance sampling.
 //
 // The result shares the immutable layers/center distributions with the
@@ -410,10 +408,6 @@ func (im *Importance) TimingProbs() []float64 {
 // anywhere the receiver is returned unchanged (the observations carry
 // no signal to tilt toward).
 func (im *Importance) Adapt(state AdaptState) (Sampler, error) {
-	floor := state.Floor
-	if floor <= 0 {
-		floor = DefaultAdaptFloor
-	}
 	rates := make([]float64, im.attack.TRange)
 	maxRate := 0.0
 	for t := range rates {
@@ -433,8 +427,8 @@ func (im *Importance) Adapt(state AdaptState) (Sampler, error) {
 	for t := range rates {
 		if len(im.layers[t]) == 0 {
 			rates[t] = 0
-		} else if rates[t] < floor*maxRate {
-			rates[t] = floor * maxRate
+		} else if rates[t] < DefaultAdaptFloor*maxRate {
+			rates[t] = DefaultAdaptFloor * maxRate
 		}
 	}
 	tDist, err := stats.NewDiscrete(rates)

@@ -14,10 +14,6 @@ import (
 // per-stratum variance estimates alive for Neyman re-allocation.
 const DefaultAllocFloor = 0.1
 
-// strataSeedMix decorrelates the per-stratum substream seeds (the
-// 64-bit golden-ratio multiplier).
-const strataSeedMix = -7046029254386353131 // 0x9E3779B97F4A7C15 as int64
-
 // Stratified samples the timing-distance axis by deterministic
 // stratified allocation instead of randomly: stratum t (one per timing
 // distance, pi_t = f_T(t)) receives a fixed fraction of the draws, and
@@ -153,8 +149,7 @@ func (s *Stratified) ConditionalWeight(smp fault.Sample, w float64) float64 {
 
 // Draw implements Sampler for callers that do not Fork: the stratum is
 // chosen randomly by allocation, which is unbiased but forfeits the
-// deterministic schedule (and therefore the merge bit-identity).
-// Campaign runners always go through Fork.
+// deterministic schedule. Campaign runners always go through Fork.
 func (s *Stratified) Draw(rng *rand.Rand) (fault.Sample, float64) {
 	return s.drawIn(s.allocDist.Sample(rng.Float64()), rng)
 }
@@ -180,10 +175,6 @@ func (s *Stratified) drawIn(k int, rng *rand.Rand) (fault.Sample, float64) {
 // affects unbiasedness — it only re-distributes draws — so no
 // correction to past rounds is needed.
 func (s *Stratified) Adapt(state AdaptState) (Sampler, error) {
-	floor := state.Floor
-	if floor <= 0 {
-		floor = DefaultAdaptFloor
-	}
 	if state.Strata == nil || state.Strata.K() != len(s.probs) {
 		return s, nil
 	}
@@ -204,105 +195,29 @@ func (s *Stratified) Adapt(state AdaptState) (Sampler, error) {
 	if !signal {
 		return s, nil
 	}
-	return newStratifiedAlloc(s.inner, s.probs, raw, floor)
+	return newStratifiedAlloc(s.inner, s.probs, raw, DefaultAdaptFloor)
 }
 
 // Fork implements Forker: the returned stream draws strata on the
-// deterministic largest-remainder schedule and runs one private rng
-// substream per stratum, both derived solely from (receiver, seed).
-// Per-stratum state therefore depends only on the per-stratum draw
-// count — which is what makes campaigns over disjoint strata merge
-// bit-identically with a sequential run.
-func (s *Stratified) Fork(seed int64) Sampler {
-	return &stratifiedStream{base: s, seed: seed, def: make([]float64, len(s.alloc)), rngs: make([]*rand.Rand, len(s.alloc))}
+// deterministic largest-remainder schedule, each center from the rng
+// its Draw is handed. A campaign forks one stream per block, so every
+// block starts the schedule afresh and draws from the block's stream.
+func (s *Stratified) Fork() Sampler {
+	return &stratifiedStream{Stratified: s, def: make([]float64, len(s.alloc))}
 }
 
-// ForkStrata forks a stream restricted to the strata selected by
-// include: the stream walks the same global schedule but emits only the
-// selected strata's draws, consuming nothing from the others. Two
-// streams forked from the same seed over disjoint subsets together
-// reproduce the full stream's per-stratum draws exactly. The subset
-// must include at least one stratum with non-zero allocation.
-func (s *Stratified) ForkStrata(seed int64, include func(k int) bool) (Sampler, error) {
-	any := false
-	inc := make([]bool, len(s.alloc))
-	for k := range s.alloc {
-		inc[k] = include(k)
-		if inc[k] && s.alloc[k] > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return nil, fmt.Errorf("sampling: fork subset has no allocated stratum")
-	}
-	return &stratifiedStream{base: s, seed: seed, include: inc, def: make([]float64, len(s.alloc)), rngs: make([]*rand.Rand, len(s.alloc))}, nil
-}
-
-// stratifiedStream is one forked campaign stream: deterministic
-// stratum schedule plus per-stratum rng substreams. The campaign rng
-// passed to Draw is deliberately ignored so that the stream's output is
-// a pure function of (base, seed, per-stratum draw counts).
+// stratifiedStream is one forked campaign stream: the deficits of its
+// stratum schedule over the base sampler, whose methods it shares but
+// Draw. So a stream handed to a campaign is forked afresh like its base.
 type stratifiedStream struct {
-	base    *Stratified
-	seed    int64
-	include []bool // nil = every stratum
-	def     []float64
-	rngs    []*rand.Rand
+	*Stratified
+	def []float64
 }
 
-// Name implements Sampler.
-func (st *stratifiedStream) Name() string { return st.base.Name() }
-
-// TimingProbs implements Sampler.
-func (st *stratifiedStream) TimingProbs() []float64 { return st.base.TimingProbs() }
-
-// NumStrata implements Stratal.
-func (st *stratifiedStream) NumStrata() int { return st.base.NumStrata() }
-
-// StratumProb implements Stratal.
-func (st *stratifiedStream) StratumProb(k int) float64 { return st.base.StratumProb(k) }
-
-// StratumOf implements Stratal.
-func (st *stratifiedStream) StratumOf(smp fault.Sample) int { return st.base.StratumOf(smp) }
-
-// ConditionalWeight implements Stratal.
-func (st *stratifiedStream) ConditionalWeight(smp fault.Sample, w float64) float64 {
-	return st.base.ConditionalWeight(smp, w)
-}
-
-// Fork implements Forker by re-forking from the base sampler with a
-// fresh schedule and fresh substreams. The include restriction is
-// preserved: a restricted stream handed to a campaign runner (which
-// forks it with the campaign seed) keeps emitting only its subset.
-func (st *stratifiedStream) Fork(seed int64) Sampler {
-	return &stratifiedStream{
-		base:    st.base,
-		seed:    seed,
-		include: st.include,
-		def:     make([]float64, len(st.base.alloc)),
-		rngs:    make([]*rand.Rand, len(st.base.alloc)),
-	}
-}
-
-// Adapt implements Adaptive on the base sampler.
-func (st *stratifiedStream) Adapt(state AdaptState) (Sampler, error) { return st.base.Adapt(state) }
-
-// Draw implements Sampler: next scheduled stratum, drawn from that
-// stratum's private substream. The caller's rng is unused (see type
-// comment).
-func (st *stratifiedStream) Draw(_ *rand.Rand) (fault.Sample, float64) {
-	for {
-		k := st.next()
-		if st.include != nil && !st.include[k] {
-			continue
-		}
-		r := st.rngs[k]
-		if r == nil {
-			r = rand.New(rand.NewSource(st.seed ^ int64(k+1)*strataSeedMix)) //alloc-ok (once per stratum per stream)
-			st.rngs[k] = r
-		}
-		return st.base.drawIn(k, r)
-	}
+// Draw implements Sampler: a center of the next scheduled stratum,
+// drawn from rng.
+func (st *stratifiedStream) Draw(rng *rand.Rand) (fault.Sample, float64) {
+	return st.drawIn(st.next(), rng)
 }
 
 // next advances the largest-remainder schedule: every stratum's deficit
@@ -311,7 +226,7 @@ func (st *stratifiedStream) Draw(_ *rand.Rand) (fault.Sample, float64) {
 // alloc_k·N ± 1 times, and the schedule is a pure function of the
 // allocation — no randomness involved.
 func (st *stratifiedStream) next() int {
-	alloc := st.base.alloc
+	alloc := st.alloc
 	best := -1
 	bestDef := 0.0
 	for k := range alloc {

@@ -37,16 +37,11 @@ func varianceSamplers(t *testing.T) map[string]Sampler {
 	a := fixtureAttack(t, 10)
 	im := fixtureImportance(t, 10)
 	strat := fixtureStratified(t, 10)
-	sub, err := strat.ForkStrata(5, func(k int) bool { return k%2 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Sampler{
 		"random":            &Random{Attack: a},
 		"importance":        im,
 		"stratified":        strat,
-		"stratified-stream": strat.Fork(3),
-		"stratified-subset": sub,
+		"stratified-stream": strat.Fork(),
 	}
 }
 
@@ -76,7 +71,7 @@ func TestDrawWeightsFinitePositive(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			s := sp
 			if f, ok := s.(Forker); ok {
-				s = f.Fork(seed)
+				s = f.Fork()
 			}
 			rng := rand.New(rand.NewSource(seed))
 			st, _ := s.(Stratal)
@@ -104,7 +99,7 @@ func TestDrawWeightsFinitePositive(t *testing.T) {
 // draw, with no randomness.
 func TestStratifiedScheduleMatchesAllocation(t *testing.T) {
 	strat := fixtureStratified(t, 10)
-	stream := strat.Fork(1)
+	stream := strat.Fork()
 	const n = 10000
 	counts := make(map[int]int)
 	rng := rand.New(rand.NewSource(1))
@@ -117,92 +112,6 @@ func TestStratifiedScheduleMatchesAllocation(t *testing.T) {
 		if math.Abs(got-a*n) > 1.5 {
 			t.Errorf("stratum %d: %v draws, allocation wants %v", k, got, a*n)
 		}
-	}
-}
-
-// TestStratifiedForkStrataPartition: two restricted streams over
-// complementary subsets, forked from the full stream's seed, together
-// reproduce the full stream's per-stratum draws exactly — the
-// foundation of the campaign-level disjoint-strata merge guarantee.
-func TestStratifiedForkStrataPartition(t *testing.T) {
-	strat := fixtureStratified(t, 10)
-	const seed = 11
-	const n = 4000
-	rng := rand.New(rand.NewSource(99)) // ignored by streams
-
-	type draw struct {
-		s fault.Sample
-		w float64
-	}
-	full := strat.Fork(seed)
-	perStratum := make(map[int][]draw)
-	for i := 0; i < n; i++ {
-		s, w := full.Draw(rng)
-		perStratum[s.T] = append(perStratum[s.T], draw{s, w})
-	}
-
-	even := func(k int) bool { return k%2 == 0 }
-	odd := func(k int) bool { return k%2 == 1 }
-	for _, part := range []func(int) bool{even, odd} {
-		want := 0
-		for k, ds := range perStratum {
-			if part(k) {
-				want += len(ds)
-			}
-		}
-		if want == 0 {
-			continue
-		}
-		sub, err := strat.ForkStrata(seed, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[int][]draw)
-		for i := 0; i < want; i++ {
-			s, w := sub.Draw(rng)
-			if !part(s.T) {
-				t.Fatalf("restricted stream emitted excluded stratum %d", s.T)
-			}
-			got[s.T] = append(got[s.T], draw{s, w})
-		}
-		for k, ds := range got {
-			if len(ds) != len(perStratum[k]) {
-				t.Fatalf("stratum %d: %d draws, full run had %d", k, len(ds), len(perStratum[k]))
-			}
-			for i := range ds {
-				if ds[i] != perStratum[k][i] {
-					t.Fatalf("stratum %d draw %d: %+v != full run's %+v", k, i, ds[i], perStratum[k][i])
-				}
-			}
-		}
-	}
-}
-
-// TestRestrictedForkPreservesInclude: re-forking a restricted stream
-// (as the campaign runner does with its own seed) keeps the
-// restriction.
-func TestRestrictedForkPreservesInclude(t *testing.T) {
-	strat := fixtureStratified(t, 10)
-	sub, err := strat.ForkStrata(1, func(k int) bool { return k == 2 || k == 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	refork := sub.(Forker).Fork(42)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		s, _ := refork.Draw(rng)
-		if s.T != 2 && s.T != 3 {
-			t.Fatalf("re-forked restricted stream emitted stratum %d", s.T)
-		}
-	}
-}
-
-// TestForkStrataRejectsEmptySubset: a subset with no allocated stratum
-// cannot make progress and must be rejected at fork time.
-func TestForkStrataRejectsEmptySubset(t *testing.T) {
-	strat := fixtureStratified(t, 10)
-	if _, err := strat.ForkStrata(1, func(int) bool { return false }); err == nil {
-		t.Fatal("empty subset accepted")
 	}
 }
 
@@ -238,7 +147,7 @@ func TestImportanceAdaptRetilts(t *testing.T) {
 		draws[u] = 100
 	}
 	hits[target] = 50
-	ad, err := im.Adapt(AdaptState{Draws: draws, Hits: hits, Floor: 0.05})
+	ad, err := im.Adapt(AdaptState{Draws: draws, Hits: hits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +167,7 @@ func TestImportanceAdaptRetilts(t *testing.T) {
 		t.Errorf("adapted mode at t=%d, hits were at t=%d", argmax, target)
 	}
 	for u, p := range after {
-		if before[u] > 0 && p < 0.05*maxP-1e-15 {
+		if before[u] > 0 && p < DefaultAdaptFloor*maxP-1e-15 {
 			t.Errorf("t=%d: prob %v below floor of max %v", u, p, maxP)
 		}
 		if before[u] == 0 && p != 0 {
@@ -303,7 +212,7 @@ func TestStratifiedAdaptNeyman(t *testing.T) {
 			acc.Add(k, x, 1, x > 1)
 		}
 	}
-	ad, err := strat.Adapt(AdaptState{Strata: acc, Floor: 0.02})
+	ad, err := strat.Adapt(AdaptState{Strata: acc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,9 +253,9 @@ func TestDrawWeightsMatchDensity(t *testing.T) {
 		}
 	}
 	st := fixtureStratified(t, 10)
-	stream := st.Fork(7)
+	stream := st.Fork()
 	for i := 0; i < 100000; i++ {
-		s, w := stream.Draw(nil)
+		s, w := stream.Draw(rng)
 		k := s.T
 		g := im.mixLayer/float64(len(im.layers[k])) + (1-im.mixLayer)*st.inner.centerProb(k, s.Center)
 		want := im.attack.CenterProb(s.Center) / g * st.probs[k] / st.alloc[k]
@@ -377,7 +286,7 @@ func TestDrawsCarryImpactCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sp := range map[string]Sampler{
-		"random": &Random{Attack: a}, "importance": im, "stratified": strat.Fork(1),
+		"random": &Random{Attack: a}, "importance": im, "stratified": strat.Fork(),
 	} {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 10000; i++ {

@@ -41,8 +41,8 @@ type JobRequest struct {
 	MaxSamples int `json:"max_samples,omitempty"`
 	// Mode is "gate" (default) or "register".
 	Mode string `json:"mode,omitempty"`
-	// Sampler is one of core.SamplerNames: "random", "importance"
-	// (default) or "stratified".
+	// Sampler is one of core.SamplerNames: "random", "importance" or
+	// "stratified"; empty selects core.DefaultSampler.
 	Sampler string `json:"sampler,omitempty"`
 	// Seed makes the job reproducible: the job's blocks are seeded
 	// from it and their index, so the result does not depend on the
@@ -59,7 +59,7 @@ type JobRequest struct {
 // normalize applies defaults and validates against the server's caps.
 func (r *JobRequest) normalize(maxSamples int) error {
 	if r.Sampler == "" {
-		r.Sampler = "importance"
+		r.Sampler = core.DefaultSampler
 	}
 	if r.Mode == "" {
 		r.Mode = "gate"

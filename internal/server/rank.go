@@ -89,7 +89,7 @@ const maxVariants = 16
 // name registers of nl.
 func (r *RankRequest) normalize(maxSamples int, nl *netlist.Netlist) error {
 	if r.Sampler == "" {
-		r.Sampler = "importance"
+		r.Sampler = core.DefaultSampler
 	}
 	if r.Mode == "" {
 		r.Mode = "gate"

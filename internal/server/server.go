@@ -331,35 +331,32 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	camp, err := s.pool.RunAdaptive(jctx, sp, aopts)
 	s.poolMu.Unlock()
 
-	if err != nil && errors.Is(err, context.Canceled) {
-		if ctx.Err() != nil {
-			// Server shutdown: back to the queue; the on-disk
-			// checkpoint resumes the job after restart.
-			j.mu.Lock()
-			j.rec.State = StateQueued
-			j.cancel = nil
-			rec := j.rec
-			j.mu.Unlock()
-			if err := s.store.Save(rec); err != nil {
-				s.cfg.Logf("server: persist %s: %v", rec.ID, err)
-			}
-			// Best-effort re-enqueue so an in-process Start after
-			// Shutdown picks the job up again (a process restart
-			// re-queues it from the store instead).
-			select {
-			case s.queue <- j:
-			default:
-			}
-			return
+	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+		// Server shutdown: back to the queue; the on-disk checkpoint
+		// resumes the job after restart.
+		j.mu.Lock()
+		j.rec.State = StateQueued
+		j.cancel = nil
+		rec := j.rec
+		j.mu.Unlock()
+		if err := s.store.Save(rec); err != nil {
+			s.cfg.Logf("server: persist %s: %v", rec.ID, err)
 		}
-		s.finishCancelled(j, camp)
+		// Best-effort re-enqueue so an in-process Start after Shutdown
+		// picks the job up again (a process restart re-queues it from
+		// the store instead).
+		select {
+		case s.queue <- j:
+		default:
+		}
 		return
 	}
 	s.finishJob(j, camp, err)
 }
 
-// finishJob records a job's terminal state (done, or failed with a
-// partial result when the campaign produced one).
+// finishJob records a job's terminal state, keeping the partial result
+// when the campaign produced one: cancelled by its client when err is
+// context.Canceled, failed with any other non-nil err, done otherwise.
 func (s *Server) finishJob(j *Job, camp *montecarlo.Campaign, err error) {
 	j.mu.Lock()
 	j.cancel = nil
@@ -367,7 +364,10 @@ func (s *Server) finishJob(j *Job, camp *montecarlo.Campaign, err error) {
 	j.rec.Result = resultFrom(camp)
 	j.rec.Checkpoint = nil // the result supersedes the checkpoint
 	state := StateDone
-	if err != nil {
+	switch {
+	case errors.Is(err, context.Canceled):
+		state = StateCancelled
+	case err != nil:
 		state = StateFailed
 		j.rec.Error = err.Error()
 	}
@@ -380,25 +380,6 @@ func (s *Server) finishJob(j *Job, camp *montecarlo.Campaign, err error) {
 	}
 	st := j.status()
 	hub.finish(sseMsg{event: state, data: mustJSON(st)})
-}
-
-// finishCancelled records a client-initiated cancellation, keeping the
-// partial result.
-func (s *Server) finishCancelled(j *Job, camp *montecarlo.Campaign) {
-	j.mu.Lock()
-	j.cancel = nil
-	j.rec.FinishedAt = time.Now().UTC()
-	j.rec.Result = resultFrom(camp)
-	j.rec.Checkpoint = nil
-	j.rec.State = StateCancelled
-	rec := j.rec
-	hub := j.hub
-	j.mu.Unlock()
-	if err := s.store.Save(rec); err != nil {
-		s.cfg.Logf("server: persist %s: %v", rec.ID, err)
-	}
-	st := j.status()
-	hub.finish(sseMsg{event: StateCancelled, data: mustJSON(st)})
 }
 
 // newID returns a 12-hex-digit random job ID.

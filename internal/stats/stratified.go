@@ -16,10 +16,11 @@ const Z95 = 1.959963984540054
 // sum_k pi_k^2 * var_k / n_k — allocation (how many draws land in each
 // stratum) affects only the variance, never the unbiasedness.
 //
-// Per-stratum state is kept independent so that two campaigns run over
-// disjoint stratum subsets merge bit-identically to one sequential run:
-// Merge folds stratum k of the other accumulator into stratum k here,
-// and every derived quantity folds over strata in index order.
+// Per-stratum state is kept independent: Merge folds stratum k of the
+// other accumulator into stratum k here, and every derived quantity
+// folds over strata in index order. So blocks merged in index order
+// give the same bits on any pool, and accumulators over disjoint strata
+// merge into exactly the one that saw both.
 type Stratified struct {
 	probs  []float64
 	strata []Welford
@@ -246,7 +247,7 @@ func (m *WeightMoments) ESS() float64 {
 
 // Merge folds another accumulator into this one. Plain sum-of-sums, so
 // the result is independent of merge order only up to float rounding;
-// campaign merges fold in shard index order to stay deterministic.
+// campaign merges fold in block index order to stay deterministic.
 func (m *WeightMoments) Merge(o WeightMoments) {
 	m.n += o.n
 	m.sumW += o.sumW

@@ -1,17 +1,19 @@
 package timingsim
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/netlist"
 )
 
-// GlitchCapture models a clock-glitch injection: for one cycle the
-// capture edge arrives at glitchTime instead of ClockPeriod, so
-// registers whose data has not settled capture the previous cycle's
-// value. prev and cur give every node's fault-free value in the
-// previous and in the glitched cycle; the returned registers latch
-// stale data (their captured value differs from the fault-free one).
+// GlitchThresholds models a clock-glitch injection: for one cycle the
+// capture edge arrives early by the glitch depth, so registers whose
+// data has not settled capture the previous cycle's value. prev and cur
+// give every node's fault-free value in the previous and in the
+// glitched cycle. It returns, for each register in Netlist.Regs order,
+// the depth above which it latches stale data: ClockPeriod − Setup −
+// its D input's arrival time, or +Inf when its D input does not change.
 //
 // Arrival times use the single-transition timing model: a net that
 // changes between the two cycles transitions once, at its longest-path
@@ -19,7 +21,7 @@ import (
 // at the cycle boundary). Short-path hazards and multiple transitions
 // are not modeled. Clock-gated registers whose enable is low do not
 // capture at all and therefore cannot be glitched.
-func (s *Simulator) GlitchCapture(prev, cur func(netlist.NodeID) bool, glitchTime float64) []netlist.NodeID {
+func (s *Simulator) GlitchThresholds(prev, cur func(netlist.NodeID) bool) []float64 {
 	const unchanged = -1.0
 	arrival := make([]float64, s.nl.NumNodes())
 	// Sources: registers and inputs switch at time 0 when they differ
@@ -50,19 +52,30 @@ func (s *Simulator) GlitchCapture(prev, cur func(netlist.NodeID) bool, glitchTim
 		arrival[id] = latest + s.Delay(id)
 	}
 
-	deadline := glitchTime - s.dm.Setup
-	var flipped []netlist.NodeID
-	for _, r := range s.nl.Regs() {
+	th := make([]float64, len(s.nl.Regs()))
+	for i, r := range s.nl.Regs() {
 		node := s.nl.Node(r)
-		if node.En != netlist.Invalid && !cur(node.En) {
-			continue // clock-gated off: no capture to glitch
-		}
-		d := node.Fanin[0]
-		if a := arrival[d]; a != unchanged && a > deadline {
-			flipped = append(flipped, r)
+		a := arrival[node.Fanin[0]]
+		if a == unchanged || (node.En != netlist.Invalid && !cur(node.En)) {
+			th[i] = math.Inf(1) // unchanged, or clock-gated off: no capture to glitch
+		} else {
+			th[i] = s.dm.ClockPeriod - s.dm.Setup - a
 		}
 	}
-	sort.Slice(flipped, func(i, j int) bool { return flipped[i] < flipped[j] })
+	return th
+}
+
+// GlitchCapture returns, in ID order, the registers that latch stale
+// data under a glitch of the given depth (ps): those whose
+// GlitchThresholds depth is below it.
+func (s *Simulator) GlitchCapture(prev, cur func(netlist.NodeID) bool, depth float64) []netlist.NodeID {
+	var flipped []netlist.NodeID
+	for i, th := range s.GlitchThresholds(prev, cur) {
+		if depth > th {
+			flipped = append(flipped, s.nl.Regs()[i])
+		}
+	}
+	slices.Sort(flipped)
 	return flipped
 }
 

@@ -56,14 +56,15 @@ lint:
 
 # fuzz-smoke gives the fuzz targets a short budget each: enough to
 # catch parser, checkpoint-decoding, request-decoding, evaluator-,
-# sweep-, cone- or discrete-sampling-equivalence and glitch depth-piece
-# regressions without stalling CI.
+# sweep-, cone-, discrete-sampling- or batched-resume-equivalence and
+# glitch depth-piece regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzNetlistDeserialize -fuzztime=20s
 	$(GO) test ./internal/netlist/ -run '^FuzzUnrolledCone$$' -fuzz '^FuzzUnrolledCone$$' -fuzztime=20s
 	$(GO) test ./internal/logicsim/ -run '^FuzzPlanEquivalence$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/logicsim/codegen/ -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/montecarlo/ -run '^FuzzCampaignSnapshot$$' -fuzz '^FuzzCampaignSnapshot$$' -fuzztime=20s
+	$(GO) test ./internal/montecarlo/ -run '^FuzzBatchParity$$' -fuzz '^FuzzBatchParity$$' -fuzztime=20s
 	$(GO) test ./internal/server/ -run '^FuzzJobRequest$$' -fuzz '^FuzzJobRequest$$' -fuzztime=20s
 	$(GO) test ./internal/server/ -run '^FuzzRankRequest$$' -fuzz '^FuzzRankRequest$$' -fuzztime=20s
 	$(GO) test ./internal/timingsim/ -run '^FuzzInjectEquivalence$$' -fuzz '^FuzzInjectEquivalence$$' -fuzztime=20s

@@ -156,7 +156,7 @@ func TestStageShares(t *testing.T) {
 		"repro/internal/logicsim.(*Simulator).Step",
 		mcEngine + "resumeGroup",
 		mcEngine + "resumeClasses",
-		mcEngine + "resumeBatch",
+		mcEngine + "resumeSweep",
 		"repro/internal/stats.(*Discrete).Sample",
 		"repro/internal/sampling.(*Importance).Draw",
 		"repro/internal/placement.(*SpotIndex).spotOf",
@@ -177,7 +177,7 @@ func TestStageShares(t *testing.T) {
 	}
 	// Location ids equal the function ids they hold, except the
 	// inlined ones: in location 20, Step is inlined into resumeGroup,
-	// in 21 spotOf and DFFWithin are inlined into resumeBatch, in 22
+	// in 21 spotOf and DFFWithin are inlined into resumeSweep, in 22
 	// the latch bound is inlined into the pruned entry, and in 23 the
 	// spot record check and the spot table's check are inlined into the
 	// engine's sample path.

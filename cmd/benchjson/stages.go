@@ -78,7 +78,7 @@ var stages = []struct {
 	{"latch bound", []string{"repro/internal/timingsim.(*CycleTable).", "repro/internal/montecarlo.(*spotTable)."}},
 	{"timed sweep", []string{"repro/internal/fault.(*Attack).StrikeFrom", "repro/internal/timingsim.(*Simulator)."}},
 	{"classify", []string{mcEngine + "classifySingle", "repro/internal/analytical."}},
-	{"lane-batched resume", []string{mcEngine + "resumeBatch"}},
+	{"lane-batched resume", []string{mcEngine + "resumeSweep"}},
 	{"grouped resume", []string{mcEngine + "resumeClasses", mcEngine + "resumeGroup", mcEngine + "splitGroup"}},
 	{"resume ordering", []string{mcEngine + "flushResumes"}},
 	{"merge", []string{mcEngine + "accumulate", "repro/internal/montecarlo.(*Campaign).Merge", "repro/internal/montecarlo.commitBlocks"}},

@@ -12,6 +12,7 @@ package logicsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -261,6 +262,19 @@ func (s *Simulator) SetRegState(state []uint64) {
 	}
 }
 
+// ResetLanes sets the lanes in mask of every register to those lanes of
+// ref (a register state in RegState order) and leaves the other lanes
+// as they are: one pass that reloads several lanes at once.
+func (s *Simulator) ResetLanes(ref []uint64, mask uint64) {
+	regs := s.nl.Regs()
+	if len(ref) != len(regs) {
+		panic(fmt.Sprintf("logicsim: ResetLanes with %d values for %d regs", len(ref), len(regs)))
+	}
+	for i, r := range regs {
+		s.vals[r] = s.vals[r]&^mask | ref[i]&mask
+	}
+}
+
 // Signal helpers: multi-bit values over groups of nodes (LSB first),
 // matching hdl.Signal layout.
 
@@ -283,6 +297,40 @@ func (s *Simulator) DriveWord(bits []netlist.NodeID, v uint64) {
 		if !s.plan.isInput(id) {
 			s.notInput(id)
 		}
+		s.vals[id] = -(v >> uint(i) & 1)
+	}
+}
+
+// Port is a list of primary inputs of one netlist (LSB first) that
+// NewPort has checked, so DrivePort drives it without DriveWord's
+// per-bit test.
+type Port struct {
+	nl   *netlist.Netlist
+	bits []netlist.NodeID
+}
+
+// NewPort checks that every listed node is a primary input of nl and
+// returns them as a port of nl. The port keeps its own copy of the list.
+func NewPort(nl *netlist.Netlist, bits []netlist.NodeID) (Port, error) {
+	for i, id := range bits {
+		if uint(id) >= uint(nl.NumNodes()) {
+			return Port{}, fmt.Errorf("logicsim: port bit %d is node %d, outside the netlist", i, id)
+		}
+		if n := nl.Node(id); n.Type != netlist.Input {
+			return Port{}, fmt.Errorf("logicsim: port bit %d is node %d (%v %q), not a primary input", i, id, n.Type, n.Name)
+		}
+	}
+	return Port{nl: nl, bits: slices.Clone(bits)}, nil
+}
+
+// DrivePort drives the port's inputs (LSB first) with the bits of v in
+// all lanes of each node, like DriveWord. The port must belong to the
+// simulator's netlist.
+func (s *Simulator) DrivePort(p Port, v uint64) {
+	if p.nl != s.nl {
+		panic("logicsim: DrivePort with a port of another netlist")
+	}
+	for i, id := range p.bits {
 		s.vals[id] = -(v >> uint(i) & 1)
 	}
 }

@@ -1,6 +1,6 @@
-// Lane-batched campaign execution: speculative 64-sample bit-parallel
-// RTL resume, with diverged lanes finished in groups that share their
-// behavioural state.
+// Lane-batched campaign execution: speculative bit-parallel RTL resume
+// in sweeps of a 64-lane simulator, with diverged lanes finished in
+// groups that share their behavioural state.
 //
 // A scalar RunOnce pays three per-sample costs: a checkpoint restore to
 // the injection cycle, one full SoC cycle to apply the gate-level
@@ -9,9 +9,11 @@
 // classifying every single-cycle sample against the model's golden attack
 // window (the fault-free post-evaluation node values at each candidate
 // injection cycle — the injection is a pure function of those values),
-// and amortizes the third by packing up to 64 post-injection register
-// states into the lanes of one forked logicsim.Simulator and stepping
-// them together against the recorded golden bus trace.
+// and amortizes the third by sweeping the deferred samples through the
+// 64 lanes of one forked logicsim.Simulator, stepped against the
+// recorded golden bus trace: each sample's post-injection register state
+// enters a free lane at its own injection cycle, and a lane freed by
+// convergence or ejection takes a later sample.
 //
 // Speculation and grouping: a faulty MPU only influences the rest of
 // the system through its grant/viol outputs at response-consumption
@@ -48,6 +50,9 @@ import (
 // the engine's model.
 type batchState struct {
 	sim *logicsim.Simulator
+	// slot[l] is the lane that lane l of sim carries in the running
+	// sweep.
+	slot [64]pendingResume
 	// laneBuf and packBuf are register-word scratch for packing
 	// ejected lanes into a group.
 	laneBuf, packBuf []uint64
@@ -66,10 +71,13 @@ type batchState struct {
 // convergence cut, the lane divergences at DMA reads kept in the batch
 // as offsets (a lane counts once per such response), the lane-cycles
 // whose cut a nonzero offset withheld, and the groups entered with a
-// nonzero offset.
+// nonzero offset; and the work of the sweeps: lane-simulator steps,
+// flushes and the sweeps they ran, register passes that reset the
+// slots of ejected lanes, and jumps over cycles with no live lane.
 type batchCounts struct {
-	Groups, Splits, Lanes, Cut       int
-	Absorbed, Withheld, OffsetGroups int
+	Groups, Splits, Lanes, Cut            int
+	Absorbed, Withheld, OffsetGroups      int
+	Steps, Flushes, Sweeps, Resets, Jumps int
 }
 
 // shadowLane is the group lane that follows the golden initial MPU state
@@ -266,16 +274,13 @@ func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []R
 	return results
 }
 
-// flushResumes completes the deferred resumes in 64-lane batches. The
-// lanes of a batch need not share an injection cycle: an unloaded lane
-// of the forked simulator follows the golden trajectory exactly (inputs
-// are broadcast and evaluation is lane-wise), so each sample's flips
-// are XORed into its lane when the shared resume reaches that sample's
-// te+1. Ordering by te keeps each batch's cycle span (and the staggered
-// entries) tight; a stable counting sort over the recorded window does
-// it in linear time. No sample's outcome depends on which batch carries
-// it: each lane's trajectory is a function of only its own (te, flips)
-// and the shared golden trace.
+// flushResumes completes the deferred resumes in sweeps of the lane
+// simulator over the lanes sorted by te (a stable counting sort over the
+// recorded window, in linear time). A sweep runs until its last lane is
+// done, and the lanes that found every slot busy wait for the next one.
+// No sample's outcome depends on the sweep or slot that carries it: each
+// lane's trajectory is a function of only its own (te, flips) and the
+// shared golden trace.
 func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 	if len(pend) == 0 {
 		return
@@ -295,70 +300,96 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 		count[p.te-lo]++
 	}
 	b.sorted = sorted
-	for start := 0; start < len(sorted); start += 64 {
-		end := min(start+64, len(sorted))
-		e.resumeBatch(sorted[start:end], results)
+	b.counts.Flushes++
+	for lanes := sorted; len(lanes) > 0; {
+		lanes = e.resumeSweep(lanes, results)
 	}
 }
 
-// resumeBatch resumes up to 64 post-injection register states together:
-// lane l of every register holds lanes[l]'s faulty value, and the
-// forked simulator steps once per cycle against the recorded golden bus
-// trace, with each lane's flips entering at its own injection cycle +1.
+// resumeSweep resumes the te-sorted lanes in one sweep of the lane
+// simulator and returns the lanes that found no free slot, in te order,
+// compacted into the front of lanes.
+//
+// The sweep starts from the golden registers at the first lane's te+1
+// and steps once per cycle against the recorded golden bus trace. A slot
+// (a lane of the simulator) that carries no sample follows the golden
+// trajectory exactly, because inputs are broadcast and evaluation is
+// lane-wise, so a lane enters at its te+1 by XORing its flips into the
+// lowest free slot that is still golden. A slot whose lane converged is
+// golden; one whose lane was ejected is not, and when no golden slot is
+// free, one register pass resets every such slot to the golden registers
+// of the cycle. When no slot is live, the sweep jumps to the next entry
+// cycle with the golden registers instead of stepping.
+//
 // Per cycle, one XOR pass against the golden register words yields
-// every lane's error-liveness bit (converged lanes retire as failed,
+// every slot's error-liveness bit (converged lanes retire as failed,
 // matching the scalar convergence cut), and the responding grant/viol
 // signals are compared against the recorded golden responses at
 // consumption cycles. A lane that diverges at a DMA read's response
 // stays: that response changes only DMAViol, so the lane keeps the
-// golden core, memory and DMA state and only records its DMAViol
-// offset from golden, and the cut, which compares DMAViol too, skips
-// it while the offset is nonzero. Lanes that diverge at a core access's
-// response are ejected to grouped resumes from the divergence cycle. A
-// lane still on the golden trajectory when the marked response is
-// consumed saw the golden decision (trap), so its attack failed. lanes
-// must be te-sorted.
-func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
+// golden core, memory and DMA state and only records its DMAViol offset
+// from golden, and the cut, which compares DMAViol too, skips it while
+// the offset is nonzero. Lanes that diverge at a core access's response
+// are ejected to grouped resumes from the divergence cycle. A lane still
+// on the golden trajectory when the marked response is consumed saw the
+// golden decision (trap), so its attack failed. Every lane has te <=
+// TargetCycle < markedResp, so by the marked response every lane of the
+// sweep has entered or been set aside.
+func (e *Engine) resumeSweep(lanes []pendingResume, results []RunResult) (waiting []pendingResume) {
 	b := e.batch
 	g := e.m.golden
 	sim := b.sim
-	startC := lanes[0].te + 1
-	sim.SetRegState(g.Regs[startC])
-	var active uint64
-	next := 0
 	useCut := !e.noConvergenceCut
 	grant := e.SoC.MPU.OutGrant[0]
 	viol := e.SoC.MPU.OutViol[0]
 	trace := g.BusTrace
-	// off[l] is lane l's DMAViol minus the golden run's; offMask holds
-	// the lanes whose offset is nonzero.
+	b.counts.Sweeps++
+	// active holds the slots that carry a live lane, dirty the free
+	// slots that left the golden trajectory.
+	var active, dirty uint64
+	// off[l] is slot l's DMAViol minus the golden run's; offMask holds
+	// the slots whose offset is nonzero.
 	var off [64]int
 	var offMask uint64
+	waiting = lanes[:0]
+	next := 0
+	c := lanes[0].te + 1
+	sim.SetRegState(g.Regs[c])
 	//hot
-	for c := startC; ; c++ {
-		for next < len(lanes) && lanes[next].te+1 == c {
-			bit := uint64(1) << uint(next)
+	for ; ; c++ {
+		for ; next < len(lanes) && lanes[next].te+1 == c; next++ {
+			free := ^(active | dirty)
+			if free == 0 && dirty != 0 {
+				sim.ResetLanes(g.Regs[c], dirty)
+				b.counts.Resets++
+				free, dirty = dirty, 0
+			}
+			if free == 0 {
+				waiting = append(waiting, lanes[next]) //alloc-ok (compacts lanes in place)
+				continue
+			}
+			l := bits.TrailingZeros64(free)
+			bit := uint64(1) << uint(l)
+			b.slot[l] = lanes[next]
 			for _, r := range lanes[next].flips {
 				sim.SetReg(r, sim.Val(r)^bit)
 			}
+			off[l] = 0
+			offMask &^= bit
 			active |= bit
-			next++
 		}
-		if useCut {
+		if useCut && active != 0 {
 			if conv := active &^ sim.RegDiffMask(g.Regs[c]); conv != 0 {
 				b.counts.Withheld += bits.OnesCount64(conv & offMask)
 				conv &^= offMask
 				for m := conv; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					results[lanes[l].idx].ResumeCycles = c - (lanes[l].te + 1)
+					p := &b.slot[bits.TrailingZeros64(m)]
+					results[p.idx].ResumeCycles = c - (p.te + 1)
 				}
 				active &^= conv
-				if active == 0 && next == len(lanes) {
-					return
-				}
 			}
 		}
-		if c == e.m.markedResp {
+		if active != 0 && c == e.m.markedResp {
 			// Every remaining lane reaches the marked decision with
 			// golden behavioural state, so its outcome is a closed form
 			// of its own grant/viol lanes: the scalar resume would step
@@ -369,14 +400,15 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 			gw, vw := sim.Val(grant), sim.Val(viol)
 			for m := active; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				r := &results[lanes[l].idx]
-				r.ResumeCycles = c + 1 - (lanes[l].te + 1)
+				p := &b.slot[l]
+				r := &results[p.idx]
+				r.ResumeCycles = c + 1 - (p.te + 1)
 				r.Success = gw>>uint(l)&1 == 1 && vw>>uint(l)&1 == 0
 			}
-			return
+			return waiting
 		}
 		ent := &trace[c]
-		if ent.RespConsumed {
+		if active != 0 && ent.RespConsumed {
 			vw, gv := sim.Val(viol), logicsim.Broadcast(ent.RespViol)
 			div := (sim.Val(grant) ^ logicsim.Broadcast(ent.RespGrant)) | (vw ^ gv)
 			if div &= active; div != 0 {
@@ -391,30 +423,39 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 					}
 					b.counts.Absorbed += bits.OnesCount64(div)
 				} else {
-					e.resumeClasses(c, div, lanes, &off, results)
+					e.resumeClasses(c, div, &off, results)
 					active &^= div
-					if active == 0 && next == len(lanes) {
-						return
-					}
+					dirty |= div
 				}
 			}
 		}
+		if active == 0 {
+			if next == len(lanes) {
+				return waiting
+			}
+			c = lanes[next].te
+			sim.SetRegState(g.Regs[c+1])
+			dirty = 0
+			b.counts.Jumps++
+			continue
+		}
 		e.SoC.MPU.DriveBusTrace(sim, ent)
 		sim.Step()
+		b.counts.Steps++
 	}
 }
 
-// resumeClasses finishes the batch lanes in div, which diverged from
-// the golden responses at cycle c. Up to c their behavioural state was
-// golden except DMAViol, which exceeds golden by the lane's off entry,
-// and the response they consume at c is their own grant/viol pair, so
-// lanes with equal pairs and equal offsets share one behavioural state
-// from then on. Each such class, cut into groups of at most shadowLane
-// lanes, restores the golden state at c with DMAViol raised by the
-// offset, the class's faulty register bits in lanes 0..k-1 and the
-// golden bits in the shadow lanes, exactly as a scalar resume of each
-// lane would hold them, and resumes as a group.
-func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, off *[64]int, results []RunResult) {
+// resumeClasses finishes the lanes of the sweep's slots in div, which
+// diverged from the golden responses at cycle c. Up to c their
+// behavioural state was golden except DMAViol, which exceeds golden by
+// the slot's off entry, and the response they consume at c is their own
+// grant/viol pair, so lanes with equal pairs and equal offsets share one
+// behavioural state from then on. Each such class, cut into groups of at
+// most shadowLane lanes, restores the golden state at c with DMAViol
+// raised by the offset, the class's faulty register bits in lanes
+// 0..k-1 and the golden bits in the shadow lanes, exactly as a scalar
+// resume of each lane would hold them, and resumes as a group.
+func (e *Engine) resumeClasses(c int, div uint64, off *[64]int, results []RunResult) {
 	b := e.batch
 	mpu := e.SoC.MPU
 	gw, vw := b.sim.Val(mpu.OutGrant[0]), b.sim.Val(mpu.OutViol[0])
@@ -444,28 +485,28 @@ func (e *Engine) resumeClasses(c int, div uint64, lanes []pendingResume, off *[6
 				packLanes(b.packBuf, b.laneBuf, e.m.golden.Regs[c], lane[:n])
 				e.SoC.Sim.SetRegState(b.packBuf)
 				b.counts.Lanes += n
-				e.resumeGroup(lane[:n], lanes, results)
+				e.resumeGroup(lane[:n], results)
 				for len(b.groups) > 0 {
 					grp := b.groups[len(b.groups)-1]
 					b.groups = b.groups[:len(b.groups)-1]
 					e.SoC.Restore(grp.cp)
-					e.resumeGroup(grp.lane[:grp.n], lanes, results)
+					e.resumeGroup(grp.lane[:grp.n], results)
 				}
 			}
 		}
 	}
 }
 
-// resumeGroup resumes the SoC, whose register lane j carries batch lane
-// lane[j] and whose lanes len(lane)..63 carry the shadow, until every
-// lane has an outcome. It is the scalar resumeRTL run for all of the
+// resumeGroup resumes the SoC, whose register lane j carries the lane of
+// the sweep's slot lane[j] and whose lanes len(lane)..63 carry the
+// shadow, until every lane has an outcome. It is the scalar resumeRTL run for all of the
 // group's lanes at once, exact because they share the core, memory and
 // DMA state: the core reads lane 0's responses, and at every
 // consumption the lanes whose grant/viol differ from lane 0's split off
 // into a new group. A lane retires through the convergence cut when the
 // architectural state, its own lane and the shadow lane all equal the
 // golden state — the scalar resume's all-lanes condition.
-func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunResult) {
+func (e *Engine) resumeGroup(lane []uint8, results []RunResult) {
 	g := e.m.golden
 	s := e.SoC
 	sim := s.Sim
@@ -473,6 +514,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 	limit := g.FinalCycle + resumeMargin
 	useCut := !e.noConvergenceCut
 	live := uint64(1)<<len(lane) - 1
+	slot := &e.batch.slot
 	e.batch.counts.Groups++
 	//hot
 	for !s.Done() && !s.Marked.Resolved && s.Cycle() < limit {
@@ -481,7 +523,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 			if diff := sim.RegDiffMask(g.Regs[c]); diff>>shadowLane == 0 {
 				if conv := live &^ diff; conv != 0 {
 					for m := conv; m != 0; m &= m - 1 {
-						p := &lanes[lane[bits.TrailingZeros64(m)]]
+						p := &slot[lane[bits.TrailingZeros64(m)]]
 						results[p.idx].ResumeCycles = c - (p.te + 1)
 						e.batch.counts.Cut++
 					}
@@ -504,7 +546,7 @@ func (e *Engine) resumeGroup(lane []uint8, lanes []pendingResume, results []RunR
 	}
 	success := s.AttackSucceeded()
 	for m := live; m != 0; m &= m - 1 {
-		p := &lanes[lane[bits.TrailingZeros64(m)]]
+		p := &slot[lane[bits.TrailingZeros64(m)]]
 		r := &results[p.idx]
 		r.ResumeCycles = s.Cycle() - (p.te + 1)
 		r.Success = success
@@ -529,14 +571,22 @@ func (e *Engine) splitGroup(split uint64, lane []uint8) {
 }
 
 // packLanes writes register words whose lane j is lane src[j] of from
-// and whose other lanes all hold lane shadowLane of shadow. dst may
-// alias from and shadow.
+// and whose other lanes all hold lane shadowLane of shadow. A word in
+// which every source lane already equals the shadow lane is that lane's
+// broadcast; only the other words are packed lane by lane. dst may alias
+// from and shadow.
 func packLanes(dst, from, shadow []uint64, src []uint8) {
+	var mask uint64
+	for _, l := range src {
+		mask |= 1 << l
+	}
 	for i := range dst {
 		f := from[i]
 		w := -(shadow[i] >> shadowLane)
-		for j, l := range src {
-			w = w&^(1<<uint(j)) | (f>>l&1)<<uint(j)
+		if (f^w)&mask != 0 {
+			for j, l := range src {
+				w = w&^(1<<uint(j)) | (f>>l&1)<<uint(j)
+			}
 		}
 		dst[i] = w
 	}

@@ -102,6 +102,17 @@ var (
 	offsetGroup = batchEvent{"a group entered with a nonzero DMAViol offset", func(n montecarlo.BatchCounts) bool {
 		return n.OffsetGroups > 0
 	}}
+	// A reset reloads the slots of ejected lanes only when a lane needs
+	// one of them.
+	slotReset = batchEvent{"a slot reset after an ejected lane", func(n montecarlo.BatchCounts) bool {
+		return n.Resets > 0
+	}}
+	secondSweep = batchEvent{"a flush that needs a second sweep", func(n montecarlo.BatchCounts) bool {
+		return n.Sweeps > n.Flushes
+	}}
+	idleJump = batchEvent{"a jump over an idle span", func(n montecarlo.BatchCounts) bool {
+		return n.Jumps > 0
+	}}
 )
 
 // nonCandidates returns the strikeable gates that are not candidates
@@ -191,8 +202,11 @@ func hardenedEvaluation(t testing.TB) *core.Evaluation {
 // occurred, and fails if they have not after maxChunks. The gate cases
 // keep lanes through DMA-read divergences, and on the default attack
 // one such lane's registers return to golden while its DMAViol offset
-// is nonzero, so its cut must wait; the register case groups diverged
-// lanes, some of them with an offset. Lanes that share a group almost
+// is nonzero, so its cut must wait, and a sweep with no live lane jumps
+// to its next entry; the register case groups diverged lanes, some of
+// them with an offset, loads lanes into the reset slots of ejected
+// ones, and has more lanes at once than the 64 slots, so that some
+// wait for a second sweep. Lanes that share a group almost
 // never respond differently later, so the split case builds its input:
 // 64 copies of one wide register strike on the hardened evaluation,
 // whose copies flip different subsets of the spot. Two gate cases
@@ -218,8 +232,8 @@ func TestBatchRunParity(t *testing.T) {
 		need                     []batchEvent
 	}{
 		{"gate-concentrated", concentratedEvaluation, montecarlo.GateAttack, nominal, 1500, 1, 1, []batchEvent{dmaKept}},
-		{"gate-default", evaluation, montecarlo.GateAttack, nominal, 5000, 1, 12, []batchEvent{dmaKept, cutWithheld}},
-		{"register-default", evaluation, montecarlo.RegisterAttack, nominal, 5000, 1, 4, []batchEvent{sharedGroup, dmaKept, offsetGroup}},
+		{"gate-default", evaluation, montecarlo.GateAttack, nominal, 5000, 1, 12, []batchEvent{dmaKept, cutWithheld, idleJump}},
+		{"register-default", evaluation, montecarlo.RegisterAttack, nominal, 5000, 1, 4, []batchEvent{sharedGroup, dmaKept, offsetGroup, slotReset, secondSweep}},
 		{"register-hardened-wide", hardenedEvaluation, montecarlo.RegisterAttack, wide, 16, 64, 60, []batchEvent{laterSplit}},
 		{"gate-uncovered", evaluation, montecarlo.GateAttack, uncoveredSample(), 5000, 1, 12, []batchEvent{dmaKept}},
 		{"gate-replaced-attack", replacedAttackEvaluation, montecarlo.GateAttack, nominal, 5000, 1, 12, []batchEvent{dmaKept}},
@@ -281,6 +295,47 @@ func TestBatchRunParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzBatchParity holds RunBatch to consecutive RunOnce calls on fuzzed
+// sample streams of up to 2,048 nominal draws of the default attack in
+// either mode, their radii scaled by a factor in [0, 4]: outcome,
+// classification, path, RTL cycle count and flipped set must agree per
+// sample.
+func FuzzBatchParity(f *testing.F) {
+	f.Add(int64(1), uint16(2048), false, 1.0)
+	f.Add(int64(2), uint16(2048), true, 1.0)
+	f.Add(int64(3), uint16(700), true, 3.5)
+	f.Add(int64(4), uint16(300), false, 0.25)
+	ev := evaluation(f)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, register bool, scale float64) {
+		if n > montecarlo.FixedSizeBlock || !(0 <= scale && scale <= 4) {
+			t.Skip("outside the fuzzed range")
+		}
+		mode := montecarlo.GateAttack
+		if register {
+			mode = montecarlo.RegisterAttack
+		}
+		srng := rand.New(rand.NewSource(seed))
+		samples := make([]fault.Sample, n)
+		for i := range samples {
+			samples[i] = ev.Attack.SampleNominal(srng)
+			samples[i].Radius *= scale
+		}
+		rng := rand.New(rand.NewSource(seed))
+		scalar := make([]montecarlo.RunResult, n)
+		for i, s := range samples {
+			scalar[i] = ev.Engine.RunOnce(rng, s, mode)
+		}
+		batched := ev.Engine.RunBatch(rand.New(rand.NewSource(seed)), samples, mode)
+		for i, sr := range scalar {
+			br := batched[i]
+			if sr.Success != br.Success || sr.Class != br.Class || sr.Path != br.Path ||
+				sr.ResumeCycles != br.ResumeCycles || !slices.Equal(sr.Flipped, br.Flipped) {
+				t.Fatalf("%v sample %d (%+v): scalar %+v, batched %+v", mode, i, samples[i], sr, br)
+			}
+		}
+	})
 }
 
 // TestOffsetGroupEndsInScalarState follows single register attacks

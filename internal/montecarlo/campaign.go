@@ -297,7 +297,8 @@ func (w *windowBufs) reset(n int) {
 // execution path, one window at a time: it draws the window's samples
 // and weights, injects and classifies them in draw order against the
 // model's golden attack window, completes the deferred PathRTL resumes
-// in 64-lane batches, and commits the results in draw order. Drawing
+// in sweeps of the 64-lane simulator, and commits the results in draw
+// order. Drawing
 // the whole window before its first evaluation keeps the sampler's
 // tables warm across the draws, and leaves the rng stream as
 // consecutive RunOnce calls would consume it, because the rng drives

@@ -388,9 +388,9 @@ func (g *Golden) accessWindow(from, to int) []soc.AccessEvent {
 // compared against the golden run's state for the same cycle; equality
 // means the fault has died out and the run is bit-for-bit back on the
 // golden trajectory — whose outcome is known (the attack failed) — so
-// the resume stops there. Campaigns and RunBatch resume in lane
-// batches and groups instead (resumeBatch, resumeGroup); this loop is
-// their oracle.
+// the resume stops there. Campaigns and RunBatch resume in sweeps of
+// the lane simulator and in groups instead (resumeSweep, resumeGroup);
+// this loop is their oracle.
 func (e *Engine) resumeRTL() (resumed int, success bool) {
 	g := e.m.golden
 	s := e.SoC

@@ -57,16 +57,13 @@ func BenchmarkMPULatch(b *testing.B) {
 }
 
 func BenchmarkMPUDriveBusTrace(b *testing.B) {
-	mpu, err := BuildMPU(DefaultMPUConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := logicsim.New(mpu.Netlist)
+	cfg := DefaultConfig()
+	s, err := New(cfg, SyntheticProgram(cfg.DMABase, cfg.DMALimit))
 	if err != nil {
 		b.Fatal(err)
 	}
 	ent := BusTraceEntry{Valid: true, Write: true, Addr: 0x1234, CfgAddr: 5, CfgWData: 0xbeef}
 	for i := 0; i < b.N; i++ {
-		mpu.DriveBusTrace(sim, &ent)
+		s.MPU.DriveBusTrace(s.Sim, &ent)
 	}
 }

@@ -111,11 +111,12 @@ type MPU struct {
 	// violation decision. A transient here flips both coherently.
 	CriticalGate netlist.NodeID
 
-	// sim is the netlist's simulator at power-on, compiled by the
-	// first newSim call (under simOnce); every SoC on this MPU runs a
-	// fork of it.
+	// sim is the netlist's simulator at power-on and ports its checked
+	// input ports, both made by the first newSim call (under simOnce);
+	// every SoC on this MPU runs a fork of sim.
 	simOnce sync.Once
 	sim     *logicsim.Simulator
+	ports   *mpuPorts
 	simErr  error
 
 	// check is the netlist's structural report, run by the first
@@ -134,16 +135,63 @@ func (m *MPU) CheckNetlist() *modelcheck.Report {
 }
 
 // newSim returns a power-on simulator of the MPU netlist. The first
-// call compiles the evaluation plan, so the plan binds a generated
-// evaluator or not as logicsim.SetGeneratedEnabled stands at that call;
-// every later call forks it, sharing the immutable plan and
-// topological order. The netlist must not change after the first call.
+// call checks the input ports and compiles the evaluation plan, so the
+// plan binds a generated evaluator or not as
+// logicsim.SetGeneratedEnabled stands at that call; every later call
+// forks it, sharing the immutable plan and topological order. Neither
+// the netlist nor the port lists may change after the first call.
 func (m *MPU) newSim() (*logicsim.Simulator, error) {
-	m.simOnce.Do(func() { m.sim, m.simErr = logicsim.New(m.Netlist) })
+	m.simOnce.Do(func() {
+		if m.ports, m.simErr = m.checkPorts(); m.simErr == nil {
+			m.sim, m.simErr = logicsim.New(m.Netlist)
+		}
+	})
 	if m.simErr != nil {
 		return nil, m.simErr
 	}
 	return m.sim.Fork(), nil
+}
+
+// mpuPorts are the MPU's eight input ports, checked once so that every
+// cycle drives them without a per-bit test.
+type mpuPorts struct {
+	valid, write, priv, addr          logicsim.Port
+	cfgWe, cfgPriv, cfgAddr, cfgWData logicsim.Port
+}
+
+// checkPorts checks that every bit of the MPU's input port lists is a
+// primary input of its netlist.
+func (m *MPU) checkPorts() (*mpuPorts, error) {
+	p := &mpuPorts{}
+	for _, in := range []struct {
+		name string
+		bits []netlist.NodeID
+		port *logicsim.Port
+	}{
+		{"InValid", m.InValid, &p.valid}, {"InWrite", m.InWrite, &p.write},
+		{"InPriv", m.InPriv, &p.priv}, {"InAddr", m.InAddr, &p.addr},
+		{"InCfgWe", m.InCfgWe, &p.cfgWe}, {"InCfgPriv", m.InCfgPriv, &p.cfgPriv},
+		{"InCfgAddr", m.InCfgAddr, &p.cfgAddr}, {"InCfgWData", m.InCfgWData, &p.cfgWData},
+	} {
+		var err error
+		if *in.port, err = logicsim.NewPort(m.Netlist, in.bits); err != nil {
+			return nil, fmt.Errorf("soc: MPU port %s: %w", in.name, err)
+		}
+	}
+	return p, nil
+}
+
+// drive drives one cycle's bus values onto the ports of sim, a
+// simulator of the MPU's netlist.
+func (p *mpuPorts) drive(sim *logicsim.Simulator, e *BusTraceEntry) {
+	sim.DrivePort(p.valid, b2u(e.Valid))
+	sim.DrivePort(p.write, b2u(e.Write))
+	sim.DrivePort(p.priv, b2u(e.Priv))
+	sim.DrivePort(p.addr, uint64(e.Addr))
+	sim.DrivePort(p.cfgWe, b2u(e.CfgWe))
+	sim.DrivePort(p.cfgPriv, b2u(e.CfgPriv))
+	sim.DrivePort(p.cfgAddr, uint64(e.CfgAddr))
+	sim.DrivePort(p.cfgWData, uint64(e.CfgWData))
 }
 
 // RegionCfgWords returns the (base, limit, perm) cfg_addr triplet of a

@@ -158,8 +158,9 @@ func New(cfg Config, prog *Program) (*SoC, error) {
 }
 
 // WithMPU builds a SoC around an existing MPU elaboration. The MPU's
-// evaluation plan is compiled once, by the first SoC built on it; every
-// later SoC simulates a fork of it.
+// input ports are checked and its evaluation plan compiled once, by the
+// first SoC built on it; a port bit that is not a primary input of its
+// netlist is an error. Every later SoC simulates a fork of the plan.
 func WithMPU(cfg Config, prog *Program, mpu *MPU) (*SoC, error) {
 	if cfg.MemWords <= 0 {
 		return nil, fmt.Errorf("soc: MemWords = %d", cfg.MemWords)
@@ -289,25 +290,18 @@ func (s *SoC) StepInject(inject InjectFunc) {
 	} else {
 		s.lastReq = req
 	}
-	s.Sim.DriveWord(mpu.InValid, b2u(req.Active))
-	s.Sim.DriveWord(mpu.InWrite, b2u(drive.Write))
-	s.Sim.DriveWord(mpu.InPriv, b2u(req.Active && !req.FromDMA && s.cpu.Priv))
-	s.Sim.DriveWord(mpu.InAddr, uint64(drive.Addr))
-	s.Sim.DriveWord(mpu.InCfgWe, b2u(cfgW.we))
-	s.Sim.DriveWord(mpu.InCfgPriv, b2u(s.cpu.Priv))
-	s.Sim.DriveWord(mpu.InCfgAddr, uint64(cfgW.addr))
-	s.Sim.DriveWord(mpu.InCfgWData, uint64(cfgW.wdata))
-
+	ent := BusTraceEntry{
+		Valid: req.Active, Write: drive.Write,
+		Priv:  req.Active && !req.FromDMA && s.cpu.Priv,
+		Addr:  drive.Addr,
+		CfgWe: cfgW.we, CfgPriv: s.cpu.Priv,
+		CfgAddr: cfgW.addr, CfgWData: cfgW.wdata,
+		RespConsumed: respConsumed, RespGrant: respGrant, RespViol: respViol,
+		RespDMARead: respDMARead,
+	}
+	mpu.ports.drive(s.Sim, &ent)
 	if s.LogBusTrace {
-		s.BusTrace = append(s.BusTrace, BusTraceEntry{
-			Valid: req.Active, Write: drive.Write,
-			Priv:  req.Active && !req.FromDMA && s.cpu.Priv,
-			Addr:  drive.Addr,
-			CfgWe: cfgW.we, CfgPriv: s.cpu.Priv,
-			CfgAddr: cfgW.addr, CfgWData: cfgW.wdata,
-			RespConsumed: respConsumed, RespGrant: respGrant, RespViol: respViol,
-			RespDMARead: respDMARead,
-		})
+		s.BusTrace = append(s.BusTrace, ent)
 	}
 
 	if req.Active {
@@ -346,16 +340,13 @@ func (s *SoC) StepInject(inject InjectFunc) {
 // input ports of an arbitrary simulator over the same netlist. Each bit
 // is broadcast to every lane, so a lane-batched resume can step 64
 // faulty MPU register states against the one golden system trace with
-// a single combinational pass per cycle.
+// a single combinational pass per cycle. A SoC must have been built on
+// the MPU (WithMPU), which checks its ports.
 func (m *MPU) DriveBusTrace(sim *logicsim.Simulator, e *BusTraceEntry) {
-	sim.DriveWord(m.InValid, b2u(e.Valid))
-	sim.DriveWord(m.InWrite, b2u(e.Write))
-	sim.DriveWord(m.InPriv, b2u(e.Priv))
-	sim.DriveWord(m.InAddr, uint64(e.Addr))
-	sim.DriveWord(m.InCfgWe, b2u(e.CfgWe))
-	sim.DriveWord(m.InCfgPriv, b2u(e.CfgPriv))
-	sim.DriveWord(m.InCfgAddr, uint64(e.CfgAddr))
-	sim.DriveWord(m.InCfgWData, uint64(e.CfgWData))
+	if m.ports == nil {
+		panic("soc: DriveBusTrace on an MPU no SoC was built on")
+	}
+	m.ports.drive(sim, e)
 }
 
 // FlipRegsNow flips the stored value of the given MPU registers between

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -434,6 +435,25 @@ func TestWithMPUValidation(t *testing.T) {
 	}
 	if _, err := WithMPU(DefaultConfig(), nil, m); err == nil {
 		t.Error("nil program accepted")
+	}
+}
+
+// TestWithMPURejectsNonInputPort: binding an MPU whose request address
+// port names a gate must fail when the SoC is built, not panic in the
+// first cycle that drives the port.
+func TestWithMPURejectsNonInputPort(t *testing.T) {
+	m, err := BuildMPU(DefaultMPUConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InAddr = append([]netlist.NodeID{m.CriticalGate}, m.InAddr[1:]...)
+	cfg := DefaultConfig()
+	s, err := WithMPU(cfg, IllegalWriteProgram(20, cfg.DMABase, cfg.DMALimit), m)
+	if err == nil {
+		t.Fatalf("an InAddr bit on gate %d was accepted (SoC %p)", m.CriticalGate, s)
+	}
+	if !strings.Contains(err.Error(), "InAddr") {
+		t.Errorf("error %q does not name the port", err)
 	}
 }
 
